@@ -692,7 +692,28 @@ let exp_e9 () =
 (* ------------------------------------------------------------------ *)
 (* E10: incremental maintenance of materialized constructed relations *)
 
+(* Tuples the maintenance pipeline touched since the last reset: the
+   phase totals of every Ivm report. *)
+let ivm_touched () =
+  List.fold_left
+    (fun n (rp : Dc_ivm.Ivm.report) ->
+      List.fold_left (fun n (ph : Dc_ivm.Ivm.phase) -> n + ph.ph_tuples) n rp.rp_phases)
+    0 (Dc_ivm.Ivm.reports ())
+
 let exp_e10 () =
+  (* the left-linear closure as Horn clauses: the from-scratch baseline *)
+  let left_tc =
+    Dc_datalog.Syntax.
+      [
+        rule (atom "path" [ var "X"; var "Y" ]) [ Pos (atom "edge" [ var "X"; var "Y" ]) ];
+        rule
+          (atom "path" [ var "X"; var "Z" ])
+          [
+            Pos (atom "path" [ var "X"; var "Y" ]);
+            Pos (atom "edge" [ var "Y"; var "Z" ]);
+          ];
+      ]
+  in
   let rows =
     List.map
       (fun (nodes, edges) ->
@@ -701,27 +722,28 @@ let exp_e10 () =
         let fresh =
           List.filter (fun t -> not (Relation.mem t base)) (Relation.to_list extra)
         in
-        let make () =
-          (* left-linear recursion: the delta propagates forward *)
-          let db = tc_db ~linear:`Left base in
-          Dc_compile.Materialize.create db ~constructor:"tc" ~base:"Edge"
-            ~args:[]
+        (* left-linear recursion: the delta propagates forward *)
+        let db = tc_db ~linear:`Left base in
+        let view =
+          Dc_ivm.Ivm.materialize db ~constructor:"tc" ~base:"Edge" ~args:[]
         in
-        let view = make () in
-        let closure0 = Relation.cardinal (Dc_compile.Materialize.value view) in
-        let (), incr_ms =
-          time (fun () -> Dc_compile.Materialize.insert view fresh)
+        let closure0 = Dc_ivm.Ivm.cardinal view in
+        Dc_ivm.Ivm.reset_reports ();
+        let (), incr_ms = time (fun () -> Database.insert_all db "Edge" fresh) in
+        let incr_derived = ivm_touched () in
+        let full_stats = Dc_datalog.Seminaive.fresh_stats () in
+        let _, full_ms =
+          time (fun () ->
+              Dc_datalog.Seminaive.run ~stats:full_stats left_tc
+                (edb_of (Database.get db "Edge")))
         in
-        let incr_stats = Dc_compile.Materialize.last_stats view in
-        let (), full_ms = time (fun () -> Dc_compile.Materialize.refresh view) in
-        let full_stats = Dc_compile.Materialize.last_stats view in
         [
           Fmt.str "%d/%d +%d" nodes edges (List.length fresh);
           string_of_int closure0;
           ms incr_ms;
-          string_of_int incr_stats.Fixpoint.tuples_derived;
+          string_of_int incr_derived;
           ms full_ms;
-          string_of_int full_stats.Fixpoint.tuples_derived;
+          string_of_int full_stats.derivations;
           Fmt.str "%.1fx" (full_ms /. max 0.001 incr_ms);
         ])
       [ (60, 120); (120, 240); (240, 480) ]
@@ -732,9 +754,9 @@ let exp_e10 () =
        (4, [ShTZ 84])"
     ~claim:
       "physical access paths over constructed relations must be maintained \
-       under updates; the paper defers to [ShTZ 84] — we reproduce the \
-       standard delta-seeded maintenance: propagate only the consequences \
-       of the inserted tuples"
+       under updates; the paper defers to [ShTZ 84] — a maintained view \
+       (Ivm: semi-naive delta propagation) handles only the consequences \
+       of the inserted tuples, vs a from-scratch semi-naive run"
     [
       "graph +ins"; "|tc|"; "incremental ms"; "incr derived"; "recompute ms";
       "full derived"; "speedup";
@@ -742,7 +764,8 @@ let exp_e10 () =
     rows;
   observed
     "maintenance cost tracks the consequences of the insertion, not the \
-     size of the closure; the advantage grows with the relation"
+     size of the closure: the view touches a small fraction of the tuples \
+     a from-scratch run derives"
 
 (* ------------------------------------------------------------------ *)
 (* E12: the §3.4 design-space comparison — the six alternatives vs the
@@ -966,12 +989,11 @@ let bechamel_tests () =
         (Staged.stage (fun () ->
              let base = Graph_gen.random_graph ~seed:5 ~nodes:60 ~edges:120 in
              let db = tc_db ~linear:`Left base in
-             let view =
-               Dc_compile.Materialize.create db ~constructor:"tc" ~base:"Edge"
-                 ~args:[]
-             in
-             Dc_compile.Materialize.insert view
-               [ Tuple.make2 (Graph_gen.node 0) (Graph_gen.node 59) ]));
+             ignore
+               (Dc_ivm.Ivm.materialize db ~constructor:"tc" ~base:"Edge"
+                  ~args:[]);
+             Database.insert db "Edge"
+               (Tuple.make2 (Graph_gen.node 0) (Graph_gen.node 59))));
       Test.make ~name:"e2c-tabled (layered 5x3)"
         (Staged.stage (fun () ->
              Dc_datalog.Tabled.query tc_program (edb_of layered) "path" 2));

@@ -2,7 +2,7 @@
    together on a live workload —
 
    - a materialized constructed relation (the reachability closure) kept
-     up to date incrementally as links are added (Materialize, [ShTZ 84]);
+     up to date incrementally as links are added (Ivm, [ShTZ 84]);
    - a prepared query form ("which hosts can S reach?") compiled once with
      its parameter as a dummy constant and executed per request;
    - a physical access path serving the same lookups from a partition of
@@ -14,6 +14,7 @@ open Dc_relation
 open Dc_calculus
 open Dc_core
 open Dc_workload
+module Ivm = Dc_ivm.Ivm
 
 let host i = Graph_gen.node i
 
@@ -29,12 +30,10 @@ let () =
     (Constructor.transitive_closure ~name:"reach" ~linear:`Left ());
 
   Fmt.pr "=== Materialize the reachability closure ===@.";
-  let view = Dc_compile.Materialize.create db ~constructor:"reach" ~base:"Link" ~args:[] in
-  Fmt.pr "links: %d, reachable pairs: %d (%a)@."
+  let view = Ivm.materialize db ~constructor:"reach" ~base:"Link" ~args:[] in
+  Fmt.pr "links: %d, reachable pairs: %d (%s)@."
     (Relation.cardinal (Database.get db "Link"))
-    (Relation.cardinal (Dc_compile.Materialize.value view))
-    Fixpoint.pp_stats
-    (Dc_compile.Materialize.last_stats view);
+    (Ivm.cardinal view) (Ivm.plan_kind view);
 
   Fmt.pr "@.=== Prepared form: reachable-from(S) ===@.";
   let form =
@@ -57,11 +56,10 @@ let () =
     [ 0; 7; 23 ];
 
   Fmt.pr "@.=== A new link arrives: n0 -> n23 ===@.";
-  Dc_compile.Materialize.insert view [ Tuple.make2 (host 0) (host 23) ];
-  Fmt.pr "reachable pairs now: %d (incremental: %a)@."
-    (Relation.cardinal (Dc_compile.Materialize.value view))
-    Fixpoint.pp_stats
-    (Dc_compile.Materialize.last_stats view);
+  Ivm.reset_reports ();
+  Database.insert db "Link" (Tuple.make2 (host 0) (host 23));
+  Fmt.pr "reachable pairs now: %d@." (Ivm.cardinal view);
+  List.iter (Fmt.pr "%a@." Ivm.pp_report) (Ivm.reports ());
   let reachable = Dc_compile.Planner.run_prepared prepared [ host 0 ] in
   Fmt.pr "n0 now reaches %d host(s)@." (Relation.cardinal reachable);
 
@@ -77,8 +75,7 @@ let () =
     }
   in
   let path =
-    Dc_compile.Access_path.Physical.build from_selector
-      (Dc_compile.Materialize.value view)
+    Dc_compile.Access_path.Physical.build from_selector (Ivm.value view)
   in
   let t0 = Unix.gettimeofday () in
   let total = ref 0 in
@@ -90,4 +87,4 @@ let () =
   done;
   Fmt.pr "40 lookups, %d pairs, %.2f ms total@." !total
     ((Unix.gettimeofday () -. t0) *. 1000.);
-  assert (!total = Relation.cardinal (Dc_compile.Materialize.value view))
+  assert (!total = Ivm.cardinal view)

@@ -30,7 +30,8 @@ let error fmt = Fmt.kstr (fun s -> raise (Error s)) fmt
    serve); [mt_snapshot] captures state and returns the restore thunk
    used to make a failed maintenance step atomic; [mt_stale]/[mt_freeze]
    publish the view into snapshots ([mt_freeze] returns [None] for a
-   stale view — snapshot readers then fall back to the fixpoint). *)
+   stale view — snapshot readers then evaluate the application
+   themselves through {!Resolve.application}). *)
 (* Durability hooks (the WAL subsystem lives in a higher layer and plugs
    in through closures, like maintainers do).  [wh_append] runs inside
    the commit, after the mutation and maintenance succeeded but BEFORE
@@ -101,14 +102,6 @@ type t = {
       (* the commit in progress changed the catalog / wholesale-assigned
          a relation: no replayable delta, [wh_append] must checkpoint *)
   mutable durable_lsn : int; (* 0 = nothing durable / no WAL attached *)
-  mutable agg_eval :
-    (t -> Defs.constructor_def -> Relation.t -> Eval.arg_value list ->
-     Relation.t)
-      option;
-      (* evaluator for constructor systems containing aggregates: the
-         fixpoint with per-group bounds lives in the compiled (datalog)
-         pipeline, which this core module cannot see — the front end
-         installs the bridge ([Dc_compile.Agg_eval] via [Elaborate]) *)
 }
 
 let frozen_empty_cache () = Index_cache.freeze (Index_cache.create ~cap:1 ())
@@ -147,10 +140,7 @@ let create ?(strategy = Fixpoint.Seminaive) ?(check_positivity = true)
     pending_changes = [];
     pending_catalog = false;
     durable_lsn = 0;
-    agg_eval = None;
   }
-
-let set_agg_eval db f = db.agg_eval <- Some f
 
 (* ------------------------------------------------------------------ *)
 (* Publication *)
@@ -501,32 +491,13 @@ let typecheck_env db =
     ~constructors:(List.map snd (SM.bindings db.constructors))
     (List.map (fun (n, r) -> (n, Relation.schema r)) (SM.bindings db.rels))
 
-(* Does the constructor system reachable from [def] contain an aggregated
-   definition?  Such applications must run through the compiled datalog
-   pipeline (grouped accumulators, per-group-bound semi-naive rounds) —
-   the naive branch-at-a-time fixpoint would re-emit displaced bounds. *)
-let system_has_agg db (def : Defs.constructor_def) =
-  let seen = Hashtbl.create 8 in
-  let rec walk (d : Defs.constructor_def) =
-    if Hashtbl.mem seen d.con_name then false
-    else begin
-      Hashtbl.replace seen d.con_name ();
-      d.con_agg <> None
-      || List.exists
-           (fun c ->
-             match SM.find_opt c db.constructors with
-             | Some dc -> walk dc
-             | None -> false)
-           (Positivity.dependencies d)
-    end
-  in
-  walk def
-
 (* Evaluation environment with the full constructor/selector semantics.
    [trace], when given, records every physical pipeline the evaluation
    lowers and runs (EXPLAIN).  [guard] defaults to a fresh guard over the
    database's declarative limits (SET LIMIT): each evaluation gets its own
-   budgets.  Constructor fixpoints pick the guard up from the environment. *)
+   budgets.  Constructor applications go through {!Resolve.application}
+   (registered maintainers serve first), which picks the guard up from
+   the environment; only the writer's environment records [last_stats]. *)
 let eval_env ?trace ?guard db =
   let guard =
     match guard with
@@ -539,33 +510,12 @@ let eval_env ?trace ?guard db =
       Eval.constructor_def = (fun n -> SM.find_opt n db.constructors);
       Eval.on_select = (fun env base def args -> Selector.apply env def base args);
       Eval.on_construct =
-        (fun env base def args ->
-          (* A maintained view that recognizes this application serves it
-             without running the fixpoint (refreshing itself first if an
-             unmaintained update left it stale). *)
-          match
-            List.find_map (fun m -> m.mt_serve def base args) db.maintainers
-          with
-          | Some value -> value
-          | None ->
-            if system_has_agg db def then (
-              match db.agg_eval with
-              | Some f -> f db def base args
-              | None ->
-                error
-                  "constructor %s: aggregated constructor systems need \
-                   the compiled front end (no aggregate evaluator is \
-                   installed on this database)"
-                  def.con_name)
-            else begin
-              let stats = Fixpoint.fresh_stats () in
-              let value =
-                Fixpoint.apply ~strategy:db.strategy
-                  ~max_rounds:db.max_rounds ~stats env def base args
-              in
-              db.last_stats <- Some stats;
-              value
-            end);
+        Resolve.application
+          ~relation:(fun n -> SM.find_opt n db.rels)
+          ~serve:(fun def base args ->
+            List.find_map (fun m -> m.mt_serve def base args) db.maintainers)
+          ~strategy:db.strategy ~max_rounds:db.max_rounds
+          ~on_stats:(fun stats -> db.last_stats <- Some stats);
     }
   in
   Eval.make_env ~hooks ?trace ~guard (SM.bindings db.rels)

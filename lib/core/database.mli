@@ -25,22 +25,6 @@ val set_strategy : t -> Fixpoint.strategy -> unit
 val strategy : t -> Fixpoint.strategy
 val set_check_positivity : t -> bool -> unit
 
-val set_agg_eval :
-  t ->
-  (t -> Defs.constructor_def -> Relation.t -> Eval.arg_value list ->
-   Relation.t) ->
-  unit
-(** Install the evaluator for constructor systems containing aggregates
-    (MIN/MAX/COUNT/SUM heads).  Applications of such systems are routed
-    here instead of the naive fixpoint — the front end wires in the
-    compiled datalog pipeline (grouped accumulators, per-group-bound
-    semi-naive rounds).  Without an installed evaluator such
-    applications raise {!Error}. *)
-
-val system_has_agg : t -> Defs.constructor_def -> bool
-(** Does the constructor system reachable from the definition contain an
-    aggregated constructor? *)
-
 val set_limits : t -> Dc_guard.Guard.limits -> unit
 (** Declarative resource limits (the surface language's [SET LIMIT]):
     every subsequent evaluation runs under a fresh guard over these. *)
@@ -209,9 +193,11 @@ val typecheck_env : t -> Typecheck.env
 
 val eval_env : ?trace:Dc_exec.Ir.trace -> ?guard:Dc_guard.Guard.t -> t -> Eval.env
 (** Evaluation environment with selector filtering and constructor
-    fixpoint semantics installed.  [trace] records every physical
-    pipeline the evaluation lowers and runs (EXPLAIN).  [guard] defaults
-    to a fresh guard over {!limits}. *)
+    semantics installed: applications resolve through
+    {!Resolve.application} (maintained views serve first).  [trace]
+    records every physical pipeline the evaluation lowers and runs
+    (EXPLAIN).  [guard] defaults to a fresh guard over {!limits} and
+    governs every route, the aggregate one included. *)
 
 (** {1 Queries and assignment} *)
 

@@ -555,28 +555,13 @@ let default_max_rounds = 100_000
 
 (* Apply constructor [def] to [base] with [args]; the full §3.2 system is
    discovered and iterated.  [env] supplies global relations plus selector
-   and constructor definitions (through its hooks' lookups).
-
-   [seed], when given, starts the root application's iteration from that
-   value instead of bottom.  This implements incremental maintenance of a
-   materialized constructed relation under base insertions ([ShTZ 84], the
-   access-path maintenance the paper's §4 refers to): for a monotone
-   system, the inflationary iteration converges to the least fixpoint from
-   any point below it, and the previous value of the application is below
-   the new fixpoint whenever the base only grew.  Seeding an unrelated or
-   shrunken base is unsound — the caller guarantees growth. *)
-let apply ?(strategy = Seminaive) ?(max_rounds = default_max_rounds) ?guard
-    ?stats ?seed ?seed_delta ?domains env (def : Defs.constructor_def) base
-    args =
+   and constructor definitions (through its hooks' lookups), and its guard
+   governs the expansion, so a limited evaluation bounds its constructor
+   expansions without every hook having to thread the guard explicitly. *)
+let apply ?(strategy = Seminaive) ?(max_rounds = default_max_rounds) ?stats env
+    (def : Defs.constructor_def) base args =
   let stats = Option.value stats ~default:(fresh_stats ()) in
-  let domains =
-    match domains with Some d -> max 1 d | None -> Par.domains ()
-  in
-  (* The governor defaults to the environment's own guard, so a limited
-     Database evaluation bounds its constructor expansions without every
-     hook having to thread the guard explicitly. *)
-  let guard = Option.value guard ~default:env.Eval.guard in
-  let env = if guard == env.Eval.guard then env else Eval.with_guard env guard in
+  let domains = Par.domains () in
   let st =
     {
       apps = KM.empty;
@@ -588,7 +573,7 @@ let apply ?(strategy = Seminaive) ?(max_rounds = default_max_rounds) ?guard
       saw_shrink = false;
       strategy;
       max_rounds;
-      guard;
+      guard = env.Eval.guard;
       stats;
       lookup_constructor = env.Eval.hooks.Eval.constructor_def;
       domains;
@@ -613,23 +598,6 @@ let apply ?(strategy = Seminaive) ?(max_rounds = default_max_rounds) ?guard
   in
   try
   let app = register st env def base args in
-  (match seed with
-  | Some value ->
-    st.full <-
-      KM.add app.key (Relation.with_schema def.con_result value) st.full
-  | None -> ());
-  (match seed_delta with
-  | Some delta ->
-    (* fully incremental start: the first round runs only the delta
-       variants over the supplied delta instead of a whole-body pass —
-       the caller certifies that [seed] ∪ [delta] accounts for every
-       derivation whose consequences do not involve [delta] *)
-    let delta = Relation.with_schema def.con_result delta in
-    st.full <-
-      KM.add app.key (Relation.union (KM.find app.key st.full) delta) st.full;
-    st.delta <- KM.add app.key delta st.delta;
-    st.initialized <- KS.add app.key st.initialized
-  | None -> ());
   (* Atomicity of constructor expansion: the rounds mutate the shared
      index cache in place ([advance_caches]); if any guard, failpoint, or
      evaluation error aborts the fixpoint, the cache transaction rolls
@@ -638,15 +606,3 @@ let apply ?(strategy = Seminaive) ?(max_rounds = default_max_rounds) ?guard
   with e ->
     restore_gauges ();
     raise e
-
-(* The delta-state reuse entry point: continue a converged fixpoint from
-   its previous value after the base grew.  [delta], when known, restarts
-   in fully incremental mode (first round runs only the delta variants);
-   without it the first round re-evaluates bodies against [previous] and
-   convergence is usually immediate.  The maintenance subsystems
-   ([Dc_ivm], [Dc_compile.Materialize]) call this instead of spelling the
-   seeding contract out at every site. *)
-let resume ?strategy ?max_rounds ?guard ?stats ~previous ?delta env def base
-    args =
-  apply ?strategy ?max_rounds ?guard ?stats ~seed:previous ?seed_delta:delta
-    env def base args

@@ -53,11 +53,7 @@ val default_max_rounds : int
 val apply :
   ?strategy:strategy ->
   ?max_rounds:int ->
-  ?guard:Dc_guard.Guard.t ->
   ?stats:stats ->
-  ?seed:Relation.t ->
-  ?seed_delta:Relation.t ->
-  ?domains:int ->
   Eval.env ->
   Defs.constructor_def ->
   Relation.t ->
@@ -67,51 +63,21 @@ val apply :
     running the whole application system to its least fixpoint.  [env]
     supplies global relations plus selector/constructor lookups through its
     hooks; nested applications discovered during evaluation join the
-    system.  Defaults: [Seminaive], {!default_max_rounds}.
+    system.  Defaults: [Seminaive], {!default_max_rounds}.  Callers go
+    through {!Resolve.application}, which sends aggregated systems to the
+    Horn-clause engine instead.
 
-    [guard] (default: the environment's own guard) governs the expansion:
-    every round ticks its round budget and every pipeline row its row
-    budget/deadline.  The expansion is {e atomic}: when the guard trips —
-    or any other exception aborts the fixpoint — the shared index cache is
-    rolled back to its pre-call state before the exception propagates, and
-    no database state has been touched.
+    The environment's guard governs the expansion: every round ticks its
+    round budget and every pipeline row its row budget/deadline.  The
+    expansion is {e atomic}: when the guard trips — or any other
+    exception aborts the fixpoint — the shared index cache is rolled back
+    to its pre-call state before the exception propagates, and no
+    database state has been touched.
     @raise Dc_guard.Guard.Exhausted when the guard trips.
 
-    [seed] starts the root application from that value instead of bottom —
-    incremental maintenance under base growth ([ShTZ 84]): sound because
-    the inflationary iteration of a monotone system converges to the least
-    fixpoint from any point below it.  The caller guarantees the base only
-    grew since the seed was computed.
-
-    [seed_delta] additionally marks the root application as initialized, so
-    the first round runs only the delta variants over the supplied delta —
-    fully incremental.  The caller certifies that [seed] accounts for every
-    derivation not involving [seed_delta] (see [Dc_compile.Materialize] for
-    the derivation of such a pair from a base insertion).
-
-    [domains] (default {!Dc_par.Par.domains}) > 1 hash-partitions each
-    semi-naive variant's delta across that many domains; shards evaluate
-    against the frozen previous-round full values and merge at the round
+    With {!Dc_par.Par.domains} > 1, each semi-naive variant's delta is
+    hash-partitioned across that many domains; shards evaluate against
+    the frozen previous-round full values and merge at the round
     barrier.  Deltas under {!Dc_par.Par.seq_cutoff} stay sequential, as
     do traced (EXPLAIN) evaluations.
     @raise Divergence on oscillation or budget exhaustion. *)
-
-val resume :
-  ?strategy:strategy ->
-  ?max_rounds:int ->
-  ?guard:Dc_guard.Guard.t ->
-  ?stats:stats ->
-  previous:Relation.t ->
-  ?delta:Relation.t ->
-  Eval.env ->
-  Defs.constructor_def ->
-  Relation.t ->
-  Eval.arg_value list ->
-  Relation.t
-(** Continue a converged fixpoint from [previous] after the base grew —
-    the delta-state reuse entry point for the maintenance subsystems.
-    [delta], when known, restarts in fully incremental mode (the first
-    round runs only the delta variants); without it the first round
-    re-evaluates bodies against [previous], which is still sound under
-    growth and usually converges immediately.  Equivalent to
-    [apply ~seed:previous ?seed_delta:delta]. *)

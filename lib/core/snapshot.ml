@@ -65,10 +65,10 @@ let typecheck_env s =
     (List.map (fun (n, r) -> (n, Relation.schema r)) (SM.bindings s.rels))
 
 (* Like {!Database.eval_env}, but every lookup resolves inside the
-   snapshot: constructor applications are served from frozen view extents
-   when one matches, and otherwise run a fixpoint whose inputs are all
-   snapshot values.  The per-evaluation index cache borrows the
-   snapshot's frozen prewarmed indexes as a read-only fallback. *)
+   snapshot: {!Resolve.application} serves from frozen view extents and
+   otherwise evaluates over snapshot values only.  The per-evaluation
+   index cache borrows the snapshot's frozen prewarmed indexes as a
+   read-only fallback. *)
 let eval_env ?guard s =
   let guard =
     match guard with Some g -> g | None -> Guard.of_limits s.limits
@@ -80,16 +80,13 @@ let eval_env ?guard s =
       Eval.on_select =
         (fun env base def args -> Selector.apply env def base args);
       Eval.on_construct =
-        (fun env base def args ->
-          match
+        Resolve.application
+          ~relation:(fun n -> SM.find_opt n s.rels)
+          ~serve:(fun def base args ->
             List.find_map
               (fun v -> Option.bind v.fv_serve (fun serve -> serve def base args))
-              s.views
-          with
-          | Some value -> value
-          | None ->
-            Fixpoint.apply ~strategy:s.strategy ~max_rounds:s.max_rounds env
-              def base args);
+              s.views)
+          ~strategy:s.strategy ~max_rounds:s.max_rounds;
     }
   in
   let icache = Index_cache.create ~shared:s.icache () in

@@ -49,15 +49,16 @@ val view_names : t -> string list
 
 val stale_views : t -> string list
 (** Maintained views that were stale at publication: a reader querying
-    them re-runs the fixpoint against snapshot relations instead of
+    them evaluates the application against snapshot relations instead of
     being served from a frozen extent (correct, slower). *)
 
 val typecheck_env : t -> Typecheck.env
 
 val eval_env : ?guard:Dc_guard.Guard.t -> t -> Eval.env
 (** Evaluation environment resolving entirely inside the snapshot:
-    constructor applications are served from frozen view extents when
-    one matches and otherwise run a fixpoint over snapshot values; the
+    constructor applications go through {!Resolve.application} — served
+    from frozen view extents when one matches, otherwise evaluated
+    (aggregate route or fixpoint) over snapshot values; the
     per-evaluation index cache borrows the snapshot's frozen prewarmed
     indexes read-only.  [guard] defaults to a fresh guard over the
     snapshot's limits. *)

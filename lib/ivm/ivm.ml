@@ -1348,8 +1348,8 @@ let maintainer_of view =
         (* Publish-time capture for snapshot readers.  A stale view has
            no trustworthy extent and must not refresh here (freezing
            happens inside the commit path), so it declines and readers
-           fall back to the fixpoint.  For a Live view, resolve the
-           base/argument relation values NOW — [matches]-style name
+           evaluate the application themselves.  For a Live view,
+           resolve the base/argument relation values NOW — [matches]-style name
            lookups at serve time would race with later commits — and
            serve pure comparisons over a frozen store copy. *)
         match view.status with

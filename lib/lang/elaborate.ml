@@ -29,10 +29,6 @@ type env = {
 }
 
 let create db =
-  (* aggregated constructor systems evaluate through the compiled
-     datalog pipeline; every database driven by this front end gets the
-     bridge (covers dbpl run/serve, catalog reload, WAL recovery) *)
-  Dc_compile.Agg_eval.install db;
   {
     db;
     scalar_types = [];

@@ -564,3 +564,15 @@ let check_agg_seed seed =
   check_shortest_path_seed seed;
   check_bom_rollup_seed seed;
   check_negation_seed seed
+
+(* ------------------------------------------------------------------ *)
+(* Shipped example programs, for tests that drive them through another
+   front end (sessions, the wire).  [dune runtest] copies examples/ next
+   to the test directory; [dune exec] runs from the source root. *)
+
+let example_source base =
+  let path =
+    List.find Sys.file_exists
+      [ Filename.concat "../examples" base; Filename.concat "examples" base ]
+  in
+  In_channel.with_open_text path In_channel.input_all

@@ -239,6 +239,50 @@ let test_min_consumer_above () =
     (Facts.TS.cardinal (Facts.find result "reach"))
 
 (* ------------------------------------------------------------------ *)
+(* The constructor route: a surface application of an aggregated
+   constructor reaches the aggregate-aware engine from the writer's
+   database and from a pinned snapshot alike, under the caller's guard. *)
+
+module Database = Dc_core.Database
+module Guard = Dc_guard.Guard
+
+let shortest_path () = Oracle.example_source "shortest_path.dbpl"
+let road_shortest = Dc_calculus.Ast.(Construct (Rel "Road", "shortest", []))
+
+let contains s sub =
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
+  in
+  go 0
+
+let test_pinned_read () =
+  let _, plain = Dc_lang.Elaborate.run_string (shortest_path ()) in
+  (* the transcript's first block: QUERY Road{shortest} and its 12 rows *)
+  let rec block_end i =
+    if i + 1 >= String.length plain || String.sub plain i 2 = "\n\n" then i
+    else block_end (i + 1)
+  in
+  let block = String.sub plain 0 (block_end 0) in
+  Alcotest.(check bool) "12 rows unpinned" true (contains block "(12 tuples)");
+  let _, pinned =
+    Dc_lang.Elaborate.run_string
+      (shortest_path () ^ "\nBEGIN;\nQUERY Road{shortest};\nCOMMIT;\n")
+  in
+  let tail =
+    String.sub pinned (String.length plain)
+      (String.length pinned - String.length plain)
+  in
+  Alcotest.(check bool) "pinned read prints the same 12 rows" true
+    (contains tail block)
+
+let test_query_guard () =
+  let db, _ = Dc_lang.Elaborate.run_string (shortest_path ()) in
+  match Database.query ~guard:(Guard.create ~rounds:1 ()) db road_shortest with
+  | _ -> Alcotest.fail "a one-round guard did not bound the aggregate route"
+  | exception Guard.Exhausted (Guard.Rounds_exhausted 1, _) -> ()
+
+(* ------------------------------------------------------------------ *)
 (* Seeded differential workloads (test/oracle.ml): recursive MIN vs
    Bellman-Ford, stratified SUM rollup vs a set-semantics brute force,
    stratified NOT (with a COUNT stratum above it) vs the complement.
@@ -286,6 +330,12 @@ let () =
             test_count_recursion_rejected;
           Alcotest.test_case "min consumer above" `Quick
             test_min_consumer_above;
+        ] );
+      ( "constructor route",
+        [
+          Alcotest.test_case "pinned read (BEGIN ... COMMIT)" `Quick
+            test_pinned_read;
+          Alcotest.test_case "caller's guard bounds it" `Quick test_query_guard;
         ] );
       ( "oracle",
         oracle_cases "shortest path" Oracle.check_shortest_path_seed

@@ -441,20 +441,6 @@ let test_coerce_rejects () =
   | _ -> Alcotest.fail "expected Key_violation via coerce"
   | exception Relation.Key_violation _ -> ()
 
-let test_seeded_fixpoint () =
-  (* Fixpoint.apply ~seed from a sub-fixpoint converges to the same LFP *)
-  let db = db_with_chain 8 in
-  let def = Option.get (Database.constructor db "tc") in
-  let env = Database.eval_env db in
-  let base = Database.get db "Edge" in
-  let from_bottom = Fixpoint.apply env def base [] in
-  (* seed with a partial value: the base itself *)
-  let seeded =
-    Fixpoint.apply ~seed:(Relation.with_schema def.Defs.con_result base) env
-      def base []
-  in
-  Alcotest.check rel_testable "seeded = from bottom" from_bottom seeded
-
 let test_fixpoint_stats () =
   let db = db_with_chain 8 in
   ignore (Database.query db Ast.(Construct (Rel "Edge", "tc", [])));
@@ -492,8 +478,6 @@ let () =
           Alcotest.test_case "negative self-recursion rejected" `Quick
             test_negative_self_recursion_rejected;
         ] );
-      ( "seeding",
-        [ Alcotest.test_case "seeded fixpoint" `Quick test_seeded_fixpoint ] );
       ( "guards",
         [
           Alcotest.test_case "round budget" `Quick test_round_budget;

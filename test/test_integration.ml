@@ -220,15 +220,19 @@ let test_materialize_over_surface_db () =
         END tc;
         INSERT Edge VALUES ("a", "b"), ("b", "c");|}
   in
-  let view =
-    Dc_compile.Materialize.create db ~constructor:"tc" ~base:"Edge" ~args:[]
-  in
-  Alcotest.check Alcotest.int "initial" 3
-    (Relation.cardinal (Dc_compile.Materialize.value view));
-  Dc_compile.Materialize.insert view [ pair "c" "d" ];
+  let view = Dc_ivm.Ivm.materialize db ~constructor:"tc" ~base:"Edge" ~args:[] in
+  Alcotest.check Alcotest.int "initial" 3 (Dc_ivm.Ivm.cardinal view);
+  Database.insert db "Edge" (pair "c" "d");
+  (* the closure of a-b-c-d, written out: the view serves Database.query
+     itself, so that is no independent oracle *)
   Alcotest.check rel_testable "maintained under surface data"
-    (Database.query db Ast.(Construct (Rel "Edge", "tc", [])))
-    (Dc_compile.Materialize.value view)
+    (Relation.of_list
+       (Relation.schema (Database.get db "Edge"))
+       [
+         pair "a" "b"; pair "b" "c"; pair "c" "d"; pair "a" "c"; pair "b" "d";
+         pair "a" "d";
+       ])
+    (Dc_ivm.Ivm.value view)
 
 (* ------------------------------------------------------------------ *)
 (* Random constructor systems: generate random positive (possibly

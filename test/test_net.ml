@@ -273,6 +273,26 @@ let test_client_roundtrip () =
   Net.Client.close c2;
   Net.Client.close c
 
+(* An aggregated constructor read over the wire: remote reads evaluate
+   on a snapshot, and must give the writer's 12 rows. *)
+let test_aggregate_over_wire () =
+  with_server @@ fun srv port ->
+  let s = Server.open_session srv in
+  ignore (Server.execute s (Oracle.example_source "shortest_path.dbpl"));
+  Server.close_session s;
+  let expected =
+    Database.query (Server.db srv)
+      Dc_calculus.Ast.(Construct (Rel "Road", "shortest", []))
+  in
+  let c = connect port in
+  let _, _, tuples = Net.Client.query c "QUERY Road{shortest};" in
+  Net.Client.close c;
+  Alcotest.(check int) "12 rows" 12 (List.length tuples);
+  Alcotest.(check bool) "the writer's rows" true
+    (List.equal Tuple.equal
+       (List.sort Tuple.compare (Relation.to_list expected))
+       (List.sort Tuple.compare tuples))
+
 let test_error_taxonomy () =
   with_server @@ fun _srv port ->
   let c = connect port in
@@ -491,6 +511,8 @@ let () =
       ( "client",
         [
           Alcotest.test_case "round trip" `Quick test_client_roundtrip;
+          Alcotest.test_case "aggregated constructor" `Quick
+            test_aggregate_over_wire;
           Alcotest.test_case "error taxonomy" `Quick test_error_taxonomy;
           Alcotest.test_case "metrics over the wire" `Quick
             test_metrics_over_wire;

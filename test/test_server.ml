@@ -272,6 +272,44 @@ let test_session_pinning () =
   Server.shutdown srv
 
 (* ------------------------------------------------------------------ *)
+(* Aggregated constructors on the snapshot path *)
+
+let shortest_path_server () =
+  let db = Database.create () in
+  let srv = Server.create db in
+  let s = Server.open_session srv in
+  ignore (Server.execute s (Oracle.example_source "shortest_path.dbpl"));
+  Server.close_session s;
+  (db, srv)
+
+(* Road{shortest} read through a session's snapshot must give the rows
+   the writer's own evaluation (what `dbpl run` prints) gives. *)
+let test_aggregate_snapshot_read () =
+  let db, srv = shortest_path_server () in
+  let expected =
+    Database.query db Ast.(Construct (Rel "Road", "shortest", []))
+  in
+  Alcotest.(check int) "dbpl run's 12 rows" 12 (Relation.cardinal expected);
+  let s = Server.open_session srv in
+  let got, _ = Server.query_string s "QUERY Road{shortest};" in
+  Alcotest.check rel_testable "snapshot read = writer read" expected got;
+  Server.close_session s;
+  Server.shutdown srv
+
+let test_aggregate_session_limits () =
+  let _, srv = shortest_path_server () in
+  let tight = Server.open_session ~limits:(Guard.limits ~rounds:1 ()) srv in
+  (match Server.query_string tight "QUERY Road{shortest};" with
+  | _ -> Alcotest.fail "session round limit never tripped"
+  | exception Guard.Exhausted (Guard.Rounds_exhausted 1, _) -> ());
+  let roomy = Server.open_session srv in
+  let rel, _ = Server.query_string roomy "QUERY Road{shortest};" in
+  Alcotest.(check int) "unlimited session answers" 12 (Relation.cardinal rel);
+  Server.close_session tight;
+  Server.close_session roomy;
+  Server.shutdown srv
+
+(* ------------------------------------------------------------------ *)
 (* SHOW SNAPSHOT golden *)
 
 let snapshot_surface =
@@ -634,6 +672,10 @@ let () =
           Alcotest.test_case "admission control" `Quick test_admission_control;
           Alcotest.test_case "per-session limits" `Quick test_session_limits;
           Alcotest.test_case "BEGIN/COMMIT pinning" `Quick test_session_pinning;
+          Alcotest.test_case "aggregated constructor snapshot read" `Quick
+            test_aggregate_snapshot_read;
+          Alcotest.test_case "per-session limits bound aggregates" `Quick
+            test_aggregate_session_limits;
         ] );
       ( "surface",
         [
