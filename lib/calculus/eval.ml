@@ -62,7 +62,7 @@ let no_hooks =
   }
 
 let make_env ?(vars = []) ?(scalars = []) ?(hooks = no_hooks) ?trace
-    ?(guard = Guard.none) ?icache rels =
+    ?(guard = Guard.none) rels =
   {
     rels = SM.of_seq (List.to_seq rels);
     vars =
@@ -71,8 +71,7 @@ let make_env ?(vars = []) ?(scalars = []) ?(hooks = no_hooks) ?trace
            (List.map (fun (v, t, s) -> (v, { b_tuple = t; b_schema = s })) vars));
     scalars = SM.of_seq (List.to_seq scalars);
     hooks;
-    icache =
-      (match icache with Some c -> c | None -> Index_cache.create ());
+    icache = Index_cache.create ();
     trace;
     guard;
   }

@@ -35,8 +35,10 @@ type env = {
   scalars : Value.t SM.t;  (** scalar parameter values *)
   hooks : hooks;
   icache : Index_cache.t;
-      (** per-evaluation index cache, keyed on relation identity +
-          positions; fixpoint drivers advance it with per-round deltas *)
+      (** per-evaluation index cache for keys off a relation's leading
+          columns (leading-column keys are range scans), keyed on
+          relation identity + positions; fixpoint drivers advance it with
+          per-round deltas *)
   trace : Dc_exec.Ir.trace option;
       (** when set, every lowered physical pipeline is recorded here with
           its post-run operator counters (EXPLAIN) *)
@@ -63,12 +65,8 @@ val make_env :
   ?hooks:hooks ->
   ?trace:Dc_exec.Ir.trace ->
   ?guard:Dc_guard.Guard.t ->
-  ?icache:Index_cache.t ->
   (string * Relation.t) list ->
   env
-(** [icache] installs an existing index cache instead of a fresh one —
-    typically a private cache created with a frozen [?shared] fallback so
-    the evaluation borrows a published snapshot's prewarmed indexes. *)
 
 val with_trace : env -> Dc_exec.Ir.trace -> env
 (** Enable pipeline tracing on an existing environment. *)

@@ -88,9 +88,6 @@ type t = {
       (* SET MAINTAIN ON|OFF: when off, updates invalidate maintained
          views instead of propagating deltas into them *)
   mutable published : Snapshot.t;
-  mutable prewarm_paths : (string * int list) list;
-      (* declared hot access paths, rebuilt (or carried forward by
-         reference) into every published snapshot's frozen index cache *)
   mutable in_commit : bool;
       (* re-entrancy guard: composite operations that call other
          committing operations join the outermost commit *)
@@ -104,8 +101,6 @@ type t = {
   mutable durable_lsn : int; (* 0 = nothing durable / no WAL attached *)
 }
 
-let frozen_empty_cache () = Index_cache.freeze (Index_cache.create ~cap:1 ())
-
 let initial_snapshot ~strategy ~max_rounds ~limits =
   {
     Snapshot.version = 0;
@@ -116,7 +111,6 @@ let initial_snapshot ~strategy ~max_rounds ~limits =
     max_rounds;
     limits;
     views = [];
-    icache = frozen_empty_cache ();
     durable = None;
   }
 
@@ -134,7 +128,6 @@ let create ?(strategy = Fixpoint.Seminaive) ?(check_positivity = true)
     maintainers = [];
     maintain = true;
     published = initial_snapshot ~strategy ~max_rounds ~limits;
-    prewarm_paths = [];
     in_commit = false;
     wal = None;
     pending_changes = [];
@@ -146,10 +139,9 @@ let create ?(strategy = Fixpoint.Seminaive) ?(check_positivity = true)
 (* Publication *)
 
 (* Build and install the successor snapshot from the current working
-   set.  The maps are persistent (pointer shares), each Live maintained
-   view contributes a frozen serve closure over a frozen copy of its
-   store, and declared prewarm paths carry their index forward by
-   reference when the relation binding didn't change.  The final
+   set.  The maps are persistent (pointer shares) and each Live
+   maintained view contributes a frozen serve closure over a frozen copy
+   of its store.  The final
    [db.published <- snap] is a single word write of an immutable record:
    reader threads always observe either the old or the new snapshot,
    never a mixture. *)
@@ -165,30 +157,6 @@ let publish db =
         })
       db.maintainers
   in
-  let icache =
-    if db.prewarm_paths = [] then frozen_empty_cache ()
-    else begin
-      let c =
-        Index_cache.create ~cap:(max 64 (List.length db.prewarm_paths)) ()
-      in
-      List.iter
-        (fun (name, positions) ->
-          match SM.find_opt name db.rels with
-          | None -> ()
-          | Some rel ->
-            let idx =
-              match
-                Index_cache.frozen_get db.published.Snapshot.icache positions
-                  rel
-              with
-              | Some idx -> idx (* binding unchanged: share by reference *)
-              | None -> Index.build positions rel
-            in
-            Index_cache.put c positions rel idx)
-        db.prewarm_paths;
-      Index_cache.freeze c
-    end
-  in
   db.published <-
     {
       Snapshot.version;
@@ -199,7 +167,6 @@ let publish db =
       max_rounds = db.max_rounds;
       limits = db.limits;
       views;
-      icache;
       durable = (if db.durable_lsn = 0 then None else Some db.durable_lsn);
     }
 
@@ -234,17 +201,6 @@ let log_changes db changes =
   if db.wal <> None then db.pending_changes <- db.pending_changes @ changes
 
 let mark_catalog db = if db.wal <> None then db.pending_catalog <- true
-
-let prewarm db name positions =
-  if
-    not
-      (List.exists
-         (fun (n, p) -> String.equal n name && p = positions)
-         db.prewarm_paths)
-  then begin
-    db.prewarm_paths <- (name, positions) :: db.prewarm_paths;
-    publish db
-  end
 
 (* The single commit point.  Journals the working maps, snapshots every
    maintainer that reads a touched relation, runs the mutation (which

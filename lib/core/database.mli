@@ -85,12 +85,6 @@ val snapshot : t -> Snapshot.t
 val version : t -> int
 (** Version of the latest published snapshot (0 = freshly created). *)
 
-val prewarm : t -> string -> int list -> unit
-(** Declare a hot access path: every published snapshot's frozen index
-    cache will contain an index on [positions] of relation [name],
-    carried forward by reference across commits that don't change the
-    relation.  Reader sessions borrow these instead of rebuilding. *)
-
 (** {1 Durability}
 
     The write-ahead-log subsystem ([Dc_wal], a higher layer) plugs into

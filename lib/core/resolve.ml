@@ -84,7 +84,9 @@ let aggregate ~relation (env : Eval.env) (def : Defs.constructor_def) base args
       (Datalog.Facts.empty ())
   in
   let store = Datalog.Seminaive.run ~guard:env.guard ~aggs program edb in
-  Datalog.Facts.to_relation def.con_result store pred
+  let rel = Datalog.Facts.to_relation def.con_result store pred in
+  assert (Relation.for_all (Tuple.well_typed def.con_result) rel);
+  rel
 
 let application ~relation ~serve ~strategy ~max_rounds ?on_stats
     (env : Eval.env) base def args =

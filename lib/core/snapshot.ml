@@ -2,12 +2,12 @@
 
    A snapshot is what a reader session holds: the persistent relation
    bindings, the catalog (selectors/constructors), the evaluation
-   configuration, one frozen serve closure per Live maintained view, and
-   a frozen index cache of prewarmed access paths.  Everything inside is
-   either persistent data (relations, maps) or a frozen structure that is
-   never mutated after publication, so snapshots are safe to query from
-   any number of threads concurrently while the writer publishes
-   successors.
+   configuration and one frozen serve closure per Live maintained view.
+   Everything inside is either persistent data (relations, maps) or a
+   frozen structure that is never mutated after publication (a serve
+   closure's one memo cell is filled atomically), so snapshots are safe
+   to query from any number of threads concurrently while the writer
+   publishes successors.
 
    Capture and publication live in {!Database}; this module owns the
    type and the read-only operations (queries against the snapshot). *)
@@ -38,7 +38,6 @@ type t = {
   max_rounds : int;
   limits : Guard.limits;
   views : frozen_view list;
-  icache : Index_cache.t; (* frozen; prewarmed access paths *)
   durable : int option;
       (* LSN of the last durable WAL record / checkpoint covering this
          state; [None] when the database has no write-ahead log attached *)
@@ -66,9 +65,9 @@ let typecheck_env s =
 
 (* Like {!Database.eval_env}, but every lookup resolves inside the
    snapshot: {!Resolve.application} serves from frozen view extents and
-   otherwise evaluates over snapshot values only.  The per-evaluation
-   index cache borrows the snapshot's frozen prewarmed indexes as a
-   read-only fallback. *)
+   otherwise evaluates over snapshot values only.  Keys on a relation's
+   leading columns are range scans of its ordered set; other keys build
+   indexes in the evaluation's private cache. *)
 let eval_env ?guard s =
   let guard =
     match guard with Some g -> g | None -> Guard.of_limits s.limits
@@ -89,8 +88,7 @@ let eval_env ?guard s =
           ~strategy:s.strategy ~max_rounds:s.max_rounds;
     }
   in
-  let icache = Index_cache.create ~shared:s.icache () in
-  Eval.make_env ~hooks ~guard ~icache (SM.bindings s.rels)
+  Eval.make_env ~hooks ~guard (SM.bindings s.rels)
 
 let check_query s range = Typecheck.check_query (typecheck_env s) range
 

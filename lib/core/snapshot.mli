@@ -1,9 +1,9 @@
 (** An immutable, published database state.
 
     A snapshot is what a reader session holds: persistent relation
-    bindings, the catalog, the evaluation configuration, one frozen
-    serve closure per Live maintained view, and a frozen index cache of
-    prewarmed access paths.  Snapshots are safe to query concurrently
+    bindings, the catalog, the evaluation configuration and one frozen
+    serve closure per Live maintained view.  Snapshots are safe to query
+    concurrently
     from any number of threads while the writer publishes successors;
     {!Database.snapshot} returns the latest published one. *)
 
@@ -31,7 +31,6 @@ type t = {
   max_rounds : int;
   limits : Dc_guard.Guard.limits;
   views : frozen_view list;
-  icache : Index_cache.t;  (** frozen; prewarmed access paths *)
   durable : int option;
       (** LSN of the last durable WAL record / checkpoint covering this
           state; [None] without an attached write-ahead log *)
@@ -58,10 +57,9 @@ val eval_env : ?guard:Dc_guard.Guard.t -> t -> Eval.env
 (** Evaluation environment resolving entirely inside the snapshot:
     constructor applications go through {!Resolve.application} — served
     from frozen view extents when one matches, otherwise evaluated
-    (aggregate route or fixpoint) over snapshot values; the
-    per-evaluation index cache borrows the snapshot's frozen prewarmed
-    indexes read-only.  [guard] defaults to a fresh guard over the
-    snapshot's limits. *)
+    (aggregate route or fixpoint) over snapshot values, with a private
+    per-evaluation index cache.  [guard] defaults to a fresh guard over
+    the snapshot's limits. *)
 
 val check_query : t -> Ast.range -> unit
 

@@ -19,7 +19,7 @@
 
 open Dc_relation
 
-module TS = Set.Make (Tuple)
+module TS = Relation.Tuple_set
 module SM = Map.Make (String)
 
 type cache = {
@@ -151,8 +151,9 @@ let build_index store pred positions =
 let ensure_index store pred positions =
   if store.frozen then
     (* never install a cache on a frozen store: concurrent readers would
-       share (and race on) the same hashtable.  Rare path — frozen-view
-       serving goes through [to_relation], not keyed lookups. *)
+       share (and race on) the same hashtable.  Rare path — a frozen view
+       is served as a relation wrapping its tuple set ([to_relation]), and
+       readers probe that relation, not the store. *)
     build_index store pred positions
   else
     let cache =
@@ -232,9 +233,10 @@ let freeze store =
 
 let is_frozen store = store.frozen
 
-(* Conversions to/from {!Dc_relation.Relation}. *)
+(* Conversions to/from {!Dc_relation.Relation}.  [TS] is the relation's
+   own set type, so [to_relation] shares the set in O(1). *)
 let to_relation schema store pred =
-  TS.fold Relation.add_unchecked (find store pred) (Relation.empty schema)
+  Relation.of_set_unchecked schema (find store pred)
 
 let of_relation pred rel store =
   Relation.fold (fun t st -> add st pred t) rel store

@@ -8,7 +8,7 @@
 
 open Dc_relation
 
-module TS : Set.S with type elt = Tuple.t
+module TS = Relation.Tuple_set
 
 type t
 
@@ -63,6 +63,9 @@ val freeze : t -> t
 val is_frozen : t -> bool
 
 val to_relation : Schema.t -> t -> string -> Relation.t
+(** O(1): the relation shares the predicate's tuple set.  Like
+    {!Relation.of_set_unchecked}, it checks nothing. *)
+
 val of_relation : string -> Relation.t -> t -> t
 
 val pp : t Fmt.t

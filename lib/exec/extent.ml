@@ -5,11 +5,12 @@
    Everything is a closure record so the executor is agnostic about where
    tuples live: [Dc_relation.Relation] values, the Datalog fact store's
    per-predicate tuple sets, or a tabled engine's growing answer tables
-   all wrap into the same shape.  Keyed lookups go through whatever index
-   structure the producer maintains ({!Dc_relation.Index_cache} for
-   relations, the fact store's own per-(predicate, positions) cache for
-   Datalog), so the delta-incremental index maintenance of the runtime
-   kernel keeps paying off underneath the shared executor. *)
+   all wrap into the same shape.  Keyed lookups go through whatever access
+   path the producer has: a relation answers keys on its leading columns
+   from its own ordered set and the rest from {!Dc_relation.Index_cache};
+   the fact store uses its own per-(predicate, positions) cache, so the
+   delta-incremental index maintenance of the runtime kernel keeps paying
+   off underneath the shared executor. *)
 
 open Dc_relation
 
@@ -22,9 +23,32 @@ type t = {
   mem : Tuple.t -> bool;
 }
 
-(* Wrap a relation.  [cache] supplies the per-evaluation index cache so
-   lookups hit indexes that stay warm across fixpoint rounds; without one,
-   a private cache still amortizes index builds within this extent. *)
+let rec from i = function [] -> true | p :: ps -> p = i && from (i + 1) ps
+
+(* When [positions] are [0..j-1] in some order, the key values reordered
+   to column order; [None] for any other position set.  A position at or
+   past [j] rules a permutation out before anything is allocated, which
+   keeps the common single non-leading key (a probe on [1]) as cheap as
+   the hash lookup it falls back to. *)
+let prefix_key positions values =
+  if from 0 positions then Some values
+  else
+    let n = List.length positions in
+    if List.exists (fun p -> p >= n) positions then None
+    else
+      let sorted =
+        List.sort
+          (fun (p, _) (q, _) -> Int.compare p q)
+          (List.combine positions values)
+      in
+      if from 0 (List.map fst sorted) then Some (List.map snd sorted)
+      else None
+
+(* Wrap a relation.  A key on the leading columns is a range scan of the
+   relation's ordered set; any other key probes a hash index from [cache],
+   the per-evaluation index cache whose indexes stay warm across fixpoint
+   rounds (without one, a private cache still amortizes index builds
+   within this extent). *)
 let of_relation ?label ?cache rel =
   let cache =
     match cache with
@@ -37,7 +61,9 @@ let of_relation ?label ?cache rel =
     iter = (fun f -> Relation.iter f rel);
     lookup =
       (fun positions values ->
-        Index.lookup_values (Index_cache.get cache positions rel) values);
+        match prefix_key positions values with
+        | Some key -> Relation.lookup_prefix rel key
+        | None -> Index.lookup_values (Index_cache.get cache positions rel) values);
     mem = (fun t -> Relation.mem t rel);
   }
 

@@ -1287,9 +1287,16 @@ let update view updates =
 (* ------------------------------------------------------------------ *)
 (* Serving *)
 
+(* The view's extent as a relation: an O(1) wrap of the store's tuple
+   set, plus the well-typedness check [Relation.add_unchecked] makes. *)
+let extent schema store query_pred =
+  let rel = Facts.to_relation schema store query_pred in
+  assert (Relation.for_all (Tuple.well_typed schema) rel);
+  rel
+
 let value view =
   if view.status = Stale then refresh view;
-  Facts.to_relation view.def.Defs.con_result view.store view.query_pred
+  extent view.def.Defs.con_result view.store view.query_pred
 
 (* Does a constructor application match this view?  Same constructor,
    tuple-identical base, and each surface argument naming the same
@@ -1351,7 +1358,11 @@ let maintainer_of view =
            evaluate the application themselves.  For a Live view,
            resolve the base/argument relation values NOW — [matches]-style name
            lookups at serve time would race with later commits — and
-           serve pure comparisons over a frozen store copy. *)
+           serve pure comparisons over a frozen store copy.  The served
+           relation is built once per published version, by the first
+           read: later reads share it.  An [Atomic], not a [Lazy], holds
+           it, because pool domains may race to build it; the loser of
+           the race adopts the winner's value. *)
         match view.status with
         | Stale -> None
         | Live -> (
@@ -1376,6 +1387,15 @@ let maintainer_of view =
             let con = view.con
             and result_schema = view.def.Defs.con_result
             and query_pred = view.query_pred in
+            let memo = Atomic.make None in
+            let served () =
+              match Atomic.get memo with
+              | Some rel -> rel
+              | None ->
+                let rel = extent result_schema store query_pred in
+                if Atomic.compare_and_set memo None (Some rel) then rel
+                else Option.get (Atomic.get memo)
+            in
             Some
               (fun (def : Defs.constructor_def) base args ->
                 if
@@ -1390,7 +1410,7 @@ let maintainer_of view =
                            Relation.compare_tuples a b = 0
                          | _ -> false)
                        arg_vals args
-                then Some (Facts.to_relation result_schema store query_pred)
+                then Some (served ())
                 else None)
           | _ -> None));
   }

@@ -40,19 +40,9 @@ type t = {
   mutable entries : entry list;
   cap : int;
   mutable txn : txn option;
-  frozen : bool;
-      (* a frozen cache is a published, read-only set of access paths:
-         [get] never inserts, never reorders, never marks warm — safe to
-         share by reference between concurrent reader sessions *)
-  shared : t option;
-      (* optional frozen fallback consulted on a miss before building:
-         snapshot readers borrow the writer's prewarmed indexes without
-         copying them.  Borrowed indexes are returned for lookup only and
-         never enter [entries], so [advance] cannot mutate shared state. *)
 }
 
-let create ?(cap = 64) ?shared () =
-  { entries = []; cap; txn = None; frozen = false; shared }
+let create ?(cap = 64) () = { entries = []; cap; txn = None }
 
 let clear c = c.entries <- []
 
@@ -63,61 +53,27 @@ let rec truncate n = function
   | _ when n = 0 -> []
   | e :: rest -> e :: truncate (n - 1) rest
 
-(* Pure lookup against a frozen cache: no move-to-front, no warm bit —
-   multiple domains may probe one frozen cache concurrently. *)
-let frozen_get c positions rel =
-  List.find_map
-    (fun e ->
-      if e.e_rel == rel && same_positions e.e_positions positions then
-        Some e.e_index
-      else None)
-    c.entries
-
 let get c positions rel =
-  if c.frozen then
-    match frozen_get c positions rel with
-    | Some idx -> idx
-    | None -> Index.build positions rel
-  else
-    let rec find acc = function
-      | [] -> None
-      | e :: rest ->
-        if e.e_rel == rel && same_positions e.e_positions positions then begin
-          (* move-to-front *)
-          e.e_warm <- true;
-          c.entries <- e :: List.rev_append acc rest;
-          Some e.e_index
-        end
-        else find (e :: acc) rest
-    in
-    match find [] c.entries with
-    | Some idx -> idx
-    | None -> (
-      (* a shared frozen hit is used in place but not adopted: adopting
-         would expose the borrowed index to [advance]'s in-place extends *)
-      match Option.bind c.shared (fun s -> frozen_get s positions rel) with
-      | Some idx -> idx
-      | None ->
-        let idx = Index.build positions rel in
-        let e =
-          { e_rel = rel; e_positions = positions; e_index = idx; e_warm = true }
-        in
-        c.entries <- e :: truncate (c.cap - 1) c.entries;
-        idx)
-
-(* Insert a prebuilt index (publish-time prewarming). *)
-let put c positions rel idx =
-  let e =
-    { e_rel = rel; e_positions = positions; e_index = idx; e_warm = true }
+  let rec find acc = function
+    | [] -> None
+    | e :: rest ->
+      if e.e_rel == rel && same_positions e.e_positions positions then begin
+        (* move-to-front *)
+        e.e_warm <- true;
+        c.entries <- e :: List.rev_append acc rest;
+        Some e.e_index
+      end
+      else find (e :: acc) rest
   in
-  c.entries <- e :: truncate (c.cap - 1) c.entries
-
-(* Publish the current contents as an immutable, shareable cache.  The
-   entry records are shared by reference, so only caches that will not be
-   [advance]d afterwards (publish-time prewarm sets) should be frozen. *)
-let freeze c = { entries = c.entries; cap = c.cap; txn = None; frozen = true; shared = None }
-
-let is_frozen c = c.frozen
+  match find [] c.entries with
+  | Some idx -> idx
+  | None ->
+    let idx = Index.build positions rel in
+    let e =
+      { e_rel = rel; e_positions = positions; e_index = idx; e_warm = true }
+    in
+    c.entries <- e :: truncate (c.cap - 1) c.entries;
+    idx
 
 let advance c ~old_rel ~delta ~next =
   c.entries <-

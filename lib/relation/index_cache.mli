@@ -8,33 +8,14 @@
 
 type t
 
-val create : ?cap:int -> ?shared:t -> unit -> t
+val create : ?cap:int -> unit -> t
 (** A fresh cache holding at most [cap] (default 64) entries, evicted
-    LRU-ish.  When [shared] (a {!freeze}d cache) is given, misses consult
-    it before building: hits are borrowed for lookup only and never enter
-    this cache's own entries, so {!advance} cannot mutate shared state. *)
+    LRU-ish. *)
 
 val get : t -> int list -> Relation.t -> Index.t
 (** [get c positions rel] returns the cached index for exactly this
     relation value (physical identity) and positions, building and
-    caching it on a miss.  On a frozen cache the lookup is pure: misses
-    build a throwaway index without mutating the cache. *)
-
-val frozen_get : t -> int list -> Relation.t -> Index.t option
-(** Pure identity lookup: no move-to-front, no warm marking, no
-    insertion.  Safe to call concurrently on a {!freeze}d cache. *)
-
-val put : t -> int list -> Relation.t -> Index.t -> unit
-(** [put c positions rel idx] inserts a prebuilt index — used at
-    publish time to carry prewarmed access paths into the next
-    snapshot's cache by reference. *)
-
-val freeze : t -> t
-(** An immutable, shareable view of the cache's current entries (shared
-    by reference).  Only freeze caches that will no longer be
-    {!advance}d. *)
-
-val is_frozen : t -> bool
+    caching it on a miss. *)
 
 val advance : t -> old_rel:Relation.t -> delta:Relation.t -> next:Relation.t -> unit
 (** [advance c ~old_rel ~delta ~next] upgrades every entry indexed on
@@ -58,7 +39,9 @@ val protect : t -> (unit -> 'a) -> 'a
     re-raised.  Nested calls join the outermost transaction.  This is
     what makes an aborted constructor expansion atomic. *)
 
-type snapshot
+type snapshot = (Relation.t * int list * Tuple.t list * bool) list
+(** One [(relation, positions, indexed tuples, warm)] per entry, in
+    entry order. *)
 
 val snapshot : t -> snapshot
 (** Deep observational capture of the cache (entry order, keyed

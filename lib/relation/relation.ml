@@ -45,6 +45,28 @@ let for_all p r = Tuple_set.for_all p r.tuples
 
 let choose_opt r = Tuple_set.choose_opt r.tuples
 
+let compare_prefix key t =
+  let rec go i = function
+    | [] -> 0
+    | v :: rest ->
+      let c = Value.compare (Tuple.get t i) v in
+      if c <> 0 then c else go (i + 1) rest
+  in
+  go 0 key
+
+(* The set is ordered by [Tuple.compare], which is lexicographic by
+   column, so the tuples whose leading cells equal [key] form one
+   contiguous run: find its first element, then walk forward while the
+   prefix still matches.  This makes the relation itself the access path
+   for keys on positions [0..j-1]. *)
+let lookup_prefix r key =
+  match Tuple_set.find_first_opt (fun t -> compare_prefix key t >= 0) r.tuples with
+  | None -> []
+  | Some first ->
+    Tuple_set.to_seq_from first r.tuples
+    |> Seq.take_while (fun t -> compare_prefix key t = 0)
+    |> List.of_seq
+
 let check_type r t =
   if not (Tuple.well_typed r.schema t) then
     type_mismatch "tuple %a does not conform to schema %a" Tuple.pp t
@@ -80,6 +102,11 @@ let add t r =
 let add_unchecked t r =
   assert (Tuple.well_typed r.schema t);
   { r with tuples = Tuple_set.add t r.tuples }
+
+(* O(1) wrap of a tuple set built elsewhere (the Datalog fact store
+   shares this set type).  Nothing is checked: the caller vouches for
+   well-typedness and a whole-tuple key, as with [add_unchecked]. *)
+let of_set_unchecked schema tuples = { schema; tuples }
 
 let remove t r = { r with tuples = Tuple_set.remove t r.tuples }
 
@@ -130,7 +157,8 @@ let equal a b =
 let subset a b =
   Schema.compatible a.schema b.schema && Tuple_set.subset a.tuples b.tuples
 
-let compare_tuples a b = Tuple_set.compare a.tuples b.tuples
+let compare_tuples a b =
+  if a.tuples == b.tuples then 0 else Tuple_set.compare a.tuples b.tuples
 
 (* Hash-partition into [shards] disjoint covering relations keyed on the
    cached structural tuple hash; deterministic for a fixed shard count.

@@ -6,6 +6,10 @@
     the key image, raising {!Type_mismatch} / {!Key_violation} exactly where
     DBPL's generated run-time checks would raise an exception. *)
 
+module Tuple_set : Set.S with type elt = Tuple.t
+(** The ordered tuple sets relations are made of ({!Tuple.compare}
+    order, lexicographic by column). *)
+
 type t
 
 exception Key_violation of string
@@ -36,6 +40,11 @@ val exists : (Tuple.t -> bool) -> t -> bool
 val for_all : (Tuple.t -> bool) -> t -> bool
 val choose_opt : t -> Tuple.t option
 
+val lookup_prefix : t -> Value.t list -> Tuple.t list
+(** [lookup_prefix r key]: the tuples whose first [List.length key] cells
+    equal [key], in set order — a range scan of the ordered set, with no
+    index built. *)
+
 val add : Tuple.t -> t -> t
 (** Checked insertion.
     @raise Type_mismatch if the tuple does not conform to the schema.
@@ -45,6 +54,11 @@ val add : Tuple.t -> t -> t
 val add_unchecked : Tuple.t -> t -> t
 (** Insertion without the key check (asserts well-typedness); used by the
     fixpoint engine on derived relations with whole-tuple keys. *)
+
+val of_set_unchecked : Schema.t -> Tuple_set.t -> t
+(** O(1) wrap of an existing tuple set; checks nothing.  The caller
+    vouches that every tuple is well typed for the schema and that the
+    schema's key is the whole tuple. *)
 
 val remove : Tuple.t -> t -> t
 
@@ -69,6 +83,7 @@ val equal : t -> t -> bool
 
 val subset : t -> t -> bool
 val compare_tuples : t -> t -> int
+(** Total order on the tuple sets; [0] at once when both share one set. *)
 
 val partition_hash : shards:int -> t -> t array
 (** Hash-partition into [shards] disjoint covering relations keyed on the

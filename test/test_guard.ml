@@ -20,11 +20,11 @@ let chain_rel n =
   Relation.of_list edge_schema
     (List.init n (fun i -> pair (Fmt.str "n%d" i) (Fmt.str "n%d" (i + 1))))
 
-let db_with_chain ?limits n =
+let db_with_chain ?limits ?linear n =
   let db = Database.create ?limits () in
   Database.declare db "Edge" edge_schema;
   Database.set db "Edge" (chain_rel n);
-  Database.define_constructor db (Constructor.transitive_closure ());
+  Database.define_constructor db (Constructor.transitive_closure ?linear ());
   db
 
 let chain_tc n =
@@ -292,10 +292,31 @@ let test_failpoint_install () =
 let all_sites =
   [ "exec.row"; "eval.branch"; "fixpoint.round"; "fixpoint.commit" ]
 
+(* The rollbacks that matter are of in-place [Index_cache.advance]s, and
+   only a hash index on the recursive relation is ever advanced.  Keys
+   on a relation's leading column are range scans that leave no cache
+   entry, so the paper's right-linear tc (probing tc on position 0)
+   advances nothing; the non-linear one also probes tc on position 1. *)
+let linearities = [ ("right", `Right); ("left", `Left); ("non", `Non) ]
+
+(* Does the warm cache hold an index on the recursive relation (any
+   entry whose extent is not the base's)?  Required of the non-linear tc
+   on a chain of two or more edges. *)
+let recursive_entry_ok db env linear =
+  let edges = Database.get db "Edge" in
+  linear <> `Non || Relation.cardinal edges < 2
+  || List.exists
+       (fun (rel, _, _, _) -> not (Relation.equal rel edges))
+       (Index_cache.snapshot env.Eval.icache)
+
 (* Evaluate [tc_range] in [env]; if it trips, assert the icache and the
    stored relations are observationally unchanged, then check a clean
    re-run still produces [expected]. *)
-let check_atomic name db env ~expected run =
+let check_atomic name db env ~linear ~expected run =
+  Alcotest.check Alcotest.bool
+    (Fmt.str "%s: cache indexes the recursive relation" name)
+    true
+    (recursive_entry_ok db env linear);
   let snap = Index_cache.snapshot env.Eval.icache in
   let edges_before = Database.get db "Edge" in
   (match run () with
@@ -316,37 +337,45 @@ let check_atomic name db env ~expected run =
 
 let test_atomic_abort_failpoints () =
   with_failpoints @@ fun () ->
-  let db = db_with_chain 8 in
-  let env = Database.eval_env db in
-  (* warm the cache: the interesting rollbacks are of in-place advances *)
-  let expected = Eval.eval_range env tc_range in
-  Alcotest.check rel_testable "warm run correct" (chain_tc 8) expected;
   List.iter
-    (fun site ->
-      Guard.Failpoint.reset ();
-      Guard.Failpoint.arm site 3;
-      check_atomic (Fmt.str "failpoint %s" site) db env ~expected (fun () ->
-          Eval.eval_range env tc_range))
-    all_sites
+    (fun (lin, linear) ->
+      let db = db_with_chain ~linear 8 in
+      let env = Database.eval_env db in
+      (* warm the cache: the interesting rollbacks are of in-place advances *)
+      let expected = Eval.eval_range env tc_range in
+      Alcotest.check rel_testable "warm run correct" (chain_tc 8) expected;
+      List.iter
+        (fun site ->
+          Guard.Failpoint.reset ();
+          Guard.Failpoint.arm site 3;
+          check_atomic
+            (Fmt.str "%s tc, failpoint %s" lin site)
+            db env ~linear ~expected
+            (fun () -> Eval.eval_range env tc_range))
+        all_sites)
+    linearities
 
 let test_atomic_abort_limits () =
-  let db = db_with_chain 8 in
-  let env = Database.eval_env db in
-  let expected = Eval.eval_range env tc_range in
   List.iter
-    (fun (name, g) ->
-      check_atomic name db env ~expected (fun () ->
-          Eval.eval_range (Eval.with_guard env (g ())) tc_range))
-    [
-      ("rows limit", fun () -> Guard.create ~rows:15 ());
-      ("rounds limit", fun () -> Guard.create ~rounds:2 ());
-      ("deadline", fun () -> Guard.create ~millis:0 ());
-      ("cancellation",
-       fun () ->
-         let g = Guard.create () in
-         Guard.cancel g;
-         g);
-    ]
+    (fun (lin, linear) ->
+      let db = db_with_chain ~linear 8 in
+      let env = Database.eval_env db in
+      let expected = Eval.eval_range env tc_range in
+      List.iter
+        (fun (name, g) ->
+          check_atomic (Fmt.str "%s tc, %s" lin name) db env ~linear ~expected
+            (fun () -> Eval.eval_range (Eval.with_guard env (g ())) tc_range))
+        [
+          ("rows limit", fun () -> Guard.create ~rows:15 ());
+          ("rounds limit", fun () -> Guard.create ~rounds:2 ());
+          ("deadline", fun () -> Guard.create ~millis:0 ());
+          ("cancellation",
+           fun () ->
+             let g = Guard.create () in
+             Guard.cancel g;
+             g);
+        ])
+    linearities
 
 (* The qcheck form: any failpoint site, any hit count, any chain length —
    if the evaluation trips, state must be untouched and a clean re-run
@@ -354,14 +383,17 @@ let test_atomic_abort_limits () =
 let prop_atomic_abort =
   QCheck.Test.make ~name:"aborted expansion is atomic" ~count:120
     QCheck.(
-      triple (int_range 1 10)
+      quad (int_range 1 10)
         (oneofl all_sites)
-        (int_range 1 60))
-    (fun (n, site, hits) ->
+        (int_range 1 60)
+        (oneofl (List.map snd linearities)))
+    (fun (n, site, hits, linear) ->
       with_failpoints @@ fun () ->
-      let db = db_with_chain n in
+      let db = db_with_chain ~linear n in
       let env = Database.eval_env db in
       let expected = Eval.eval_range env tc_range in
+      recursive_entry_ok db env linear
+      &&
       let snap = Index_cache.snapshot env.Eval.icache in
       Guard.Failpoint.arm site hits;
       let tripped =
@@ -379,11 +411,16 @@ let prop_atomic_abort =
 
 let prop_limit_abort_atomic =
   QCheck.Test.make ~name:"limit-tripped expansion is atomic" ~count:120
-    QCheck.(pair (int_range 2 10) (pair bool (int_range 1 40)))
-    (fun (n, (use_rows, budget)) ->
-      let db = db_with_chain n in
+    QCheck.(
+      triple (int_range 2 10)
+        (pair bool (int_range 1 40))
+        (oneofl (List.map snd linearities)))
+    (fun (n, (use_rows, budget), linear) ->
+      let db = db_with_chain ~linear n in
       let env = Database.eval_env db in
       let expected = Eval.eval_range env tc_range in
+      recursive_entry_ok db env linear
+      &&
       let snap = Index_cache.snapshot env.Eval.icache in
       let g =
         if use_rows then Guard.create ~rows:budget ()

@@ -8,7 +8,11 @@
      like a store built in one shot;
    - relations built from interned values ([Value.str]) must be
      [Relation.equal] to the same relations built from raw [Value.Str]
-     constructors, and interning must preserve compare/equal/hash.
+     constructors, and interning must preserve compare/equal/hash;
+   - [Relation.lookup_prefix] (a range scan of the ordered set) and
+     [Extent.of_relation]'s keyed lookups must return what a hash index
+     and a [Relation.filter] return, for present, absent, below-all and
+     above-all keys, and a key on the leading columns must build no index.
 
    Each generator is driven by a fixed-seed [Random.State], so failures
    reproduce. *)
@@ -235,6 +239,186 @@ let test_intern_value_laws () =
       (Value.intern int1 == int1)
   done
 
+(* ------------------------------------------------------------------ *)
+(* Prefix lookups: range scans of the ordered set *)
+
+module Extent = Dc_exec.Extent
+
+(* Cells of every type, with the extremes of each: [min_int] and
+   [max_int], the empty string, both booleans, and negative floats. *)
+let random_cell rng = function
+  | Value.TInt ->
+    Value.Int
+      (match Random.State.int rng 6 with
+      | 0 -> min_int
+      | 1 -> max_int
+      | _ -> Random.State.int rng 5 - 2)
+  | Value.TStr -> Value.str (if Random.State.int rng 5 = 0 then "" else Printf.sprintf "s%d" (Random.State.int rng 4))
+  | Value.TBool -> Value.Bool (Random.State.bool rng)
+  | Value.TFloat -> Value.Float (float_of_int (Random.State.int rng 5) -. 2.5)
+
+(* A relation of arity 1-3 with mixed column types; sometimes empty. *)
+let mixed_relation rng =
+  let types = [| Value.TInt; Value.TStr; Value.TBool; Value.TFloat |] in
+  let arity = 1 + Random.State.int rng 3 in
+  let schema =
+    Schema.make
+      (List.init arity (fun i ->
+           (Printf.sprintf "c%d" i, types.(Random.State.int rng 4))))
+  in
+  let tys = Schema.attr_types schema in
+  let n = if Random.State.int rng 8 = 0 then 0 else Random.State.int rng 50 in
+  List.fold_left
+    (fun r _ ->
+      let t = Tuple.of_list (List.map (random_cell rng) tys) in
+      if Relation.mem t r then r else Relation.add t r)
+    (Relation.empty schema) (List.init n Fun.id)
+
+(* A value strictly below / above [v] in [Value.compare] order, if one
+   exists (type tags order Int < Str < Bool < Float). *)
+let below = function
+  | Value.Int x -> if x = min_int then None else Some (Value.Int (x - 1))
+  | Value.Str _ -> Some (Value.Int max_int)
+  | Value.Bool true -> Some (Value.Bool false)
+  | Value.Bool false -> Some (Value.str "")
+  | Value.Float _ -> Some (Value.Bool true)
+
+let above = function
+  | Value.Float f -> Some (Value.Float (f +. 1.))
+  | _ -> Some (Value.Float neg_infinity)
+
+(* A [j]-cell key ordered strictly before (after) [t]'s first [j] cells:
+   keep a prefix of [t] and step the last cell that can be stepped. *)
+let step_key step t j =
+  let rec go i =
+    if i < 0 then None
+    else
+      match step (Tuple.get t i) with
+      | Some v ->
+        Some (List.init j (fun k -> if k < i then Tuple.get t k else if k = i then v else Tuple.get t k))
+      | None -> go (i - 1)
+  in
+  go (j - 1)
+
+(* Every interesting key of length [j]: each present key image, one
+   below every tuple, one above every tuple, and a few random ones. *)
+let keys_for rng rel j =
+  let present =
+    Relation.fold
+      (fun t acc -> List.init j (Tuple.get t) :: acc)
+      rel []
+  in
+  let tys = List.init j (Schema.attr_ty (Relation.schema rel)) in
+  let random = List.init 4 (fun _ -> List.map (random_cell rng) tys) in
+  let ends =
+    match Relation.to_list rel with
+    | [] -> []
+    | first :: _ as ts ->
+      let last = List.nth ts (List.length ts - 1) in
+      List.filter_map Fun.id [ step_key below first j; step_key above last j ]
+  in
+  present @ random @ ends
+
+let matches positions key t =
+  List.for_all2 (fun p v -> Value.equal (Tuple.get t p) v) positions key
+
+(* lookup_prefix = hash index = filter, on positions [0..j-1]. *)
+let prefix_agrees rng rel =
+  let arity = Schema.arity (Relation.schema rel) in
+  List.for_all
+    (fun j ->
+      let positions = List.init j Fun.id in
+      let idx = Index.build positions rel in
+      List.for_all
+        (fun key ->
+          let got = Relation.lookup_prefix rel key in
+          let by_filter =
+            Relation.to_list (Relation.filter (matches positions key) rel)
+          in
+          List.equal Tuple.equal got by_filter
+          && List.equal Tuple.equal got
+               (sorted (Index.lookup_values idx key)))
+        (keys_for rng rel j))
+    (List.init (arity + 1) Fun.id)
+
+(* A random permutation of [l]. *)
+let shuffle rng l =
+  List.map snd
+    (List.sort compare (List.map (fun x -> (Random.State.bits rng, x)) l))
+
+(* Extent.of_relation on a random position set — a permutation of
+   [0..j-1] (range scan) or any other subset (hash index) — answers like
+   the index and the filter. *)
+let extent_agrees rng rel =
+  let arity = Schema.arity (Relation.schema rel) in
+  let positions =
+    if Random.State.bool rng then
+      shuffle rng (List.init (Random.State.int rng (arity + 1)) Fun.id)
+    else shuffle rng (random_positions rng arity)
+  in
+  let ext = Extent.of_relation rel in
+  let idx = Index.build positions rel in
+  List.for_all
+    (fun key ->
+      let got = sorted (ext.Extent.lookup positions key) in
+      List.equal Tuple.equal got (sorted (Index.lookup_values idx key))
+      && List.equal Tuple.equal got
+           (Relation.to_list (Relation.filter (matches positions key) rel)))
+    (List.map
+       (fun k -> List.map (fun p -> List.nth k p) positions)
+       (keys_for rng rel arity))
+
+let test_lookup_prefix_oracle () =
+  let rng = Random.State.make [| 0x5eed; 6 |] in
+  for i = 1 to 300 do
+    let rel = mixed_relation rng in
+    if not (prefix_agrees rng rel) then
+      Alcotest.failf "relation %d: lookup_prefix disagrees on %a" i Relation.pp
+        rel;
+    if not (extent_agrees rng rel) then
+      Alcotest.failf "relation %d: Extent lookup disagrees on %a" i Relation.pp
+        rel
+  done
+
+let prop_lookup_prefix =
+  QCheck.Test.make ~name:"lookup_prefix = index = filter" ~count:300
+    (QCheck.make ~print:(Fmt.str "%a" Relation.pp) mixed_relation)
+    (fun rel ->
+      let rng = Random.State.make [| Relation.cardinal rel |] in
+      prefix_agrees rng rel && extent_agrees rng rel)
+
+(* The fixed shapes: empty relation, permuted [1;0] keys, and the cache
+   footprint of prefix vs non-prefix keys. *)
+let test_lookup_prefix_shapes () =
+  let schema = Schema.make [ ("a", Value.TInt); ("b", Value.TStr) ] in
+  Alcotest.check tuple_list_testable "empty relation" []
+    (Relation.lookup_prefix (Relation.empty schema) [ Value.Int 1 ]);
+  let t a b = Tuple.of_list [ Value.Int a; Value.str b ] in
+  let rel =
+    Relation.of_list schema
+      [ t min_int "x"; t 1 "x"; t 1 "y"; t 2 "x"; t max_int "y" ]
+  in
+  Alcotest.check tuple_list_testable "min_int prefix" [ t min_int "x" ]
+    (Relation.lookup_prefix rel [ Value.Int min_int ]);
+  Alcotest.check tuple_list_testable "one-column run" [ t 1 "x"; t 1 "y" ]
+    (Relation.lookup_prefix rel [ Value.Int 1 ]);
+  Alcotest.check tuple_list_testable "absent between runs" []
+    (Relation.lookup_prefix rel [ Value.Int 0 ]);
+  let cache = Index_cache.create () in
+  let ext = Extent.of_relation ~cache rel in
+  Alcotest.check tuple_list_testable "[1;0] reordered to a prefix"
+    [ t 1 "y" ]
+    (ext.Extent.lookup [ 1; 0 ] [ Value.str "y"; Value.Int 1 ]);
+  Alcotest.check tuple_list_testable "[0]-keyed" [ t 2 "x" ]
+    (ext.Extent.lookup [ 0 ] [ Value.Int 2 ]);
+  Alcotest.check Alcotest.int "prefix keys build no index" 0
+    (Index_cache.length cache);
+  Alcotest.check tuple_list_testable "[1]-keyed"
+    [ t min_int "x"; t 1 "x"; t 2 "x" ]
+    (sorted (ext.Extent.lookup [ 1 ] [ Value.str "x" ]));
+  Alcotest.check Alcotest.int "a non-prefix key indexes" 1
+    (Index_cache.length cache)
+
 let () =
   Alcotest.run "kernel"
     [
@@ -250,5 +434,10 @@ let () =
             test_intern_relation_oracle;
           Alcotest.test_case "value laws under interning" `Quick
             test_intern_value_laws;
+          Alcotest.test_case "lookup_prefix = index = filter" `Quick
+            test_lookup_prefix_oracle;
+          Alcotest.test_case "lookup_prefix shapes and cache" `Quick
+            test_lookup_prefix_shapes;
         ] );
+      ("qcheck", [ QCheck_alcotest.to_alcotest prop_lookup_prefix ]);
     ]

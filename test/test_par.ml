@@ -289,11 +289,11 @@ let chain_tc n =
   done;
   Relation.of_list edge_schema !tuples
 
-let db_with_chain n =
+let db_with_chain ?linear n =
   let db = Database.create () in
   Database.declare db "Edge" edge_schema;
   Database.set db "Edge" (chain_rel n);
-  Database.define_constructor db (Constructor.transitive_closure ());
+  Database.define_constructor db (Constructor.transitive_closure ?linear ());
   db
 
 let tc_range = Ast.(Construct (Rel "Edge", "tc", []))
@@ -318,16 +318,27 @@ let with_failpoints f =
 
 (* A parallel round aborted by the guard — wherever the trip lands, main
    domain or worker — must roll the shared index cache back and leave a
-   clean re-run unaffected. *)
-let test_parallel_abort_atomicity () =
-  let db = db_with_chain 10 in
+   clean re-run unaffected.  Only a hash index on the recursive relation
+   is advanced in place, and keys on tc's leading column are range scans
+   that leave no cache entry, so the non-linear tc (which also probes tc
+   on position 1) runs beside the paper's right-linear one. *)
+let parallel_abort_atomicity linear =
+  let db = db_with_chain ~linear 10 in
   let env = Database.eval_env db in
   let expected =
     forced_parallel 4 (fun () -> Eval.eval_range env tc_range)
   in
   Alcotest.check rel_testable "parallel warm run correct" (chain_tc 10)
     expected;
+  let edges = Database.get db "Edge" in
   let check_atomic name run =
+    if linear = `Non then
+      Alcotest.(check bool)
+        (Fmt.str "%s: cache indexes the recursive relation" name)
+        true
+        (List.exists
+           (fun (rel, _, _, _) -> not (Relation.equal rel edges))
+           (Index_cache.snapshot env.Eval.icache));
     let snap = Index_cache.snapshot env.Eval.icache in
     let edges_before = Database.get db "Edge" in
     (match forced_parallel 4 run with
@@ -358,6 +369,9 @@ let test_parallel_abort_atomicity () =
       Guard.Failpoint.arm "eval.branch" 3;
       check_atomic "failpoint eval.branch" (fun () ->
           Eval.eval_range env tc_range))
+
+let test_parallel_abort_atomicity () =
+  List.iter parallel_abort_atomicity [ `Right; `Left; `Non ]
 
 (* ------------------------------------------------------------------ *)
 (* Six-way oracle at forced parallelism *)

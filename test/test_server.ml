@@ -12,8 +12,8 @@
    entry.  Versions must also be observed monotonically per session.
    Every failure message carries the seed.
 
-   Around it: freeze discipline units for the kernel (Index_cache
-   freeze/share/put, Facts.freeze), snapshot immutability and version
+   Around it: freeze discipline for the kernel (Facts.freeze), the
+   per-version memo of frozen view serves, snapshot immutability and version
    monotonicity, rollback through the single commit point (the
    [ivm.commit] failpoint must leave the published snapshot untouched),
    writer serialization and submit re-entrancy, admission control,
@@ -29,6 +29,7 @@ module Ivm = Dc_ivm.Ivm
 module Guard = Dc_guard.Guard
 module Server = Dc_server.Server
 module Rng = Dc_workload.Rng
+module Par = Dc_par.Par
 module Graph_gen = Dc_workload.Graph_gen
 module TS = Facts.TS
 
@@ -42,45 +43,6 @@ let pair a b = Tuple.of_list [ Graph_gen.node a; Graph_gen.node b ]
 
 let small_rel =
   Relation.of_list Graph_gen.edge_schema [ pair 1 2; pair 2 3; pair 3 4 ]
-
-let test_index_cache_freeze () =
-  let c = Index_cache.create () in
-  let idx = Index_cache.get c [ 0 ] small_rel in
-  let f = Index_cache.freeze c in
-  Alcotest.(check bool) "frozen" true (Index_cache.is_frozen f);
-  Alcotest.(check bool) "original not frozen" false (Index_cache.is_frozen c);
-  (* pure lookup on the frozen cache returns the same physical index *)
-  (match Index_cache.frozen_get f [ 0 ] small_rel with
-  | Some i -> Alcotest.(check bool) "shared by reference" true (i == idx)
-  | None -> Alcotest.fail "frozen_get missed a carried entry");
-  Alcotest.(check (option reject))
-    "frozen_get miss is None" None
-    (Index_cache.frozen_get f [ 1 ] small_rel);
-  (* a miss through get on a frozen cache builds without inserting *)
-  ignore (Index_cache.get f [ 1 ] small_rel);
-  Alcotest.(check int) "frozen cache unchanged" 1 (Index_cache.length f)
-
-let test_index_cache_shared_fallback () =
-  let base = Index_cache.create () in
-  let idx = Index_cache.get base [ 0 ] small_rel in
-  let f = Index_cache.freeze base in
-  let c = Index_cache.create ~shared:f () in
-  (* the shared hit is borrowed, not adopted *)
-  let got = Index_cache.get c [ 0 ] small_rel in
-  Alcotest.(check bool) "borrowed from shared" true (got == idx);
-  Alcotest.(check int) "nothing adopted" 0 (Index_cache.length c);
-  (* a genuine miss still builds locally *)
-  ignore (Index_cache.get c [ 1 ] small_rel);
-  Alcotest.(check int) "local build cached" 1 (Index_cache.length c);
-  Alcotest.(check int) "shared cache untouched" 1 (Index_cache.length f)
-
-let test_index_cache_put () =
-  let c = Index_cache.create () in
-  let idx = Index.build [ 0 ] small_rel in
-  Index_cache.put c [ 0 ] small_rel idx;
-  Alcotest.(check bool)
-    "put entry served" true
-    (Index_cache.get c [ 0 ] small_rel == idx)
 
 let test_facts_freeze () =
   let store = Facts.of_relation "e" small_rel (Facts.empty ()) in
@@ -104,6 +66,102 @@ let test_facts_freeze () =
   in
   Array.iter Thread.join threads;
   Array.iter (fun n -> Alcotest.(check int) "pure reads" expected n) results
+
+(* ------------------------------------------------------------------ *)
+(* Frozen view serves: one relation per published version *)
+
+let view_source ~materialize =
+  {|
+TYPE node = STRING;
+TYPE edgerel = RELATION a, b OF RECORD a, b: node END;
+VAR Edge: edgerel;
+CONSTRUCTOR tc FOR Rel: edgerel (): edgerel;
+BEGIN EACH e IN Rel: TRUE,
+      <e.a, p.b> OF EACH e IN Rel, EACH p IN Rel{tc()}: e.b = p.a
+END tc;
+INSERT Edge VALUES ("n0", "n1"), ("n1", "n2"), ("n2", "n3"), ("n1", "n4"),
+                   ("n4", "n5"), ("n5", "n2"), ("n3", "n6");
+|}
+  ^ if materialize then "MATERIALIZE Edge{tc()};\n" else ""
+
+let str_pair a b = Tuple.of_list [ Value.str a; Value.str b ]
+
+(* Serve [Edge{tc()}] through the snapshot's (only) frozen view. *)
+let serve_tc snap =
+  match snap.Snapshot.views with
+  | [ { Snapshot.fv_serve = Some serve; _ } ] ->
+    let def = Snapshot.SM.find "tc" snap.Snapshot.constructors in
+    (match serve def (Option.get (Snapshot.get snap "Edge")) [] with
+    | Some rel -> rel
+    | None -> Alcotest.fail "the frozen view declined its own application")
+  | _ -> Alcotest.fail "expected one live frozen view"
+
+let test_serve_memo_per_version () =
+  let db, _ = Dc_lang.Elaborate.run_string (view_source ~materialize:true) in
+  let s1 = Database.snapshot db in
+  let first = serve_tc s1 in
+  Alcotest.(check bool) "second serve shares the first" true
+    (serve_tc s1 == first);
+  Database.insert db "Edge" (str_pair "n6" "n7");
+  let s2 = Database.snapshot db in
+  let next = serve_tc s2 in
+  Alcotest.(check bool) "the next version serves a new relation" false
+    (next == first);
+  Alcotest.(check int) "new extent carries the write"
+    (Relation.cardinal first + 7)
+    (Relation.cardinal next)
+
+let point_read = {|QUERY {EACH p IN Edge{tc()}: p.a = "n1"};|}
+
+let read_through db =
+  let srv = Server.create db in
+  let s = Server.open_session srv in
+  let rel, _ = Server.query_string s point_read in
+  Server.close_session s;
+  Server.shutdown srv;
+  rel
+
+let test_view_point_read () =
+  let viewed, _ = Dc_lang.Elaborate.run_string (view_source ~materialize:true) in
+  let plain, _ = Dc_lang.Elaborate.run_string (view_source ~materialize:false) in
+  Alcotest.(check (list string)) "a view is live" [ "tc__Edge" ]
+    (Snapshot.view_names (Database.snapshot viewed));
+  let expected = read_through plain in
+  Alcotest.(check int) "n1 reaches five nodes" 5 (Relation.cardinal expected);
+  Alcotest.check rel_testable "served read = evaluated read" expected
+    (read_through viewed)
+
+(* Four pool domains race to fill the memo of one fresh snapshot. *)
+let test_serve_memo_concurrent () =
+  let db, _ = Dc_lang.Elaborate.run_string (view_source ~materialize:true) in
+  let plain, _ = Dc_lang.Elaborate.run_string (view_source ~materialize:false) in
+  let expected = read_through plain in
+  Database.insert db "Edge" (str_pair "n6" "n7");
+  let snap = Database.snapshot db in
+  let range =
+    Ast.Comp
+      [
+        {
+          Ast.binders = [ ("p", Ast.Construct (Ast.Rel "Edge", "tc", [])) ];
+          target = [];
+          where = Ast.Cmp (Ast.Eq, Ast.Field ("p", "a"), Ast.Const (Value.str "n1"));
+        };
+      ]
+  in
+  let answers =
+    Par.with_domains 4 (fun () ->
+        Par.map ~shards:4 (fun _ -> Snapshot.query snap range))
+  in
+  let want =
+    Relation.union expected
+      (Relation.of_list (Relation.schema expected) [ str_pair "n1" "n7" ])
+  in
+  Array.iteri
+    (fun i rel ->
+      Alcotest.check rel_testable (Fmt.str "reader %d" i) want rel)
+    answers;
+  Alcotest.(check bool) "all readers were served one relation" true
+    (serve_tc snap == serve_tc snap)
 
 (* ------------------------------------------------------------------ *)
 (* Versioned store *)
@@ -650,11 +708,16 @@ let () =
     [
       ( "freeze discipline",
         [
-          Alcotest.test_case "index cache freeze" `Quick test_index_cache_freeze;
-          Alcotest.test_case "shared fallback" `Quick
-            test_index_cache_shared_fallback;
-          Alcotest.test_case "put prewarmed" `Quick test_index_cache_put;
           Alcotest.test_case "facts freeze" `Quick test_facts_freeze;
+        ] );
+      ( "view serve memo",
+        [
+          Alcotest.test_case "one relation per published version" `Quick
+            test_serve_memo_per_version;
+          Alcotest.test_case "view point read = unmaterialized read" `Quick
+            test_view_point_read;
+          Alcotest.test_case "concurrent readers of a fresh snapshot" `Quick
+            test_serve_memo_concurrent;
         ] );
       ( "versioned store",
         [
