@@ -10,8 +10,9 @@
    ({!Dc_exec.Ir}): binders become scans / keyed probes, WHERE conjuncts
    become index keys or filter operators at the earliest position where
    they are closed, and the resulting pipeline runs on the one executor
-   all engines share.  The row threaded through the pipeline is the
-   environment itself, so terms and formulas evaluate unchanged.  Join
+   all engines share.  The row threaded through the pipeline is an array
+   of binder slots, read by terms and formulas compiled once per lowering
+   (see "Slot rows" below).  Join
    order is delegated to the IR-level rewrite ({!Dc_exec.Join_order}):
    keyed probes first, then smallest pre-evaluated range — which in a
    semi-naive fixpoint round turns "scan the base, probe the delta" into
@@ -183,6 +184,88 @@ let rec eval_term env = function
     | Sub -> Value.sub va vb
     | Mul -> Value.mul va vb)
 
+(* ------------------------------------------------------------------ *)
+(* Slot rows.
+
+   A lowered branch threads a [Tuple.t array] through its pipeline: one
+   slot per binder in join order, filled by that binder's scan or probe.
+   Terms, keys and WHERE conjuncts compile once per lowering into
+   closures that read a slot at a precomputed attribute index; outer
+   tuple variables and scalar parameters are constants of the lowering.
+   Only formulas that range over relations (quantifiers, membership) and
+   correlated ranges need an [env]: it is rebuilt from the filled slots
+   when they run.  Lookup failures are deferred to the first run, where
+   the environment-based evaluator would have raised them. *)
+
+type row = Tuple.t array
+
+(* The slots filled at a point of a pipeline, innermost binder first. *)
+type bound = (Ast.var * int * Schema.t) list
+
+(* Placeholder of a not-yet-filled slot; never read. *)
+let unfilled = Tuple.of_list []
+
+let deferred e = fun (_ : row) -> raise e
+
+(* [env] extended with the filled slots, as the binders bound them. *)
+let row_env env (bound : bound) =
+  match bound with
+  | [] -> fun (_ : row) -> env
+  | _ ->
+    let bound = List.rev bound in
+    fun row ->
+      List.fold_left
+        (fun env (v, i, schema) -> bind_var env v (Array.unsafe_get row i) schema)
+        env bound
+
+let rec compile_term env (bound : bound) : term -> row -> Value.t = function
+  | Const v -> fun _ -> v
+  | Param p -> (
+    match SM.find_opt p env.scalars with
+    | Some v -> fun _ -> v
+    | None -> fun _ -> runtime_error "unknown scalar parameter %s" p)
+  | Field (v, a) -> (
+    match List.find_opt (fun (v', _, _) -> String.equal v v') bound with
+    | Some (_, i, schema) -> (
+      match Schema.attr_index schema a with
+      | j -> fun row -> Tuple.get (Array.unsafe_get row i) j
+      | exception e -> deferred e)
+    | None -> (
+      match SM.find_opt v env.vars with
+      | None -> fun _ -> runtime_error "unbound tuple variable %s" v
+      | Some b -> (
+        match Tuple.get b.b_tuple (Schema.attr_index b.b_schema a) with
+        | x -> fun _ -> x
+        | exception e -> deferred e)))
+  | Binop (op, a, b) -> (
+    let fa = compile_term env bound a and fb = compile_term env bound b in
+    match op with
+    | Add -> fun row -> Value.add (fa row) (fb row)
+    | Sub -> fun row -> Value.sub (fa row) (fb row)
+    | Mul -> fun row -> Value.mul (fa row) (fb row))
+
+(* One binder of a lowered branch, in join order. *)
+type step = {
+  var : Ast.var;
+  schema : Schema.t;
+  source : step_source;
+  keys : (string * term) list; (* [attr = closed term]; [] scans *)
+  filters : formula list; (* conjuncts closed once [var] is bound *)
+}
+
+and step_source =
+  | Fixed of Relation.t * string (* evaluated range, EXPLAIN label *)
+  | Correlated of (env -> Relation.t)
+      (* re-evaluated per row, under the slots filled before it *)
+
+(* Outer tuple variables visible in a branch: the env's, minus those a
+   binder of the branch shadows. *)
+let outer_vars env (b : branch) =
+  SM.fold
+    (fun v _ s ->
+      if List.mem_assoc v b.binders then s else Vars.S.add v s)
+    env.vars Vars.S.empty
+
 let eval_cmp op a b =
   let c = Value.compare a b in
   match op with
@@ -255,16 +338,21 @@ and eval_comp ?schema env branches =
       (Relation.empty schema) branches
 
 (* Lower one branch onto the operator IR (no execution): binders become
-   scan/probe operators in the order the shared {!Dc_exec.Join_order}
-   rewrite picks, WHERE conjuncts become index keys or filter operators at
-   the earliest closed position.  Uncorrelated ranges are evaluated once,
+   scan/probe steps in the order the shared {!Dc_exec.Join_order}
+   rewrite picks, WHERE conjuncts become index keys or filters at the
+   earliest closed position.  Uncorrelated ranges are evaluated once,
    here, and wrapped as fixed extents over [env.icache]-backed indexes;
-   correlated ranges become correlated scans re-evaluated per outer row. *)
-and lower_branch env { binders; target; where } =
-  let module Ir = Dc_exec.Ir in
+   correlated ranges become correlated scans re-evaluated per outer row.
+
+   Scoping is sequential, as in the typechecker: the WHERE clause and the
+   target see every binder, each shadowing an outer tuple variable of the
+   same name, while a binder's range sees the outer variables and the
+   binders before it.  (Typechecked programs never shadow an outer
+   variable with a binder; the evaluator still defines the case.) *)
+and lower_branch env ({ binders; target; where } as branch) =
   let conjs = conjuncts where in
-  (* Variables already bound in the enclosing env count as position 0. *)
-  let outer = SM.fold (fun v _ s -> Vars.S.add v s) env.vars Vars.S.empty in
+  (* Variables bound in the enclosing env count as position 0. *)
+  let outer = outer_vars env branch in
   let position_of_conj binder_vars f =
     let fv = Vars.free_vars_formula f in
     let needed = Vars.S.diff fv outer in
@@ -281,10 +369,18 @@ and lower_branch env { binders; target; where } =
      dependencies.  Pre-evaluation of closed ranges happens once here (it
      was due anyway) and doubles as the cardinality estimate. *)
   let binder_arr = Array.of_list binders in
+  (* A range closed under the outer variables its earlier binders leave
+     visible is evaluated now; any other range is correlated. *)
+  let env_vars = SM.fold (fun v _ s -> Vars.S.add v s) env.vars Vars.S.empty in
   let evaled =
-    Array.map
-      (fun (_, r) ->
-        if Vars.S.subset (Vars.free_vars_range r) outer then
+    Array.mapi
+      (fun i (_, r) ->
+        let visible =
+          List.fold_left
+            (fun s (v, _) -> Vars.S.remove v s)
+            env_vars (List.filteri (fun j _ -> j < i) binders)
+        in
+        if Vars.S.subset (Vars.free_vars_range r) visible then
           Some (eval_range env r)
         else None)
       binder_arr
@@ -313,7 +409,7 @@ and lower_branch env { binders; target; where } =
                  Vars.S.fold
                    (fun fv deps ->
                      match List.assoc_opt fv var_pos with
-                     | Some j when j <> i -> j :: deps
+                     | Some j when j < i -> j :: deps
                      | _ -> deps)
                    (Vars.free_vars_range r) []
                in
@@ -347,20 +443,10 @@ and lower_branch env { binders; target; where } =
     List.filteri (fun j _ -> j < i) binder_vars
     |> List.fold_left (fun s v -> Vars.S.add v s) outer
   in
-  (* Build the pipeline bottom-up; the row is the environment itself. *)
   let schemas_so_far = ref [] in
-  let add_filters filters node =
-    List.fold_left
-      (fun node f ->
-        Ir.filter
-          ~label:(lazy (Fmt.str "%a" Ast.pp_formula f))
-          ~pred:(fun env -> eval_formula env f)
-          node)
-      node filters
-  in
-  let node =
-    List.fold_left
-      (fun (i, node) ((v, range), pre_rel) ->
+  let steps =
+    List.mapi
+      (fun i ((v, range), pre_rel) ->
         let here =
           List.filter_map (fun (j, f) -> if j = i then Some f else None) tagged
         in
@@ -378,90 +464,146 @@ and lower_branch env { binders; target; where } =
               | _ -> Either.Right f)
             here
         in
-        let correlated =
-          not (Vars.S.subset (Vars.free_vars_range range) outer)
+        match pre_rel with
+        | None ->
+          let schema = range_schema env !schemas_so_far range in
+          schemas_so_far := (v, schema) :: !schemas_so_far;
+          { var = v; schema; source = Correlated (fun env -> eval_range env range);
+            keys; filters }
+        | Some rel ->
+          let schema = Relation.schema rel in
+          schemas_so_far := (v, schema) :: !schemas_so_far;
+          let src_label =
+            match range with
+            | Rel n -> n
+            | _ -> "<computed>"
+          in
+          { var = v; schema; source = Fixed (rel, src_label); keys; filters })
+      (List.combine binders evaled)
+  in
+  lower_steps env steps ~target
+
+and compile_formula env (bound : bound) : formula -> row -> bool = function
+  | True -> fun _ -> true
+  | False -> fun _ -> false
+  | Cmp (op, a, b) -> (
+    let fa = compile_term env bound a and fb = compile_term env bound b in
+    match op with
+    | Eq -> fun row -> Value.compare (fa row) (fb row) = 0
+    | Ne -> fun row -> Value.compare (fa row) (fb row) <> 0
+    | Lt -> fun row -> Value.compare (fa row) (fb row) < 0
+    | Le -> fun row -> Value.compare (fa row) (fb row) <= 0
+    | Gt -> fun row -> Value.compare (fa row) (fb row) > 0
+    | Ge -> fun row -> Value.compare (fa row) (fb row) >= 0)
+  | Not f ->
+    let g = compile_formula env bound f in
+    fun row -> not (g row)
+  | And (a, b) ->
+    let ga = compile_formula env bound a and gb = compile_formula env bound b in
+    fun row -> ga row && gb row
+  | Or (a, b) ->
+    let ga = compile_formula env bound a and gb = compile_formula env bound b in
+    fun row -> ga row || gb row
+  | (Some_in _ | All_in _ | In_rel _ | Member _) as f ->
+    let env_of = row_env env bound in
+    fun row -> eval_formula (env_of row) f
+
+(* Build the slot-row pipeline of a step list: each step scans or probes
+   its source into its slot, its filters follow it, and the project reads
+   the target off the slots.  [prefilters] are closed before any binder
+   and filter the seed row.  A correlated step's keys degrade to filters. *)
+and lower_steps ?label ?(prefilters = []) env steps ~target =
+  let module Ir = Dc_exec.Ir in
+  let add_filters bound filters node =
+    List.fold_left
+      (fun node f ->
+        Ir.filter
+          ~label:(lazy (Fmt.str "%a" Ast.pp_formula f))
+          ~pred:(compile_formula env bound f)
+          node)
+      node filters
+  in
+  let bound, node =
+    List.fold_left
+      (fun (bound, node) st ->
+        let i = List.length bound in
+        let bind (row : row) t =
+          Array.unsafe_set row i t;
+          Some row
         in
-        let node =
-          if correlated then begin
-            (* Key conjuncts degrade to filters on a correlated range. *)
-            let schema = range_schema env !schemas_so_far range in
-            schemas_so_far := (v, schema) :: !schemas_so_far;
-            let filters =
-              List.map (fun (a, t) -> Cmp (Eq, Field (v, a), t)) keys @ filters
+        let node, filters =
+          match st.source with
+          | Correlated range ->
+            let env_of = row_env env bound in
+            let gen row =
+              Dc_exec.Extent.of_relation ~label:st.var ~cache:env.icache
+                (range (env_of row))
             in
-            let gen env =
-              Dc_exec.Extent.of_relation ~label:v ~cache:env.icache
-                (eval_range env range)
-            in
-            let bind env t = Some (bind_var env v t schema) in
-            add_filters filters
-              (Ir.correlated_scan
-                 ~label:(lazy (v ^ " IN ..."))
-                 ~gen ~bind node)
-          end
-          else begin
-            let rel =
-              match pre_rel with
-              | Some r -> r
-              | None -> eval_range env range
-            in
-            let schema = Relation.schema rel in
-            schemas_so_far := (v, schema) :: !schemas_so_far;
-            let src_label =
-              match range with
-              | Rel n -> n
-              | _ -> "<computed>"
-            in
+            ( Ir.correlated_scan ~label:(lazy (st.var ^ " IN ...")) ~gen ~bind node,
+              List.map (fun (a, t) -> Cmp (Eq, Field (st.var, a), t)) st.keys
+              @ st.filters )
+          | Fixed (rel, src_label) ->
             let ext =
-              Dc_exec.Extent.of_relation ~label:src_label ~cache:env.icache
-                rel
+              Dc_exec.Extent.of_relation ~label:src_label ~cache:env.icache rel
             in
-            let bind env t = Some (bind_var env v t schema) in
             let node =
-              match keys with
+              match st.keys with
               | [] ->
                 Ir.scan
-                  ~label:(lazy (v ^ " IN " ^ src_label))
+                  ~label:(lazy (st.var ^ " IN " ^ src_label))
                   ~src:(Ir.Fixed ext) ~bind node
-              | _ ->
+              | keys ->
                 let positions =
-                  List.map (fun (a, _) -> Schema.attr_index schema a) keys
+                  List.map (fun (a, _) -> Schema.attr_index st.schema a) keys
                 in
-                let key_terms = List.map snd keys in
-                let key env = List.map (eval_term env) key_terms in
+                let key_fns =
+                  List.map (fun (_, t) -> compile_term env bound t) keys
+                in
+                let key row = List.map (fun f -> f row) key_fns in
                 Ir.lookup
                   ~label:
                     (lazy
-                      (Fmt.str "%s IN %s on (%s)" v src_label
+                      (Fmt.str "%s IN %s on (%s)" st.var src_label
                          (String.concat ", " (List.map fst keys))))
                   ~src:(Ir.Fixed ext) ~positions ~key ~bind node
             in
-            add_filters filters node
-          end
+            (node, st.filters)
         in
-        (i + 1, node))
-      (0, Ir.seed ())
-      (List.combine binders evaled)
-    |> snd
+        let bound = (st.var, i, st.schema) :: bound in
+        (bound, add_filters bound filters node))
+      ([], add_filters [] prefilters (Ir.seed ()))
+      steps
   in
+  let n = List.length steps in
   let tuple =
     match target with
     | [] -> (
-      match binders with
-      | [ (v, _) ] -> fun env -> (SM.find v env.vars).b_tuple
-      | _ -> runtime_error "identity branch must have exactly one binder")
-    | ts -> fun env -> Tuple.of_list (List.map (eval_term env) ts)
+      match steps with
+      | [ _ ] -> fun row -> Array.unsafe_get row 0
+      | _ -> fun _ -> runtime_error "identity branch must have exactly one binder")
+    | ts -> (
+      match List.map (compile_term env bound) ts with
+      | [ a ] -> fun row -> Tuple.make1 (a row)
+      | [ a; b ] -> fun row -> Tuple.make2 (a row) (b row)
+      | [ a; b; c ] -> fun row -> Tuple.make3 (a row) (b row) (c row)
+      | fs ->
+        let fs = Array.of_list fs in
+        fun row -> Tuple.init (Array.length fs) (fun j -> fs.(j) row))
   in
   let label =
-    lazy
-      (match target with
-      | [] -> Fmt.str "[%s]" (String.concat ", " binder_vars)
-      | ts ->
-        Fmt.str "<%s>"
-          (String.concat ", "
-             (List.map (fun t -> Fmt.str "%a" Ast.pp_term t) ts)))
+    match label with
+    | Some l -> Lazy.from_val l
+    | None ->
+      lazy
+        (match target with
+        | [] ->
+          Fmt.str "[%s]" (String.concat ", " (List.map (fun st -> st.var) steps))
+        | ts ->
+          Fmt.str "<%s>"
+            (String.concat ", "
+               (List.map (fun t -> Fmt.str "%a" Ast.pp_term t) ts)))
   in
-  Ir.project ~label ~init:(fun () -> env) ~tuple node
+  Ir.project ~label ~init:(fun () -> Array.make n unfilled) ~tuple node
 
 (* Evaluate one branch, folding [emit] over the produced tuples.
    Conjuncts closed by the outer env alone gate the whole branch before
@@ -469,7 +611,7 @@ and lower_branch env { binders; target; where } =
 and eval_branch : 'a. env -> branch -> emit:('a -> Tuple.t -> 'a) -> 'a -> 'a =
   fun env branch ~emit acc ->
   let module Ir = Dc_exec.Ir in
-  let outer = SM.fold (fun v _ s -> Vars.S.add v s) env.vars Vars.S.empty in
+  let outer = outer_vars env branch in
   let binder_vars = List.map fst branch.binders in
   let pre =
     (* conjuncts needing no binder variable (same rule as the lowering's

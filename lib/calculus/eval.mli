@@ -105,5 +105,44 @@ val eval_branch :
 (** Fold [emit] over the tuples one branch produces (after join
     scheduling); used directly by the semi-naive fixpoint engine. *)
 
+(** {1 Slot-row lowering}
+
+    The compiled form every branch runs in: the IR row is a
+    [Tuple.t array] with one slot per binder in join order, and terms,
+    keys and filters are closures over it compiled once per lowering.
+    {!eval_branch} and the compiled query plans both lower through
+    {!lower_steps}. *)
+
+(** One binder of a branch, in join order. *)
+type step = {
+  var : Ast.var;
+  schema : Schema.t;  (** schema the binder's fields resolve against *)
+  source : step_source;
+  keys : (string * Ast.term) list;
+      (** [attr = term] equality keys probing the source, each term closed
+          by the earlier steps; [] scans *)
+  filters : Ast.formula list;  (** conjuncts closed once [var] is bound *)
+}
+
+and step_source =
+  | Fixed of Relation.t * string
+      (** an evaluated range and its EXPLAIN source label *)
+  | Correlated of (env -> Relation.t)
+      (** evaluated per row, under [env] extended with the earlier steps'
+          bindings; keys degrade to filters *)
+
+val lower_steps :
+  ?label:string ->
+  ?prefilters:Ast.formula list ->
+  env ->
+  step list ->
+  target:Ast.term list ->
+  Dc_exec.Ir.t
+(** The pipeline of a step list: [prefilters] (closed before any binder)
+    filter the seed row, each step scans or probes its source, its
+    filters follow it, and the projection builds [target] ([] = the
+    single step's tuple).  [label] overrides the projection's EXPLAIN
+    label. *)
+
 val query : env -> Ast.range -> Relation.t
 (** Alias of {!eval_range}. *)

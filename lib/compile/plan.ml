@@ -263,118 +263,60 @@ let of_range ~schema_of_rel (range : Ast.range) =
 module Ir = Dc_exec.Ir
 
 (* [use_indexes = false] forces full scans (the E11 ablation: what the
-   paper's range-nested evaluation buys over tuple-wise filtering). *)
+   paper's range-nested evaluation buys over tuple-wise filtering).  The
+   steps lower through the calculus evaluator's slot-row compiler, so a
+   compiled plan and a dynamically scheduled branch run the same row
+   code. *)
 let rec lower ~use_indexes env (plan : t) : Ir.t =
-  let static_schema env = function
-    | Src_rel n -> Relation.schema (Eval.lookup_rel env n)
-    | Src_comp p -> p.p_schema
+  let step_of (step : step) : Eval.step =
+    if step.s_correlated then
+      {
+        Eval.var = step.s_var;
+        schema =
+          (match step.s_source with
+          | Src_rel n -> Relation.schema (Eval.lookup_rel env n)
+          | Src_comp p -> p.p_schema);
+        source = Eval.Correlated (fun env -> source_rel ~use_indexes env step.s_source);
+        keys = [];
+        filters = step.s_filters;
+      }
+    else begin
+      let rel = source_rel ~use_indexes env step.s_source in
+      let src_label =
+        match step.s_source with
+        | Src_rel n -> n
+        | Src_comp _ -> "<subquery>"
+      in
+      let keys, filters =
+        match step.s_access with
+        | Index_lookup keys when use_indexes -> (keys, step.s_filters)
+        | Index_lookup keys ->
+          (* ablation: evaluate keys as per-tuple filters *)
+          ( [],
+            List.map (fun (a, t) -> Cmp (Eq, Field (step.s_var, a), t)) keys
+            @ step.s_filters )
+        | Full_scan -> ([], step.s_filters)
+      in
+      {
+        Eval.var = step.s_var;
+        schema = Relation.schema rel;
+        source = Eval.Fixed (rel, src_label);
+        keys;
+        filters;
+      }
+    end
   in
   let lower_branch (bp : branch_plan) : Ir.t =
-    let fmt_formula f = Fmt.str "%a" Ast.pp_formula f in
-    let add_filters filters node =
-      List.fold_left
-        (fun node f ->
-          Ir.filter ~label:(lazy (fmt_formula f))
-            ~pred:(fun env -> Eval.eval_formula env f)
-            node)
-        node filters
-    in
     (* branch prefilters gate the whole pipeline: a filter on the seed.
        They are closed before any binding, so they are also decidable at
        lowering time — a dead branch skips source evaluation entirely. *)
-    let node = add_filters bp.bp_prefilters (Ir.seed ()) in
     if not (List.for_all (Eval.eval_formula env) bp.bp_prefilters) then
-      Ir.project ~label:(lazy "<dead branch>") ~init:(fun () -> env)
-        ~tuple:(fun _ -> assert false)
-        node
+      Eval.lower_steps ~label:"<dead branch>" ~prefilters:bp.bp_prefilters env
+        [] ~target:[]
     else
-    let node =
-      List.fold_left
-        (fun node step ->
-          if step.s_correlated then
-            let schema = static_schema env step.s_source in
-            let gen env =
-              Dc_exec.Extent.of_relation ~label:step.s_var
-                ~cache:env.Eval.icache
-                (source_rel ~use_indexes env step.s_source)
-            in
-            let bind env t =
-              Some (Eval.bind_var env step.s_var t schema)
-            in
-            add_filters step.s_filters
-              (Ir.correlated_scan
-                 ~label:(lazy (Fmt.str "%s IN ..." step.s_var))
-                 ~gen ~bind node)
-          else begin
-            let rel = source_rel ~use_indexes env step.s_source in
-            let schema = Relation.schema rel in
-            let src_label =
-              match step.s_source with
-              | Src_rel n -> n
-              | Src_comp _ -> "<subquery>"
-            in
-            let ext =
-              Dc_exec.Extent.of_relation ~label:src_label
-                ~cache:env.Eval.icache rel
-            in
-            let bind env t = Some (Eval.bind_var env step.s_var t schema) in
-            let node =
-              match step.s_access with
-              | Index_lookup keys when use_indexes ->
-                let positions =
-                  List.map (fun (a, _) -> Schema.attr_index schema a) keys
-                in
-                let key_terms = List.map snd keys in
-                let key env = List.map (Eval.eval_term env) key_terms in
-                Ir.lookup
-                  ~label:
-                    (lazy
-                      (Fmt.str "%s IN %s on (%s)" step.s_var src_label
-                         (String.concat ", " (List.map fst keys))))
-                  ~src:(Ir.Fixed ext) ~positions ~key ~bind node
-              | Index_lookup keys ->
-                (* ablation: evaluate keys as per-tuple filters *)
-                let filters =
-                  List.map
-                    (fun (a, t) -> Cmp (Eq, Field (step.s_var, a), t))
-                    keys
-                in
-                add_filters filters
-                  (Ir.scan
-                     ~label:(lazy (Fmt.str "%s IN %s" step.s_var src_label))
-                     ~src:(Ir.Fixed ext) ~bind node)
-              | Full_scan ->
-                Ir.scan
-                  ~label:(lazy (Fmt.str "%s IN %s" step.s_var src_label))
-                  ~src:(Ir.Fixed ext) ~bind node
-            in
-            add_filters step.s_filters node
-          end)
-        node bp.bp_steps
-    in
-    let tuple =
-      match bp.bp_target with
-      | [] -> (
-        match bp.bp_steps with
-        | [ step ] ->
-          fun env ->
-            (match Eval.SM.find_opt step.s_var env.Eval.vars with
-            | Some b -> b.Eval.b_tuple
-            | None -> assert false)
-        | _ -> assert false)
-      | ts -> fun env -> Tuple.of_list (List.map (Eval.eval_term env) ts)
-    in
-    let label =
-      lazy
-        (match bp.bp_target with
-        | [] ->
-          Fmt.str "[%s]"
-            (String.concat ", " (List.map (fun s -> s.s_var) bp.bp_steps))
-        | ts ->
-          Fmt.str "<%s>"
-            (String.concat ", " (List.map (fun t -> Fmt.str "%a" Ast.pp_term t) ts)))
-    in
-    Ir.project ~label ~init:(fun () -> env) ~tuple node
+      Eval.lower_steps ~prefilters:bp.bp_prefilters env
+        (List.map step_of bp.bp_steps)
+        ~target:bp.bp_target
   in
   match List.map lower_branch plan.p_branches with
   | [ one ] -> one

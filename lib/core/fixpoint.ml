@@ -213,6 +213,10 @@ type state = {
       (* one private index cache per pool worker (length domains - 1);
          fresh per [apply], so an aborted expansion just discards them —
          only the caller's shared cache needs transactional rollback *)
+  seen : Tuple_hset.t array;
+      (* in-round dedup sets, one per shard (index 0 is the main domain's):
+         a tuple reaches the round's persistent [fresh] set only the first
+         time it is emitted; cleared per application per round *)
 }
 
 let find_def st c =
@@ -373,10 +377,15 @@ let prefer_real = function
 let eval_variant st app (rb : rec_branch) delta_pos acc =
   let env, branch, dname, drel = prep_variant st app rb delta_pos in
   st.stats.body_evaluations <- st.stats.body_evaluations + 1;
-  let emit acc t = Relation.add_unchecked t acc in
+  (* Every set member is already in [acc] or in the output this shard
+     merges into it, so skipping a repeat never loses a tuple. *)
+  let emit seen acc t =
+    if Tuple_hset.add seen t then Relation.add_unchecked t acc else acc
+  in
   if not (par_ok st app drel) then
     let env = Eval.bind_rel env dname drel in
-    traced env app (fun () -> Eval.eval_branch env branch ~emit acc)
+    traced env app (fun () ->
+        Eval.eval_branch env branch ~emit:(emit st.seen.(0)) acc)
   else begin
     let shards = Relation.partition_hash ~shards:st.domains drel in
     let schema = app.def.con_result in
@@ -390,7 +399,8 @@ let eval_variant st app (rb : rec_branch) delta_pos acc =
             if i = 0 then env
             else { env with Eval.icache = st.worker_caches.(i - 1) }
           in
-          Eval.eval_branch env branch ~emit (Relation.empty schema))
+          Eval.eval_branch env branch ~emit:(emit st.seen.(i))
+            (Relation.empty schema))
     in
     let t_merge = Obs.now_ms () in
     let merged = Array.fold_left Relation.union acc outs in
@@ -453,6 +463,7 @@ let round st =
             (* accumulate only fresh tuples: diffing the (small) variant
                output against the full value beats diffing two full-size
                relations every round *)
+            Array.iter Tuple_hset.clear st.seen;
             let fresh =
               List.fold_left
                 (fun acc rb ->
@@ -579,6 +590,7 @@ let apply ?(strategy = Seminaive) ?(max_rounds = default_max_rounds) ?stats env
       domains;
       worker_caches =
         Array.init (max 0 (domains - 1)) (fun _ -> Index_cache.create ());
+      seen = Array.init (max 1 domains) (fun _ -> Tuple_hset.create ());
     }
   in
   (* Snapshot the live gauges before this application registers anything:

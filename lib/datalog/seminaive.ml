@@ -28,6 +28,7 @@ open Syntax
 
 module SS = Set.Make (String)
 module TS = Facts.TS
+module Tuple_hset = Dc_relation.Tuple_hset
 module Ir = Dc_exec.Ir
 module Guard = Dc_guard.Guard
 module Obs = Dc_obs.Obs
@@ -69,6 +70,10 @@ let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
     match domains with Some d -> max 1 d | None -> Par.domains ()
   in
   let stats = Option.value stats ~default:(fresh_stats ()) in
+  (* In-round dedup sets, one per shard (index 0 is the main domain's),
+     shared by every stratum and round of this run: a tuple reaches the
+     persistent per-round set only the first time it is emitted. *)
+  let seen = Array.init domains (fun _ -> Tuple_hset.create ()) in
   let stratum = ref 0 in
   let eval_layer store layer =
     incr stratum;
@@ -156,12 +161,15 @@ let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
        tuples, derivation count) per head predicate.  Pure with respect
        to [stats] so worker domains can run their private pipeline
        copies through it — the caller folds the returned counts in. *)
-    let run_pipes pipes ctx =
+    let run_pipes pipes ctx seen =
       List.map
         (fun (pred, pipe, u) ->
           let before = u.Ir.tc.Ir.rows in
           let fresh = ref TS.empty in
-          Ir.run ~guard ctx pipe (fun t -> fresh := TS.add t !fresh);
+          Tuple_hset.clear seen;
+          Ir.run ~guard ctx pipe (fun t ->
+              if Tuple_hset.add seen t then
+                fresh := TS.add t !fresh);
           (pred, !fresh, u.Ir.tc.Ir.rows - before))
         pipes
     in
@@ -230,7 +238,7 @@ let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
           ~prefer:prefer_real
           (fun i ->
             let pipes = if i = 0 then deltas else workers.(i - 1) in
-            run_pipes pipes (Engine.delta_ctx ~full ~delta:shards.(i)))
+            run_pipes pipes (Engine.delta_ctx ~full ~delta:shards.(i)) seen.(i))
       in
       let t_merge = Obs.now_ms () in
       let merged =
@@ -277,7 +285,9 @@ let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
     stats.rounds <- stats.rounds + 1;
     let observing = Obs.on () in
     let t0 = if observing then Obs.now_ms () else 0. in
-    let news = collect_round (run_pipes round1 (Engine.store_ctx !full)) in
+    let news =
+      collect_round (run_pipes round1 (Engine.store_ctx !full) seen.(0))
+    in
     observe_round stats ~delta:(new_count news) ~t0 ~observing;
     let delta = ref (apply news (Facts.empty ())) in
     full := apply news !full;
@@ -303,7 +313,9 @@ let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
         then parallel_round ~full:!full ~delta:!delta
         else
           collect_round
-            (run_pipes deltas (Engine.delta_ctx ~full:!full ~delta:!delta))
+            (run_pipes deltas
+               (Engine.delta_ctx ~full:!full ~delta:!delta)
+               seen.(0))
       in
       observe_round stats ~delta:(new_count news) ~t0 ~observing;
       delta := apply news (Facts.empty ());

@@ -56,7 +56,10 @@ let of_relation ?label ?cache rel =
     | None -> Index_cache.create ()
   in
   {
-    label = Option.value label ~default:(Schema.attr_names (Relation.schema rel) |> String.concat ",");
+    label =
+      (match label with
+      | Some l -> l
+      | None -> String.concat "," (Schema.attr_names (Relation.schema rel)));
     cardinal = (fun () -> Some (Relation.cardinal rel));
     iter = (fun f -> Relation.iter f rel);
     lookup =

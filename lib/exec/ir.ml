@@ -6,8 +6,8 @@
 
    - row operators ('row node) thread an engine-specific row through a
      pipeline of scans, index probes, filters and anti-joins.  The row type
-     is the engine's choice — the calculus evaluator threads its
-     environment (persistent variable bindings), the Datalog engines a
+     is the engine's choice — the calculus evaluator threads a mutable
+     [Tuple.t array] with one slot per binder, the Datalog engines a
      mutable [Value.t array] with one slot per rule variable — so the IR
      imposes no common tuple format on the hot path;
    - tuple operators (t) sit on top: [Project] grounds a row to an output
@@ -296,13 +296,6 @@ let rec run_node :
            k row
          end)
 
-module TH = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-  let hash = Tuple.hash
-end)
-
 let rec run ?(guard = Guard.none) (ctx : ctx) (t : t) (k : Tuple.t -> unit) =
   let c = t.tc in
   let label = t.tlabel in
@@ -333,10 +326,9 @@ let rec run ?(guard = Guard.none) (ctx : ctx) (t : t) (k : Tuple.t -> unit) =
           k tuple
         end)
   | Distinct sub ->
-    let seen = TH.create 64 in
+    let seen = Tuple_hset.create () in
     run ~guard ctx sub (fun tuple ->
-        if not (TH.mem seen tuple) then begin
-          TH.replace seen tuple ();
+        if Tuple_hset.add seen tuple then begin
           c.rows <- c.rows + 1;
           Guard.tick guard label;
           prof_tick c;

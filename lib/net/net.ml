@@ -161,8 +161,10 @@ let recv_frame ?(idle = -1.) fd ~timeout ~max_frame =
     end;
     Some payload
 
-let send_frame fd ~timeout payload =
-  write_all fd ~timeout (Codec.frame_string payload);
+(* Send one frame built by [Wire.frame_*]: a single write of the one
+   string the encoder produced. *)
+let send_frame fd ~timeout frame =
+  write_all fd ~timeout frame;
   if Obs.on () then Obs.Counter.inc (Lazy.force c_frames_out)
 
 (* ------------------------------------------------------------------ *)
@@ -247,8 +249,7 @@ let handle_request l session = function
     Wire.Bye_ok
 
 let send_response l fd resp =
-  let payload = Wire.encode_response resp in
-  send_frame fd ~timeout:l.io_timeout payload
+  send_frame fd ~timeout:l.io_timeout (Wire.frame_response resp)
 
 (* Serve one connection to completion.  Raises nothing: every exit path
    is a normal return; the caller closes the socket. *)
@@ -277,20 +278,21 @@ let serve_conn l fd =
         (try send_response l fd (Wire.Err { code; message }) with _ -> ())
       | session ->
         let send resp =
-          let payload = Wire.encode_response resp in
-          let payload =
-            if String.length payload > peer_max then
-              Wire.encode_response
+          let frame = Wire.frame_response resp in
+          let frame =
+            let len = Wire.frame_payload_length frame in
+            if len > peer_max then
+              Wire.frame_response
                 (Wire.Err
                    {
                      code = Wire.Server;
                      message =
                        Fmt.str "response of %d bytes exceeds peer max_frame %d"
-                         (String.length payload) peer_max;
+                         len peer_max;
                    })
-            else payload
+            else frame
           in
-          send_frame fd ~timeout:l.io_timeout payload
+          send_frame fd ~timeout:l.io_timeout frame
         in
         let rec loop () =
           match
@@ -504,7 +506,7 @@ module Client = struct
       c.closed <- true;
       (* best-effort goodbye so the server logs a clean disconnect *)
       (try
-         send_frame c.fd ~timeout:c.timeout (Wire.encode_request Wire.Bye);
+         send_frame c.fd ~timeout:c.timeout (Wire.frame_request Wire.Bye);
          ignore
            (recv_frame ~idle:c.timeout c.fd ~timeout:c.timeout
               ~max_frame:c.max_frame)
@@ -515,14 +517,15 @@ module Client = struct
   let roundtrip c req =
     Mutex.protect c.m (fun () ->
         if c.closed then raise (Remote (Wire.Server, "client is closed"));
-        let payload = Wire.encode_request req in
-        if String.length payload > c.peer_max then
+        let frame = Wire.frame_request req in
+        let len = Wire.frame_payload_length frame in
+        if len > c.peer_max then
           raise
             (Remote
                ( Wire.Protocol,
                  Fmt.str "request of %d bytes exceeds server max_frame %d"
-                   (String.length payload) c.peer_max ));
-        send_frame c.fd ~timeout:c.timeout payload;
+                   len c.peer_max ));
+        send_frame c.fd ~timeout:c.timeout frame;
         match
           recv_frame ~idle:c.timeout c.fd ~timeout:c.timeout
             ~max_frame:c.max_frame

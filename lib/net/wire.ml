@@ -131,13 +131,33 @@ let tag_metrics_body = 0x84
 let tag_bye_ok = 0x85
 let tag_err = 0x7f
 
+(* A message is built once, after an 8-byte placeholder for its frame
+   header: the framed form back-patches length and CRC into the one copy
+   out of the buffer, and the bare payload is the buffer past the
+   placeholder.  The buffer starts small — a multi-KiB initial buffer
+   would be a major-heap allocation on every response. *)
+let header_length = 8
+let header_placeholder = String.make header_length '\000'
+
 let with_tag tag fill =
   let buf = Buffer.create 64 in
+  Buffer.add_string buf header_placeholder;
   Buffer.add_char buf (Char.chr tag);
   fill buf;
-  Buffer.contents buf
+  buf
 
-let encode_request = function
+let payload buf =
+  Buffer.sub buf header_length (Buffer.length buf - header_length)
+
+let framed buf =
+  let b = Buffer.to_bytes buf in
+  let len = Bytes.length b - header_length in
+  let crc = Codec.crc32 ~pos:header_length (Bytes.unsafe_to_string b) in
+  Bytes.set_int32_le b 0 (Int32.of_int len);
+  Bytes.set_int32_le b 4 (Int32.of_int crc);
+  Bytes.unsafe_to_string b
+
+let build_request = function
   | Stmt src -> with_tag tag_stmt (fun b -> Codec.string_ b src)
   | Query src -> with_tag tag_query (fun b -> Codec.string_ b src)
   | Snapshot -> with_tag tag_snapshot ignore
@@ -146,7 +166,7 @@ let encode_request = function
         Codec.varint b (match fmt with `Text -> 0 | `Json -> 1))
   | Bye -> with_tag tag_bye ignore
 
-let encode_response = function
+let build_response = function
   | Output s -> with_tag tag_output (fun b -> Codec.string_ b s)
   | Rows { version; columns; tuples } ->
     with_tag tag_rows (fun b ->
@@ -167,6 +187,12 @@ let encode_response = function
     with_tag tag_err (fun b ->
         Codec.varint b (error_code_to_int code);
         Codec.string_ b message)
+
+let encode_request r = payload (build_request r)
+let encode_response r = payload (build_response r)
+let frame_request r = framed (build_request r)
+let frame_response r = framed (build_response r)
+let frame_payload_length frame = String.length frame - header_length
 
 (* Strict decoders: a tag the peer does not know, or trailing bytes
    after a well-formed body, is [Codec.Corrupt] — the fuzzer checks that

@@ -74,15 +74,22 @@ val decode_preamble : string -> int
 
 (** {1 Payload codecs}
 
-    Encoders produce the unframed payload (frame it with
-    {!Dc_wal.Codec.frame_string}); decoders are strict — an unknown tag,
-    a malformed body, or trailing bytes raise {!Dc_wal.Codec.Corrupt},
-    and nothing else. *)
+    [encode_*] produce the unframed payload; [frame_*] produce the whole
+    frame, byte-identical to {!Dc_wal.Codec.frame_string} of the payload
+    but built in one copy (what the transport sends).  Decoders are
+    strict — an unknown tag, a malformed body, or trailing bytes raise
+    {!Dc_wal.Codec.Corrupt}, and nothing else. *)
 
 val encode_request : request -> string
 val decode_request : string -> request
 val encode_response : response -> string
 val decode_response : string -> response
+
+val frame_request : request -> string
+val frame_response : response -> string
+
+val frame_payload_length : string -> int
+(** Payload length of a frame built by [frame_*]. *)
 
 (** {1 Comparison and printing (tests)} *)
 

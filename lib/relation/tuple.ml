@@ -40,9 +40,13 @@ let arity t = Array.length t.cells
 
 let of_list l = make (Array.of_list l)
 
+let init n f = make (Array.init n f)
+
 let to_list t = Array.to_list t.cells
 
 let get t i = t.cells.(i)
+
+let iter f t = Array.iter f t.cells
 
 let make1 v = make [| v |]
 

@@ -11,7 +11,13 @@ val arity : t -> int
 val of_list : Value.t list -> t
 val to_list : t -> Value.t list
 
+val init : int -> (int -> Value.t) -> t
+(** [init n f] is the tuple [<f 0, ..., f (n-1)>]. *)
+
 val get : t -> int -> Value.t
+
+val iter : (Value.t -> unit) -> t -> unit
+(** The cells in position order. *)
 
 val make1 : Value.t -> t
 val make2 : Value.t -> Value.t -> t

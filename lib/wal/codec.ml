@@ -78,9 +78,8 @@ let value buf = function
     Buffer.add_int64_le buf (Int64.bits_of_float f)
 
 let tuple buf t =
-  let vs = Tuple.to_list t in
-  varint buf (List.length vs);
-  List.iter (value buf) vs
+  varint buf (Tuple.arity t);
+  Tuple.iter (value buf) t
 
 let tuples buf ts =
   varint buf (List.length ts);

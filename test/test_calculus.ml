@@ -438,6 +438,139 @@ let prop_scheduler_equals_brute_force =
       Relation.equal optimized brute)
 
 (* ------------------------------------------------------------------ *)
+(* Slot-row kernel against a reference nested loop *)
+
+(* The reference: bind the binders in written order with [bind_var],
+   each range evaluated under the binders before it, and test the whole
+   WHERE at the innermost level — no scheduling, no keys, no slots. *)
+let nested_loop env (b : branch) =
+  let rec loop env last = function
+    | [] ->
+      if not (Eval.eval_formula env b.where) then []
+      else
+        [
+          (match b.target with
+          | [] -> Option.get last
+          | ts -> Tuple.of_list (List.map (Eval.eval_term env) ts));
+        ]
+    | (v, r) :: rest ->
+      let rel = Eval.eval_range env r in
+      Relation.fold
+        (fun t acc ->
+          loop (Eval.bind_var env v t (Relation.schema rel)) (Some t) rest @ acc)
+        rel []
+  in
+  loop env None b.binders
+
+(* Outer tuple variables of every case: [o] is never a binder name, [a]
+   is shadowed whenever a binder is named [a]. *)
+let outer_vars =
+  [ ("a", Tuple.make2 (i 7) (i 8), bin); ("o", Tuple.make2 (i 1) (i 2), bin) ]
+
+(* A 1-3-binder branch over two small relations E and F.  The binder
+   names are a shuffle of a, b, c; a later binder may range over a
+   comprehension correlated with the binder before it.  WHERE conjoins
+   0-3 formulas mixing =, <, #, NOT, OR, SOME, ALL, IN and <...> IN over
+   the variables in scope; targets use + and *. *)
+let arb_kernel_case =
+  let open QCheck.Gen in
+  let rel_pairs = list_size (int_bound 6) (pair (int_bound 3) (int_bound 3)) in
+  let rel_name = oneofl [ Rel "E"; Rel "F" ] in
+  let gen =
+    let* e = rel_pairs in
+    let* f = rel_pairs in
+    let* names = shuffle_l [ "a"; "b"; "c" ] in
+    let* n = int_range 1 3 in
+    let names = List.filteri (fun k _ -> k < n) names in
+    let* ranges =
+      flatten_l
+        (List.mapi
+           (fun k _ ->
+             let prev = if k = 0 then "o" else List.nth names (k - 1) in
+             oneof
+               [
+                 rel_name;
+                 map
+                   (fun r ->
+                     Comp
+                       [
+                         branch [ ("x", r) ]
+                           ~where:(eq (field "x" "src") (field prev "dst"));
+                       ])
+                   rel_name;
+               ])
+           names)
+    in
+    let scope = List.sort_uniq compare ("a" :: "o" :: names) in
+    let atom scope =
+      oneof
+        [
+          map2 field (oneofl scope) (oneofl [ "src"; "dst" ]);
+          map Ast.int (int_bound 3);
+        ]
+    in
+    let term scope =
+      frequency
+        [
+          (3, atom scope);
+          ( 1,
+            map3
+              (fun op x y -> Binop (op, x, y))
+              (oneofl [ Add; Mul ]) (atom scope) (atom scope) );
+        ]
+    in
+    let rec formula scope depth =
+      let cmp =
+        map3
+          (fun op x y -> Cmp (op, x, y))
+          (oneofl [ Eq; Eq; Lt; Ne ]) (term scope) (term scope)
+      in
+      if depth = 0 then cmp
+      else
+        let sub = formula scope (depth - 1) in
+        let quantified = formula ("q" :: scope) (depth - 1) in
+        frequency
+          [
+            (3, cmp);
+            (1, map (fun f -> Not f) sub);
+            (1, map2 (fun x y -> Or (x, y)) sub sub);
+            (1, map2 (fun r f -> Some_in ("q", r, f)) rel_name quantified);
+            (1, map2 (fun r f -> All_in ("q", r, f)) rel_name quantified);
+            (1, map2 (fun v r -> In_rel (v, r)) (oneofl scope) rel_name);
+            ( 1,
+              map3
+                (fun x y r -> Member ([ x; y ], r))
+                (term scope) (term scope) rel_name );
+          ]
+    in
+    let* where = list_size (int_bound 3) (formula scope 2) in
+    let* target =
+      if n = 1 then oneof [ return []; list_size (int_range 1 3) (term scope) ]
+      else list_size (int_range 1 3) (term scope)
+    in
+    return
+      ( pairs e,
+        pairs f,
+        branch (List.combine names ranges) ~target ~where:(conj_list where) )
+  in
+  QCheck.make gen ~print:(fun (e, f, b) ->
+      Fmt.str "E = %a@.F = %a@.%s" Relation.pp e Relation.pp f
+        (range_to_string (Comp [ b ])))
+
+let prop_kernel_equals_nested_loop =
+  QCheck.Test.make ~name:"slot-row kernel = reference nested loop" ~count:400
+    arb_kernel_case (fun (e, f, b) ->
+      let env = Eval.make_env ~vars:outer_vars [ ("E", e); ("F", f) ] in
+      let kernel = Eval.eval_comp env [ b ] in
+      let reference =
+        List.fold_left
+          (fun acc t -> Relation.add_unchecked t acc)
+          (Relation.empty (Relation.schema kernel))
+          (nested_loop env b)
+      in
+      Relation.equal kernel reference)
+
+(* ------------------------------------------------------------------ *)
 (* More typechecking *)
 
 let test_typecheck_args () =
@@ -535,5 +668,10 @@ let () =
             prop_positivity_implies_monotone;
             prop_nnf_preserves_semantics;
             prop_scheduler_equals_brute_force;
+          ]
+        @ [
+            QCheck_alcotest.to_alcotest
+              ~rand:(Random.State.make [| 14 |])
+              prop_kernel_equals_nested_loop;
           ] );
     ]

@@ -451,6 +451,44 @@ let test_fixpoint_stats () =
     Alcotest.check Alcotest.int "single application system" 1
       st.Fixpoint.applications
 
+(* The in-round dedup set and the slot-row kernel change what a
+   derivation costs, never which derivations happen: rounds and
+   [tuples_derived] (every tuple computed, rediscoveries included) keep
+   the values the environment-row kernel produced. *)
+let test_fixpoint_work_unchanged () =
+  let module G = Dc_workload.Graph_gen in
+  let check name query db ~rounds ~derived =
+    ignore (Database.query db query);
+    match Database.last_stats db with
+    | None -> Alcotest.fail "no stats recorded"
+    | Some st ->
+      Alcotest.check Alcotest.int (name ^ " rounds") rounds st.Fixpoint.rounds;
+      Alcotest.check Alcotest.int (name ^ " derived") derived
+        st.Fixpoint.tuples_derived
+  in
+  let tc_db linear =
+    let db = Database.create () in
+    Database.declare db "Edge" G.edge_schema;
+    Database.set db "Edge" (G.chain 256);
+    Database.define_constructor db (Constructor.transitive_closure ~linear ());
+    db
+  in
+  let tc = Ast.(Construct (Rel "Edge", "tc", [])) in
+  check "non-linear tc, chain 256" tc (tc_db `Non) ~rounds:10 ~derived:63_743;
+  check "right-linear tc, chain 256" tc (tc_db `Right) ~rounds:257
+    ~derived:32_896;
+  let infront, ontop = G.scene ~depth:256 ~stack:3 in
+  let db = Database.create () in
+  Database.declare db "Infront" (Constructor.infront_schema Value.TStr);
+  Database.declare db "Ontop" (Constructor.ontop_schema Value.TStr);
+  Database.set db "Infront" infront;
+  Database.set db "Ontop" ontop;
+  let ahead, above = Constructor.ahead_above () in
+  Database.define_constructors db [ ahead; above ];
+  check "3.1 scene, depth 256"
+    Ast.(Construct (Rel "Infront", "ahead", [ Arg_range (Rel "Ontop") ]))
+    db ~rounds:260 ~derived:83_200
+
 let () =
   Alcotest.run "dc_core"
     [
@@ -463,6 +501,8 @@ let () =
           Alcotest.test_case "ahead_n limit" `Quick test_ahead_n_limit;
           Alcotest.test_case "same generation" `Quick test_same_generation;
           Alcotest.test_case "stats recorded" `Quick test_fixpoint_stats;
+          Alcotest.test_case "work unchanged by the round kernel" `Quick
+            test_fixpoint_work_unchanged;
           Alcotest.test_case "scalar-parameterized constructor" `Quick
             test_scalar_parameterized_constructor;
         ] );

@@ -108,6 +108,7 @@ let prop_request_roundtrip =
       let framed = Codec.frame_string payload in
       let payload', next = Codec.read_frame framed 0 in
       next = String.length framed
+      && String.equal framed (Wire.frame_request req)
       && Wire.equal_request req (Wire.decode_request payload'))
 
 let prop_response_roundtrip =
@@ -117,6 +118,7 @@ let prop_response_roundtrip =
       let framed = Codec.frame_string payload in
       let payload', next = Codec.read_frame framed 0 in
       next = String.length framed
+      && String.equal framed (Wire.frame_response resp)
       && Wire.equal_response resp (Wire.decode_response payload'))
 
 (* arbitrary bytes must decode or raise [Codec.Corrupt] — any other

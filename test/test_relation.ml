@@ -243,6 +243,88 @@ let prop_compose_assoc =
         (Algebra.compose (Algebra.compose a b) c)
         (Algebra.compose a (Algebra.compose b c)))
 
+(* ------------------------------------------------------------------ *)
+(* Tuple_hset against Tuple_set *)
+
+module TS = Relation.Tuple_set
+
+(* Int and Str cells with equal [Value.hash]: a birthday search over the
+   30-bit hash finds several, deterministically. *)
+let hash_twins =
+  lazy
+    (let by_hash = Hashtbl.create 4096 in
+     for n = 0 to 99_999 do
+       Hashtbl.replace by_hash (Value.hash (i n)) n
+     done;
+     List.filter_map
+       (fun k ->
+         let str = s (Fmt.str "s%d" k) in
+         Option.map (fun n -> (i n, str)) (Hashtbl.find_opt by_hash (Value.hash str)))
+       (List.init 100_000 Fun.id))
+
+let test_hset_twins () =
+  let twins = Lazy.force hash_twins in
+  Alcotest.check Alcotest.bool "some twins found" true (twins <> []);
+  let h = Tuple_hset.create () in
+  List.iter
+    (fun (a, b) ->
+      let ta = Tuple.make1 a and tb = Tuple.make1 b in
+      Alcotest.check Alcotest.int "same hash" (Tuple.hash ta) (Tuple.hash tb);
+      Alcotest.check Alcotest.bool "int twin new" true (Tuple_hset.add h ta);
+      Alcotest.check Alcotest.bool "str twin new" true (Tuple_hset.add h tb);
+      Alcotest.check Alcotest.bool "str twin seen" false (Tuple_hset.add h tb))
+    twins;
+  List.iter
+    (fun (a, _) ->
+      Alcotest.check Alcotest.bool "int twin kept" false
+        (Tuple_hset.add h (Tuple.make1 a)))
+    twins
+
+(* Batches of tuples, the set cleared between batches: ints over a range
+   wide enough to force several doublings of a new set, arity-0 tuples
+   (each a fresh physical value), and the hash twins. *)
+let arb_hset_batches =
+  let open QCheck.Gen in
+  let twins = Array.of_list (Lazy.force hash_twins) in
+  let tuple =
+    frequency
+      [
+        (8, map2 (fun a b -> Tuple.make2 (i a) (i b)) (int_bound 40) (int_bound 40));
+        (1, map (fun () -> Tuple.of_list []) unit);
+        ( 2,
+          map2
+            (fun k second ->
+              let a, b = twins.(k) in
+              Tuple.make1 (if second then b else a))
+            (int_bound (Array.length twins - 1))
+            bool );
+        (1, map (fun a -> Tuple.make1 (i a)) (int_bound 5));
+      ]
+  in
+  QCheck.make
+    ~print:(fun batches ->
+      String.concat " | "
+        (List.map
+           (fun b -> String.concat ";" (List.map Tuple.to_string b))
+           batches))
+    (list_size (int_range 1 4) (list_size (int_bound 400) tuple))
+
+let prop_hset_matches_set =
+  QCheck.Test.make ~name:"Tuple_hset.add is true once per distinct tuple"
+    ~count:100 arb_hset_batches (fun batches ->
+      let h = Tuple_hset.create () in
+      List.for_all
+        (fun batch ->
+          Tuple_hset.clear h;
+          let ok, set =
+            List.fold_left
+              (fun (ok, set) t ->
+                (ok && Tuple_hset.add h t = not (TS.mem t set), TS.add t set))
+              (true, TS.empty) batch
+          in
+          ok && TS.for_all (fun t -> not (Tuple_hset.add h t)) set)
+        batches)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -266,6 +348,7 @@ let () =
         [
           Alcotest.test_case "set ops" `Quick test_set_ops;
           Alcotest.test_case "type check" `Quick test_type_check;
+          Alcotest.test_case "hash set twins" `Quick test_hset_twins;
         ] );
       ( "algebra",
         [
@@ -290,5 +373,6 @@ let () =
             prop_tc_contains;
             prop_compose_assoc;
             prop_join_is_filtered_product;
+            prop_hset_matches_set;
           ] );
     ]
