@@ -27,8 +27,9 @@ let error fmt = Fmt.kstr (fun s -> raise (Error s)) fmt
    answers a constructor application from the maintained extent (or
    declines with [None]); [mt_update] applies one batch of net base
    deltas; [mt_invalidate] marks the view stale (it will refresh on next
-   serve); [mt_snapshot] captures state and returns the restore thunk
-   used to make a failed maintenance step atomic; [mt_stale]/[mt_freeze]
+   serve); [mt_begin] opens a maintenance transaction — its [vt_rollback]
+   makes a failed step atomic, its [vt_commit] keeps the step and drops
+   whatever undo state it recorded; [mt_stale]/[mt_freeze]
    publish the view into snapshots ([mt_freeze] returns [None] for a
    stale view — snapshot readers then evaluate the application
    themselves through {!Resolve.application}). *)
@@ -51,6 +52,11 @@ type wal_hooks = {
   wh_published : version:int -> unit;
 }
 
+type view_txn = {
+  vt_commit : unit -> unit;
+  vt_rollback : unit -> unit;
+}
+
 type maintainer = {
   mt_name : string;
   mt_depends : string list; (* base relations the view reads *)
@@ -62,7 +68,7 @@ type maintainer = {
   mt_update : (string * Tuple.t list * Tuple.t list) list -> unit;
       (* (relation, net added, net removed) per base relation *)
   mt_invalidate : unit -> unit;
-  mt_snapshot : unit -> unit -> unit;
+  mt_begin : unit -> view_txn;
   mt_stale : unit -> bool;
   mt_freeze : unit -> Snapshot.frozen_serve option;
 }
@@ -202,14 +208,15 @@ let log_changes db changes =
 
 let mark_catalog db = if db.wal <> None then db.pending_catalog <- true
 
-(* The single commit point.  Journals the working maps, snapshots every
-   maintainer that reads a touched relation, runs the mutation (which
-   may propagate deltas into views), passes the [ivm.commit] failpoint
-   (data commits only), makes the commit durable when a WAL is attached
-   ([wh_append] — append-before-publish), and publishes the successor
-   snapshot.  On any exception — including a failed or fault-injected
-   log append — the working set and every touched view roll back to the
-   pre-commit state and nothing is published. *)
+(* The single commit point.  Journals the working maps, opens a
+   transaction on every maintainer that reads a touched relation, runs
+   the mutation (which may propagate deltas into views), passes the
+   [ivm.commit] failpoint (data commits only), makes the commit durable
+   when a WAL is attached ([wh_append] — append-before-publish), commits
+   the maintainer transactions and publishes the successor snapshot.  On
+   any exception — including a failed or fault-injected log append — the
+   working set and every touched view roll back to the pre-commit state
+   and nothing is published. *)
 let commit ?(failpoint = false) ?(touches = []) db mutate =
   if db.in_commit then mutate ()
   else begin
@@ -225,7 +232,7 @@ let commit ?(failpoint = false) ?(touches = []) db mutate =
         (fun m -> List.exists (fun n -> List.mem n m.mt_depends) touches)
         db.maintainers
     in
-    let restores = List.map (fun m -> m.mt_snapshot ()) relevant in
+    let txns = List.map (fun m -> m.mt_begin ()) relevant in
     match
       let r = mutate () in
       if failpoint && !Guard.Failpoint.armed then
@@ -239,6 +246,7 @@ let commit ?(failpoint = false) ?(touches = []) db mutate =
       r
     with
     | r ->
+      List.iter (fun tx -> tx.vt_commit ()) txns;
       db.pending_changes <- [];
       db.pending_catalog <- false;
       db.in_commit <- false;
@@ -252,7 +260,7 @@ let commit ?(failpoint = false) ?(touches = []) db mutate =
       db.selectors <- saved_selectors;
       db.constructors <- saved_constructors;
       db.maintainers <- saved_maintainers;
-      List.iter (fun restore -> restore ()) restores;
+      List.iter (fun tx -> tx.vt_rollback ()) txns;
       db.pending_changes <- [];
       db.pending_catalog <- false;
       db.in_commit <- false;

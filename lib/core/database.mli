@@ -129,6 +129,11 @@ val restore_version : t -> int -> unit
     constructor extent, and the database routes updates and constructor
     applications through the registry. *)
 
+type view_txn = {
+  vt_commit : unit -> unit;  (** keep the step; drop its undo state *)
+  vt_rollback : unit -> unit;  (** restore the state before the step *)
+}
+
 type maintainer = {
   mt_name : string;
   mt_depends : string list;  (** base relations the view reads *)
@@ -142,8 +147,8 @@ type maintainer = {
   mt_update : (string * Tuple.t list * Tuple.t list) list -> unit;
       (** apply one batch of net base deltas: (relation, added, removed) *)
   mt_invalidate : unit -> unit;  (** mark stale; refresh on next serve *)
-  mt_snapshot : unit -> unit -> unit;
-      (** capture state, returning the restore thunk (rollback) *)
+  mt_begin : unit -> view_txn;
+      (** open a maintenance transaction around one commit *)
   mt_stale : unit -> bool;  (** is the view currently stale? *)
   mt_freeze : unit -> Snapshot.frozen_serve option;
       (** publish-time capture: a thread-safe serve closure over a

@@ -60,9 +60,7 @@ let store_extent ?label (store : Facts.t) pred =
     Extent.label;
     cardinal = (fun () -> Some (Facts.cardinal store pred));
     iter = (fun f -> Facts.TS.iter f (Facts.find store pred));
-    lookup =
-      (fun positions values ->
-        Facts.lookup store pred positions (Tuple.of_list values));
+    lookup = Facts.lookup_values store pred;
     mem = (fun t -> Facts.mem store pred t);
   }
 
@@ -90,7 +88,18 @@ let split_post name =
   then Some (String.sub name n (String.length name - n))
   else None
 
-let store_ctx store : Ir.ctx = fun name -> store_extent store name
+(* Extents are built once per context and name: a context that serves
+   many short runs (one rederivation probe per candidate) does not
+   rebuild its closures per run. *)
+let store_ctx store : Ir.ctx =
+  let memo = ref [] in
+  fun name ->
+    match List.assoc_opt name !memo with
+    | Some e -> e
+    | None ->
+      let e = store_extent store name in
+      memo := (name, e) :: !memo;
+      e
 
 let delta_ctx ~full ~delta : Ir.ctx =
  fun name ->

@@ -13,11 +13,29 @@
      every cached index of that predicate and hand ownership to the child
      store, so semi-naive rounds extend indexes by their deltas;
    - a store that lost ownership (an older snapshot that was branched
-     from) transparently falls back to rebuilding into a private cache on
-     its next lookup, so sharing is an optimization, never a correctness
-     concern. *)
+     from) transparently builds a private cache on its next lookup that
+     needs an index, so sharing is an optimization, never a correctness
+     concern.
+
+   Access paths (relations follow the same rule, see
+   [Extent.of_relation]): the predicate's tuple set is ordered
+   lexicographically by column, so
+
+   1. a warm hash index the store owns for exactly that path answers
+      the key;
+   2. otherwise a key on every column is a membership test of the set,
+      and a key on the leading columns [0..j-1] (in any order) a range
+      scan of it — a lookup never builds an index for either;
+   3. only a key on other columns builds (and caches) a hash index.
+
+   So a store branched away from the chain — the pre/mid/post states of
+   an incremental view update — answers leading-column keys at the cost
+   of a descent, instead of rebuilding a view-sized index; a fixpoint
+   that probes one growing store every round ([Seminaive]) keeps its hash
+   paths by [prewarm]ing them when it starts. *)
 
 open Dc_relation
+module Extent = Dc_exec.Extent
 
 module TS = Relation.Tuple_set
 module SM = Map.Make (String)
@@ -32,9 +50,10 @@ type t = {
   version : int;
   mutable cache : cache;
   frozen : bool;
-      (* a frozen store may be read by several threads at once: index
-         lookups build private throwaway indexes instead of installing a
-         cache that concurrent readers would then mutate together *)
+      (* a frozen store may be read by several threads at once: lookups
+         that need an index build a private throwaway one instead of
+         installing a cache that concurrent readers would then mutate
+         together *)
 }
 
 (* Atomic: snapshot readers freeze stores and writer threads advance the
@@ -58,79 +77,81 @@ let total store = SM.fold (fun _ s n -> n + TS.cardinal s) store.tuples 0
 
 let mem store pred tuple = TS.mem tuple (find store pred)
 
-(* Push new tuples of [pred] into every cached index of that predicate. *)
-let extend_cached cache pred fresh =
-  Hashtbl.iter
-    (fun (p, _) idx -> if String.equal p pred then TS.iter (Index.add idx) fresh)
-    cache.tables
-
-(* Drop departed tuples of [pred] from every cached index of that
-   predicate — the deletion mirror of [extend_cached].  [Index.remove]
-   undoes one insertion, which matches: the add path only ever pushes a
-   genuinely-new tuple once. *)
-let shrink_cached cache pred gone =
-  Hashtbl.iter
-    (fun (p, _) idx ->
-      if String.equal p pred then TS.iter (Index.remove idx) gone)
-    cache.tables
+(* The cached indexes of [pred]; a store step computes the tuples to
+   push into (or drop from) them only when there are some. *)
+let cached cache pred =
+  Hashtbl.fold
+    (fun (p, _) idx acc -> if String.equal p pred then idx :: acc else acc)
+    cache.tables []
 
 let owns store = store.cache.owner = store.version
+
+(* The child of [store] with [tuples]: it takes the index cache when
+   [store] owns it, after [maintain] has brought the cached indexes of
+   [pred] up to date. *)
+let step store pred tuples maintain =
+  let version = new_version () in
+  if owns store then begin
+    let cache = store.cache in
+    (match cached cache pred with [] -> () | idxs -> maintain idxs);
+    cache.owner <- version;
+    { tuples; version; cache; frozen = false }
+  end
+  else { tuples; version; cache = fresh_cache version; frozen = false }
 
 let add store pred tuple =
   let set = find store pred in
   if TS.mem tuple set then store
   else
-    let version = new_version () in
-    let tuples = SM.add pred (TS.add tuple set) store.tuples in
-    if owns store then begin
-      let cache = store.cache in
-      extend_cached cache pred (TS.singleton tuple);
-      cache.owner <- version;
-      { tuples; version; cache; frozen = false }
-    end
-    else { tuples; version; cache = fresh_cache version; frozen = false }
+    step store pred
+      (SM.add pred (TS.add tuple set) store.tuples)
+      (List.iter (fun idx -> Index.add idx tuple))
 
 let add_set store pred set =
   if TS.is_empty set then store
   else
     let old = find store pred in
-    let version = new_version () in
-    let tuples = SM.add pred (TS.union set old) store.tuples in
-    if owns store then begin
-      let cache = store.cache in
-      (* Only the genuinely new tuples may enter the indexes: buckets hold
-         lists, so re-adding a known tuple would duplicate lookup rows. *)
-      extend_cached cache pred (TS.diff set old);
-      cache.owner <- version;
-      { tuples; version; cache; frozen = false }
-    end
-    else { tuples; version; cache = fresh_cache version; frozen = false }
+    step store pred
+      (SM.add pred (TS.union set old) store.tuples)
+      (fun idxs ->
+        (* Only the genuinely new tuples may enter the indexes: buckets
+           hold lists, so re-adding a known tuple would duplicate lookup
+           rows. *)
+        let fresh = TS.diff set old in
+        List.iter (fun idx -> TS.iter (Index.add idx) fresh) idxs)
 
+(* [Index.remove] undoes one insertion, which matches: the add path only
+   ever pushes a genuinely-new tuple once. *)
 let remove_set store pred set =
   let old = find store pred in
-  let gone = TS.inter set old in
-  if TS.is_empty gone then store
+  if TS.disjoint set old then store
   else
-    let version = new_version () in
-    let remaining = TS.diff old gone in
-    let tuples =
-      if TS.is_empty remaining then SM.remove pred store.tuples
-      else SM.add pred remaining store.tuples
-    in
-    if owns store then begin
-      let cache = store.cache in
-      shrink_cached cache pred gone;
-      cache.owner <- version;
-      { tuples; version; cache; frozen = false }
-    end
-    else { tuples; version; cache = fresh_cache version; frozen = false }
+    let remaining = TS.diff old set in
+    step store pred
+      (if TS.is_empty remaining then SM.remove pred store.tuples
+       else SM.add pred remaining store.tuples)
+      (fun idxs ->
+        let gone = TS.inter set old in
+        List.iter (fun idx -> TS.iter (Index.remove idx) gone) idxs)
 
 let remove store pred tuple = remove_set store pred (TS.singleton tuple)
 
 let singleton_set pred set = add_set (empty ()) pred set
 
-let of_list l =
-  List.fold_left (fun st (pred, tuple) -> add st pred tuple) (empty ()) l
+(* One [add_set] per predicate, so a batch costs one store step per
+   predicate rather than one per tuple. *)
+let add_list store l =
+  let by_pred =
+    List.fold_left
+      (fun m (pred, t) ->
+        SM.update pred
+          (fun s -> Some (TS.add t (Option.value s ~default:TS.empty)))
+          m)
+      SM.empty l
+  in
+  SM.fold (fun pred set st -> add_set st pred set) by_pred store
+
+let of_list l = add_list (empty ()) l
 
 let preds store = List.map fst (SM.bindings store.tuples)
 
@@ -138,11 +159,23 @@ let iter f store = SM.iter (fun pred set -> TS.iter (f pred) set) store.tuples
 
 let equal a b = SM.equal TS.equal a.tuples b.tuples
 
+(* Index builds per predicate, process-wide: the machine-independent
+   witness that an incremental update builds no index over a view. *)
+let builds : (string, int) Hashtbl.t = Hashtbl.create 16
+let builds_lock = Mutex.create ()
+
+let index_builds pred =
+  Mutex.protect builds_lock (fun () ->
+      Option.value (Hashtbl.find_opt builds pred) ~default:0)
+
 (* Tuples of [pred] whose projection onto [positions] equals [key].
    [positions = []] degenerates to one bucket under the empty key image,
    i.e. the full extent — cached like any other access path instead of
    re-materializing [TS.elements] per call. *)
 let build_index store pred positions =
+  Mutex.protect builds_lock (fun () ->
+      Hashtbl.replace builds pred
+        (1 + Option.value (Hashtbl.find_opt builds pred) ~default:0));
   let set = find store pred in
   let idx = Index.create ~size:(max 16 (TS.cardinal set)) positions in
   TS.iter (Index.add idx) set;
@@ -174,15 +207,47 @@ let ensure_index store pred positions =
       Hashtbl.replace cache.tables cache_key idx;
       idx
 
-let lookup store pred positions key =
-  Index.lookup (ensure_index store pred positions) key
+(* The index this store owns for the path, if one is warm; never builds
+   and never mutates, so worker domains may call it on a shared store. *)
+let warm_index store pred positions =
+  if owns store && not store.frozen then
+    Hashtbl.find_opt store.cache.tables (pred, positions)
+  else None
 
-(* Parallel-round support: build the (pred, positions) index now, on the
-   calling domain.  A round driver prewarms every keyed access path its
-   pipelines will probe before fanning out, after which concurrent
-   [lookup]s from worker domains only *read* the cache table and the
-   index — [lookup]'s lazy build and cache reassignment never fire off
-   the main domain. *)
+(* The access-path rule of the header.  [positions = []] stays on the
+   cached-index path: a range scan would re-materialize the whole extent
+   on every call. *)
+let lookup_values store pred positions values =
+  match warm_index store pred positions with
+  | Some idx -> Index.lookup_values idx values
+  | None -> (
+    match
+      if positions = [] then None else Extent.prefix_key positions values
+    with
+    | None -> Index.lookup_values (ensure_index store pred positions) values
+    | Some key -> (
+      let set = find store pred in
+      match TS.min_elt_opt set with
+      | None -> []
+      | Some t when Tuple.arity t = List.length key -> (
+        match TS.find_opt (Tuple.of_list key) set with
+        | Some t -> [ t ]
+        | None -> [])
+      | Some _ -> Relation.prefix_scan set key))
+
+let lookup store pred positions key =
+  lookup_values store pred positions (Tuple.to_list key)
+
+let needs_index positions =
+  positions = [] || Option.is_none (Extent.prefix_key positions positions)
+
+(* Build the (pred, positions) index now, on the calling domain, whatever
+   the path: a fixpoint that probes one growing store every round keeps
+   its paths warm this way (rule 1), and a parallel round
+   driver prewarms every path its workers will build lazily (rule 3)
+   before fanning out, after which concurrent [lookup]s from worker
+   domains only *read* the cache table and the index — [lookup]'s lazy
+   build and cache reassignment never fire off the main domain. *)
 let prewarm store pred positions = ignore (ensure_index store pred positions)
 
 (* Hash-partition one tuple set into [shards] disjoint covering subsets

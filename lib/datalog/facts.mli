@@ -1,10 +1,11 @@
 (** Fact store for the bottom-up Datalog engines: predicate name → set of
-    ground tuples, with lazily built hash indexes per (predicate, bound
-    positions).  Values are persistent; indexes are maintained
-    delta-incrementally along the linear chain of stores an engine
-    produces ([add]/[add_set] push just the new tuples into existing
-    indexes), and older snapshots transparently rebuild private indexes
-    on demand. *)
+    ground tuples, with hash indexes per (predicate, bound positions).
+    Values are persistent; indexes are maintained delta-incrementally
+    along the linear chain of stores an engine produces ([add]/[add_set]
+    push just the new tuples into existing indexes).  Keys on leading
+    columns are answered from the ordered tuple set unless the store owns
+    a warm index for the path; only other keys build indexes, and older
+    snapshots build theirs privately on demand. *)
 
 open Dc_relation
 
@@ -29,6 +30,9 @@ val remove : t -> string -> Tuple.t -> t
 
 val remove_set : t -> string -> TS.t -> t
 val singleton_set : string -> TS.t -> t
+val add_list : t -> (string * Tuple.t) list -> t
+(** Add (predicate, tuple) pairs: one {!add_set} per predicate. *)
+
 val of_list : (string * Tuple.t) list -> t
 
 val preds : t -> string list
@@ -37,13 +41,29 @@ val equal : t -> t -> bool
 
 val lookup : t -> string -> int list -> Tuple.t -> Tuple.t list
 (** [lookup store pred positions key]: tuples of [pred] whose projection
-    onto [positions] equals [key] (indexed; [positions = []] returns all). *)
+    onto [positions] equals [key] ([positions = []] returns all).  A warm
+    index the store owns for the path answers it; otherwise a key on
+    every column is a membership test and a key on the leading columns
+    [0..j-1] (in any order) a range scan of the ordered set.  Only a key
+    on other columns builds (and caches) a hash index. *)
+
+val lookup_values : t -> string -> int list -> Value.t list -> Tuple.t list
+(** {!lookup} with the key as a value list (the executor's form). *)
+
+val needs_index : int list -> bool
+(** Would a {!lookup} on these positions build a hash index on a cold
+    store?  False exactly for leading-column keys (full keys included). *)
 
 val prewarm : t -> string -> int list -> unit
-(** Build the (pred, positions) index now, on the calling domain.
-    Parallel rounds prewarm every keyed access path of a shared store
-    before fanning out, so concurrent {!lookup}s from worker domains are
-    pure reads. *)
+(** Build the (pred, positions) index now, on the calling domain, for any
+    path.  A fixpoint that probes one growing store every round prewarms
+    its keyed paths once so they stay warm hash indexes; parallel passes
+    prewarm every {!needs_index} path of a shared store before fanning
+    out, so concurrent {!lookup}s from worker domains are pure reads. *)
+
+val index_builds : string -> int
+(** Hash indexes built over the predicate so far in this process (any
+    store) — the machine-independent cost witness of the access paths. *)
 
 val partition_set : shards:int -> TS.t -> TS.t array
 (** Hash-partition a tuple set into [shards] disjoint covering subsets by

@@ -211,26 +211,33 @@ let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
                   (Engine.group_by_head layer))))
     in
     let keyed_paths =
-      lazy
-        (List.sort_uniq compare
-           (List.concat_map
-              (fun (_, pipe, _) -> Ir.keyed_sources pipe)
-              deltas))
+      List.sort_uniq compare
+        (List.concat_map
+           (fun (_, pipe, _) -> Ir.keyed_sources pipe)
+           (round1 @ deltas))
     in
+    (* Warm hash paths: every round probes the one growing full store, so
+       each of its keyed paths is built once here and then extended by
+       every round's delta along the store chain (see [Facts]). *)
+    List.iter
+      (fun (name, positions) ->
+        if Engine.split_delta name = None then
+          Facts.prewarm store name positions)
+      keyed_paths;
     let parallel_round ~full ~delta =
       let shards = Facts.partition ~shards:domains delta in
-      (* Freeze protocol: build every keyed access path the pipelines
-         will probe *now*, on this domain — the shared full-store
-         indexes and each private delta shard's.  Workers then only read
+      (* Freeze protocol: the full store's paths are warm since the
+         stratum began; build every path the private delta shards would
+         build lazily *now*, on this domain.  Workers then only read
          index tables; the lazy build inside [Facts.lookup] never fires
          off the main domain. *)
       List.iter
         (fun (name, positions) ->
           match Engine.split_delta name with
-          | Some pred ->
+          | Some pred when Facts.needs_index positions ->
             Array.iter (fun s -> Facts.prewarm s pred positions) shards
-          | None -> Facts.prewarm full name positions)
-        (Lazy.force keyed_paths);
+          | Some _ | None -> ())
+        keyed_paths;
       let workers = Lazy.force worker_deltas in
       let results =
         Par.map ~shards:domains

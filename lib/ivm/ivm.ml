@@ -46,9 +46,11 @@
    refreshes it.
 
    All phases run under the database's resource governor; the driver in
-   [Database] snapshots each view before propagating and rolls back on
-   any failure, so an aborted maintenance step leaves the pre-update
-   snapshot. *)
+   [Database] opens a transaction on each view before propagating and
+   rolls it back on any failure (the view's store is a persistent value,
+   its derivation counts an undo log), so an aborted maintenance step
+   leaves the pre-update snapshot.  Every phase, seeding and the net-delta
+   commits included, is timed into the update's report. *)
 
 open Dc_relation
 open Dc_calculus
@@ -608,14 +610,22 @@ let par_domains total =
   then d
   else 1
 
+(* The keyed access paths a set of pipelines probes that a lookup would
+   build a hash index for (keys on leading columns are range scans of
+   the persistent tuple sets, which worker domains share safely). *)
+let indexed_paths pipes =
+  List.filter
+    (fun (_, positions) -> Facts.needs_index positions)
+    (List.sort_uniq compare (List.concat_map Ir.keyed_sources pipes))
+
 (* One parallel delta pass: hash-partition [delta] across [domains]
    shards, shard i running the i-th private pipeline copy (copy 0 is the
    canonical list) with the delta sources remapped to its shard.  Every
-   keyed access path is built on this domain before the fan-out —
-   [resolve] names the (store, predicate) a non-delta source reads under
-   the phase's context — so workers only probe frozen indexes.
-   Emissions merge at the barrier through [fold], shard order first,
-   emission order within a shard. *)
+   index a lookup would build is built on this domain before the
+   fan-out — [resolve] names the (store, predicate) a non-delta source
+   reads under the phase's context — so workers only probe frozen
+   indexes and persistent sets.  Emissions merge at the barrier through
+   [fold], shard order first, emission order within a shard. *)
 let par_variants st ~domains ~variants ~copies:cp ~ctx_of ~resolve ~delta
     ~fold ~init =
   let shards = Facts.partition ~shards:domains delta in
@@ -627,8 +637,7 @@ let par_variants st ~domains ~variants ~copies:cp ~ctx_of ~resolve ~delta
       | None ->
         let store, pred = resolve name in
         Facts.prewarm store pred positions)
-    (List.sort_uniq compare
-       (List.concat_map (fun v -> Ir.keyed_sources v.v_pipe) variants));
+    (indexed_paths (List.map (fun v -> v.v_pipe) variants));
   let pool = copies_get cp (domains - 1) in
   let results =
     Par.map ~shards:domains
@@ -696,30 +705,36 @@ let counting_scc view st s c_variants c_copies =
       signed 1 st.dplus;
       signed (-1) st.dminus;
       Hashtbl.length adjust);
-  let removed = Hashtbl.create 4 and added = Hashtbl.create 4 in
-  let bucket tbl pred t =
-    Hashtbl.replace tbl pred
-      (TS.add t (Option.value (Hashtbl.find_opt tbl pred) ~default:TS.empty))
-  in
-  Hashtbl.iter
-    (fun (pred, t) d ->
-      if d <> 0 then begin
-        let old, now = Support.add view.supports pred t d in
-        if now < 0 then
-          error "negative derivation count for %s%a (ivm bug)" pred Tuple.pp t;
-        if old > 0 && now = 0 then bucket removed pred t
-        else if old = 0 && now > 0 then bucket added pred t
-      end)
-    adjust;
-  List.iter
-    (fun pred ->
-      let net_minus =
-        Option.value (Hashtbl.find_opt removed pred) ~default:TS.empty
-      and net_plus =
-        Option.value (Hashtbl.find_opt added pred) ~default:TS.empty
+  timed st.rp
+    (Fmt.str "commit %s" (String.concat "," s.s_preds))
+    (fun () ->
+      let removed = Hashtbl.create 4 and added = Hashtbl.create 4 in
+      let bucket tbl pred t =
+        Hashtbl.replace tbl pred
+          (TS.add t
+             (Option.value (Hashtbl.find_opt tbl pred) ~default:TS.empty))
       in
-      commit_pred st pred ~net_plus ~net_minus)
-    s.s_preds
+      Hashtbl.iter
+        (fun (pred, t) d ->
+          if d <> 0 then begin
+            let old, now = Support.add view.supports pred t d in
+            if now < 0 then
+              error "negative derivation count for %s%a (ivm bug)" pred
+                Tuple.pp t;
+            if old > 0 && now = 0 then bucket removed pred t
+            else if old = 0 && now > 0 then bucket added pred t
+          end)
+        adjust;
+      List.fold_left
+        (fun n pred ->
+          let net_minus =
+            Option.value (Hashtbl.find_opt removed pred) ~default:TS.empty
+          and net_plus =
+            Option.value (Hashtbl.find_opt added pred) ~default:TS.empty
+          in
+          commit_pred st pred ~net_plus ~net_minus;
+          n + TS.cardinal net_plus + TS.cardinal net_minus)
+        0 s.s_preds)
 
 (* Aggregate pass over one non-recursive aggregated predicate: the same
    telescoped counting run, but over the *raw* contributions (what the
@@ -760,21 +775,21 @@ let agg_scc view st s (spec : Agg.spec) a_variants a_copies =
       signed 1 st.dplus;
       signed (-1) st.dminus;
       Hashtbl.length adjust);
-  (* zero-crossings of the raw derivation counts: the distinct raw set *)
-  let raw_plus = ref TS.empty and raw_minus = ref TS.empty in
-  Hashtbl.iter
-    (fun t d ->
-      if d <> 0 then begin
-        let old_c, now = Support.add view.supports rawp t d in
-        if now < 0 then
-          error "negative raw derivation count for %s%a (ivm bug)" pred
-            Tuple.pp t;
-        if old_c > 0 && now = 0 then raw_minus := TS.add t !raw_minus
-        else if old_c = 0 && now > 0 then raw_plus := TS.add t !raw_plus
-      end)
-    adjust;
   (* group layer: raw deltas -> result-row deltas *)
   timed st.rp (Fmt.str "agg groups %s" pred) (fun () ->
+      (* zero-crossings of the raw derivation counts: the distinct raw set *)
+      let raw_plus = ref TS.empty and raw_minus = ref TS.empty in
+      Hashtbl.iter
+        (fun t d ->
+          if d <> 0 then begin
+            let old_c, now = Support.add view.supports rawp t d in
+            if now < 0 then
+              error "negative raw derivation count for %s%a (ivm bug)" pred
+                Tuple.pp t;
+            if old_c > 0 && now = 0 then raw_minus := TS.add t !raw_minus
+            else if old_c = 0 && now > 0 then raw_plus := TS.add t !raw_plus
+          end)
+        adjust;
       let ngroup = List.length spec.group in
       let gkey_raw t = List.map (Tuple.get t) spec.group in
       let gkey_row r = List.init ngroup (Tuple.get r) in
@@ -917,10 +932,7 @@ let dred_scc st s d_variants d_copies d_probes d_probe_copies =
             ~delta:!delta
             ~fold:(fun () h t -> emit h t)
             ~init:());
-        delta :=
-          List.fold_left
-            (fun acc (p, t) -> Facts.add acc p t)
-            (Facts.empty ()) !fresh;
+        delta := Facts.of_list !fresh;
         continue := !fresh <> []
       done;
       let total =
@@ -932,22 +944,22 @@ let dred_scc st s d_variants d_copies d_probes d_probe_copies =
   (* --- rederivation: probe each casualty against the shrunken store
      (lower predicates at mid, this component minus the over-deletion);
      survivors re-enter immediately so later probes can lean on them. *)
-  let work =
-    ref
-      (Hashtbl.fold
-         (fun pred d acc -> Facts.remove_set acc pred !d)
-         overdeleted st.mid)
-  in
+  let work = ref st.mid in
   let survivors = ref [] in
   timed st.rp
     (Fmt.str "rederive %s" (String.concat "," s.s_preds))
     (fun () ->
+      work :=
+        Hashtbl.fold
+          (fun pred d acc -> Facts.remove_set acc pred !d)
+          overdeleted st.mid;
       let probes = ref 0 in
       let total_casualties =
         Hashtbl.fold (fun _ r acc -> acc + TS.cardinal !r) overdeleted 0
       in
       (match par_domains total_casualties with
       | 1 ->
+        let ctx = ref (Engine.store_ctx !work) in
         List.iter
           (fun (pred, rules) ->
             match Hashtbl.find_opt overdeleted pred with
@@ -963,12 +975,13 @@ let dred_scc st s d_variants d_copies d_probes d_probe_copies =
                         | Some init ->
                           incr probes;
                           p.p_compiled.Engine.set_init init;
-                          Ir.exists ~guard:st.guard (Engine.store_ctx !work)
+                          Ir.exists ~guard:st.guard !ctx
                             p.p_compiled.Engine.pipeline)
                       rules
                   in
                   if derivable then begin
                     work := Facts.add !work pred t;
+                    ctx := Engine.store_ctx !work;
                     survivors := (pred, t) :: !survivors
                   end)
                 !d)
@@ -989,12 +1002,10 @@ let dred_scc st s d_variants d_copies d_probes d_probe_copies =
         let shards = Facts.partition ~shards:domains cas in
         List.iter
           (fun (name, positions) -> Facts.prewarm work0 name positions)
-          (List.sort_uniq compare
+          (indexed_paths
              (List.concat_map
                 (fun (_, rules) ->
-                  List.concat_map
-                    (fun p -> Ir.keyed_sources p.p_compiled.Engine.pipeline)
-                    rules)
+                  List.map (fun p -> p.p_compiled.Engine.pipeline) rules)
                 d_probes));
         let pool = copies_get d_probe_copies (domains - 1) in
         let results =
@@ -1003,6 +1014,7 @@ let dred_scc st s d_variants d_copies d_probes d_probe_copies =
             ~prefer:prefer_real
             (fun i ->
               let probe_list = if i = 0 then d_probes else pool.(i - 1) in
+              let ctx = Engine.store_ctx work0 in
               let n = ref 0 in
               let out = ref [] in
               List.iter
@@ -1017,8 +1029,7 @@ let dred_scc st s d_variants d_copies d_probes d_probe_copies =
                             | Some init ->
                               incr n;
                               p.p_compiled.Engine.set_init init;
-                              Ir.exists ~guard:st.guard
-                                (Engine.store_ctx work0)
+                              Ir.exists ~guard:st.guard ctx
                                 p.p_compiled.Engine.pipeline)
                           rules
                       in
@@ -1041,28 +1052,29 @@ let dred_scc st s d_variants d_copies d_probes d_probe_copies =
         Obs.Counter.add (Lazy.force m_rederived) (List.length !survivors)
       end;
       List.length !survivors);
+  (* In-round dedup of the propagate and insert phases' emissions: one
+     set per component predicate for this update, cleared each round.
+     Emissions reach [emit] on this domain only (parallel passes merge
+     at the barrier first). *)
+  let seen = List.map (fun p -> (p, Tuple_hset.create ())) s.s_preds in
+  let first_emission head t = Tuple_hset.add (List.assoc head seen) t in
+  let clear_seen () = List.iter (fun (_, h) -> Tuple_hset.clear h) seen in
   (* --- propagate survivors: a rederived tuple can resurrect further
      casualties; every emission still inside the over-deletion re-enters. *)
   timed st.rp
     (Fmt.str "propagate %s" (String.concat "," s.s_preds))
     (fun () ->
-      let delta =
-        ref
-          (List.fold_left
-             (fun acc (p, t) -> Facts.add acc p t)
-             (Facts.empty ()) !survivors)
-      in
+      let delta = ref (Facts.of_list !survivors) in
       let resurrected = ref 0 in
       let continue = ref (Facts.total !delta > 0) in
       while !continue do
         round st;
         let w = !work in
         let fresh = ref [] in
+        clear_seen ();
         let emit head t =
-          if
-            (not (Facts.mem w head t))
-            && not (List.exists (fun (p, u) -> p = head && Tuple.equal u t) !fresh)
-          then fresh := (head, t) :: !fresh
+          if (not (Facts.mem w head t)) && first_emission head t then
+            fresh := (head, t) :: !fresh
         in
         (match par_domains (Facts.total !delta) with
         | 1 ->
@@ -1076,32 +1088,12 @@ let dred_scc st s d_variants d_copies d_probes d_probe_copies =
             ~delta:!delta
             ~fold:(fun () h t -> emit h t)
             ~init:());
-        work :=
-          List.fold_left (fun acc (p, t) -> Facts.add acc p t) !work !fresh;
-        delta :=
-          List.fold_left
-            (fun acc (p, t) -> Facts.add acc p t)
-            (Facts.empty ()) !fresh;
+        work := Facts.add_list !work !fresh;
+        delta := Facts.of_list !fresh;
         resurrected := !resurrected + List.length !fresh;
         continue := !fresh <> []
       done;
       !resurrected);
-  (* deletion-phase result per predicate: what stayed deleted *)
-  let deleted =
-    List.map
-      (fun pred ->
-        let d =
-          match Hashtbl.find_opt overdeleted pred with
-          | Some r -> !r
-          | None -> TS.empty
-        in
-        (pred, TS.filter (fun t -> not (Facts.mem !work pred t)) d))
-      s.s_preds
-  in
-  st.mid <-
-    List.fold_left
-      (fun acc (pred, gone) -> Facts.remove_set acc pred gone)
-      st.mid deleted;
   (* --- insertion phase: semi-naive propagation of the lower components'
      net insertions; plain sources read post-update lower stores and the
      component's own evolving value. *)
@@ -1114,9 +1106,11 @@ let dred_scc st s d_variants d_copies d_probes d_probe_copies =
       Hashtbl.replace added pred r;
       r
   in
-  (* the component's evolving store starts at its mid (deletion-phase)
-     state; other predicates resolve against the global post store *)
-  let work2 = ref st.mid in
+  (* The component's evolving store starts at the deletion phase's
+     result: [!work] is [st.mid] minus what stayed deleted, because every
+     tuple rederived or resurrected into it was an over-deleted one.
+     Other predicates resolve against the global post store. *)
+  let work2 = ref !work in
   timed st.rp
     (Fmt.str "insert %s" (String.concat "," s.s_preds))
     (fun () ->
@@ -1134,11 +1128,10 @@ let dred_scc st s d_variants d_copies d_probes d_probe_copies =
             else Engine.store_extent post name
         in
         let fresh = ref [] in
+        clear_seen ();
         let emit head t =
-          if
-            (not (Facts.mem w2 head t))
-            && not (List.exists (fun (p, u) -> p = head && Tuple.equal u t) !fresh)
-          then fresh := (head, t) :: !fresh
+          if (not (Facts.mem w2 head t)) && first_emission head t then
+            fresh := (head, t) :: !fresh
         in
         (match par_domains (Facts.total !delta) with
         | 1 -> run_variants st ~ctx:(ctx_of !delta) ~delta:!delta d_variants emit
@@ -1155,28 +1148,34 @@ let dred_scc st s d_variants d_copies d_probes d_probe_copies =
             let a = a_of p in
             a := TS.add t !a)
           !fresh;
-        work2 :=
-          List.fold_left (fun acc (p, t) -> Facts.add acc p t) !work2 !fresh;
-        delta :=
-          List.fold_left
-            (fun acc (p, t) -> Facts.add acc p t)
-            (Facts.empty ()) !fresh;
+        work2 := Facts.add_list !work2 !fresh;
+        delta := Facts.of_list !fresh;
         grown := !grown + List.length !fresh;
         continue := !fresh <> []
       done;
       !grown);
-  (* net deltas: a tuple deleted then re-inserted cancels out *)
-  List.iter
-    (fun pred ->
-      let del = List.assoc pred deleted in
-      let add_ =
-        match Hashtbl.find_opt added pred with
-        | Some r -> !r
-        | None -> TS.empty
-      in
-      let net_minus = TS.diff del add_ and net_plus = TS.diff add_ del in
-      commit_pred st pred ~net_plus ~net_minus)
-    s.s_preds
+  (* --- commit: what stayed deleted, net of re-insertions (a tuple
+     deleted then re-inserted cancels out) *)
+  timed st.rp
+    (Fmt.str "commit %s" (String.concat "," s.s_preds))
+    (fun () ->
+      let w = !work in
+      st.mid <- w;
+      List.fold_left
+        (fun n pred ->
+          let del =
+            match Hashtbl.find_opt overdeleted pred with
+            | Some r -> TS.filter (fun t -> not (Facts.mem w pred t)) !r
+            | None -> TS.empty
+          and add_ =
+            match Hashtbl.find_opt added pred with
+            | Some r -> !r
+            | None -> TS.empty
+          in
+          let net_minus = TS.diff del add_ and net_plus = TS.diff add_ del in
+          commit_pred st pred ~net_plus ~net_minus;
+          n + TS.cardinal net_plus + TS.cardinal net_minus)
+        0 s.s_preds)
 
 let incremental_update view sccs updates =
   let guard = Guard.of_limits (Database.limits view.db) in
@@ -1203,14 +1202,13 @@ let incremental_update view sccs updates =
     }
   in
   (* seed with the base-relation net deltas *)
-  List.iter
-    (fun (rel, add_l, rem_l) ->
-      let ad = TS.of_list add_l and rm = TS.of_list rem_l in
-      st.dminus <- Facts.add_set st.dminus rel rm;
-      st.dplus <- Facts.add_set st.dplus rel ad;
-      st.mid <- Facts.remove_set st.mid rel rm;
-      st.post <- Facts.add_set (Facts.remove_set st.post rel rm) rel ad)
-    updates;
+  timed rp "seed" (fun () ->
+      List.fold_left
+        (fun n (rel, add_l, rem_l) ->
+          let net_plus = TS.of_list add_l and net_minus = TS.of_list rem_l in
+          commit_pred st rel ~net_plus ~net_minus;
+          n + TS.cardinal net_plus + TS.cardinal net_minus)
+        0 updates);
   List.iter
     (fun s ->
       match s.s_kind with
@@ -1341,14 +1339,18 @@ let maintainer_of view =
         if matches view def base args then Some (value view) else None);
     mt_update = (fun updates -> update view updates);
     mt_invalidate = (fun () -> view.status <- Stale);
-    mt_snapshot =
+    mt_begin =
       (fun () ->
         let store = view.store and status = view.status in
-        let restore_supports = Support.snapshot view.supports in
-        fun () ->
-          view.store <- store;
-          view.status <- status;
-          restore_supports ());
+        Support.begin_undo view.supports;
+        {
+          Database.vt_commit = (fun () -> Support.commit view.supports);
+          vt_rollback =
+            (fun () ->
+              view.store <- store;
+              view.status <- status;
+              Support.rollback view.supports);
+        });
     mt_stale = (fun () -> view.status = Stale);
     mt_freeze =
       (fun () ->

@@ -59,13 +59,15 @@ let compare_prefix key t =
    contiguous run: find its first element, then walk forward while the
    prefix still matches.  This makes the relation itself the access path
    for keys on positions [0..j-1]. *)
-let lookup_prefix r key =
-  match Tuple_set.find_first_opt (fun t -> compare_prefix key t >= 0) r.tuples with
+let prefix_scan set key =
+  match Tuple_set.find_first_opt (fun t -> compare_prefix key t >= 0) set with
   | None -> []
   | Some first ->
-    Tuple_set.to_seq_from first r.tuples
+    Tuple_set.to_seq_from first set
     |> Seq.take_while (fun t -> compare_prefix key t = 0)
     |> List.of_seq
+
+let lookup_prefix r key = prefix_scan r.tuples key
 
 let check_type r t =
   if not (Tuple.well_typed r.schema t) then

@@ -40,10 +40,13 @@ val exists : (Tuple.t -> bool) -> t -> bool
 val for_all : (Tuple.t -> bool) -> t -> bool
 val choose_opt : t -> Tuple.t option
 
+val prefix_scan : Tuple_set.t -> Value.t list -> Tuple.t list
+(** [prefix_scan set key]: the tuples of [set] whose first
+    [List.length key] cells equal [key], in set order — a range scan of
+    the ordered set, with no index built. *)
+
 val lookup_prefix : t -> Value.t list -> Tuple.t list
-(** [lookup_prefix r key]: the tuples whose first [List.length key] cells
-    equal [key], in set order — a range scan of the ordered set, with no
-    index built. *)
+(** {!prefix_scan} over the relation's tuple set. *)
 
 val add : Tuple.t -> t -> t
 (** Checked insertion.

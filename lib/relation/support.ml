@@ -11,29 +11,46 @@
 
    One [t] holds the tables of every counted predicate of one maintained
    view, keyed by predicate name.  Counts are plain mutable state; the
-   enclosing maintenance step is made atomic by [snapshot]/restore. *)
+   enclosing maintenance step is made atomic by an undo log: between
+   [begin_undo] and [commit]/[rollback], every mutation records what it
+   overwrote, so both ends cost as much as the update touched, not as
+   much as the tables hold. *)
 
 module HT = Hashtbl.Make (Tuple)
 
-type t = (string, int HT.t) Hashtbl.t
+type tables = (string, int HT.t) Hashtbl.t
 
-let create () : t = Hashtbl.create 8
+(* What one mutation overwrote. *)
+type undo =
+  | Count of int HT.t * Tuple.t * int (* the tuple's count before; 0: absent *)
+  | Table of string * int HT.t option (* the predicate's table before *)
+  | Tables of tables (* every table, before a [reset] *)
+
+type t = {
+  mutable tables : tables;
+  mutable log : undo list; (* newest first *)
+  mutable logging : bool;
+}
+
+let create () = { tables = Hashtbl.create 8; log = []; logging = false }
+
+let record s u = if s.logging then s.log <- u :: s.log
 
 let table (s : t) pred =
-  match Hashtbl.find_opt s pred with
+  match Hashtbl.find_opt s.tables pred with
   | Some tbl -> tbl
   | None ->
     let tbl = HT.create 64 in
-    Hashtbl.replace s pred tbl;
+    record s (Table (pred, None));
+    Hashtbl.replace s.tables pred tbl;
     tbl
 
 let count (s : t) pred tuple =
-  match Hashtbl.find_opt s pred with
+  match Hashtbl.find_opt s.tables pred with
   | None -> 0
   | Some tbl -> Option.value (HT.find_opt tbl tuple) ~default:0
 
-let set (s : t) pred tuple n =
-  let tbl = table s pred in
+let write tbl tuple n =
   if n = 0 then HT.remove tbl tuple else HT.replace tbl tuple n
 
 (* Adjust and return the (old, new) pair — the commit loop classifies
@@ -42,30 +59,47 @@ let add (s : t) pred tuple d =
   let tbl = table s pred in
   let old = Option.value (HT.find_opt tbl tuple) ~default:0 in
   let now = old + d in
-  if now = 0 then HT.remove tbl tuple else HT.replace tbl tuple now;
+  record s (Count (tbl, tuple, old));
+  write tbl tuple now;
   (old, now)
 
-let clear_pred (s : t) pred = Hashtbl.remove s pred
+let set (s : t) pred tuple n =
+  ignore (add s pred tuple (n - count s pred tuple))
 
-let reset (s : t) = Hashtbl.reset s
+let clear_pred (s : t) pred =
+  record s (Table (pred, Hashtbl.find_opt s.tables pred));
+  Hashtbl.remove s.tables pred
+
+let reset (s : t) =
+  record s (Tables s.tables);
+  s.tables <- Hashtbl.create 8
 
 let iter_pred (s : t) pred f =
-  match Hashtbl.find_opt s pred with
+  match Hashtbl.find_opt s.tables pred with
   | None -> ()
   | Some tbl -> HT.iter f tbl
 
 let total (s : t) =
-  Hashtbl.fold (fun _ tbl acc -> acc + HT.length tbl) s 0
+  Hashtbl.fold (fun _ tbl acc -> acc + HT.length tbl) s.tables 0
 
-(* Capture the full current state; the returned thunk restores it (used
-   to roll a failed maintenance step back to the pre-update snapshot). *)
-let snapshot (s : t) =
-  let saved =
-    Hashtbl.fold (fun pred tbl acc -> (pred, HT.copy tbl) :: acc) s []
-  in
-  fun () ->
-    Hashtbl.reset s;
-    List.iter (fun (pred, tbl) -> Hashtbl.replace s pred tbl) saved
+let begin_undo s =
+  s.log <- [];
+  s.logging <- true
+
+let commit s =
+  s.log <- [];
+  s.logging <- false
+
+(* Newest first, so each entry restores the state its mutation saw. *)
+let rollback s =
+  List.iter
+    (function
+      | Count (tbl, tuple, old) -> write tbl tuple old
+      | Table (pred, Some tbl) -> Hashtbl.replace s.tables pred tbl
+      | Table (pred, None) -> Hashtbl.remove s.tables pred
+      | Tables tables -> s.tables <- tables)
+    s.log;
+  commit s
 
 (* Deterministic full dump — the checkpoint writer's view of the counts.
    Sorted by predicate name, tuples by [Tuple.compare], so equal states
@@ -75,11 +109,11 @@ let dump (s : t) =
     (fun pred tbl acc ->
       let rows = HT.fold (fun t n acc -> (t, n) :: acc) tbl [] in
       (pred, List.sort (fun (a, _) (b, _) -> Tuple.compare a b) rows) :: acc)
-    s []
+    s.tables []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let pp ppf (s : t) =
   Hashtbl.iter
     (fun pred tbl ->
       HT.iter (fun t n -> Fmt.pf ppf "%s%a = %d@." pred Tuple.pp t n) tbl)
-    s
+    s.tables

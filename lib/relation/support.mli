@@ -27,9 +27,17 @@ val iter_pred : t -> string -> (Tuple.t -> int -> unit) -> unit
 val total : t -> int
 (** Number of tracked tuples across all predicates. *)
 
-val snapshot : t -> unit -> unit
-(** Capture the full state; the returned thunk restores it (rollback to
-    the pre-update snapshot on a failed maintenance step). *)
+val begin_undo : t -> unit
+(** Start an undo log: until {!commit} or {!rollback}, every mutation
+    records the count (or table) it overwrote. *)
+
+val commit : t -> unit
+(** Keep the changes since {!begin_undo} and drop the log. *)
+
+val rollback : t -> unit
+(** Replay the log newest first, restoring the state {!begin_undo} saw —
+    the rollback of a failed maintenance step, in time proportional to
+    what the step changed. *)
 
 val dump : t -> (string * (Tuple.t * int) list) list
 (** Deterministic full dump, sorted by predicate then tuple — what a

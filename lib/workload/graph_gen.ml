@@ -12,7 +12,9 @@
      adjacent layers — exponential path multiplicity, the duplicated
      subproof regime for proof-oriented evaluation (E2);
    - [two_chains]: disconnected components — selectivity of pushed
-     restrictions (E4). *)
+     restrictions (E4);
+   - [chains_dag]: parallel chains with forward shortcuts — the closure
+     view that incremental maintenance keeps under bridge updates. *)
 
 open Dc_relation
 open Dc_core
@@ -98,6 +100,40 @@ let two_chains n =
   of_pairs
     (List.init n (fun i -> (i, i + 1))
     @ List.init n (fun i -> (100000 + i, 100000 + i + 1)))
+
+(* [chains] chains of [len] nodes plus seeded forward shortcuts inside a
+   chain (position p to some q >= p + 2) until there are [edges] edges.
+   Node ids are a seeded permutation, so the closure's tuple order says
+   nothing about the chain structure; [at c p] is the node at position p
+   of chain c.  The shape of a maintained closure view under bridge
+   updates: a bridge from one chain's tail into another chain adds or
+   removes (ancestors x descendants) closure rows at once. *)
+let chains_dag ~seed ~chains ~len ~edges =
+  let rng = Rng.create seed in
+  let perm = Array.init (chains * len) Fun.id in
+  Rng.shuffle rng perm;
+  let at c p = perm.((c * len) + p) in
+  let seen = Hashtbl.create (2 * edges) in
+  let base =
+    List.concat
+      (List.init chains (fun c -> List.init (len - 1) (fun p -> (c, p, p + 1))))
+  in
+  List.iter (fun e -> Hashtbl.replace seen e ()) base;
+  let rec shortcuts acc k guard =
+    if k <= 0 || guard = 0 || len < 3 then acc
+    else
+      let c = Rng.int rng chains and p = Rng.int rng (len - 2) in
+      let q = p + 2 + Rng.int rng (len - p - 2) in
+      if Hashtbl.mem seen (c, p, q) then shortcuts acc k (guard - 1)
+      else begin
+        Hashtbl.replace seen (c, p, q) ();
+        shortcuts ((c, p, q) :: acc) (k - 1) (guard - 1)
+      end
+  in
+  let all =
+    base @ shortcuts [] (edges - List.length base) (100 * max 1 edges)
+  in
+  (of_pairs (List.map (fun (c, p, q) -> (at c p, at c q)) all), at)
 
 (* ------------------------------------------------------------------ *)
 (* Scenes for the mutually recursive ahead/above experiments: a row of

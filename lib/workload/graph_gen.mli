@@ -40,6 +40,18 @@ val two_chains : int -> Relation.t
 (** Two disjoint chains of length [n] — selectivity of pushed restrictions
     (experiment E4). *)
 
+val chains_dag :
+  seed:int ->
+  chains:int ->
+  len:int ->
+  edges:int ->
+  Relation.t * (int -> int -> int)
+(** [chains] disjoint chains of [len] nodes plus seeded forward shortcuts
+    within a chain (position p to q >= p + 2) up to [edges] edges (fewer
+    if the chains have no room).  Node ids 0 .. chains*len-1 are a seeded
+    permutation; the returned function maps (chain, position) to the node
+    id there.  Acyclic. *)
+
 val scene : depth:int -> stack:int -> Relation.t * Relation.t
 (** CAD scene for the mutually recursive ahead/above experiments: a row of
     [depth] objects each in front of the next, a stack of [stack] objects

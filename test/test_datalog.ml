@@ -482,26 +482,72 @@ let prop_tabled_agrees =
         (Tabled.query tc_program edb "path" 2)
         (Seminaive.query tc_program edb "path"))
 
+(* Every access path of [Facts.lookup] against a linear filter of the
+   store's own contents: keys on leading columns (in column order or
+   permuted), on every column (membership), on other columns (hash
+   index) and on none; stores that own their index cache, stores that
+   lost it to a child (branched) and frozen stores; with the path's index
+   warm (prewarmed on an ancestor, then grown and shrunk along the chain)
+   or cold.  Sorted lists, not sets, so a duplicated row fails too. *)
 let prop_facts_lookup =
-  (* indexed lookup = linear filter *)
-  QCheck.Test.make ~name:"Facts.lookup = filter" ~count:100
-    QCheck.(
-      pair
-        (list_of_size Gen.(int_bound 30) (pair (int_bound 5) (int_bound 5)))
-        (pair (int_bound 5) (QCheck.bool)))
-    (fun (edges, (key, on_src)) ->
-      let store = edge_facts edges in
-      let positions = if on_src then [ 0 ] else [ 1 ] in
-      let via_index =
-        Facts.TS.of_list
-          (Facts.lookup store "edge" positions (Tuple.make1 (i key)))
+  QCheck.Test.make ~name:"Facts.lookup = filter" ~count:500 QCheck.int
+    (fun seed ->
+      let rng = Random.State.make [| seed |] in
+      let rint n = Random.State.int rng n in
+      let tuple () = Tuple.of_list (List.init 3 (fun _ -> i (rint 4))) in
+      let tuples k = Facts.TS.of_list (List.init k (fun _ -> tuple ())) in
+      let positions =
+        List.map snd
+          (List.sort compare
+             (List.filter_map
+                (fun p ->
+                  if Random.State.bool rng then Some (rint 100, p) else None)
+                [ 0; 1; 2 ]))
       in
-      let via_filter =
-        Facts.TS.filter
-          (fun t -> Value.equal (Tuple.get t (if on_src then 0 else 1)) (i key))
-          (Facts.find store "edge")
+      let base = Facts.add_set (Facts.empty ()) "p" (tuples (rint 30)) in
+      if Random.State.bool rng then Facts.prewarm base "p" positions;
+      let tip =
+        Facts.remove_set
+          (Facts.add_set base "p" (tuples (rint 10)))
+          "p" (tuples (rint 10))
       in
-      Facts.TS.equal via_index via_filter)
+      (* a tuple [tip] lacks (at most 40 of the 64 are present) *)
+      let rec absent () =
+        let t = tuple () in
+        if Facts.mem tip "p" t then absent () else t
+      in
+      let extra = absent () in
+      let store =
+        match rint 3 with
+        | 0 -> tip
+        | 1 ->
+          (* a child takes the cache, and [extra] enters its indexes:
+             [tip] is now a branched store that must not see it *)
+          ignore (Facts.add tip "p" extra);
+          tip
+        | _ -> Facts.freeze tip
+      in
+      let key =
+        let ts = Facts.TS.elements (Facts.find store "p") in
+        match rint 3 with
+        | 0 when ts <> [] ->
+          Tuple.project (List.nth ts (rint (List.length ts))) positions
+        | 1 -> Tuple.project extra positions
+        | _ -> Tuple.of_list (List.map (fun _ -> i (rint 4)) positions)
+      in
+      let expected =
+        Facts.TS.elements
+          (Facts.TS.filter
+             (fun t -> Tuple.equal (Tuple.project t positions) key)
+             (Facts.find store "p"))
+      in
+      let sorted l = List.sort Tuple.compare l in
+      let got = sorted (Facts.lookup store "p" positions key) in
+      List.equal Tuple.equal expected got
+      || QCheck.Test.fail_reportf "seed %d positions [%s]: %d rows, expected %d"
+           seed
+           (String.concat ";" (List.map string_of_int positions))
+           (List.length got) (List.length expected))
 
 (* Property: on random graphs, all four evaluation routes agree. *)
 let arb_edges =

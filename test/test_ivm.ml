@@ -132,6 +132,61 @@ let bom_workload =
 
 let workloads = [ graph_workload; sg_workload; mutual_workload; bom_workload ]
 
+(* The served closure view's shape, scaled down: chains with forward
+   shortcuts under right- and left-linear transitive closure.  Random
+   steps delete existing edges and insert forward edges — from position
+   p of one chain to a later position of any chain, bridges included —
+   so the graph stays acyclic, as in the served workload. *)
+let dag_chains = 4
+let dag_len = 8
+
+let dag_edges, dag_at =
+  Graph_gen.chains_dag ~seed:17 ~chains:dag_chains ~len:dag_len ~edges:40
+
+let dag_workload name program =
+  {
+    w_name = name;
+    w_program = program;
+    w_pred = "path";
+    w_edb = [ ("edge", Graph_gen.edge_schema) ];
+    w_idb = [ ("path", Graph_gen.edge_schema) ];
+    w_init = (fun _ -> [ ("edge", dag_edges) ]);
+    w_random =
+      (fun rng _ ->
+        let p = Rng.int rng (dag_len - 1) in
+        let q = p + 1 + Rng.int rng (dag_len - p - 1) in
+        Tuple.of_list
+          [
+            Graph_gen.node (dag_at (Rng.int rng dag_chains) p);
+            Graph_gen.node (dag_at (Rng.int rng dag_chains) q);
+          ]);
+  }
+
+let dag_right = dag_workload "dag right-linear" Oracle.tc_linear
+let dag_left = dag_workload "dag left-linear" Oracle.tc_left_linear
+let dag_workloads = [ dag_right; dag_left ]
+
+(* A non-recursive view: two-hop paths, maintained by derivation
+   counting rather than DRed. *)
+let twohop_workload =
+  let v = Syntax.var in
+  {
+    graph_workload with
+    w_name = "twohop counting";
+    w_program =
+      Syntax.
+        [
+          rule
+            (atom "hop" [ v "X"; v "Z" ])
+            [
+              Pos (atom "edge" [ v "X"; v "Y" ]);
+              Pos (atom "edge" [ v "Y"; v "Z" ]);
+            ];
+        ];
+    w_pred = "hop";
+    w_idb = [ ("hop", Graph_gen.edge_schema) ];
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Setup and the differential step driver *)
 
@@ -222,6 +277,13 @@ let prop_stream w =
 (* ------------------------------------------------------------------ *)
 (* Abort atomicity under injected faults *)
 
+let counts_equal =
+  List.equal (fun (p, rows) (q, rows') ->
+      String.equal p q
+      && List.equal
+           (fun (t, n) (u, m) -> Tuple.equal t u && n = m)
+           rows rows')
+
 let with_failpoints f =
   Guard.Failpoint.reset ();
   Fun.protect ~finally:Guard.Failpoint.reset f
@@ -242,6 +304,7 @@ let test_abort_atomicity w () =
       let pred, _ = Rng.pick rng w.w_edb in
       let before_base = ts_of_relation (Database.get db pred) in
       let before_view = ts_of_relation (Ivm.value view) in
+      let before_counts = Ivm.support_counts view in
       let rel = Database.get db pred in
       let apply =
         if Relation.cardinal rel > 0 && Rng.bool rng 0.5 then begin
@@ -284,7 +347,12 @@ let test_abort_atomicity w () =
             "seed %d %s: step %d: aborted %s left the maintained extent \
              changed (%d -> %d tuples)"
             seed w.w_name i site (TS.cardinal before_view)
-            (TS.cardinal after_view));
+            (TS.cardinal after_view);
+        if not (counts_equal (Ivm.support_counts view) before_counts) then
+          Alcotest.failf
+            "seed %d %s: step %d: aborted %s left the derivation counts \
+             changed"
+            seed w.w_name i site);
       Guard.Failpoint.reset ()
     end
     else begin
@@ -489,6 +557,166 @@ let test_agg_update_stream () =
     check i op
   done
 
+(* Abort atomicity of the aggregate views: an injected fault in the
+   middle of maintenance or at the commit point leaves the base
+   relation, every view's extent and every view's raw derivation counts
+   exactly as they were. *)
+let test_agg_abort_atomicity () =
+  with_failpoints @@ fun () ->
+  let seed = 20260809 in
+  let rng = Rng.create seed in
+  let db, _ = Dc_lang.Elaborate.run_string agg_stream_src in
+  let views =
+    List.map
+      (fun con -> Ivm.materialize db ~constructor:con ~base:"E" ~args:[])
+      [ "total"; "low"; "fan" ]
+  in
+  let state () =
+    ( ts_of_relation (Database.get db "E"),
+      List.map
+        (fun v -> (ts_of_relation (Ivm.value v), Ivm.support_counts v))
+        views )
+  in
+  for i = 1 to 60 do
+    let key0 = Graph_gen.node (Rng.int rng agg_nodes)
+    and key1 = Graph_gen.node (Rng.int rng agg_nodes) in
+    let existing =
+      Relation.fold
+        (fun t acc ->
+          if Value.equal (Tuple.get t 0) key0 && Value.equal (Tuple.get t 1) key1
+          then Some t
+          else acc)
+        (Database.get db "E") None
+    in
+    let apply () =
+      match existing with
+      | Some t -> Database.delete db "E" t
+      | None ->
+        Database.insert db "E"
+          (Tuple.of_list [ key0; key1; Value.Int (1 + Rng.int rng 9) ])
+    in
+    if i mod 3 = 0 then begin
+      let site = if i mod 6 = 0 then "ivm.commit" else "ivm.round" in
+      let base0, views0 = state () in
+      Guard.Failpoint.arm site 1;
+      (match apply () with
+      | () -> Alcotest.failf "seed %d: step %d: %s never hit" seed i site
+      | exception Guard.Exhausted (Guard.Fault_injected _, _) -> ());
+      Guard.Failpoint.reset ();
+      let base1, views1 = state () in
+      if not (TS.equal base0 base1) then
+        Alcotest.failf "seed %d: step %d: aborted %s changed E" seed i site;
+      List.iter2
+        (fun (ext0, c0) (ext1, c1) ->
+          if not (TS.equal ext0 ext1) then
+            Alcotest.failf "seed %d: step %d: aborted %s changed an extent"
+              seed i site;
+          if not (counts_equal c0 c1) then
+            Alcotest.failf
+              "seed %d: step %d: aborted %s changed the derivation counts"
+              seed i site)
+        views0 views1
+    end
+    else apply ()
+  done;
+  (* and maintenance stays correct after the aborts *)
+  List.iter2
+    (fun v fold ->
+      if not (TS.equal (agg_expected fold db) (ts_of_relation (Ivm.value v)))
+      then Alcotest.failf "seed %d: %s diverged after aborts" seed (Ivm.name v))
+    views [ sum_fold; min_fold; count_fold ]
+
+(* The parallel passes (sharded DRed over-deletion, rederivation and
+   propagation, with only index-needing paths prewarmed) on the DAG
+   workloads: four domains, every pass sharded however small. *)
+let test_dag_parallel w () =
+  Dc_par.Par.with_domains 4 @@ fun () ->
+  Dc_par.Par.with_seq_cutoff 1 @@ fun () ->
+  run_stream ~seed:20261017 ~steps:300 w
+
+(* The served closure view under bridge toggles: 8 chains of 32 nodes
+   with shortcuts, the right-linear surface [tc], and 20 insert/delete
+   pairs of a bridge from an even chain's tail into an odd chain.  Each
+   write moves 32 x 8 closure rows, and no update may build a hash index
+   over the view's own predicate: leading-column keys are range scans or
+   warm paths, full keys membership tests.  (Index builds over [Edge],
+   a few hundred rows, are allowed.)  Machine-independent: it counts
+   builds, not time. *)
+let bridge_fixture () =
+  let edges, at = Graph_gen.chains_dag ~seed:5 ~chains:8 ~len:32 ~edges:384 in
+  let db, _ =
+    Dc_lang.Elaborate.run_string
+      {|TYPE node = STRING;
+TYPE edgerel = RELATION a, b OF RECORD a, b: node END;
+VAR Edge: edgerel;
+CONSTRUCTOR tc FOR Rel: edgerel (): edgerel;
+BEGIN EACH e IN Rel: TRUE,
+      <e.a, p.b> OF EACH e IN Rel, EACH p IN Rel{tc()}: e.b = p.a
+END tc;|}
+  in
+  Database.set db "Edge"
+    (Relation.with_schema (Relation.schema (Database.get db "Edge")) edges);
+  let view = Ivm.materialize db ~constructor:"tc" ~base:"Edge" ~args:[] in
+  let bridge k =
+    let a = 2 * (k mod 4) and b = (2 * ((k / 4) mod 4)) + 1 in
+    t2 (Graph_gen.node_name (at a 31)) (Graph_gen.node_name (at b 24))
+  in
+  (db, view, bridge)
+
+let test_no_view_index_builds () =
+  let db, view, bridge = bridge_fixture () in
+  let n0 = Ivm.cardinal view in
+  let builds0 = Facts.index_builds (Ivm.name view) in
+  for k = 0 to 19 do
+    Database.insert db "Edge" (bridge k);
+    Alcotest.(check int) (Fmt.str "bridge %d inserted" k) (n0 + 256)
+      (Ivm.cardinal view);
+    Database.delete db "Edge" (bridge k);
+    Alcotest.(check int) (Fmt.str "bridge %d deleted" k) n0 (Ivm.cardinal view)
+  done;
+  Alcotest.(check int)
+    (Fmt.str "indexes built over %s by 40 updates" (Ivm.name view))
+    builds0
+    (Facts.index_builds (Ivm.name view));
+  Alcotest.(check bool) "extent = fresh evaluation" true
+    (Relation.equal (Ivm.value view)
+       (Database.query db (Ast.Construct (Ast.Rel "Edge", "tc", []))))
+
+(* The phases of a maintenance report account for its total: seeding,
+   over-deletion, rederivation, propagation, insertion and the net-delta
+   commit are all timed, so over the bridge toggles their sum is within
+   10% of the reports' total time. *)
+let test_phases_add_up () =
+  let db, _, bridge = bridge_fixture () in
+  Ivm.reset_reports ();
+  for k = 0 to 7 do
+    Database.insert db "Edge" (bridge k);
+    Database.delete db "Edge" (bridge k)
+  done;
+  let rps = Ivm.reports () in
+  Alcotest.(check int) "one report per update" 16 (List.length rps);
+  List.iter
+    (fun rp ->
+      List.iter
+        (fun label ->
+          if
+            not
+              (List.exists
+                 (fun ph -> contains_s ph.Ivm.ph_label label)
+                 rp.Ivm.rp_phases)
+          then Alcotest.failf "report lacks a %S phase" label)
+        [ "seed"; "overdelete"; "rederive"; "propagate"; "insert"; "commit" ])
+    rps;
+  let total = List.fold_left (fun acc rp -> acc +. rp.Ivm.rp_ms) 0. rps in
+  let phases =
+    List.fold_left
+      (fun acc rp ->
+        List.fold_left (fun acc ph -> acc +. ph.Ivm.ph_ms) acc rp.Ivm.rp_phases)
+      0. rps
+  in
+  if phases < 0.9 *. total || phases > total then
+    Alcotest.failf "phases sum to %.3f ms of the reports' %.3f ms" phases total
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -504,12 +732,28 @@ let () =
         @ [
             Alcotest.test_case "aggregate views: 1000 steps" `Slow
               test_agg_update_stream;
-          ] );
+          ]
+        @ List.map
+            (fun w ->
+              Alcotest.test_case
+                (Fmt.str "%s: 1000 steps" w.w_name)
+                `Slow (test_update_stream w))
+            dag_workloads
+        @ List.map
+            (fun w ->
+              Alcotest.test_case
+                (Fmt.str "%s: forced parallel" w.w_name)
+                `Slow (test_dag_parallel w))
+            dag_workloads );
       ( "abort atomicity",
         List.map
           (fun w ->
             Alcotest.test_case w.w_name `Quick (test_abort_atomicity w))
-          workloads );
+          (workloads @ [ twohop_workload ])
+        @ [
+            Alcotest.test_case "aggregate views" `Quick
+              test_agg_abort_atomicity;
+          ] );
       ( "facts deletion",
         [ Alcotest.test_case "cached indexes" `Quick test_facts_remove_indexes ] );
       ( "surface",
@@ -522,5 +766,12 @@ let () =
           Alcotest.test_case "EXPLAIN ANALYZE DELETE" `Quick
             test_explain_analyze_update;
         ] );
-      ("properties", qcheck (List.map prop_stream workloads));
+      ("properties", qcheck (List.map prop_stream (workloads @ dag_workloads)));
+      ( "access paths",
+        [
+          Alcotest.test_case "no index over the view per update" `Quick
+            test_no_view_index_builds;
+          Alcotest.test_case "phases add up to the total" `Quick
+            test_phases_add_up;
+        ] );
     ]

@@ -74,6 +74,35 @@ let test_layered_acyclic () =
         Alcotest.fail "layered graph has a cycle")
     (Algebra.transitive_closure g)
 
+let test_chains_dag () =
+  let g, at = Graph_gen.chains_dag ~seed:5 ~chains:8 ~len:32 ~edges:384 in
+  Alcotest.check Alcotest.int "384 edges" 384 (rel_card g);
+  let g', _ = Graph_gen.chains_dag ~seed:5 ~chains:8 ~len:32 ~edges:384 in
+  Alcotest.check Alcotest.bool "same seed, same graph" true
+    (Relation.equal g g');
+  (* every chain link is present, and every edge points forward inside
+     one chain, so the graph is acyclic *)
+  let pos = Hashtbl.create 256 in
+  for c = 0 to 7 do
+    for p = 0 to 31 do
+      Hashtbl.replace pos (Graph_gen.node (at c p)) (c, p);
+      if p > 0 then
+        Alcotest.check Alcotest.bool "chain link" true
+          (Relation.mem
+             (Tuple.make2
+                (Graph_gen.node (at c (p - 1)))
+                (Graph_gen.node (at c p)))
+             g)
+    done
+  done;
+  Relation.iter
+    (fun t ->
+      let c, p = Hashtbl.find pos (Tuple.get t 0)
+      and c', q = Hashtbl.find pos (Tuple.get t 1) in
+      if c <> c' || q <= p then
+        Alcotest.fail "edge leaves its chain or points back")
+    g
+
 let test_two_chains_disjoint () =
   let g = Graph_gen.two_chains 5 in
   let tc = Algebra.transitive_closure g in
@@ -145,6 +174,7 @@ let () =
           Alcotest.test_case "scene" `Quick test_scene_shapes;
           Alcotest.test_case "same-generation tree" `Quick
             test_same_generation_tree;
+          Alcotest.test_case "chains with shortcuts" `Quick test_chains_dag;
         ] );
       ( "bom",
         [
