@@ -1048,14 +1048,18 @@ let run_bechamel () =
    `dune exec bench/main.exe -- json BENCH_1.json` runs a fixed set of
    recursive experiments and writes one record per experiment: name,
    wall-clock milliseconds (best of three runs), fixpoint rounds, tuples
-   produced.  The workloads are deterministic, so successive snapshots
-   (BENCH_1.json, BENCH_2.json, ...) are directly comparable. *)
+   produced and — for the fixpoint cells (E3, E5, E6) — derivations
+   ([Fixpoint] [tuples_derived], [Seminaive] [derivations]), so
+   wall_ms / derived compares the two engines' cost per derivation.  The
+   workloads are deterministic, so successive snapshots (BENCH_1.json,
+   BENCH_2.json, ...) are directly comparable. *)
 
 type json_record = {
   jr_name : string;
   jr_wall_ms : float;
   jr_rounds : int;
   jr_tuples : int;
+  jr_derived : int option;
 }
 
 let best_of_3 f =
@@ -1068,21 +1072,24 @@ let json_experiments ?(only = []) () =
   let record name f =
     if not (keep name) then None
     else
-      let (rounds, tuples), wall_ms = best_of_3 f in
+      let (rounds, tuples, derived), wall_ms = best_of_3 f in
       Some
         { jr_name = name; jr_wall_ms = wall_ms; jr_rounds = rounds;
-          jr_tuples = tuples }
+          jr_tuples = tuples; jr_derived = derived }
+  in
+  let fixpoint (st : Fixpoint.stats) =
+    (st.rounds, st.tuples_produced, Some st.tuples_derived)
   in
   List.filter_map Fun.id
   [
     (* e3: semi-naive chain closure through the constructor fixpoint *)
     record "e3_chain_seminaive_512" (fun () ->
         let _, st = run_tc (tc_db ~strategy:Fixpoint.Seminaive (Graph_gen.chain 512)) in
-        (st.Fixpoint.rounds, st.Fixpoint.tuples_produced));
+        fixpoint st);
     (* e3: naive re-evaluation on a shorter chain (cubic work) *)
     record "e3_chain_naive_128" (fun () ->
         let _, st = run_tc (tc_db ~strategy:Fixpoint.Naive (Graph_gen.chain 128)) in
-        (st.Fixpoint.rounds, st.Fixpoint.tuples_produced));
+        fixpoint st);
     (* e6: random Horn workload through the semi-naive Datalog engine *)
     record "e6_random_horn_200_500" (fun () ->
         let edges = Graph_gen.random_graph ~seed:7 ~nodes:200 ~edges:500 in
@@ -1090,7 +1097,9 @@ let json_experiments ?(only = []) () =
         let result =
           Dc_datalog.Seminaive.query ~stats tc_program (edb_of edges) "path"
         in
-        (stats.Dc_datalog.Seminaive.rounds, Dc_datalog.Facts.TS.cardinal result));
+        ( stats.Dc_datalog.Seminaive.rounds,
+          Dc_datalog.Facts.TS.cardinal result,
+          Some stats.Dc_datalog.Seminaive.derivations ));
     (* e5: mutually recursive ahead/above system *)
     record "e5_mutual_scene_64" (fun () ->
         let infront, ontop = Graph_gen.scene ~depth:64 ~stack:3 in
@@ -1105,9 +1114,8 @@ let json_experiments ?(only = []) () =
           Database.query db
             Ast.(Construct (Rel "Infront", "ahead", [ Arg_range (Rel "Ontop") ]))
         in
-        let st = Option.get (Database.last_stats db) in
         ignore r;
-        (st.Fixpoint.rounds, st.Fixpoint.tuples_produced));
+        fixpoint (Option.get (Database.last_stats db)));
     (* e5: mutually recursive system, deeper scene *)
     record "e5_mutual_scene_256" (fun () ->
         let infront, ontop = Graph_gen.scene ~depth:256 ~stack:3 in
@@ -1122,16 +1130,15 @@ let json_experiments ?(only = []) () =
           Database.query db
             Ast.(Construct (Rel "Infront", "ahead", [ Arg_range (Rel "Ontop") ]))
         in
-        let st = Option.get (Database.last_stats db) in
         ignore r;
-        (st.Fixpoint.rounds, st.Fixpoint.tuples_produced));
+        fixpoint (Option.get (Database.last_stats db)));
     (* e3: non-linear closure (path o path) — joins delta against the big
        full value from both sides every round, the index-heaviest shape *)
     record "e3_chain_nonlinear_256" (fun () ->
         let _, st =
           run_tc (tc_db ~strategy:Fixpoint.Seminaive ~linear:`Non (Graph_gen.chain 256))
         in
-        (st.Fixpoint.rounds, st.Fixpoint.tuples_produced));
+        fixpoint st);
     (* e6: denser random Horn workload *)
     record "e6_random_horn_300_900" (fun () ->
         let edges = Graph_gen.random_graph ~seed:11 ~nodes:300 ~edges:900 in
@@ -1139,7 +1146,9 @@ let json_experiments ?(only = []) () =
         let result =
           Dc_datalog.Seminaive.query ~stats tc_program (edb_of edges) "path"
         in
-        (stats.Dc_datalog.Seminaive.rounds, Dc_datalog.Facts.TS.cardinal result));
+        ( stats.Dc_datalog.Seminaive.rounds,
+          Dc_datalog.Facts.TS.cardinal result,
+          Some stats.Dc_datalog.Seminaive.derivations ));
     (* e4: magic-sets capture rule on the left-linear rule (Datalog path) *)
     record "e4_magic_left_256" (fun () ->
         let edges = Graph_gen.two_chains 256 in
@@ -1154,7 +1163,7 @@ let json_experiments ?(only = []) () =
               ])
         in
         let r = Dc_compile.Planner.plan_and_execute db restricted in
-        (0, Relation.cardinal r));
+        (0, Relation.cardinal r, None));
     (* e4: same goal-directed shape, twice the chain length *)
     record "e4_magic_left_512" (fun () ->
         let edges = Graph_gen.two_chains 512 in
@@ -1169,14 +1178,16 @@ let json_experiments ?(only = []) () =
               ])
         in
         let r = Dc_compile.Planner.plan_and_execute db restricted in
-        (0, Relation.cardinal r));
+        (0, Relation.cardinal r, None));
   ]
 
 let print_records records =
   List.iter
     (fun r ->
-      Fmt.pr "%-28s %10.2f ms  rounds=%-5d tuples=%d@." r.jr_name r.jr_wall_ms
-        r.jr_rounds r.jr_tuples)
+      Fmt.pr "%-28s %10.2f ms  rounds=%-5d tuples=%d%a@." r.jr_name r.jr_wall_ms
+        r.jr_rounds r.jr_tuples
+        Fmt.(option (any " derived=" ++ int))
+        r.jr_derived)
     records
 
 (* The two cheapest recursive experiments — a seconds-long sanity pass
@@ -2054,8 +2065,11 @@ let run_json path =
   List.iter
     (fun r ->
       Printf.fprintf oc
-        "%s    { \"name\": %S, \"wall_ms\": %.3f, \"rounds\": %d, \"tuples\": %d }"
-        !field_sep r.jr_name r.jr_wall_ms r.jr_rounds r.jr_tuples;
+        "%s    { \"name\": %S, \"wall_ms\": %.3f, \"rounds\": %d, \"tuples\": %d%s }"
+        !field_sep r.jr_name r.jr_wall_ms r.jr_rounds r.jr_tuples
+        (match r.jr_derived with
+        | Some d -> Printf.sprintf ", \"derived\": %d" d
+        | None -> "");
       field_sep := ",\n")
     records;
   output_string oc "\n  ],\n  \"obs_overhead\": {\n    \"workloads\": [\n";

@@ -118,6 +118,10 @@ type app = {
   def : Defs.constructor_def;
   base_env : Eval.env;
   shape : shape;
+  novelty : Tuple_hset.t;
+      (* Diffable apps: every tuple of the full value plus the current
+         round's new ones, stamped with the table's round that last
+         emitted it (see [round]) *)
 }
 
 (* Semi-naive shape of a definition body:
@@ -214,9 +218,8 @@ type state = {
          fresh per [apply], so an aborted expansion just discards them —
          only the caller's shared cache needs transactional rollback *)
   seen : Tuple_hset.t array;
-      (* in-round dedup sets, one per shard (index 0 is the main domain's):
-         a tuple reaches the round's persistent [fresh] set only the first
-         time it is emitted; cleared per application per round *)
+      (* per-shard dedup sets of parallel variants (index 0 is the main
+         domain's): a shard lists a tuple only the first time it emits it *)
 }
 
 let find_def st c =
@@ -264,7 +267,7 @@ let register st env (def : Defs.constructor_def) base args =
       | Naive -> Opaque
       | Seminaive -> classify_body def.con_body
     in
-    let app = { key; def; base_env; shape } in
+    let app = { key; def; base_env; shape; novelty = Tuple_hset.create () } in
     st.apps <- KM.add key app st.apps;
     st.order <- st.order @ [ key ];
     st.full <- KM.add key (Relation.empty def.con_result) st.full;
@@ -366,49 +369,46 @@ let prefer_real = function
   | _ -> true
 
 (* One semi-naive variant: branch [rb] with the construct binder at
-   [delta_pos] bound to the delta of its key, the others to full.
+   [delta_pos] bound to the delta of its key, the others to full.  Every
+   tuple the variant emits goes to [visit], on the main domain.
 
    Parallel case: the delta is hash-partitioned, each domain evaluates
    the branch over its shard — probing the *frozen* full values through
-   its private index cache — into a private output relation, and the
-   barrier unions the outputs (set union, so cross-shard duplicates
-   collapse; [classify_branch] guarantees the body is construct-free, so
-   workers never touch engine state). *)
-let eval_variant st app (rb : rec_branch) delta_pos acc =
+   its private index cache — into a private list, deduplicated by its
+   own shard set, and after the barrier the main domain visits the
+   lists ([classify_branch] guarantees the body is construct-free, so
+   workers never touch engine state or the novelty table). *)
+let eval_variant st app (rb : rec_branch) delta_pos visit =
   let env, branch, dname, drel = prep_variant st app rb delta_pos in
   st.stats.body_evaluations <- st.stats.body_evaluations + 1;
-  (* Every set member is already in [acc] or in the output this shard
-     merges into it, so skipping a repeat never loses a tuple. *)
-  let emit seen acc t =
-    if Tuple_hset.add seen t then Relation.add_unchecked t acc else acc
-  in
   if not (par_ok st app drel) then
     let env = Eval.bind_rel env dname drel in
     traced env app (fun () ->
-        Eval.eval_branch env branch ~emit:(emit st.seen.(0)) acc)
+        Eval.eval_branch env branch ~emit:(fun () t -> visit t) ())
   else begin
     let shards = Relation.partition_hash ~shards:st.domains drel in
-    let schema = app.def.con_result in
     let outs =
       Par.map ~shards:st.domains
         ~on_first_error:(fun _ -> Guard.cancel st.guard)
         ~prefer:prefer_real
         (fun i ->
+          let seen = st.seen.(i) in
+          Tuple_hset.clear seen;
           let env = Eval.bind_rel env dname shards.(i) in
           let env =
             if i = 0 then env
             else { env with Eval.icache = st.worker_caches.(i - 1) }
           in
-          Eval.eval_branch env branch ~emit:(emit st.seen.(i))
-            (Relation.empty schema))
+          Eval.eval_branch env branch
+            ~emit:(fun acc t -> if Tuple_hset.add seen t then t :: acc else acc)
+            [])
     in
     let t_merge = Obs.now_ms () in
-    let merged = Array.fold_left Relation.union acc outs in
+    Array.iter (List.iter visit) outs;
     if Obs.on () then
       Par.observe_round
         ~shard_sizes:(Array.map Relation.cardinal shards)
-        ~merge_ms:(Obs.now_ms () -. t_merge);
-    merged
+        ~merge_ms:(Obs.now_ms () -. t_merge)
   end
 
 (* Advance every distinct per-evaluation index cache reachable from the
@@ -447,36 +447,50 @@ let round st =
       (fun key ->
         let app = KM.find key st.apps in
         let full = KM.find key st.full in
-        let new_value, delta =
+        let naive () =
+          let v = eval_full st app in
+          st.stats.tuples_derived <-
+            st.stats.tuples_derived + Relation.cardinal v;
+          let delta = Relation.diff v full in
+          (v, delta, Relation.cardinal delta)
+        in
+        let new_value, delta, size =
           match app.shape with
-          | Opaque ->
-            let v = eval_full st app in
-            st.stats.tuples_derived <-
-              st.stats.tuples_derived + Relation.cardinal v;
-            (v, Relation.diff v full)
+          | Opaque -> naive ()
           | Diffable _ when not (KS.mem key st.initialized) ->
-            let v = eval_full st app in
-            st.stats.tuples_derived <-
-              st.stats.tuples_derived + Relation.cardinal v;
-            (v, Relation.diff v full)
+            let ((v, _, _) as step) = naive () in
+            Relation.iter (fun t -> ignore (Tuple_hset.add app.novelty t)) v;
+            step
           | Diffable recursive_branches ->
-            (* accumulate only fresh tuples: diffing the (small) variant
-               output against the full value beats diffing two full-size
-               relations every round *)
-            Array.iter Tuple_hset.clear st.seen;
-            let fresh =
-              List.fold_left
-                (fun acc rb ->
-                  List.fold_left
-                    (fun acc pos -> eval_variant st app rb pos acc)
-                    acc rb.rb_construct_binders)
-                (Relation.empty app.def.con_result)
-                recursive_branches
+            (* One novelty-table probe per emitted tuple: a repeat within
+               the round is dropped, a rediscovery counts as derived, and
+               only a tuple the table lacks joins the delta. *)
+            let table = app.novelty in
+            let schema = app.def.con_result in
+            Tuple_hset.next_round table;
+            let derived = ref 0 and size = ref 0 and news = ref [] in
+            let visit t =
+              match Tuple_hset.visit table t with
+              | Tuple_hset.Repeat -> ()
+              | Tuple_hset.Known -> incr derived
+              | Tuple_hset.Fresh ->
+                assert (Tuple.well_typed schema t);
+                incr derived;
+                incr size;
+                news := t :: !news
             in
-            st.stats.tuples_derived <-
-              st.stats.tuples_derived + Relation.cardinal fresh;
-            let delta = Relation.diff fresh full in
-            (Relation.union full delta, delta)
+            List.iter
+              (fun rb ->
+                List.iter
+                  (fun pos -> eval_variant st app rb pos visit)
+                  rb.rb_construct_binders)
+              recursive_branches;
+            st.stats.tuples_derived <- st.stats.tuples_derived + !derived;
+            let delta =
+              Relation.of_set_unchecked schema
+                (Relation.Tuple_set.of_list !news)
+            in
+            (Relation.union full delta, delta, !size)
         in
         let monotone =
           match app.shape with
@@ -487,12 +501,11 @@ let round st =
             if not (Relation.equal new_value full) then changed := true;
             grew
           | Diffable _ ->
-            if not (Relation.is_empty delta) then changed := true;
+            if size > 0 then changed := true;
             true
         in
-        st.stats.tuples_produced <-
-          st.stats.tuples_produced + Relation.cardinal delta;
-        round_delta := !round_delta + Relation.cardinal delta;
+        st.stats.tuples_produced <- st.stats.tuples_produced + size;
+        round_delta := !round_delta + size;
         (key, new_value, delta, monotone))
       keys
   in
@@ -590,7 +603,7 @@ let apply ?(strategy = Seminaive) ?(max_rounds = default_max_rounds) ?stats env
       domains;
       worker_caches =
         Array.init (max 0 (domains - 1)) (fun _ -> Index_cache.create ());
-      seen = Array.init (max 1 domains) (fun _ -> Tuple_hset.create ());
+      seen = Array.init domains (fun _ -> Tuple_hset.create ());
     }
   in
   (* Snapshot the live gauges before this application registers anything:

@@ -18,8 +18,9 @@
 
    Each per-predicate pipeline is Diff(Union of the rule variants): the
    Diff drops already-known tuples per derivation — the interpreted
-   engine's [Facts.mem] guard — and the per-round sink set dedups the
-   survivors, so no Distinct operator is needed.  New facts are
+   engine's [Facts.mem] guard, answered by the predicate's novelty
+   table — and the per-round sink set dedups the survivors, so no
+   Distinct operator is needed.  New facts are
    accumulated per round and applied at round end, so the stores the
    joins read stay immutable during a round (their lookup indexes survive
    the whole round). *)
@@ -71,8 +72,8 @@ let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
   in
   let stats = Option.value stats ~default:(fresh_stats ()) in
   (* In-round dedup sets, one per shard (index 0 is the main domain's),
-     shared by every stratum and round of this run: a tuple reaches the
-     persistent per-round set only the first time it is emitted. *)
+     shared by every stratum and round of this run: a tuple joins the
+     round's new tuples only the first time it is emitted. *)
   let seen = Array.init domains (fun _ -> Tuple_hset.create ()) in
   let stratum = ref 0 in
   let eval_layer store layer =
@@ -157,20 +158,42 @@ let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
              | bodies -> Some (pred, bodies))
            (Engine.group_by_head layer))
     in
+    (* Novelty tables of the head predicates: each holds exactly the
+       full store's tuples of its predicate, so the [Diff] operators'
+       membership test is one hash probe instead of a persistent-set
+       descent.  Extended when [commit] applies a round, on this domain;
+       read-only during a round, so worker shards probe them freely.
+       Aggregated strata withdraw displaced tuples from the store and
+       keep the store's own membership test. *)
+    let novelty = Hashtbl.create 4 in
+    if layer_aggs = [] then
+      SS.iter
+        (fun pred ->
+          let table = Tuple_hset.create () in
+          TS.iter (fun t -> ignore (Tuple_hset.add table t)) (Facts.find store pred);
+          Hashtbl.replace novelty pred table)
+        layer_preds;
+    let with_novelty (ctx : Ir.ctx) : Ir.ctx =
+     fun name ->
+      let e = ctx name in
+      match Hashtbl.find_opt novelty name with
+      | Some table -> { e with Dc_exec.Extent.mem = Tuple_hset.mem table }
+      | None -> e
+    in
     (* One evaluation of a pipeline list under [ctx]: (pred, fresh
        tuples, derivation count) per head predicate.  Pure with respect
        to [stats] so worker domains can run their private pipeline
        copies through it — the caller folds the returned counts in. *)
     let run_pipes pipes ctx seen =
+      let ctx = with_novelty ctx in
       List.map
         (fun (pred, pipe, u) ->
           let before = u.Ir.tc.Ir.rows in
-          let fresh = ref TS.empty in
+          let fresh = ref [] in
           Tuple_hset.clear seen;
           Ir.run ~guard ctx pipe (fun t ->
-              if Tuple_hset.add seen t then
-                fresh := TS.add t !fresh);
-          (pred, !fresh, u.Ir.tc.Ir.rows - before))
+              if Tuple_hset.add seen t then fresh := t :: !fresh);
+          (pred, TS.of_list !fresh, u.Ir.tc.Ir.rows - before))
         pipes
     in
     (* Settle a round's results: fold derivation counts, and for
@@ -280,6 +303,16 @@ let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
           Facts.add_set st pred fresh)
         st news
     in
+    (* [apply] to the full store, with the novelty tables in step *)
+    let commit news st =
+      List.iter
+        (fun (pred, fresh, _) ->
+          match Hashtbl.find_opt novelty pred with
+          | Some table -> TS.iter (fun t -> ignore (Tuple_hset.add table t)) fresh
+          | None -> ())
+        news;
+      apply news st
+    in
     let nonempty news =
       List.exists (fun (_, s, _) -> not (TS.is_empty s)) news
     in
@@ -297,7 +330,7 @@ let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
     in
     observe_round stats ~delta:(new_count news) ~t0 ~observing;
     let delta = ref (apply news (Facts.empty ())) in
-    full := apply news !full;
+    full := commit news !full;
     (* Subsequent rounds: delta variants only.  A round goes parallel
        when a degree is configured, the delta is big enough to amortize
        the partition/merge barrier, and the per-row profiler is off (its
@@ -326,7 +359,7 @@ let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
       in
       observe_round stats ~delta:(new_count news) ~t0 ~observing;
       delta := apply news (Facts.empty ());
-      full := apply news !full;
+      full := commit news !full;
       continue := nonempty news
     done;
     (* Fold worker pipeline copies' counters into the canonical trees so

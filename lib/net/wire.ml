@@ -228,9 +228,9 @@ let decode_response payload =
   if tag = tag_output then finish c (Output (Codec.read_string c))
   else if tag = tag_rows then begin
     let version = Codec.read_varint c in
-    let columns =
-      List.init (Codec.read_varint c) (fun _ -> Codec.read_string c)
-    in
+    let n = Codec.read_varint c in
+    if n < 0 then raise (Codec.Corrupt "negative column count");
+    let columns = List.init n (fun _ -> Codec.read_string c) in
     let tuples = Codec.read_tuples c in
     finish c (Rows { version; columns; tuples })
   end

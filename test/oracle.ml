@@ -576,3 +576,33 @@ let example_source base =
       [ Filename.concat "../examples" base; Filename.concat "examples" base ]
   in
   In_channel.with_open_text path In_channel.input_all
+
+(* ------------------------------------------------------------------ *)
+(* Constructor fixpoint work *)
+
+(* The counted work of one [Fixpoint] run: every field of its stats but
+   the wall times.  Two runs that must do the same work compare equal
+   on this string. *)
+let fixpoint_work (st : Dc_core.Fixpoint.stats) =
+  Fmt.str "rounds=%d apps=%d body_evals=%d produced=%d derived=%d deltas=[%s]"
+    st.rounds st.applications st.body_evaluations st.tuples_produced
+    st.tuples_derived
+    (String.concat ";" (List.map string_of_int st.round_deltas))
+
+(* The paper's 3.1 scene as a database defining the mutually recursive
+   ahead/above system; query it with [scene_query]. *)
+let scene_db depth =
+  let open Dc_core in
+  let infront, ontop = Graph_gen.scene ~depth ~stack:3 in
+  let db = Database.create () in
+  Database.declare db "Infront" (Constructor.infront_schema Value.TStr);
+  Database.declare db "Ontop" (Constructor.ontop_schema Value.TStr);
+  Database.set db "Infront" infront;
+  Database.set db "Ontop" ontop;
+  let ahead, above = Constructor.ahead_above () in
+  Database.define_constructors db [ ahead; above ];
+  db
+
+let scene_query =
+  Dc_calculus.Ast.(
+    Construct (Rel "Infront", "ahead", [ Arg_range (Rel "Ontop") ]))

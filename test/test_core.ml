@@ -451,43 +451,92 @@ let test_fixpoint_stats () =
     Alcotest.check Alcotest.int "single application system" 1
       st.Fixpoint.applications
 
-(* The in-round dedup set and the slot-row kernel change what a
-   derivation costs, never which derivations happen: rounds and
-   [tuples_derived] (every tuple computed, rediscoveries included) keep
-   the values the environment-row kernel produced. *)
+(* An order-sensitive digest of a round-delta list, for pinning the
+   scene's 260 per-round counts in one number. *)
+let digest_deltas = List.fold_left (fun h d -> ((h * 65599) + d) land 0x3fffffff) 0
+
+let tc_db linear edges =
+  let db = Database.create () in
+  Database.declare db "Edge" Dc_workload.Graph_gen.edge_schema;
+  Database.set db "Edge" edges;
+  Database.define_constructor db (Constructor.transitive_closure ~linear ());
+  db
+
+let tc_query = Ast.(Construct (Rel "Edge", "tc", []))
+
+(* The round kernel changes what a derivation costs, never which
+   derivations happen: rounds, [tuples_derived] (distinct tuples per
+   application per round, rediscoveries included), [tuples_produced]
+   and the per-round deltas keep the values the environment-row kernel
+   produced.  Chain 600 runs more rounds than a novelty table's byte
+   stamp counts, so its stamps wrap twice. *)
 let test_fixpoint_work_unchanged () =
   let module G = Dc_workload.Graph_gen in
-  let check name query db ~rounds ~derived =
+  let check name query db ~rounds ~derived ~produced ~deltas =
     ignore (Database.query db query);
     match Database.last_stats db with
     | None -> Alcotest.fail "no stats recorded"
     | Some st ->
       Alcotest.check Alcotest.int (name ^ " rounds") rounds st.Fixpoint.rounds;
       Alcotest.check Alcotest.int (name ^ " derived") derived
-        st.Fixpoint.tuples_derived
+        st.Fixpoint.tuples_derived;
+      Alcotest.check Alcotest.int (name ^ " produced") produced
+        st.Fixpoint.tuples_produced;
+      Alcotest.check Alcotest.int (name ^ " round deltas") deltas
+        (digest_deltas st.Fixpoint.round_deltas)
   in
-  let tc_db linear =
-    let db = Database.create () in
-    Database.declare db "Edge" G.edge_schema;
-    Database.set db "Edge" (G.chain 256);
-    Database.define_constructor db (Constructor.transitive_closure ~linear ());
-    db
+  (* a right-linear chain of n edges gains n, n-1, ..., 1, 0 tuples *)
+  let linear_deltas n = digest_deltas (List.init (n + 1) Fun.id) in
+  check "non-linear tc, chain 256" tc_query (tc_db `Non (G.chain 256))
+    ~rounds:10 ~derived:63_743 ~produced:32_896
+    ~deltas:
+      (digest_deltas [ 0; 8256; 10272; 6672; 3720; 1956; 1002; 507; 255; 256 ]);
+  check "right-linear tc, chain 256" tc_query (tc_db `Right (G.chain 256))
+    ~rounds:257 ~derived:32_896 ~produced:32_896 ~deltas:(linear_deltas 256);
+  check "right-linear tc, chain 600" tc_query (tc_db `Right (G.chain 600))
+    ~rounds:601 ~derived:180_300 ~produced:180_300 ~deltas:(linear_deltas 600);
+  check "3.1 scene, depth 256" Oracle.scene_query (Oracle.scene_db 256) ~rounds:260
+    ~derived:83_200 ~produced:83_200 ~deltas:434_392_960
+
+(* An expansion aborted mid-fixpoint (row budget, or a failpoint at a
+   round's commit) leaves nothing behind: a clean re-run counts exactly
+   the work of a run that never saw the abort, sequentially and with the
+   rounds sharded over four domains. *)
+let test_abort_then_rerun () =
+  let module G = Dc_workload.Graph_gen in
+  let module Guard = Dc_guard.Guard in
+  let module Par = Dc_par.Par in
+  let last_work db =
+    match Database.last_stats db with
+    | None -> Alcotest.fail "no stats recorded"
+    | Some st -> Oracle.fixpoint_work st
   in
-  let tc = Ast.(Construct (Rel "Edge", "tc", [])) in
-  check "non-linear tc, chain 256" tc (tc_db `Non) ~rounds:10 ~derived:63_743;
-  check "right-linear tc, chain 256" tc (tc_db `Right) ~rounds:257
-    ~derived:32_896;
-  let infront, ontop = G.scene ~depth:256 ~stack:3 in
-  let db = Database.create () in
-  Database.declare db "Infront" (Constructor.infront_schema Value.TStr);
-  Database.declare db "Ontop" (Constructor.ontop_schema Value.TStr);
-  Database.set db "Infront" infront;
-  Database.set db "Ontop" ontop;
-  let ahead, above = Constructor.ahead_above () in
-  Database.define_constructors db [ ahead; above ];
-  check "3.1 scene, depth 256"
-    Ast.(Construct (Rel "Infront", "ahead", [ Arg_range (Rel "Ontop") ]))
-    db ~rounds:260 ~derived:83_200
+  let case name db query =
+    let clean = (ignore (Database.query db query); last_work db) in
+    let aborted how run =
+      Database.reset_last_stats db;
+      (match run () with
+      | (_ : Relation.t) -> Alcotest.failf "%s: expected an abort (%s)" name how
+      | exception Guard.Exhausted _ -> ());
+      ignore (Database.query db query);
+      Alcotest.check Alcotest.string
+        (Fmt.str "%s: re-run after %s" name how)
+        clean (last_work db)
+    in
+    aborted "row budget" (fun () ->
+        Database.query ~guard:(Guard.create ~rows:1_000 ()) db query);
+    Guard.Failpoint.reset ();
+    Fun.protect ~finally:Guard.Failpoint.reset (fun () ->
+        Guard.Failpoint.arm "fixpoint.commit" 5;
+        aborted "failpoint" (fun () -> Database.query db query))
+  in
+  List.iter
+    (fun p ->
+      Par.with_domains p (fun () ->
+          Par.with_seq_cutoff 1 (fun () ->
+              case (Fmt.str "tc P=%d" p) (tc_db `Non (G.chain 40)) tc_query;
+              case (Fmt.str "scene P=%d" p) (Oracle.scene_db 32) Oracle.scene_query)))
+    [ 1; 4 ]
 
 let () =
   Alcotest.run "dc_core"
@@ -505,6 +554,8 @@ let () =
             test_fixpoint_work_unchanged;
           Alcotest.test_case "scalar-parameterized constructor" `Quick
             test_scalar_parameterized_constructor;
+          Alcotest.test_case "aborted expansion, clean re-run" `Quick
+            test_abort_then_rerun;
         ] );
       ( "positivity",
         [

@@ -325,6 +325,103 @@ let prop_hset_matches_set =
           ok && TS.for_all (fun t -> not (Tuple_hset.add h t)) set)
         batches)
 
+(* Novelty tables: [visit]/[add]/[mem] over a run of rounds against a
+   [Hashtbl] model that remembers the (unbounded) round of each tuple's
+   last visit.  The gaps of empty rounds between batches include 254,
+   255 and 256, so a table whose byte stamps aliased across a wrap
+   would call a tuple first seen 255 rounds ago a repeat; the tuples
+   (ints up to 99, hash twins, arity 0) grow a table from 16 slots. *)
+module Model = Hashtbl.Make (struct
+  type t = Tuple.t
+
+  let equal = Tuple.equal
+  let hash = Tuple.hash
+end)
+
+type hset_op =
+  | Visit of Tuple.t
+  | Add of Tuple.t
+  | Mem of Tuple.t
+
+let arb_rounds =
+  let open QCheck.Gen in
+  let twins = Array.of_list (Lazy.force hash_twins) in
+  let tuple =
+    frequency
+      [
+        (8, map (fun a -> Tuple.make1 (i a)) (int_bound 99));
+        (1, map (fun () -> Tuple.of_list []) unit);
+        ( 2,
+          map2
+            (fun k second ->
+              let a, b = twins.(k mod Array.length twins) in
+              Tuple.make1 (if second then b else a))
+            (int_bound 5) bool );
+      ]
+  in
+  let op =
+    frequency
+      [
+        (6, map (fun t -> Visit t) tuple);
+        (1, map (fun t -> Add t) tuple);
+        (2, map (fun t -> Mem t) tuple);
+      ]
+  in
+  let gap = oneofl [ 0; 0; 0; 1; 2; 254; 255; 256; 600 ] in
+  let batch = list_size (int_bound 40) op in
+  QCheck.make
+    ~print:(fun rounds ->
+      String.concat " | "
+        (List.map
+           (fun (gap, ops) ->
+             Fmt.str "+%d: %s" gap
+               (String.concat ";"
+                  (List.map
+                     (function
+                       | Visit t -> "v" ^ Tuple.to_string t
+                       | Add t -> "a" ^ Tuple.to_string t
+                       | Mem t -> "m" ^ Tuple.to_string t)
+                     ops)))
+           rounds))
+    (list_size (int_range 2 12) (pair gap batch))
+
+let prop_novelty_matches_model =
+  QCheck.Test.make ~name:"Tuple_hset.visit matches a Hashtbl model" ~count:200
+    arb_rounds (fun rounds ->
+      let h = Tuple_hset.create () in
+      let model = Model.create 16 in
+      let round = ref 1 in
+      let next () =
+        Tuple_hset.next_round h;
+        incr round
+      in
+      let step = function
+        | Visit t ->
+          let expected =
+            match Model.find_opt model t with
+            | None -> Tuple_hset.Fresh
+            | Some (Some r) when r = !round -> Tuple_hset.Repeat
+            | Some _ -> Tuple_hset.Known
+          in
+          Model.replace model t (Some !round);
+          Tuple_hset.visit h t = expected
+        | Add t ->
+          let absent = not (Model.mem model t) in
+          if absent then Model.replace model t None;
+          Tuple_hset.add h t = absent
+        | Mem t -> Tuple_hset.mem h t = Model.mem model t
+      in
+      List.for_all
+        (fun (gap, ops) ->
+          for _ = 1 to gap do
+            next ()
+          done;
+          let ok = List.for_all step ops in
+          next ();
+          ok)
+        rounds
+      && Model.fold (fun t _ ok -> ok && Tuple_hset.mem h t) model true)
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -374,5 +471,6 @@ let () =
             prop_compose_assoc;
             prop_join_is_filtered_product;
             prop_hset_matches_set;
+            prop_novelty_matches_model;
           ] );
     ]
