@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench bench-smoke bench-ivm bench-agg bench-par bench-serve bench-wal examples doc clean outputs
+.PHONY: all build test bench bench-smoke bench-ivm bench-agg bench-par examples doc clean outputs
 
 all: build
 
@@ -31,16 +31,9 @@ bench-agg:
 bench-par:
 	dune exec bench/main.exe -- parallel
 
-# Mixed read/write throughput through the serving layer: in-process
-# sessions at 1-64 clients, real socket clients over the wire protocol
-# at 1-16, and group-commit throughput under a 16-client write burst.
-bench-serve:
-	dune exec bench/main.exe -- serve
-
-# Durable commit throughput (WAL fsync vs in-memory vs CSV-rewrite
-# baseline) and recovery time (checkpoint + replay vs CSV reload).
-bench-wal:
-	dune exec bench/main.exe -- wal
+# The served and durable paths (socket reads, view updates, durable
+# commits) are benchmarked end to end by servebench:
+#   python3 servebench/run.py --workload durable_commits
 
 examples:
 	dune exec examples/quickstart.exe

@@ -9,6 +9,15 @@
      dune exec bench/main.exe               -- all experiment tables + timings
      dune exec bench/main.exe -- e2 e4      -- selected experiments
      dune exec bench/main.exe -- bechamel   -- Bechamel micro-benchmarks only
+     dune exec bench/main.exe -- json F     -- recursive, IVM, aggregate and
+                                               parallel cells as JSON in F
+     dune exec bench/main.exe -- smoke | ivm | agg | parallel
+                                            -- one section of those cells
+     dune exec bench/main.exe -- guard-overhead | obs-overhead
+                                            -- the CI overhead gates
+
+   The served and durable paths are measured end to end by servebench/
+   (python3 servebench/run.py), not here.
 
    Experiments:
      F3  augmented quant graph + plan for the recursive 'ahead' query
@@ -1043,149 +1052,151 @@ let run_bechamel () =
     entries
 
 (* ------------------------------------------------------------------ *)
-(* JSON mode: machine-readable timings for the perf trajectory.
+(* Measured cells.  Every cell the modes below report is sampled
+   [samples] times, interleaved with the other cells of its section
+   (A B C A B C ...) so drift over a run spreads across cells instead of
+   landing on one, and summarized as the median and interquartile range
+   of its samples. *)
 
-   `dune exec bench/main.exe -- json BENCH_1.json` runs a fixed set of
-   recursive experiments and writes one record per experiment: name,
-   wall-clock milliseconds (best of three runs), fixpoint rounds, tuples
+module Json = Bench_core.Json
+module Stats = Bench_core.Stats
+
+let samples = 5
+
+type summary = { median_ms : float; iqr_ms : float }
+
+(* [interleaved runs]: each run returns its result and the milliseconds
+   it measured (a cell may time only part of its work, such as an update
+   stream without its setup).  Returns each run's last result and the
+   summary of its samples, in order. *)
+let interleaved runs =
+  let n = List.length runs in
+  let last = Array.make n None and times = Array.make n [] in
+  for _ = 1 to samples do
+    List.iteri
+      (fun i run ->
+        let r, t = run () in
+        last.(i) <- Some r;
+        times.(i) <- t :: times.(i))
+      runs
+  done;
+  List.init n (fun i ->
+      let q1, _, q3 = Stats.quartiles times.(i) in
+      ( Option.get last.(i),
+        { median_ms = Stats.median times.(i); iqr_ms = q3 -. q1 } ))
+
+let pp_summary ppf s = Fmt.pf ppf "%sms (iqr %s)" (ms s.median_ms) (ms s.iqr_ms)
+
+(* JSON numbers: timings to the microsecond, counts exact *)
+let num x = Json.Num (Float.round (x *. 1000.) /. 1000.)
+let count n = Json.Num (float_of_int n)
+
+let summary_fields prefix s =
+  [ (prefix ^ "median_ms", num s.median_ms); (prefix ^ "iqr_ms", num s.iqr_ms) ]
+
+(* ------------------------------------------------------------------ *)
+(* Recursive experiments: wall-clock time, fixpoint rounds, tuples
    produced and — for the fixpoint cells (E3, E5, E6) — derivations
    ([Fixpoint] [tuples_derived], [Seminaive] [derivations]), so
-   wall_ms / derived compares the two engines' cost per derivation.  The
-   workloads are deterministic, so successive snapshots (BENCH_1.json,
-   BENCH_2.json, ...) are directly comparable. *)
+   wall / derived compares the two engines' cost per derivation.  The
+   workloads are deterministic, so successive BENCH snapshots are
+   directly comparable. *)
 
 type json_record = {
   jr_name : string;
-  jr_wall_ms : float;
+  jr_wall : summary;
   jr_rounds : int;
   jr_tuples : int;
   jr_derived : int option;
 }
 
-let best_of_3 f =
-  let results = List.init 3 (fun _ -> time f) in
-  let r = fst (List.hd results) in
-  (r, List.fold_left (fun m (_, t) -> min m t) infinity results)
+let fixpoint (st : Fixpoint.stats) =
+  (st.rounds, st.tuples_produced, Some st.tuples_derived)
+
+let closure_cell ?linear strategy n () =
+  let _, st = run_tc (tc_db ~strategy ?linear (Graph_gen.chain n)) in
+  fixpoint st
+
+(* random Horn workload through the semi-naive Datalog engine *)
+let horn_cell ~seed ~nodes ~edges () =
+  let edges = Graph_gen.random_graph ~seed ~nodes ~edges in
+  let stats = Dc_datalog.Seminaive.fresh_stats () in
+  let result =
+    Dc_datalog.Seminaive.query ~stats tc_program (edb_of edges) "path"
+  in
+  ( stats.Dc_datalog.Seminaive.rounds,
+    Dc_datalog.Facts.TS.cardinal result,
+    Some stats.Dc_datalog.Seminaive.derivations )
+
+(* mutually recursive ahead/above system *)
+let scene_cell depth () =
+  let infront, ontop = Graph_gen.scene ~depth ~stack:3 in
+  let db = Database.create ~strategy:Fixpoint.Seminaive () in
+  Database.declare db "Infront" (Constructor.infront_schema Value.TStr);
+  Database.declare db "Ontop" (Constructor.ontop_schema Value.TStr);
+  Database.set db "Infront" infront;
+  Database.set db "Ontop" ontop;
+  let ahead, above = Constructor.ahead_above () in
+  Database.define_constructors db [ ahead; above ];
+  ignore
+    (Database.query db
+       Ast.(Construct (Rel "Infront", "ahead", [ Arg_range (Rel "Ontop") ])));
+  fixpoint (Option.get (Database.last_stats db))
+
+(* magic-sets capture rule on the left-linear rule (Datalog path) *)
+let magic_cell n () =
+  let db = tc_db ~linear:`Left (Graph_gen.two_chains n) in
+  let restricted =
+    Ast.(
+      Comp
+        [
+          branch
+            [ ("r", Construct (Rel "Edge", "tc", [])) ]
+            ~where:(eq (field "r" "src") (str "n1"));
+        ])
+  in
+  let r = Dc_compile.Planner.plan_and_execute db restricted in
+  (0, Relation.cardinal r, None)
 
 let json_experiments ?(only = []) () =
-  let keep name = only = [] || List.mem name only in
-  let record name f =
-    if not (keep name) then None
-    else
-      let (rounds, tuples, derived), wall_ms = best_of_3 f in
-      Some
-        { jr_name = name; jr_wall_ms = wall_ms; jr_rounds = rounds;
-          jr_tuples = tuples; jr_derived = derived }
+  let cells =
+    List.filter
+      (fun (name, _) -> only = [] || List.mem name only)
+      [
+        ("e3_chain_seminaive_512", closure_cell Fixpoint.Seminaive 512);
+        (* naive re-evaluation on a shorter chain (cubic work) *)
+        ("e3_chain_naive_128", closure_cell Fixpoint.Naive 128);
+        ("e6_random_horn_200_500", horn_cell ~seed:7 ~nodes:200 ~edges:500);
+        ("e5_mutual_scene_64", scene_cell 64);
+        ("e5_mutual_scene_256", scene_cell 256);
+        (* non-linear closure (path o path): joins delta against the big
+           full value from both sides every round, the index-heaviest
+           shape *)
+        ( "e3_chain_nonlinear_256",
+          closure_cell ~linear:`Non Fixpoint.Seminaive 256 );
+        ("e6_random_horn_300_900", horn_cell ~seed:11 ~nodes:300 ~edges:900);
+        ("e4_magic_left_256", magic_cell 256);
+        ("e4_magic_left_512", magic_cell 512);
+      ]
   in
-  let fixpoint (st : Fixpoint.stats) =
-    (st.rounds, st.tuples_produced, Some st.tuples_derived)
-  in
-  List.filter_map Fun.id
-  [
-    (* e3: semi-naive chain closure through the constructor fixpoint *)
-    record "e3_chain_seminaive_512" (fun () ->
-        let _, st = run_tc (tc_db ~strategy:Fixpoint.Seminaive (Graph_gen.chain 512)) in
-        fixpoint st);
-    (* e3: naive re-evaluation on a shorter chain (cubic work) *)
-    record "e3_chain_naive_128" (fun () ->
-        let _, st = run_tc (tc_db ~strategy:Fixpoint.Naive (Graph_gen.chain 128)) in
-        fixpoint st);
-    (* e6: random Horn workload through the semi-naive Datalog engine *)
-    record "e6_random_horn_200_500" (fun () ->
-        let edges = Graph_gen.random_graph ~seed:7 ~nodes:200 ~edges:500 in
-        let stats = Dc_datalog.Seminaive.fresh_stats () in
-        let result =
-          Dc_datalog.Seminaive.query ~stats tc_program (edb_of edges) "path"
-        in
-        ( stats.Dc_datalog.Seminaive.rounds,
-          Dc_datalog.Facts.TS.cardinal result,
-          Some stats.Dc_datalog.Seminaive.derivations ));
-    (* e5: mutually recursive ahead/above system *)
-    record "e5_mutual_scene_64" (fun () ->
-        let infront, ontop = Graph_gen.scene ~depth:64 ~stack:3 in
-        let db = Database.create ~strategy:Fixpoint.Seminaive () in
-        Database.declare db "Infront" (Constructor.infront_schema Value.TStr);
-        Database.declare db "Ontop" (Constructor.ontop_schema Value.TStr);
-        Database.set db "Infront" infront;
-        Database.set db "Ontop" ontop;
-        let ahead, above = Constructor.ahead_above () in
-        Database.define_constructors db [ ahead; above ];
-        let r =
-          Database.query db
-            Ast.(Construct (Rel "Infront", "ahead", [ Arg_range (Rel "Ontop") ]))
-        in
-        ignore r;
-        fixpoint (Option.get (Database.last_stats db)));
-    (* e5: mutually recursive system, deeper scene *)
-    record "e5_mutual_scene_256" (fun () ->
-        let infront, ontop = Graph_gen.scene ~depth:256 ~stack:3 in
-        let db = Database.create ~strategy:Fixpoint.Seminaive () in
-        Database.declare db "Infront" (Constructor.infront_schema Value.TStr);
-        Database.declare db "Ontop" (Constructor.ontop_schema Value.TStr);
-        Database.set db "Infront" infront;
-        Database.set db "Ontop" ontop;
-        let ahead, above = Constructor.ahead_above () in
-        Database.define_constructors db [ ahead; above ];
-        let r =
-          Database.query db
-            Ast.(Construct (Rel "Infront", "ahead", [ Arg_range (Rel "Ontop") ]))
-        in
-        ignore r;
-        fixpoint (Option.get (Database.last_stats db)));
-    (* e3: non-linear closure (path o path) — joins delta against the big
-       full value from both sides every round, the index-heaviest shape *)
-    record "e3_chain_nonlinear_256" (fun () ->
-        let _, st =
-          run_tc (tc_db ~strategy:Fixpoint.Seminaive ~linear:`Non (Graph_gen.chain 256))
-        in
-        fixpoint st);
-    (* e6: denser random Horn workload *)
-    record "e6_random_horn_300_900" (fun () ->
-        let edges = Graph_gen.random_graph ~seed:11 ~nodes:300 ~edges:900 in
-        let stats = Dc_datalog.Seminaive.fresh_stats () in
-        let result =
-          Dc_datalog.Seminaive.query ~stats tc_program (edb_of edges) "path"
-        in
-        ( stats.Dc_datalog.Seminaive.rounds,
-          Dc_datalog.Facts.TS.cardinal result,
-          Some stats.Dc_datalog.Seminaive.derivations ));
-    (* e4: magic-sets capture rule on the left-linear rule (Datalog path) *)
-    record "e4_magic_left_256" (fun () ->
-        let edges = Graph_gen.two_chains 256 in
-        let db = tc_db ~linear:`Left edges in
-        let restricted =
-          Ast.(
-            Comp
-              [
-                branch
-                  [ ("r", Construct (Rel "Edge", "tc", [])) ]
-                  ~where:(eq (field "r" "src") (str "n1"));
-              ])
-        in
-        let r = Dc_compile.Planner.plan_and_execute db restricted in
-        (0, Relation.cardinal r, None));
-    (* e4: same goal-directed shape, twice the chain length *)
-    record "e4_magic_left_512" (fun () ->
-        let edges = Graph_gen.two_chains 512 in
-        let db = tc_db ~linear:`Left edges in
-        let restricted =
-          Ast.(
-            Comp
-              [
-                branch
-                  [ ("r", Construct (Rel "Edge", "tc", [])) ]
-                  ~where:(eq (field "r" "src") (str "n1"));
-              ])
-        in
-        let r = Dc_compile.Planner.plan_and_execute db restricted in
-        (0, Relation.cardinal r, None));
-  ]
+  List.map2
+    (fun (name, _) ((rounds, tuples, derived), wall) ->
+      { jr_name = name; jr_wall = wall; jr_rounds = rounds; jr_tuples = tuples;
+        jr_derived = derived })
+    cells
+    (interleaved (List.map (fun (_, f) () -> time f) cells))
+
+let experiment_json r =
+  Json.Obj
+    ((("name", Json.Str r.jr_name) :: summary_fields "" r.jr_wall)
+    @ [ ("rounds", count r.jr_rounds); ("tuples", count r.jr_tuples) ]
+    @ match r.jr_derived with Some d -> [ ("derived", count d) ] | None -> [])
 
 let print_records records =
   List.iter
     (fun r ->
-      Fmt.pr "%-28s %10.2f ms  rounds=%-5d tuples=%d%a@." r.jr_name r.jr_wall_ms
-        r.jr_rounds r.jr_tuples
+      Fmt.pr "%-28s %10.2f ms  iqr=%-8.2f rounds=%-5d tuples=%d%a@." r.jr_name
+        r.jr_wall.median_ms r.jr_wall.iqr_ms r.jr_rounds r.jr_tuples
         Fmt.(option (any " derived=" ++ int))
         r.jr_derived)
     records
@@ -1196,102 +1207,149 @@ let run_smoke () =
   print_records
     (json_experiments ~only:[ "e5_mutual_scene_64"; "e4_magic_left_256" ] ())
 
-(* Observability overhead: interleaved A/B of the same workload with
-   metrics collection disabled versus enabled — the difference is the
-   cost of the [Obs.on ()] checks plus the per-round clock reads and
-   histogram updates (operator-level profiling is EXPLAIN ANALYZE only
-   and never on this path).  Interleaving (A B A B ...) keeps allocator
-   and cache drift out of the comparison, exactly like `guard-overhead`. *)
+(* ------------------------------------------------------------------ *)
+(* Overhead gates: interleaved A/B of the same workloads with an
+   instrument off (A) and on (B) — `guard-overhead` compares no guard
+   (the shared never-tripping [Guard.none]) with an active guard of
+   generous limits, `obs-overhead` metrics collection disabled with
+   enabled.  One warm-up, then [ab_rounds] A B pairs, min over rounds on
+   each side: interleaving keeps allocator and cache drift out of the
+   comparison.  Each gate exits non-zero above a lenient CI bound (noise
+   on shared runners dwarfs the real cost, which BENCH tracks more
+   precisely). *)
+
+let ab_rounds = 7
+
+type ab = { ab_name : string; ab_off_ms : float; ab_on_ms : float }
+
+let ab_pct r = (r.ab_on_ms -. r.ab_off_ms) /. r.ab_off_ms *. 100.0
+
+(* the gates' workloads, each taking an optional guard *)
+let overhead_workloads =
+  [
+    ( "e3_chain_seminaive_512",
+      fun guard ->
+        let db = tc_db ~strategy:Fixpoint.Seminaive (Graph_gen.chain 512) in
+        ignore (Database.query ?guard db tc_query) );
+    ( "e6_random_horn_200_500",
+      fun guard ->
+        let edges = Graph_gen.random_graph ~seed:7 ~nodes:200 ~edges:500 in
+        ignore
+          (Dc_datalog.Seminaive.query ?guard tc_program (edb_of edges) "path")
+    );
+  ]
+
+let ab_records ~off ~on =
+  List.map
+    (fun (name, f) ->
+      off f;
+      (* warm-up *)
+      let off_ms = ref infinity and on_ms = ref infinity in
+      for _ = 1 to ab_rounds do
+        let (), t_off = time (fun () -> off f) in
+        let (), t_on = time (fun () -> on f) in
+        off_ms := min !off_ms t_off;
+        on_ms := min !on_ms t_on
+      done;
+      { ab_name = name; ab_off_ms = !off_ms; ab_on_ms = !on_ms })
+    overhead_workloads
+
+let print_ab ~off ~on records =
+  List.iter
+    (fun r ->
+      Fmt.pr "%-28s %s=%sms %s=%sms overhead=%+.1f%%@." r.ab_name off
+        (ms r.ab_off_ms) on (ms r.ab_on_ms) (ab_pct r))
+    records
+
+let ab_gate ~what ~bound overhead =
+  if overhead > bound then begin
+    Fmt.epr "%s overhead above bound@." what;
+    exit 1
+  end
+
+let guard_overhead_bound = 15.0 (* percent; CI sanity bound, not the claim *)
+
+let run_guard_overhead () =
+  let module Guard = Dc_guard.Guard in
+  let generous () =
+    Guard.create ~rows:max_int ~rounds:max_int ~millis:86_400_000 ()
+  in
+  let records =
+    ab_records ~off:(fun f -> f None) ~on:(fun f -> f (Some (generous ())))
+  in
+  print_ab ~off:"none" ~on:"guarded" records;
+  let worst = List.fold_left (fun w r -> Float.max w (ab_pct r)) 0.0 records in
+  Fmt.pr "worst overhead %+.1f%% (bound %.0f%%)@." worst guard_overhead_bound;
+  ab_gate ~what:"guard" ~bound:guard_overhead_bound worst
 
 let obs_overhead_bound = 10.0 (* percent; CI sanity bound, not the claim *)
 
-type obs_overhead = {
-  oo_name : string;
-  oo_base_ms : float; (* metrics disabled, min over rounds *)
-  oo_obs_ms : float; (* metrics enabled, min over rounds *)
-}
-
-let oo_pct r = (r.oo_obs_ms -. r.oo_base_ms) /. r.oo_base_ms *. 100.0
-
+(* The cost of the [Obs.on ()] checks plus the per-round clock reads and
+   histogram updates (operator-level profiling is EXPLAIN ANALYZE only
+   and never on this path). *)
 let obs_overhead_records () =
   let module Obs = Dc_obs.Obs in
   let saved = Obs.on () in
-  let workloads =
-    [
-      ( "e3_chain_seminaive_512",
-        fun () ->
-          let db = tc_db ~strategy:Fixpoint.Seminaive (Graph_gen.chain 512) in
-          ignore (Database.query db tc_query) );
-      ( "e6_random_horn_200_500",
-        fun () ->
-          let edges = Graph_gen.random_graph ~seed:7 ~nodes:200 ~edges:500 in
-          ignore (Dc_datalog.Seminaive.query tc_program (edb_of edges) "path")
-      );
-    ]
+  let with_metrics on f =
+    Obs.set_enabled on;
+    f None
   in
-  let rounds = 7 in
-  let records =
-    List.map
-      (fun (name, f) ->
-        Obs.set_enabled false;
-        f ();
-        (* warm-up *)
-        let base = ref infinity and obs = ref infinity in
-        for _ = 1 to rounds do
-          Obs.set_enabled false;
-          let (), t_base = time f in
-          Obs.set_enabled true;
-          let (), t_obs = time f in
-          base := min !base t_base;
-          obs := min !obs t_obs
-        done;
-        { oo_name = name; oo_base_ms = !base; oo_obs_ms = !obs })
-      workloads
-  in
+  let records = ab_records ~off:(with_metrics false) ~on:(with_metrics true) in
   Obs.set_enabled saved;
   records
 
 (* Aggregate overhead: total enabled time vs total disabled time — the
-   number the issue bounds at 2% and BENCH_4.json records. *)
+   number the obs gate bounds and BENCH records. *)
 let oo_aggregate records =
-  let b = List.fold_left (fun a r -> a +. r.oo_base_ms) 0. records in
-  let o = List.fold_left (fun a r -> a +. r.oo_obs_ms) 0. records in
-  (o -. b) /. b *. 100.0
+  let off = List.fold_left (fun a r -> a +. r.ab_off_ms) 0. records in
+  let on = List.fold_left (fun a r -> a +. r.ab_on_ms) 0. records in
+  (on -. off) /. off *. 100.0
 
 let print_obs_overhead records =
-  List.iter
-    (fun r ->
-      Fmt.pr "%-28s off=%sms on=%sms overhead=%+.1f%%@." r.oo_name
-        (ms r.oo_base_ms) (ms r.oo_obs_ms) (oo_pct r))
-    records;
+  print_ab ~off:"off" ~on:"on" records;
   Fmt.pr "aggregate overhead %+.1f%% (bound %.0f%%)@." (oo_aggregate records)
     obs_overhead_bound
 
 let run_obs_overhead () =
   let records = obs_overhead_records () in
   print_obs_overhead records;
-  if oo_aggregate records > obs_overhead_bound then begin
-    Fmt.epr "obs overhead above bound@.";
-    exit 1
-  end
+  ab_gate ~what:"obs" ~bound:obs_overhead_bound (oo_aggregate records)
+
+let obs_overhead_json records =
+  Json.Obj
+    [
+      ( "workloads",
+        Json.Arr
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   ("name", Json.Str r.ab_name); ("base_ms", num r.ab_off_ms);
+                   ("metrics_ms", num r.ab_on_ms); ("overhead_pct", num (ab_pct r));
+                 ])
+             records) );
+      ("aggregate_pct", num (oo_aggregate records));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* IVM: maintained views vs recompute-per-update (the paper §4 remark
    "Maintenance for such access paths is discussed in [ShTZ 84]", now
    measurable).  One deterministic stream of single-edge inserts and
-   deletes runs against (a) a materialized transitive closure kept live
-   by the lib/ivm maintainer and (b) a database that refixpoints the
-   closure from scratch after every update.  Both sides end with the
-   same extent; the ratio is the maintenance win for small deltas. *)
+   deletes runs against (a) a materialized view kept live by the lib/ivm
+   maintainer and (b) a database that refixpoints the view from scratch
+   after every update.  Both sides end with the same extent; the ratio
+   is the maintenance win for small deltas. *)
+
+module Ivm = Dc_ivm.Ivm
 
 type ivm_record = {
   ir_name : string;
   ir_updates : int;
-  ir_maintained_ms : float;
-  ir_recompute_ms : float;
+  ir_maintained : summary;
+  ir_recompute : summary;
 }
 
-let ir_speedup r = r.ir_recompute_ms /. r.ir_maintained_ms
+let ir_speedup r = r.ir_recompute.median_ms /. r.ir_maintained.median_ms
 
 (* step [i]: toggle one deterministic pseudo-random edge *)
 let ivm_step db i nodes =
@@ -1302,60 +1360,76 @@ let ivm_step db i nodes =
   if Relation.mem t (Database.get db "Edge") then Database.delete db "Edge" t
   else Database.insert db "Edge" t
 
-let ivm_records () =
-  let module Ivm = Dc_ivm.Ivm in
-  let run name ~edges ~nodes ~updates =
-    let maintained () =
-      let db = tc_db edges in
-      let view = Ivm.materialize db ~constructor:"tc" ~base:"Edge" ~args:[] in
-      let (), t =
-        time (fun () ->
-            for i = 0 to updates - 1 do
-              ivm_step db i nodes;
-              ignore (Ivm.cardinal view)
-            done)
-      in
-      (Ivm.cardinal view, t)
+(* One update stream's two arms over fresh databases from [db]: each
+   applies [step] [updates] times and reads the view's cardinality after
+   every step; only the stream is timed. *)
+let view_stream name ~updates ~db ~step ~constructor ~base ~query =
+  let arm reader () =
+    let db = db () in
+    let read = reader db in
+    let card = ref 0 in
+    let (), t =
+      time (fun () ->
+          for i = 0 to updates - 1 do
+            step db i;
+            card := read ()
+          done)
     in
-    let recompute () =
-      let db = tc_db edges in
-      let card = ref 0 in
-      let (), t =
-        time (fun () ->
-            for i = 0 to updates - 1 do
-              ivm_step db i nodes;
-              card := Relation.cardinal (Database.query db tc_query)
-            done)
-      in
-      (!card, t)
-    in
-    let mc, mt = maintained () in
-    let rc, rt = recompute () in
-    if mc <> rc then
-      Fmt.failwith "ivm bench %s: maintained extent %d <> recomputed %d" name
-        mc rc;
-    {
-      ir_name = name;
-      ir_updates = updates;
-      ir_maintained_ms = mt;
-      ir_recompute_ms = rt;
-    }
+    (!card, t)
   in
-  [
-    run "ivm_tc_chain_128" ~edges:(Graph_gen.chain 128) ~nodes:129 ~updates:64;
-    run "ivm_tc_random_96_192"
-      ~edges:(Graph_gen.random_graph ~seed:5 ~nodes:96 ~edges:192)
-      ~nodes:96 ~updates:64;
-  ]
+  let maintained db =
+    let view = Ivm.materialize db ~constructor ~base ~args:[] in
+    fun () -> Ivm.cardinal view
+  in
+  let recompute db () = Relation.cardinal (Database.query db query) in
+  (name, updates, arm maintained, arm recompute)
+
+(* Interleave every stream's two arms; both arms must end on the same
+   extent. *)
+let view_records streams =
+  let results =
+    Array.of_list
+      (interleaved (List.concat_map (fun (_, _, m, r) -> [ m; r ]) streams))
+  in
+  List.mapi
+    (fun i (name, updates, _, _) ->
+      let mc, mt = results.(2 * i) and rc, rt = results.((2 * i) + 1) in
+      if mc <> rc then
+        Fmt.failwith "%s: maintained extent %d <> recomputed %d" name mc rc;
+      { ir_name = name; ir_updates = updates; ir_maintained = mt;
+        ir_recompute = rt })
+    streams
+
+let ivm_records () =
+  let stream name ~edges ~nodes =
+    view_stream name ~updates:64
+      ~db:(fun () -> tc_db edges)
+      ~step:(fun db i -> ivm_step db i nodes)
+      ~constructor:"tc" ~base:"Edge" ~query:tc_query
+  in
+  view_records
+    [
+      stream "ivm_tc_chain_128" ~edges:(Graph_gen.chain 128) ~nodes:129;
+      stream "ivm_tc_random_96_192"
+        ~edges:(Graph_gen.random_graph ~seed:5 ~nodes:96 ~edges:192)
+        ~nodes:96;
+    ]
+
+let view_json r =
+  Json.Obj
+    ((("name", Json.Str r.ir_name) :: ("updates", count r.ir_updates)
+      :: summary_fields "maintained_" r.ir_maintained)
+    @ summary_fields "recompute_per_update_" r.ir_recompute
+    @ [ ("speedup", num (ir_speedup r)) ])
 
 let print_ivm records =
   List.iter
     (fun r ->
       Fmt.pr
-        "%-24s %d updates: maintained=%sms recompute-per-update=%sms \
+        "%-24s %d updates: maintained=%a recompute-per-update=%a \
          speedup=%.1fx@."
-        r.ir_name r.ir_updates (ms r.ir_maintained_ms) (ms r.ir_recompute_ms)
-        (ir_speedup r))
+        r.ir_name r.ir_updates pp_summary r.ir_maintained pp_summary
+        r.ir_recompute (ir_speedup r))
     records
 
 let run_ivm () = print_ivm (ivm_records ())
@@ -1379,13 +1453,13 @@ module Agg = Dc_agg.Agg
 
 type agg_min_record = {
   am_name : string;
-  am_bounded_ms : float;
-  am_naive_ms : float;
+  am_bounded : summary;
+  am_naive : summary;
   am_groups : int; (* result tuples: one bound per group *)
   am_raw : int; (* distinct path-weight tuples the bounds never enumerate *)
 }
 
-let am_speedup r = r.am_naive_ms /. r.am_bounded_ms
+let am_speedup r = r.am_naive.median_ms /. r.am_bounded.median_ms
 
 let sp_agg_program =
   Dc_datalog.Syntax.
@@ -1423,67 +1497,80 @@ let weighted_layered ~seed ~layers ~width ~max_w =
   done;
   Relation.of_list Graph_gen.weighted_edge_schema !tuples
 
+(* DAGs only: the unaggregated arm must terminate, and on a cycle the
+   path-weight lattice is unbounded (exactly what the bounds fix — but no
+   baseline to compare against) *)
+let random_weighted_dag ~seed ~nodes ~edges ~max_w =
+  let rng = Rng.create seed in
+  let seen = Hashtbl.create (2 * edges) in
+  let tuples = ref [] in
+  let guard = ref (100 * edges) in
+  while Hashtbl.length seen < edges && !guard > 0 do
+    decr guard;
+    let a = Rng.int rng nodes and b = Rng.int rng nodes in
+    let a, b = (min a b, max a b) in
+    if a <> b && not (Hashtbl.mem seen (a, b)) then begin
+      Hashtbl.replace seen (a, b) ();
+      tuples :=
+        Tuple.of_list
+          [
+            Graph_gen.node a; Graph_gen.node b; Value.Int (1 + Rng.int rng max_w);
+          ]
+        :: !tuples
+    end
+  done;
+  Relation.of_list Graph_gen.weighted_edge_schema !tuples
+
 let agg_min_records () =
   let module TS = Dc_datalog.Facts.TS in
-  let run name rel =
+  let datasets =
+    [
+      ("agg_min_layered_6x4", weighted_layered ~seed:11 ~layers:6 ~width:4 ~max_w:30);
+      ("agg_min_dag_48_192", random_weighted_dag ~seed:12 ~nodes:48 ~edges:192 ~max_w:9);
+    ]
+  in
+  let arms (_, rel) =
     let edb = edb_of rel in
-    let aggs = [ ("sp", sp_spec) ] in
-    let bounded, bounded_ms =
-      time (fun () -> Dc_datalog.Seminaive.query ~aggs sp_agg_program edb "sp")
-    in
-    let raw, naive_ms =
-      time (fun () -> Dc_datalog.Seminaive.query sp_agg_program edb "sp")
-    in
-    let reference =
-      List.fold_left
-        (fun acc t -> TS.add t acc)
-        TS.empty
-        (Agg.aggregate sp_spec (TS.elements raw))
-    in
-    if not (TS.equal bounded reference) then
-      Fmt.failwith
-        "agg bench %s: bounded result (%d) <> aggregate of naive recompute \
-         (%d)"
-        name (TS.cardinal bounded) (TS.cardinal reference);
-    {
-      am_name = name;
-      am_bounded_ms = bounded_ms;
-      am_naive_ms = naive_ms;
-      am_groups = TS.cardinal bounded;
-      am_raw = TS.cardinal raw;
-    }
+    [
+      (fun () ->
+        time (fun () ->
+            Dc_datalog.Seminaive.query ~aggs:[ ("sp", sp_spec) ] sp_agg_program
+              edb "sp"));
+      (fun () -> time (fun () -> Dc_datalog.Seminaive.query sp_agg_program edb "sp"));
+    ]
   in
-  (* DAGs only: the unaggregated arm must terminate, and on a cycle the
-     path-weight lattice is unbounded (exactly what the bounds fix — but
-     no baseline to compare against) *)
-  let random_weighted_dag ~seed ~nodes ~edges ~max_w =
-    let rng = Rng.create seed in
-    let seen = Hashtbl.create (2 * edges) in
-    let tuples = ref [] in
-    let guard = ref (100 * edges) in
-    while Hashtbl.length seen < edges && !guard > 0 do
-      decr guard;
-      let a = Rng.int rng nodes and b = Rng.int rng nodes in
-      let a, b = (min a b, max a b) in
-      if a <> b && not (Hashtbl.mem seen (a, b)) then begin
-        Hashtbl.replace seen (a, b) ();
-        tuples :=
-          Tuple.of_list
-            [
-              Graph_gen.node a; Graph_gen.node b;
-              Value.Int (1 + Rng.int rng max_w);
-            ]
-          :: !tuples
-      end
-    done;
-    Relation.of_list Graph_gen.weighted_edge_schema !tuples
-  in
-  [
-    run "agg_min_layered_6x4"
-      (weighted_layered ~seed:11 ~layers:6 ~width:4 ~max_w:30);
-    run "agg_min_dag_48_192"
-      (random_weighted_dag ~seed:12 ~nodes:48 ~edges:192 ~max_w:9);
-  ]
+  let results = Array.of_list (interleaved (List.concat_map arms datasets)) in
+  List.mapi
+    (fun i (name, _) ->
+      let bounded, bounded_t = results.(2 * i) and raw, naive_t = results.((2 * i) + 1) in
+      let reference =
+        List.fold_left
+          (fun acc t -> TS.add t acc)
+          TS.empty
+          (Agg.aggregate sp_spec (TS.elements raw))
+      in
+      if not (TS.equal bounded reference) then
+        Fmt.failwith
+          "agg bench %s: bounded result (%d) <> aggregate of naive recompute \
+           (%d)"
+          name (TS.cardinal bounded) (TS.cardinal reference);
+      {
+        am_name = name;
+        am_bounded = bounded_t;
+        am_naive = naive_t;
+        am_groups = TS.cardinal bounded;
+        am_raw = TS.cardinal raw;
+      })
+    datasets
+
+let agg_min_json r =
+  Json.Obj
+    ((("name", Json.Str r.am_name) :: summary_fields "bounded_" r.am_bounded)
+    @ summary_fields "naive_" r.am_naive
+    @ [
+        ("speedup", num (am_speedup r)); ("groups", count r.am_groups);
+        ("raw_tuples", count r.am_raw);
+      ])
 
 (* (b): SUM per source over a weighted edge relation, dst discriminating *)
 let agg_view_src =
@@ -1519,57 +1606,27 @@ let agg_view_db ~nodes ~edges =
     (Graph_gen.random_weighted_graph ~seed:13 ~nodes ~edges ~max_w:9);
   db
 
+
 let agg_view_records () =
-  let module Ivm = Dc_ivm.Ivm in
-  let run name ~nodes ~edges ~updates =
-    let maintained () =
-      let db = agg_view_db ~nodes ~edges in
-      let view = Ivm.materialize db ~constructor:"total" ~base:"E" ~args:[] in
-      let (), t =
-        time (fun () ->
-            for i = 0 to updates - 1 do
-              agg_view_step db i nodes;
-              ignore (Ivm.cardinal view)
-            done)
-      in
-      (Ivm.cardinal view, t)
-    in
-    let recompute () =
-      let db = agg_view_db ~nodes ~edges in
-      let card = ref 0 in
-      let (), t =
-        time (fun () ->
-            for i = 0 to updates - 1 do
-              agg_view_step db i nodes;
-              card := Relation.cardinal (Database.query db agg_view_query)
-            done)
-      in
-      (!card, t)
-    in
-    let mc, mt = maintained () in
-    let rc, rt = recompute () in
-    if mc <> rc then
-      Fmt.failwith "agg view bench %s: maintained extent %d <> recomputed %d"
-        name mc rc;
-    {
-      ir_name = name;
-      ir_updates = updates;
-      ir_maintained_ms = mt;
-      ir_recompute_ms = rt;
-    }
+  let stream name ~nodes ~edges =
+    view_stream name ~updates:256
+      ~db:(fun () -> agg_view_db ~nodes ~edges)
+      ~step:(fun db i -> agg_view_step db i nodes)
+      ~constructor:"total" ~base:"E" ~query:agg_view_query
   in
-  [
-    run "agg_sum_view_96_384" ~nodes:96 ~edges:384 ~updates:256;
-    run "agg_sum_view_192_768" ~nodes:192 ~edges:768 ~updates:256;
-  ]
+  view_records
+    [
+      stream "agg_sum_view_96_384" ~nodes:96 ~edges:384;
+      stream "agg_sum_view_192_768" ~nodes:192 ~edges:768;
+    ]
 
 let print_agg (mins, views) =
   List.iter
     (fun r ->
       Fmt.pr
-        "%-24s bounded=%sms naive-recompute=%sms speedup=%.1fx (%d groups vs \
-         %d raw tuples)@."
-        r.am_name (ms r.am_bounded_ms) (ms r.am_naive_ms) (am_speedup r)
+        "%-24s bounded=%a naive-recompute=%a speedup=%.1fx (%d groups vs %d \
+         raw tuples)@."
+        r.am_name pp_summary r.am_bounded pp_summary r.am_naive (am_speedup r)
         r.am_groups r.am_raw)
     mins;
   print_ivm views
@@ -1584,15 +1641,15 @@ let run_agg () = print_agg (agg_records ())
    machine's recommended degree.  Degrees above the recommendation are
    dropped (except P = 1, always kept), so a single-core runner degrades
    to the sequential cell and the curve never fails — it just flattens.
-   Each cell's speedup is measured against the P = 1 cell of the same
-   workload. *)
+   Each cell's speedup is its median against the median of the P = 1
+   cell of the same workload. *)
 
 module Par = Dc_par.Par
 
 type par_record = {
   pr_name : string;
   pr_domains : int;
-  pr_wall_ms : float;
+  pr_wall : summary;
   pr_speedup : float; (* vs this workload's P = 1 cell *)
 }
 
@@ -1602,25 +1659,6 @@ let par_degrees () =
 
 let par_records () =
   let degrees = par_degrees () in
-  let run name f =
-    let cells =
-      List.map
-        (fun p ->
-          let (), wall = best_of_3 (fun () -> Par.with_domains p f) in
-          (p, wall))
-        degrees
-    in
-    let base = List.assoc 1 cells in
-    List.map
-      (fun (p, wall) ->
-        {
-          pr_name = name;
-          pr_domains = p;
-          pr_wall_ms = wall;
-          pr_speedup = base /. wall;
-        })
-      cells
-  in
   let nonlinear () =
     ignore
       (run_tc
@@ -1631,7 +1669,6 @@ let par_records () =
     ignore (Dc_datalog.Seminaive.query tc_program (edb_of edges) "path")
   in
   let ivm_stream () =
-    let module Ivm = Dc_ivm.Ivm in
     let db = tc_db (Graph_gen.chain 128) in
     let view = Ivm.materialize db ~constructor:"tc" ~base:"Edge" ~args:[] in
     for i = 0 to 63 do
@@ -1639,409 +1676,67 @@ let par_records () =
       ignore (Ivm.cardinal view)
     done
   in
-  run "e3_chain_nonlinear_256" nonlinear
-  @ run "e6_random_horn_300_900" horn
-  @ run "ivm_tc_chain_128_stream" ivm_stream
+  let cells =
+    List.concat_map
+      (fun (name, f) -> List.map (fun p -> (name, p, f)) degrees)
+      [
+        ("e3_chain_nonlinear_256", nonlinear);
+        ("e6_random_horn_300_900", horn);
+        ("ivm_tc_chain_128_stream", ivm_stream);
+      ]
+  in
+  let walls =
+    List.map snd
+      (interleaved
+         (List.map (fun (_, p, f) () -> time (fun () -> Par.with_domains p f)) cells))
+  in
+  let measured = List.combine cells walls in
+  List.map
+    (fun ((name, p, _), wall) ->
+      let base =
+        List.find_map
+          (fun ((n, q, _), w) -> if n = name && q = 1 then Some w else None)
+          measured
+      in
+      {
+        pr_name = name;
+        pr_domains = p;
+        pr_wall = wall;
+        pr_speedup = (Option.get base).median_ms /. wall.median_ms;
+      })
+    measured
+
+let par_json r =
+  Json.Obj
+    ((("name", Json.Str r.pr_name) :: ("domains", count r.pr_domains)
+      :: summary_fields "" r.pr_wall)
+    @ [ ("speedup", num r.pr_speedup) ])
 
 let print_parallel records =
   List.iter
     (fun r ->
-      Fmt.pr "%-28s P=%-2d %10.2f ms  speedup=%.2fx@." r.pr_name r.pr_domains
-        r.pr_wall_ms r.pr_speedup)
+      Fmt.pr "%-28s P=%-2d %10.2f ms  iqr=%-8.2f speedup=%.2fx@." r.pr_name
+        r.pr_domains r.pr_wall.median_ms r.pr_wall.iqr_ms r.pr_speedup)
     records
 
 let run_parallel () = print_parallel (par_records ())
 
 (* ------------------------------------------------------------------ *)
-(* Serving: mixed read/write throughput through the session layer at
-   1-64 simulated clients over one shared database (a maintained
-   transitive-closure view on a chain graph).  Each client is a thread
-   with its own session issuing a seeded 90/10 read/write mix: reads
-   evaluate on the client thread against published snapshots (the live
-   view served from its frozen extent), writes serialize through the
-   server's single writer and publish the next version. *)
+(* JSON mode: `dune exec bench/main.exe -- json BENCH_N.json` writes
+   every section above as one JSON object, one top-level member per
+   line, plus the metrics registry the experiments populated. *)
 
-type serve_record = {
-  sv_clients : int;
-  sv_statements : int;
-  sv_reads : int;
-  sv_writes : int;
-  sv_wall_ms : float;
-  sv_per_s : float;
-}
-
-let serve_nodes = 96
-let serve_stmts_per_client = 50
-
-let serve_records () =
-  let module Server = Dc_server.Server in
-  let module Ivm = Dc_ivm.Ivm in
-  List.map
-    (fun clients ->
-      let db = tc_db (Graph_gen.chain serve_nodes) in
-      ignore (Ivm.materialize db ~constructor:"tc" ~base:"Edge" ~args:[]);
-      let srv = Server.create db in
-      let reads = Atomic.make 0 and writes = Atomic.make 0 in
-      let client c () =
-        let s = Server.open_session srv in
-        let rng = Rng.create (0x5EED + c) in
-        for _ = 1 to serve_stmts_per_client do
-          if Rng.bool rng 0.9 then begin
-            ignore (Server.query s tc_query);
-            Atomic.incr reads
-          end
-          else begin
-            let i = Rng.int rng 100_000 in
-            Server.submit srv (fun () -> ivm_step db i serve_nodes);
-            Atomic.incr writes
-          end
-        done;
-        Server.close_session s
-      in
-      let (), wall =
-        time (fun () ->
-            let ths = List.init clients (fun c -> Thread.create (client c) ()) in
-            List.iter Thread.join ths)
-      in
-      Server.shutdown srv;
-      let stmts = clients * serve_stmts_per_client in
-      {
-        sv_clients = clients;
-        sv_statements = stmts;
-        sv_reads = Atomic.get reads;
-        sv_writes = Atomic.get writes;
-        sv_wall_ms = wall;
-        sv_per_s = float_of_int stmts /. wall *. 1000.;
-      })
-    [ 1; 4; 16; 64 ]
-
-(* ------------------------------------------------------------------ *)
-(* Socket serving: the same 90/10 mix, but each client is a real TCP
-   connection speaking the wire protocol, reads recompute a transitive
-   closure per statement and ship the rows back over the socket, and
-   evaluation runs on the domain pool at the ambient [Par.domains]
-   degree (CI forces [DC_DOMAINS=4]; on a single-core box the degree
-   degrades to 1 and the curve measures pure serialization).  The
-   harness is closed-loop with per-statement client think time, so the
-   curve shows the server absorbing concurrency: at C=1 the server
-   idles while the client "thinks", and additional clients fill that
-   idle capacity until the service rate saturates.  Writes toggle one
-   scratch edge per client so the extent — and the cost of a read —
-   stays constant across client counts.  Each point is the better of
-   two runs.  This is the served-database number: parse + elaborate +
-   evaluate + serialize. *)
-
-let socket_chain = 48
-let socket_stmts_per_client = 50
-let socket_think_s = 0.02
-
-let socket_setup_src =
-  let b = Buffer.create 4096 in
-  Buffer.add_string b
-    {|
-TYPE node = STRING;
-TYPE edgerel = RELATION a, b OF RECORD a, b: node END;
-VAR Edge: edgerel;
-CONSTRUCTOR tc FOR Rel: edgerel (): edgerel;
-BEGIN EACH e IN Rel: TRUE,
-      <e.a, p.b> OF EACH e IN Rel, EACH p IN Rel{tc()}: e.b = p.a
-END tc;
-INSERT Edge VALUES |};
-  for i = 0 to socket_chain - 1 do
-    if i > 0 then Buffer.add_string b ", ";
-    Buffer.add_string b (Fmt.str {|("n%d", "n%d")|} i (i + 1))
-  done;
-  Buffer.add_string b ";\n";
-  Buffer.contents b
-
-let socket_records () =
-  let module Server = Dc_server.Server in
-  let module Net = Dc_net.Net in
-  let one_run clients =
-    let db = Database.create () in
-    let srv = Server.create db in
-    let s = Server.open_session srv in
-    ignore (Server.execute s socket_setup_src);
-    Server.close_session s;
-    let listener = Net.listen srv (Net.Tcp ("127.0.0.1", 0)) in
-    let port = Net.bound_port listener in
-    let reads = Atomic.make 0 and writes = Atomic.make 0 in
-    let client c () =
-      let cl = Net.Client.connect (Net.Tcp ("127.0.0.1", port)) in
-      let rng = Rng.create (0x50CC + c) in
-      let have = ref false in
-      for _ = 1 to socket_stmts_per_client do
-        Thread.delay socket_think_s;
-        if Rng.bool rng 0.9 then begin
-          ignore (Net.Client.query cl "QUERY Edge{tc()};");
-          Atomic.incr reads
-        end
-        else begin
-          (* extent-neutral: toggle this client's scratch edge *)
-          ignore
-            (Net.Client.exec cl
-               (Fmt.str
-                  (if !have then {|DELETE Edge VALUES ("x%d", "y%d");|}
-                   else {|INSERT Edge VALUES ("x%d", "y%d");|})
-                  c c));
-          have := not !have;
-          Atomic.incr writes
-        end
-      done;
-      Net.Client.close cl
-    in
-    (* one warm read so every point starts with hot caches *)
-    let warm = Net.Client.connect (Net.Tcp ("127.0.0.1", port)) in
-    ignore (Net.Client.query warm "QUERY Edge{tc()};");
-    Net.Client.close warm;
-    let (), wall =
-      time (fun () ->
-          let ths = List.init clients (fun c -> Thread.create (client c) ()) in
-          List.iter Thread.join ths)
-    in
-    Net.stop listener;
-    Server.shutdown srv;
-    let stmts = clients * socket_stmts_per_client in
-    {
-      sv_clients = clients;
-      sv_statements = stmts;
-      sv_reads = Atomic.get reads;
-      sv_writes = Atomic.get writes;
-      sv_wall_ms = wall;
-      sv_per_s = float_of_int stmts /. wall *. 1000.;
-    }
-  in
-  List.map
-    (fun clients ->
-      let a = one_run clients in
-      let b = one_run clients in
-      if a.sv_wall_ms <= b.sv_wall_ms then a else b)
-    [ 1; 2; 4; 8; 16 ]
-
-let print_serving ?(label = "serve") records =
-  List.iter
-    (fun r ->
-      Fmt.pr
-        "%s C=%-3d %5d stmts (%d reads / %d writes) %10.2f ms  %8.0f stmt/s@."
-        label r.sv_clients r.sv_statements r.sv_reads r.sv_writes r.sv_wall_ms
-        r.sv_per_s)
-    records
-
-(* ------------------------------------------------------------------ *)
-(* Durability: sustained update throughput with the WAL on the commit
-   path (one fsynced record per commit) against the in-memory store and
-   against the pre-WAL baseline — rewriting the whole CSV directory
-   after every commit — plus recovery time: checkpoint + log-suffix
-   replay versus reloading the CSV image from scratch. *)
-
-type wal_record = {
-  wr_name : string;
-  wr_updates : int;
-  wr_wall_ms : float;
-  wr_per_s : float;
-}
-
-type recovery_record = {
-  rr_name : string;
-  rr_replayed : int;
-  rr_wall_ms : float;
-}
-
-let rec bench_rm_rf path =
-  match Unix.lstat path with
-  | { Unix.st_kind = Unix.S_DIR; _ } ->
-    Array.iter
-      (fun e -> bench_rm_rf (Filename.concat path e))
-      (Sys.readdir path);
-    Unix.rmdir path
-  | _ -> Unix.unlink path
-  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
-
-let bench_dir tag =
-  let d =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Fmt.str "dc_bench_wal_%d_%s" (Unix.getpid ()) tag)
-  in
-  bench_rm_rf d;
-  bench_rm_rf (d ^ ".old");
-  bench_rm_rf (d ^ ".tmp");
-  d
-
-let wal_nodes = 64
-let wal_updates = 500
-
-(* the same seeded single-relation update stream for every variant *)
-let wal_stream () =
-  let rng = Rng.create 0xD0_0D in
-  List.init wal_updates (fun _ ->
-      let a = Rng.int rng wal_nodes and b = Rng.int rng wal_nodes in
-      let t =
-        Tuple.of_list [ Graph_gen.node a; Graph_gen.node b ]
-      in
-      if Rng.bool rng 0.8 then ([ t ], []) else ([], [ t ]))
-
-let wal_base_db () =
-  let db = Database.create () in
-  Database.declare db "edge" Graph_gen.edge_schema;
-  Database.set db "edge" (Graph_gen.chain wal_nodes);
-  db
-
-let wal_throughput () =
-  let module Durable = Dc_wal.Durable in
-  let stream = wal_stream () in
-  let drive db =
-    List.iter
-      (fun (adds, dels) -> Database.update_batch db [ ("edge", adds, dels) ])
-      stream
-  in
-  let record name f =
-    let (), wall = time f in
-    {
-      wr_name = name;
-      wr_updates = wal_updates;
-      wr_wall_ms = wall;
-      wr_per_s = float_of_int wal_updates /. wall *. 1000.;
-    }
-  in
-  let in_memory = record "update_in_memory" (fun () -> drive (wal_base_db ())) in
-  let with_wal every name =
-    let dir = bench_dir name in
-    let db = wal_base_db () in
-    let dur = Durable.open_dir ~db ~checkpoint_every:every dir in
-    let r = record name (fun () -> drive db) in
-    Durable.close dur;
-    bench_rm_rf dir;
-    r
-  in
-  let wal_only = with_wal 1_000_000 "update_wal_fsync" in
-  let wal_ckpt = with_wal 64 "update_wal_ckpt64" in
-  let csv =
-    let dir = bench_dir "csv_rewrite" in
-    let db = wal_base_db () in
-    let r =
-      record "update_csv_rewrite" (fun () ->
-          List.iter
-            (fun (adds, dels) ->
-              Database.update_batch db [ ("edge", adds, dels) ];
-              Dc_lang.Storage.save db dir)
-            (wal_stream ()))
-    in
-    bench_rm_rf dir;
-    r
-  in
-  [ in_memory; wal_only; wal_ckpt; csv ]
-
-let wal_recovery () =
-  let module Durable = Dc_wal.Durable in
-  let stream = wal_stream () in
-  let drive db =
-    List.iter
-      (fun (adds, dels) -> Database.update_batch db [ ("edge", adds, dels) ])
-      stream
-  in
-  (* a directory whose whole stream sits in the log after one early
-     checkpoint: recovery replays every record through the commit path
-     (the handle is abandoned, not closed — closing would checkpoint) *)
-  let replay_dir = bench_dir "recover_replay" in
-  let db = wal_base_db () in
-  let _abandoned =
-    Durable.open_dir ~db ~checkpoint_every:1_000_000 replay_dir
-  in
-  drive db;
-  (* the same state checkpointed: recovery is one image load, no replay *)
-  let ckpt_dir = bench_dir "recover_ckpt" in
-  let db2 = wal_base_db () in
-  let dur2 = Durable.open_dir ~db:db2 ~checkpoint_every:1_000_000 ckpt_dir in
-  drive db2;
-  Durable.close dur2;
-  (* the CSV baseline of the same final state *)
-  let csv_dir = bench_dir "recover_csv" in
-  Dc_lang.Storage.save db2 csv_dir;
-  let recover name dir =
-    let dur, wall = time (fun () -> Durable.open_dir dir) in
-    let r =
-      { rr_name = name; rr_replayed = Durable.replayed dur; rr_wall_ms = wall }
-    in
-    Durable.close dur;
-    r
-  in
-  let from_log = recover "recover_replay_log" replay_dir in
-  let from_ckpt = recover "recover_checkpoint" ckpt_dir in
-  let from_csv =
-    let _, wall = time (fun () -> Dc_lang.Storage.load csv_dir) in
-    { rr_name = "load_csv_image"; rr_replayed = 0; rr_wall_ms = wall }
-  in
-  List.iter bench_rm_rf [ replay_dir; ckpt_dir; csv_dir ];
-  [ from_log; from_ckpt; from_csv ]
-
-let print_wal (updates, recovery) =
-  List.iter
-    (fun r ->
-      Fmt.pr "%-24s %5d updates %10.2f ms  %8.0f commits/s@." r.wr_name
-        r.wr_updates r.wr_wall_ms r.wr_per_s)
-    updates;
-  List.iter
-    (fun r ->
-      Fmt.pr "%-24s replayed=%-5d %10.2f ms@." r.rr_name r.rr_replayed
-        r.rr_wall_ms)
-    recovery
-
-let wal_records () = (wal_throughput (), wal_recovery ())
-let run_wal () = print_wal (wal_records ())
-
-(* ------------------------------------------------------------------ *)
-(* Group commit: 16 client threads submitting durable single-tuple
-   commits concurrently.  The server's writer drains its queue into one
-   [Wal.append_batch] per wakeup — one shared fsync amortized over the
-   whole batch, every client released only after it — so sustained
-   commits/s must sit well above the per-commit [update_wal_fsync]
-   number from the durability table. *)
-
-let group_writers = 16
-let group_per_writer = 250
-
-let group_commit_record () =
-  let module Server = Dc_server.Server in
-  let dir = bench_dir "group_commit" in
-  let srv = Server.open_durable ~checkpoint_every:1_000_000 dir in
-  Server.submit srv (fun () ->
-      let db = Server.db srv in
-      Database.declare db "edge" Graph_gen.edge_schema;
-      Database.set db "edge" (Graph_gen.chain wal_nodes));
-  let writer w () =
-    let rng = Rng.create (0x6C0 + w) in
-    for _ = 1 to group_per_writer do
-      let a = Rng.int rng wal_nodes and b = Rng.int rng wal_nodes in
-      let t = Tuple.of_list [ Graph_gen.node a; Graph_gen.node b ] in
-      let adds, dels = if Rng.bool rng 0.8 then ([ t ], []) else ([], [ t ]) in
-      Server.submit srv (fun () ->
-          Database.update_batch (Server.db srv) [ ("edge", adds, dels) ])
-    done
-  in
-  let (), wall =
-    time (fun () ->
-        let ths =
-          List.init group_writers (fun w -> Thread.create (writer w) ())
-        in
-        List.iter Thread.join ths)
-  in
-  Server.shutdown srv;
-  bench_rm_rf dir;
-  let n = group_writers * group_per_writer in
-  {
-    wr_name = Fmt.str "update_wal_group%d" group_writers;
-    wr_updates = n;
-    wr_wall_ms = wall;
-    wr_per_s = float_of_int n /. wall *. 1000.;
-  }
-
-let run_serve () =
-  print_serving ~label:"serve(inproc)" (serve_records ());
-  print_serving ~label:"serve(socket)" (socket_records ());
-  let g = group_commit_record () in
-  Fmt.pr "%-24s %5d updates %10.2f ms  %8.0f commits/s@." g.wr_name
-    g.wr_updates g.wr_wall_ms g.wr_per_s
+let write_json path members =
+  Out_channel.with_open_text path (fun oc ->
+      output_string oc "{\n";
+      List.iteri
+        (fun i (key, value) ->
+          Printf.fprintf oc "%s  %s: %s"
+            (if i = 0 then "" else ",\n")
+            (Json.to_string (Json.Str key))
+            (Json.to_string value))
+        members;
+      output_string oc "\n}\n")
 
 let run_json path =
   (* Experiments run with metrics enabled so the snapshot embeds per-phase
@@ -2049,202 +1744,38 @@ let run_json path =
   Dc_obs.Obs.reset ();
   Dc_obs.Obs.set_enabled true;
   let records = json_experiments () in
-  let metrics_json = Dc_obs.Obs.to_json () in
+  let metrics = Json.of_string (Dc_obs.Obs.to_json ()) in
   Dc_obs.Obs.set_enabled false;
   let overhead = obs_overhead_records () in
   let ivm = ivm_records () in
-  let (agg_mins, agg_views) = agg_records () in
+  let agg_mins, agg_views = agg_records () in
   let parallel = par_records () in
-  let serving = serve_records () in
-  let socket_serving = socket_records () in
-  let group_commit = group_commit_record () in
-  let durability = wal_records () in
-  let oc = open_out path in
-  let field_sep = ref "" in
-  output_string oc "{\n  \"experiments\": [\n";
-  List.iter
-    (fun r ->
-      Printf.fprintf oc
-        "%s    { \"name\": %S, \"wall_ms\": %.3f, \"rounds\": %d, \"tuples\": %d%s }"
-        !field_sep r.jr_name r.jr_wall_ms r.jr_rounds r.jr_tuples
-        (match r.jr_derived with
-        | Some d -> Printf.sprintf ", \"derived\": %d" d
-        | None -> "");
-      field_sep := ",\n")
-    records;
-  output_string oc "\n  ],\n  \"obs_overhead\": {\n    \"workloads\": [\n";
-  field_sep := "";
-  List.iter
-    (fun r ->
-      Printf.fprintf oc
-        "%s      { \"name\": %S, \"base_ms\": %.3f, \"metrics_ms\": %.3f, \
-         \"overhead_pct\": %.2f }"
-        !field_sep r.oo_name r.oo_base_ms r.oo_obs_ms (oo_pct r);
-      field_sep := ",\n")
-    overhead;
-  Printf.fprintf oc "\n    ],\n    \"aggregate_pct\": %.2f\n  },\n"
-    (oo_aggregate overhead);
-  output_string oc "  \"ivm\": [\n";
-  field_sep := "";
-  List.iter
-    (fun r ->
-      Printf.fprintf oc
-        "%s    { \"name\": %S, \"updates\": %d, \"maintained_ms\": %.3f, \
-         \"recompute_per_update_ms\": %.3f, \"speedup\": %.2f }"
-        !field_sep r.ir_name r.ir_updates r.ir_maintained_ms r.ir_recompute_ms
-        (ir_speedup r);
-      field_sep := ",\n")
-    ivm;
-  output_string oc "\n  ],\n";
-  output_string oc "  \"aggregates\": {\n    \"recursive_min\": [\n";
-  field_sep := "";
-  List.iter
-    (fun r ->
-      Printf.fprintf oc
-        "%s      { \"name\": %S, \"bounded_ms\": %.3f, \"naive_ms\": %.3f, \
-         \"speedup\": %.2f, \"groups\": %d, \"raw_tuples\": %d }"
-        !field_sep r.am_name r.am_bounded_ms r.am_naive_ms (am_speedup r)
-        r.am_groups r.am_raw;
-      field_sep := ",\n")
-    agg_mins;
-  output_string oc "\n    ],\n    \"maintained_view\": [\n";
-  field_sep := "";
-  List.iter
-    (fun r ->
-      Printf.fprintf oc
-        "%s      { \"name\": %S, \"updates\": %d, \"maintained_ms\": %.3f, \
-         \"recompute_per_update_ms\": %.3f, \"speedup\": %.2f }"
-        !field_sep r.ir_name r.ir_updates r.ir_maintained_ms r.ir_recompute_ms
-        (ir_speedup r);
-      field_sep := ",\n")
-    agg_views;
-  output_string oc "\n    ]\n  },\n";
-  Printf.fprintf oc "  \"parallel\": {\n    \"degrees\": [%s],\n    \"cells\": [\n"
-    (String.concat ", " (List.map string_of_int (par_degrees ())));
-  field_sep := "";
-  List.iter
-    (fun r ->
-      Printf.fprintf oc
-        "%s      { \"name\": %S, \"domains\": %d, \"wall_ms\": %.3f, \
-         \"speedup\": %.2f }"
-        !field_sep r.pr_name r.pr_domains r.pr_wall_ms r.pr_speedup;
-      field_sep := ",\n")
-    parallel;
-  output_string oc "\n    ]\n  },\n";
-  let emit_serve_rows rows =
-    field_sep := "";
-    List.iter
-      (fun r ->
-        Printf.fprintf oc
-          "%s      { \"clients\": %d, \"statements\": %d, \"reads\": %d, \
-           \"writes\": %d, \"wall_ms\": %.3f, \"stmt_per_s\": %.0f }"
-          !field_sep r.sv_clients r.sv_statements r.sv_reads r.sv_writes
-          r.sv_wall_ms r.sv_per_s;
-        field_sep := ",\n")
-      rows
-  in
-  output_string oc "  \"serving\": {\n    \"in_process\": [\n";
-  emit_serve_rows serving;
-  output_string oc "\n    ],\n    \"socket\": [\n";
-  emit_serve_rows socket_serving;
-  Printf.fprintf oc
-    "\n\
-    \    ],\n\
-    \    \"group_commit\": { \"name\": %S, \"updates\": %d, \"wall_ms\": \
-     %.3f, \"commits_per_s\": %.0f }\n\
-    \  },\n"
-    group_commit.wr_name group_commit.wr_updates group_commit.wr_wall_ms
-    group_commit.wr_per_s;
-  let updates, recovery = durability in
-  output_string oc "  \"durability\": {\n    \"updates\": [\n";
-  field_sep := "";
-  List.iter
-    (fun r ->
-      Printf.fprintf oc
-        "%s      { \"name\": %S, \"updates\": %d, \"wall_ms\": %.3f, \
-         \"commits_per_s\": %.0f }"
-        !field_sep r.wr_name r.wr_updates r.wr_wall_ms r.wr_per_s;
-      field_sep := ",\n")
-    updates;
-  output_string oc "\n    ],\n    \"recovery\": [\n";
-  field_sep := "";
-  List.iter
-    (fun r ->
-      Printf.fprintf oc
-        "%s      { \"name\": %S, \"replayed\": %d, \"wall_ms\": %.3f }"
-        !field_sep r.rr_name r.rr_replayed r.rr_wall_ms;
-      field_sep := ",\n")
-    recovery;
-  output_string oc "\n    ]\n  },\n";
-  Printf.fprintf oc "  \"metrics\": %s\n}\n" metrics_json;
-  close_out oc;
+  write_json path
+    [
+      ("samples", count samples);
+      ("experiments", Json.Arr (List.map experiment_json records));
+      ("obs_overhead", obs_overhead_json overhead);
+      ("ivm", Json.Arr (List.map view_json ivm));
+      ( "aggregates",
+        Json.Obj
+          [
+            ("recursive_min", Json.Arr (List.map agg_min_json agg_mins));
+            ("maintained_view", Json.Arr (List.map view_json agg_views));
+          ] );
+      ( "parallel",
+        Json.Obj
+          [
+            ("degrees", Json.Arr (List.map count (par_degrees ())));
+            ("cells", Json.Arr (List.map par_json parallel));
+          ] );
+      ("metrics", metrics);
+    ];
   print_records records;
   print_obs_overhead overhead;
   print_ivm ivm;
   print_agg (agg_mins, agg_views);
   print_parallel parallel;
-  print_serving ~label:"serve(inproc)" serving;
-  print_serving ~label:"serve(socket)" socket_serving;
-  Fmt.pr "%-24s %5d updates %10.2f ms  %8.0f commits/s@." group_commit.wr_name
-    group_commit.wr_updates group_commit.wr_wall_ms group_commit.wr_per_s;
-  print_wal durability;
   Fmt.pr "wrote %s@." path
-
-(* ------------------------------------------------------------------ *)
-(* Guard overhead: interleaved A/B of the same workloads with no guard
-   (the shared never-tripping [Guard.none]) versus an active guard with
-   generous limits — the difference is the cost of the per-emission tick
-   plus the limit compares.  Interleaving (A B A B ...) instead of
-   back-to-back blocks keeps allocator and cache drift out of the
-   comparison.  `guard-overhead` exits non-zero above a lenient CI bound
-   (noise on shared runners dwarfs the real cost, which BENCH/EXPERIMENTS
-   track more precisely). *)
-
-let guard_overhead_bound = 15.0 (* percent; CI sanity bound, not the claim *)
-
-let run_guard_overhead () =
-  let module Guard = Dc_guard.Guard in
-  let workloads =
-    [
-      ( "e3_chain_seminaive_512",
-        fun guard ->
-          let db = tc_db ~strategy:Fixpoint.Seminaive (Graph_gen.chain 512) in
-          ignore (Database.query ?guard db tc_query) );
-      ( "e6_random_horn_200_500",
-        fun guard ->
-          let edges = Graph_gen.random_graph ~seed:7 ~nodes:200 ~edges:500 in
-          let guard = Option.value guard ~default:Guard.none in
-          ignore
-            (Dc_datalog.Seminaive.query ~guard tc_program (edb_of edges) "path")
-      );
-    ]
-  in
-  let rounds = 7 in
-  let generous () =
-    Guard.create ~rows:max_int ~rounds:max_int ~millis:86_400_000 ()
-  in
-  let worst = ref 0.0 in
-  List.iter
-    (fun (name, f) ->
-      f None;
-      (* warm-up *)
-      let base = ref infinity and guarded = ref infinity in
-      for _ = 1 to rounds do
-        let (), t_base = time (fun () -> f None) in
-        let (), t_guard = time (fun () -> f (Some (generous ()))) in
-        base := min !base t_base;
-        guarded := min !guarded t_guard
-      done;
-      let overhead = (!guarded -. !base) /. !base *. 100.0 in
-      if overhead > !worst then worst := overhead;
-      Fmt.pr "%-28s none=%sms guarded=%sms overhead=%+.1f%%@." name (ms !base)
-        (ms !guarded) overhead)
-    workloads;
-  Fmt.pr "worst overhead %+.1f%% (bound %.0f%%)@." !worst guard_overhead_bound;
-  if !worst > guard_overhead_bound then begin
-    Fmt.epr "guard overhead above bound@.";
-    exit 1
-  end
 
 (* ------------------------------------------------------------------ *)
 
@@ -2274,8 +1805,6 @@ let () =
   | [ "ivm" ] -> run_ivm ()
   | [ "agg" ] -> run_agg ()
   | [ "parallel" ] -> run_parallel ()
-  | [ "serve" ] -> run_serve ()
-  | [ "wal" ] -> run_wal ()
   | [ "guard-overhead" ] -> run_guard_overhead ()
   | [ "obs-overhead" ] -> run_obs_overhead ()
   | names ->

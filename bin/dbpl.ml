@@ -5,6 +5,7 @@
      dbpl check program.dbpl          parse + typecheck + positivity only
      dbpl run --strategy naive ...    naive instead of semi-naive fixpoints
      dbpl run --unchecked ...         disable the positivity check (§3.3)
+     dbpl run --data DIR ...          recover DIR first, persist to it
 
    See examples/*.dbpl for the surface syntax. *)
 
@@ -109,20 +110,6 @@ let run_cmd =
       & info [ "unchecked" ]
           ~doc:"Disable the positivity check (allows non-monotone systems)")
   in
-  let load_dir =
-    Arg.(
-      value
-      & opt (some dir) None
-      & info [ "load" ] ~docv:"DIR"
-          ~doc:"Load a saved database before running the program")
-  in
-  let save_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "save" ] ~docv:"DIR"
-          ~doc:"Save the database (catalog + CSVs) after running")
-  in
   let metrics_out =
     Arg.(
       value
@@ -143,21 +130,18 @@ let run_cmd =
              write-ahead log) before the program runs, log every commit, \
              and checkpoint on exit")
   in
-  let run file strategy unchecked limits () load save metrics_out data =
+  let run file strategy unchecked limits () metrics_out data =
     handle_errors @@ fun () ->
     if Option.is_some metrics_out then Dc_obs.Obs.set_enabled true;
     let db =
       Dc_core.Database.create ~strategy ~check_positivity:(not unchecked)
         ~limits ()
     in
-    (match load with
-    | Some dir -> ignore (Dc_lang.Storage.load ~db dir)
-    | None -> ());
     let durable = Option.map (Dc_wal.Durable.open_dir ~db) data in
     let _, out = Dc_lang.Elaborate.run_string ~db (read_file file) in
     print_string out;
     Option.iter Dc_wal.Durable.close durable;
-    (match metrics_out with
+    match metrics_out with
     | Some path ->
       let body =
         if Filename.check_suffix path ".json" then Dc_obs.Obs.to_json ()
@@ -166,15 +150,12 @@ let run_cmd =
       let oc = open_out path in
       output_string oc body;
       close_out oc
-    | None -> ());
-    match save with
-    | Some dir -> Dc_lang.Storage.save db dir
     | None -> ()
   in
   Cmd.v (Cmd.info "run" ~doc:"Execute a DBPL program")
     Term.(
       const run $ file $ strategy $ unchecked $ limit_flags $ domains_flag
-      $ load_dir $ save_dir $ metrics_out $ data_dir)
+      $ metrics_out $ data_dir)
 
 let check_cmd =
   let file =
@@ -314,13 +295,6 @@ let serve_cmd =
       & info [ "init" ] ~docv:"FILE"
           ~doc:"Execute $(docv) through a session before the concurrent ones start")
   in
-  let load_dir =
-    Arg.(
-      value
-      & opt (some dir) None
-      & info [ "load" ] ~docv:"DIR"
-          ~doc:"Load a saved database before serving")
-  in
   let max_sessions =
     Arg.(
       value
@@ -349,12 +323,9 @@ let serve_cmd =
              port 0 picks an ephemeral port).  Repeatable.  The process \
              then serves until SIGINT/SIGTERM")
   in
-  let serve files init load max_sessions limits () data listen_addrs =
+  let serve files init max_sessions limits () data listen_addrs =
     handle_errors @@ fun () ->
     let db = Dc_core.Database.create ~limits () in
-    (match load with
-    | Some dir -> ignore (Dc_lang.Storage.load ~db dir)
-    | None -> ());
     let wal = Option.map (Dc_wal.Durable.open_dir ~db) data in
     let srv = Dc_server.Server.create ~max_sessions ~limits ?wal db in
     let listeners =
@@ -483,7 +454,7 @@ let serve_cmd =
          "Serve one database to concurrent sessions (one per FILE, or an \
           interactive console)")
     Term.(
-      const serve $ files $ init_file $ load_dir $ max_sessions $ limit_flags
+      const serve $ files $ init_file $ max_sessions $ limit_flags
       $ domains_flag $ data_dir $ listen_addrs)
 
 (* Wire-protocol client: run -e statements (or an interactive console)

@@ -1,28 +1,12 @@
-(* Database persistence: save a database as a directory containing one CSV
-   file per relation plus a catalog written in the DBPL surface syntax
-   (TYPE/VAR/SELECTOR/CONSTRUCTOR declarations).  Loading replays the
-   catalog through the ordinary front end — parser, elaborator, type
-   checker, positivity check — and then bulk-loads the CSVs, so a stored
-   database re-validates itself completely on the way in.
-
-   Layout:
-     <dir>/catalog.dbpl      declarations, parser-compatible
-     <dir>/<relation>.csv    one file per relation variable
-
-   Saving is atomic at the directory level: everything is written into
-   <dir>.tmp, which is renamed into place only once complete — the old
-   state survives as <dir>.old for the instant of the swap, and [load]
-   falls back to it, so a crash at any point leaves a loadable database
-   (the [storage.save] failpoint drives the regression test). *)
+(* The catalog image: a database's declarations written in the DBPL
+   surface syntax (TYPE/VAR/SELECTOR/CONSTRUCTOR), the form a WAL
+   checkpoint embeds.  Loading replays the source through the ordinary
+   front end — parser, elaborator, type checker, positivity check — so a
+   recovered database re-validates its catalog on the way in. *)
 
 open Dc_relation
 open Dc_core
 open Dc_calculus
-module Failpoint = Dc_guard.Guard.Failpoint
-
-exception Storage_error of string
-
-let storage_error fmt = Fmt.kstr (fun s -> raise (Storage_error s)) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Rendering declarations in the surface grammar *)
@@ -179,58 +163,4 @@ let render_catalog db =
 let load_catalog ?(db = Database.create ()) source =
   let env = Elaborate.create db in
   ignore (Elaborate.run env (Parser.parse source));
-  db
-
-(* ------------------------------------------------------------------ *)
-(* Save *)
-
-let rec rm_rf path =
-  match Sys.is_directory path with
-  | true ->
-    Array.iter (fun e -> rm_rf (Filename.concat path e)) (Sys.readdir path);
-    Sys.rmdir path
-  | false -> Sys.remove path
-  | exception Sys_error _ -> ()
-
-let save db dir =
-  if Sys.file_exists dir && not (Sys.is_directory dir) then
-    storage_error "%s exists and is not a directory" dir;
-  let catalog = render_catalog db in
-  let tmp = dir ^ ".tmp" and old = dir ^ ".old" in
-  rm_rf tmp;
-  Sys.mkdir tmp 0o755;
-  List.iter
-    (fun name ->
-      Csv.save (Database.get db name) (Filename.concat tmp (name ^ ".csv"));
-      Failpoint.hit "storage.save")
-    (Database.relation_names db);
-  Out_channel.with_open_bin (Filename.concat tmp "catalog.dbpl") (fun oc ->
-      Out_channel.output_string oc catalog);
-  (* the swap: the previous state survives as <dir>.old for the one
-     unavoidable instant where <dir> itself does not exist *)
-  rm_rf old;
-  if Sys.file_exists dir then Sys.rename dir old;
-  Sys.rename tmp dir;
-  rm_rf old
-
-(* ------------------------------------------------------------------ *)
-(* Load *)
-
-let load ?(db = Database.create ()) dir =
-  let catalog_in d = Filename.concat d "catalog.dbpl" in
-  let src =
-    if Sys.file_exists (catalog_in dir) then dir
-    else if Sys.file_exists (catalog_in (dir ^ ".old")) then dir ^ ".old"
-    else storage_error "%s: no catalog.dbpl" dir
-  in
-  let source = In_channel.with_open_text (catalog_in src) In_channel.input_all in
-  let db = load_catalog ~db source in
-  List.iter
-    (fun name ->
-      let path = Filename.concat src (name ^ ".csv") in
-      if Sys.file_exists path then begin
-        let schema = Relation.schema (Database.get db name) in
-        Database.set db name (Csv.load schema path)
-      end)
-    (Database.relation_names db);
   db

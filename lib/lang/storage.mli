@@ -1,29 +1,13 @@
-(** Database persistence: one CSV per relation plus a catalog of
-    declarations written in the DBPL surface syntax.  Loading replays the
-    catalog through the ordinary front end (parser, type checker,
-    positivity check), so a stored database re-validates itself. *)
+(** The catalog image: a database's declarations as DBPL source.  A WAL
+    checkpoint embeds it, and recovery replays it through the ordinary
+    front end (parser, type checker, positivity check), so a recovered
+    database re-validates its catalog. *)
 
 open Dc_core
 
-exception Storage_error of string
-
-val save : Database.t -> string -> unit
-(** [save db dir] writes [dir/catalog.dbpl] and [dir/<relation>.csv]
-    files, atomically at the directory level: everything lands in
-    [dir.tmp] which is renamed into place only once complete, so a crash
-    mid-save (the [storage.save] failpoint) leaves the previous state
-    loadable.  Mutually recursive constructors are emitted adjacently, in
-    dependency order.  @raise Storage_error *)
-
-val load : ?db:Database.t -> string -> Database.t
-(** Replay a saved database into a fresh (or given) database; falls back
-    to [dir.old] when [dir] lacks a catalog (a save crashed mid-swap).
-    @raise Storage_error / parser / typechecking / positivity errors as
-    the catalog is re-elaborated. *)
-
 val render_catalog : Database.t -> string
-(** The catalog as parser-compatible DBPL source — also the catalog image
-    a WAL checkpoint embeds. *)
+(** The catalog as parser-compatible DBPL source.  Mutually recursive
+    constructors are emitted adjacently, in dependency order. *)
 
 val load_catalog : ?db:Database.t -> string -> Database.t
-(** Elaborate catalog source into a fresh (or given) database (no CSVs). *)
+(** Elaborate catalog source into a fresh (or given) database. *)

@@ -174,7 +174,6 @@ let classify_exn : exn -> Wire.error_code * string = function
   | Dc_lang.Lexer.Lex_error m | Dc_lang.Parser.Parse_error m -> (Wire.Parse, m)
   | Dc_calculus.Typecheck.Error m -> (Wire.Type, m)
   | Dc_lang.Elaborate.Elab_error m
-  | Dc_lang.Storage.Storage_error m
   | Database.Error m
   | Dc_ivm.Ivm.Error m
   | Dc_calculus.Eval.Runtime_error m

@@ -407,6 +407,23 @@ let with_temp_dir f =
   Fun.protect ~finally:(fun () -> if Sys.file_exists dir then rm dir) (fun () -> f dir)
 
 
+(* Persist-and-reload through a durable data directory, the way
+   [dbpl run p.dbpl --data DIR] followed by [dbpl run q.dbpl --data DIR]
+   does: [src] runs against a fresh directory (data commits logged,
+   catalog commits checkpointed), the directory is closed and reopened,
+   and [f] sees the original and the recovered database.  Recovery
+   re-elaborates the checkpoint's catalog image through the front end. *)
+let with_reopened src f =
+  with_temp_dir (fun dir ->
+      let durable = Dc_wal.Durable.open_dir dir in
+      let db, _ = Elaborate.run_string ~db:(Dc_wal.Durable.db durable) src in
+      Dc_wal.Durable.close durable;
+      let reopened = Dc_wal.Durable.open_dir dir in
+      Fun.protect
+        ~finally:(fun () -> Dc_wal.Durable.close reopened)
+        (fun () -> f db (Dc_wal.Durable.db reopened)))
+
+
 let test_range_subtype_accepts () =
   let out =
     run
@@ -460,16 +477,12 @@ let test_range_inline_field () =
     (contains out "(3 tuples)")
 
 let test_range_storage_roundtrip () =
-  let db, _ =
-    Elaborate.run_string
-      {|TYPE partid = RANGE 1..100;
-        TYPE parts = RELATION id OF RECORD id: partid; name: STRING END;
-        VAR Parts: parts;
-        INSERT Parts VALUES (7, "nut");|}
-  in
-  with_temp_dir (fun dir ->
-      Storage.save db dir;
-      let db2 = Storage.load dir in
+  with_reopened
+    {|TYPE partid = RANGE 1..100;
+      TYPE parts = RELATION id OF RECORD id: partid; name: STRING END;
+      VAR Parts: parts;
+      INSERT Parts VALUES (7, "nut");|}
+    (fun _ db2 ->
       (* the refinement survived: inserting out of range still fails *)
       match
         Database.insert db2 "Parts"
@@ -479,12 +492,16 @@ let test_range_storage_roundtrip () =
       | exception Relation.Type_mismatch _ -> ())
 
 (* ------------------------------------------------------------------ *)
-(* Persistence: save -> load roundtrip re-validates everything *)
+(* Persistence: close -> reopen of a data directory re-validates
+   everything *)
 
 let test_storage_roundtrip () =
-  let db, _ =
-    Elaborate.run_string
-      {|TYPE part = STRING;
+  let q =
+    Dc_calculus.Ast.(
+      Construct (Rel "Infront", "ahead", [ Arg_range (Rel "Ontop") ]))
+  in
+  with_reopened
+    {|TYPE part = STRING;
         TYPE infrontrel = RELATION front, back OF RECORD front, back: part END;
         TYPE ontoprel = RELATION top, base OF RECORD top, base: part END;
         TYPE aheadrel = RELATION head, tail OF RECORD head, tail: part END;
@@ -509,15 +526,8 @@ let test_storage_roundtrip () =
         END above;
         INSERT Infront VALUES ("lamp", "vase"), ("table", "chair");
         INSERT Ontop VALUES ("vase", "table");|}
-  in
-  let q =
-    Dc_calculus.Ast.(
-      Construct (Rel "Infront", "ahead", [ Arg_range (Rel "Ontop") ]))
-  in
-  let before = Database.query db q in
-  with_temp_dir (fun dir ->
-      Storage.save db dir;
-      let db2 = Storage.load dir in
+    (fun db db2 ->
+      let before = Database.query db q in
       (* relations, definitions, and semantics all survive *)
       Alcotest.check
         (Alcotest.testable Relation.pp Relation.equal)
@@ -533,9 +543,8 @@ let test_storage_roundtrip () =
 let test_storage_selector_with_rel_param () =
   (* the refint pattern: a selector with a relation-typed parameter must
      survive the catalog roundtrip *)
-  let db, _ =
-    Elaborate.run_string
-      {|TYPE part = STRING;
+  with_reopened
+    {|TYPE part = STRING;
         TYPE objrel = RELATION p OF RECORD p: part END;
         TYPE erel = RELATION f, b OF RECORD f, b: part END;
         VAR Objects: objrel;
@@ -546,10 +555,7 @@ let test_storage_selector_with_rel_param () =
         END refint;
         INSERT Objects VALUES ("table"), ("chair");
         INSERT Infront VALUES ("table", "chair");|}
-  in
-  with_temp_dir (fun dir ->
-      Storage.save db dir;
-      let db2 = Storage.load dir in
+    (fun _ db2 ->
       let selected =
         Database.query db2
           Dc_calculus.Ast.(
@@ -559,19 +565,26 @@ let test_storage_selector_with_rel_param () =
         (Relation.cardinal selected))
 
 let test_storage_rejects_corrupt () =
-  let db, _ =
-    Elaborate.run_string
-      {|TYPE t = RELATION id OF RECORD id: INTEGER; v: STRING END;
-        VAR R: t;
-        INSERT R VALUES (1, "x");|}
-  in
   with_temp_dir (fun dir ->
-      Storage.save db dir;
-      (* corrupt the CSV with a key collision: reload must re-validate *)
-      Out_channel.with_open_text (Filename.concat dir "R.csv") (fun oc ->
-          Out_channel.output_string oc "id,v\n1,x\n1,y\n");
-      match Storage.load dir with
-      | _ -> Alcotest.fail "expected Key_violation on reload"
+      let durable = Dc_wal.Durable.open_dir dir in
+      let db, _ =
+        Elaborate.run_string ~db:(Dc_wal.Durable.db durable)
+          {|TYPE t = RELATION id OF RECORD id: INTEGER; v: STRING END;
+            VAR R: t;
+            INSERT R VALUES (1, "x");|}
+      in
+      let version = Database.version db in
+      Dc_wal.Durable.close durable;
+      (* forge a log record that collides on the key: replay goes through
+         the commit path, which must re-validate it *)
+      let wal, _ = Dc_wal.Wal.load (Filename.concat dir "wal.log") in
+      ignore
+        (Dc_wal.Wal.append wal ~version:(version + 1)
+           ~changes:
+             [ ("R", [ Tuple.make2 (Value.Int 1) (Value.Str "y") ], []) ]);
+      Dc_wal.Wal.close wal;
+      match Dc_wal.Durable.open_dir dir with
+      | _ -> Alcotest.fail "expected Key_violation on reopen"
       | exception Relation.Key_violation _ -> ())
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests

@@ -93,28 +93,6 @@ let test_index () =
   Alcotest.check Alcotest.int "lookup missing" 0
     (List.length (Index.lookup_values idx [ i 9 ]))
 
-let test_csv_roundtrip () =
-  let sch = Schema.make [ ("name", Value.TStr); ("n", Value.TInt) ] in
-  let r =
-    Relation.of_list sch
-      [
-        Tuple.of_list [ s "plain"; i 1 ];
-        Tuple.of_list [ s "with,comma"; i 2 ];
-        Tuple.of_list [ s "with\"quote"; i 3 ];
-      ]
-  in
-  let path = Filename.temp_file "dc_csv" ".csv" in
-  Csv.save r path;
-  let r' = Csv.load sch path in
-  Sys.remove path;
-  Alcotest.check rel_testable "roundtrip" r r'
-
-let test_csv_types () =
-  let sch = Schema.make [ ("n", Value.TInt) ] in
-  match Csv.of_lines ~header:false sch [ "notanint" ] with
-  | _ -> Alcotest.fail "expected Parse_error"
-  | exception Csv.Parse_error _ -> ()
-
 let test_schema_project_rename () =
   let sch =
     Schema.make ~key:[ "id" ]
@@ -455,11 +433,6 @@ let () =
           Alcotest.test_case "transitive closure" `Quick test_tc;
           Alcotest.test_case "project dedup" `Quick test_project_dedup;
           Alcotest.test_case "index" `Quick test_index;
-        ] );
-      ( "csv",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_csv_roundtrip;
-          Alcotest.test_case "type errors" `Quick test_csv_types;
         ] );
       ( "properties",
         qcheck

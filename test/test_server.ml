@@ -3,9 +3,10 @@
 
    The centerpiece is a seeded stress test: one writer thread pushes 200
    randomized INSERT/DELETE batches through the server's writer queue
-   while four reader sessions issue 800 snapshot queries (base extent
-   and a live maintained transitive closure) concurrently — 1000 mixed
-   statements over one database.  Every read returns the snapshot
+   while N reader sessions issue snapshot queries (base extent and a
+   live maintained transitive closure) concurrently — four readers of
+   200 queries each, and 64 readers (the default session bound) of 100
+   each.  Every read returns the snapshot
    version it observed, and its result must equal, tuple for tuple, the
    sequential replay oracle's precomputed state for exactly that
    version: a read that mixed two versions cannot match any oracle
@@ -418,8 +419,6 @@ let test_show_snapshot_golden () =
 
 let nodes = 10
 let writer_batches = 200
-let readers = 4
-let reads_per_reader = 200
 
 (* one randomized batch against the current pure extent: deletions of
    existing tuples, insertions of absent ones, disjoint, never empty.
@@ -483,7 +482,7 @@ let build_oracle rng init =
   in
   (batches, expected_edge, expected_path)
 
-let test_stress seed () =
+let test_stress ~readers ~reads_per_reader seed () =
   let rng = Rng.create seed in
   let init =
     Graph_gen.random_graph ~seed:(Rng.int rng 1_000_000) ~nodes
@@ -602,7 +601,7 @@ let ts_of_tuples tuples =
    whole network stack preserves it — every read crosses the wire
    protocol, a connection thread, and the domain pool, and must still
    match the sequential replay oracle at exactly its observed version *)
-let test_socket_stress seed () =
+let test_socket_stress ~readers ~reads_per_reader seed () =
   let rng = Rng.create seed in
   (* the surface [edgerel] names its columns a/b, so rebase the
      generated graph onto that schema *)
@@ -748,8 +747,14 @@ let () =
       ( "stress",
         [
           Alcotest.test_case "1 writer + 4 readers vs oracle" `Slow
-            (test_stress 0xC0FFEE);
+            (test_stress ~readers:4 ~reads_per_reader:200 0xC0FFEE);
           Alcotest.test_case "1 writer + 4 socket readers vs oracle" `Slow
-            (test_socket_stress 0xBEEF);
+            (test_socket_stress ~readers:4 ~reads_per_reader:200 0xBEEF);
+          (* wide fan-in: 64 in-process sessions (the default session
+             bound) and 16 wire clients; each case stays within seconds *)
+          Alcotest.test_case "1 writer + 64 readers vs oracle" `Slow
+            (test_stress ~readers:64 ~reads_per_reader:100 0xFA57);
+          Alcotest.test_case "1 writer + 16 socket readers vs oracle" `Slow
+            (test_socket_stress ~readers:16 ~reads_per_reader:200 0x50CC);
         ] );
     ]
