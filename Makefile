@@ -26,8 +26,9 @@ bench-ivm:
 bench-agg:
 	dune exec bench/main.exe -- agg
 
-# Parallel fixpoint scaling curve (P = 1, 2, 4, recommended; degrees
-# above the core count are dropped, so single-core runners report P=1).
+# Parallel scaling curve of the constructor fixpoint, the one engine
+# that shards its rounds (P = 1, 2, 4, recommended; degrees above the
+# core count are dropped, so single-core runners report P=1).
 bench-par:
 	dune exec bench/main.exe -- parallel
 

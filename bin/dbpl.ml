@@ -59,9 +59,9 @@ let domains_flag =
       & opt (some int) None
       & info [ "domains" ] ~docv:"P"
           ~doc:
-            "Evaluate fixpoints on $(docv) domains (default: DC_DOMAINS, \
-             else one less than the recommended domain count; 1 = \
-             sequential)")
+            "Evaluate constructor fixpoints on $(docv) domains (default: \
+             DC_DOMAINS, else one less than the recommended domain count; \
+             1 = sequential)")
   in
   Term.(
     const (fun d -> Option.iter Dc_par.Par.set_domains d)

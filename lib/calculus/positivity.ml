@@ -129,56 +129,62 @@ let dependencies (d : Defs.constructor_def) =
       | Rel_name _ -> None)
     (occurrences_branches d.con_body)
 
-let sccs (defs : Defs.constructor_def list) =
-  let find name =
-    List.find_opt (fun (d : Defs.constructor_def) -> d.con_name = name) defs
-  in
+(* Tarjan's algorithm over string nodes, shared with the Datalog
+   predicate graph ([Stratify.sccs]).  Components come out in emission
+   order: each one after every component reachable from it. *)
+let tarjan ~roots ~succs =
   let index = Hashtbl.create 16 in
   let lowlink = Hashtbl.create 16 in
   let on_stack = Hashtbl.create 16 in
   let stack = ref [] in
   let next = ref 0 in
   let components = ref [] in
-  let rec strongconnect (d : Defs.constructor_def) =
-    let v = d.con_name in
+  let rec strongconnect v =
     Hashtbl.replace index v !next;
     Hashtbl.replace lowlink v !next;
     incr next;
     stack := v :: !stack;
-    Hashtbl.replace on_stack v true;
+    Hashtbl.replace on_stack v ();
     List.iter
       (fun w ->
-        match find w with
-        | None -> () (* unknown constructor: typechecking reports it *)
-        | Some dw ->
-          if not (Hashtbl.mem index w) then begin
-            strongconnect dw;
-            Hashtbl.replace lowlink v
-              (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
-          end
-          else if Hashtbl.mem on_stack w && Hashtbl.find on_stack w then
-            Hashtbl.replace lowlink v
-              (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
-      (dependencies d);
+        if not (Hashtbl.mem index w) then begin
+          strongconnect w;
+          Hashtbl.replace lowlink v
+            (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
+        end
+        else if Hashtbl.mem on_stack w then
+          Hashtbl.replace lowlink v
+            (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
+      (succs v);
     if Hashtbl.find lowlink v = Hashtbl.find index v then begin
       let rec pop acc =
         match !stack with
         | [] -> acc
         | w :: rest ->
           stack := rest;
-          Hashtbl.replace on_stack w false;
+          Hashtbl.remove on_stack w;
           if String.equal w v then w :: acc else pop (w :: acc)
       in
-      let comp = pop [] in
-      components :=
-        List.filter_map find comp :: !components
+      components := pop [] :: !components
     end
   in
-  List.iter
-    (fun (d : Defs.constructor_def) ->
-      if not (Hashtbl.mem index d.con_name) then strongconnect d)
-    defs;
+  List.iter (fun v -> if not (Hashtbl.mem index v) then strongconnect v) roots;
   List.rev !components
+
+let sccs (defs : Defs.constructor_def list) =
+  let find name =
+    List.find_opt (fun (d : Defs.constructor_def) -> d.con_name = name) defs
+  in
+  let succs v =
+    (* unknown constructors are skipped: typechecking reports them *)
+    List.filter
+      (fun w -> Option.is_some (find w))
+      (dependencies (Option.get (find v)))
+  in
+  List.map (List.filter_map find)
+    (tarjan
+       ~roots:(List.map (fun (d : Defs.constructor_def) -> d.con_name) defs)
+       ~succs)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregate admission (define time).

@@ -46,6 +46,12 @@ val check_system :
 val dependencies : Defs.constructor_def -> string list
 (** Constructors applied in a definition's body (with repetitions). *)
 
+val tarjan :
+  roots:string list -> succs:(string -> string list) -> string list list
+(** Strongly connected components (Tarjan) of the graph [succs] reachable
+    from [roots], visited in the given order.  Components are returned in
+    emission order: each after every component reachable from it. *)
+
 val sccs : Defs.constructor_def list -> Defs.constructor_def list list
 (** Strongly connected components of the application-dependency graph
     (Tarjan), in dependency order. *)

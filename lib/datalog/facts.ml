@@ -208,7 +208,7 @@ let ensure_index store pred positions =
       idx
 
 (* The index this store owns for the path, if one is warm; never builds
-   and never mutates, so worker domains may call it on a shared store. *)
+   and never mutates. *)
 let warm_index store pred positions =
   if owns store && not store.frozen then
     Hashtbl.find_opt store.cache.tables (pred, positions)
@@ -238,52 +238,10 @@ let lookup_values store pred positions values =
 let lookup store pred positions key =
   lookup_values store pred positions (Tuple.to_list key)
 
-let needs_index positions =
-  positions = [] || Option.is_none (Extent.prefix_key positions positions)
-
-(* Build the (pred, positions) index now, on the calling domain, whatever
-   the path: a fixpoint that probes one growing store every round keeps
-   its paths warm this way (rule 1), and a parallel round
-   driver prewarms every path its workers will build lazily (rule 3)
-   before fanning out, after which concurrent [lookup]s from worker
-   domains only *read* the cache table and the index — [lookup]'s lazy
-   build and cache reassignment never fire off the main domain. *)
+(* Build the (pred, positions) index now, whatever the path: a fixpoint
+   that probes one growing store every round keeps its paths warm this
+   way (rule 1). *)
 let prewarm store pred positions = ignore (ensure_index store pred positions)
-
-(* Hash-partition one tuple set into [shards] disjoint covering subsets
-   keyed on the cached structural tuple hash.  Deterministic for a fixed
-   shard count: the hash depends only on the tuple's values. *)
-let partition_set ~shards set =
-  if shards <= 1 then [| set |]
-  else begin
-    let out = Array.make shards TS.empty in
-    TS.iter
-      (fun t ->
-        let i = Tuple.hash t mod shards in
-        out.(i) <- TS.add t out.(i))
-      set;
-    out
-  end
-
-(* Partition a whole store predicate-wise with [partition_set].  Each
-   shard is a private store with a private (empty) index cache, so lazy
-   index builds over shard-local deltas stay single-domain. *)
-let partition ~shards store =
-  if shards <= 1 then [| store |]
-  else begin
-    let out = Array.init shards (fun _ -> ref SM.empty) in
-    SM.iter
-      (fun pred set ->
-        Array.iteri
-          (fun i s -> if not (TS.is_empty s) then out.(i) := SM.add pred s !(out.(i)))
-          (partition_set ~shards set))
-      store.tuples;
-    Array.map
-      (fun m ->
-        let version = new_version () in
-        { tuples = !m; version; cache = fresh_cache version; frozen = false })
-      out
-  end
 
 (* Publish an immutable view of the store for snapshot readers.  The
    tuple map is persistent, so this is O(1); the frozen store never

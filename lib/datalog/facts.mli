@@ -50,29 +50,14 @@ val lookup : t -> string -> int list -> Tuple.t -> Tuple.t list
 val lookup_values : t -> string -> int list -> Value.t list -> Tuple.t list
 (** {!lookup} with the key as a value list (the executor's form). *)
 
-val needs_index : int list -> bool
-(** Would a {!lookup} on these positions build a hash index on a cold
-    store?  False exactly for leading-column keys (full keys included). *)
-
 val prewarm : t -> string -> int list -> unit
-(** Build the (pred, positions) index now, on the calling domain, for any
-    path.  A fixpoint that probes one growing store every round prewarms
-    its keyed paths once so they stay warm hash indexes; parallel passes
-    prewarm every {!needs_index} path of a shared store before fanning
-    out, so concurrent {!lookup}s from worker domains are pure reads. *)
+(** Build the (pred, positions) index now, for any path.  A fixpoint that
+    probes one growing store every round prewarms its keyed paths once so
+    they stay warm hash indexes. *)
 
 val index_builds : string -> int
 (** Hash indexes built over the predicate so far in this process (any
     store) — the machine-independent cost witness of the access paths. *)
-
-val partition_set : shards:int -> TS.t -> TS.t array
-(** Hash-partition a tuple set into [shards] disjoint covering subsets by
-    the cached structural tuple hash; deterministic for a fixed shard
-    count.  [shards <= 1] returns the set unsplit. *)
-
-val partition : shards:int -> t -> t array
-(** Partition every predicate of a store with {!partition_set}; each
-    shard is a private store with a private index cache. *)
 
 val freeze : t -> t
 (** An immutable published view of the store (O(1): the tuple map is

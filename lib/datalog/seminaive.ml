@@ -33,7 +33,6 @@ module Tuple_hset = Dc_relation.Tuple_hset
 module Ir = Dc_exec.Ir
 module Guard = Dc_guard.Guard
 module Obs = Dc_obs.Obs
-module Par = Dc_par.Par
 
 type stats = {
   mutable rounds : int;
@@ -58,23 +57,14 @@ let observe_round stats ~delta ~t0 ~observing =
     Obs.Histogram.observe (Lazy.force m_round_delta) (float_of_int delta)
   end
 
-(* Prefer a real failure over the secondary [Cancelled] trips the
-   first-error hook induces in sibling shards. *)
-let prefer_real = function
-  | Guard.Exhausted (Guard.Cancelled, _) -> false
-  | _ -> true
-
-let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
-    (program : program) (edb : Facts.t) =
+let run ?(guard = Guard.none) ?stats ?trace ?(aggs = []) (program : program)
+    (edb : Facts.t) =
   check_safe program;
-  let domains =
-    match domains with Some d -> max 1 d | None -> Par.domains ()
-  in
   let stats = Option.value stats ~default:(fresh_stats ()) in
-  (* In-round dedup sets, one per shard (index 0 is the main domain's),
-     shared by every stratum and round of this run: a tuple joins the
-     round's new tuples only the first time it is emitted. *)
-  let seen = Array.init domains (fun _ -> Tuple_hset.create ()) in
+  (* In-round dedup set, shared by every stratum and round of this run:
+     a tuple joins the round's new tuples only the first time it is
+     emitted. *)
+  let seen = Tuple_hset.create () in
   let stratum = ref 0 in
   let eval_layer store layer =
     incr stratum;
@@ -161,10 +151,9 @@ let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
     (* Novelty tables of the head predicates: each holds exactly the
        full store's tuples of its predicate, so the [Diff] operators'
        membership test is one hash probe instead of a persistent-set
-       descent.  Extended when [commit] applies a round, on this domain;
-       read-only during a round, so worker shards probe them freely.
-       Aggregated strata withdraw displaced tuples from the store and
-       keep the store's own membership test. *)
+       descent.  Extended when [commit] applies a round.  Aggregated
+       strata withdraw displaced tuples from the store and keep the
+       store's own membership test. *)
     let novelty = Hashtbl.create 4 in
     if layer_aggs = [] then
       SS.iter
@@ -180,11 +169,12 @@ let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
       | Some table -> { e with Dc_exec.Extent.mem = Tuple_hset.mem table }
       | None -> e
     in
-    (* One evaluation of a pipeline list under [ctx]: (pred, fresh
-       tuples, derivation count) per head predicate.  Pure with respect
-       to [stats] so worker domains can run their private pipeline
-       copies through it — the caller folds the returned counts in. *)
-    let run_pipes pipes ctx seen =
+    (* One round: each head predicate's pipeline under [ctx] gives
+       (pred, fresh tuples, displaced tuples).  Derivation counts fold
+       into [stats]; for aggregated predicates the tuples the group table
+       displaced this round are drained — [fresh \ displaced] becomes the
+       delta, and the displaced set is withdrawn from the stores. *)
+    let run_round pipes ctx =
       let ctx = with_novelty ctx in
       List.map
         (fun (pred, pipe, u) ->
@@ -193,17 +183,8 @@ let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
           Tuple_hset.clear seen;
           Ir.run ~guard ctx pipe (fun t ->
               if Tuple_hset.add seen t then fresh := t :: !fresh);
-          (pred, TS.of_list !fresh, u.Ir.tc.Ir.rows - before))
-        pipes
-    in
-    (* Settle a round's results: fold derivation counts, and for
-       aggregated predicates drain the tuples the group table displaced
-       this round — [fresh \ displaced] becomes the delta, and the
-       displaced set is withdrawn from the stores. *)
-    let collect_round results =
-      List.map
-        (fun (pred, fresh, derived) ->
-          stats.derivations <- stats.derivations + derived;
+          let fresh = TS.of_list !fresh in
+          stats.derivations <- stats.derivations + u.Ir.tc.Ir.rows - before;
           match Hashtbl.find_opt agg_tables pred with
           | None -> (pred, fresh, TS.empty)
           | Some tbl ->
@@ -214,24 +195,7 @@ let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
                 (Dc_agg.Agg.Group_table.drain_displaced tbl)
             in
             (pred, TS.diff fresh displaced, displaced))
-        results
-    in
-    (* Parallel-round machinery, built lazily: a sequential run (P = 1,
-       or deltas forever under the cutoff) never compiles the worker
-       pipeline copies.  Copy 0 is the canonical [deltas] list (the one
-       the trace records); copies 1..P-1 are shape-identical private
-       trees so per-operator counters never race, folded back into the
-       canonical tree at stratum end. *)
-    let worker_deltas =
-      lazy
-        (Array.init (domains - 1) (fun _ ->
-             per_pred
-               (List.filter_map
-                  (fun (pred, rules) ->
-                    match List.concat_map delta_variants rules with
-                    | [] -> None
-                    | bodies -> Some (pred, bodies))
-                  (Engine.group_by_head layer))))
+        pipes
     in
     let keyed_paths =
       List.sort_uniq compare
@@ -247,52 +211,6 @@ let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
         if Engine.split_delta name = None then
           Facts.prewarm store name positions)
       keyed_paths;
-    let parallel_round ~full ~delta =
-      let shards = Facts.partition ~shards:domains delta in
-      (* Freeze protocol: the full store's paths are warm since the
-         stratum began; build every path the private delta shards would
-         build lazily *now*, on this domain.  Workers then only read
-         index tables; the lazy build inside [Facts.lookup] never fires
-         off the main domain. *)
-      List.iter
-        (fun (name, positions) ->
-          match Engine.split_delta name with
-          | Some pred when Facts.needs_index positions ->
-            Array.iter (fun s -> Facts.prewarm s pred positions) shards
-          | Some _ | None -> ())
-        keyed_paths;
-      let workers = Lazy.force worker_deltas in
-      let results =
-        Par.map ~shards:domains
-          ~on_first_error:(fun _ -> Guard.cancel guard)
-          ~prefer:prefer_real
-          (fun i ->
-            let pipes = if i = 0 then deltas else workers.(i - 1) in
-            run_pipes pipes (Engine.delta_ctx ~full ~delta:shards.(i)) seen.(i))
-      in
-      let t_merge = Obs.now_ms () in
-      let merged =
-        List.mapi
-          (fun k (pred, _, _) ->
-            let fresh, derived =
-              Array.fold_left
-                (fun (acc, n) res ->
-                  let _, s, d = List.nth res k in
-                  (TS.union acc s, n + d))
-                (TS.empty, 0) results
-            in
-            stats.derivations <- stats.derivations + derived;
-            (* parallel rounds are gated off for aggregated strata, so
-               there is never a displaced set to withdraw here *)
-            (pred, fresh, TS.empty))
-          deltas
-      in
-      if Obs.on () then
-        Par.observe_round
-          ~shard_sizes:(Array.map Facts.total shards)
-          ~merge_ms:(Obs.now_ms () -. t_merge);
-      merged
-    in
     let apply news st =
       List.fold_left
         (fun st (pred, fresh, displaced) ->
@@ -326,15 +244,12 @@ let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
     let observing = Obs.on () in
     let t0 = if observing then Obs.now_ms () else 0. in
     let news =
-      collect_round (run_pipes round1 (Engine.store_ctx !full) seen.(0))
+      run_round round1 (Engine.store_ctx !full)
     in
     observe_round stats ~delta:(new_count news) ~t0 ~observing;
     let delta = ref (apply news (Facts.empty ())) in
     full := commit news !full;
-    (* Subsequent rounds: delta variants only.  A round goes parallel
-       when a degree is configured, the delta is big enough to amortize
-       the partition/merge barrier, and the per-row profiler is off (its
-       clock state is global). *)
+    (* Subsequent rounds: delta variants only. *)
     let continue = ref (nonempty news) in
     while !continue do
       Guard.round guard ~site:"datalog.round";
@@ -342,36 +257,13 @@ let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
       let observing = Obs.on () in
       let t0 = if observing then Obs.now_ms () else 0. in
       let news =
-        if
-          domains > 1
-          && layer_aggs = []
-             (* group tables are mutable and shared across pipelines:
-                aggregated strata stay sequential *)
-          && (not !Ir.profiling)
-          && Domain.is_main_domain ()
-          && Facts.total !delta >= Par.seq_cutoff ()
-        then parallel_round ~full:!full ~delta:!delta
-        else
-          collect_round
-            (run_pipes deltas
-               (Engine.delta_ctx ~full:!full ~delta:!delta)
-               seen.(0))
+        run_round deltas (Engine.delta_ctx ~full:!full ~delta:!delta)
       in
       observe_round stats ~delta:(new_count news) ~t0 ~observing;
       delta := apply news (Facts.empty ());
       full := commit news !full;
       continue := nonempty news
     done;
-    (* Fold worker pipeline copies' counters into the canonical trees so
-       EXPLAIN and the conservation tests see whole-fixpoint totals. *)
-    if Lazy.is_val worker_deltas then
-      Array.iter
-        (fun copy ->
-          List.iter2
-            (fun (_, into, _) (_, fresh, _) ->
-              ignore (Ir.merge_counters ~into fresh))
-            deltas copy)
-        (Lazy.force worker_deltas);
     Option.iter
       (fun tr ->
         List.iter
@@ -391,5 +283,5 @@ let run ?(guard = Guard.none) ?stats ?trace ?domains ?(aggs = [])
   in
   List.fold_left eval_layer edb (Stratify.layers ~aggs program)
 
-let query ?guard ?stats ?trace ?domains ?aggs program edb pred =
-  Facts.find (run ?guard ?stats ?trace ?domains ?aggs program edb) pred
+let query ?guard ?stats ?trace ?aggs program edb pred =
+  Facts.find (run ?guard ?stats ?trace ?aggs program edb) pred

@@ -17,7 +17,6 @@ val run :
   ?guard:Dc_guard.Guard.t ->
   ?stats:stats ->
   ?trace:Dc_exec.Ir.trace ->
-  ?domains:int ->
   ?aggs:(string * Dc_agg.Agg.spec) list ->
   Syntax.program ->
   Facts.t ->
@@ -25,16 +24,14 @@ val run :
 (** [guard] bounds the evaluation (rounds tick its round budget, emitted
     rows its row budget/deadline).  [trace] records each stratum's
     round-1 and delta pipelines with whole-fixpoint operator counters
-    (EXPLAIN).  [domains] (default {!Dc_par.Par.domains}) > 1 shards
-    each delta round across that many domains by tuple hash, each shard
-    evaluated against frozen full-store indexes with results merged at
-    the round barrier; deltas under {!Dc_par.Par.seq_cutoff} stay
-    sequential.  [aggs] maps aggregated IDB predicates to their
+    (EXPLAIN).  Every round runs on the calling domain, whatever the
+    parallel degree: sharded rounds measured no faster than one domain.
+    [aggs] maps aggregated IDB predicates to their
     aggregate: rule emissions for such a predicate pass through a
     per-stratum group table keeping one accumulator per group
     (semi-naive with per-group bounds — a recursive MIN subsumes rather
     than accumulates); displaced results are withdrawn from the store at
-    round end, and aggregated strata always evaluate sequentially.
+    round end.
     @raise Syntax.Unsafe_rule / Stratify.Not_stratifiable
     @raise Dc_guard.Guard.Exhausted when the guard trips *)
 
@@ -42,7 +39,6 @@ val query :
   ?guard:Dc_guard.Guard.t ->
   ?stats:stats ->
   ?trace:Dc_exec.Ir.trace ->
-  ?domains:int ->
   ?aggs:(string * Dc_agg.Agg.spec) list ->
   Syntax.program ->
   Facts.t ->

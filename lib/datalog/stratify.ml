@@ -111,9 +111,7 @@ let is_stratifiable program =
 (* Strongly connected components of the positive dependency graph over
    IDB predicates, in topological (dependencies-first) order — the unit
    of work for incremental maintenance, which runs DRed only on the SCCs
-   that are actually recursive and a cheaper counting pass elsewhere.
-   Tarjan's algorithm; the reversed emission order of root components is
-   already dependencies-first. *)
+   that are actually recursive and a cheaper counting pass elsewhere. *)
 let sccs (program : program) =
   let idb = idb_preds program in
   let succs =
@@ -132,46 +130,12 @@ let sccs (program : program) =
       (SS.fold (fun p m -> SM.add p SS.empty m) idb SM.empty)
       program
   in
-  let index = Hashtbl.create 16 in
-  let lowlink = Hashtbl.create 16 in
-  let on_stack = Hashtbl.create 16 in
-  let stack = ref [] in
-  let next = ref 0 in
-  let components = ref [] in
-  let rec strongconnect v =
-    Hashtbl.replace index v !next;
-    Hashtbl.replace lowlink v !next;
-    incr next;
-    stack := v :: !stack;
-    Hashtbl.replace on_stack v ();
-    SS.iter
-      (fun w ->
-        if not (Hashtbl.mem index w) then begin
-          strongconnect w;
-          Hashtbl.replace lowlink v
-            (min (Hashtbl.find lowlink v) (Hashtbl.find lowlink w))
-        end
-        else if Hashtbl.mem on_stack w then
-          Hashtbl.replace lowlink v
-            (min (Hashtbl.find lowlink v) (Hashtbl.find index w)))
-      (Option.value (SM.find_opt v succs) ~default:SS.empty);
-    if Hashtbl.find lowlink v = Hashtbl.find index v then begin
-      let rec pop acc =
-        match !stack with
-        | [] -> acc
-        | w :: rest ->
-          stack := rest;
-          Hashtbl.remove on_stack w;
-          if String.equal w v then w :: acc else pop (w :: acc)
-      in
-      components := pop [] :: !components
-    end
-  in
-  SS.iter (fun p -> if not (Hashtbl.mem index p) then strongconnect p) idb;
-  (* Tarjan emits each SCC after all SCCs reachable from it along edges
-     already fully explored; with edges pointing body → head, reversing
-     the emission list yields dependencies-first order. *)
-  !components
+  (* Tarjan emits each SCC after all SCCs reachable from it; with edges
+     pointing body → head, the reversed emission list is
+     dependencies-first. *)
+  List.rev
+    (Dc_calculus.Positivity.tarjan ~roots:(SS.elements idb) ~succs:(fun v ->
+         SS.elements (Option.value (SM.find_opt v succs) ~default:SS.empty)))
 
 (* Is the SCC [preds] recursive, i.e. does some rule with a head in the
    component also consult the component in a positive body atom?  A

@@ -608,27 +608,12 @@ end
 type trace = Trace.trace
 
 (* ------------------------------------------------------------------ *)
-(* Parallel-round support.
-
-   A pipeline's counters are plain mutable ints on the hot path, so
-   worker domains never share one tree: each worker runs its own
-   freshly compiled copy, and the barrier folds the copies' counters
-   back into the canonical tree with [merge_counters].  [keyed_sources]
-   tells the round driver which (named source, key positions) access
-   paths the pipeline will probe, so shared build-side indexes can be
-   prewarmed on the main domain before the fan-out — workers then only
-   ever *read* the index tables. *)
-
-(* Fold [fresh]'s counters into [into]; [false] if the trees' shapes
-   disagree (counters are then simply not merged — EXPLAIN under a
-   shape-changing reorder already tolerates this). *)
-let merge_counters ~into fresh =
-  match Trace.merge into fresh with
-  | () -> true
-  | exception Trace.Shape_mismatch -> false
+(* Access-path inventory *)
 
 (* Every (name, key positions) pair the pipeline probes through a keyed
-   access path on a [Named] source, deduplicated. *)
+   access path on a [Named] source, deduplicated: a fixpoint driver
+   prewarms these on its growing store once, so they stay warm hash
+   indexes across rounds. *)
 let keyed_sources (t : t) =
   let acc = ref [] in
   let add src positions =

@@ -59,7 +59,6 @@ open Dc_datalog
 module Ir = Dc_exec.Ir
 module Guard = Dc_guard.Guard
 module Obs = Dc_obs.Obs
-module Par = Dc_par.Par
 module Agg = Dc_agg.Agg
 module TS = Facts.TS
 module SS = Syntax.SS
@@ -163,27 +162,6 @@ type probe = {
   p_match : Tuple.t -> (unit -> Engine.row) option;
 }
 
-(* Lazily-grown pool of private compiled copies.  Pipelines carry
-   mutable per-operator counters and probes a shared initial-row slot,
-   so shards on worker domains each need their own; copies are compiled
-   on the main domain the first time a parallel pass wants them and then
-   reused for the life of the plan. *)
-type 'a copies = {
-  cp_make : unit -> 'a;
-  mutable cp_pool : 'a array;
-}
-
-let copies cp_make = { cp_make; cp_pool = [||] }
-
-let copies_get cp n =
-  if Array.length cp.cp_pool < n then
-    cp.cp_pool <-
-      Array.append cp.cp_pool
-        (Array.init
-           (n - Array.length cp.cp_pool)
-           (fun _ -> cp.cp_make ()));
-  cp.cp_pool
-
 type scc_kind =
   | Counting of {
       c_init : (string * Ir.t) list;
@@ -191,20 +169,16 @@ type scc_kind =
              (re)build counts from a full store *)
       c_variants : variant list;
           (* tri-named: ⊕ left of the delta, plain right of it *)
-      c_copies : variant list copies; (* worker-domain pipeline copies *)
     }
   | Dred of {
       d_variants : variant list;
-      d_copies : variant list copies;
       d_probes : (string * probe list) list; (* per component predicate *)
-      d_probe_copies : (string * probe list) list copies;
     }
   | Agg_counting of {
       a_spec : Agg.spec;
       a_init : Ir.t list;
           (* plain pipelines whose emissions are the raw contributions *)
       a_variants : variant list;
-      a_copies : variant list copies;
     }
 
 type scc = {
@@ -431,86 +405,61 @@ let compile_plan ?(aggs = []) (program : Syntax.program) =
                (fun (r : Syntax.rule) -> SS.mem r.head.pred s_set)
                program
            in
+           (* tri-named variants: ⊕ left of the delta, plain right of it *)
+           let tri_variants () =
+             List.concat_map
+               (variants_of ~names:(fun dpos i (a : Syntax.atom) ->
+                    if i < dpos then Engine.post_name a.pred
+                    else if i = dpos then Engine.delta_name a.pred
+                    else a.pred))
+               rules
+           in
+           let plain (r : Syntax.rule) =
+             (Engine.compile_variant
+                ~names:(fun _ (a : Syntax.atom) -> a.pred)
+                ~label:(rule_label r) r)
+               .Engine.pipeline
+           in
            let s_kind =
              match preds with
              | [ p ] when List.mem_assoc p aggs ->
                (* non-recursive aggregated predicate: counting over the
                   raw contributions plus a per-group aggregate layer *)
-               let make_variants () =
-                 List.concat_map
-                   (variants_of ~names:(fun dpos i (a : Syntax.atom) ->
-                        if i < dpos then Engine.post_name a.pred
-                        else if i = dpos then Engine.delta_name a.pred
-                        else a.pred))
-                   rules
-               in
                Agg_counting
                  {
                    a_spec = List.assoc p aggs;
-                   a_init =
-                     List.map
-                       (fun (r : Syntax.rule) ->
-                         (Engine.compile_variant
-                            ~names:(fun _ (a : Syntax.atom) -> a.pred)
-                            ~label:(rule_label r) r)
-                           .Engine.pipeline)
-                       rules;
-                   a_variants = make_variants ();
-                   a_copies = copies make_variants;
+                   a_init = List.map plain rules;
+                   a_variants = tri_variants ();
                  }
-             | _ ->
-             if Stratify.recursive program preds then begin
-               let make_variants () =
-                 List.concat_map
-                   (variants_of ~names:(fun dpos i (a : Syntax.atom) ->
-                        if i = dpos then Engine.delta_name a.pred
-                        else a.pred))
-                   rules
-               in
-               let make_probes () =
-                 List.map
-                   (fun p ->
-                     ( p,
-                       List.filter_map
-                         (fun (r : Syntax.rule) ->
-                           if String.equal r.head.pred p then
-                             Some (compile_probe r)
-                           else None)
-                         rules ))
-                   preds
-               in
+             | _ when Stratify.recursive program preds ->
                Dred
                  {
-                   d_variants = make_variants ();
-                   d_copies = copies make_variants;
-                   d_probes = make_probes ();
-                   d_probe_copies = copies make_probes;
+                   d_variants =
+                     List.concat_map
+                       (variants_of ~names:(fun dpos i (a : Syntax.atom) ->
+                            if i = dpos then Engine.delta_name a.pred
+                            else a.pred))
+                       rules;
+                   d_probes =
+                     List.map
+                       (fun p ->
+                         ( p,
+                           List.filter_map
+                             (fun (r : Syntax.rule) ->
+                               if String.equal r.head.pred p then
+                                 Some (compile_probe r)
+                               else None)
+                             rules ))
+                       preds;
                  }
-             end
-             else begin
-               let make_variants () =
-                 List.concat_map
-                   (variants_of ~names:(fun dpos i (a : Syntax.atom) ->
-                        if i < dpos then Engine.post_name a.pred
-                        else if i = dpos then Engine.delta_name a.pred
-                        else a.pred))
-                   rules
-               in
+             | _ ->
                Counting
                  {
                    c_init =
-                     List.map
-                       (fun (r : Syntax.rule) ->
-                         ( r.head.pred,
-                           (Engine.compile_variant
-                              ~names:(fun _ (a : Syntax.atom) -> a.pred)
-                              ~label:(rule_label r) r)
-                             .Engine.pipeline ))
+                     List.map (fun (r : Syntax.rule) -> (r.head.pred, plain r))
                        rules;
-                   c_variants = make_variants ();
-                   c_copies = copies make_variants;
+                   c_variants = tri_variants ();
                  }
-             end
            in
            { s_preds = preds; s_set; s_kind })
          sccs)
@@ -591,78 +540,6 @@ let run_variants st ~ctx ~delta variants emit =
         Ir.run ~guard:st.guard ctx v.v_pipe (emit v.v_head))
     variants
 
-(* Prefer a real failure over the secondary [Cancelled] trips the
-   first-error hook induces in sibling shards. *)
-let prefer_real = function
-  | Guard.Exhausted (Guard.Cancelled, _) -> false
-  | _ -> true
-
-(* Shard a maintenance pass when a parallel degree is configured, the
-   delta is big enough to amortize the partition/merge barrier, and the
-   per-row profiler is off (its clock state is global). *)
-let par_domains total =
-  let d = Par.domains () in
-  if
-    d > 1
-    && Domain.is_main_domain ()
-    && (not !Ir.profiling)
-    && total >= Par.seq_cutoff ()
-  then d
-  else 1
-
-(* The keyed access paths a set of pipelines probes that a lookup would
-   build a hash index for (keys on leading columns are range scans of
-   the persistent tuple sets, which worker domains share safely). *)
-let indexed_paths pipes =
-  List.filter
-    (fun (_, positions) -> Facts.needs_index positions)
-    (List.sort_uniq compare (List.concat_map Ir.keyed_sources pipes))
-
-(* One parallel delta pass: hash-partition [delta] across [domains]
-   shards, shard i running the i-th private pipeline copy (copy 0 is the
-   canonical list) with the delta sources remapped to its shard.  Every
-   index a lookup would build is built on this domain before the
-   fan-out — [resolve] names the (store, predicate) a non-delta source
-   reads under the phase's context — so workers only probe frozen
-   indexes and persistent sets.  Emissions merge at the barrier through
-   [fold], shard order first, emission order within a shard. *)
-let par_variants st ~domains ~variants ~copies:cp ~ctx_of ~resolve ~delta
-    ~fold ~init =
-  let shards = Facts.partition ~shards:domains delta in
-  List.iter
-    (fun (name, positions) ->
-      match Engine.split_delta name with
-      | Some pred ->
-        Array.iter (fun s -> Facts.prewarm s pred positions) shards
-      | None ->
-        let store, pred = resolve name in
-        Facts.prewarm store pred positions)
-    (indexed_paths (List.map (fun v -> v.v_pipe) variants));
-  let pool = copies_get cp (domains - 1) in
-  let results =
-    Par.map ~shards:domains
-      ~on_first_error:(fun _ -> Guard.cancel st.guard)
-      ~prefer:prefer_real
-      (fun i ->
-        let vs = if i = 0 then variants else pool.(i - 1) in
-        let out = ref [] in
-        run_variants st ~ctx:(ctx_of shards.(i)) ~delta:shards.(i) vs
-          (fun head t -> out := (head, t) :: !out);
-        List.rev !out)
-  in
-  let t_merge = Obs.now_ms () in
-  let acc =
-    Array.fold_left
-      (fun acc out ->
-        List.fold_left (fun acc (h, t) -> fold acc h t) acc out)
-      init results
-  in
-  if Obs.on () then
-    Par.observe_round
-      ~shard_sizes:(Array.map Facts.total shards)
-      ~merge_ms:(Obs.now_ms () -. t_merge);
-  acc
-
 let commit_pred st pred ~net_plus ~net_minus =
   st.dminus <- Facts.add_set st.dminus pred net_minus;
   st.dplus <- Facts.add_set st.dplus pred net_plus;
@@ -673,7 +550,7 @@ let commit_pred st pred ~net_plus ~net_minus =
 (* Counting pass over one non-recursive component: one telescoped run per
    variant and delta sign, then zero-crossings of the adjusted counts
    become the component's net delta. *)
-let counting_scc view st s c_variants c_copies =
+let counting_scc view st s c_variants =
   round st;
   let adjust : (string * Tuple.t, int) Hashtbl.t = Hashtbl.create 64 in
   let record sign head t =
@@ -685,22 +562,9 @@ let counting_scc view st s c_variants c_copies =
     (Fmt.str "count %s" (String.concat "," s.s_preds))
     (fun () ->
       let signed sign delta =
-        match par_domains (Facts.total delta) with
-        | 1 ->
-          run_variants st
-            ~ctx:(Engine.tri_ctx ~pre:st.pre ~post:st.post ~delta)
-            ~delta c_variants (record sign)
-        | domains ->
-          par_variants st ~domains ~variants:c_variants ~copies:c_copies
-            ~ctx_of:(fun shard ->
-              Engine.tri_ctx ~pre:st.pre ~post:st.post ~delta:shard)
-            ~resolve:(fun name ->
-              match Engine.split_post name with
-              | Some pred -> (st.post, pred)
-              | None -> (st.pre, name))
-            ~delta
-            ~fold:(fun () h t -> record sign h t)
-            ~init:()
+        run_variants st
+          ~ctx:(Engine.tri_ctx ~pre:st.pre ~post:st.post ~delta)
+          ~delta c_variants (record sign)
       in
       signed 1 st.dplus;
       signed (-1) st.dminus;
@@ -744,7 +608,7 @@ let counting_scc view st s c_variants c_copies =
    into the current bound.  A deletion that witnessed the bound (or any
    SUM deletion, where group emptiness is otherwise unknowable) recomputes
    the group from its surviving raw contributions. *)
-let agg_scc view st s (spec : Agg.spec) a_variants a_copies =
+let agg_scc view st s (spec : Agg.spec) a_variants =
   round st;
   let pred = List.hd s.s_preds in
   let rawp = raw_name pred in
@@ -755,22 +619,9 @@ let agg_scc view st s (spec : Agg.spec) a_variants a_copies =
   in
   timed st.rp (Fmt.str "agg count %s" pred) (fun () ->
       let signed sign delta =
-        match par_domains (Facts.total delta) with
-        | 1 ->
-          run_variants st
-            ~ctx:(Engine.tri_ctx ~pre:st.pre ~post:st.post ~delta)
-            ~delta a_variants (record sign)
-        | domains ->
-          par_variants st ~domains ~variants:a_variants ~copies:a_copies
-            ~ctx_of:(fun shard ->
-              Engine.tri_ctx ~pre:st.pre ~post:st.post ~delta:shard)
-            ~resolve:(fun name ->
-              match Engine.split_post name with
-              | Some p -> (st.post, p)
-              | None -> (st.pre, name))
-            ~delta
-            ~fold:(fun () h t -> record sign h t)
-            ~init:()
+        run_variants st
+          ~ctx:(Engine.tri_ctx ~pre:st.pre ~post:st.post ~delta)
+          ~delta a_variants (record sign)
       in
       signed 1 st.dplus;
       signed (-1) st.dminus;
@@ -889,7 +740,7 @@ let agg_scc view st s (spec : Agg.spec) a_variants a_copies =
       TS.cardinal !net_plus + TS.cardinal !net_minus)
 
 (* DRed over one recursive component. *)
-let dred_scc st s d_variants d_copies d_probes d_probe_copies =
+let dred_scc st s d_variants d_probes =
   let observing = Obs.on () in
   (* --- over-deletion: everything whose derivation touched a deleted
      tuple, fixpointed against the pre-update store (which still holds
@@ -911,27 +762,16 @@ let dred_scc st s d_variants d_copies d_probes d_probe_copies =
       while !continue do
         round st;
         let fresh = ref [] in
-        let emitted = ref 0 in
         let emit head t =
           let d = d_of head in
           if Facts.mem st.pre head t && not (TS.mem t !d) then begin
             d := TS.add t !d;
-            incr emitted;
             fresh := (head, t) :: !fresh
           end
         in
-        (match par_domains (Facts.total !delta) with
-        | 1 ->
-          run_variants st
-            ~ctx:(Engine.delta_ctx ~full:st.pre ~delta:!delta)
-            ~delta:!delta d_variants emit
-        | domains ->
-          par_variants st ~domains ~variants:d_variants ~copies:d_copies
-            ~ctx_of:(fun shard -> Engine.delta_ctx ~full:st.pre ~delta:shard)
-            ~resolve:(fun name -> (st.pre, name))
-            ~delta:!delta
-            ~fold:(fun () h t -> emit h t)
-            ~init:());
+        run_variants st
+          ~ctx:(Engine.delta_ctx ~full:st.pre ~delta:!delta)
+          ~delta:!delta d_variants emit;
         delta := Facts.of_list !fresh;
         continue := !fresh <> []
       done;
@@ -954,108 +794,40 @@ let dred_scc st s d_variants d_copies d_probes d_probe_copies =
           (fun pred d acc -> Facts.remove_set acc pred !d)
           overdeleted st.mid;
       let probes = ref 0 in
-      let total_casualties =
-        Hashtbl.fold (fun _ r acc -> acc + TS.cardinal !r) overdeleted 0
-      in
-      (match par_domains total_casualties with
-      | 1 ->
-        let ctx = ref (Engine.store_ctx !work) in
-        List.iter
-          (fun (pred, rules) ->
-            match Hashtbl.find_opt overdeleted pred with
-            | None -> ()
-            | Some d ->
-              TS.iter
-                (fun t ->
-                  let derivable =
-                    List.exists
-                      (fun p ->
-                        match p.p_match t with
-                        | None -> false
-                        | Some init ->
-                          incr probes;
-                          p.p_compiled.Engine.set_init init;
-                          Ir.exists ~guard:st.guard !ctx
-                            p.p_compiled.Engine.pipeline)
-                      rules
-                  in
-                  if derivable then begin
-                    work := Facts.add !work pred t;
-                    ctx := Engine.store_ctx !work;
-                    survivors := (pred, t) :: !survivors
-                  end)
-                !d)
-          d_probes
-      | domains ->
-        (* Probe every casualty against the *frozen* shrunken store: a
-           casualty the sequential path would rescue through an
-           already-re-entered survivor is instead resurrected by the
-           propagation pass below, so freezing loses no results.  Each
-           shard probes through its own compiled copies — [set_init]
-           mutates the probe's initial-row slot. *)
-        let work0 = !work in
-        let cas =
-          Hashtbl.fold
-            (fun pred d acc -> Facts.add_set acc pred !d)
-            overdeleted (Facts.empty ())
-        in
-        let shards = Facts.partition ~shards:domains cas in
-        List.iter
-          (fun (name, positions) -> Facts.prewarm work0 name positions)
-          (indexed_paths
-             (List.concat_map
-                (fun (_, rules) ->
-                  List.map (fun p -> p.p_compiled.Engine.pipeline) rules)
-                d_probes));
-        let pool = copies_get d_probe_copies (domains - 1) in
-        let results =
-          Par.map ~shards:domains
-            ~on_first_error:(fun _ -> Guard.cancel st.guard)
-            ~prefer:prefer_real
-            (fun i ->
-              let probe_list = if i = 0 then d_probes else pool.(i - 1) in
-              let ctx = Engine.store_ctx work0 in
-              let n = ref 0 in
-              let out = ref [] in
-              List.iter
-                (fun (pred, rules) ->
-                  TS.iter
-                    (fun t ->
-                      let derivable =
-                        List.exists
-                          (fun p ->
-                            match p.p_match t with
-                            | None -> false
-                            | Some init ->
-                              incr n;
-                              p.p_compiled.Engine.set_init init;
-                              Ir.exists ~guard:st.guard ctx
-                                p.p_compiled.Engine.pipeline)
-                          rules
-                      in
-                      if derivable then out := (pred, t) :: !out)
-                    (Facts.find shards.(i) pred))
-                probe_list;
-              (!n, List.rev !out))
-        in
-        Array.iter
-          (fun (n, out) ->
-            probes := !probes + n;
-            List.iter
-              (fun (pred, t) ->
-                work := Facts.add !work pred t;
-                survivors := (pred, t) :: !survivors)
-              out)
-          results);
+      let ctx = ref (Engine.store_ctx !work) in
+      List.iter
+        (fun (pred, rules) ->
+          match Hashtbl.find_opt overdeleted pred with
+          | None -> ()
+          | Some d ->
+            TS.iter
+              (fun t ->
+                let derivable =
+                  List.exists
+                    (fun p ->
+                      match p.p_match t with
+                      | None -> false
+                      | Some init ->
+                        incr probes;
+                        p.p_compiled.Engine.set_init init;
+                        Ir.exists ~guard:st.guard !ctx
+                          p.p_compiled.Engine.pipeline)
+                    rules
+                in
+                if derivable then begin
+                  work := Facts.add !work pred t;
+                  ctx := Engine.store_ctx !work;
+                  survivors := (pred, t) :: !survivors
+                end)
+              !d)
+        d_probes;
       if observing then begin
         Obs.Counter.add (Lazy.force m_probes) !probes;
         Obs.Counter.add (Lazy.force m_rederived) (List.length !survivors)
       end;
       List.length !survivors);
   (* In-round dedup of the propagate and insert phases' emissions: one
-     set per component predicate for this update, cleared each round.
-     Emissions reach [emit] on this domain only (parallel passes merge
-     at the barrier first). *)
+     set per component predicate for this update, cleared each round. *)
   let seen = List.map (fun p -> (p, Tuple_hset.create ())) s.s_preds in
   let first_emission head t = Tuple_hset.add (List.assoc head seen) t in
   let clear_seen () = List.iter (fun (_, h) -> Tuple_hset.clear h) seen in
@@ -1076,18 +848,9 @@ let dred_scc st s d_variants d_copies d_probes d_probe_copies =
           if (not (Facts.mem w head t)) && first_emission head t then
             fresh := (head, t) :: !fresh
         in
-        (match par_domains (Facts.total !delta) with
-        | 1 ->
-          run_variants st
-            ~ctx:(Engine.delta_ctx ~full:w ~delta:!delta)
-            ~delta:!delta d_variants emit
-        | domains ->
-          par_variants st ~domains ~variants:d_variants ~copies:d_copies
-            ~ctx_of:(fun shard -> Engine.delta_ctx ~full:w ~delta:shard)
-            ~resolve:(fun name -> (w, name))
-            ~delta:!delta
-            ~fold:(fun () h t -> emit h t)
-            ~init:());
+        run_variants st
+          ~ctx:(Engine.delta_ctx ~full:w ~delta:!delta)
+          ~delta:!delta d_variants emit;
         work := Facts.add_list !work !fresh;
         delta := Facts.of_list !fresh;
         resurrected := !resurrected + List.length !fresh;
@@ -1119,13 +882,13 @@ let dred_scc st s d_variants d_copies d_probes d_probe_copies =
       let grown = ref 0 in
       while !continue do
         round st;
-        let w2 = !work2 and post = st.post in
-        let ctx_of dstore name =
+        let w2 = !work2 and d = !delta in
+        let ctx name =
           match Engine.split_delta name with
-          | Some p -> Engine.store_extent ~label:name dstore p
+          | Some p -> Engine.store_extent ~label:name d p
           | None ->
             if SS.mem name s.s_set then Engine.store_extent w2 name
-            else Engine.store_extent post name
+            else Engine.store_extent st.post name
         in
         let fresh = ref [] in
         clear_seen ();
@@ -1133,16 +896,7 @@ let dred_scc st s d_variants d_copies d_probes d_probe_copies =
           if (not (Facts.mem w2 head t)) && first_emission head t then
             fresh := (head, t) :: !fresh
         in
-        (match par_domains (Facts.total !delta) with
-        | 1 -> run_variants st ~ctx:(ctx_of !delta) ~delta:!delta d_variants emit
-        | domains ->
-          par_variants st ~domains ~variants:d_variants ~copies:d_copies
-            ~ctx_of
-            ~resolve:(fun name ->
-              if SS.mem name s.s_set then (w2, name) else (post, name))
-            ~delta:!delta
-            ~fold:(fun () h t -> emit h t)
-            ~init:());
+        run_variants st ~ctx ~delta:d d_variants emit;
         List.iter
           (fun (p, t) ->
             let a = a_of p in
@@ -1212,12 +966,10 @@ let incremental_update view sccs updates =
   List.iter
     (fun s ->
       match s.s_kind with
-      | Counting { c_variants; c_copies; _ } ->
-        counting_scc view st s c_variants c_copies
-      | Dred { d_variants; d_copies; d_probes; d_probe_copies } ->
-        dred_scc st s d_variants d_copies d_probes d_probe_copies
-      | Agg_counting { a_spec; a_variants; a_copies; _ } ->
-        agg_scc view st s a_spec a_variants a_copies)
+      | Counting { c_variants; _ } -> counting_scc view st s c_variants
+      | Dred { d_variants; d_probes } -> dred_scc st s d_variants d_probes
+      | Agg_counting { a_spec; a_variants; _ } ->
+        agg_scc view st s a_spec a_variants)
     sccs;
   (* the [ivm.commit] failpoint moved to [Database.commit] — the single
      commit point that covers this update's publication *)

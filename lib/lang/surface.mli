@@ -115,7 +115,8 @@ type decl =
           it incrementally maintained under INSERT/DELETE *)
   | D_maintain of bool  (** [SET MAINTAIN ON;] / [SET MAINTAIN OFF;] *)
   | D_parallel of int option
-      (** [SET PARALLEL n;] — evaluate fixpoints on [n] domains;
+      (** [SET PARALLEL n;] — evaluate constructor fixpoints on [n]
+          domains;
           [SET PARALLEL DEFAULT;] restores the environment-derived
           degree *)
   | D_explain_update of {

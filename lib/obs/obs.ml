@@ -37,9 +37,8 @@ let n_finite = Array.length bucket_bounds
    concurrent [Counter.inc] / [Histogram.observe] calls from pool worker
    domains (lib/par) lose no updates.  Contention on a shared counter is
    a fetch-and-add on one cache line — acceptable for round-granular and
-   merge-granular observations; per-row counters in lib/exec stay
-   per-domain (each worker runs its own pipeline copy) and are folded
-   with [Ir.Trace.merge_counters] at the barrier instead. *)
+   merge-granular observations; per-row counters in lib/exec are plain
+   ints, because a pipeline only ever runs on one domain. *)
 type instrument = {
   i_name : string;
   i_labels : (string * string) list; (* sorted by label name *)

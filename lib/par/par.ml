@@ -228,9 +228,6 @@ let run f =
     | None -> assert false
   end
 
-let map_reduce ?on_first_error ?prefer ~shards ~map:f ~reduce ~init () =
-  Array.fold_left reduce init (map ?on_first_error ?prefer ~shards f)
-
 (* ------------------------------------------------------------------ *)
 (* Observability *)
 

@@ -1,5 +1,5 @@
-(** Reusable domain pool and sharded map/reduce for parallel fixpoint
-    rounds.
+(** Reusable domain pool and sharded map for the constructor fixpoint's
+    parallel rounds, plus task submission for the server's read pool.
 
     The pool is process-global, lazily spawned, and reused across
     evaluations: the first parallel round pays the [Domain.spawn] cost,
@@ -75,20 +75,6 @@ val run : (unit -> 'a) -> 'a
     Degrades to calling [f] inline when the degree is 1 (no workers
     configured) or when called from a non-main domain (a worker must
     never block on its own pool). *)
-
-val map_reduce :
-  ?on_first_error:(exn -> unit) ->
-  ?prefer:(exn -> bool) ->
-  shards:int ->
-  map:(int -> 'b) ->
-  reduce:('a -> 'b -> 'a) ->
-  init:'a ->
-  unit ->
-  'a
-(** [map_reduce ~shards ~map ~reduce ~init ()] is
-    [Array.fold_left reduce init (Par.map ~shards map)]: the reduce
-    runs on the calling domain in ascending shard order, so the fold is
-    deterministic for a fixed [shards]. *)
 
 (** {1 Observability} *)
 

@@ -9,9 +9,11 @@
      are systhreads sharing the main domain's runtime lock, so reads
      that stayed on them would interleave, not parallelize; shipping the
      closure to a domain makes N sessions' reads truly concurrent over
-     the frozen snapshot.  (Inside the shipped closure the fixpoint's
-     own [Par.map] degrades inline — parallelism is spent across
-     readers, not within one read.)
+     the frozen snapshot.  (Inside the shipped closure the constructor
+     fixpoint's own [Par.map] degrades inline — parallelism is spent
+     across readers, not within one read.)  The pool is used for
+     nothing else: the writer's view maintenance runs every pass on the
+     writer thread, whatever the degree.
 
    - Write statements (INSERT/DELETE/assignment/MATERIALIZE/DDL) are
      serialized through one writer thread: the session enqueues the

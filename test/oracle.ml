@@ -1,10 +1,8 @@
 (* Seeded differential oracle, shared by the test executables.
 
-   Six independent evaluators — naive, semi-naive, magic, tabled, a
-   hand-rolled fixpoint driving the compiled IR pipelines directly, and
-   the parallel semi-naive engine (forced onto the sharded code path at
-   P = 1 and P = 4 regardless of physical cores) — must agree on every
-   workload.  [case_of_seed] derives a complete test case (program shape
+   Five independent evaluators — naive, semi-naive, magic, tabled, and
+   a hand-rolled fixpoint driving the compiled IR pipelines directly —
+   must agree on every workload.  [case_of_seed] derives a complete test case (program shape
    + randomized EDB from the lib/workload generators) from one explicit
    {!Dc_workload.Rng} seed, and every assertion message carries that
    seed, so any failure is reproducible with [Oracle.check_seed <seed>]. *)
@@ -147,17 +145,6 @@ let check_engines_agree ~msg program edb pred arity =
     (Seminaive.query program edb pred);
   Alcotest.check facts_testable (msg ^ ": direct IR = naive") reference
     (direct_ir program edb pred);
-  (* the parallel engine, with the cutoff floored so even tiny generated
-     deltas take the sharded path; P = 1 exercises the single-shard
-     degeneration, P = 4 oversubscribes the pool when cores are few *)
-  List.iter
-    (fun p ->
-      Alcotest.check facts_testable
-        (Fmt.str "%s: parallel(P=%d) = naive" msg p)
-        reference
-        (Dc_par.Par.with_seq_cutoff 1 (fun () ->
-             Seminaive.query ~domains:p program edb pred)))
-    [ 1; 4 ];
   (* magic with an all-free query must still return everything *)
   (match
      Magic.answer program edb
@@ -364,13 +351,7 @@ let check_shortest_path_seed seed =
   let edb = edb_of_relation "edge" rel in
   Alcotest.check facts_testable (msg ^ ": seminaive MIN = Bellman-Ford")
     expected
-    (Seminaive.query ~aggs:sp_aggs sp_agg_program edb "sp");
-  (* the parallel driver must fall back to the sequential path for
-     aggregated strata and still agree *)
-  Alcotest.check facts_testable (msg ^ ": parallel(P=4) = Bellman-Ford")
-    expected
-    (Dc_par.Par.with_seq_cutoff 1 (fun () ->
-         Seminaive.query ~domains:4 ~aggs:sp_aggs sp_agg_program edb "sp"))
+    (Seminaive.query ~aggs:sp_aggs sp_agg_program edb "sp")
 
 (* expand(A,C,Q)     :- contains(A,C,Q).
    expand(A,C,Q1*Q2) :- expand(A,B,Q1), contains(B,C,Q2).

@@ -288,7 +288,7 @@ let test_query_guard () =
    stratified NOT (with a COUNT stratum above it) vs the complement.
    Any failure message carries the seed; reproduce with
    [Oracle.check_agg_seed <seed>].  CI reruns these under DC_DOMAINS=4
-   so the ambient parallel fixpoint path is covered too. *)
+   to check that the degree changes nothing. *)
 
 let oracle_seeds = [ 1; 2; 3; 4; 5; 6; 7; 8 ]
 

@@ -393,7 +393,8 @@ let test_facts_remove_indexes () =
 (* ------------------------------------------------------------------ *)
 (* Surface wiring: MATERIALIZE / SET MAINTAIN / EXPLAIN ANALYZE DELETE *)
 
-let tc_surface =
+(* the right-linear closure over Edge *)
+let tc_decls =
   {|
 TYPE node = STRING;
 TYPE edgerel = RELATION a, b OF RECORD a, b: node END;
@@ -402,7 +403,11 @@ CONSTRUCTOR tc FOR Rel: edgerel (): edgerel;
 BEGIN EACH e IN Rel: TRUE,
       <e.a, p.b> OF EACH e IN Rel, EACH p IN Rel{tc()}: e.b = p.a
 END tc;
-INSERT Edge VALUES ("a", "b"), ("b", "c"), ("c", "d");
+|}
+
+let tc_surface =
+  tc_decls
+  ^ {|INSERT Edge VALUES ("a", "b"), ("b", "c"), ("c", "d");
 MATERIALIZE Edge{tc()};
 |}
 
@@ -455,6 +460,107 @@ let test_explain_analyze_update () =
         (Fmt.str "report mentions %S" affix)
         true (contains_s out affix))
     [ "EXPLAIN ANALYZE DELETE Edge"; "view tc__Edge"; "overdelete"; "insert" ]
+
+(* ------------------------------------------------------------------ *)
+(* Maintenance does not depend on the parallel degree
+
+   Every maintenance pass runs on the calling domain, so an update
+   stream run at degree 1 and at degree 4 with the sequential cutoff
+   floored (which would shard any pass that still could) must give the
+   same extents and the same reports: phase labels and tuple counts. *)
+
+let at_degree p f =
+  Dc_par.Par.with_domains p (fun () -> Dc_par.Par.with_seq_cutoff 1 f)
+
+(* what a report shows a user, timings aside *)
+let report_shape (rp : Ivm.report) =
+  Fmt.str "%s (%s) +%d/-%d: %s" rp.Ivm.rp_view rp.Ivm.rp_mode rp.Ivm.rp_plus
+    rp.Ivm.rp_minus
+    (String.concat "; "
+       (List.rev_map
+          (fun ph -> Fmt.str "%s %d" ph.Ivm.ph_label ph.Ivm.ph_tuples)
+          rp.Ivm.rp_phases))
+
+(* per step: its description, the extent after it, its reports *)
+let stream_trace ~seed ~steps w =
+  let rng = Rng.create seed in
+  let db, view = setup w (w.w_init rng) in
+  let trace = ref [] in
+  for _ = 1 to steps do
+    Ivm.reset_reports ();
+    let step = random_step rng db w in
+    trace :=
+      ( Fmt.str "%s %s%a" step.st_op step.st_pred Tuple.pp step.st_tuple,
+        ts_of_relation (Ivm.value view),
+        List.map report_shape (Ivm.reports ()) )
+      :: !trace
+  done;
+  List.rev !trace
+
+let test_degree_independent_stream w () =
+  let seed = 20261017 in
+  let run p = at_degree p (fun () -> stream_trace ~seed ~steps:300 w) in
+  List.iteri
+    (fun i ((op, ext1, reports1), (_, ext4, reports4)) ->
+      let msg what =
+        Fmt.str "seed %d %s: step %d (%s): %s" seed w.w_name (i + 1) op what
+      in
+      if not (TS.equal ext1 ext4) then
+        Alcotest.failf "%s" (msg "extent differs at degree 4");
+      Alcotest.(check (list string)) (msg "reports") reports1 reports4)
+    (List.combine (run 1) (run 4))
+
+(* The surface form: a 24-node ring n_i -> n_(i+1) with chords
+   n_i -> n_(i+5) for i divisible by 3, the right-linear closure
+   materialized, and one ring edge deleted under EXPLAIN ANALYZE.  The
+   report's tuple counts must not depend on SET PARALLEL. *)
+let ring_surface =
+  let edges =
+    List.init 24 (fun i -> (i, (i + 1) mod 24))
+    @ List.filter_map
+        (fun i -> if i mod 3 = 0 then Some (i, (i + 5) mod 24) else None)
+        (List.init 24 Fun.id)
+  in
+  tc_decls
+  ^ Fmt.str "INSERT Edge VALUES %s;\nMATERIALIZE Edge{tc()};\n"
+      (String.concat ", "
+         (List.map (fun (a, b) -> Fmt.str {|("n%d", "n%d")|} a b) edges))
+
+(* an EXPLAIN ANALYZE report line with its timing cut off *)
+let untimed line =
+  let cut_after sub =
+    let n = String.length line and m = String.length sub in
+    let rec find i =
+      if i + m > n then None
+      else if String.sub line i m = sub then Some (i + m)
+      else find (i + 1)
+    in
+    Option.map (fun j -> String.sub line 0 j) (find 0)
+  in
+  match cut_after " tuples" with
+  | Some l -> l
+  | None -> (
+    match String.rindex_opt line ';' with
+    | Some j -> String.sub line 0 j
+    | None -> line)
+
+let test_degree_independent_surface () =
+  let explain p =
+    let db, _ = Dc_lang.Elaborate.run_string ring_surface in
+    (* [with_domains] restores the degree the SET statement changes *)
+    Dc_par.Par.with_domains 1 @@ fun () ->
+    run_more db
+      (Fmt.str {|SET PARALLEL %d;
+EXPLAIN ANALYZE DELETE Edge VALUES ("n0", "n1");|} p)
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> contains_s l " tuples " || contains_s l "view ")
+    |> List.map untimed
+  in
+  let at1 = explain 1 in
+  Alcotest.(check bool) "the report shows a rederive phase" true
+    (List.exists (fun l -> contains_s l "rederive") at1);
+  Alcotest.(check (list string)) "EXPLAIN ANALYZE DELETE at SET PARALLEL 1 and 2"
+    at1 (explain 2)
 
 (* ------------------------------------------------------------------ *)
 (* Live aggregate views under a long update stream (PR 10): three
@@ -626,14 +732,6 @@ let test_agg_abort_atomicity () =
       then Alcotest.failf "seed %d: %s diverged after aborts" seed (Ivm.name v))
     views [ sum_fold; min_fold; count_fold ]
 
-(* The parallel passes (sharded DRed over-deletion, rederivation and
-   propagation, with only index-needing paths prewarmed) on the DAG
-   workloads: four domains, every pass sharded however small. *)
-let test_dag_parallel w () =
-  Dc_par.Par.with_domains 4 @@ fun () ->
-  Dc_par.Par.with_seq_cutoff 1 @@ fun () ->
-  run_stream ~seed:20261017 ~steps:300 w
-
 (* The served closure view under bridge toggles: 8 chains of 32 nodes
    with shortcuts, the right-linear surface [tc], and 20 insert/delete
    pairs of a bridge from an even chain's tail into an odd chain.  Each
@@ -738,12 +836,6 @@ let () =
               Alcotest.test_case
                 (Fmt.str "%s: 1000 steps" w.w_name)
                 `Slow (test_update_stream w))
-            dag_workloads
-        @ List.map
-            (fun w ->
-              Alcotest.test_case
-                (Fmt.str "%s: forced parallel" w.w_name)
-                `Slow (test_dag_parallel w))
             dag_workloads );
       ( "abort atomicity",
         List.map
@@ -766,6 +858,18 @@ let () =
           Alcotest.test_case "EXPLAIN ANALYZE DELETE" `Quick
             test_explain_analyze_update;
         ] );
+      ( "degree independence",
+        List.map
+          (fun w ->
+            Alcotest.test_case
+              (Fmt.str "%s stream" w.w_name)
+              `Slow
+              (test_degree_independent_stream w))
+          (graph_workload :: dag_workloads)
+        @ [
+            Alcotest.test_case "ring EXPLAIN ANALYZE DELETE" `Quick
+              test_degree_independent_surface;
+          ] );
       ("properties", qcheck (List.map prop_stream (workloads @ dag_workloads)));
       ( "access paths",
         [

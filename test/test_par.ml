@@ -1,16 +1,16 @@
-(* Tests for Dc_par and the parallel fixpoint paths it powers.
+(* Tests for Dc_par and the parallel constructor fixpoint it powers.
 
    Covers the domain pool itself (shard ordering, nesting, exception
-   protocol, lazy spawn/shutdown), the hash partitioners (qcheck:
-   disjoint, covering, deterministic for P in {1,2,3,8}), the
+   protocol, lazy spawn/shutdown), the relation hash partitioner
+   (qcheck: disjoint, covering, deterministic for P in {1,2,3,8}), the
    domain-safety satellites (one registry counter hammered from four
    domains; a shared guard's atomic row budget across four domains),
    abort atomicity of a parallel fixpoint round, and end-to-end
-   equivalence: the sharded engines at P = 1 and P = 4 must agree with
-   the sequential oracle on seeded workloads and on a live-view update
-   stream.  Everything runs with the sequential cutoff floored to 1 and
-   an explicit domain count, so the parallel code paths execute
-   regardless of how many physical cores the test machine has. *)
+   equivalence: the sharded constructor fixpoint at P = 1, 2 and 4 must
+   agree with the sequential engines on seeded workloads.  Everything
+   runs with the sequential cutoff floored to 1 and an explicit domain
+   count, so the parallel code paths execute regardless of how many
+   physical cores the test machine has. *)
 
 open Dc_relation
 open Dc_calculus
@@ -19,9 +19,8 @@ open Dc_datalog
 module Guard = Dc_guard.Guard
 module Obs = Dc_obs.Obs
 module Par = Dc_par.Par
-module Ivm = Dc_ivm.Ivm
-module Rng = Dc_workload.Rng
 module Graph_gen = Dc_workload.Graph_gen
+module Bom_gen = Dc_workload.Bom_gen
 module TS = Facts.TS
 
 let rel_testable = Alcotest.testable Relation.pp Relation.equal
@@ -38,14 +37,6 @@ let test_map_ordering () =
   (* a single shard never touches the pool *)
   Alcotest.(check (array int)) "one shard inline" [| 42 |]
     (Par.map ~shards:1 (fun _ -> 42))
-
-let test_map_reduce_deterministic () =
-  let s =
-    Par.map_reduce ~shards:6
-      ~map:(fun i -> string_of_int i)
-      ~reduce:( ^ ) ~init:"" ()
-  in
-  Alcotest.(check string) "reduce folds in ascending shard order" "012345" s
 
 let test_nested_map_inline () =
   (* an inner map on a worker domain degrades to inline sequential
@@ -117,41 +108,12 @@ let test_with_domains_scoping () =
   Alcotest.(check int) "restored on exception" outer (Par.domains ())
 
 (* ------------------------------------------------------------------ *)
-(* Hash partitioners (qcheck): disjoint, covering, deterministic *)
+(* Hash partitioner (qcheck): disjoint, covering, deterministic *)
 
 let shard_counts = [ 1; 2; 3; 8 ]
 
 let tuples_of_pairs ps =
   List.map (fun (a, b) -> Tuple.make2 (Value.Int a) (Value.Int b)) ps
-
-let prop_partition_set =
-  QCheck.Test.make ~name:"Facts.partition_set: disjoint+covering+deterministic"
-    ~count:200
-    QCheck.(list (pair small_int small_int))
-    (fun pairs ->
-      let set = TS.of_list (tuples_of_pairs pairs) in
-      List.for_all
-        (fun p ->
-          let shards = Facts.partition_set ~shards:p set in
-          let again = Facts.partition_set ~shards:p set in
-          Array.length shards = max 1 p
-          (* deterministic: same split on every call *)
-          && Array.for_all2 TS.equal shards again
-          (* covering: the union is the input *)
-          && TS.equal set
-               (Array.fold_left TS.union TS.empty shards)
-          (* disjoint: pairwise empty intersections *)
-          && (let ok = ref true in
-              Array.iteri
-                (fun i si ->
-                  Array.iteri
-                    (fun j sj ->
-                      if i < j && not (TS.is_empty (TS.inter si sj)) then
-                        ok := false)
-                    shards)
-                shards;
-              !ok))
-        shard_counts)
 
 let prop_partition_relation =
   QCheck.Test.make
@@ -405,67 +367,45 @@ let test_parallel_abort_atomicity () =
 (* ------------------------------------------------------------------ *)
 (* Six-way oracle at forced parallelism *)
 
-(* [Oracle.check_seed] asserts naive = seminaive = direct IR = magic =
-   tabled = parallel(P=1,P=4) with the cutoff floored inside the
-   parallel arms; a dedicated seed range here keeps these cases disjoint
-   from test_datalog's. *)
-let test_oracle_seeds () =
-  for seed = 4000 to 4049 do
-    Oracle.check_seed seed
-  done
+let unary_schema = Schema.make [ ("x", Value.TStr) ]
 
-(* ------------------------------------------------------------------ *)
-(* Live views maintained under forced parallelism *)
+let case_schema = function
+  | "start" | "even" | "odd" -> unary_schema
+  | "contains" -> Bom_gen.contains_schema
+  | _ -> Graph_gen.edge_schema
 
-let ts_of_relation rel = Relation.fold TS.add rel TS.empty
-
-let test_parallel_ivm_stream () =
-  forced_parallel 4 @@ fun () ->
-  let seed = 20260808 in
-  let rng = Rng.create seed in
-  let nodes = 10 in
+(* The sixth evaluator: the case's rules translated to constructor
+   definitions (§3.4) and evaluated by the constructor fixpoint, sharded
+   over four domains. *)
+let sharded_constructor_answer (c : Oracle.case) =
   let db = Database.create () in
-  Database.declare db "edge" Graph_gen.edge_schema;
-  Database.set db "edge"
-    (Graph_gen.random_graph ~seed:(Rng.int rng 1_000_000) ~nodes
-       ~edges:(2 * nodes));
-  let schema_of _ = Graph_gen.edge_schema in
-  let defs, bottoms =
-    Translate.to_constructors schema_of Oracle.tc_nonlinear
-  in
+  Syntax.SS.iter
+    (fun p ->
+      let schema = case_schema p in
+      Database.declare db p schema;
+      Database.set db p (Facts.to_relation schema c.case_edb p))
+    (Syntax.edb_preds c.case_program);
+  let defs, bottoms = Translate.to_constructors case_schema c.case_program in
   List.iter (fun (n, s) -> Database.declare db n s) bottoms;
   Database.define_constructors db defs;
-  let view =
-    Ivm.materialize db ~constructor:"path" ~base:"__bottom_path" ~args:[]
+  let range =
+    Ast.Construct (Ast.Rel ("__bottom_" ^ c.case_pred), c.case_pred, [])
   in
-  let rand_node () = Graph_gen.node (Rng.int rng nodes) in
-  let expected () =
-    (* independent sequential oracle over the original rules *)
-    Seminaive.query ~domains:1 Oracle.tc_nonlinear
-      (Facts.of_relation "edge" (Database.get db "edge") (Facts.empty ()))
-      "path"
-  in
-  for i = 1 to 300 do
-    let rel = Database.get db "edge" in
-    let step =
-      if Relation.cardinal rel > 0 && Rng.bool rng 0.45 then begin
-        let ts = Relation.to_list rel in
-        let t = List.nth ts (Rng.int rng (List.length ts)) in
-        Database.delete db "edge" t;
-        Fmt.str "DELETE %a" Tuple.pp t
-      end
-      else begin
-        let t = Tuple.of_list [ rand_node (); rand_node () ] in
-        Database.insert db "edge" t;
-        Fmt.str "INSERT %a" Tuple.pp t
-      end
-    in
-    let want = expected () and got = ts_of_relation (Ivm.value view) in
-    if not (TS.equal want got) then
-      Alcotest.failf
-        "seed %d: step %d (%s): parallel-maintained extent diverged: %d \
-         maintained vs %d refixpoint tuples"
-        seed i step (TS.cardinal got) (TS.cardinal want)
+  forced_parallel 4 (fun () ->
+      Relation.fold TS.add (Database.query db range) TS.empty)
+
+(* [Oracle.check_seed] asserts naive = seminaive = direct IR = magic =
+   tabled; the sharded constructor fixpoint must agree with them too.  A
+   dedicated seed range keeps these cases disjoint from test_datalog's. *)
+let test_oracle_seeds () =
+  for seed = 4000 to 4049 do
+    Oracle.check_seed seed;
+    let c = Oracle.case_of_seed seed in
+    Alcotest.check Oracle.facts_testable
+      (Fmt.str "seed %d: %s: sharded constructor fixpoint(P=4) = seminaive"
+         seed c.case_name)
+      (Seminaive.query c.case_program c.case_edb c.case_pred)
+      (sharded_constructor_answer c)
   done
 
 (* ------------------------------------------------------------------ *)
@@ -478,8 +418,6 @@ let () =
       ( "pool",
         [
           Alcotest.test_case "map ordering" `Quick test_map_ordering;
-          Alcotest.test_case "map_reduce deterministic" `Quick
-            test_map_reduce_deterministic;
           Alcotest.test_case "nested map" `Quick test_nested_map_inline;
           Alcotest.test_case "reuse and shutdown" `Quick
             test_pool_reuse_and_shutdown;
@@ -490,7 +428,7 @@ let () =
           Alcotest.test_case "with_domains scoping" `Quick
             test_with_domains_scoping;
         ] );
-      ("partitioning", qcheck [ prop_partition_set; prop_partition_relation ]);
+      ("partitioning", qcheck [ prop_partition_relation ]);
       ( "domain safety",
         [
           Alcotest.test_case "obs counter hammered from 4 domains" `Quick
@@ -510,7 +448,4 @@ let () =
       ( "oracle",
         [ Alcotest.test_case "6-way agreement, seeds 4000-4049" `Slow
             test_oracle_seeds ] );
-      ( "ivm",
-        [ Alcotest.test_case "parallel-maintained stream" `Slow
-            test_parallel_ivm_stream ] );
     ]
