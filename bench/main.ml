@@ -11,13 +11,14 @@
      dune exec bench/main.exe -- bechamel   -- Bechamel micro-benchmarks only
      dune exec bench/main.exe -- json F     -- recursive, IVM, aggregate and
                                                parallel cells as JSON in F
-     dune exec bench/main.exe -- smoke | ivm | agg | parallel
+     dune exec bench/main.exe -- smoke | ivm | agg | parallel | stmt-cache
                                             -- one section of those cells
      dune exec bench/main.exe -- guard-overhead | obs-overhead
                                             -- the CI overhead gates
 
    The served and durable paths are measured end to end by servebench/
-   (python3 servebench/run.py), not here.
+   (python3 servebench/run.py); the stmt-cache cells time one layer of
+   the served read path in process.
 
    Experiments:
      F3  augmented quant graph + plan for the recursive 'ahead' query
@@ -1708,6 +1709,93 @@ let print_parallel records =
 let run_parallel () = print_parallel (par_records ())
 
 (* ------------------------------------------------------------------ *)
+(* Served point reads: the statement cache.  servebench's point_reads
+   statement (a two-hop point query) over its DAG (8 chains of 32 nodes
+   with shortcuts, 384 edges), read by one server session in process:
+   [uncached] makes the layer calls every read made before the cache
+   (parse, lower against the snapshot, typecheck and evaluate on the pool
+   domain), [cache_hit] is [Server.query_string] with the statement's
+   shape cached.  Keys cycle through every node, so the literal varies
+   from read to read.  Each sample times [serve_reads] reads; minor words
+   are counted over the same reads. *)
+
+module Server = Dc_server.Server
+
+type serve_record = {
+  sr_name : string;
+  sr_wall : summary; (* per sample of [serve_reads] reads *)
+  sr_words : float; (* minor words per read, last sample *)
+}
+
+let serve_reads = 2_000
+
+let serve_per_read_us s = s.median_ms *. 1000. /. float_of_int serve_reads
+
+let serve_records () =
+  let schema = Constructor.binary_schema ~a:"a" ~b:"b" Value.TStr in
+  let dag, _ = Graph_gen.chains_dag ~seed:1 ~chains:8 ~len:32 ~edges:384 in
+  let db = Database.create () in
+  Database.declare db "Edge" schema;
+  Database.set db "Edge" (Relation.of_list schema (Relation.to_list dag));
+  let srv = Server.create db in
+  let s = Server.open_session srv in
+  let env = Dc_lang.Elaborate.create db in
+  let text k =
+    Printf.sprintf
+      {|QUERY {<e.a, f.b> OF EACH e IN Edge, EACH f IN Edge: e.a = "n%d" AND e.b = f.a};|}
+      (k mod 256)
+  in
+  let uncached src =
+    let snap = Database.snapshot db in
+    match Dc_lang.Parser.parse src with
+    | [ Dc_lang.Surface.D_query r ] ->
+      let range =
+        Dc_lang.Elaborate.with_snapshot env snap (fun () ->
+            Dc_lang.Elaborate.lower_query env r)
+      in
+      Dc_par.Par.run (fun () -> (Snapshot.query snap range, Snapshot.version snap))
+    | _ -> assert false
+  in
+  let cell read () =
+    let w0 = Gc.minor_words () in
+    let (), t =
+      time (fun () ->
+          for k = 1 to serve_reads do
+            ignore (read (text k))
+          done)
+    in
+    ((Gc.minor_words () -. w0) /. float_of_int serve_reads, t)
+  in
+  let cells =
+    [ ("uncached", cell uncached); ("cache_hit", cell (Server.query_string s)) ]
+  in
+  let measured = interleaved (List.map snd cells) in
+  Server.close_session s;
+  Server.shutdown srv;
+  List.map2
+    (fun (name, _) (words, wall) ->
+      { sr_name = "point_read_" ^ name; sr_wall = wall; sr_words = words })
+    cells measured
+
+let serve_json r =
+  Json.Obj
+    ((("name", Json.Str r.sr_name) :: ("reads", count serve_reads)
+      :: summary_fields "" r.sr_wall)
+    @ [ ("us_per_read", num (serve_per_read_us r.sr_wall));
+        ("minor_words_per_read", num r.sr_words) ])
+
+let print_serve records =
+  List.iter
+    (fun r ->
+      Fmt.pr "%-26s %8.2f us/read  iqr=%.2f us  %8.1f minor words/read@."
+        r.sr_name (serve_per_read_us r.sr_wall)
+        (r.sr_wall.iqr_ms *. 1000. /. float_of_int serve_reads)
+        r.sr_words)
+    records
+
+let run_serve () = print_serve (serve_records ())
+
+(* ------------------------------------------------------------------ *)
 (* JSON mode: `dune exec bench/main.exe -- json BENCH_N.json` writes
    every section above as one JSON object, one top-level member per
    line, plus the metrics registry the experiments populated. *)
@@ -1736,6 +1824,7 @@ let run_json path =
   let ivm = ivm_records () in
   let agg_mins, agg_views = agg_records () in
   let parallel = par_records () in
+  let serve = serve_records () in
   write_json path
     [
       ("samples", count samples);
@@ -1754,6 +1843,7 @@ let run_json path =
             ("degrees", Json.Arr (List.map count (par_degrees ())));
             ("cells", Json.Arr (List.map par_json parallel));
           ] );
+      ("stmt_cache", Json.Arr (List.map serve_json serve));
       ("metrics", metrics);
     ];
   print_records records;
@@ -1761,6 +1851,7 @@ let run_json path =
   print_ivm ivm;
   print_agg (agg_mins, agg_views);
   print_parallel parallel;
+  print_serve serve;
   Fmt.pr "wrote %s@." path
 
 (* ------------------------------------------------------------------ *)
@@ -1791,6 +1882,7 @@ let () =
   | [ "ivm" ] -> run_ivm ()
   | [ "agg" ] -> run_agg ()
   | [ "parallel" ] -> run_parallel ()
+  | [ "stmt-cache" ] -> run_serve ()
   | [ "guard-overhead" ] -> run_guard_overhead ()
   | [ "obs-overhead" ] -> run_obs_overhead ()
   | names ->

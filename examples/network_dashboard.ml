@@ -46,12 +46,15 @@ let () =
         ])
   in
   let prepared =
-    Dc_compile.Planner.prepare db ~params:[ ("S", Value.TStr) ] form
+    Dc_compile.Planner.prepare (Database.typecheck_env db)
+      ~params:[ ("S", Value.TStr) ] form
   in
   Fmt.pr "%s@." (Dc_compile.Planner.prepared_description prepared);
   List.iter
     (fun h ->
-      let reachable = Dc_compile.Planner.run_prepared prepared [ host h ] in
+      let reachable =
+        Dc_compile.Planner.run_prepared prepared (Database.eval_env db) [ host h ]
+      in
       Fmt.pr "%s reaches %d host(s)@." (Value.to_string (host h)) (Relation.cardinal reachable))
     [ 0; 7; 23 ];
 
@@ -60,7 +63,9 @@ let () =
   Database.insert db "Link" (Tuple.make2 (host 0) (host 23));
   Fmt.pr "reachable pairs now: %d@." (Ivm.cardinal view);
   List.iter (Fmt.pr "%a@." Ivm.pp_report) (Ivm.reports ());
-  let reachable = Dc_compile.Planner.run_prepared prepared [ host 0 ] in
+  let reachable =
+    Dc_compile.Planner.run_prepared prepared (Database.eval_env db) [ host 0 ]
+  in
   Fmt.pr "n0 now reaches %d host(s)@." (Relation.cardinal reachable);
 
   Fmt.pr "@.=== Serving lookups from a physical access path (4) ===@.";

@@ -249,96 +249,89 @@ let plan_and_execute db query = execute db (plan db query)
    specified query forms" (§4).  A prepared form is a query with scalar
    parameter placeholders, compiled once — the paper's logical access
    path: "a compiled procedure with dummy constants" — and executed many
-   times with actual values. *)
+   times with actual values.
+
+   A form reads the catalog (relation schemas, selectors, constructors)
+   through a {!Typecheck.env}, which both {!Database.typecheck_env} and
+   {!Snapshot.typecheck_env} provide, and holds only catalog-level data:
+   it is bound to an evaluation environment, and so to relation values,
+   at run time. *)
+
+type route =
+  | Compiled of Plan.t
+  | Interpreted of Ast.range
 
 type prepared = {
   pr_params : (string * Dc_relation.Value.ty) list;
-  pr_run : Dc_relation.Value.t list -> Relation.t;
-  pr_description : string;
+  pr_schema : Schema.t; (* the uncompiled evaluation's result schema *)
+  pr_route : route;
 }
 
-let prepared_description p = p.pr_description
+let prepared_description p =
+  match p.pr_route with
+  | Compiled plan -> Fmt.str "compiled plan:@.%a" Plan.pp plan
+  | Interpreted _ -> "interpreted form (constructor or selector application)"
 
-let prepare db ~params (query : Ast.range) =
+let rec application_free = function
+  | Ast.Rel _ -> true
+  | Ast.Select _ | Ast.Construct _ -> false
+  | Ast.Comp branches ->
+    List.for_all
+      (fun (b : Ast.branch) ->
+        List.for_all (fun (_, r) -> application_free r) b.binders
+        && application_free_formula b.where)
+      branches
+
+and application_free_formula = function
+  | Ast.True | Ast.False | Ast.Cmp _ -> true
+  | Ast.Not f -> application_free_formula f
+  | Ast.And (a, b) | Ast.Or (a, b) ->
+    application_free_formula a && application_free_formula b
+  | Ast.Some_in (_, r, f) | Ast.All_in (_, r, f) ->
+    application_free r && application_free_formula f
+  | Ast.In_rel (_, r) | Ast.Member (_, r) -> application_free r
+
+let prepare catalog ~params (query : Ast.range) =
   (* typecheck the form once, parameters in scope *)
-  Typecheck.check_query
-    (Typecheck.with_scalar_params (Database.typecheck_env db) params)
-    query;
-  let bind_scalars env values =
-    if List.length values <> List.length params then
-      Dc_calculus.Eval.runtime_error "prepared form expects %d argument(s)"
-        (List.length params);
+  let schema =
+    Typecheck.infer_range (Typecheck.with_scalar_params catalog params) [] query
+  in
+  (* an application-free comprehension compiles to a static plan (Param
+     placeholders act as closed index keys); a constructor or selector
+     application keeps its route — view serving, the aggregate route or
+     the fixpoint — and is interpreted per call with the parameters
+     bound (the paper's "partial logical access paths") *)
+  let route =
+    match query with
+    | Ast.Comp _ when application_free query -> (
+      (* typechecked above: every relation the form names exists *)
+      let schema_of_rel n = Option.get (catalog.Typecheck.schema_of_rel n) in
+      match Plan.of_range ~schema_of_rel query with
+      | plan -> Compiled plan
+      | exception Plan.Not_compilable _ -> Interpreted query)
+    | _ -> Interpreted query
+  in
+  { pr_params = params; pr_schema = schema; pr_route = route }
+
+let run_prepared p env values =
+  if List.length values <> List.length p.pr_params then
+    Eval.runtime_error "prepared form expects %d argument(s)"
+      (List.length p.pr_params);
+  let env =
     List.fold_left2
       (fun env (name, ty) v ->
         if Dc_relation.Value.type_of v <> ty then
-          Dc_calculus.Eval.runtime_error
-            "prepared form: argument %s expects %s" name
+          Eval.runtime_error "prepared form: argument %s expects %s" name
             (Dc_relation.Value.type_name ty);
         Eval.bind_scalar env name v)
-      env params values
+      env p.pr_params values
   in
-  (* dummy constants close the form for schema inference *)
-  let dummies =
-    List.map
-      (fun (_, ty) ->
-        match (ty : Dc_relation.Value.ty) with
-        | TInt -> Dc_relation.Value.Int 0
-        | TStr -> Dc_relation.Value.Str ""
-        | TBool -> Dc_relation.Value.Bool false
-        | TFloat -> Dc_relation.Value.Float 0.)
-      params
-  in
-  let dep =
-    Depgraph.build
-      (List.filter_map (Database.constructor db)
-         (Database.constructor_names db))
-  in
-  (* compile what we can: decompile acyclic applications, then a static
-     plan (Param placeholders act as closed index keys) *)
-  let compiled =
-    match
-      Rewrite.decompile
-        ~schema_of:(fun r ->
-          Eval.range_schema
-            (bind_scalars (Database.eval_env db) dummies)
-            [] r)
-        ~selector_of:(Database.selector db)
-        ~constructor_of:(Database.constructor db)
-        ~is_recursive:(Depgraph.is_recursive dep)
-        query
-    with
-    | q -> (
-      let schema_of_rel n =
-        match Database.get db n with
-        | r -> Relation.schema r
-        | exception Database.Error msg -> raise (Plan.Not_compilable msg)
-      in
-      match Plan.of_range ~schema_of_rel q with
-      | p -> Some p
-      | exception Plan.Not_compilable _ -> None)
-    | exception _ -> None
-  in
-  match compiled with
-  | Some plan ->
-    {
-      pr_params = params;
-      pr_run =
-        (fun values ->
-          Plan.run (bind_scalars (Database.eval_env db) values) plan);
-      pr_description = Fmt.str "compiled plan:@.%a" Plan.pp plan;
-    }
-  | None ->
-    (* recursive or otherwise uncompilable: interpret per call with the
-       parameters bound (the paper's "partial logical access paths") *)
-    {
-      pr_params = params;
-      pr_run =
-        (fun values ->
-          Eval.eval_range (bind_scalars (Database.eval_env db) values) query);
-      pr_description = "interpreted form (recursive application)";
-    }
-
-let run_prepared p values = p.pr_run values
+  match p.pr_route with
+  | Compiled plan ->
+    let r = Plan.run env plan in
+    if Schema.equal (Relation.schema r) p.pr_schema then r
+    else Database.coerce p.pr_schema r
+  | Interpreted query -> Eval.eval_range env query
 
 let explain ppf (d : decision) =
   Fmt.pf ppf "query: %a@." Ast.pp_range d.d_query;

@@ -66,22 +66,35 @@ val plan_and_execute : Database.t -> Ast.range -> Relation.t
     §4: "database programming languages ... contain only incompletely
     specified query forms"; a prepared form is compiled once with its
     scalar parameters as dummy constants (the paper's logical access path)
-    and executed many times with actual values. *)
+    and executed many times with actual values.  A form reads the catalog
+    through a {!Dc_calculus.Typecheck.env} — {!Database.typecheck_env}
+    and {!Snapshot.typecheck_env} both provide one — and holds only
+    catalog-level data (the form, its plan, its result schema), never a
+    relation value: it is bound to an evaluation environment at run
+    time. *)
 
 type prepared
 
 val prepare :
-  Database.t ->
+  Typecheck.env ->
   params:(string * Dc_relation.Value.ty) list ->
   Ast.range ->
   prepared
-(** Typecheck and compile a query form whose [Ast.Param] placeholders are
-    listed in [params].  Non-recursive forms become static plans with the
-    parameters as index keys; recursive forms fall back to per-call
-    interpretation. *)
+(** Typecheck a query form whose [Ast.Param] placeholders are listed in
+    [params] against the catalog.  An application-free comprehension
+    becomes a static plan with the parameters as index keys; a form with
+    a constructor or selector application is interpreted per call with
+    the parameters bound, so view serving and the fixpoint route apply
+    as they do to the unprepared query.
+    @raise Dc_calculus.Typecheck.Error *)
 
-val run_prepared : prepared -> Dc_relation.Value.t list -> Relation.t
-(** @raise Dc_calculus.Eval.Runtime_error on arity/type mismatch. *)
+val run_prepared :
+  prepared -> Eval.env -> Dc_relation.Value.t list -> Relation.t
+(** Run the form over [env]'s relations with the parameters bound to the
+    values.  A compiled form's result is coerced to the schema the
+    interpreted evaluation gives, so both routes return the same
+    columns.
+    @raise Dc_calculus.Eval.Runtime_error on arity/type mismatch. *)
 
 val prepared_description : prepared -> string
 (** How the form was compiled (shown by diagnostics). *)

@@ -94,6 +94,8 @@ type t = {
       (* SET MAINTAIN ON|OFF: when off, updates invalidate maintained
          views instead of propagating deltas into them *)
   mutable published : Snapshot.t;
+  mutable catalog : int;
+      (* catalog version of the working set; see {!Snapshot.t} *)
   mutable in_commit : bool;
       (* re-entrancy guard: composite operations that call other
          committing operations join the outermost commit *)
@@ -110,6 +112,7 @@ type t = {
 let initial_snapshot ~strategy ~max_rounds ~limits =
   {
     Snapshot.version = 0;
+    catalog = 0;
     rels = SM.empty;
     selectors = SM.empty;
     constructors = SM.empty;
@@ -134,6 +137,7 @@ let create ?(strategy = Fixpoint.Seminaive) ?(check_positivity = true)
     maintainers = [];
     maintain = true;
     published = initial_snapshot ~strategy ~max_rounds ~limits;
+    catalog = 0;
     in_commit = false;
     wal = None;
     pending_changes = [];
@@ -166,6 +170,7 @@ let publish db =
   db.published <-
     {
       Snapshot.version;
+      catalog = db.catalog;
       rels = db.rels;
       selectors = db.selectors;
       constructors = db.constructors;
@@ -208,6 +213,12 @@ let log_changes db changes =
 
 let mark_catalog db = if db.wal <> None then db.pending_catalog <- true
 
+(* A commit that changes how statements type or lower: a new catalog
+   version (statement caches key on it) and, under a WAL, a checkpoint. *)
+let catalog_changed db =
+  db.catalog <- db.catalog + 1;
+  mark_catalog db
+
 (* The single commit point.  Journals the working maps, opens a
    transaction on every maintainer that reads a touched relation, runs
    the mutation (which may propagate deltas into views), passes the
@@ -224,6 +235,7 @@ let commit ?(failpoint = false) ?(touches = []) db mutate =
     db.pending_changes <- [];
     db.pending_catalog <- false;
     let saved_rels = db.rels
+    and saved_catalog = db.catalog
     and saved_selectors = db.selectors
     and saved_constructors = db.constructors
     and saved_maintainers = db.maintainers in
@@ -257,6 +269,7 @@ let commit ?(failpoint = false) ?(touches = []) db mutate =
       r
     | exception e ->
       db.rels <- saved_rels;
+      db.catalog <- saved_catalog;
       db.selectors <- saved_selectors;
       db.constructors <- saved_constructors;
       db.maintainers <- saved_maintainers;
@@ -299,13 +312,13 @@ let register_maintainer db m =
         :: List.filter
              (fun m' -> not (String.equal m'.mt_name m.mt_name))
              db.maintainers;
-      mark_catalog db)
+      catalog_changed db)
 
 let unregister_maintainer db name =
   commit db (fun () ->
       db.maintainers <-
         List.filter (fun m -> not (String.equal m.mt_name name)) db.maintainers;
-      mark_catalog db)
+      catalog_changed db)
 
 let maintainer_names db = List.map (fun m -> m.mt_name) db.maintainers
 
@@ -343,7 +356,7 @@ let declare db name schema =
   if SM.mem name db.rels then error "relation %s already declared" name;
   commit db (fun () ->
       db.rels <- SM.add name (Relation.empty schema) db.rels;
-      mark_catalog db)
+      catalog_changed db)
 
 let get db name =
   match SM.find_opt name db.rels with
@@ -357,11 +370,15 @@ let get db name =
 let set db name rel =
   commit db ~failpoint:true ~touches:[ name ] (fun () ->
       (match SM.find_opt name db.rels with
-      | None -> db.rels <- SM.add name rel db.rels
+      | None ->
+        db.rels <- SM.add name rel db.rels;
+        catalog_changed db
       | Some old ->
-        if
-          not (Schema.compatible (Relation.schema old) (Relation.schema rel))
-        then error "assignment to %s: incompatible relation type" name;
+        let was = Relation.schema old and now = Relation.schema rel in
+        if not (Schema.compatible was now) then
+          error "assignment to %s: incompatible relation type" name;
+        (* same-typed values keep the catalog; renamed attributes do not *)
+        if not (was == now || Schema.equal was now) then catalog_changed db;
         db.rels <- SM.add name rel db.rels);
       invalidate_dependents db name;
       (* wholesale assignment has no replayable point delta; the durable
@@ -492,7 +509,7 @@ let define_selector db (def : Defs.selector_def) =
    with Typecheck.Error msg -> error "selector %s: %s" def.sel_name msg);
   commit db (fun () ->
       db.selectors <- SM.add def.sel_name def db.selectors;
-      mark_catalog db)
+      catalog_changed db)
 
 (* Constructors may be mutually recursive, so groups are registered
    atomically: all signatures become visible, then every body is checked,
@@ -522,7 +539,7 @@ let define_constructors db (defs : Defs.constructor_def list) =
            [Dc_agg.Agg.Inadmissible] propagates to the caller *)
         Positivity.check_aggregates all
       end;
-      mark_catalog db)
+      catalog_changed db)
 
 let define_constructor db def = define_constructors db [ def ]
 

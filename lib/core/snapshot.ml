@@ -31,6 +31,10 @@ type frozen_view = {
 
 type t = {
   version : int; (* monotone: one publication per commit *)
+  catalog : int;
+      (* catalog version: moves only with commits that change how a
+         statement types or lowers (relation declarations and schemas,
+         selectors, constructors, maintained views) *)
   rels : Relation.t SM.t;
   selectors : Defs.selector_def SM.t;
   constructors : Defs.constructor_def SM.t;
@@ -44,6 +48,7 @@ type t = {
 }
 
 let version s = s.version
+let catalog_version s = s.catalog
 let durable_lsn s = s.durable
 let relation_count s = SM.cardinal s.rels
 let relation_names s = List.map fst (SM.bindings s.rels)

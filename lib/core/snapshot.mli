@@ -24,6 +24,11 @@ type frozen_view = {
 
 type t = {
   version : int;  (** monotone: one publication per commit *)
+  catalog : int;
+      (** catalog version: moves only with commits that change how a
+          statement types or lowers — relation declarations and schemas,
+          selectors, constructors, maintained views — never with
+          INSERT, DELETE or assignment of a same-typed value *)
   rels : Relation.t SM.t;
   selectors : Defs.selector_def SM.t;
   constructors : Defs.constructor_def SM.t;
@@ -37,6 +42,10 @@ type t = {
 }
 
 val version : t -> int
+
+val catalog_version : t -> int
+(** The [catalog] field: equal catalog versions of one database mean
+    equal relation schemas, selectors, constructors and views. *)
 
 val durable_lsn : t -> int option
 (** Durability watermark at publication ([None] = no WAL attached). *)

@@ -117,6 +117,14 @@ type scope = {
 
 let empty_scope = { rel_names = []; scalar_names = [] }
 
+(* Global relation names resolve in the catalog the statement reads: the
+   pinned snapshot of a read (a BEGIN transaction or a served
+   statement's own), otherwise the live database. *)
+let is_relation env n =
+  match env.pinned with
+  | Some snap -> Snapshot.get snap n <> None
+  | None -> List.exists (String.equal n) (Database.relation_names env.db)
+
 let rec lower_term env scope = function
   | T_int i -> Ast.Const (Value.Int i)
   | T_float f -> Ast.Const (Value.Float f)
@@ -165,10 +173,7 @@ and lower_arg env scope = function
   | A_range r -> Ast.Arg_range (lower_range env scope r)
   | A_name n ->
     (* relation name (global, formal, or parameter) wins over scalar *)
-    let is_rel =
-      List.mem n scope.rel_names
-      || List.exists (String.equal n) (Database.relation_names env.db)
-    in
+    let is_rel = List.mem n scope.rel_names || is_relation env n in
     if is_rel then Ast.Arg_range (Ast.Rel n)
     else if List.mem n scope.scalar_names then Ast.Arg_scalar (Ast.Param n)
     else elab_error "unknown argument name %s" n
@@ -590,8 +595,10 @@ let run env (p : program) =
   flush pending;
   drain_output env
 
-(* Lower a standalone query range (no definition parameters in scope). *)
-let lower_query env r = lower_range env empty_scope r
+(* Lower a standalone query range; [params] are the scalar parameters in
+   scope (a statement cache's lifted literals), none by default. *)
+let lower_query ?(params = []) env r =
+  lower_range env { empty_scope with scalar_names = params } r
 
 let run_string ?db src =
   let db = Option.value db ~default:(Database.create ()) in

@@ -47,8 +47,12 @@ val run : env -> program -> string
     run's QUERY/PRINT/EXPLAIN output (the buffer is drained, so repeated
     [run]s on one env each return only their own output). *)
 
-val lower_query : env -> Surface.range -> Dc_calculus.Ast.range
-(** Lower a standalone query range (no definition parameters in scope). *)
+val lower_query :
+  ?params:string list -> env -> Surface.range -> Dc_calculus.Ast.range
+(** Lower a standalone query range.  [params] (default none) are scalar
+    parameter names in scope: a bare name among them lowers to
+    [Ast.Param].  Global relation names resolve in the pinned snapshot
+    when one is pinned ({!with_snapshot}), else in the live database. *)
 
 val run_string : ?db:Database.t -> string -> Database.t * string
 (** Parse and run source text against a fresh (or given) database. *)

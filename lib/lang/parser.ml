@@ -667,9 +667,9 @@ let program st =
   in
   loop []
 
-let parse src =
-  let tokens = Array.of_list (Lexer.tokenize src) in
-  program { tokens; cursor = 0 }
+let parse_tokens tokens = program { tokens = Array.of_list tokens; cursor = 0 }
+
+let parse src = parse_tokens (Lexer.tokenize src)
 
 let parse_range src =
   let tokens = Array.of_list (Lexer.tokenize src) in

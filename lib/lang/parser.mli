@@ -8,5 +8,9 @@ exception Parse_error of string
 val parse : string -> Surface.program
 (** Parse a whole program. @raise Parse_error / Lexer.Lex_error *)
 
+val parse_tokens : Token.located list -> Surface.program
+(** Parse a token stream ending with {!Token.Eof} (as {!Lexer.tokenize}
+    returns it). @raise Parse_error *)
+
 val parse_range : string -> Surface.range
 (** Parse a single range expression (must consume all input). *)

@@ -52,6 +52,12 @@ val bound_port : listener -> int
 
 val connection_count : listener -> int
 
+val classify_exn : exn -> Wire.error_code * string
+(** The error taxonomy: the code and message an [Err] frame carries for
+    an exception a request raised (lexer and parser errors are [Parse],
+    typing errors [Type], evaluation and catalog errors [Semantic], a
+    tripped guard [Limit]; anything unforeseen is [Internal]). *)
+
 (** {1 Client} *)
 
 module Client : sig

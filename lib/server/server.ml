@@ -36,9 +36,16 @@
      session evaluates (the server-level defaults apply when a session
      doesn't bring its own).
 
+   - Statement cache: a served QUERY ({!query_string}) is compiled once
+     per statement shape and catalog version — the paper's logical access
+     path, "a compiled procedure with dummy constants" (§4) — and every
+     later statement of that shape binds its own literals into the cached
+     form instead of being parsed, lowered and typechecked again.
+
    Observability: [dc_server_sessions], [dc_server_queue_depth],
-   [dc_server_commits_total], [dc_server_statements_total{kind}] and the
-   [dc_server_statement_ms{kind}] latency histograms. *)
+   [dc_server_commits_total], [dc_server_statements_total{kind}], the
+   [dc_server_statement_ms{kind}] latency histograms and
+   [dc_server_stmt_cache_total{result}]. *)
 
 open Dc_core
 module Guard = Dc_guard.Guard
@@ -62,10 +69,72 @@ let c_statements kind =
 let h_latency kind =
   Obs.Histogram.make ~labels:[ ("kind", kind) ] "dc_server_statement_ms"
 
+let c_cache result =
+  lazy (Obs.Counter.make ~labels:[ ("result", result) ] "dc_server_stmt_cache_total")
+
+let c_cache_hit = c_cache "hit"
+let c_cache_miss = c_cache "miss"
+let c_cache_evict = c_cache "evict"
 let c_reads = lazy (c_statements "read")
 let c_writes = lazy (c_statements "write")
 let h_read_ms = lazy (h_latency "read")
 let h_write_ms = lazy (h_latency "write")
+
+(* ------------------------------------------------------------------ *)
+(* Statement cache
+
+   Served QUERY statements compiled once per (catalog version, statement
+   shape): the shape ({!Dc_lang.Shape}) is the token stream with the
+   literals a column types lifted out, and an entry is the
+   {!Dc_compile.Planner.prepared} form of the lifted statement.  An entry
+   holds only catalog-level data — the lifted form, its plan, its result
+   schema — and never a relation or a snapshot, so it pins no old
+   version.  Writes leave the catalog version alone and keep every entry
+   live; a catalog change moves the version, and the entries of the old
+   version age out of the bounded table. *)
+
+module Key = struct
+  type t = { catalog : int; shape : string }
+
+  let equal a b = a.catalog = b.catalog && String.equal a.shape b.shape
+  let hash k = Hashtbl.hash k.shape + k.catalog
+end
+
+module Forms = Hashtbl.Make (Key)
+
+(* Fixed bounds on what the cache holds, evicted oldest first: 256
+   forms and 1 MiB of shape text (a form's size follows its statement's).
+   A served workload has a handful of shapes; the bounds only cap what a
+   client sending ever new, or huge, statements can make the server
+   hold. *)
+let cache_capacity = 256
+let cache_shape_bytes = 1 lsl 20
+
+type cache = {
+  cm : Mutex.t;
+  forms : Dc_compile.Planner.prepared Forms.t;
+  order : Key.t Queue.t; (* insertion order, oldest first *)
+  mutable bytes : int; (* shape text held *)
+}
+
+let cache_find c key = Mutex.protect c.cm (fun () -> Forms.find_opt c.forms key)
+
+let cache_add c (key : Key.t) form =
+  if String.length key.shape <= cache_shape_bytes then
+    Mutex.protect c.cm (fun () ->
+        if not (Forms.mem c.forms key) then begin
+          Forms.add c.forms key form;
+          Queue.add key c.order;
+          c.bytes <- c.bytes + String.length key.shape;
+          while
+            Forms.length c.forms > cache_capacity || c.bytes > cache_shape_bytes
+          do
+            let old = Queue.pop c.order in
+            Forms.remove c.forms old;
+            c.bytes <- c.bytes - String.length old.shape;
+            if Obs.on () then Obs.Counter.inc (Lazy.force c_cache_evict)
+          done
+        end)
 
 (* ------------------------------------------------------------------ *)
 (* Writer thread and job queue *)
@@ -96,6 +165,7 @@ type t = {
   mutable stopping : bool;
   mutable writer : Thread.t option;
   mutable writer_id : int;
+  cache : cache;
 }
 
 (* Bound on jobs drained into one group: keeps worst-case ack latency
@@ -156,6 +226,13 @@ let create ?(max_sessions = 64) ?(limits = Guard.no_limits) ?wal db =
       stopping = false;
       writer = None;
       writer_id = -1;
+      cache =
+        {
+          cm = Mutex.create ();
+          forms = Forms.create 16;
+          order = Queue.create ();
+          bytes = 0;
+        };
     }
   in
   let th = Thread.create (writer_loop srv) () in
@@ -403,19 +480,59 @@ let execute s src = execute_program s (Dc_lang.Parser.parse src)
    admission-control budgets. *)
 let session_guard s = Guard.of_limits s.limits
 
+(* The snapshot a session's read observes: its pinned transaction
+   snapshot, else the latest published one. *)
+let read_snapshot s =
+  match Dc_lang.Elaborate.pinned s.env with
+  | Some snap -> snap
+  | None -> Database.snapshot s.server.db
+
 let query s range =
   if not s.open_ then error "session %d is closed" s.id;
-  let snap =
-    match Dc_lang.Elaborate.pinned s.env with
-    | Some snap -> snap
-    | None -> Database.snapshot s.server.db
-  in
+  let snap = read_snapshot s in
   Dc_par.Par.run (fun () ->
       (Snapshot.query ~guard:(session_guard s) snap range, Snapshot.version snap))
 
+(* A cache miss: parse, lower against the snapshot's catalog, typecheck
+   and evaluate, as every statement did before the cache; then compile
+   the lifted statement and cache it. *)
+let query_uncached s snap key src =
+  let shape, tokens, lifted = Dc_lang.Shape.scan_tokens src in
+  let one_query tokens =
+    match Dc_lang.Parser.parse_tokens tokens with
+    | [ Dc_lang.Surface.D_query r ] -> r
+    | _ -> error "expected exactly one QUERY statement"
+  in
+  let lower ?params r =
+    Dc_lang.Elaborate.with_snapshot s.env snap (fun () ->
+        Dc_lang.Elaborate.lower_query ?params s.env r)
+  in
+  let range = lower (one_query tokens) in
+  let answer =
+    Dc_par.Par.run (fun () ->
+        (Snapshot.query ~guard:(session_guard s) snap range, Snapshot.version snap))
+  in
+  let params = Dc_lang.Shape.params shape in
+  let form =
+    Dc_compile.Planner.prepare (Snapshot.typecheck_env snap) ~params
+      (lower ~params:(List.map fst params) (one_query lifted))
+  in
+  cache_add s.server.cache key form;
+  answer
+
 let query_string s src =
   if not s.open_ then error "session %d is closed" s.id;
-  match Dc_lang.Parser.parse src with
-  | [ Dc_lang.Surface.D_query r ] ->
-    query s (Dc_lang.Elaborate.lower_query s.env r)
-  | _ -> error "expected exactly one QUERY statement"
+  let shape = Dc_lang.Shape.scan src in
+  let snap = read_snapshot s in
+  let key = { Key.catalog = Snapshot.catalog_version snap; shape = shape.key } in
+  match cache_find s.server.cache key with
+  | Some form ->
+    if Obs.on () then Obs.Counter.inc (Lazy.force c_cache_hit);
+    Dc_par.Par.run (fun () ->
+        ( Dc_compile.Planner.run_prepared form
+            (Snapshot.eval_env ~guard:(session_guard s) snap)
+            shape.values,
+          Snapshot.version snap ))
+  | None ->
+    if Obs.on () then Obs.Counter.inc (Lazy.force c_cache_miss);
+    query_uncached s snap key src

@@ -13,9 +13,16 @@
     Sessions are bounded (admission control) and each evaluates under
     its own {!Dc_guard.Guard.limits}.
 
+    Served [QUERY] statements ({!query_string}) go through a bounded,
+    server-wide statement cache keyed by (catalog version, statement
+    shape): a statement whose shape was compiled before at its
+    snapshot's catalog version binds its literals into the cached form
+    and skips parse, lowering and typecheck.
+
     Instruments (when metrics are on): [dc_server_sessions],
     [dc_server_queue_depth], [dc_server_commits_total],
-    [dc_server_statements_total{kind}], [dc_server_statement_ms{kind}]. *)
+    [dc_server_statements_total{kind}], [dc_server_statement_ms{kind}],
+    [dc_server_stmt_cache_total{result="hit"|"miss"|"evict"}]. *)
 
 open Dc_core
 
@@ -93,6 +100,13 @@ val query : session -> Dc_calculus.Ast.range -> Dc_relation.Relation.t * int
     Never touches the writer; evaluates on a pool worker domain. *)
 
 val query_string : session -> string -> Dc_relation.Relation.t * int
-(** Parse a single [QUERY ...;] statement and evaluate it as {!query} —
-    the wire protocol's row-returning read path.
+(** Evaluate a single [QUERY ...;] statement as {!query} — the wire
+    protocol's row-returning read path — against the session's snapshot
+    (pinned or latest), whose catalog also resolves the statement's
+    names.  A statement whose shape ({!Dc_lang.Shape}) is cached at the
+    snapshot's catalog version runs the cached form with its own lifted
+    literals bound; any other statement is parsed, lowered, typechecked
+    and evaluated, and on success its lifted form is compiled and
+    cached.  Both routes return the same rows and columns and raise the
+    same errors.
     @raise Error when [src] is not exactly one QUERY statement. *)

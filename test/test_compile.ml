@@ -489,8 +489,25 @@ let prop_plan_equals_direct =
 
 let test_prepared_nonrecursive () =
   let db = make_db ~edges:(chain 10) () in
-  (* form: two-step pairs whose head equals the parameter *)
-  let form =
+  (* form: two-hop pairs whose source equals the parameter *)
+  let two_hop where =
+    Ast.(
+      Comp
+        [
+          branch
+            [ ("r", Rel "Edge"); ("s", Rel "Edge") ]
+            ~target:[ field "r" "src"; field "s" "dst" ]
+            ~where:(conj (eq (field "r" "src") where) (eq (field "r" "dst") (field "s" "src")));
+        ])
+  in
+  let prepared =
+    Planner.prepare (Database.typecheck_env db)
+      ~params:[ ("Obj", Value.TStr) ] (two_hop (Ast.Param "Obj"))
+  in
+  Alcotest.check Alcotest.bool "compiled to a plan" true
+    (contains (Planner.prepared_description prepared) "compiled plan");
+  (* a constructor application keeps its route: interpreted per call *)
+  let ahead =
     Ast.(
       Comp
         [
@@ -499,28 +516,35 @@ let test_prepared_nonrecursive () =
             ~where:(eq (field "r" "head") (Param "Obj"));
         ])
   in
-  let prepared =
-    Planner.prepare db ~params:[ ("Obj", Value.TStr) ] form
+  let interpreted =
+    Planner.prepare (Database.typecheck_env db)
+      ~params:[ ("Obj", Value.TStr) ] ahead
   in
-  Alcotest.check Alcotest.bool "compiled to a plan" true
-    (contains (Planner.prepared_description prepared) "compiled plan");
+  Alcotest.check Alcotest.bool "application interpreted" true
+    (contains (Planner.prepared_description interpreted) "interpreted");
   List.iter
     (fun v ->
       (* reference: substitute the constant and evaluate directly *)
-      let direct =
-        Database.query db
-          Ast.(
-            Comp
-              [
-                branch
-                  [ ("r", Construct (Rel "Edge", "ahead2", [])) ]
-                  ~where:(eq (field "r" "head") (str v));
-              ])
+      let direct = Database.query db (two_hop (Ast.str v)) in
+      let got =
+        Planner.run_prepared prepared (Database.eval_env db) [ Value.Str v ]
       in
+      Alcotest.check rel_testable (Fmt.str "prepared(%s) = direct" v) direct got;
+      Alcotest.(check (list string))
+        (Fmt.str "prepared(%s) columns" v)
+        (Schema.attr_names (Relation.schema direct))
+        (Schema.attr_names (Relation.schema got));
       Alcotest.check rel_testable
-        (Fmt.str "prepared(%s) = direct" v)
-        direct
-        (Planner.run_prepared prepared [ Value.Str v ]))
+        (Fmt.str "interpreted(%s) = direct" v)
+        (Database.query db
+           Ast.(
+             Comp
+               [
+                 branch
+                   [ ("r", Construct (Rel "Edge", "ahead2", [])) ]
+                   ~where:(eq (field "r" "head") (str v));
+               ]))
+        (Planner.run_prepared interpreted (Database.eval_env db) [ Value.Str v ]))
     [ "n0"; "n4"; "n9"; "absent" ]
 
 let test_prepared_recursive_falls_back () =
@@ -534,20 +558,27 @@ let test_prepared_recursive_falls_back () =
             ~where:(eq (field "r" "src") (Param "Obj"));
         ])
   in
-  let prepared = Planner.prepare db ~params:[ ("Obj", Value.TStr) ] form in
+  let prepared =
+    Planner.prepare (Database.typecheck_env db) ~params:[ ("Obj", Value.TStr) ] form
+  in
   Alcotest.check Alcotest.bool "interpreted" true
     (contains (Planner.prepared_description prepared) "interpreted");
-  let result = Planner.run_prepared prepared [ Value.Str "n2" ] in
+  let result =
+    Planner.run_prepared prepared (Database.eval_env db) [ Value.Str "n2" ]
+  in
   Alcotest.check Alcotest.int "reachable from n2" 4 (Relation.cardinal result)
 
 let test_prepared_argument_checks () =
   let db = make_db () in
   let form = Ast.(Comp [ branch [ ("r", Rel "Edge") ] ~where:(eq (field "r" "src") (Param "Obj")) ]) in
-  let prepared = Planner.prepare db ~params:[ ("Obj", Value.TStr) ] form in
-  (match Planner.run_prepared prepared [] with
+  let prepared =
+    Planner.prepare (Database.typecheck_env db) ~params:[ ("Obj", Value.TStr) ] form
+  in
+  let env = Database.eval_env db in
+  (match Planner.run_prepared prepared env [] with
   | _ -> Alcotest.fail "expected arity error"
   | exception Eval.Runtime_error _ -> ());
-  match Planner.run_prepared prepared [ Value.Int 3 ] with
+  match Planner.run_prepared prepared env [ Value.Int 3 ] with
   | _ -> Alcotest.fail "expected type error"
   | exception Eval.Runtime_error _ -> ()
 

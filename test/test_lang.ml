@@ -45,6 +45,153 @@ let test_lexer_strings () =
   | _ -> Alcotest.fail "expected Lex_error"
   | exception Lexer.Lex_error _ -> ()
 
+let test_lexer_huge_integer () =
+  Alcotest.check Alcotest.bool "max_int lexes" true
+    (toks (string_of_int max_int) = [ Token.Int_lit max_int; Token.Eof ]);
+  match toks "x = 99999999999999999999999" with
+  | _ -> Alcotest.fail "expected Lex_error"
+  | exception Lexer.Lex_error msg ->
+    Alcotest.(check string) "typed, positioned error"
+      "1:5: integer literal out of range" msg
+
+let keyword_spellings = List.map fst Token.keywords
+
+let test_keywords_distinct () =
+  Alcotest.(check int) "no duplicate keyword spelling"
+    (List.length keyword_spellings)
+    (List.length (List.sort_uniq String.compare keyword_spellings))
+
+(* The keyword table against its specification, the list scan over
+   [Token.keywords]: every keyword, case variants, prefixes and
+   extensions of keywords, the contextual GROUP/BY, and random
+   identifiers. *)
+let gen_word =
+  let open QCheck.Gen in
+  let kw = oneofl keyword_spellings in
+  let ident_start = oneofl (List.init 26 (fun i -> Char.chr (65 + i)) @ List.init 26 (fun i -> Char.chr (97 + i)) @ [ '_' ]) in
+  let ident_char = frequency [ (5, ident_start); (1, char_range '0' '9') ] in
+  let random =
+    map2 (fun c rest -> String.make 1 c ^ rest) ident_start
+      (string_size ~gen:ident_char (int_range 0 10))
+  in
+  let flip_case s =
+    map
+      (fun flips ->
+        String.mapi
+          (fun i c ->
+            if List.nth flips (i mod List.length flips) then
+              if c >= 'a' && c <= 'z' then Char.uppercase_ascii c
+              else Char.lowercase_ascii c
+            else c)
+          s)
+      (list_size (int_range 1 8) bool)
+  in
+  frequency
+    [
+      (3, kw);
+      (2, kw >>= flip_case);
+      (2, kw >>= fun s -> map (fun n -> String.sub s 0 n) (int_range 1 (String.length s)));
+      (2, map2 ( ^ ) kw (string_size ~gen:ident_char (int_range 1 3)));
+      (1, oneofl [ "GROUP"; "BY"; "group"; "By"; "GROUPBY" ]);
+      (3, random);
+    ]
+
+let prop_keyword_table =
+  QCheck.Test.make ~name:"keyword table = list scan over Token.keywords"
+    ~count:2000 (QCheck.make ~print:Fun.id gen_word) (fun w ->
+      let expected =
+        match List.assoc_opt w Token.keywords with
+        | Some kw -> kw
+        | None -> Token.Ident w
+      in
+      toks w = [ expected; Token.Eof ])
+
+(* Statement shapes against a direct reading of their rule: a literal
+   is lifted iff it is the operand of [v.a = lit] or [lit = v.a] with no
+   arithmetic operator on either side.  Statements are random token
+   soups over a small vocabulary (parseable or not), weighted towards the
+   lifting patterns; a pair shares a statement with its literals and
+   some other tokens changed. *)
+let shape_piece =
+  let open QCheck.Gen in
+  let lit =
+    frequency
+      [
+        (3, map string_of_int (int_range 0 4));
+        (3, oneofl [ {|"n1"|}; {|"n2"|}; {|"a\"b"|}; {|""|} ]);
+        (1, oneofl [ "1.5"; "2.25" ]);
+      ]
+  in
+  frequency
+    [
+      (4, lit);
+      (3, map (fun l -> "e . a = " ^ l) lit);
+      (2, map (fun l -> l ^ " = f . b") lit);
+      ( 6,
+        oneofl
+          [ "e"; "f"; "a"; "Edge"; "QUERY"; "EACH"; "IN"; "AND"; "."; "=";
+            "+"; "-"; "*"; "{"; "}"; ":"; ","; "<"; ">"; ";"; "("; ")" ] );
+    ]
+
+let is_literal_piece p =
+  p <> "" && (p.[0] = '"' || (p.[0] >= '0' && p.[0] <= '9'))
+
+let gen_shape_pair =
+  let open QCheck.Gen in
+  list_size (int_range 0 14) shape_piece >>= fun s1 ->
+  let change p =
+    if is_literal_piece p then
+      frequency [ (1, return p); (1, shape_piece >|= fun q -> if is_literal_piece q then q else p) ]
+    else frequency [ (9, return p); (1, shape_piece) ]
+  in
+  flatten_l (List.map change s1) >|= fun s2 ->
+  (String.concat " " s1, String.concat " " s2)
+
+(* The oracle: tokens with every lifted literal replaced by its kind. *)
+let lifted_oracle src =
+  let toks = Array.of_list (toks src) in
+  let n = Array.length toks in
+  let at j = if j >= 0 && j < n then toks.(j) else Token.Eof in
+  let op j = match at j with Token.Plus | Token.Minus | Token.Star -> true | _ -> false in
+  let ident j = match at j with Token.Ident _ -> true | _ -> false in
+  let closes j = not (op j || at j = Token.Dot) in
+  let lifted i =
+    (ident (i - 4) && at (i - 3) = Token.Dot && ident (i - 2) && at (i - 1) = Token.Eq
+     && (not (op (i - 5))) && closes (i + 1))
+    || ((not (op (i - 1))) && at (i + 1) = Token.Eq && ident (i + 2)
+        && at (i + 3) = Token.Dot && ident (i + 4) && closes (i + 5))
+  in
+  let values = ref [] in
+  let norm =
+    Array.mapi
+      (fun i t ->
+        match t with
+        | (Token.Int_lit _ | Token.Float_lit _ | Token.String_lit _) when lifted i ->
+          let v =
+            match t with
+            | Token.Int_lit n -> Value.Int n
+            | Token.Float_lit f -> Value.Float f
+            | Token.String_lit s -> Value.str s
+            | _ -> assert false
+          in
+          values := v :: !values;
+          Token.Ident ("?" ^ Value.type_name (Value.type_of v))
+        | t -> t)
+      toks
+  in
+  (Array.to_list norm, List.rev !values)
+
+let prop_shape_keys =
+  QCheck.Test.make
+    ~name:"equal shapes iff equal tokens modulo lifted literals" ~count:2000
+    (QCheck.make ~print:(fun (a, b) -> a ^ "  |  " ^ b) gen_shape_pair)
+    (fun (s1, s2) ->
+      let n1, v1 = lifted_oracle s1 and n2, v2 = lifted_oracle s2 in
+      let h1 = Shape.scan s1 and h2 = Shape.scan s2 in
+      List.equal Value.equal h1.Shape.values v1
+      && List.equal Value.equal h2.Shape.values v2
+      && String.equal h1.Shape.key h2.Shape.key = (n1 = n2))
+
 (* ------------------------------------------------------------------ *)
 (* Parser *)
 
@@ -597,7 +744,10 @@ let () =
           Alcotest.test_case "basics" `Quick test_lexer_basics;
           Alcotest.test_case "comments" `Quick test_lexer_comments;
           Alcotest.test_case "strings" `Quick test_lexer_strings;
-        ] );
+          Alcotest.test_case "huge integer literal" `Quick test_lexer_huge_integer;
+          Alcotest.test_case "keyword spellings distinct" `Quick test_keywords_distinct;
+        ]
+        @ qcheck [ prop_keyword_table; prop_shape_keys ] );
       ( "parser",
         [
           Alcotest.test_case "range applications" `Quick test_parse_range;

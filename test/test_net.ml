@@ -320,6 +320,72 @@ let test_error_taxonomy () =
     Alcotest.failf "unexpected code %a: %s" Wire.pp_error_code code m);
   Net.Client.close c
 
+(* An integer literal past max_int is a typed lexer error on both the
+   Query and the Stmt path, and the session keeps serving. *)
+let test_huge_integer_literal () =
+  with_server @@ fun _srv port ->
+  let c = connect port in
+  let src = "QUERY {EACH e IN Edge: e.a = 99999999999999999999999};" in
+  let expect_parse name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: huge literal accepted" name
+    | exception Net.Client.Remote (code, msg) ->
+      Alcotest.(check int) (name ^ ": parse error code")
+        (Wire.error_code_to_int Wire.Parse) (Wire.error_code_to_int code);
+      Alcotest.(check bool) (name ^ ": message") true
+        (contains_s msg "integer literal out of range")
+  in
+  expect_parse "query" (fun () -> ignore (Net.Client.query c src));
+  expect_parse "statement" (fun () -> ignore (Net.Client.exec c src));
+  let _, _, tuples = Net.Client.query c "QUERY Edge;" in
+  Alcotest.(check int) "session still serves" 2 (List.length tuples);
+  Net.Client.close c
+
+(* dc_server_stmt_cache_total in a Prometheus body *)
+let cache_count text result =
+  let prefix = Fmt.str {|dc_server_stmt_cache_total{result="%s"} |} result in
+  List.fold_left
+    (fun n line ->
+      if String.starts_with ~prefix line then
+        int_of_string
+          (String.sub line (String.length prefix)
+             (String.length line - String.length prefix))
+      else n)
+    0
+    (String.split_on_char '\n' text)
+
+(* A repeated point read counts one miss, then hits — also across a
+   write, which leaves the catalog version alone — in the wire Metrics
+   body and in SHOW METRICS. *)
+let test_stmt_cache_metrics () =
+  let was = Dc_obs.Obs.on () in
+  Dc_obs.Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Dc_obs.Obs.set_enabled was) @@ fun () ->
+  with_server @@ fun _srv port ->
+  let c = connect port in
+  let counts () =
+    let text = Net.Client.metrics c `Text in
+    (cache_count text "hit", cache_count text "miss")
+  in
+  let hit0, miss0 = counts () in
+  let read k rows =
+    let _, _, tuples =
+      Net.Client.query c (Fmt.str {|QUERY {EACH e IN Edge: e.a = "%s"};|} k)
+    in
+    Alcotest.(check int) ("rows for " ^ k) rows (List.length tuples)
+  in
+  read "a" 1;
+  read "b" 1;
+  ignore (Net.Client.exec c {|INSERT Edge VALUES ("a", "c");|});
+  read "a" 2;
+  let hit1, miss1 = counts () in
+  Alcotest.(check int) "one miss" 1 (miss1 - miss0);
+  Alcotest.(check int) "then hits" 2 (hit1 - hit0);
+  let shown = Net.Client.exec c "SHOW METRICS;" in
+  Alcotest.(check int) "SHOW METRICS hits" hit1 (cache_count shown "hit");
+  Alcotest.(check int) "SHOW METRICS misses" miss1 (cache_count shown "miss");
+  Net.Client.close c
+
 let test_metrics_over_wire () =
   Dc_obs.Obs.set_enabled true;
   Fun.protect ~finally:(fun () -> Dc_obs.Obs.set_enabled false)
@@ -518,6 +584,10 @@ let () =
           Alcotest.test_case "error taxonomy" `Quick test_error_taxonomy;
           Alcotest.test_case "metrics over the wire" `Quick
             test_metrics_over_wire;
+          Alcotest.test_case "huge integer literal" `Quick
+            test_huge_integer_literal;
+          Alcotest.test_case "statement cache metrics" `Quick
+            test_stmt_cache_metrics;
           Alcotest.test_case "unix socket" `Quick test_unix_socket;
         ] );
       ( "adversarial",

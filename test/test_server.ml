@@ -701,6 +701,355 @@ let test_socket_stress ~readers ~reads_per_reader seed () =
       (List.hd (List.rev msgs))
 
 (* ------------------------------------------------------------------ *)
+(* Statement cache: cached = uncached
+
+   [Server.query_string] serves a statement from the cached form of its
+   shape when one exists at its snapshot's catalog version.  The oracle
+   is the uncached evaluation of the same text on the same snapshot:
+   parse, lower against the snapshot, [Snapshot.query].  A reply must
+   equal the oracle's byte for byte (its wire encoding: version, columns,
+   tuples), and a failure must carry the oracle's error code and
+   message (a tripped guard's elapsed milliseconds aside). *)
+
+let cache_setup =
+  {|
+TYPE node = STRING;
+TYPE edgerel = RELATION a, b OF RECORD a, b: node END;
+TYPE pairrel = RELATION x, y OF RECORD x, y: node END;
+VAR Edge: edgerel;
+CONSTRUCTOR tc FOR Rel: edgerel (): edgerel;
+BEGIN EACH e IN Rel: TRUE,
+      <e.a, p.b> OF EACH e IN Rel, EACH p IN Rel{tc()}: e.b = p.a
+END tc;
+|}
+
+let cache_nodes = 12
+
+(* Every published snapshot, by version: the oracle evaluates a reply on
+   exactly the snapshot it observed. *)
+type published = { pm : Mutex.t; by_version : (int, Snapshot.t) Hashtbl.t }
+
+let record_published db =
+  let p = { pm = Mutex.create (); by_version = Hashtbl.create 64 } in
+  let add () =
+    let snap = Database.snapshot db in
+    Mutex.protect p.pm (fun () ->
+        Hashtbl.replace p.by_version (Snapshot.version snap) snap)
+  in
+  add ();
+  Database.set_wal_hooks db
+    (Some
+       {
+         Database.wh_append = (fun ~version:_ ~catalog:_ ~changes:_ -> ());
+         wh_published = (fun ~version:_ -> add ());
+       });
+  p
+
+(* the snapshot of version [v], waiting for the writer's hook to record
+   a version a reader has already observed *)
+let published_at p v =
+  let deadline = Unix.gettimeofday () +. 10. in
+  let rec wait () =
+    match Mutex.protect p.pm (fun () -> Hashtbl.find_opt p.by_version v) with
+    | Some snap -> snap
+    | None when Unix.gettimeofday () > deadline ->
+      Alcotest.failf "version %d was published outside a commit" v
+    | None ->
+      Thread.yield ();
+      wait ()
+  in
+  wait ()
+
+type outcome = Reply of string | Failed of string
+
+let wire_rows (rel, version) =
+  Dc_net.Wire.encode_response
+    (Dc_net.Wire.Rows
+       {
+         version;
+         columns = Schema.attr_names (Relation.schema rel);
+         tuples = Relation.to_list rel;
+       })
+
+(* A tripped guard's report without its wall-clock figure. *)
+let without_elapsed msg =
+  match Str.search_forward (Str.regexp "[0-9.]+ ms elapsed") msg 0 with
+  | i -> String.sub msg 0 i ^ String.sub msg (Str.match_end ()) (String.length msg - Str.match_end ())
+  | exception Not_found -> msg
+
+let outcome f =
+  match f () with
+  | r -> Reply (wire_rows r)
+  | exception e ->
+    let code, msg = Dc_net.Net.classify_exn e in
+    Failed (Fmt.str "%a: %s" Dc_net.Wire.pp_error_code code (without_elapsed msg))
+
+let pp_outcome ppf = function
+  | Reply r -> Fmt.pf ppf "reply of %d bytes" (String.length r)
+  | Failed m -> Fmt.pf ppf "error %s" m
+
+(* The uncached evaluation of [src] on [snap] under [limits]. *)
+let uncached ?(limits = Guard.no_limits) env snap src =
+  outcome (fun () ->
+      match Dc_lang.Parser.parse src with
+      | [ Dc_lang.Surface.D_query r ] ->
+        let range =
+          Dc_lang.Elaborate.with_snapshot env snap (fun () ->
+              Dc_lang.Elaborate.lower_query env r)
+        in
+        ( Snapshot.query ~guard:(Guard.of_limits limits) snap range,
+          Snapshot.version snap )
+      | _ -> raise (Server.Error "expected exactly one QUERY statement"))
+
+let pinned_version out =
+  Scanf.sscanf out "BEGIN\npinned snapshot version %d" Fun.id
+
+(* A seeded read: the statement kinds of the served workloads (point
+   reads, two-hop joins, closure point reads, which a materialized view
+   serves once MATERIALIZE ran), literals varying and repeating, plus
+   reads that name the catalog objects the writer creates — before and
+   after they exist — and literals the shape keeps. *)
+let gen_read rng =
+  let node () = Printf.sprintf "n%d" (Rng.int rng cache_nodes) in
+  let k () = Rng.int rng 3 in
+  match Rng.int rng 11 with
+  | 0 -> Printf.sprintf {|QUERY {EACH e IN Edge: e.a = "%s"};|} (node ())
+  | 1 ->
+    Printf.sprintf
+      {|QUERY {<e.a, f.b> OF EACH e IN Edge, EACH f IN Edge: e.a = "%s" AND e.b = f.a};|}
+      (node ())
+  | 2 -> Printf.sprintf {|QUERY {EACH p IN Edge{tc()}: p.a = "%s"};|} (node ())
+  | 3 -> Printf.sprintf {|QUERY {EACH p IN Edge{tc()}: "%s" = p.b};|} (node ())
+  | 4 -> Printf.sprintf {|QUERY {EACH p IN Edge{c%d()}: p.a = "%s"};|} (k ()) (node ())
+  | 5 -> Printf.sprintf {|QUERY {EACH p IN Edge{c%d()}: p.x = "%s"};|} (k ()) (node ())
+  | 6 -> Printf.sprintf {|QUERY {EACH x IN X%d: x.a = "%s"};|} (k ()) (node ())
+  | 7 -> Printf.sprintf {|QUERY Edge[sel%d("%s")];|} (k ()) (node ())
+  | 8 -> Printf.sprintf {|QUERY {EACH e IN Edge: e.a = "n" + "%d"};|} (Rng.int rng cache_nodes)
+  | 9 -> Printf.sprintf {|QUERY {EACH e IN Edge: e.a = %d};|} (Rng.int rng 3)
+  | _ -> "QUERY Edge;"
+
+(* A seeded write: point updates, and every kind of catalog statement.
+   Constructors are redefined with either result type, so a stale form
+   typed against the other one would answer where the oracle rejects. *)
+let gen_write rng i =
+  let node () = Printf.sprintf "n%d" (Rng.int rng cache_nodes) in
+  let k = Rng.int rng 3 in
+  match Rng.int rng 10 with
+  | 0 | 1 | 2 -> Printf.sprintf {|INSERT Edge VALUES ("%s", "%s");|} (node ()) (node ())
+  | 3 | 4 -> Printf.sprintf {|DELETE Edge VALUES ("%s", "%s");|} (node ()) (node ())
+  | 5 -> Printf.sprintf "TYPE t%d = STRING;" i
+  | 6 -> Printf.sprintf "VAR X%d: edgerel;" k
+  | 7 ->
+    Printf.sprintf
+      "SELECTOR sel%d (v: node) FOR Rel: edgerel; BEGIN EACH r IN Rel: r.%s = v END sel%d;"
+      k (if Rng.bool rng 0.5 then "a" else "b") k
+  | 8 ->
+    Printf.sprintf
+      "CONSTRUCTOR c%d FOR Rel: edgerel (): %s; BEGIN <e.a, e.b> OF EACH e IN Rel: TRUE END c%d;"
+      k (if Rng.bool rng 0.5 then "edgerel" else "pairrel") k
+  | _ -> "MATERIALIZE Edge{tc()};"
+
+let cache_server () =
+  let db = Database.create () in
+  let srv = Server.create db in
+  let s = Server.open_session srv in
+  ignore (Server.execute s cache_setup);
+  ignore
+    (Server.execute s
+       (Printf.sprintf "INSERT Edge VALUES %s;"
+          (String.concat ", "
+             (List.init cache_nodes (fun i ->
+                  Printf.sprintf {|("n%d", "n%d")|} i ((i + 1) mod cache_nodes))))));
+  (db, srv, s)
+
+(* One writer session and four reader sessions on systhreads, one of them
+   under a row budget.  A reader sometimes pins a snapshot with BEGIN
+   for a few reads.  A reply is
+   checked on the snapshot of the version it reports; a failure, which
+   reports no version, on some snapshot published while the read ran. *)
+let test_cache_differential seed () =
+  let db, srv, writer = cache_server () in
+  let published = record_published db in
+  let failures = ref [] and checked = ref 0 in
+  let fm = Mutex.create () in
+  let fail fmt =
+    Fmt.kstr (fun m -> Mutex.protect fm (fun () -> failures := m :: !failures)) fmt
+  in
+  let check_read ?limits s env ~pinned src =
+    let before = Database.version db in
+    let got = outcome (fun () -> Server.query_string s src) in
+    let after = Database.version db in
+    let candidates =
+      match pinned, got with
+      | Some v, _ -> [ v ]
+      | None, Reply r ->
+        [ (Dc_net.Wire.(match decode_response r with Rows { version; _ } -> version | _ -> -1)) ]
+      | None, Failed _ -> List.init (after - before + 1) (fun i -> before + i)
+    in
+    let oracles =
+      List.map (fun v -> uncached ?limits env (published_at published v) src) candidates
+    in
+    Mutex.protect fm (fun () -> incr checked);
+    if not (List.mem got oracles) then
+      fail "seed %d: %s gave %a, uncached gave %a" seed src pp_outcome got
+        Fmt.(list ~sep:(any " / ") pp_outcome)
+        oracles
+  in
+  (* a sequential prefix: a form cached against one constructor result
+     type must not answer after the constructor changed it *)
+  let s0 = Server.open_session srv in
+  let env0 = Dc_lang.Elaborate.create db in
+  List.iter
+    (fun src ->
+      if String.length src > 6 && String.sub src 0 6 = "QUERY " then
+        check_read s0 env0 ~pinned:None src
+      else ignore (Server.execute writer src))
+    [
+      "CONSTRUCTOR c0 FOR Rel: edgerel (): edgerel; BEGIN <e.a, e.b> OF EACH e IN Rel: TRUE END c0;";
+      {|QUERY {EACH p IN Edge{c0()}: p.a = "n1"};|};
+      {|QUERY {EACH p IN Edge{c0()}: p.a = "n2"};|};
+      "CONSTRUCTOR c0 FOR Rel: edgerel (): pairrel; BEGIN <e.a, e.b> OF EACH e IN Rel: TRUE END c0;";
+      {|QUERY {EACH p IN Edge{c0()}: p.a = "n3"};|};
+      {|QUERY {EACH p IN Edge{c0()}: p.x = "n3"};|};
+      {|QUERY {EACH p IN Edge{c0()}: p.x = "n4"};|};
+    ];
+  Server.close_session s0;
+  let writer_thread () =
+    let rng = Rng.create seed in
+    for i = 1 to 150 do
+      (try ignore (Server.execute writer (gen_write rng i)) with _ -> ());
+      Thread.yield ()
+    done
+  in
+  let reader r () =
+    let rng = Rng.create ((seed * 7) + r) in
+    (* one session reads under a row budget that closure reads exceed *)
+    let limits = if r = 3 then Some (Guard.limits ~rows:6 ()) else None in
+    let s = Server.open_session ?limits srv in
+    let env = Dc_lang.Elaborate.create db in
+    let pinned = ref None and left = ref 0 in
+    for _ = 1 to 150 do
+      (match !pinned with
+      | None when Rng.int rng 10 = 0 ->
+        pinned := Some (pinned_version (Server.execute s "BEGIN;"));
+        left := 1 + Rng.int rng 6
+      | Some _ when !left = 0 ->
+        ignore (Server.execute s "COMMIT;");
+        pinned := None
+      | _ -> ());
+      decr left;
+      check_read ?limits s env ~pinned:!pinned (gen_read rng)
+    done;
+    if !pinned <> None then ignore (Server.execute s "COMMIT;");
+    Server.close_session s
+  in
+  let wt = Thread.create writer_thread () in
+  let rts = List.init 4 (fun r -> Thread.create (reader r) ()) in
+  Thread.join wt;
+  List.iter Thread.join rts;
+  Database.set_wal_hooks db None;
+  Server.close_session writer;
+  Server.shutdown srv;
+  Alcotest.(check bool) (Fmt.str "seed %d: reads checked" seed) true (!checked >= 600);
+  match !failures with
+  | [] -> ()
+  | msgs ->
+    Alcotest.failf "%d cached reads differ from uncached, first: %s"
+      (List.length msgs) (List.hd (List.rev msgs))
+
+(* The cache holds at most 256 forms and 1 MiB of shape text, evicting
+   oldest first: 300 distinct shapes evict 44 forms, the most recent
+   shape still hits, and a statement over the byte bound is answered but
+   never cached. *)
+let test_cache_bounds () =
+  let was = Dc_obs.Obs.on () in
+  Dc_obs.Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Dc_obs.Obs.set_enabled was) @@ fun () ->
+  let _, srv, s = cache_server () in
+  let count result =
+    Dc_obs.Obs.Counter.value
+      (Dc_obs.Obs.Counter.make ~labels:[ ("result", result) ]
+         "dc_server_stmt_cache_total")
+  in
+  let read src =
+    let rel, _ = Server.query_string s src in
+    Relation.cardinal rel
+  in
+  (* [#] keeps its literal in the shape: one shape per [i] *)
+  let shape i = Printf.sprintf {|QUERY {EACH e IN Edge: e.a = "n1" AND e.b # "k%d"};|} i in
+  let evict0 = count "evict" in
+  for i = 1 to 300 do
+    Alcotest.(check int) "answered" 1 (read (shape i))
+  done;
+  Alcotest.(check int) "oldest forms evicted" 44 (count "evict" - evict0);
+  let hit0 = count "hit" and miss0 = count "miss" in
+  ignore (read (shape 300));
+  ignore (read (shape 1));
+  Alcotest.(check int) "recent shape hits" 1 (count "hit" - hit0);
+  Alcotest.(check int) "evicted shape misses" 1 (count "miss" - miss0);
+  let huge =
+    Printf.sprintf {|QUERY {EACH e IN Edge: e.a = "n1" AND e.b # "%s"};|}
+      (String.make (1 lsl 20) 'x')
+  in
+  let miss1 = count "miss" and evict1 = count "evict" in
+  Alcotest.(check int) "huge statement answered" 1 (read huge);
+  Alcotest.(check int) "and again" 1 (read huge);
+  Alcotest.(check int) "never cached" 2 (count "miss" - miss1);
+  Alcotest.(check int) "nothing evicted for it" 0 (count "evict" - evict1);
+  Server.close_session s;
+  Server.shutdown srv
+
+(* A BEGIN-pinned session resolves a read's names in its pinned catalog,
+   cached or not: a relation declared after the pin is unknown to it,
+   even once another session's read of the same statement has cached it
+   at the new catalog version. *)
+let test_cache_pinned_catalog () =
+  let db, srv, writer = cache_server () in
+  ignore
+    (Server.execute writer
+       {|CONSTRUCTOR via FOR Rel: edgerel (Other: edgerel): edgerel;
+BEGIN <e.a, o.b> OF EACH e IN Rel, EACH o IN Other: e.b = o.a END via;|});
+  let pinned = Server.open_session srv in
+  let v = pinned_version (Server.execute pinned "BEGIN;") in
+  let snap = Database.snapshot db in
+  Alcotest.(check int) "pinned the latest" (Snapshot.version snap) v;
+  ignore (Server.execute writer "VAR X: edgerel;");
+  ignore (Server.execute writer {|INSERT X VALUES ("n1", "n5");|});
+  let env = Dc_lang.Elaborate.create db in
+  let reads =
+    [ {|QUERY {EACH p IN Edge{via(X)}: p.a = "n0"};|}; {|QUERY {EACH x IN X: x.a = "n1"};|} ]
+  in
+  let fresh = Server.open_session srv in
+  List.iter
+    (fun src ->
+      let expected = uncached env snap src in
+      (match expected with
+      | Failed _ -> ()
+      | Reply _ -> Alcotest.failf "%s answered on a catalog without X" src);
+      (* uncached in the pinned session *)
+      Alcotest.(check bool) (src ^ ": pinned, uncached") true
+        (outcome (fun () -> Server.query_string pinned src) = expected);
+      (* a session on the latest catalog answers and caches the form *)
+      (match outcome (fun () -> Server.query_string fresh src) with
+      | Reply _ -> ()
+      | Failed m -> Alcotest.failf "%s on the latest catalog: %s" src m);
+      (match outcome (fun () -> Server.query_string fresh src) with
+      | Reply _ -> ()
+      | Failed m -> Alcotest.failf "%s cached on the latest catalog: %s" src m);
+      (* the pinned session still gets its catalog's answer *)
+      Alcotest.(check bool) (src ^ ": pinned, after caching") true
+        (outcome (fun () -> Server.query_string pinned src) = expected))
+    reads;
+  (match uncached env snap (List.hd reads) with
+  | Failed m ->
+    Alcotest.(check bool) "lowered against the pinned catalog" true
+      (contains_s m "unknown argument name X")
+  | Reply _ -> ());
+  ignore (Server.execute pinned "COMMIT;");
+  List.iter Server.close_session [ pinned; fresh; writer ];
+  Server.shutdown srv
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "dc_server"
@@ -743,6 +1092,15 @@ let () =
         [
           Alcotest.test_case "SHOW SNAPSHOT golden" `Quick
             test_show_snapshot_golden;
+        ] );
+      ( "statement cache",
+        [
+          Alcotest.test_case "cached = uncached, 1 writer + 4 readers" `Quick
+            (test_cache_differential 0x5EED);
+          Alcotest.test_case "reads resolve in the pinned catalog" `Quick
+            test_cache_pinned_catalog;
+          Alcotest.test_case "bounded in forms and bytes" `Quick
+            test_cache_bounds;
         ] );
       ( "stress",
         [
