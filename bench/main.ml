@@ -113,7 +113,7 @@ let exp_f3 () =
      rule.@.@.";
   let db = tc_db (Graph_gen.chain 4) in
   (* the unrestricted application: recursive cycle, fixpoint plan *)
-  let d1 = Dc_compile.Planner.plan db tc_query in
+  let d1 = Dc_compile.Planner.plan (Database.typecheck_env db) tc_query in
   Fmt.pr "--- unrestricted application ---@.%a@." Dc_compile.Planner.explain d1;
   (* the restricted application: capture rule *)
   let restricted =
@@ -125,7 +125,7 @@ let exp_f3 () =
             ~where:(eq (field "r" "src") (str "n0"));
         ])
   in
-  let d2 = Dc_compile.Planner.plan db restricted in
+  let d2 = Dc_compile.Planner.plan (Database.typecheck_env db) restricted in
   Fmt.pr "--- restricted application ---@.%a@." Dc_compile.Planner.explain d2
 
 (* ------------------------------------------------------------------ *)
@@ -348,14 +348,17 @@ let exp_e4 () =
            the right-linear one — the orientation condition of [Naqv 84] *)
         let magic linear =
           let db = tc_db ~linear edges in
-          let decision = Dc_compile.Planner.plan db restricted in
+          let decision =
+            Dc_compile.Planner.plan (Database.typecheck_env db) restricted
+          in
           (match decision.Dc_compile.Planner.d_method with
           | Dc_compile.Planner.Magic _ -> ()
           | m ->
             Fmt.failwith "expected the magic method, got %s"
               (Dc_compile.Planner.method_name m));
           let pushed, pushed_ms =
-            time (fun () -> Dc_compile.Planner.execute db decision)
+            time (fun () ->
+                Dc_compile.Planner.execute (Database.eval_env db) decision)
           in
           assert (Relation.equal full pushed);
           pushed_ms
@@ -454,22 +457,17 @@ let exp_e6 () =
       (fun (name, edges) ->
         let db = tc_db edges in
         let (con_result, _), con_ms = time (fun () -> run_tc db) in
-        let ctx =
-          {
-            Dc_datalog.Translate.lookup_constructor = Database.constructor db;
-            schema_of =
-              (fun n ->
-                match Database.get db n with
-                | r -> Some (Relation.schema r)
-                | exception Database.Error _ -> None);
-          }
+        let program, query_pred =
+          Dc_datalog.Translate.of_application
+            (Dc_datalog.Translate.context (Database.typecheck_env db))
+            tc_query
         in
-        let program, query_pred = Dc_datalog.Translate.of_application ctx tc_query in
         let horn, horn_ms =
           time (fun () ->
               Dc_datalog.Seminaive.query program
-                (Dc_datalog.Facts.of_relation "Edge" edges
-                   (Dc_datalog.Facts.empty ()))
+                (Dc_datalog.Translate.edb
+                   (Snapshot.get (Database.snapshot db))
+                   program)
                 query_pred)
         in
         let equal =
@@ -873,12 +871,16 @@ let exp_e11 () =
                   ~where:(eq (field "r" "head") (str "n1"));
               ])
         in
-        let d = Dc_compile.Planner.plan db q in
+        let d = Dc_compile.Planner.plan (Database.typecheck_env db) q in
         let indexed, on_ms =
-          time (fun () -> Dc_compile.Planner.execute ~use_indexes:true db d)
+          time (fun () ->
+              Dc_compile.Planner.execute ~use_indexes:true
+                (Database.eval_env db) d)
         in
         let scanned, off_ms =
-          time (fun () -> Dc_compile.Planner.execute ~use_indexes:false db d)
+          time (fun () ->
+              Dc_compile.Planner.execute ~use_indexes:false
+                (Database.eval_env db) d)
         in
         assert (Relation.equal indexed scanned);
         [
@@ -958,7 +960,8 @@ let bechamel_tests () =
       Test.make ~name:"e4-magic-left-linear (two chains 48)"
         (Staged.stage (fun () ->
              let db = tc_db ~linear:`Left two_chains in
-             Dc_compile.Planner.plan_and_execute db restricted));
+             Dc_compile.Planner.execute (Database.eval_env db)
+               (Dc_compile.Planner.plan (Database.typecheck_env db) restricted)));
       Test.make ~name:"e5-mutual-ahead-above (scene 12x2)"
         (Staged.stage (fun () ->
              let db = Database.create () in
@@ -1018,9 +1021,10 @@ let bechamel_tests () =
                  ~where:(eq (field "r" "head") (str "n1"));
              ])
        in
-       let d = Dc_compile.Planner.plan db q in
+       let d = Dc_compile.Planner.plan (Database.typecheck_env db) q in
        Test.make ~name:"e11-indexed-plan (random 100/600)"
-         (Staged.stage (fun () -> Dc_compile.Planner.execute db d)));
+         (Staged.stage (fun () ->
+              Dc_compile.Planner.execute (Database.eval_env db) d)));
     ]
 
 let run_bechamel () =
@@ -1156,7 +1160,10 @@ let magic_cell n () =
             ~where:(eq (field "r" "src") (str "n1"));
         ])
   in
-  let r = Dc_compile.Planner.plan_and_execute db restricted in
+  let r =
+    Dc_compile.Planner.execute (Database.eval_env db)
+      (Dc_compile.Planner.plan (Database.typecheck_env db) restricted)
+  in
   (0, Relation.cardinal r, None)
 
 let json_experiments ?(only = []) () =

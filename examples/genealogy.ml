@@ -56,23 +56,15 @@ let () =
 
   (* §3.4: run the ancestor rules as a Horn-clause program and compare *)
   Fmt.pr "@.=== Lemma 3.4: same query as Horn clauses ===@.";
-  let ctx =
-    {
-      Dc_datalog.Translate.lookup_constructor = Database.constructor db;
-      schema_of =
-        (fun n ->
-          match Database.get db n with
-          | r -> Some (Relation.schema r)
-          | exception Database.Error _ -> None);
-    }
-  in
   let app = Ast.(Construct (Rel "Parent", "ancestor", [])) in
-  let program, query_pred = Dc_datalog.Translate.of_application ctx app in
+  let program, query_pred =
+    Dc_datalog.Translate.of_application
+      (Dc_datalog.Translate.context (Database.typecheck_env db))
+      app
+  in
   Fmt.pr "translated program:@.%a@." Dc_datalog.Syntax.pp_program program;
   let edb =
-    Dc_datalog.Facts.of_relation "Parent"
-      (Database.get db "Parent")
-      (Dc_datalog.Facts.empty ())
+    Dc_datalog.Translate.edb (Snapshot.get (Database.snapshot db)) program
   in
   let horn = Dc_datalog.Seminaive.query program edb query_pred in
   let horn_rel =

@@ -74,7 +74,9 @@ let () =
             ~where:(eq (field "r" "src") (str "a"));
         ])
   in
-  let decision = Dc_compile.Planner.plan db restricted in
+  let decision =
+    Dc_compile.Planner.plan (Database.typecheck_env db) restricted
+  in
   Fmt.pr "%a@." Dc_compile.Planner.explain decision;
   Fmt.pr "result =@.%a@." Relation.pp_table
-    (Dc_compile.Planner.execute db decision)
+    (Dc_compile.Planner.execute (Database.eval_env db) decision)

@@ -128,21 +128,7 @@ and branch_schema env ctx { binders; target; _ } =
     match binders with
     | [ (_, r) ] -> range_schema env ctx r
     | _ -> runtime_error "identity branch must have exactly one binder")
-  | ts ->
-    let used = Hashtbl.create 8 in
-    let attr i t =
-      let base =
-        match t with
-        | Field (_, a) -> a
-        | _ -> Fmt.str "c%d" i
-      in
-      let name =
-        if Hashtbl.mem used base then Fmt.str "%s_%d" base i else base
-      in
-      Hashtbl.replace used name ();
-      (name, term_ty env ctx' t)
-    in
-    Schema.make (List.mapi attr ts)
+  | ts -> Typecheck.target_schema (term_ty env ctx') ts
 
 and term_ty env ctx = function
   | Const v -> Value.type_of v
@@ -266,6 +252,109 @@ let outer_vars env (b : branch) =
       if List.mem_assoc v b.binders then s else Vars.S.add v s)
     env.vars Vars.S.empty
 
+(* ------------------------------------------------------------------ *)
+(* Join scheduling
+
+   The one rule that orders a branch's binders and places its WHERE
+   conjuncts, shared by the evaluator (per lowering, with the sizes of
+   its pre-evaluated ranges) and the compiled plans (once, with no
+   sizes).  Conjuncts needing no binder are prefilters: they gate the
+   whole branch.  Binder order is the IR-level rewrite
+   {!Dc_exec.Join_order}: keyed probes first, then the smallest known
+   range, with ranges that mention earlier binders placed after them.
+   Every other conjunct sits at the last join position among the
+   binders it needs; there a conjunct [v.a = t] (or [t = v.a]) whose [t]
+   the earlier positions close is an index key, any other conjunct a
+   filter. *)
+
+let prefilters ~outer ({ binders; where; _ } : branch) =
+  List.filter
+    (fun f ->
+      let needed = Vars.S.diff (Vars.free_vars_formula f) outer in
+      not (List.exists (fun (v, _) -> Vars.S.mem v needed) binders))
+    (conjuncts where)
+
+type placed = {
+  p_binder : int; (* the binder's position in the branch *)
+  p_keys : (string * term) list;
+  p_filters : formula list;
+}
+
+let schedule ~card ~outer ({ binders; where; _ } : branch) =
+  let conjs = conjuncts where in
+  let var i = fst (List.nth binders i) in
+  let order =
+    match binders with
+    | [] | [ _ ] -> List.mapi (fun i _ -> i) binders
+    | _ ->
+      let var_pos = List.mapi (fun i (v, _) -> (v, i)) binders in
+      let key_conjs =
+        (* (binder var, term that must be closed) per equality conjunct *)
+        List.filter_map
+          (function
+            | Cmp (Eq, Field (v, _), t) when List.mem_assoc v var_pos ->
+              Some (v, t)
+            | Cmp (Eq, t, Field (v, _)) when List.mem_assoc v var_pos ->
+              Some (v, t)
+            | _ -> None)
+          conjs
+      in
+      Dc_exec.Join_order.order
+        (List.mapi
+           (fun i (v, r) ->
+             let deps =
+               Vars.S.fold
+                 (fun fv deps ->
+                   match List.assoc_opt fv var_pos with
+                   | Some j when j < i -> j :: deps
+                   | _ -> deps)
+                 (Vars.free_vars_range r) []
+             in
+             let keys_given placed =
+               let bound =
+                 List.fold_left (fun s j -> Vars.S.add (var j) s) outer placed
+               in
+               List.length
+                 (List.filter
+                    (fun (v', t) ->
+                      v' = v && Vars.S.subset (Vars.free_vars_term t) bound)
+                    key_conjs)
+             in
+             { Dc_exec.Join_order.deps; card = card i; keys_given })
+           binders)
+  in
+  let vars = List.map var order in
+  let position f =
+    let needed = Vars.S.diff (Vars.free_vars_formula f) outer in
+    let rec last i best = function
+      | [] -> best
+      | v :: rest -> last (i + 1) (if Vars.S.mem v needed then i else best) rest
+    in
+    last 0 (-1) vars
+  in
+  let tagged = List.map (fun f -> (position f, f)) conjs in
+  let rec place i bound = function
+    | [] -> []
+    | b :: rest ->
+      let v = var b in
+      let closed t = Vars.S.subset (Vars.free_vars_term t) bound in
+      let p_keys, p_filters =
+        List.partition_map
+          (function
+            | Cmp (Eq, Field (v', a), t) when v' = v && closed t ->
+              Either.Left (a, t)
+            | Cmp (Eq, t, Field (v', a)) when v' = v && closed t ->
+              Either.Left (a, t)
+            | f -> Either.Right f)
+          (List.filter_map
+             (fun (j, f) -> if j = i then Some f else None)
+             tagged)
+      in
+      { p_binder = b; p_keys; p_filters }
+      :: place (i + 1) (Vars.S.add v bound) rest
+  in
+  place 0 outer order
+
 let eval_cmp op a b =
   let c = Value.compare a b in
   match op with
@@ -338,9 +427,10 @@ and eval_comp ?schema env branches =
       (Relation.empty schema) branches
 
 (* Lower one branch onto the operator IR (no execution): binders become
-   scan/probe steps in the order the shared {!Dc_exec.Join_order}
-   rewrite picks, WHERE conjuncts become index keys or filters at the
-   earliest closed position.  Uncorrelated ranges are evaluated once,
+   scan/probe steps and WHERE conjuncts index keys or filters, as
+   {!schedule} places them ([eval_branch] has already checked the
+   prefilters; [outer] are the outer variables visible in the branch).
+   Uncorrelated ranges are evaluated once,
    here, and wrapped as fixed extents over [env.icache]-backed indexes;
    correlated ranges become correlated scans re-evaluated per outer row.
 
@@ -349,28 +439,14 @@ and eval_comp ?schema env branches =
    same name, while a binder's range sees the outer variables and the
    binders before it.  (Typechecked programs never shadow an outer
    variable with a binder; the evaluator still defines the case.) *)
-and lower_branch env ({ binders; target; where } as branch) =
-  let conjs = conjuncts where in
-  (* Variables bound in the enclosing env count as position 0. *)
-  let outer = outer_vars env branch in
-  let position_of_conj binder_vars f =
-    let fv = Vars.free_vars_formula f in
-    let needed = Vars.S.diff fv outer in
-    let rec last_index i best = function
-      | [] -> best
-      | v :: rest ->
-        last_index (i + 1) (if Vars.S.mem v needed then i else best) rest
-    in
-    last_index 0 (-1) binder_vars
-  in
-  let binder_vars = List.map fst binders in
-  (* Join reorder (IR rewrite rule): keyed probes first, then the smallest
-     pre-evaluated range; ranges mentioning earlier binders impose
-     dependencies.  Pre-evaluation of closed ranges happens once here (it
-     was due anyway) and doubles as the cardinality estimate. *)
+and lower_branch env ~outer ({ binders; target; _ } as branch) =
   let binder_arr = Array.of_list binders in
   (* A range closed under the outer variables its earlier binders leave
-     visible is evaluated now; any other range is correlated. *)
+     visible is evaluated now; any other range is correlated.  The
+     evaluated sizes are the scheduler's cardinalities: keyed probes
+     first, then the smallest range, which in a semi-naive fixpoint round
+     turns "scan the base, probe the delta" into "scan the delta, probe
+     the base". *)
   let env_vars = SM.fold (fun v _ s -> Vars.S.add v s) env.vars Vars.S.empty in
   let evaled =
     Array.mapi
@@ -385,86 +461,17 @@ and lower_branch env ({ binders; target; where } as branch) =
         else None)
       binder_arr
   in
-  let order =
-    if Array.length binder_arr <= 1 then
-      List.init (Array.length binder_arr) Fun.id
-    else begin
-      let var_pos = List.mapi (fun i v -> (v, i)) binder_vars in
-      let key_conjs =
-        (* (binder var, term that must be closed) per equality conjunct *)
-        List.filter_map
-          (function
-            | Cmp (Eq, Field (v, _), t) when List.mem_assoc v var_pos ->
-              Some (v, t)
-            | Cmp (Eq, t, Field (v, _)) when List.mem_assoc v var_pos ->
-              Some (v, t)
-            | _ -> None)
-          conjs
-      in
-      let candidates =
-        Array.to_list
-          (Array.mapi
-             (fun i (v, r) ->
-               let deps =
-                 Vars.S.fold
-                   (fun fv deps ->
-                     match List.assoc_opt fv var_pos with
-                     | Some j when j < i -> j :: deps
-                     | _ -> deps)
-                   (Vars.free_vars_range r) []
-               in
-               let card =
-                 Option.map Relation.cardinal evaled.(i)
-               in
-               let keys_given placed =
-                 let bound =
-                   List.fold_left
-                     (fun s j -> Vars.S.add (fst binder_arr.(j)) s)
-                     outer placed
-                 in
-                 List.length
-                   (List.filter
-                      (fun (v', t) ->
-                        v' = v
-                        && Vars.S.subset (Vars.free_vars_term t) bound)
-                      key_conjs)
-               in
-               { Dc_exec.Join_order.deps; card; keys_given })
-             binder_arr)
-      in
-      Dc_exec.Join_order.order candidates
-    end
-  in
-  let binders = List.map (fun i -> binder_arr.(i)) order in
-  let evaled = List.map (fun i -> evaled.(i)) order in
-  let binder_vars = List.map fst binders in
-  let tagged = List.map (fun f -> (position_of_conj binder_vars f, f)) conjs in
-  let bound_before i =
-    List.filteri (fun j _ -> j < i) binder_vars
-    |> List.fold_left (fun s v -> Vars.S.add v s) outer
+  let placed =
+    schedule
+      ~card:(fun i -> Option.map Relation.cardinal evaled.(i))
+      ~outer branch
   in
   let schemas_so_far = ref [] in
   let steps =
-    List.mapi
-      (fun i ((v, range), pre_rel) ->
-        let here =
-          List.filter_map (fun (j, f) -> if j = i then Some f else None) tagged
-        in
-        let closed_term t =
-          Vars.S.subset (Vars.free_vars_term t) (bound_before i)
-        in
-        let keys, filters =
-          List.partition_map
-            (fun f ->
-              match f with
-              | Cmp (Eq, Field (v', a), t) when v' = v && closed_term t ->
-                Either.Left (a, t)
-              | Cmp (Eq, t, Field (v', a)) when v' = v && closed_term t ->
-                Either.Left (a, t)
-              | _ -> Either.Right f)
-            here
-        in
-        match pre_rel with
+    List.map
+      (fun { p_binder; p_keys = keys; p_filters = filters } ->
+        let v, range = binder_arr.(p_binder) in
+        match evaled.(p_binder) with
         | None ->
           let schema = range_schema env !schemas_so_far range in
           schemas_so_far := (v, schema) :: !schemas_so_far;
@@ -479,7 +486,7 @@ and lower_branch env ({ binders; target; where } as branch) =
             | _ -> "<computed>"
           in
           { var = v; schema; source = Fixed (rel, src_label); keys; filters })
-      (List.combine binders evaled)
+      placed
   in
   lower_steps env steps ~target
 
@@ -612,21 +619,11 @@ and eval_branch : 'a. env -> branch -> emit:('a -> Tuple.t -> 'a) -> 'a -> 'a =
   fun env branch ~emit acc ->
   let module Ir = Dc_exec.Ir in
   let outer = outer_vars env branch in
-  let binder_vars = List.map fst branch.binders in
-  let pre =
-    (* conjuncts needing no binder variable (same rule as the lowering's
-       position assignment, which puts them at position -1) *)
-    List.filter
-      (fun f ->
-        let needed = Vars.S.diff (Vars.free_vars_formula f) outer in
-        not (List.exists (fun v -> Vars.S.mem v needed) binder_vars))
-      (conjuncts branch.where)
-  in
-  if not (List.for_all (eval_formula env) pre) then acc
+  if not (List.for_all (eval_formula env) (prefilters ~outer branch)) then acc
   else begin
     if !Guard.Failpoint.armed then
       Guard.Failpoint.hit ~guard:env.guard "eval.branch";
-    let pipeline = lower_branch env branch in
+    let pipeline = lower_branch env ~outer branch in
     (match env.trace with
     | Some tr ->
       Ir.Trace.record tr ~label:(Lazy.force pipeline.Ir.tlabel) pipeline

@@ -105,6 +105,34 @@ val eval_branch :
 (** Fold [emit] over the tuples one branch produces (after join
     scheduling); used directly by the semi-naive fixpoint engine. *)
 
+(** {1 Join scheduling}
+
+    The one rule by which the evaluator and the compiled plans schedule
+    a comprehension branch whose enclosing scope binds the tuple
+    variables [outer]. *)
+
+val prefilters : outer:Vars.S.t -> Ast.branch -> Ast.formula list
+(** The WHERE conjuncts that need no binder of the branch: closed by
+    [outer] alone, they gate the whole branch. *)
+
+(** One binder of a scheduled branch, in join order. *)
+type placed = {
+  p_binder : int;  (** the binder's position in the branch *)
+  p_keys : (string * Ast.term) list;
+      (** [attr = term] equality keys, each term closed by [outer] and
+          the binders placed before *)
+  p_filters : Ast.formula list;  (** conjuncts closed once it is bound *)
+}
+
+val schedule :
+  card:(int -> int option) -> outer:Vars.S.t -> Ast.branch -> placed list
+(** The binders in join order, with every conjunct that is not a
+    prefilter placed at the last join position among the binders it
+    needs.  Order is {!Dc_exec.Join_order}'s rule over the index keys
+    each binder can use; [card i], the size of binder [i]'s range when
+    known, breaks ties (the evaluator passes the sizes of its
+    pre-evaluated ranges; a compiled plan knows none). *)
+
 (** {1 Slot-row lowering}
 
     The compiled form every branch runs in: the IR row is a

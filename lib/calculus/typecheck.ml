@@ -84,6 +84,23 @@ let rec infer_term env ctx = function
       error "operator %a not defined at type %s" pp_binop op
         (Value.type_name ta))
 
+(* The schema a branch's target terms build.  A [Field] term keeps its
+   attribute name, any other term is named [c<i>] by its position, and a
+   name already taken becomes [<name>_<i>]. *)
+let target_schema ty_of ts =
+  let used = Hashtbl.create 8 in
+  let attr i t =
+    let base =
+      match t with
+      | Field (_, a) -> a
+      | _ -> Fmt.str "c%d" i
+    in
+    let name = if Hashtbl.mem used base then Fmt.str "%s_%d" base i else base in
+    Hashtbl.replace used name ();
+    (name, ty_of t)
+  in
+  Schema.make (List.mapi attr ts)
+
 let rec check_formula env ctx = function
   | True | False -> ()
   | Cmp (op, a, b) ->
@@ -169,10 +186,9 @@ and check_args env ctx who params args =
         error "%s: parameter %s expects a relation, got a scalar" who n)
     params args
 
-(* The schema of a branch's output.  Attribute names come from the target
-   terms ([Field] terms keep their attribute name, others get positional
-   names); every branch of a comprehension must be positionally
-   type-compatible with the first. *)
+(* The schema of a branch's output: see {!target_schema}.  Every branch
+   of a comprehension must be positionally type-compatible with the
+   first. *)
 and infer_branch env ctx ({ binders; target; where } as b) =
   if binders = [] then error "branch with no EACH binder: %a" pp_branch b;
   let ctx' =
@@ -188,21 +204,7 @@ and infer_branch env ctx ({ binders; target; where } as b) =
     match binders with
     | [ (_, r) ] -> infer_range env ctx r
     | _ -> error "identity branch must have exactly one binder: %a" pp_branch b)
-  | ts ->
-    let used = Hashtbl.create 8 in
-    let attr i t =
-      let base =
-        match t with
-        | Field (_, a) -> a
-        | _ -> Fmt.str "c%d" i
-      in
-      let name =
-        if Hashtbl.mem used base then Fmt.str "%s_%d" base i else base
-      in
-      Hashtbl.replace used name ();
-      (name, infer_term env ctx' t)
-    in
-    Schema.make (List.mapi attr ts)
+  | ts -> target_schema (infer_term env ctx') ts
 
 and infer_branches env ctx = function
   | [] -> error "empty comprehension"

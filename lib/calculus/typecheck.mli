@@ -45,9 +45,14 @@ val infer_range : env -> ctx -> Ast.range -> Schema.t
 (** Schema of a range expression.
     @raise Error on unknown names or arity/type mismatches. *)
 
+val target_schema : (Ast.term -> Value.ty) -> Ast.term list -> Schema.t
+(** The schema a branch's target terms build, given each term's type: a
+    [Field] term keeps its attribute name, any other term is named
+    [c<i>] by its position, and a name already taken becomes
+    [<name>_<i>].  The evaluator names its results by this rule too. *)
+
 val infer_branch : env -> ctx -> Ast.branch -> Schema.t
-(** Output schema of one branch (attribute names from [Field] targets,
-    positional names otherwise). *)
+(** Output schema of one branch (see {!target_schema}). *)
 
 val infer_branches : env -> ctx -> Ast.branch list -> Schema.t
 (** Schema of a comprehension; all branches must be positionally

@@ -10,9 +10,10 @@
    exactly the join scheduling the dynamic evaluator performs, but fixes
    the decisions at compile time and makes them printable (EXPLAIN).
 
-   Recursive constructor applications cannot be compiled into a static
-   pipeline (they need the §3.2 fixpoint); the planner only sends
-   decompiled/pushed — hence application-free — queries here. *)
+   Constructor applications cannot be compiled into a static pipeline
+   (a recursive one needs the §3.2 fixpoint): an application in range
+   position is not compilable, and the planner decompiles acyclic ones
+   before it compiles. *)
 
 open Dc_relation
 open Dc_calculus
@@ -51,206 +52,77 @@ and t = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Compilation *)
+(* Compilation: the evaluator's join schedule ({!Eval.schedule}, with no
+   cardinalities), fixed at compile time; schemas come from the
+   typechecker. *)
 
 type cenv = {
-  schema_of_rel : string -> Schema.t;
-  bound : Vars.S.t; (* outer variables (correlated compilation) *)
+  catalog : Typecheck.env;
+  ctx : Typecheck.ctx; (* outer binders (correlated compilation) *)
 }
 
-let rec source_schema cenv = function
-  | Src_rel n -> cenv.schema_of_rel n
-  | Src_comp p -> p.p_schema
-
-and compile_source cenv = function
-  | Rel n -> Src_rel n
-  | Comp branches -> Src_comp (compile cenv branches)
-  | (Select _ | Construct _) as r ->
-    not_compilable "unresolved application in %a (decompile first)"
-      Ast.pp_range r
-
-(* Infer the output schema of a branch from binder schemas, mirroring the
-   evaluator's rules. *)
-and branch_schema _cenv (b : branch) binder_schemas =
-  match b.target with
-  | [] -> (
-    match binder_schemas with
-    | [ (_, s) ] -> s
-    | _ -> not_compilable "identity branch must have exactly one binder")
-  | ts ->
-    let used = Hashtbl.create 8 in
-    let ty_of t =
-      let rec term_ty = function
-        | Const v -> Value.type_of v
-        | Param _ -> not_compilable "free parameter in compiled query"
-        | Field (v, a) -> (
-          match List.assoc_opt v binder_schemas with
-          | Some s -> Schema.attr_ty s (Schema.attr_index s a)
-          | None -> not_compilable "unbound variable %s" v)
-        | Binop (_, x, _) -> term_ty x
-      in
-      term_ty t
-    in
-    let attr i t =
-      let base =
-        match t with
-        | Field (_, a) -> a
-        | _ -> Fmt.str "c%d" i
-      in
-      let name = if Hashtbl.mem used base then Fmt.str "%s_%d" base i else base in
-      Hashtbl.replace used name ();
-      (name, ty_of t)
-    in
-    Schema.make (List.mapi attr ts)
-
-(* Binder reordering: delegated to the shared IR-level rewrite rule
-   ({!Dc_exec.Join_order}) — prefer, at each position, the binder with the
-   most equality conjuncts usable as index keys given what is already
-   bound (cardinalities are unknown at compile time, so the key count
-   decides alone), respecting the dependency order correlated ranges
-   impose.  Conjunctive WHERE semantics is order-independent, so this is
-   always sound. *)
-and reorder_binders cenv (b : branch) =
-  match b.binders with
-  | [] | [ _ ] -> b
-  | binders ->
-    let conjs = conjuncts b.where in
-    let arr = Array.of_list binders in
-    let var_pos = List.mapi (fun i (v, _) -> (v, i)) binders in
-    let candidates =
-      List.mapi
-        (fun i (v, range) ->
-          let deps =
-            Vars.S.fold
-              (fun fv deps ->
-                match List.assoc_opt fv var_pos with
-                | Some j when j <> i -> j :: deps
-                | _ -> deps)
-              (Vars.free_vars_range range) []
-          in
-          let keys_given placed =
-            let bound =
-              List.fold_left
-                (fun s j -> Vars.S.add (fst arr.(j)) s)
-                cenv.bound placed
-            in
-            List.length
-              (List.filter
-                 (fun f ->
-                   match f with
-                   | Cmp (Eq, Field (v', _), t) | Cmp (Eq, t, Field (v', _)) ->
-                     v' = v && Vars.S.subset (Vars.free_vars_term t) bound
-                   | _ -> false)
-                 conjs)
-          in
-          { Dc_exec.Join_order.deps; card = None; keys_given })
-        binders
-    in
-    let order = Dc_exec.Join_order.order candidates in
-    { b with binders = List.map (fun i -> arr.(i)) order }
+let rec compile cenv schema (branches : branch list) =
+  { p_branches = List.map (compile_branch cenv) branches; p_schema = schema }
 
 and compile_branch cenv (b : branch) =
-  let b = if b.target = [] then b else reorder_binders cenv b in
-  let conjs = conjuncts b.where in
-  let binder_vars = List.map fst b.binders in
-  let position_of f =
-    let needed = Vars.S.diff (Vars.free_vars_formula f) cenv.bound in
-    let rec last i best = function
-      | [] -> best
-      | v :: rest -> last (i + 1) (if Vars.S.mem v needed then i else best) rest
-    in
-    last 0 (-1) binder_vars
-  in
-  let tagged = List.map (fun f -> (position_of f, f)) conjs in
-  let prefilters =
-    List.filter_map (fun (i, f) -> if i < 0 then Some f else None) tagged
-  in
-  let bound_before i =
-    List.filteri (fun j _ -> j < i) binder_vars
-    |> List.fold_left (fun s v -> Vars.S.add v s) cenv.bound
-  in
-  let binder_schemas = ref [] in
-  let steps =
-    List.mapi
-      (fun i (v, range) ->
+  let outer = Vars.S.of_list (List.map fst cenv.ctx) in
+  let placed = Eval.schedule ~card:(fun _ -> None) ~outer b in
+  let binders = Array.of_list b.binders in
+  let _, steps =
+    List.fold_left_map
+      (fun ctx { Eval.p_binder; p_keys = keys; p_filters = filters } ->
+        let v, range = binders.(p_binder) in
+        let schema = Typecheck.infer_range cenv.catalog ctx range in
         let source =
-          compile_source { cenv with bound = bound_before i } range
-        in
-        binder_schemas := !binder_schemas @ [ (v, source_schema cenv source) ];
-        let here =
-          List.filter_map (fun (j, f) -> if j = i then Some f else None) tagged
-        in
-        let closed t = Vars.S.subset (Vars.free_vars_term t) (bound_before i) in
-        let keys, filters =
-          List.partition_map
-            (fun f ->
-              match f with
-              | Cmp (Eq, Field (v', a), t) when v' = v && closed t ->
-                Either.Left (a, t)
-              | Cmp (Eq, t, Field (v', a)) when v' = v && closed t ->
-                Either.Left (a, t)
-              | f -> Either.Right f)
-            here
+          match range with
+          | Rel n -> Src_rel n
+          | Comp branches ->
+            Src_comp (compile { cenv with ctx } schema branches)
+          | Select _ | Construct _ ->
+            not_compilable "unresolved application in %a (decompile first)"
+              Ast.pp_range range
         in
         let correlated =
-          not (Vars.S.subset (Vars.free_vars_range range) cenv.bound)
+          not (Vars.S.subset (Vars.free_vars_range range) outer)
         in
-        let access =
-          (* a correlated source is re-evaluated per outer binding; keys
-             degrade to filters there *)
-          if correlated || keys = [] then Full_scan else Index_lookup keys
+        (* a correlated source is re-evaluated per outer binding; keys
+           degrade to filters there *)
+        let keys, filters =
+          if correlated then
+            ( [],
+              List.map (fun (a, t) -> Cmp (Eq, Field (v, a), t)) keys
+              @ filters )
+          else (keys, filters)
         in
-        let filters =
-          if correlated && keys <> [] then
-            List.map (fun (a, t) -> Cmp (Eq, Field (v, a), t)) keys @ filters
-          else filters
-        in
-        {
-          s_var = v;
-          s_source = source;
-          s_access = access;
-          s_filters = filters;
-          s_correlated = correlated;
-        })
-      b.binders
-  in
-  ( { bp_prefilters = prefilters; bp_steps = steps; bp_target = b.target },
-    branch_schema cenv b !binder_schemas )
-
-and compile cenv (branches : branch list) =
-  match branches with
-  | [] -> not_compilable "empty comprehension"
-  | _ ->
-    let compiled = List.map (compile_branch cenv) branches in
-    let schema = snd (List.hd compiled) in
-    { p_branches = List.map fst compiled; p_schema = schema }
-
-(* Compile a full query range. *)
-let of_range ~schema_of_rel (range : Ast.range) =
-  let cenv = { schema_of_rel; bound = Vars.S.empty } in
-  match range with
-  | Rel n ->
-    {
-      p_branches =
-        [
+        let step =
           {
-            bp_prefilters = [];
-            bp_steps =
-              [
-                {
-                  s_var = "r";
-                  s_source = Src_rel n;
-                  s_access = Full_scan;
-                  s_filters = [];
-                  s_correlated = false;
-                };
-              ];
-            bp_target = [];
-          };
-        ];
-      p_schema = schema_of_rel n;
-    }
-  | Comp branches -> compile cenv branches
+            s_var = v;
+            s_source = source;
+            s_access = (if keys = [] then Full_scan else Index_lookup keys);
+            s_filters = filters;
+            s_correlated = correlated;
+          }
+        in
+        ((v, schema) :: ctx, step))
+      cenv.ctx placed
+  in
+  {
+    bp_prefilters = Eval.prefilters ~outer b;
+    bp_steps = steps;
+    bp_target = b.target;
+  }
+
+(* Compile a comprehension; its schema is the one the typechecker
+   infers. *)
+let of_range catalog (range : Ast.range) =
+  match range with
+  | Comp branches -> (
+    try
+      compile { catalog; ctx = [] }
+        (Typecheck.infer_range catalog [] range)
+        branches
+    with Typecheck.Error msg -> not_compilable "%s" msg)
+  | Rel _ -> not_compilable "a relation name is read as it is"
   | r -> not_compilable "unresolved application in %a" Ast.pp_range r
 
 (* ------------------------------------------------------------------ *)

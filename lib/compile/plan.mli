@@ -11,8 +11,9 @@ open Dc_calculus
 open Ast
 
 exception Not_compilable of string
-(** Raised on unresolved selector/constructor applications (decompile
-    first) or free parameters. *)
+(** Raised on a bare relation name, on a selector/constructor application
+    in range position (decompile first), or on a form that does not
+    typecheck against the catalog. *)
 
 type source =
   | Src_rel of string  (** named relation, resolved at run time *)
@@ -42,8 +43,11 @@ and t = {
   p_schema : Schema.t;
 }
 
-val of_range : schema_of_rel:(string -> Schema.t) -> Ast.range -> t
-(** Compile a query range. @raise Not_compilable *)
+val of_range : Typecheck.env -> Ast.range -> t
+(** Compile a comprehension against the catalog: its binders take the
+    evaluator's join schedule ({!Eval.schedule}, with no cardinalities)
+    and its schema is the one the typechecker infers.  A relation name or
+    an application is not compiled.  @raise Not_compilable *)
 
 val run : ?use_indexes:bool -> Eval.env -> t -> Relation.t
 (** Execute against the environment's relations.  [use_indexes:false]

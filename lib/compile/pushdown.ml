@@ -148,11 +148,14 @@ let magic_query ~ctx ~schema app (bindings : (string * Value.t) list) =
         | None -> Dc_datalog.Syntax.Var (Fmt.str "Q%d" i))
       (Schema.attr_names schema)
   in
-  (program, Dc_datalog.Syntax.atom query_pred query_args)
+  let query = Dc_datalog.Syntax.atom query_pred query_args in
+  (* the program must be in the magic-sets fragment *)
+  ignore (Dc_datalog.Magic.transform program query);
+  (program, query)
 
-let run_magic ?guard ?stats ?trace ~edb ~schema program query =
+let run_magic ~guard ~stats ?trace ~edb ~schema program query =
   let answers =
-    Dc_datalog.Magic.answer ?guard ?stats ?trace program edb query
+    Dc_datalog.Magic.answer ~guard ~stats ?trace program edb query
   in
   Dc_datalog.Facts.TS.fold Relation.add_unchecked answers
     (Relation.empty schema)

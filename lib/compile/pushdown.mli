@@ -53,11 +53,14 @@ val magic_query :
   (string * Value.t) list ->
   Dc_datalog.Syntax.program * Dc_datalog.Syntax.atom
 (** The recursive capture rule: translate the application to Horn clauses
-    and build the adorned query for the constant bindings. *)
+    and build the adorned query for the constant bindings.
+    @raise Dc_datalog.Translate.Unsupported outside the Horn fragment
+    @raise Dc_datalog.Magic.Unsupported outside the magic-sets fragment
+    (negation, computed terms) *)
 
 val run_magic :
-  ?guard:Dc_guard.Guard.t ->
-  ?stats:Dc_datalog.Seminaive.stats ->
+  guard:Dc_guard.Guard.t ->
+  stats:Dc_datalog.Seminaive.stats ->
   ?trace:Dc_exec.Ir.trace ->
   edb:Dc_datalog.Facts.t ->
   schema:Schema.t ->

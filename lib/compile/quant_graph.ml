@@ -231,7 +231,7 @@ let pp ppf g =
     (fun e -> Fmt.pf ppf "  %d -> %d  (%s)@." e.src e.dst e.label)
     g.edges;
   match recursive_components g with
-  | [] -> Fmt.pf ppf "  acyclic: decompile as view"
+  | [] -> Fmt.pf ppf "  acyclic: decompile as view@."
   | comps ->
     List.iter
       (fun comp ->

@@ -78,6 +78,16 @@ let m_round_delta = lazy (Obs.Histogram.make "dc_fixpoint_round_delta")
 let g_apps = lazy (Obs.Gauge.make "dc_fixpoint_applications")
 let g_tuples = lazy (Obs.Gauge.make "dc_fixpoint_tuples")
 
+(* Both series are latest-first; times exist only while metrics are on,
+   so the zip keeps the rounds that have both. *)
+let round_log s =
+  let rec zip acc ds ts =
+    match ds, ts with
+    | d :: ds, t :: ts -> zip ((d, t) :: acc) ds ts
+    | _ -> acc
+  in
+  zip [] s.round_deltas s.round_times
+
 let pp_stats ppf s =
   Fmt.pf ppf "rounds=%d apps=%d body_evals=%d tuples=%d derived=%d" s.rounds
     s.applications s.body_evaluations s.tuples_produced s.tuples_derived

@@ -48,6 +48,10 @@ type stats = {
 val fresh_stats : unit -> stats
 val pp_stats : stats Fmt.t
 
+val round_log : stats -> (int * float) list
+(** The timed rounds, first round first: (new tuples, wall ms).  Empty
+    unless metrics were enabled while the fixpoint ran. *)
+
 val default_max_rounds : int
 
 val apply :

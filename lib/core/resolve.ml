@@ -64,26 +64,22 @@ let aggregate ~relation (env : Eval.env) (def : Defs.constructor_def) base args
   let lookup n =
     match List.assoc_opt n extra with Some r -> Some r | None -> relation n
   in
-  let ctx =
+  let catalog =
     {
-      Datalog.Translate.lookup_constructor = env.hooks.constructor_def;
-      schema_of = (fun n -> Option.map Relation.schema (lookup n));
+      (Typecheck.env []) with
+      schema_of_rel = (fun n -> Option.map Relation.schema (lookup n));
+      constructor_of = env.hooks.constructor_def;
     }
   in
   let program, pred, aggs =
-    Datalog.Translate.of_application_full ctx
+    Datalog.Translate.of_application_full
+      (Datalog.Translate.context catalog)
       (Ast.Construct (Ast.Rel base_name, def.con_name, List.map fst named))
   in
-  let edb =
-    Datalog.Syntax.SS.fold
-      (fun p edb ->
-        match lookup p with
-        | Some r -> Datalog.Facts.of_relation p r edb
-        | None -> edb)
-      (Datalog.Syntax.edb_preds program)
-      (Datalog.Facts.empty ())
+  let store =
+    Datalog.Seminaive.run ~guard:env.guard ~aggs program
+      (Datalog.Translate.edb lookup program)
   in
-  let store = Datalog.Seminaive.run ~guard:env.guard ~aggs program edb in
   let rel = Datalog.Facts.to_relation def.con_result store pred in
   assert (Relation.for_all (Tuple.well_typed def.con_result) rel);
   rel
@@ -99,5 +95,8 @@ let application ~relation ~serve ~strategy ~max_rounds ?on_stats
       let stats = Fixpoint.fresh_stats () in
       let value = Fixpoint.apply ~strategy ~max_rounds ~stats env def base args in
       Option.iter (fun record -> record stats) on_stats;
+      Option.iter
+        (fun tr -> Dc_exec.Ir.Trace.set_rounds tr (Fixpoint.round_log stats))
+        env.trace;
       value
     end

@@ -29,8 +29,9 @@ val application :
     {!Dc_datalog.Seminaive.run} with per-group bounds, reading global
     relations through [relation]; every other system runs
     {!Fixpoint.apply} with [strategy] and [max_rounds], and its
-    statistics go to [on_stats].  Both evaluations run under the
-    environment's guard.
+    statistics go to [on_stats] and its timed rounds
+    ({!Fixpoint.round_log}) to the environment's trace.  Both evaluations
+    run under the environment's guard.
     @raise Dc_guard.Guard.Exhausted when the guard trips
     @raise Dc_datalog.Translate.Unsupported for an aggregated system
     outside the Horn fragment *)

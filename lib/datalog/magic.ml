@@ -32,7 +32,7 @@ let bound_args (a : atom) (ad : adornment) =
 (* Computed (Binop) terms belong to the aggregate extension, which only
    the semi-naive engine evaluates. *)
 let no_binop () =
-  invalid_arg "Magic: computed (Binop) terms require the semi-naive engine"
+  raise (Unsupported "magic sets: computed (Binop) terms not supported")
 
 let atom_adornment bound_vars (a : atom) : adornment =
   List.map

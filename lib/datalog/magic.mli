@@ -18,7 +18,7 @@ val transform : Syntax.program -> Syntax.atom -> Syntax.program * string
 (** [transform program query] adorns the program for the query's binding
     pattern and adds magic predicates and the seed fact.  Returns the
     transformed program and the adorned query predicate name.
-    @raise Unsupported on negation or non-IDB queries. *)
+    @raise Unsupported on negation, computed terms or non-IDB queries. *)
 
 val answer :
   ?guard:Dc_guard.Guard.t ->

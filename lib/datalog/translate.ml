@@ -31,6 +31,22 @@ type context = {
   schema_of : string -> Schema.t option; (* global (EDB) relations *)
 }
 
+let context (catalog : Typecheck.env) =
+  {
+    lookup_constructor = catalog.constructor_of;
+    schema_of = catalog.schema_of_rel;
+  }
+
+(* The EDB of a translated program: every extensional predicate the
+   lookup knows, loaded from its relation. *)
+let edb relation program =
+  SS.fold
+    (fun p edb ->
+      match relation p with
+      | Some r -> Facts.of_relation p r edb
+      | None -> edb)
+    (edb_preds program) (Facts.empty ())
+
 (* An instance closes a constructor over actual names/values. *)
 type instance = {
   inst_con : string;

@@ -16,6 +16,13 @@ type context = {
   schema_of : string -> Schema.t option;  (** global (EDB) relations *)
 }
 
+val context : Typecheck.env -> context
+(** The context that resolves constructors and relations in a catalog. *)
+
+val edb : (string -> Relation.t option) -> Syntax.program -> Facts.t
+(** The EDB of a translated program: each of its extensional predicates
+    that the lookup resolves, loaded from that relation. *)
+
 (** A constructor instance closed over actual names/values. *)
 type instance = {
   inst_con : string;

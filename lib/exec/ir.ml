@@ -461,9 +461,15 @@ module Trace = struct
   type trace = {
     mutable entries : entry list;  (* reverse registration order *)
     mutable scope : string;  (* label prefix set by the current driver *)
+    mutable rounds : (int * float) list;
+        (* the last recursive evaluation's rounds, first round first:
+           (new tuples, wall ms) *)
   }
 
-  let create () = { entries = []; scope = "query" }
+  let create () = { entries = []; scope = "query"; rounds = [] }
+
+  let set_rounds tr log = tr.rounds <- log
+  let rounds tr = tr.rounds
 
   let scoped tr scope f =
     let saved = tr.scope in

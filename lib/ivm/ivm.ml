@@ -467,12 +467,6 @@ let compile_plan ?(aggs = []) (program : Syntax.program) =
 (* ------------------------------------------------------------------ *)
 (* Refresh (from-scratch synchronization) *)
 
-let fresh_edb view =
-  SS.fold
-    (fun p acc -> Facts.of_relation p (Database.get view.db p) acc)
-    (Syntax.edb_preds view.program)
-    (Facts.empty ())
-
 (* The support-table name of an aggregated predicate's raw contributions
    — disjoint from every real predicate ('!' cannot appear in one). *)
 let raw_name pred = pred ^ "!raw"
@@ -504,7 +498,8 @@ let init_supports view =
 let refresh view =
   let guard = Guard.of_limits (Database.limits view.db) in
   view.store <-
-    Seminaive.run ~guard ~aggs:view.aggs view.program (fresh_edb view);
+    Seminaive.run ~guard ~aggs:view.aggs view.program
+      (Translate.edb (fun p -> Some (Database.get view.db p)) view.program);
   init_supports view;
   view.status <- Live;
   if Obs.on () then Obs.Counter.inc (Lazy.force m_refresh)
@@ -1072,16 +1067,6 @@ let matches view (def : Defs.constructor_def) base (args : Eval.arg_value list)
 (* ------------------------------------------------------------------ *)
 (* Materialization *)
 
-let translate_ctx db =
-  {
-    Translate.lookup_constructor = Database.constructor db;
-    schema_of =
-      (fun n ->
-        match Database.get db n with
-        | r -> Some (Relation.schema r)
-        | exception Database.Error _ -> None);
-  }
-
 let maintainer_of view =
   {
     Database.mt_name = view.name;
@@ -1179,7 +1164,10 @@ let materialize db ~constructor ~base ~args =
   (try Database.check_query db range with
   | Database.Error msg | Typecheck.Error msg -> error "MATERIALIZE: %s" msg);
   let program, query_pred, aggs =
-    try Translate.of_application_full (translate_ctx db) range
+    try
+      Translate.of_application_full
+        (Translate.context (Database.typecheck_env db))
+        range
     with Translate.Unsupported msg ->
       error "MATERIALIZE %s: not translatable to the Horn fragment (%s)"
         constructor msg
@@ -1267,7 +1255,10 @@ let restore db d =
   in
   let range = Ast.Construct (Ast.Rel d.dp_base, d.dp_con, d.dp_args) in
   let program, query_pred, aggs =
-    try Translate.of_application_full (translate_ctx db) range
+    try
+      Translate.of_application_full
+        (Translate.context (Database.typecheck_env db))
+        range
     with Translate.Unsupported msg ->
       error "restore %s: not translatable (%s)" d.dp_con msg
   in

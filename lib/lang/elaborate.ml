@@ -315,6 +315,63 @@ let read_only = function
   | D_explain_update _ ->
     false
 
+(* The catalog and the evaluation environment a read sees, the latter
+   tracing into [trace]: the pinned snapshot of a BEGIN transaction or a
+   served statement (with its limits), otherwise the live database. *)
+let read_env env trace =
+  match env.pinned with
+  | Some snap ->
+    ( Snapshot.typecheck_env snap,
+      Eval.with_trace (Snapshot.eval_env snap) trace )
+  | None -> (Database.typecheck_env env.db, Database.eval_env ~trace env.db)
+
+(* EXPLAIN [ANALYZE]: plan the query against the catalog the statement
+   reads, then run the decision under a trace over the same state, so it
+   shows the physical operator pipelines actually executed, with their
+   row/probe counters (ANALYZE: operator times and the fixpoint rounds
+   too). *)
+let explain env ~analyze range =
+  let trace = Dc_exec.Ir.Trace.create () in
+  let catalog, eval_env = read_env env trace in
+  let decision = Dc_compile.Planner.plan catalog range in
+  let header () =
+    output env "%s %s@\n%a"
+      (if analyze then "EXPLAIN ANALYZE" else "EXPLAIN")
+      (Ast.range_to_string range)
+      Dc_compile.Planner.explain decision
+  in
+  let run () =
+    Obs.Span.timed "execute" (fun () ->
+        Dc_compile.Planner.execute eval_env decision)
+  in
+  match if analyze then Dc_exec.Ir.profiled run else run () with
+  | _ ->
+    Dc_exec.Ir.Trace.register_metrics trace;
+    header ();
+    if not (Dc_exec.Ir.Trace.is_empty trace) then
+      output env "physical:@\n%a"
+        (if analyze then Dc_exec.Ir.Trace.pp_analyze else Dc_exec.Ir.Trace.pp)
+        trace;
+    (match Dc_exec.Ir.Trace.rounds trace with
+    | log when analyze && log <> [] ->
+      output env "fixpoint rounds:@\n";
+      List.iteri
+        (fun i (delta, ms) ->
+          output env "  round %d: delta=%d time=%.2fms@\n" (i + 1) delta ms)
+        log
+    | _ -> ());
+    output env "@\n"
+  | exception Guard.Exhausted (reason, progress) ->
+    header ();
+    output env "%a@\n@\n" Guard.pp_report (reason, progress)
+
+(* BEGIN: pin [snap] for the session's reads until COMMIT. *)
+let begin_transaction env snap =
+  if Option.is_some env.pinned then
+    elab_error "BEGIN: a transaction is already open";
+  env.pinned <- Some snap;
+  output env "BEGIN@\npinned snapshot version %d@\n@\n" (Snapshot.version snap)
+
 let execute_decl env decl =
   (match (env.pinned, read_only decl) with
   | Some _, false ->
@@ -402,81 +459,9 @@ let execute_decl env decl =
         output env "QUERY %s@\n%a@\n@\n"
           (Ast.range_to_string range)
           Guard.pp_report (reason, progress)))
-  | D_explain r -> (
-    let range = lower_range env empty_scope r in
-    let decision = Dc_compile.Planner.plan env.db range in
-    (* run the decision under a trace: EXPLAIN shows the physical operator
-       pipelines actually executed, with their row/probe counters *)
-    let trace = Dc_exec.Ir.Trace.create () in
-    match Dc_compile.Planner.execute ~trace env.db decision with
-    | _ ->
-      Dc_exec.Ir.Trace.register_metrics trace;
-      output env "EXPLAIN %s@\n%a"
-        (Ast.range_to_string range)
-        Dc_compile.Planner.explain decision;
-      if not (Dc_exec.Ir.Trace.is_empty trace) then
-        output env "physical:@\n%a" Dc_exec.Ir.Trace.pp trace;
-      output env "@\n"
-    | exception Guard.Exhausted (reason, progress) ->
-      output env "EXPLAIN %s@\n%a"
-        (Ast.range_to_string range)
-        Dc_compile.Planner.explain decision;
-      output env "%a@\n@\n" Guard.pp_report (reason, progress))
-  | D_explain_analyze r -> (
-    let range = lower_range env empty_scope r in
-    let decision = Dc_compile.Planner.plan env.db range in
-    let trace = Dc_exec.Ir.Trace.create () in
-    (* per-round series: a Magic decision runs the translated program
-       through the semi-naive engine (these stats), everything else that
-       recurses runs the constructor fixpoint (the database's last stats) *)
-    let dstats = Dc_datalog.Seminaive.fresh_stats () in
-    Database.reset_last_stats env.db;
-    let header () =
-      output env "EXPLAIN ANALYZE %s@\n%a"
-        (Ast.range_to_string range)
-        Dc_compile.Planner.explain decision
-    in
-    let rounds () =
-      let log =
-        match decision.Dc_compile.Planner.d_method with
-        | Dc_compile.Planner.Magic _ -> List.rev dstats.Dc_datalog.Seminaive.round_log
-        | _ -> (
-          match Database.last_stats env.db with
-          | Some st ->
-            (* both latest-first; zip defensively (times are only
-               recorded while metrics are enabled) *)
-            let rec zip acc ds ts =
-              match ds, ts with
-              | d :: ds, t :: ts -> zip ((d, t) :: acc) ds ts
-              | _ -> acc
-            in
-            zip [] st.Fixpoint.round_deltas st.Fixpoint.round_times
-          | None -> [])
-      in
-      match log with
-      | [] -> ()
-      | log ->
-        output env "fixpoint rounds:@\n";
-        List.iteri
-          (fun i (delta, ms) ->
-            output env "  round %d: delta=%d time=%.2fms@\n" (i + 1) delta ms)
-          log
-    in
-    match
-      Dc_exec.Ir.profiled (fun () ->
-          Dc_compile.Planner.execute ~trace ~datalog_stats:dstats env.db
-            decision)
-    with
-    | _ ->
-      Dc_exec.Ir.Trace.register_metrics trace;
-      header ();
-      if not (Dc_exec.Ir.Trace.is_empty trace) then
-        output env "physical:@\n%a" Dc_exec.Ir.Trace.pp_analyze trace;
-      rounds ();
-      output env "@\n"
-    | exception Guard.Exhausted (reason, progress) ->
-      header ();
-      output env "%a@\n@\n" Guard.pp_report (reason, progress))
+  | D_explain r -> explain env ~analyze:false (lower_range env empty_scope r)
+  | D_explain_analyze r ->
+    explain env ~analyze:true (lower_range env empty_scope r)
   | D_materialize r -> (
     let range = lower_range env empty_scope r in
     match range with
@@ -534,15 +519,7 @@ let execute_decl env decl =
       | None -> Database.snapshot env.db
     in
     output env "SHOW SNAPSHOT@\n%a@\n@\n" Snapshot.pp_summary snap
-  | D_begin ->
-    let snap =
-      match env.pinned with
-      | Some _ -> elab_error "BEGIN: a transaction is already open"
-      | None -> Database.snapshot env.db
-    in
-    env.pinned <- Some snap;
-    output env "BEGIN@\npinned snapshot version %d@\n@\n"
-      (Snapshot.version snap)
+  | D_begin -> begin_transaction env (Database.snapshot env.db)
   | D_commit -> (
     match env.pinned with
     | None -> elab_error "COMMIT without BEGIN"

@@ -35,6 +35,12 @@ val with_snapshot : env -> Snapshot.t -> (unit -> 'a) -> 'a
     [BEGIN] already pinned one (the open transaction wins) — the
     per-statement snapshot isolation used by server sessions. *)
 
+val begin_transaction : env -> Snapshot.t -> unit
+(** [BEGIN] pinning [snap]: a server session pins its own statement
+    snapshot, which carries the session's limits, where the plain
+    statement pins the database's latest one.
+    @raise Elab_error when a transaction is already open *)
+
 val drain_output : env -> string
 (** Return and clear the accumulated QUERY/PRINT/EXPLAIN output, so a
     session executing statement by statement (via {!execute_decl}) gets

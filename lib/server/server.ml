@@ -378,8 +378,8 @@ let session_id s = s.id
 
 (* A statement the session thread can serve from a snapshot without the
    writer: everything {!Dc_lang.Elaborate.read_only} except EXPLAIN
-   (diagnostics of the live planner state) and SET PARALLEL (global
-   configuration) — those serialize with the writes. *)
+   (its operator profiling is process-global state) and SET PARALLEL
+   (global configuration) — those serialize with the writes. *)
 let session_local (d : Dc_lang.Surface.decl) =
   match d with
   | D_query _ | D_print _ | D_show_snapshot | D_begin | D_commit
@@ -388,12 +388,19 @@ let session_local (d : Dc_lang.Surface.decl) =
   | _ -> false
 
 (* Statements that observe data through a snapshot and therefore want
-   per-statement pinning when no transaction is open. *)
+   per-statement pinning when no transaction is open: EXPLAIN plans and
+   runs over the same snapshot, under the same limits, as the session's
+   QUERY. *)
 let wants_snapshot (d : Dc_lang.Surface.decl) =
-  match d with D_query _ | D_print _ | D_show_snapshot -> true | _ -> false
+  match d with
+  | D_query _ | D_print _ | D_show_snapshot | D_explain _ | D_explain_analyze _
+    ->
+    true
+  | _ -> false
 
 (* The statement snapshot carries the session's admission-control
-   limits, so snapshot reads evaluate under the per-session guard. *)
+   limits, so snapshot reads evaluate under the per-session guard; BEGIN
+   pins it for the whole transaction. *)
 let session_snapshot s =
   let snap = Database.snapshot s.server.db in
   if s.limits = Guard.no_limits then snap
@@ -403,25 +410,29 @@ let execute_decl s (d : Dc_lang.Surface.decl) =
   if not s.open_ then error "session %d is closed" s.id;
   let t0 = if Obs.on () then Obs.now_ms () else 0. in
   let read = session_local d in
+  let exec () = Dc_lang.Elaborate.execute_decl s.env d in
+  let exec =
+    (* pin the snapshot on the session thread, so "latest" means latest
+       at submission; an open BEGIN's pinned snapshot takes precedence
+       inside [with_snapshot] *)
+    if wants_snapshot d then
+      let snap = session_snapshot s in
+      fun () -> Dc_lang.Elaborate.with_snapshot s.env snap exec
+    else exec
+  in
   (try
-     if read then
-       if wants_snapshot d then begin
-         (* pin the snapshot on the session thread (so "latest" means
-            latest at submission), then evaluate on a pool worker domain:
-            snapshot reads from N sessions run truly in parallel instead
-            of interleaving on the main domain's runtime lock.  An open
-            BEGIN's pinned snapshot takes precedence inside
-            [with_snapshot]. *)
-         let snap = session_snapshot s in
-         Dc_par.Par.run (fun () ->
-             Dc_lang.Elaborate.with_snapshot s.env snap (fun () ->
-                 Dc_lang.Elaborate.execute_decl s.env d))
-       end
-       else Dc_lang.Elaborate.execute_decl s.env d
-     else
+     match d with
+     | D_begin -> Dc_lang.Elaborate.begin_transaction s.env (session_snapshot s)
+     | _ when not read ->
        submit s.server (fun () ->
-           Dc_lang.Elaborate.execute_decl s.env d;
+           exec ();
            if Obs.on () then Obs.Counter.inc (Lazy.force c_commits))
+     | _ when wants_snapshot d ->
+       (* evaluate on a pool worker domain: snapshot reads from N sessions
+          run truly in parallel instead of interleaving on the main
+          domain's runtime lock *)
+       Dc_par.Par.run exec
+     | _ -> exec ()
    with e ->
      (* keep the session clean: a failed statement must not leak its
         partial output into the next statement's result *)

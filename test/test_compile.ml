@@ -217,22 +217,22 @@ let test_push_nonrecursive () =
   let db = make_db () in
   (* ahead2's result type is (head, tail) *)
   let q = restricted ~attr:"head" "ahead2" in
-  let d = Planner.plan db q in
+  let d = Planner.plan (Database.typecheck_env db) q in
   (match d.Planner.d_method with
   | Planner.Pushed _ -> ()
   | m -> Alcotest.failf "expected Pushed, got %s" (Planner.method_name m));
   Alcotest.check rel_testable "pushed = direct" (Database.query db q)
-    (Planner.execute db d)
+    (Planner.execute (Database.eval_env db) d)
 
 let test_magic_route () =
   let db = make_db ~edges:(chain 10) () in
   let q = restricted "tc" in
-  let d = Planner.plan db q in
+  let d = Planner.plan (Database.typecheck_env db) q in
   (match d.Planner.d_method with
   | Planner.Magic _ -> ()
   | m -> Alcotest.failf "expected Magic, got %s" (Planner.method_name m));
   Alcotest.check rel_testable "magic = direct" (Database.query db q)
-    (Planner.execute db d)
+    (Planner.execute (Database.eval_env db) d)
 
 let test_magic_with_residual () =
   let db = make_db ~edges:(chain 8) () in
@@ -248,13 +248,13 @@ let test_magic_with_residual () =
                  (Cmp (Ne, field "r" "dst", str "n3")));
         ])
   in
-  let d = Planner.plan db q in
+  let d = Planner.plan (Database.typecheck_env db) q in
   (match d.Planner.d_method with
   | Planner.Magic { residual; _ } ->
     Alcotest.check Alcotest.bool "has residual" true (residual <> Ast.True)
   | m -> Alcotest.failf "expected Magic, got %s" (Planner.method_name m));
   Alcotest.check rel_testable "magic+residual = direct" (Database.query db q)
-    (Planner.execute db d)
+    (Planner.execute (Database.eval_env db) d)
 
 let test_decompiled_route () =
   (* a selector application over an acyclic constructor: not the restricted
@@ -276,27 +276,27 @@ let test_decompiled_route () =
       Select
         (Construct (Rel "Edge", "ahead2", []), "head_is", [ Arg_scalar (str "n1") ]))
   in
-  let d = Planner.plan db q in
+  let d = Planner.plan (Database.typecheck_env db) q in
   (match d.Planner.d_method with
   | Planner.Decompiled _ -> ()
   | m -> Alcotest.failf "expected Decompiled, got %s" (Planner.method_name m));
   Alcotest.check Alcotest.bool "has a plan" true (d.Planner.d_plan <> None);
   Alcotest.check rel_testable "decompiled = direct" (Database.query db q)
-    (Planner.execute db d)
+    (Planner.execute (Database.eval_env db) d)
 
 let test_direct_route () =
   let db = make_db () in
   let q = Ast.(Construct (Rel "Edge", "tc", [])) in
-  let d = Planner.plan db q in
+  let d = Planner.plan (Database.typecheck_env db) q in
   (match d.Planner.d_method with
   | Planner.Direct -> ()
   | m -> Alcotest.failf "expected Direct, got %s" (Planner.method_name m));
   Alcotest.check rel_testable "direct" (Database.query db q)
-    (Planner.execute db d)
+    (Planner.execute (Database.eval_env db) d)
 
 let test_explain_output () =
   let db = make_db () in
-  let d = Planner.plan db (restricted "tc") in
+  let d = Planner.plan (Database.typecheck_env db) (restricted "tc") in
   let text = Fmt.str "%a" Planner.explain d in
   Alcotest.check Alcotest.bool "mentions magic" true (contains text "magic")
 
@@ -340,7 +340,7 @@ let test_physical_unsupported () =
 let test_plan_compiles_pushed () =
   let db = make_db () in
   let q = restricted ~attr:"head" "ahead2" in
-  let d = Planner.plan db q in
+  let d = Planner.plan (Database.typecheck_env db) q in
   (match d.Planner.d_plan with
   | Some plan ->
     let text = Fmt.str "%a" Plan.pp plan in
@@ -348,21 +348,20 @@ let test_plan_compiles_pushed () =
       (contains text "index")
   | None -> Alcotest.fail "expected a compiled plan");
   Alcotest.check rel_testable "plan execution = direct"
-    (Database.query db q) (Planner.execute db d)
+    (Database.query db q) (Planner.execute (Database.eval_env db) d)
 
 let test_plan_ablation_same_result () =
   let db = make_db ~edges:(chain 12) () in
   let q = restricted ~attr:"head" "ahead2" in
-  let d = Planner.plan db q in
+  let d = Planner.plan (Database.typecheck_env db) q in
   Alcotest.check rel_testable "indexes off = indexes on"
-    (Planner.execute ~use_indexes:true db d)
-    (Planner.execute ~use_indexes:false db d)
+    (Planner.execute ~use_indexes:true (Database.eval_env db) d)
+    (Planner.execute ~use_indexes:false (Database.eval_env db) d)
 
 let test_plan_rejects_applications () =
   let db = make_db () in
   match
-    Plan.of_range
-      ~schema_of_rel:(fun n -> Relation.schema (Database.get db n))
+    Plan.of_range (Database.typecheck_env db)
       Ast.(Construct (Rel "Edge", "tc", []))
   with
   | _ -> Alcotest.fail "expected Not_compilable"
@@ -389,8 +388,7 @@ let test_plan_correlated () =
         ])
   in
   let plan =
-    Plan.of_range
-      ~schema_of_rel:(fun n -> Relation.schema (Database.get db n))
+    Plan.of_range (Database.typecheck_env db)
       q
   in
   Alcotest.check Alcotest.bool "second step correlated" true
@@ -419,8 +417,7 @@ let test_plan_reorders_binders () =
         ])
   in
   let plan =
-    Plan.of_range
-      ~schema_of_rel:(fun n -> Relation.schema (Database.get db n))
+    Plan.of_range (Database.typecheck_env db)
       q
   in
   (match (List.hd plan.Plan.p_branches).Plan.bp_steps with
@@ -476,8 +473,7 @@ let prop_plan_equals_direct =
       in
       let direct = Database.query db q in
       let plan =
-        Plan.of_range
-          ~schema_of_rel:(fun n -> Relation.schema (Database.get db n))
+        Plan.of_range (Database.typecheck_env db)
           q
       in
       let env = Database.eval_env db in
@@ -601,16 +597,13 @@ let tc_view_db ?(linear = `Right) edges =
    translation over the current base, with the tuples it derives.
    [Database.query] is no oracle here — the view itself serves it. *)
 let seminaive_tc db =
-  let ctx =
-    {
-      Datalog.Translate.lookup_constructor = Database.constructor db;
-      schema_of = (fun _ -> Some edge_schema);
-    }
+  let program, pred, aggs =
+    Datalog.Translate.of_application_full
+      (Datalog.Translate.context (Database.typecheck_env db))
+      tc_range
   in
-  let program, pred, aggs = Datalog.Translate.of_application_full ctx tc_range in
   let edb =
-    Datalog.Facts.of_relation "Edge" (Database.get db "Edge")
-      (Datalog.Facts.empty ())
+    Datalog.Translate.edb (Snapshot.get (Database.snapshot db)) program
   in
   let stats = Datalog.Seminaive.fresh_stats () in
   let store = Datalog.Seminaive.run ~stats ~aggs program edb in
@@ -687,9 +680,260 @@ let prop_planner_agrees =
       List.for_all
         (fun (con, attr) ->
           let q = restricted ~attr ~value:(Fmt.str "n%d" start) con in
-          let d = Planner.plan db q in
-          Relation.equal (Database.query db q) (Planner.execute db d))
+          let d = Planner.plan (Database.typecheck_env db) q in
+          Relation.equal (Database.query db q) (Planner.execute (Database.eval_env db) d))
         [ ("tc", "src"); ("ahead2", "head") ])
+
+(* ------------------------------------------------------------------ *)
+(* Plans pinned: the shared scheduler ({!Eval.schedule}) picks the plans
+   the planner printed when it scheduled binders on its own.  Fresh
+   variable suffixes ([r~7]) depend on what ran before, and so does the
+   indentation of a box that follows one, so both are normalized. *)
+
+let plan_text plan =
+  Fmt.str "%a" Plan.pp plan
+  |> Str.global_replace (Str.regexp "~[0-9]+") "~_"
+  |> Str.global_replace (Str.regexp "[ \n]+") " "
+
+let head_is =
+  {
+    Defs.sel_name = "head_is";
+    sel_formal = "Rel";
+    sel_formal_schema = Constructor.ahead_schema Value.TStr;
+    sel_params = [ Defs.Scalar_param ("Obj", Value.TStr) ];
+    sel_var = "r";
+    sel_pred = Ast.(eq (field "r" "head") (Param "Obj"));
+  }
+
+let test_plans_pinned () =
+  let db = make_db () in
+  Database.define_selector db head_is;
+  let plan_of q =
+    match (Planner.plan (Database.typecheck_env db) q).Planner.d_plan with
+    | Some plan -> plan_text plan
+    | None -> Alcotest.fail "expected a compiled plan"
+  in
+  Alcotest.(check string)
+    "pushed plan"
+    "union: pipeline: index on src = \"n1\" r~_ IN Edge pipeline: index on \
+     src = \"n1\" f~_ IN Edge index on src = f~_.dst b~_ IN Edge project \
+     <f~_.src, b~_.dst>"
+    (plan_of (restricted ~attr:"head" "ahead2"));
+  Alcotest.(check string)
+    "decompiled plan"
+    "pipeline: index on src = \"n1\" r~_ IN (union: pipeline: scan r~_ IN \
+     Edge pipeline: scan f~_ IN Edge index on src = f~_.dst b~_ IN Edge \
+     project <f~_.src, b~_.dst>)"
+    (plan_of
+       Ast.(
+         Select
+           ( Construct (Rel "Edge", "ahead2", []),
+             "head_is",
+             [ Arg_scalar (str "n1") ] )));
+  let reordered =
+    Ast.(
+      Comp
+        [
+          branch
+            [ ("a", Rel "Edge"); ("b", Rel "Edge") ]
+            ~target:[ field "a" "src"; field "b" "dst" ]
+            ~where:
+              (conj
+                 (eq (field "a" "dst") (field "b" "src"))
+                 (eq (field "b" "src") (str "n3")));
+        ])
+  in
+  Alcotest.(check string)
+    "reordered plan"
+    "pipeline: index on src = \"n3\" b IN Edge index on dst = b.src a IN \
+     Edge project <a.src, b.dst>"
+    (plan_text (Plan.of_range (Database.typecheck_env db) reordered))
+
+(* EXPLAIN of an acyclic query: the quant graph's last line ends the
+   line, so the physical pipelines EXPLAIN prints next start their own. *)
+let test_explain_acyclic_text () =
+  let db = make_db () in
+  let _, out =
+    Dc_lang.Elaborate.run_string ~db
+      "EXPLAIN {EACH r IN Edge{ahead2()}: r.head = \"n1\"};"
+  in
+  Alcotest.(check bool)
+    (Fmt.str "quant graph line ends before the pipelines:@.%s" out)
+    true
+    (contains out "  acyclic: decompile as view\nphysical:\n")
+
+(* ------------------------------------------------------------------ *)
+(* Differential: planned = direct, over both environments.  Each seed
+   builds one of the oracle's recursive shapes (closures, same
+   generation, mutual recursion, BOM) next to a random Edge relation,
+   and restricts the shape's application and an application-free
+   two-hop join by random constants: on the first column, on the
+   second, and with a residual [<>].  Every decision runs over the
+   database's own environment and over a snapshot's, against the
+   interpreter over the same environment. *)
+
+module Rng = Dc_workload.Rng
+module Graph_gen = Dc_workload.Graph_gen
+
+type shape = {
+  sh_name : string;
+  sh_app : Ast.range;  (** the shape's recursive application *)
+  sh_columns : string * string;  (** its result's first two columns *)
+  sh_value : unit -> Value.t;  (** a random constant of those columns *)
+}
+
+let declare_random db rng name schema ~nodes =
+  let seed = Rng.int rng 1_000_000 in
+  let g =
+    Graph_gen.random_graph ~seed ~nodes ~edges:(nodes + Rng.int rng (2 * nodes))
+  in
+  Database.declare db name schema;
+  Database.set db name (Relation.of_list schema (Relation.to_list g))
+
+let differential_shape rng db =
+  let nodes = 4 + Rng.int rng 9 in
+  let graph name schema = declare_random db rng name schema ~nodes in
+  let node () = Graph_gen.node (Rng.int rng nodes) in
+  match Rng.int rng 6 with
+  | (0 | 1 | 2) as k ->
+    let linear = List.nth [ `Right; `Left; `Non ] k in
+    Database.define_constructor db
+      (Constructor.transitive_closure ~name:"closure" ~linear ());
+    {
+      sh_name = List.nth [ "tc right"; "tc left"; "tc nonlinear" ] k;
+      sh_app = Ast.(Construct (Rel "Edge", "closure", []));
+      sh_columns = ("src", "dst");
+      sh_value = node;
+    }
+  | 3 ->
+    List.iter (fun n -> graph n edge_schema) [ "Up"; "Flat"; "Down" ];
+    Database.define_constructor db (Constructor.same_generation ());
+    {
+      sh_name = "same generation";
+      sh_app =
+        Ast.(
+          Construct
+            ( Rel "Up",
+              "same_generation",
+              [ Arg_range (Rel "Flat"); Arg_range (Rel "Down") ] ));
+      sh_columns = ("src", "dst");
+      sh_value = node;
+    }
+  | 4 ->
+    graph "Infront" (Constructor.infront_schema Value.TStr);
+    graph "Ontop" (Constructor.ontop_schema Value.TStr);
+    let ahead, above = Constructor.ahead_above () in
+    Database.define_constructors db [ ahead; above ];
+    {
+      sh_name = "mutual ahead/above";
+      sh_app =
+        Ast.(Construct (Rel "Infront", "ahead", [ Arg_range (Rel "Ontop") ]));
+      sh_columns = ("head", "tail");
+      sh_value = node;
+    }
+  | _ ->
+    let levels = 2 + Rng.int rng 3 and width = 2 + Rng.int rng 3 in
+    let seed = Rng.int rng 1_000_000 in
+    Database.declare db "Contains" Dc_workload.Bom_gen.contains_schema;
+    Database.set db "Contains"
+      (Dc_workload.Bom_gen.hierarchy ~seed ~levels ~width
+         ~uses:(1 + Rng.int rng width));
+    Database.define_constructor db (Dc_workload.Bom_gen.explode_constructor ());
+    {
+      sh_name = "bom";
+      sh_app = Ast.(Construct (Rel "Contains", "explode", []));
+      sh_columns = ("assembly", "component");
+      sh_value =
+        (fun () -> Dc_workload.Bom_gen.part (Rng.int rng (levels * width)));
+    }
+
+(* The three restrictions of [v]'s columns [a] and [b]. *)
+let restrictions v (a, b) value =
+  let c () = Ast.Const (value ()) in
+  Ast.
+    [
+      eq (field v a) (c ());
+      eq (field v b) (c ());
+      conj (eq (field v a) (c ())) (Cmp (Ne, field v b, c ()));
+    ]
+
+let method_label (d : Planner.decision) =
+  match d.d_method, d.d_plan with
+  | Planner.Direct, None -> "direct interpreted"
+  | Planner.Direct, Some _ -> "direct compiled"
+  | m, _ -> Planner.method_name m
+
+let differential_seed seen seed =
+  let rng = Rng.create seed in
+  let db = Database.create () in
+  let nodes = 4 + Rng.int rng 9 in
+  declare_random db rng "Edge" edge_schema ~nodes;
+  Database.define_constructor db (Constructor.ahead_2 ());
+  Database.define_selector db head_is;
+  let sh = differential_shape rng db in
+  let node () = Graph_gen.node (Rng.int rng nodes) in
+  let over range where = Ast.(Comp [ branch [ ("p", range) ] ~where ]) in
+  let two_hop where =
+    Ast.(
+      Comp
+        [
+          branch
+            [ ("e", Rel "Edge"); ("f", Rel "Edge") ]
+            ~target:[ field "e" "src"; field "f" "dst" ]
+            ~where:(conj where (eq (field "e" "dst") (field "f" "src")));
+        ])
+  in
+  let ahead2 = Ast.(Construct (Rel "Edge", "ahead2", [])) in
+  let queries =
+    (sh.sh_app
+     :: List.map (over sh.sh_app) (restrictions "p" sh.sh_columns sh.sh_value)
+    )
+    @ List.map two_hop (restrictions "e" ("src", "dst") node)
+    @ Ast.
+        [
+          over ahead2 (eq (field "p" "head") (Const (node ())));
+          Select (ahead2, "head_is", [ Arg_scalar (Const (node ())) ]);
+        ]
+  in
+  List.iter
+    (fun q ->
+      let d = Planner.plan (Database.typecheck_env db) q in
+      Hashtbl.replace seen (method_label d) ();
+      List.iter
+        (fun (env_name, env) ->
+          let msg =
+            Fmt.str "seed %d: %s, %s over the %s env: %a" seed sh.sh_name
+              (method_label d) env_name Ast.pp_range q
+          in
+          let want = Eval.eval_range (env ()) q in
+          let got = Planner.execute (env ()) d in
+          Alcotest.check rel_testable msg want got;
+          Alcotest.(check (list string))
+            (msg ^ " (columns)")
+            (Schema.attr_names (Relation.schema want))
+            (Schema.attr_names (Relation.schema got)))
+        [
+          ("database", fun () -> Database.eval_env db);
+          ("snapshot", fun () -> Snapshot.eval_env (Database.snapshot db));
+        ])
+    queries
+
+let test_planner_differential () =
+  let seen = Hashtbl.create 8 in
+  for seed = 1 to 40 do
+    differential_seed seen seed
+  done;
+  List.iter
+    (fun m ->
+      Alcotest.(check bool) (Fmt.str "seeds 1-40 exercise %s" m) true
+        (Hashtbl.mem seen m))
+    [
+      "direct interpreted";
+      "direct compiled";
+      Planner.method_name (Planner.Pushed (Ast.Rel ""));
+      Planner.method_name (Planner.Decompiled (Ast.Rel ""));
+      "magic (capture rule)";
+    ]
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -742,6 +986,11 @@ let () =
           Alcotest.test_case "correlated step" `Quick test_plan_correlated;
           Alcotest.test_case "binder reordering" `Quick
             test_plan_reorders_binders;
+          Alcotest.test_case "plans pinned" `Quick test_plans_pinned;
+          Alcotest.test_case "acyclic EXPLAIN text" `Quick
+            test_explain_acyclic_text;
+          Alcotest.test_case "planned = direct, both envs" `Quick
+            test_planner_differential;
         ] );
       ( "prepared",
         [

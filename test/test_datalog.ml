@@ -203,20 +203,9 @@ let test_constructor_to_datalog () =
   Database.define_constructor db (Constructor.transitive_closure ~ty:Value.TInt ());
   let app = Dc_calculus.Ast.(Construct (Rel "Edge", "tc", [])) in
   let expected = Database.query db app in
-  let ctx =
-    {
-      Translate.lookup_constructor = Database.constructor db;
-      schema_of =
-        (fun n ->
-          match Database.get db n with
-          | r -> Some (Relation.schema r)
-          | exception Database.Error _ -> None);
-    }
-  in
+  let ctx = Translate.context (Database.typecheck_env db) in
   let program, query_pred = Translate.of_application ctx app in
-  let edb =
-    Facts.of_relation "Edge" (Database.get db "Edge") (Facts.empty ())
-  in
+  let edb = Translate.edb (Snapshot.get (Database.snapshot db)) program in
   let got = Seminaive.query program edb query_pred in
   Alcotest.check facts_testable "translated tc agrees"
     (set_of_relation expected) got
@@ -235,21 +224,9 @@ let test_mutual_constructor_to_datalog () =
     Dc_calculus.Ast.(Construct (Rel "Infront", "ahead", [ Arg_range (Rel "Ontop") ]))
   in
   let expected = Database.query db app in
-  let ctx =
-    {
-      Translate.lookup_constructor = Database.constructor db;
-      schema_of =
-        (fun n ->
-          match Database.get db n with
-          | r -> Some (Relation.schema r)
-          | exception Database.Error _ -> None);
-    }
-  in
+  let ctx = Translate.context (Database.typecheck_env db) in
   let program, query_pred = Translate.of_application ctx app in
-  let edb =
-    Facts.of_relation "Infront" (Database.get db "Infront")
-      (Facts.of_relation "Ontop" (Database.get db "Ontop") (Facts.empty ()))
-  in
+  let edb = Translate.edb (Snapshot.get (Database.snapshot db)) program in
   let got = Seminaive.query program edb query_pred in
   Alcotest.check facts_testable "translated mutual recursion agrees"
     (set_of_relation expected) got
@@ -292,16 +269,7 @@ let test_stratified_constructor_to_datalog () =
   Database.define_constructor db non_desc;
   let app = Dc_calculus.Ast.(Construct (Rel "Pairs", "non_desc", [])) in
   let expected = Database.query db app in
-  let ctx =
-    {
-      Translate.lookup_constructor = Database.constructor db;
-      schema_of =
-        (fun n ->
-          match Database.get db n with
-          | r -> Some (Relation.schema r)
-          | exception Database.Error _ -> None);
-    }
-  in
+  let ctx = Translate.context (Database.typecheck_env db) in
   let program, pred = Translate.of_application ctx app in
   Alcotest.check Alcotest.bool "program contains a negative literal" true
     (List.exists
@@ -590,18 +558,9 @@ let prop_translation_agrees =
         (Constructor.transitive_closure ~ty:Value.TInt ());
       let app = Dc_calculus.Ast.(Construct (Rel "Edge", "tc", [])) in
       let expected = set_of_relation (Database.query db app) in
-      let ctx =
-        {
-          Translate.lookup_constructor = Database.constructor db;
-          schema_of =
-            (fun n ->
-              match Database.get db n with
-              | r -> Some (Relation.schema r)
-              | exception Database.Error _ -> None);
-        }
-      in
+      let ctx = Translate.context (Database.typecheck_env db) in
       let program, query_pred = Translate.of_application ctx app in
-      let edb = Facts.of_relation "Edge" (Database.get db "Edge") (Facts.empty ()) in
+      let edb = Translate.edb (Snapshot.get (Database.snapshot db)) program in
       Facts.TS.equal expected (Seminaive.query program edb query_pred))
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests

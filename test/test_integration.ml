@@ -88,7 +88,7 @@ let test_same_generation_five_ways () =
   in
   let via_constructor = Database.query db app in
   (* route 2/3: translated Horn program, naive + semi-naive *)
-  let ctx = Dc_compile.Planner.translate_ctx db in
+  let ctx = Dc_datalog.Translate.context (Database.typecheck_env db) in
   let program, pred = Dc_datalog.Translate.of_application ctx app in
   let edb =
     List.fold_left2
@@ -173,9 +173,11 @@ let test_roundtrip () =
        (Relation.fold Dc_datalog.Facts.TS.add via_constructors
           Dc_datalog.Facts.TS.empty));
   (* ... and back: constructors -> datalog *)
-  let ctx = Dc_compile.Planner.translate_ctx db in
+  let ctx = Dc_datalog.Translate.context (Database.typecheck_env db) in
   let program2, pred2 = Dc_datalog.Translate.of_application ctx app in
-  let edb2 = Dc_compile.Planner.edb_for db program2 in
+  let edb2 =
+    Dc_datalog.Translate.edb (Snapshot.get (Database.snapshot db)) program2
+  in
   let back = Dc_datalog.Seminaive.query program2 edb2 pred2 in
   Alcotest.check Alcotest.bool "roundtrip" true
     (Dc_datalog.Facts.TS.equal reference back)

@@ -331,6 +331,87 @@ let test_session_pinning () =
   Server.shutdown srv
 
 (* ------------------------------------------------------------------ *)
+(* EXPLAIN and BEGIN over the session's environment: the session's
+   limits and its pinned snapshot, as its QUERY sees them *)
+
+(* A 60-edge chain under the right-recursive closure: 1,830 pairs. *)
+let chain_server () =
+  let db = Database.create () in
+  Database.declare db "Edge" Graph_gen.edge_schema;
+  Database.set db "Edge" (Graph_gen.chain 60);
+  Database.define_constructor db (Dc_core.Constructor.transitive_closure ());
+  Server.create db
+
+let exhausted = "row budget exhausted"
+
+let test_explain_session_limits () =
+  let srv = chain_server () in
+  let tight = Server.open_session ~limits:(Guard.limits ~rows:50 ()) srv in
+  Alcotest.(check bool) "QUERY trips the session's row budget" true
+    (contains_s (Server.execute tight "QUERY Edge{tc()};") exhausted);
+  let out = Server.execute tight "EXPLAIN ANALYZE Edge{tc()};" in
+  Alcotest.(check bool)
+    (Fmt.str "EXPLAIN ANALYZE trips it too:@.%s" out)
+    true (contains_s out exhausted);
+  Alcotest.(check bool) "EXPLAIN trips it too" true
+    (contains_s (Server.execute tight "EXPLAIN Edge{tc()};") exhausted);
+  (* a session without limits runs the pinned plan to the end, and still
+     reports its fixpoint rounds (timed while metrics are on) *)
+  let roomy = Server.open_session srv in
+  let was = Dc_obs.Obs.on () in
+  Dc_obs.Obs.set_enabled true;
+  let out =
+    Fun.protect ~finally:(fun () -> Dc_obs.Obs.set_enabled was) (fun () ->
+        Server.execute roomy "EXPLAIN ANALYZE Edge{tc()};")
+  in
+  Alcotest.(check bool)
+    (Fmt.str "roomy session completes with its rounds:@.%s" out)
+    true
+    ((not (contains_s out exhausted)) && contains_s out "fixpoint rounds:");
+  Server.close_session tight;
+  Server.close_session roomy;
+  Server.shutdown srv
+
+let test_explain_pinned_snapshot () =
+  let srv = chain_server () in
+  let reader = Server.open_session srv in
+  let writer = Server.open_session srv in
+  ignore (Server.execute reader "BEGIN;");
+  ignore (Server.execute writer {|INSERT Edge VALUES ("x", "y");|});
+  let q = {|{EACH e IN Edge: e.src = "x"}|} in
+  Alcotest.(check bool) "QUERY sees the pinned version" true
+    (contains_s (Server.execute reader ("QUERY " ^ q ^ ";")) "(0 tuples)");
+  let out = Server.execute reader ("EXPLAIN ANALYZE " ^ q ^ ";") in
+  Alcotest.(check bool)
+    (Fmt.str "EXPLAIN ANALYZE runs over the pinned version:@.%s" out)
+    true
+    (contains_s out "rows=0" && not (contains_s out "rows=1"));
+  ignore (Server.execute reader "COMMIT;");
+  let out = Server.execute reader ("EXPLAIN ANALYZE " ^ q ^ ";") in
+  Alcotest.(check bool)
+    (Fmt.str "after COMMIT it sees the insert:@.%s" out)
+    true (contains_s out "rows=1");
+  Server.close_session reader;
+  Server.close_session writer;
+  Server.shutdown srv
+
+let test_begin_keeps_session_limits () =
+  let srv = chain_server () in
+  let tight = Server.open_session ~limits:(Guard.limits ~rows:50 ()) srv in
+  ignore (Server.execute tight "BEGIN;");
+  let out = Server.execute tight "QUERY Edge{tc()};" in
+  Alcotest.(check bool)
+    (Fmt.str "a pinned QUERY trips the session's row budget:@.%s"
+       (String.sub out 0 (min 200 (String.length out))))
+    true (contains_s out exhausted);
+  (match Server.query_string tight "QUERY Edge{tc()};" with
+  | _ -> Alcotest.fail "served read escaped the session's row budget"
+  | exception Guard.Exhausted (Guard.Rows_exhausted _, _) -> ());
+  ignore (Server.execute tight "COMMIT;");
+  Server.close_session tight;
+  Server.shutdown srv
+
+(* ------------------------------------------------------------------ *)
 (* Aggregated constructors on the snapshot path *)
 
 let shortest_path_server () =
@@ -1083,6 +1164,12 @@ let () =
           Alcotest.test_case "admission control" `Quick test_admission_control;
           Alcotest.test_case "per-session limits" `Quick test_session_limits;
           Alcotest.test_case "BEGIN/COMMIT pinning" `Quick test_session_pinning;
+          Alcotest.test_case "EXPLAIN under session limits" `Quick
+            test_explain_session_limits;
+          Alcotest.test_case "EXPLAIN over the pinned snapshot" `Quick
+            test_explain_pinned_snapshot;
+          Alcotest.test_case "BEGIN keeps session limits" `Quick
+            test_begin_keeps_session_limits;
           Alcotest.test_case "aggregated constructor snapshot read" `Quick
             test_aggregate_snapshot_read;
           Alcotest.test_case "per-session limits bound aggregates" `Quick
