@@ -12,13 +12,14 @@
      dune exec bench/main.exe -- json F     -- recursive, IVM, aggregate and
                                                parallel cells as JSON in F
      dune exec bench/main.exe -- smoke | ivm | agg | parallel | stmt-cache
-                                            -- one section of those cells
+                                 | wire     -- one section of those cells
      dune exec bench/main.exe -- guard-overhead | obs-overhead
                                             -- the CI overhead gates
 
    The served and durable paths are measured end to end by servebench/
    (python3 servebench/run.py); the stmt-cache cells time one layer of
-   the served read path in process.
+   the served read path in process, the wire cells its socket round
+   trip to an in-process listener.
 
    Experiments:
      F3  augmented quant graph + plan for the recursive 'ahead' query
@@ -1738,20 +1739,26 @@ let serve_reads = 2_000
 
 let serve_per_read_us s = s.median_ms *. 1000. /. float_of_int serve_reads
 
-let serve_records () =
+(* servebench's point_reads data and statement *)
+let point_read_db () =
   let schema = Constructor.binary_schema ~a:"a" ~b:"b" Value.TStr in
   let dag, _ = Graph_gen.chains_dag ~seed:1 ~chains:8 ~len:32 ~edges:384 in
   let db = Database.create () in
   Database.declare db "Edge" schema;
   Database.set db "Edge" (Relation.of_list schema (Relation.to_list dag));
+  db
+
+let point_read_text k =
+  Printf.sprintf
+    {|QUERY {<e.a, f.b> OF EACH e IN Edge, EACH f IN Edge: e.a = "n%d" AND e.b = f.a};|}
+    (k mod 256)
+
+let serve_records () =
+  let db = point_read_db () in
   let srv = Server.create db in
   let s = Server.open_session srv in
   let env = Dc_lang.Elaborate.create db in
-  let text k =
-    Printf.sprintf
-      {|QUERY {<e.a, f.b> OF EACH e IN Edge, EACH f IN Edge: e.a = "n%d" AND e.b = f.a};|}
-      (k mod 256)
-  in
+  let text = point_read_text in
   let uncached src =
     let snap = Database.snapshot db in
     match Dc_lang.Parser.parse src with
@@ -1803,6 +1810,64 @@ let print_serve records =
 let run_serve () = print_serve (serve_records ())
 
 (* ------------------------------------------------------------------ *)
+(* Wire round trips: the same point read as a [Query] frame to an
+   in-process listener, over loopback TCP and over a Unix socket — the
+   statement cache's hit path plus the socket round trip and both
+   frame codecs.  Each sample times [wire_reads] round trips on one
+   connection; the cells interleave. *)
+
+module Net = Dc_net.Net
+
+let wire_reads = 2_000
+
+let wire_records () =
+  let srv = Server.create (point_read_db ()) in
+  let dir = Filename.temp_dir "dc_wire" "" in
+  let sock = Filename.concat dir "bench.sock" in
+  let tcp = Net.listen srv (Net.Tcp ("127.0.0.1", 0)) in
+  let unix = Net.listen srv (Net.Unix_sock sock) in
+  let clients =
+    [
+      ("tcp", Net.Client.connect (Net.Tcp ("127.0.0.1", Net.bound_port tcp)));
+      ("unix", Net.Client.connect (Net.Unix_sock sock));
+    ]
+  in
+  let cell c () =
+    (* warm the statement cache, so every sample times hits *)
+    ignore (Net.Client.query c (point_read_text 0));
+    time (fun () ->
+        for k = 1 to wire_reads do
+          ignore (Net.Client.query c (point_read_text k))
+        done)
+  in
+  let measured = interleaved (List.map (fun (_, c) -> cell c) clients) in
+  List.iter (fun (_, c) -> Net.Client.close c) clients;
+  Net.stop tcp;
+  Net.stop unix;
+  Server.shutdown srv;
+  (try Sys.rmdir dir with Sys_error _ -> ());
+  List.map2
+    (fun (name, _) ((), wall) -> ("point_query_" ^ name, wall))
+    clients measured
+
+let wire_us ms = ms *. 1000. /. float_of_int wire_reads
+
+let wire_json (name, wall) =
+  Json.Obj
+    ((("name", Json.Str name) :: ("round_trips", count wire_reads)
+      :: summary_fields "" wall)
+    @ [ ("us_per_round_trip", num (wire_us wall.median_ms)) ])
+
+let print_wire records =
+  List.iter
+    (fun (name, wall) ->
+      Fmt.pr "%-26s %8.2f us/round trip  iqr=%.2f us@." name
+        (wire_us wall.median_ms) (wire_us wall.iqr_ms))
+    records
+
+let run_wire () = print_wire (wire_records ())
+
+(* ------------------------------------------------------------------ *)
 (* JSON mode: `dune exec bench/main.exe -- json BENCH_N.json` writes
    every section above as one JSON object, one top-level member per
    line, plus the metrics registry the experiments populated. *)
@@ -1832,6 +1897,7 @@ let run_json path =
   let agg_mins, agg_views = agg_records () in
   let parallel = par_records () in
   let serve = serve_records () in
+  let wire = wire_records () in
   write_json path
     [
       ("samples", count samples);
@@ -1851,6 +1917,7 @@ let run_json path =
             ("cells", Json.Arr (List.map par_json parallel));
           ] );
       ("stmt_cache", Json.Arr (List.map serve_json serve));
+      ("wire", Json.Arr (List.map wire_json wire));
       ("metrics", metrics);
     ];
   print_records records;
@@ -1859,6 +1926,7 @@ let run_json path =
   print_agg (agg_mins, agg_views);
   print_parallel parallel;
   print_serve serve;
+  print_wire wire;
   Fmt.pr "wrote %s@." path
 
 (* ------------------------------------------------------------------ *)
@@ -1890,6 +1958,7 @@ let () =
   | [ "agg" ] -> run_agg ()
   | [ "parallel" ] -> run_parallel ()
   | [ "stmt-cache" ] -> run_serve ()
+  | [ "wire" ] -> run_wire ()
   | [ "guard-overhead" ] -> run_guard_overhead ()
   | [ "obs-overhead" ] -> run_obs_overhead ()
   | names ->

@@ -78,8 +78,8 @@ let m_round_delta = lazy (Obs.Histogram.make "dc_fixpoint_round_delta")
 let g_apps = lazy (Obs.Gauge.make "dc_fixpoint_applications")
 let g_tuples = lazy (Obs.Gauge.make "dc_fixpoint_tuples")
 
-(* Both series are latest-first; times exist only while metrics are on,
-   so the zip keeps the rounds that have both. *)
+(* Both series are latest-first; times exist only while metrics are on
+   or the env traces, so the zip keeps the rounds that have both. *)
 let round_log s =
   let rec zip acc ds ts =
     match ds, ts with
@@ -221,6 +221,7 @@ type state = {
   max_rounds : int;
   guard : Guard.t;
   stats : stats;
+  timed : bool; (* record round times: a traced env (EXPLAIN ANALYZE) *)
   lookup_constructor : string -> Defs.constructor_def option;
   domains : int; (* parallelism degree for Diffable variant evaluation *)
   worker_caches : Index_cache.t array;
@@ -552,18 +553,21 @@ let run st root_key =
     let before = st.full in
     st.discovered_this_round <- false;
     let observing = Obs.on () in
-    let t0 = if observing then Obs.now_ms () else 0. in
+    let timed = observing || st.timed in
+    let t0 = if timed then Obs.now_ms () else 0. in
     let changed = round st in
-    if observing then begin
+    if timed then begin
       let dt = Obs.now_ms () -. t0 in
       st.stats.round_times <- dt :: st.stats.round_times;
-      let delta =
-        match st.stats.round_deltas with d :: _ -> d | [] -> 0
-      in
-      Obs.Counter.inc (Lazy.force m_rounds);
-      Obs.Histogram.observe (Lazy.force m_round_ms) dt;
-      Obs.Histogram.observe (Lazy.force m_round_delta) (float_of_int delta);
-      Obs.Gauge.add (Lazy.force g_tuples) (float_of_int delta)
+      if observing then begin
+        let delta =
+          match st.stats.round_deltas with d :: _ -> d | [] -> 0
+        in
+        Obs.Counter.inc (Lazy.force m_rounds);
+        Obs.Histogram.observe (Lazy.force m_round_ms) dt;
+        Obs.Histogram.observe (Lazy.force m_round_delta) (float_of_int delta);
+        Obs.Gauge.add (Lazy.force g_tuples) (float_of_int delta)
+      end
     end;
     st.stats.rounds <- st.stats.rounds + 1;
     if changed || st.discovered_this_round then begin
@@ -609,6 +613,7 @@ let apply ?(strategy = Seminaive) ?(max_rounds = default_max_rounds) ?stats env
       max_rounds;
       guard = env.Eval.guard;
       stats;
+      timed = Option.is_some env.Eval.trace;
       lookup_constructor = env.Eval.hooks.Eval.constructor_def;
       domains;
       worker_caches =

@@ -39,7 +39,7 @@ type stats = {
   mutable derivations : int;
   mutable round_log : (int * float) list;
       (* (new tuples, wall ms) per round, latest first; only populated
-         when metrics are enabled *)
+         when metrics are enabled or the run is traced *)
 }
 
 let fresh_stats () = { rounds = 0; derivations = 0; round_log = [] }
@@ -48,13 +48,15 @@ let m_rounds = lazy (Obs.Counter.make ~labels:[ ("engine", "seminaive") ] "dc_da
 let m_round_ms = lazy (Obs.Histogram.make ~labels:[ ("engine", "seminaive") ] "dc_datalog_round_ms")
 let m_round_delta = lazy (Obs.Histogram.make ~labels:[ ("engine", "seminaive") ] "dc_datalog_round_delta")
 
-let observe_round stats ~delta ~t0 ~observing =
-  if observing then begin
+let observe_round stats ~delta ~t0 ~timed =
+  if timed then begin
     let dt = Obs.now_ms () -. t0 in
     stats.round_log <- (delta, dt) :: stats.round_log;
-    Obs.Counter.inc (Lazy.force m_rounds);
-    Obs.Histogram.observe (Lazy.force m_round_ms) dt;
-    Obs.Histogram.observe (Lazy.force m_round_delta) (float_of_int delta)
+    if Obs.on () then begin
+      Obs.Counter.inc (Lazy.force m_rounds);
+      Obs.Histogram.observe (Lazy.force m_round_ms) dt;
+      Obs.Histogram.observe (Lazy.force m_round_delta) (float_of_int delta)
+    end
   end
 
 let run ?(guard = Guard.none) ?stats ?trace ?(aggs = []) (program : program)
@@ -241,12 +243,12 @@ let run ?(guard = Guard.none) ?stats ?trace ?(aggs = []) (program : program)
     (* Round 1: all rules against the full store. *)
     Guard.round guard ~site:"datalog.round";
     stats.rounds <- stats.rounds + 1;
-    let observing = Obs.on () in
-    let t0 = if observing then Obs.now_ms () else 0. in
+    let timed = Obs.on () || Option.is_some trace in
+    let t0 = if timed then Obs.now_ms () else 0. in
     let news =
       run_round round1 (Engine.store_ctx !full)
     in
-    observe_round stats ~delta:(new_count news) ~t0 ~observing;
+    observe_round stats ~delta:(new_count news) ~t0 ~timed;
     let delta = ref (apply news (Facts.empty ())) in
     full := commit news !full;
     (* Subsequent rounds: delta variants only. *)
@@ -254,12 +256,12 @@ let run ?(guard = Guard.none) ?stats ?trace ?(aggs = []) (program : program)
     while !continue do
       Guard.round guard ~site:"datalog.round";
       stats.rounds <- stats.rounds + 1;
-      let observing = Obs.on () in
-      let t0 = if observing then Obs.now_ms () else 0. in
+      let timed = Obs.on () || Option.is_some trace in
+      let t0 = if timed then Obs.now_ms () else 0. in
       let news =
         run_round deltas (Engine.delta_ctx ~full:!full ~delta:!delta)
       in
-      observe_round stats ~delta:(new_count news) ~t0 ~observing;
+      observe_round stats ~delta:(new_count news) ~t0 ~timed;
       delta := apply news (Facts.empty ());
       full := commit news !full;
       continue := nonempty news

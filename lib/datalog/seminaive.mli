@@ -8,7 +8,8 @@ type stats = {
   mutable derivations : int;
   mutable round_log : (int * float) list;
       (** (new tuples, wall ms) per round, latest first; only populated
-          when metrics are enabled ({!Dc_obs.Obs.on}) *)
+          when metrics are enabled ({!Dc_obs.Obs.on}) or the run is
+          traced *)
 }
 
 val fresh_stats : unit -> stats

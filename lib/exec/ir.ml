@@ -448,8 +448,11 @@ let pp_analyze ppf t = pp_gen true ppf t
 (* Traces: the EXPLAIN-facing record of every pipeline a query execution
    lowered and ran.  Pipelines are registered under a label; re-running
    the same label (fixpoint rounds re-lowering a variant, semi-naive
-   rounds re-running a stratum) merges counters into the stored tree when
-   the shapes agree, so EXPLAIN shows totals over the whole execution. *)
+   rounds re-running a stratum) merges counters into the stored tree of
+   the same shape, so EXPLAIN shows totals over the whole execution.  A
+   label whose shape changes between runs (a cardinality-driven reorder
+   flipping when the delta outgrows the base) keeps one totalled tree per
+   shape. *)
 
 module Trace = struct
   type entry = {
@@ -459,7 +462,8 @@ module Trace = struct
   }
 
   type trace = {
-    mutable entries : entry list;  (* reverse registration order *)
+    mutable entries : entry list;
+        (* reverse registration order; a label's shapes are adjacent *)
     mutable scope : string;  (* label prefix set by the current driver *)
     mutable rounds : (int * float) list;
         (* the last recursive evaluation's rounds, first round first:
@@ -478,16 +482,18 @@ module Trace = struct
 
   exception Shape_mismatch
 
-  (* Fold the counters of [fresh] into [stored], requiring equal shape. *)
-  let rec merge_node : type row sow. row node -> sow node -> unit =
-   fun stored fresh ->
+  (* The counters of two trees paired operator by operator, top first;
+     raises [Shape_mismatch] unless both have the same operators with
+     the same labels. *)
+  let rec zip_node : type row sow.
+      (counters * counters) list -> row node -> sow node ->
+      (counters * counters) list =
+   fun acc stored fresh ->
     if
       op_name stored.op <> op_name fresh.op
       || Lazy.force stored.label <> Lazy.force fresh.label
     then raise Shape_mismatch;
-    stored.c.rows <- stored.c.rows + fresh.c.rows;
-    stored.c.probes <- stored.c.probes + fresh.c.probes;
-    stored.c.ms <- stored.c.ms +. fresh.c.ms;
+    let acc = (stored.c, fresh.c) :: acc in
     let child : type r. r node -> r node option =
      fun n ->
       match n.op with
@@ -499,27 +505,35 @@ module Trace = struct
       | Anti_join aj -> Some aj.aj_input
     in
     match child stored, child fresh with
-    | None, None -> ()
-    | Some s, Some f -> merge_node s f
+    | None, None -> acc
+    | Some s, Some f -> zip_node acc s f
     | _ -> raise Shape_mismatch
 
-  let rec merge stored fresh =
+  let rec zip acc stored fresh =
     if
       top_name stored.top <> top_name fresh.top
       || Lazy.force stored.tlabel <> Lazy.force fresh.tlabel
     then raise Shape_mismatch;
-    stored.tc.rows <- stored.tc.rows + fresh.tc.rows;
-    stored.tc.probes <- stored.tc.probes + fresh.tc.probes;
-    stored.tc.ms <- stored.tc.ms +. fresh.tc.ms;
+    let acc = (stored.tc, fresh.tc) :: acc in
     match stored.top, fresh.top with
-    | Project s, Project f -> merge_node s.p_input f.p_input
+    | Project s, Project f -> zip_node acc s.p_input f.p_input
     | Union ss, Union fs ->
       if List.length ss <> List.length fs then raise Shape_mismatch;
-      List.iter2 merge ss fs
-    | Diff s, Diff f -> merge s.d_input f.d_input
-    | Distinct s, Distinct f -> merge s f
-    | Group s, Group f -> merge s.g_input f.g_input
+      List.fold_left2 zip acc ss fs
+    | Diff s, Diff f -> zip acc s.d_input f.d_input
+    | Distinct s, Distinct f -> zip acc s f
+    | Group s, Group f -> zip acc s.g_input f.g_input
     | _ -> raise Shape_mismatch
+
+  (* Fold the counters of [fresh] into [stored].  The whole shape is
+     compared before any counter moves, so a mismatch changes nothing. *)
+  let merge stored fresh =
+    List.iter
+      (fun (s, f) ->
+        s.rows <- s.rows + f.rows;
+        s.probes <- s.probes + f.probes;
+        s.ms <- s.ms +. f.ms)
+      (zip [] stored fresh)
 
   (* Register a pipeline (before or after running it: counters are read
      at print time).  The label is prefixed by the current scope. *)
@@ -529,36 +543,65 @@ module Trace = struct
       | Some l -> Fmt.str "%s: %s" tr.scope l
       | None -> tr.scope
     in
-    match List.find_opt (fun e -> String.equal e.e_label label) tr.entries with
+    let same e = String.equal e.e_label label in
+    (* the same (prebuilt) pipeline re-registered across rounds already
+       accumulates in place; a freshly lowered tree of a stored shape has
+       that shape's totals folded in and replaces it (its counters keep
+       growing after registration); a new shape gets its own entry, next
+       to the label's others *)
+    let fold e =
+      if pipeline == e.e_pipeline then true
+      else
+        match merge pipeline e.e_pipeline with
+        | () ->
+          e.e_pipeline <- pipeline;
+          true
+        | exception Shape_mismatch -> false
+    in
+    match List.find_opt (fun e -> same e && fold e) tr.entries with
+    | Some e -> e.e_runs <- e.e_runs + 1
     | None ->
+      let fresh = { e_label = label; e_pipeline = pipeline; e_runs = 1 } in
+      let rec insert = function
+        | e :: rest when same e -> Some (fresh :: e :: rest)
+        | e :: rest -> Option.map (List.cons e) (insert rest)
+        | [] -> None
+      in
       tr.entries <-
-        { e_label = label; e_pipeline = pipeline; e_runs = 1 } :: tr.entries
-    | Some e ->
-      e.e_runs <- e.e_runs + 1;
-      (* the same (prebuilt) pipeline re-registered across rounds already
-         accumulates in place; a freshly lowered tree of the same shape
-         has the stored totals folded in; a changed shape (e.g. a
-         cardinality-driven reorder flipped between rounds) keeps the
-         latest tree *)
-      if not (pipeline == e.e_pipeline) then (
-        (match merge pipeline e.e_pipeline with
-        | () -> ()
-        | exception Shape_mismatch -> ());
-        e.e_pipeline <- pipeline)
+        Option.value (insert tr.entries) ~default:(fresh :: tr.entries)
 
   let entries tr = List.rev tr.entries
+
+  let pipelines tr = List.map (fun e -> (e.e_label, e.e_pipeline)) (entries tr)
 
   let is_empty tr = tr.entries = []
 
   let pp_with times ppf tr =
-    List.iter
-      (fun e ->
-        if e.e_runs = 1 then
+    let entries = entries tr in
+    let shapes label =
+      List.length (List.filter (fun e -> String.equal e.e_label label) entries)
+    in
+    let rec go prev nth = function
+      | [] -> ()
+      | e :: rest ->
+        let nth = if String.equal prev e.e_label then nth + 1 else 1 in
+        let n = shapes e.e_label in
+        let notes =
+          (if n > 1 then [ Fmt.str "shape %d of %d" nth n ] else [])
+          @
+          if e.e_runs > 1 then
+            [ Fmt.str "%d runs, counters totalled" e.e_runs ]
+          else []
+        in
+        (match notes with
+        | [] ->
           Fmt.pf ppf "@[<v2>%s:@,%a@]@." e.e_label (pp_gen times) e.e_pipeline
-        else
-          Fmt.pf ppf "@[<v2>%s (%d runs, counters totalled):@,%a@]@." e.e_label
-            e.e_runs (pp_gen times) e.e_pipeline)
-      (entries tr)
+        | _ ->
+          Fmt.pf ppf "@[<v2>%s (%s):@,%a@]@." e.e_label
+            (String.concat ", " notes) (pp_gen times) e.e_pipeline);
+        go e.e_label nth rest
+    in
+    go "" 0 entries
 
   let pp ppf tr = pp_with false ppf tr
   let pp_analyze ppf tr = pp_with true ppf tr

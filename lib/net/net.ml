@@ -4,11 +4,22 @@
 
    Thread model: one accept thread per listener, one thread per
    connection.  Connection threads spend their lives blocked in
-   [Unix.select]/[read]/[write] (releasing the runtime lock) or inside
-   [Server] calls — reads evaluate on pool worker domains, writes block
-   on the writer's group commit.  The writer thread itself never touches
-   a socket, so a slow, stalled, or hostile peer can only ever wedge its
-   own connection thread:
+   [read]/[write] (releasing the runtime lock) or inside [Server] calls
+   — reads evaluate on pool worker domains, writes block on the
+   writer's group commit.  The writer thread itself never touches a
+   socket, so a slow, stalled, or hostile peer can only ever wedge its
+   own connection thread.
+
+   Frame I/O, shared by connection threads and [Client]: one [read] and
+   one [write] per frame.  Each connection owns a small read buffer;
+   one read(2) takes whatever has arrived — a whole request, several
+   pipelined ones, the preamble with the first request — and frames are
+   cut out of it; a payload larger than the buffer is read straight
+   into its own bytes.  Timeouts are kernel socket timeouts: SO_SNDTIMEO
+   is set once per socket, SO_RCVTIMEO only when the wanted timeout
+   changes, and a timed-out call ([EAGAIN]) raises [Timeout].  No
+   [select] runs on the frame path; only the accept loop's 0.25 s tick
+   uses it.
 
    - the length prefix of an incoming frame is validated against this
      side's [max_frame] before one body byte is read or allocated, so a
@@ -90,81 +101,160 @@ let c_req_query = lazy (c_requests "query")
 let c_req_other = lazy (c_requests "other")
 
 (* ------------------------------------------------------------------ *)
-(* Timed frame I/O over a file descriptor *)
+(* Frame I/O: one read and one write per frame *)
 
-(* [timeout < 0.] means wait forever. *)
-let wait_io ~read fd timeout =
-  let r, w = if read then ([ fd ], []) else ([], [ fd ]) in
-  let rec wait () =
-    match Unix.select r w [] timeout with
-    | [], [], [] -> raise Timeout
-    | _ -> ()
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> wait ()
+(* Small, so idle connections cost little: frames larger than this take
+   the direct path ([read_direct]). *)
+let read_buffer_size = 16 * 1024
+
+let header_length = 8 (* u32 payload length, u32 CRC *)
+
+(* The SO_RCVTIMEO/SO_SNDTIMEO value for a timeout.  A negative timeout
+   waits forever, which the kernel spells 0; a timeout of 0 must not
+   become forever, so it is raised to a millisecond.  The top clamp
+   keeps the seconds within a C int. *)
+let sockopt_timeout t = if t < 0. then 0. else Float.min (Float.max t 1e-3) 1e9
+
+(* Writes are bounded by SO_SNDTIMEO, set once per socket. *)
+let set_send_timeout fd t =
+  Unix.setsockopt_float fd Unix.SO_SNDTIMEO (sockopt_timeout t)
+
+type reader = {
+  fd : Unix.file_descr;
+  buf : Bytes.t;
+  mutable pos : int; (* first unconsumed byte *)
+  mutable lim : int; (* one past the last byte read *)
+  mutable rcvtimeo : float; (* SO_RCVTIMEO as last set; 0 is the default *)
+}
+
+let reader fd =
+  { fd; buf = Bytes.create read_buffer_size; pos = 0; lim = 0; rcvtimeo = 0. }
+
+let torn () = raise (Wire.Protocol_error "connection closed mid-frame")
+
+(* One read(2) into [dst] under [timeout]; 0 is end of stream.  The
+   socket option changes only when the wanted timeout does. *)
+let read_some r ~timeout dst off len =
+  let v = sockopt_timeout timeout in
+  if v <> r.rcvtimeo then begin
+    Unix.setsockopt_float r.fd Unix.SO_RCVTIMEO v;
+    r.rcvtimeo <- v
+  end;
+  let rec go () =
+    match Unix.read r.fd dst off len with
+    | n -> n
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> go ()
+    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+      raise Timeout
   in
-  wait ()
+  go ()
 
-(* Read exactly [len] bytes under [timeout] per chunk.  [eof_ok] permits
-   a clean end-of-stream before the first byte (returns [None]). *)
-let read_exact ?(eof_ok = false) fd ~timeout len =
-  let buf = Bytes.create len in
-  let got = ref 0 in
-  let eof = ref false in
-  while !got < len && not !eof do
-    wait_io ~read:true fd timeout;
-    match Unix.read fd buf !got (len - !got) with
-    | 0 ->
-      if eof_ok && !got = 0 then eof := true
-      else raise (Wire.Protocol_error "connection closed mid-frame")
-    | n -> got := !got + n
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  done;
-  if !eof then None else Some (Bytes.unsafe_to_string buf)
+(* Make [n <= read_buffer_size] bytes available at [r.pos].  With
+   nothing buffered, the first read waits up to [first]; every other
+   read up to [timeout].  [false] is a clean end of stream with nothing
+   buffered; an end of stream inside a frame is a torn frame. *)
+let fill r ~first ~timeout n =
+  if r.pos = r.lim then begin
+    r.pos <- 0;
+    r.lim <- 0
+  end
+  else if r.pos + n > Bytes.length r.buf then begin
+    Bytes.blit r.buf r.pos r.buf 0 (r.lim - r.pos);
+    r.lim <- r.lim - r.pos;
+    r.pos <- 0
+  end;
+  let rec go wait =
+    if r.lim - r.pos >= n then true
+    else
+      let room = Bytes.length r.buf - r.lim in
+      match read_some r ~timeout:wait r.buf r.lim room with
+      | 0 -> if r.lim = r.pos then false else torn ()
+      | got ->
+        r.lim <- r.lim + got;
+        go timeout
+  in
+  go (if r.pos = r.lim then first else timeout)
 
-let write_all fd ~timeout s =
-  let len = String.length s in
-  let sent = ref 0 in
-  while !sent < len do
-    wait_io ~read:false fd timeout;
-    match Unix.write_substring fd s !sent (len - !sent) with
-    | n -> sent := !sent + n
-    | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) -> ()
-  done;
-  if Obs.on () then Obs.Counter.add (Lazy.force c_bytes_out) len
+let take r n =
+  let s = Bytes.sub_string r.buf r.pos n in
+  r.pos <- r.pos + n;
+  s
 
-(* Receive one frame payload.  The 8-byte header is read first and its
-   declared length checked against [max_frame] before any body byte is
-   read — an oversized claim never allocates.  [idle] bounds the wait
-   for the first header byte (the between-requests gap); [timeout]
-   bounds every subsequent chunk. *)
-let recv_frame ?(idle = -1.) fd ~timeout ~max_frame =
-  wait_io ~read:true fd idle;
-  match read_exact ~eof_ok:true fd ~timeout 8 with
-  | None -> None
-  | Some header ->
-    let c = Codec.cursor header in
-    let len = Codec.read_u32 c in
-    let crc = Codec.read_u32 c in
+(* Read exactly [n <= read_buffer_size] bytes under [timeout] per read.
+   [eof_ok] permits a clean end of stream before the first byte
+   (returns [None]). *)
+let read_exact ?(eof_ok = false) r ~timeout n =
+  if fill r ~first:timeout ~timeout n then Some (take r n)
+  else if eof_ok then None
+  else torn ()
+
+(* A payload larger than the buffer: what is buffered, then reads
+   straight into its own bytes. *)
+let read_direct r ~timeout len =
+  let p = Bytes.create len in
+  let have = r.lim - r.pos in
+  Bytes.blit r.buf r.pos p 0 have;
+  r.pos <- 0;
+  r.lim <- 0;
+  let rec go got =
+    if got < len then
+      match read_some r ~timeout p got (len - got) with
+      | 0 -> torn ()
+      | n -> go (got + n)
+  in
+  go have;
+  Bytes.unsafe_to_string p
+
+let u32_at b i = Int32.to_int (Bytes.get_int32_le b i) land 0xFFFF_FFFF
+
+(* Receive one frame payload.  The 8-byte header's declared length is
+   checked against [max_frame] before any payload byte is read or
+   allocated — an oversized claim never allocates.  [idle] bounds the
+   wait for the first header byte (the between-requests gap); [timeout]
+   bounds every later read. *)
+let recv_frame ~idle r ~timeout ~max_frame =
+  if not (fill r ~first:idle ~timeout header_length) then None
+  else begin
+    let len = u32_at r.buf r.pos in
+    let crc = u32_at r.buf (r.pos + 4) in
     if len > max_frame then
       raise
         (Wire.Protocol_error
            (Fmt.str "frame of %d bytes exceeds max_frame %d" len max_frame));
+    r.pos <- r.pos + header_length;
     let payload =
-      match read_exact fd ~timeout len with
-      | Some p -> p
-      | None -> assert false (* eof_ok is false *)
+      if len <= Bytes.length r.buf then
+        if fill r ~first:timeout ~timeout len then take r len else torn ()
+      else read_direct r ~timeout len
     in
     if Codec.crc32 payload <> crc then
       raise (Wire.Protocol_error "frame CRC mismatch");
     if Obs.on () then begin
       Obs.Counter.inc (Lazy.force c_frames_in);
-      Obs.Counter.add (Lazy.force c_bytes_in) (len + 8)
+      Obs.Counter.add (Lazy.force c_bytes_in) (len + header_length)
     end;
     Some payload
+  end
 
-(* Send one frame built by [Wire.frame_*]: a single write of the one
-   string the encoder produced. *)
-let send_frame fd ~timeout frame =
-  write_all fd ~timeout frame;
+(* Write all of [s]: one write(2) per 64 KiB (the runtime's I/O chunk),
+   each bounded by the socket's SO_SNDTIMEO. *)
+let write_all fd s =
+  let len = String.length s in
+  let rec go sent =
+    if sent < len then
+      match Unix.single_write_substring fd s sent (len - sent) with
+      | n -> go (sent + n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> go sent
+      | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+        raise Timeout
+  in
+  go 0;
+  if Obs.on () then Obs.Counter.add (Lazy.force c_bytes_out) len
+
+(* Send one frame built by [Wire.frame_*]: the one string the encoder
+   produced. *)
+let send_frame fd frame =
+  write_all fd frame;
   if Obs.on () then Obs.Counter.inc (Lazy.force c_frames_out)
 
 (* ------------------------------------------------------------------ *)
@@ -247,16 +337,21 @@ let handle_request l session = function
     if Obs.on () then Obs.Counter.inc (Lazy.force c_req_other);
     Wire.Bye_ok
 
-let send_response l fd resp =
-  send_frame fd ~timeout:l.io_timeout (Wire.frame_response resp)
+let send_response fd resp = send_frame fd (Wire.frame_response resp)
 
 (* Serve one connection to completion.  Raises nothing: every exit path
    is a normal return; the caller closes the socket. *)
 let serve_conn l fd =
+  set_send_timeout fd l.io_timeout;
+  let r = reader fd in
   (* handshake: the client preamble must arrive within io_timeout — an
-     endpoint that connects and says nothing is not yet a session *)
+     endpoint that connects and says nothing is not yet a session.  The
+     preamble goes through the connection's reader, so a first request
+     that arrived with it stays buffered. *)
   match
-    match read_exact ~eof_ok:true fd ~timeout:l.io_timeout Wire.preamble_length with
+    match
+      read_exact ~eof_ok:true r ~timeout:l.io_timeout Wire.preamble_length
+    with
     | None -> None
     | Some pre -> Some (Wire.decode_preamble pre)
   with
@@ -264,17 +359,15 @@ let serve_conn l fd =
   | exception e ->
     if Obs.on () then Obs.Counter.inc (Lazy.force c_proto_errors);
     let code, message = classify_exn e in
-    (try send_response l fd (Wire.Err { code; message }) with _ -> ())
+    (try send_response fd (Wire.Err { code; message }) with _ -> ())
   | Some peer_max -> (
-    match write_all fd ~timeout:l.io_timeout
-            (Wire.encode_preamble ~max_frame:l.max_frame)
-    with
+    match write_all fd (Wire.encode_preamble ~max_frame:l.max_frame) with
     | exception _ -> ()
     | () -> (
       match Server.open_session l.srv with
       | exception e ->
         let code, message = classify_exn e in
-        (try send_response l fd (Wire.Err { code; message }) with _ -> ())
+        (try send_response fd (Wire.Err { code; message }) with _ -> ())
       | session ->
         let send resp =
           let frame = Wire.frame_response resp in
@@ -291,11 +384,11 @@ let serve_conn l fd =
                    })
             else frame
           in
-          send_frame fd ~timeout:l.io_timeout frame
+          send_frame fd frame
         in
         let rec loop () =
           match
-            recv_frame ~idle:l.idle_timeout fd ~timeout:l.io_timeout
+            recv_frame ~idle:l.idle_timeout r ~timeout:l.io_timeout
               ~max_frame:l.max_frame
           with
           | None -> () (* clean EOF between requests *)
@@ -340,10 +433,10 @@ let accept_loop l () =
        blocked in accept(2) *)
     if Mutex.protect l.m (fun () -> l.stopping) then continue := false
     else
-      match wait_io ~read:true l.lfd 0.25 with
-      | exception Timeout -> ()
+      match Unix.select [ l.lfd ] [] [] 0.25 with
+      | [], _, _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> ()
       | exception _ -> continue := false
-      | () -> (
+      | _ -> (
         match Unix.accept ~cloexec:true l.lfd with
     | fd, _peer ->
       (try Unix.setsockopt fd Unix.TCP_NODELAY true
@@ -462,6 +555,7 @@ module Client = struct
 
   type t = {
     fd : Unix.file_descr;
+    rd : reader; (* the connection's read buffer *)
     max_frame : int; (* bound on incoming frames *)
     peer_max : int; (* the server's advertised bound *)
     timeout : float;
@@ -489,13 +583,23 @@ module Client = struct
       Unix.connect fd sockaddr;
       (try Unix.setsockopt fd Unix.TCP_NODELAY true
        with Unix.Unix_error _ -> ());
-      write_all fd ~timeout (Wire.encode_preamble ~max_frame);
+      set_send_timeout fd timeout;
+      write_all fd (Wire.encode_preamble ~max_frame);
+      let rd = reader fd in
       let peer_max =
-        match read_exact fd ~timeout Wire.preamble_length with
+        match read_exact rd ~timeout Wire.preamble_length with
         | Some pre -> Wire.decode_preamble pre
         | None -> assert false
       in
-      { fd; max_frame; peer_max; timeout; m = Mutex.create (); closed = false }
+      {
+        fd;
+        rd;
+        max_frame;
+        peer_max;
+        timeout;
+        m = Mutex.create ();
+        closed = false;
+      }
     with e ->
       (try Unix.close fd with _ -> ());
       raise e
@@ -505,9 +609,9 @@ module Client = struct
       c.closed <- true;
       (* best-effort goodbye so the server logs a clean disconnect *)
       (try
-         send_frame c.fd ~timeout:c.timeout (Wire.frame_request Wire.Bye);
+         send_frame c.fd (Wire.frame_request Wire.Bye);
          ignore
-           (recv_frame ~idle:c.timeout c.fd ~timeout:c.timeout
+           (recv_frame ~idle:c.timeout c.rd ~timeout:c.timeout
               ~max_frame:c.max_frame)
        with _ -> ());
       try Unix.close c.fd with _ -> ()
@@ -524,9 +628,9 @@ module Client = struct
                ( Wire.Protocol,
                  Fmt.str "request of %d bytes exceeds server max_frame %d"
                    len c.peer_max ));
-        send_frame c.fd ~timeout:c.timeout frame;
+        send_frame c.fd frame;
         match
-          recv_frame ~idle:c.timeout c.fd ~timeout:c.timeout
+          recv_frame ~idle:c.timeout c.rd ~timeout:c.timeout
             ~max_frame:c.max_frame
         with
         | None ->

@@ -7,12 +7,22 @@
     can only ever cost its own connection: incoming frame lengths are
     validated against [max_frame] before the body is read, every
     in-flight read/write runs under [io_timeout], and any protocol
-    violation earns an [Err Protocol] response and a closed connection. *)
+    violation earns an [Err Protocol] response and a closed connection.
+
+    Both ends move a frame with one [read] and one [write]: each
+    connection reads through a fixed buffer of {!read_buffer_size}
+    bytes that takes whatever has arrived (pipelined frames included),
+    and timeouts are the kernel's socket timeouts ([SO_RCVTIMEO],
+    [SO_SNDTIMEO]), so no [select] runs per frame. *)
 
 open Dc_relation
 
 exception Timeout
 (** An in-flight frame read/write exceeded its timeout. *)
+
+val read_buffer_size : int
+(** Bytes of a connection's read buffer.  A frame up to this size is cut
+    out of it; a larger payload is read straight into its own bytes. *)
 
 type addr = Unix_sock of string | Tcp of string * int
 
@@ -36,10 +46,14 @@ val listen :
 (** Bind [addr] and serve connections over [srv]'s sessions (one session
     per connection, opened after the handshake).  [max_frame] (default
     {!Wire.default_max_frame}) bounds incoming frame payloads;
-    [io_timeout] (default 30s) bounds each in-flight frame read/write;
-    [idle_timeout] (default negative = forever) bounds the wait for a
-    new request between statements.  TCP port [0] binds an ephemeral
-    port — recover it with {!bound_port}. *)
+    [io_timeout] (default 30s) bounds each read and write of an
+    in-flight frame (a peer that stalls mid-frame is disconnected), and
+    the client's preamble; [idle_timeout] (default negative = forever)
+    bounds the wait for the first byte of a new request, the gap
+    between statements, which [io_timeout] does not cover.  A negative
+    timeout waits forever; a timeout of [0.] is raised to a
+    millisecond.  TCP port [0] binds an ephemeral port — recover it
+    with {!bound_port}. *)
 
 val stop : listener -> unit
 (** Close the listening socket, disconnect every live connection, and
@@ -67,8 +81,9 @@ module Client : sig
   type t
 
   val connect : ?max_frame:int -> ?timeout:float -> addr -> t
-  (** Connect and handshake.  [timeout] (default 30s) bounds every
-      subsequent request round trip. *)
+  (** Connect and handshake.  [timeout] (default 30s, negative =
+      forever) bounds each read and write of the handshake and of every
+      later request round trip, including the wait for a response. *)
 
   val exec : t -> string -> string
   (** Execute DBPL statements, returning their printed output. *)

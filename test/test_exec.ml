@@ -224,6 +224,87 @@ let prop_oracle_seeds =
       true)
 
 (* ------------------------------------------------------------------ *)
+(* Trace totals across fixpoint rounds *)
+
+(* The served closure workload's constructors over one edge relation
+   [G]: right-linear [tc] and non-linear [tcn]. *)
+let closure_db pairs =
+  let values =
+    String.concat ", "
+      (List.map (fun (a, b) -> Printf.sprintf {|("n%d", "n%d")|} a b) pairs)
+  in
+  let db, _ =
+    Dc_lang.Elaborate.run_string
+      (Printf.sprintf
+         {|TYPE node = STRING;
+TYPE edgerel = RELATION a, b OF RECORD a, b: node END;
+VAR G: edgerel;
+CONSTRUCTOR tc FOR Rel: edgerel (): edgerel;
+BEGIN EACH e IN Rel: TRUE,
+      <e.a, p.b> OF EACH e IN Rel, EACH p IN Rel{tc()}: e.b = p.a
+END tc;
+CONSTRUCTOR tcn FOR Rel: edgerel (): edgerel;
+BEGIN EACH e IN Rel: TRUE,
+      <p.a, q.b> OF EACH p IN Rel{tcn()}, EACH q IN Rel{tcn()}: p.b = q.a
+END tcn;
+INSERT G VALUES %s;
+|}
+         values)
+  in
+  db
+
+(* A [Project] emits one tuple per input row, so in every recorded
+   pipeline its rows equal its input's — also when the counters are
+   totalled over fixpoint rounds whose join order flipped (the delta
+   outgrowing the base relation). *)
+let check_project_rows msg trace =
+  let rec walk entry (t : Ir.t) =
+    match t.top with
+    | Ir.Project p ->
+      Alcotest.(check int)
+        (Fmt.str "%s: %s: project rows = input rows" msg entry)
+        p.p_input.c.rows t.tc.rows
+    | Ir.Union ts -> List.iter (walk entry) ts
+    | Ir.Diff d -> walk entry d.d_input
+    | Ir.Distinct s -> walk entry s
+    | Ir.Group g -> walk entry g.g_input
+  in
+  List.iter (fun (entry, t) -> walk entry t) (Ir.Trace.pipelines trace)
+
+let traced_closure msg db constructor =
+  let trace = Ir.Trace.create () in
+  ignore
+    (Dc_core.Database.query ~trace db
+       Dc_calculus.Ast.(Construct (Rel "G", constructor, [])));
+  check_project_rows (Fmt.str "%s{%s()}" msg constructor) trace
+
+(* The closure workload's two flipping cases: a random digraph's
+   right-linear closure and a chain's non-linear one. *)
+let test_trace_project_rows_closures () =
+  let rng = Dc_workload.Rng.create 7 in
+  let random =
+    List.init 240 (fun _ ->
+        (Dc_workload.Rng.int rng 80, Dc_workload.Rng.int rng 80))
+  in
+  traced_closure "random" (closure_db random) "tc";
+  traced_closure "chain" (closure_db (List.init 64 (fun i -> (i, i + 1)))) "tcn"
+
+let prop_trace_project_rows =
+  QCheck.Test.make ~count:20 ~name:"traced closures: project rows = input rows"
+    QCheck.(pair (int_bound 1_000_000) (int_range 10 60))
+    (fun (seed, nodes) ->
+      let rng = Dc_workload.Rng.create seed in
+      let pairs =
+        List.init (3 * nodes) (fun _ ->
+            (Dc_workload.Rng.int rng nodes, Dc_workload.Rng.int rng nodes))
+      in
+      let db = closure_db pairs in
+      let msg = Fmt.str "seed %d, %d nodes" seed nodes in
+      traced_closure msg db "tc";
+      traced_closure msg db "tcn";
+      true)
+
+(* ------------------------------------------------------------------ *)
 (* EXPLAIN golden output *)
 
 let find_file candidates =
@@ -374,6 +455,12 @@ let () =
           Alcotest.test_case "seeded oracle, fixed seeds" `Quick
             test_oracle_fixed_seeds;
           QCheck_alcotest.to_alcotest prop_oracle_seeds;
+        ] );
+      ( "trace totals",
+        [
+          Alcotest.test_case "closure project rows" `Quick
+            test_trace_project_rows_closures;
+          QCheck_alcotest.to_alcotest prop_trace_project_rows;
         ] );
       ( "explain",
         [

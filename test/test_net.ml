@@ -563,6 +563,177 @@ let test_idle_timeout_enforced () =
   check_still_serving port
 
 (* ------------------------------------------------------------------ *)
+(* Framing: frames are cut out of a per-connection buffer, so any split
+   of the byte stream into writes must read the same *)
+
+(* every response frame after the server's preamble, in order *)
+let decode_responses data =
+  ignore (Wire.decode_preamble (String.sub data 0 Wire.preamble_length));
+  let rec go pos acc =
+    if pos >= String.length data then List.rev acc
+    else
+      let payload, next = Codec.read_frame data pos in
+      go next (Wire.decode_response payload :: acc)
+  in
+  go Wire.preamble_length []
+
+let rows_of = function
+  | Wire.Rows { tuples; _ } -> List.length tuples
+  | r -> Alcotest.failf "expected rows, got %a" Wire.pp_response r
+
+(* an INSERT of [n] fresh edges: a statement of about 20 bytes per edge *)
+let bulk_insert n =
+  Fmt.str "INSERT Edge VALUES %s;"
+    (String.concat ", "
+       (List.init n (fun i -> Fmt.str {|("bulk%d", "x%d")|} i i)))
+
+let test_pipelined_frames () =
+  with_server @@ fun _srv port ->
+  let big = Wire.frame_request (Wire.Stmt (bulk_insert 1000)) in
+  Alcotest.(check bool) "the statement frame is larger than the read buffer"
+    true
+    (String.length big > Net.read_buffer_size);
+  let fd = raw_connect port in
+  (* the preamble and the first request in one write *)
+  send_raw fd (client_preamble ^ Wire.frame_request (Wire.Query "QUERY Edge;"));
+  (* then a frame larger than the buffer, two small ones and Bye in one *)
+  send_raw fd
+    (String.concat ""
+       [
+         big;
+         Wire.frame_request (Wire.Query {|QUERY {EACH e IN Edge: e.a = "b"};|});
+         Wire.frame_request (Wire.Query "QUERY Edge;");
+         Wire.frame_request Wire.Bye;
+       ]);
+  let reply = recv_until_close fd in
+  Unix.close fd;
+  match decode_responses reply with
+  | [ first; Wire.Output _; point; all; Wire.Bye_ok ] ->
+    Alcotest.(check int) "first request" 2 (rows_of first);
+    Alcotest.(check int) "point read" 1 (rows_of point);
+    Alcotest.(check int) "sees the insert" 1002 (rows_of all)
+  | rs ->
+    Alcotest.failf "unexpected replies: %a"
+      Fmt.(list ~sep:comma Wire.pp_response)
+      rs
+
+let test_frames_over_buffer () =
+  with_server @@ fun _srv port ->
+  let c = connect port in
+  let stmt = bulk_insert 2000 in
+  Alcotest.(check bool) "statement over the read buffer" true
+    (String.length stmt > Net.read_buffer_size);
+  ignore (Net.Client.exec c stmt);
+  let version, columns, tuples = Net.Client.query c "QUERY Edge;" in
+  Alcotest.(check int) "every row back" 2002 (List.length tuples);
+  let response = Wire.frame_response (Wire.Rows { version; columns; tuples }) in
+  Alcotest.(check bool) "Rows response over the read buffer" true
+    (String.length response > Net.read_buffer_size);
+  (* the connection keeps framing after both direct reads *)
+  let _, _, point = Net.Client.query c {|QUERY {EACH e IN Edge: e.a = "a"};|} in
+  Alcotest.(check int) "small read after large ones" 1 (List.length point);
+  Net.Client.close c
+
+(* io_timeout bounds each read of an in-flight frame, not the frame: a
+   peer trickling one byte per 40 ms for longer than io_timeout in all is
+   served *)
+let test_byte_at_a_time () =
+  with_server ~io_timeout:1. @@ fun _srv port ->
+  let fd = raw_connect port in
+  let bytes = client_preamble ^ Wire.frame_request (Wire.Query "QUERY Edge;") in
+  let t0 = Unix.gettimeofday () in
+  String.iter
+    (fun ch ->
+      send_raw fd (String.make 1 ch);
+      Unix.sleepf 0.04)
+    bytes;
+  let elapsed = Unix.gettimeofday () -. t0 in
+  send_raw fd (Wire.frame_request Wire.Bye);
+  let reply = recv_until_close fd in
+  Unix.close fd;
+  Alcotest.(check bool)
+    (Fmt.str "trickle outlasted io_timeout (%.1fs)" elapsed)
+    true (elapsed > 1.);
+  match decode_responses reply with
+  | [ rows; Wire.Bye_ok ] -> Alcotest.(check int) "answered" 2 (rows_of rows)
+  | rs ->
+    Alcotest.failf "unexpected replies: %a"
+      Fmt.(list ~sep:comma Wire.pp_response)
+      rs
+
+(* the gap between requests is exempt from io_timeout *)
+let test_idle_gap_stays_connected () =
+  with_server ~io_timeout:0.3 @@ fun _srv port ->
+  let c = connect port in
+  let _, _, before = Net.Client.query c "QUERY Edge;" in
+  Unix.sleepf 1.;
+  let _, _, after = Net.Client.query c "QUERY Edge;" in
+  Alcotest.(check int) "before the gap" 2 (List.length before);
+  Alcotest.(check int) "after a gap of three io_timeouts" 2 (List.length after);
+  Net.Client.close c
+
+(* a request whose first bytes end the idle wait runs under io_timeout
+   from then on: stalling mid-header is cut off, though the idle wait
+   itself is unbounded *)
+let test_stall_after_idle_wait () =
+  with_server ~io_timeout:0.5 @@ fun _srv port ->
+  let fd = raw_connect port in
+  send_raw fd client_preamble;
+  (* let the server finish the handshake and park in its idle wait *)
+  Unix.sleepf 0.3;
+  send_raw fd "\001\002\003";
+  let t0 = Unix.gettimeofday () in
+  ignore (recv_until_close fd);
+  let elapsed = Unix.gettimeofday () -. t0 in
+  Unix.close fd;
+  Alcotest.(check bool)
+    (Fmt.str "disconnected within io_timeout of the stall (%.1fs)" elapsed)
+    true (elapsed < 5.)
+
+(* dc_net_frames_total / dc_net_bytes_total count every pipelined frame:
+   in, the request frames; out, the preamble and the response frames *)
+let test_pipelined_frame_counters () =
+  let module Obs = Dc_obs.Obs in
+  let was = Obs.on () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  with_server @@ fun _srv port ->
+  let counter name dir =
+    Obs.Counter.value (Obs.Counter.make ~labels:[ ("dir", dir) ] name)
+  in
+  let read () =
+    List.map
+      (fun (name, dir) -> counter name dir)
+      [
+        ("dc_net_frames_total", "in"); ("dc_net_bytes_total", "in");
+        ("dc_net_frames_total", "out"); ("dc_net_bytes_total", "out");
+      ]
+  in
+  let before = read () in
+  let requests =
+    [
+      Wire.frame_request (Wire.Query "QUERY Edge;");
+      Wire.frame_request (Wire.Query {|QUERY {EACH e IN Edge: e.a = "a"};|});
+      Wire.frame_request Wire.Bye;
+    ]
+  in
+  let fd = raw_connect port in
+  send_raw fd (client_preamble ^ String.concat "" requests);
+  let reply = recv_until_close fd in
+  Unix.close fd;
+  Alcotest.(check int) "three answers" 3 (List.length (decode_responses reply));
+  let delta = List.map2 ( - ) (read ()) before in
+  Alcotest.(check (list int))
+    "frames in, bytes in, frames out, bytes out"
+    [
+      3;
+      String.length (String.concat "" requests);
+      3;
+      String.length reply;
+    ]
+    delta
+
+(* ------------------------------------------------------------------ *)
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -589,6 +760,19 @@ let () =
           Alcotest.test_case "statement cache metrics" `Quick
             test_stmt_cache_metrics;
           Alcotest.test_case "unix socket" `Quick test_unix_socket;
+        ] );
+      ( "framing",
+        [
+          Alcotest.test_case "pipelined frames" `Quick test_pipelined_frames;
+          Alcotest.test_case "frames over the read buffer" `Quick
+            test_frames_over_buffer;
+          Alcotest.test_case "one byte at a time" `Quick test_byte_at_a_time;
+          Alcotest.test_case "idle gap stays connected" `Quick
+            test_idle_gap_stays_connected;
+          Alcotest.test_case "stall after the idle wait" `Quick
+            test_stall_after_idle_wait;
+          Alcotest.test_case "pipelined frame counters" `Quick
+            test_pipelined_frame_counters;
         ] );
       ( "adversarial",
         [

@@ -372,6 +372,27 @@ let test_explain_session_limits () =
   Server.close_session roomy;
   Server.shutdown srv
 
+(* A server session never turns metrics on, yet its EXPLAIN ANALYZE
+   reports the rounds of whichever recursive method ran — the direct
+   fixpoint and the magic-set route alike — and leaves the switch off. *)
+let test_explain_analyze_rounds_metrics_off () =
+  let srv = chain_server () in
+  let s = Server.open_session srv in
+  let was = Dc_obs.Obs.on () in
+  Dc_obs.Obs.set_enabled false;
+  Fun.protect ~finally:(fun () -> Dc_obs.Obs.set_enabled was) (fun () ->
+      List.iter
+        (fun q ->
+          let out = Server.execute s ("EXPLAIN ANALYZE " ^ q ^ ";") in
+          Alcotest.(check bool)
+            (Fmt.str "rounds reported for %s:@.%s" q out)
+            true
+            (contains_s out "fixpoint rounds:" && contains_s out "round 1:");
+          Alcotest.(check bool) "metrics stay off" false (Dc_obs.Obs.on ()))
+        [ "Edge{tc()}"; {|{EACH p IN Edge{tc()}: p.src = "n3"}|} ]);
+  Server.close_session s;
+  Server.shutdown srv
+
 let test_explain_pinned_snapshot () =
   let srv = chain_server () in
   let reader = Server.open_session srv in
@@ -1168,6 +1189,8 @@ let () =
             test_explain_session_limits;
           Alcotest.test_case "EXPLAIN over the pinned snapshot" `Quick
             test_explain_pinned_snapshot;
+          Alcotest.test_case "EXPLAIN ANALYZE rounds, metrics off" `Quick
+            test_explain_analyze_rounds_metrics_off;
           Alcotest.test_case "BEGIN keeps session limits" `Quick
             test_begin_keeps_session_limits;
           Alcotest.test_case "aggregated constructor snapshot read" `Quick
