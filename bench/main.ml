@@ -1441,7 +1441,73 @@ let print_ivm records =
         r.ir_recompute (ir_speedup r))
     records
 
-let run_ivm () = print_ivm (ivm_records ())
+(* Maintained INSERT and DELETE timed apart on view_updates' shape: the
+   right-linear closure over 8 chains of 32 nodes with shortcuts, and
+   bridges from an even chain's tail into an odd chain toggled in and
+   out, so each write adds or removes 32 x 8 closure rows.  Each update
+   is timed on its own, after one untimed toggle (the view's first
+   deletion builds its derivation counts); the cell reports the median
+   and IQR per update over every sample's updates. *)
+type toggle_record = {
+  tg_name : string;
+  tg_updates : int; (* of each kind, per sample *)
+  tg_insert : summary;
+  tg_delete : summary;
+}
+
+let bridge_toggles = 32
+
+let toggle_record () =
+  let edges, at = Graph_gen.chains_dag ~seed:5 ~chains:8 ~len:32 ~edges:384 in
+  let bridge k =
+    let a = 2 * (k mod 4) and b = (2 * ((k / 4) mod 4)) + 1 in
+    Tuple.make2 (Graph_gen.node (at a 31)) (Graph_gen.node (at b 24))
+  in
+  let ins = ref [] and del = ref [] in
+  for _ = 1 to samples do
+    let db = tc_db edges in
+    let view = Ivm.materialize db ~constructor:"tc" ~base:"Edge" ~args:[] in
+    let n0 = Ivm.cardinal view in
+    Database.insert db "Edge" (bridge 0);
+    Database.delete db "Edge" (bridge 0);
+    for k = 0 to bridge_toggles - 1 do
+      let t = bridge k in
+      let (), ti = time (fun () -> Database.insert db "Edge" t) in
+      if Ivm.cardinal view <> n0 + 256 then
+        Fmt.failwith "bridge %d: %d closure rows after INSERT, expected %d" k
+          (Ivm.cardinal view) (n0 + 256);
+      let (), td = time (fun () -> Database.delete db "Edge" t) in
+      if Ivm.cardinal view <> n0 then
+        Fmt.failwith "bridge %d: %d closure rows after DELETE, expected %d" k
+          (Ivm.cardinal view) n0;
+      ins := ti :: !ins;
+      del := td :: !del
+    done
+  done;
+  let summary ts =
+    let q1, _, q3 = Stats.quartiles ts in
+    { median_ms = Stats.median ts; iqr_ms = q3 -. q1 }
+  in
+  {
+    tg_name = "ivm_tc_bridges_8x32";
+    tg_updates = bridge_toggles;
+    tg_insert = summary !ins;
+    tg_delete = summary !del;
+  }
+
+let toggle_json r =
+  Json.Obj
+    ([ ("name", Json.Str r.tg_name); ("updates", count r.tg_updates) ]
+    @ summary_fields "insert_" r.tg_insert
+    @ summary_fields "delete_" r.tg_delete)
+
+let print_toggle r =
+  Fmt.pr "%-24s %d bridge toggles: insert=%a/update delete=%a/update@."
+    r.tg_name r.tg_updates pp_summary r.tg_insert pp_summary r.tg_delete
+
+let run_ivm () =
+  print_ivm (ivm_records ());
+  print_toggle (toggle_record ())
 
 (* ------------------------------------------------------------------ *)
 (* Aggregates (PR 10).  Two claims the BENCH "aggregates" section tracks:
@@ -1894,6 +1960,7 @@ let run_json path =
   Dc_obs.Obs.set_enabled false;
   let overhead = obs_overhead_records () in
   let ivm = ivm_records () in
+  let toggle = toggle_record () in
   let agg_mins, agg_views = agg_records () in
   let parallel = par_records () in
   let serve = serve_records () in
@@ -1903,7 +1970,7 @@ let run_json path =
       ("samples", count samples);
       ("experiments", Json.Arr (List.map experiment_json records));
       ("obs_overhead", obs_overhead_json overhead);
-      ("ivm", Json.Arr (List.map view_json ivm));
+      ("ivm", Json.Arr (List.map view_json ivm @ [ toggle_json toggle ]));
       ( "aggregates",
         Json.Obj
           [
@@ -1923,6 +1990,7 @@ let run_json path =
   print_records records;
   print_obs_overhead overhead;
   print_ivm ivm;
+  print_toggle toggle;
   print_agg (agg_mins, agg_views);
   print_parallel parallel;
   print_serve serve;

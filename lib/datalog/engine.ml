@@ -89,8 +89,8 @@ let split_post name =
   else None
 
 (* Extents are built once per context and name: a context that serves
-   many short runs (one rederivation probe per candidate) does not
-   rebuild its closures per run. *)
+   several runs (one per rule of a round) does not rebuild its closures
+   per run. *)
 let store_ctx store : Ir.ctx =
   let memo = ref [] in
   fun name ->
@@ -409,13 +409,13 @@ let delta_positions ~member rule =
    a post-update store, or the plain store), negations read the plain
    predicate name.  [delta_pos] marks the delta occurrence with a
    zero-cardinality hint so the join-order rewrite scans it first. *)
-let compile_variant ?reorder ?bound ?delta_pos ~names ~label rule =
+let compile_variant ?reorder ?delta_pos ~names ~label rule =
   let card =
     match delta_pos with
     | None -> fun _ _ -> None
     | Some d -> fun i _ -> if i = d then Some 0 else None
   in
-  compile_rule ?reorder ?bound ~card
+  compile_rule ?reorder ~card
     ~source:(fun i a -> Static (Ir.Named (names i a)))
     ~neg_source:(fun (a : atom) -> Ir.Named a.pred)
     ~label rule

@@ -126,7 +126,6 @@ val delta_positions : member:(string -> bool) -> Syntax.rule -> int list
 
 val compile_variant :
   ?reorder:bool ->
-  ?bound:string list ->
   ?delta_pos:int ->
   names:(int -> Syntax.atom -> string) ->
   label:string Lazy.t ->

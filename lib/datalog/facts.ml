@@ -243,6 +243,21 @@ let lookup store pred positions key =
    way (rule 1). *)
 let prewarm store pred positions = ignore (ensure_index store pred positions)
 
+(* Drop the owned indexes on the paths rule 2 answers without one: a
+   long-lived store that takes small delta steps pays for every cached
+   index on every step, and a leading-column path that a fixpoint
+   prewarmed only costs it there. *)
+let drop_prefix_paths store =
+  if owns store && not store.frozen then
+    Hashtbl.filter_map_inplace
+      (fun (_, positions) idx ->
+        let leading =
+          List.sort Int.compare positions
+          = List.init (List.length positions) Fun.id
+        in
+        if positions <> [] && leading then None else Some idx)
+      store.cache.tables
+
 (* Publish an immutable view of the store for snapshot readers.  The
    tuple map is persistent, so this is O(1); the frozen store never
    installs an index cache (see [ensure_index]), so concurrent readers

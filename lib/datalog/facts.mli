@@ -55,6 +55,12 @@ val prewarm : t -> string -> int list -> unit
     probes one growing store every round prewarms its keyed paths once so
     they stay warm hash indexes. *)
 
+val drop_prefix_paths : t -> unit
+(** Drop the indexes this store owns on leading-column paths, which
+    range scans answer without one.  A long-lived store updated by small
+    deltas (a maintained view) would otherwise extend them on every
+    step; a fixpoint's {!prewarm}ed leading paths only cost it there. *)
+
 val index_builds : string -> int
 (** Hash indexes built over the predicate so far in this process (any
     store) — the machine-independent cost witness of the access paths. *)

@@ -345,18 +345,6 @@ let rec run ?(guard = Guard.none) (ctx : ctx) (t : t) (k : Tuple.t -> unit) =
           prof_tick c;
           k result)
 
-(* Early-exit probe: does the pipeline emit at least one tuple?  The
-   incremental-maintenance rederivation step asks this per candidate
-   tuple (with the candidate's values pre-bound through [set_init]), so
-   stopping at the first witness instead of draining the pipeline is the
-   whole point of the operator. *)
-exception Found
-
-let exists ?guard (ctx : ctx) (t : t) =
-  match run ?guard ctx t (fun _ -> raise_notrace Found) with
-  | () -> false
-  | exception Found -> true
-
 (* Run a pipeline and collect its output into a relation. *)
 let collect ?(ctx = empty_ctx) ?guard ~schema t =
   let acc = ref (Relation.empty schema) in

@@ -17,16 +17,18 @@
      deletion delta (−1).  A tuple leaves the extent exactly when its
      count reaches zero and enters when it rises from zero.
 
-   - recursive components use DRed [GuMS 93]: over-delete everything
-     derivable from a deleted tuple (semi-naive rounds of the same delta
-     variants against the pre-update store), then rederive survivors —
-     each over-deleted tuple is probed for an alternative derivation from
-     the shrunken store via a head-bound early-exit pipeline
-     ([Ir.exists]), and surviving tuples are propagated semi-naively in
-     case they resurrect further casualties.  Insertions then propagate
-     through a standard semi-naive delta pass.  Counts are unsound here:
-     a cycle can keep a tuple's count positive through derivations that
-     depend on the deleted tuple itself.
+   - recursive components use DRed [GuMS 93] with derivation counts in
+     place of the rederive search (DRed^c, Hu, Motik & Horrocks, AAAI
+     2018): over-delete everything derivable from a deleted tuple
+     (semi-naive rounds of the same telescoped variants), then rederive
+     survivors, then propagate insertions semi-naively.  Every phase
+     adjusts the count of each one-step rule instance it gains or loses,
+     so after over-deletion a casualty whose count is still positive has
+     a derivation from surviving facts — the rederive step is a count
+     check, and survivors are propagated in case they resurrect further
+     casualties.  Counts never decide deletion on their own: a cycle can
+     keep a tuple's count positive through derivations that depend on the
+     deleted tuple itself, and over-deletion is what breaks such cycles.
 
    - non-recursive aggregated predicates (MIN/MAX/COUNT/SUM heads) keep
      derivation counts over the *raw* contributions — the tuples the
@@ -77,7 +79,6 @@ let m_inserted = lazy (Obs.Counter.make "dc_ivm_inserted_total")
 let m_deleted = lazy (Obs.Counter.make "dc_ivm_deleted_total")
 let m_overdeleted = lazy (Obs.Counter.make "dc_ivm_overdeleted_total")
 let m_rederived = lazy (Obs.Counter.make "dc_ivm_rederived_total")
-let m_probes = lazy (Obs.Counter.make "dc_ivm_probes_total")
 let m_rounds = lazy (Obs.Counter.make "dc_ivm_rounds_total")
 let m_refresh = lazy (Obs.Counter.make "dc_ivm_refresh_total")
 let g_views = lazy (Obs.Gauge.make "dc_ivm_views")
@@ -146,45 +147,28 @@ let timed rp label f =
 
 (* One delta variant of one rule: the positive occurrence at the marked
    position reads a delta, the rest read whatever the phase's context
-   maps plain names to. *)
+   maps plain and ⊕ names to. *)
 type variant = {
   v_head : string;
   v_delta_pred : string; (* predicate at the delta position *)
   v_pipe : Ir.t;
 }
 
-(* Head-bound early-exit rederivation probe: [p_match candidate] checks
-   the head's constants and repeated variables against the candidate and,
-   when consistent, returns the initial-row thunk binding the head
-   variables; [Ir.exists] then asks whether the body has any witness. *)
-type probe = {
-  p_compiled : Engine.compiled;
-  p_match : Tuple.t -> (unit -> Engine.row) option;
-}
-
 type scc_kind =
-  | Counting of {
-      c_init : (string * Ir.t) list;
-          (* raw plain pipelines: emissions = derivations, used to
-             (re)build counts from a full store *)
-      c_variants : variant list;
-          (* tri-named: ⊕ left of the delta, plain right of it *)
-    }
-  | Dred of {
-      d_variants : variant list;
-      d_probes : (string * probe list) list; (* per component predicate *)
-    }
-  | Agg_counting of {
-      a_spec : Agg.spec;
-      a_init : Ir.t list;
-          (* plain pipelines whose emissions are the raw contributions *)
-      a_variants : variant list;
-    }
+  | Counting
+  | Dred
+  | Agg_counting of Agg.spec
 
 type scc = {
   s_preds : string list;
   s_set : SS.t;
   s_kind : scc_kind;
+  s_init : (string * Ir.t) list;
+      (* per rule, its plain pipeline and the support table it counts
+         into: emissions = one-step derivations, used to (re)build counts
+         from a full store *)
+  s_variants : variant list;
+      (* tri-named: ⊕ left of the delta, plain right of it *)
 }
 
 type plan =
@@ -207,9 +191,11 @@ type t = {
   query_pred : string;
   depends : string list; (* EDB relations the translated program reads *)
   plan : plan;
-  supports : Support.t; (* derivation counts of the counting predicates *)
+  supports : Support.t; (* derivation counts of every component *)
   mutable store : Facts.t; (* EDB ∪ IDB at the last synchronized state *)
   mutable status : status;
+  mutable counted : bool;
+      (* the recursive components' counts are built ([ensure_counts]) *)
 }
 
 let name v = v.name
@@ -256,10 +242,10 @@ let plan_kind v =
               Fmt.str "%s:%s"
                 (String.concat "," s.s_preds)
                 (match s.s_kind with
-                | Counting _ -> "counting"
-                | Dred _ -> "dred"
-                | Agg_counting { a_spec; _ } ->
-                  Fmt.str "agg-counting %a" Agg.pp_op a_spec.op))
+                | Counting -> "counting"
+                | Dred -> "dred"
+                | Agg_counting spec ->
+                  Fmt.str "agg-counting %a" Agg.pp_op spec.op))
             sccs))
   | Recompute why -> Fmt.str "recompute (%s)" why
 
@@ -275,9 +261,9 @@ let positive_atoms (r : Syntax.rule) =
 
 let rule_label r = lazy (Fmt.str "%a" Syntax.pp_rule r)
 
-(* Delta variants of [rule], one per positive position; [names] decides
-   what the non-delta occurrences are called. *)
-let variants_of ~names rule =
+(* The telescoped delta variants of [rule], one per positive position:
+   ⊕ names left of the delta, the delta at it, plain names right of it. *)
+let tri_variants rule =
   let atoms = Array.of_list (positive_atoms rule) in
   List.map
     (fun dpos ->
@@ -286,74 +272,18 @@ let variants_of ~names rule =
         v_delta_pred = atoms.(dpos).Syntax.pred;
         v_pipe =
           (Engine.compile_variant ~delta_pos:dpos
-             ~names:(fun i a -> names dpos i a)
+             ~names:(fun i (a : Syntax.atom) ->
+               if i < dpos then Engine.post_name a.pred
+               else if i = dpos then Engine.delta_name a.pred
+               else a.pred)
              ~label:(rule_label rule) rule)
             .Engine.pipeline;
       })
     (Engine.delta_positions ~member:(fun _ -> true) rule)
 
-let compile_probe (rule : Syntax.rule) =
-  let head = Array.of_list rule.head.args in
-  (* first occurrence of each head variable, in order *)
-  let bound, _ =
-    Array.fold_left
-      (fun (acc, seen) t ->
-        match t with
-        | Syntax.Var v when not (SS.mem v seen) -> (v :: acc, SS.add v seen)
-        | Syntax.Var _ | Syntax.Const _ -> (acc, seen)
-        | Syntax.Binop _ ->
-          (* computed heads are routed to Recompute by [compile_plan] *)
-          raise (Error "probe compilation: computed (Binop) head term"))
-      ([], SS.empty) head
-  in
-  let bound = List.rev bound in
-  let compiled =
-    Engine.compile_variant ~bound
-      ~names:(fun _ (a : Syntax.atom) -> a.pred)
-      ~label:(rule_label rule) rule
-  in
-  (* per head position: what to do with the candidate's value there *)
-  let actions =
-    let seen = Hashtbl.create 8 in
-    Array.mapi
-      (fun i t ->
-        match t with
-        | Syntax.Const c -> `Check_const c
-        | Syntax.Binop _ ->
-          raise (Error "probe compilation: computed (Binop) head term")
-        | Syntax.Var v -> (
-          match Hashtbl.find_opt seen v with
-          | Some j -> `Check_eq j
-          | None ->
-            Hashtbl.replace seen v i;
-            `Bind (compiled.Engine.slot v)))
-      head
-  in
-  let n = Array.length actions in
-  let p_match tuple =
-    let rec consistent i =
-      i = n
-      ||
-      match actions.(i) with
-      | `Check_const c -> Value.equal c (Tuple.get tuple i) && consistent (i + 1)
-      | `Check_eq j ->
-        Value.equal (Tuple.get tuple j) (Tuple.get tuple i) && consistent (i + 1)
-      | `Bind _ -> consistent (i + 1)
-    in
-    if not (consistent 0) then None
-    else
-      Some
-        (fun () ->
-          let row = Array.make compiled.Engine.n_slots Engine.dummy in
-          Array.iteri
-            (fun i act ->
-              match act with
-              | `Bind s -> row.(s) <- Tuple.get tuple i
-              | `Check_const _ | `Check_eq _ -> ())
-            actions;
-          row)
-  in
-  { p_compiled = compiled; p_match }
+(* The support-table name of an aggregated predicate's raw contributions
+   — disjoint from every real predicate ('!' cannot appear in one). *)
+let raw_name pred = pred ^ "!raw"
 
 let compile_plan ?(aggs = []) (program : Syntax.program) =
   let has_neg =
@@ -374,8 +304,8 @@ let compile_plan ?(aggs = []) (program : Syntax.program) =
     | Syntax.Test (_, a, b) -> term_has_binop a || term_has_binop b
   in
   (* computed terms are fine inside an aggregated predicate's rules (the
-     counting pipelines just evaluate them); anywhere else the DRed
-     probes cannot match them against a candidate head *)
+     counting pipelines just evaluate them); anywhere else they stay on
+     the recompute path *)
   let has_binop =
     List.exists
       (fun (r : Syntax.rule) ->
@@ -405,95 +335,91 @@ let compile_plan ?(aggs = []) (program : Syntax.program) =
                (fun (r : Syntax.rule) -> SS.mem r.head.pred s_set)
                program
            in
-           (* tri-named variants: ⊕ left of the delta, plain right of it *)
-           let tri_variants () =
-             List.concat_map
-               (variants_of ~names:(fun dpos i (a : Syntax.atom) ->
-                    if i < dpos then Engine.post_name a.pred
-                    else if i = dpos then Engine.delta_name a.pred
-                    else a.pred))
-               rules
-           in
-           let plain (r : Syntax.rule) =
-             (Engine.compile_variant
-                ~names:(fun _ (a : Syntax.atom) -> a.pred)
-                ~label:(rule_label r) r)
-               .Engine.pipeline
-           in
            let s_kind =
              match preds with
              | [ p ] when List.mem_assoc p aggs ->
                (* non-recursive aggregated predicate: counting over the
                   raw contributions plus a per-group aggregate layer *)
-               Agg_counting
-                 {
-                   a_spec = List.assoc p aggs;
-                   a_init = List.map plain rules;
-                   a_variants = tri_variants ();
-                 }
-             | _ when Stratify.recursive program preds ->
-               Dred
-                 {
-                   d_variants =
-                     List.concat_map
-                       (variants_of ~names:(fun dpos i (a : Syntax.atom) ->
-                            if i = dpos then Engine.delta_name a.pred
-                            else a.pred))
-                       rules;
-                   d_probes =
-                     List.map
-                       (fun p ->
-                         ( p,
-                           List.filter_map
-                             (fun (r : Syntax.rule) ->
-                               if String.equal r.head.pred p then
-                                 Some (compile_probe r)
-                               else None)
-                             rules ))
-                       preds;
-                 }
-             | _ ->
-               Counting
-                 {
-                   c_init =
-                     List.map (fun (r : Syntax.rule) -> (r.head.pred, plain r))
-                       rules;
-                   c_variants = tri_variants ();
-                 }
+               Agg_counting (List.assoc p aggs)
+             | _ when Stratify.recursive program preds -> Dred
+             | _ -> Counting
            in
-           { s_preds = preds; s_set; s_kind })
+           let table (r : Syntax.rule) =
+             match s_kind with
+             | Agg_counting _ -> raw_name r.head.pred
+             | Counting | Dred -> r.head.pred
+           in
+           {
+             s_preds = preds;
+             s_set;
+             s_kind;
+             s_init =
+               List.map
+                 (fun (r : Syntax.rule) ->
+                   ( table r,
+                     (Engine.compile_variant
+                        ~names:(fun _ (a : Syntax.atom) -> a.pred)
+                        ~label:(rule_label r) r)
+                       .Engine.pipeline ))
+                 rules;
+             s_variants = List.concat_map tri_variants rules;
+           })
          sccs)
 
 (* ------------------------------------------------------------------ *)
 (* Refresh (from-scratch synchronization) *)
 
-(* The support-table name of an aggregated predicate's raw contributions
-   — disjoint from every real predicate ('!' cannot appear in one). *)
-let raw_name pred = pred ^ "!raw"
+(* Count one component's one-step derivations over the view's store;
+   returns how many there are.  The counts are keyed by the store's own
+   tuples, not the ones the pipelines built. *)
+let count_scc view s =
+  let n = ref 0 in
+  List.iter
+    (fun (table, pipe) ->
+      Ir.run (Engine.store_ctx view.store) pipe (fun t ->
+          incr n;
+          ignore (Support.add view.supports table t 1)))
+    s.s_init;
+  List.iter
+    (fun p -> Support.share view.supports p (Facts.find view.store p))
+    s.s_preds;
+  !n
 
+let is_dred s = match s.s_kind with Dred -> true | Counting | Agg_counting _ -> false
+
+(* The non-recursive components' counts are built with the store; the
+   recursive ones wait for [ensure_counts]. *)
 let init_supports view =
   Support.reset view.supports;
+  view.counted <- false;
   match view.plan with
   | Recompute _ -> ()
   | Incremental sccs ->
-    List.iter
-      (fun s ->
-        match s.s_kind with
-        | Dred _ -> ()
-        | Counting { c_init; _ } ->
-          List.iter
-            (fun (head, pipe) ->
-              Ir.run (Engine.store_ctx view.store) pipe (fun t ->
-                  ignore (Support.add view.supports head t 1)))
-            c_init
-        | Agg_counting { a_init; _ } ->
-          let rawp = raw_name (List.hd s.s_preds) in
-          List.iter
-            (fun pipe ->
-              Ir.run (Engine.store_ctx view.store) pipe (fun t ->
-                  ignore (Support.add view.supports rawp t 1)))
-            a_init)
-      sccs
+    List.iter (fun s -> if not (is_dred s) then ignore (count_scc view s)) sccs
+
+(* Build the recursive components' counts over the synchronized store,
+   once per materialization, refresh or restore.  Only a deletion reads
+   them (the rederive check), so they wait for the first update that can
+   delete: a view only ever inserted into never pays for the pass, and
+   neither does MATERIALIZE.  Returns the derivations counted. *)
+let ensure_counts view =
+  match view.plan with
+  | Incremental sccs when not view.counted ->
+    let n =
+      List.fold_left
+        (fun n s ->
+          if is_dred s then begin
+            List.iter
+              (fun (table, _) -> Support.clear_pred view.supports table)
+              s.s_init;
+            n + count_scc view s
+          end
+          else n)
+        0 sccs
+    in
+    view.counted <- true;
+    n
+  | Incremental _ | Recompute _ -> 0
 
 let refresh view =
   let guard = Guard.of_limits (Database.limits view.db) in
@@ -501,6 +427,7 @@ let refresh view =
     Seminaive.run ~guard ~aggs:view.aggs view.program
       (Translate.edb (fun p -> Some (Database.get view.db p)) view.program);
   init_supports view;
+  Facts.drop_prefix_paths view.store;
   view.status <- Live;
   if Obs.on () then Obs.Counter.inc (Lazy.force m_refresh)
 
@@ -508,14 +435,14 @@ let refresh view =
 (* The incremental update *)
 
 (* Per-update driver state: [pre] is the synchronized store before the
-   update; [mid] applies every net deletion committed so far (but no
-   insertion); [post] applies both; [dplus]/[dminus] accumulate the net
-   per-predicate deltas, EDB first, then each component in topological
-   order — so a component always sees finished pre/mid/post states and
-   deltas for everything below it. *)
+   update; [post] applies every net delta committed so far;
+   [dplus]/[dminus] accumulate the net per-predicate deltas, EDB first,
+   then each component in topological order — so a component always sees
+   finished pre/post states and deltas for everything below it.  [post]
+   is one chain of store steps from [pre] (see [Facts]): it takes over
+   [pre]'s warm indexes and becomes the view's next store. *)
 type update_state = {
   pre : Facts.t;
-  mutable mid : Facts.t;
   mutable post : Facts.t;
   mutable dplus : Facts.t;
   mutable dminus : Facts.t;
@@ -535,17 +462,21 @@ let run_variants st ~ctx ~delta variants emit =
         Ir.run ~guard:st.guard ctx v.v_pipe (emit v.v_head))
     variants
 
-let commit_pred st pred ~net_plus ~net_minus =
+(* Record a predicate's net delta in [dplus]/[dminus] ... *)
+let record_delta st pred ~net_plus ~net_minus =
   st.dminus <- Facts.add_set st.dminus pred net_minus;
-  st.dplus <- Facts.add_set st.dplus pred net_plus;
-  st.mid <- Facts.remove_set st.mid pred net_minus;
+  st.dplus <- Facts.add_set st.dplus pred net_plus
+
+(* ... and apply it to [post]. *)
+let commit_pred st pred ~net_plus ~net_minus =
+  record_delta st pred ~net_plus ~net_minus;
   st.post <-
     Facts.add_set (Facts.remove_set st.post pred net_minus) pred net_plus
 
 (* Counting pass over one non-recursive component: one telescoped run per
    variant and delta sign, then zero-crossings of the adjusted counts
    become the component's net delta. *)
-let counting_scc view st s c_variants =
+let counting_scc view st s =
   round st;
   let adjust : (string * Tuple.t, int) Hashtbl.t = Hashtbl.create 64 in
   let record sign head t =
@@ -559,7 +490,7 @@ let counting_scc view st s c_variants =
       let signed sign delta =
         run_variants st
           ~ctx:(Engine.tri_ctx ~pre:st.pre ~post:st.post ~delta)
-          ~delta c_variants (record sign)
+          ~delta s.s_variants (record sign)
       in
       signed 1 st.dplus;
       signed (-1) st.dminus;
@@ -603,7 +534,7 @@ let counting_scc view st s c_variants =
    into the current bound.  A deletion that witnessed the bound (or any
    SUM deletion, where group emptiness is otherwise unknowable) recomputes
    the group from its surviving raw contributions. *)
-let agg_scc view st s (spec : Agg.spec) a_variants =
+let agg_scc view st s (spec : Agg.spec) =
   round st;
   let pred = List.hd s.s_preds in
   let rawp = raw_name pred in
@@ -616,7 +547,7 @@ let agg_scc view st s (spec : Agg.spec) a_variants =
       let signed sign delta =
         run_variants st
           ~ctx:(Engine.tri_ctx ~pre:st.pre ~post:st.post ~delta)
-          ~delta a_variants (record sign)
+          ~delta s.s_variants (record sign)
       in
       signed 1 st.dplus;
       signed (-1) st.dminus;
@@ -734,195 +665,164 @@ let agg_scc view st s (spec : Agg.spec) a_variants =
       commit_pred st pred ~net_plus:!net_plus ~net_minus:!net_minus;
       TS.cardinal !net_plus + TS.cardinal !net_minus)
 
-(* DRed over one recursive component. *)
-let dred_scc st s d_variants d_probes =
+(* [pred] of [store] without the tuples [hide] accepts, and with those of
+   [extra] when given.  The states a DRed round reads differ from the
+   update's current store by small deltas: wrapping that store keeps its
+   warm indexes in use, where a branched copy would build its own. *)
+let patched ?hide ?extra store pred =
+  let base = Engine.store_extent store pred in
+  match (hide, extra) with
+  | None, None -> base
+  | _ ->
+    let keep t = match hide with Some h -> not (h t) | None -> true in
+    let more = Option.map (fun d -> Engine.store_extent d pred) extra in
+    {
+      base with
+      Dc_exec.Extent.iter =
+        (fun f ->
+          base.iter (fun t -> if keep t then f t);
+          Option.iter (fun (e : Dc_exec.Extent.t) -> e.iter f) more);
+      lookup =
+        (fun ps vs ->
+          let l = List.filter keep (base.lookup ps vs) in
+          match more with Some e -> e.lookup ps vs @ l | None -> l);
+      mem =
+        (fun t ->
+          (keep t && base.mem t)
+          || match more with Some e -> e.mem t | None -> false);
+    }
+
+(* DRed over one recursive component, its rederive step a count check.
+
+   Each phase runs semi-naive rounds of the telescoped variants: in a
+   round with delta Δ, occurrences left of the Δ position read the state
+   after the round ("⊕pred"), those right of it the state before
+   ("pred"), so each one-step rule instance the round gains or loses is
+   met exactly once, and its head's count moves by one.  This component
+   lives in [cur], one chain of store steps from [st.post]; a round's
+   other state is [cur] filtered by Δ.  Lower predicates read [cur]
+   without this update's insertions until the insert phase.  Until the
+   first update that can delete has built the counts, an insert-only
+   update leaves them unbuilt. *)
+let dred_scc view st s =
   let observing = Obs.on () in
-  (* --- over-deletion: everything whose derivation touched a deleted
-     tuple, fixpointed against the pre-update store (which still holds
-     every deleted tuple, so derivations using several are caught). *)
-  let overdeleted : (string, TS.t ref) Hashtbl.t = Hashtbl.create 4 in
-  let d_of pred =
-    match Hashtbl.find_opt overdeleted pred with
-    | Some r -> r
-    | None ->
-      let r = ref TS.empty in
-      Hashtbl.replace overdeleted pred r;
-      r
-  in
-  timed st.rp
-    (Fmt.str "overdelete %s" (String.concat "," s.s_preds))
-    (fun () ->
-      let delta = ref st.dminus in
-      let continue = ref true in
-      while !continue do
-        round st;
-        let fresh = ref [] in
-        let emit head t =
-          let d = d_of head in
-          if Facts.mem st.pre head t && not (TS.mem t !d) then begin
-            d := TS.add t !d;
-            fresh := (head, t) :: !fresh
-          end
-        in
-        run_variants st
-          ~ctx:(Engine.delta_ctx ~full:st.pre ~delta:!delta)
-          ~delta:!delta d_variants emit;
-        delta := Facts.of_list !fresh;
-        continue := !fresh <> []
-      done;
-      let total =
-        Hashtbl.fold (fun _ r acc -> acc + TS.cardinal !r) overdeleted 0
-      in
-      if observing then
-        Obs.Counter.add (Lazy.force m_overdeleted) total;
-      total);
-  (* --- rederivation: probe each casualty against the shrunken store
-     (lower predicates at mid, this component minus the over-deletion);
-     survivors re-enter immediately so later probes can lean on them. *)
-  let work = ref st.mid in
-  let survivors = ref [] in
-  timed st.rp
-    (Fmt.str "rederive %s" (String.concat "," s.s_preds))
-    (fun () ->
-      work :=
-        Hashtbl.fold
-          (fun pred d acc -> Facts.remove_set acc pred !d)
-          overdeleted st.mid;
-      let probes = ref 0 in
-      let ctx = ref (Engine.store_ctx !work) in
-      List.iter
-        (fun (pred, rules) ->
-          match Hashtbl.find_opt overdeleted pred with
-          | None -> ()
-          | Some d ->
-            TS.iter
-              (fun t ->
-                let derivable =
-                  List.exists
-                    (fun p ->
-                      match p.p_match t with
-                      | None -> false
-                      | Some init ->
-                        incr probes;
-                        p.p_compiled.Engine.set_init init;
-                        Ir.exists ~guard:st.guard !ctx
-                          p.p_compiled.Engine.pipeline)
-                    rules
-                in
-                if derivable then begin
-                  work := Facts.add !work pred t;
-                  ctx := Engine.store_ctx !work;
-                  survivors := (pred, t) :: !survivors
-                end)
-              !d)
-        d_probes;
-      if observing then begin
-        Obs.Counter.add (Lazy.force m_probes) !probes;
-        Obs.Counter.add (Lazy.force m_rederived) (List.length !survivors)
-      end;
-      List.length !survivors);
-  (* In-round dedup of the propagate and insert phases' emissions: one
-     set per component predicate for this update, cleared each round. *)
+  let label phase = Fmt.str "%s %s" phase (String.concat "," s.s_preds) in
+  let cur = ref st.post in
+  let in_s p = SS.mem p s.s_set in
+  let has d p = Facts.cardinal d p > 0 in
+  let only_if c f = if c then Some f else None in
+  let without d p = patched ?hide:(only_if (has d p) (Facts.mem d p)) !cur p in
+  let mid = without st.dplus in
   let seen = List.map (fun p -> (p, Tuple_hset.create ())) s.s_preds in
-  let first_emission head t = Tuple_hset.add (List.assoc head seen) t in
-  let clear_seen () = List.iter (fun (_, h) -> Tuple_hset.clear h) seen in
-  (* --- propagate survivors: a rederived tuple can resurrect further
-     casualties; every emission still inside the over-deletion re-enters. *)
-  timed st.rp
-    (Fmt.str "propagate %s" (String.concat "," s.s_preds))
-    (fun () ->
-      let delta = ref (Facts.of_list !survivors) in
-      let resurrected = ref 0 in
-      let continue = ref (Facts.total !delta > 0) in
-      while !continue do
-        round st;
-        let w = !work in
-        let fresh = ref [] in
-        clear_seen ();
-        let emit head t =
-          if (not (Facts.mem w head t)) && first_emission head t then
-            fresh := (head, t) :: !fresh
-        in
-        run_variants st
-          ~ctx:(Engine.delta_ctx ~full:w ~delta:!delta)
-          ~delta:!delta d_variants emit;
-        work := Facts.add_list !work !fresh;
-        delta := Facts.of_list !fresh;
-        resurrected := !resurrected + List.length !fresh;
-        continue := !fresh <> []
-      done;
-      !resurrected);
-  (* --- insertion phase: semi-naive propagation of the lower components'
-     net insertions; plain sources read post-update lower stores and the
-     component's own evolving value. *)
-  let added : (string, TS.t ref) Hashtbl.t = Hashtbl.create 4 in
-  let a_of pred =
-    match Hashtbl.find_opt added pred with
-    | Some r -> r
-    | None ->
-      let r = ref TS.empty in
-      Hashtbl.replace added pred r;
-      r
+  (* One phase: rounds from [delta] until one finds nothing fresh.  Every
+     emitted instance moves its head's count by [sign]; the heads [fresh]
+     accepts, once per round, go to [advance], which applies the round to
+     [cur] and returns the next delta. *)
+  let phase ~sign ~delta ~before ~after ~fresh ~advance =
+    let delta = ref delta and found_total = ref 0 in
+    while Facts.total !delta > 0 do
+      round st;
+      let d = !delta in
+      let found = ref [] in
+      List.iter (fun (_, h) -> Tuple_hset.clear h) seen;
+      let emit head t =
+        if
+          view.counted && snd (Support.add view.supports head t sign) < 0
+        then
+          error "negative derivation count for %s%a (ivm bug)" head Tuple.pp t;
+        if fresh d head t && Tuple_hset.add (List.assoc head seen) t then
+          found := (head, t) :: !found
+      in
+      let ctx name =
+        match Engine.split_delta name with
+        | Some p -> Engine.store_extent ~label:name d p
+        | None -> (
+          match Engine.split_post name with
+          | Some p -> after d p
+          | None -> before d name)
+      in
+      run_variants st ~ctx ~delta:d s.s_variants emit;
+      found_total := !found_total + List.length !found;
+      delta := advance d !found
+    done;
+    !found_total
   in
-  (* The component's evolving store starts at the deletion phase's
-     result: [!work] is [st.mid] minus what stayed deleted, because every
-     tuple rederived or resurrected into it was an over-deleted one.
-     Other predicates resolve against the global post store. *)
-  let work2 = ref !work in
-  timed st.rp
-    (Fmt.str "insert %s" (String.concat "," s.s_preds))
-    (fun () ->
-      let delta = ref st.dplus in
-      let continue = ref (Facts.total !delta > 0) in
-      let grown = ref 0 in
-      while !continue do
-        round st;
-        let w2 = !work2 and d = !delta in
-        let ctx name =
-          match Engine.split_delta name with
-          | Some p -> Engine.store_extent ~label:name d p
-          | None ->
-            if SS.mem name s.s_set then Engine.store_extent w2 name
-            else Engine.store_extent st.post name
-        in
-        let fresh = ref [] in
-        clear_seen ();
-        let emit head t =
-          if (not (Facts.mem w2 head t)) && first_emission head t then
-            fresh := (head, t) :: !fresh
-        in
-        run_variants st ~ctx ~delta:d d_variants emit;
-        List.iter
-          (fun (p, t) ->
-            let a = a_of p in
-            a := TS.add t !a)
-          !fresh;
-        work2 := Facts.add_list !work2 !fresh;
-        delta := Facts.of_list !fresh;
-        grown := !grown + List.length !fresh;
-        continue := !fresh <> []
-      done;
-      !grown);
+  (* --- over-deletion: [cur] still holds the round's delta, which leaves
+     it when the round ends; the lower deletions (the first round's
+     delta) are added back to the state before *)
+  if (not view.counted) && Facts.total st.dminus > 0 then
+    error "deletion reached %s before its counts were built (ivm bug)"
+      (String.concat "," s.s_preds);
+  let overdeleted = ref [] in
+  timed st.rp (label "overdelete") (fun () ->
+      let n =
+        phase ~sign:(-1) ~delta:st.dminus
+          ~before:(fun d p ->
+            if in_s p then Engine.store_extent !cur p
+            else
+              patched
+                ?hide:(only_if (has st.dplus p) (Facts.mem st.dplus p))
+                ?extra:(only_if (has d p) d) !cur p)
+          ~after:(fun d p -> if in_s p then without d p else mid p)
+          ~fresh:(fun d p t -> Facts.mem !cur p t && not (Facts.mem d p t))
+          ~advance:(fun d found ->
+            List.iter
+              (fun p ->
+                if has d p then cur := Facts.remove_set !cur p (Facts.find d p))
+              s.s_preds;
+            overdeleted := List.rev_append found !overdeleted;
+            Facts.of_list found)
+      in
+      if observing then Obs.Counter.add (Lazy.force m_overdeleted) n;
+      n);
+  (* --- rederivation: a casualty whose count survived over-deletion has
+     a one-step derivation from the surviving facts *)
+  let survivors = ref [] in
+  timed st.rp (label "rederive") (fun () ->
+      survivors :=
+        List.filter
+          (fun (p, t) -> Support.count view.supports p t > 0)
+          !overdeleted;
+      let n = List.length !survivors in
+      if observing then Obs.Counter.add (Lazy.force m_rederived) n;
+      n);
+  (* --- propagate survivors: a rederived tuple can resurrect further
+     casualties.  Here and in the insert phase [cur] already holds the
+     round's delta, which the state before lacks. *)
+  let grow found =
+    cur := Facts.add_list !cur found;
+    Facts.of_list found
+  in
+  timed st.rp (label "propagate") (fun () ->
+      phase ~sign:1 ~delta:(grow !survivors)
+        ~before:(fun d p -> if in_s p then without d p else mid p)
+        ~after:(fun _ p -> if in_s p then Engine.store_extent !cur p else mid p)
+        ~fresh:(fun _ p t -> not (Facts.mem !cur p t))
+        ~advance:(fun _ found -> grow found));
+  (* --- insertion: semi-naive propagation of the lower components' net
+     insertions *)
+  let added = ref [] in
+  timed st.rp (label "insert") (fun () ->
+      phase ~sign:1 ~delta:st.dplus ~before:without
+        ~after:(fun _ p -> Engine.store_extent !cur p)
+        ~fresh:(fun _ p t -> not (Facts.mem !cur p t))
+        ~advance:(fun _ found ->
+          added := List.rev_append found !added;
+          grow found));
   (* --- commit: what stayed deleted, net of re-insertions (a tuple
-     deleted then re-inserted cancels out) *)
-  timed st.rp
-    (Fmt.str "commit %s" (String.concat "," s.s_preds))
-    (fun () ->
-      let w = !work in
-      st.mid <- w;
+     deleted then re-inserted cancels out); [cur] already holds both *)
+  timed st.rp (label "commit") (fun () ->
+      st.post <- !cur;
+      let overdeleted = Facts.of_list !overdeleted
+      and added = Facts.of_list !added in
       List.fold_left
-        (fun n pred ->
-          let del =
-            match Hashtbl.find_opt overdeleted pred with
-            | Some r -> TS.filter (fun t -> not (Facts.mem w pred t)) !r
-            | None -> TS.empty
-          and add_ =
-            match Hashtbl.find_opt added pred with
-            | Some r -> !r
-            | None -> TS.empty
-          in
-          let net_minus = TS.diff del add_ and net_plus = TS.diff add_ del in
-          commit_pred st pred ~net_plus ~net_minus;
+        (fun n p ->
+          let net_minus =
+            TS.filter
+              (fun t -> not (Facts.mem !cur p t))
+              (Facts.find overdeleted p)
+          and net_plus = TS.diff (Facts.find added p) (Facts.find overdeleted p) in
+          record_delta st p ~net_plus ~net_minus;
           n + TS.cardinal net_plus + TS.cardinal net_minus)
         0 s.s_preds)
 
@@ -942,7 +842,6 @@ let incremental_update view sccs updates =
   let st =
     {
       pre = view.store;
-      mid = view.store;
       post = view.store;
       dplus = Facts.empty ();
       dminus = Facts.empty ();
@@ -950,6 +849,19 @@ let incremental_update view sccs updates =
       rp;
     }
   in
+  (* Without a base deletion only an aggregate's replaced group row can
+     delete a tuple a recursive component reads. *)
+  let may_delete =
+    List.exists (fun (_, _, removed) -> removed <> []) updates
+    || List.exists
+         (fun s ->
+           match s.s_kind with
+           | Agg_counting _ -> true
+           | Counting | Dred -> false)
+         sccs
+  in
+  if may_delete && not view.counted then
+    timed rp "build counts" (fun () -> ensure_counts view);
   (* seed with the base-relation net deltas *)
   timed rp "seed" (fun () ->
       List.fold_left
@@ -961,10 +873,9 @@ let incremental_update view sccs updates =
   List.iter
     (fun s ->
       match s.s_kind with
-      | Counting { c_variants; _ } -> counting_scc view st s c_variants
-      | Dred { d_variants; d_probes } -> dred_scc st s d_variants d_probes
-      | Agg_counting { a_spec; a_variants; _ } ->
-        agg_scc view st s a_spec a_variants)
+      | Counting -> counting_scc view st s
+      | Dred -> dred_scc view st s
+      | Agg_counting spec -> agg_scc view st s spec)
     sccs;
   (* the [ivm.commit] failpoint moved to [Database.commit] — the single
      commit point that covers this update's publication *)
@@ -1078,7 +989,9 @@ let maintainer_of view =
     mt_invalidate = (fun () -> view.status <- Stale);
     mt_begin =
       (fun () ->
-        let store = view.store and status = view.status in
+        let store = view.store
+        and status = view.status
+        and counted = view.counted in
         Support.begin_undo view.supports;
         {
           Database.vt_commit = (fun () -> Support.commit view.supports);
@@ -1086,6 +999,7 @@ let maintainer_of view =
             (fun () ->
               view.store <- store;
               view.status <- status;
+              view.counted <- counted;
               Support.rollback view.supports);
         });
     mt_stale = (fun () -> view.status = Stale);
@@ -1189,6 +1103,7 @@ let materialize db ~constructor ~base ~args =
       supports = Support.create ();
       store = Facts.empty ();
       status = Stale;
+      counted = false;
     }
   in
   refresh view;
@@ -1226,9 +1141,24 @@ type dump = {
   dp_supports : (string * (Tuple.t * int) list) list;
 }
 
-let support_counts view = Support.dump view.supports
+let support_counts view =
+  ignore (ensure_counts view);
+  Support.dump view.supports
+let program view = view.program
 
+(* Recursive components' counts stay out of the checkpoint, as out of
+   MATERIALIZE: the first update after [restore] that can delete builds
+   them ([ensure_counts]), and a checkpoint (cut at every catalog change
+   and by the checkpoint policy) does not grow with them. *)
 let dump view =
+  let recursive =
+    match view.plan with
+    | Incremental sccs ->
+      List.concat_map
+        (fun s -> if is_dred s then List.map fst s.s_init else [])
+        sccs
+    | Recompute _ -> []
+  in
   {
     dp_con = view.con;
     dp_base = view.base;
@@ -1238,7 +1168,8 @@ let dump view =
       List.map
         (fun p -> (p, TS.elements (Facts.find view.store p)))
         (List.sort String.compare (Facts.preds view.store));
-    dp_supports = Support.dump view.supports;
+    dp_supports =
+      Support.dump ~keep:(fun p -> not (List.mem p recursive)) view.supports;
   }
 
 (* Rebuild a view from its checkpointed state: recompile the plan from
@@ -1246,7 +1177,13 @@ let dump view =
    adopt the dumped store, derivation counts, and staleness verbatim —
    no refresh, no refixpoint.  The WAL replay that follows drives the
    normal maintainer path, so recovery exercises exactly the machinery a
-   live update stream does. *)
+   live update stream does.
+
+   The dump holds no counts of recursive components ([dump]), nor did a
+   checkpoint written before they kept any: the view starts uncounted,
+   and its first update that can delete builds them with the pass a
+   materialized view's does.  Read as zeros instead, they would fail
+   every rederive check. *)
 let restore db d =
   let def =
     match Database.constructor db d.dp_con with
@@ -1281,6 +1218,7 @@ let restore db d =
           (fun acc (p, ts) -> Facts.add_set acc p (TS.of_list ts))
           (Facts.empty ()) d.dp_store;
       status = (if d.dp_stale then Stale else Live);
+      counted = false;
     }
   in
   List.iter

@@ -5,8 +5,9 @@
     maintainer with the database so subsequent INSERT/DELETE on the base
     relations update the extent incrementally instead of refixpointing:
     non-recursive components of the translated program by derivation
-    counting, recursive components by delete-and-rederive (DRed), both
-    driven through the shared delta-variant compiler of
+    counting, recursive components by delete-and-rederive (DRed) whose
+    rederive step checks the same counts, both driven through the shared
+    delta-variant compiler of
     {!Dc_datalog.Engine}.  Programs with stratified negation fall back to
     a per-update recompute; updates arriving while maintenance is off
     ([SET MAINTAIN OFF]) mark the view stale, and the next serve
@@ -74,7 +75,8 @@ type dump = {
   dp_stale : bool;
   dp_store : (string * Tuple.t list) list;  (** per predicate, sorted *)
   dp_supports : (string * (Tuple.t * int) list) list;
-      (** derivation counts of the counting predicates, sorted *)
+      (** derivation counts of the non-recursive components, sorted;
+          the recursive ones are rebuilt at the first maintenance *)
 }
 
 val dump : t -> dump
@@ -83,11 +85,18 @@ val dump : t -> dump
 val restore : Database.t -> dump -> t
 (** Recompile the maintenance plan from the (already restored) catalog
     and adopt the dumped store/counts/staleness verbatim — no
-    refixpoint.  Registers the maintainer.  @raise Error if the dump's
+    refixpoint.  The recursive components' counts, which the dump
+    lacks, are rebuilt in one pass over the store by the first update
+    that can delete, as after {!materialize}.  Registers the maintainer.  @raise Error if the dump's
     constructor is unknown or no longer translatable. *)
 
 val support_counts : t -> (string * (Tuple.t * int) list) list
-(** Current derivation counts, sorted (differential-test hook). *)
+(** Current derivation counts, sorted; the recursive components' are
+    built first if no update has yet (differential-test hook). *)
+
+val program : t -> Dc_datalog.Syntax.program
+(** The translated Horn program the view maintains, whose rule instances
+    the derivation counts count (differential-test hook). *)
 
 (** {1 Maintenance reports}
 

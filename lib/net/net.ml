@@ -205,6 +205,14 @@ let read_direct r ~timeout len =
   go have;
   Bytes.unsafe_to_string p
 
+(* Read the peer's preamble; its bytes count as incoming, as this side's
+   preamble counts as outgoing in [write_all]. *)
+let read_preamble ?eof_ok r ~timeout =
+  let pre = read_exact ?eof_ok r ~timeout Wire.preamble_length in
+  if Option.is_some pre && Obs.on () then
+    Obs.Counter.add (Lazy.force c_bytes_in) Wire.preamble_length;
+  Option.map Wire.decode_preamble pre
+
 let u32_at b i = Int32.to_int (Bytes.get_int32_le b i) land 0xFFFF_FFFF
 
 (* Receive one frame payload.  The 8-byte header's declared length is
@@ -348,13 +356,7 @@ let serve_conn l fd =
      endpoint that connects and says nothing is not yet a session.  The
      preamble goes through the connection's reader, so a first request
      that arrived with it stays buffered. *)
-  match
-    match
-      read_exact ~eof_ok:true r ~timeout:l.io_timeout Wire.preamble_length
-    with
-    | None -> None
-    | Some pre -> Some (Wire.decode_preamble pre)
-  with
+  match read_preamble ~eof_ok:true r ~timeout:l.io_timeout with
   | None -> ()
   | exception e ->
     if Obs.on () then Obs.Counter.inc (Lazy.force c_proto_errors);
@@ -587,8 +589,8 @@ module Client = struct
       write_all fd (Wire.encode_preamble ~max_frame);
       let rd = reader fd in
       let peer_max =
-        match read_exact rd ~timeout Wire.preamble_length with
-        | Some pre -> Wire.decode_preamble pre
+        match read_preamble rd ~timeout with
+        | Some peer_max -> peer_max
         | None -> assert false
       in
       {

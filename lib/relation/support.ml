@@ -1,13 +1,16 @@
 (* Derivation-count bookkeeping for incrementally maintained extents.
 
-   The counting algorithm for non-recursive predicates keeps, per derived
-   tuple, the number of distinct rule derivations that currently produce
-   it.  A base-relation update then translates into count adjustments:
+   Per derived tuple, the number of one-step rule instances that
+   currently derive it.  For non-recursive predicates (the counting
+   algorithm) a base-relation update translates into count adjustments:
    a tuple leaves the extent exactly when its count drops to zero, and
    enters it when the count rises from zero — no rederivation search
-   needed.  (Recursive components cannot use counts soundly — a cycle can
-   keep a tuple's count positive through derivations that themselves
-   depend on the deleted tuple — and fall back to DRed.)
+   needed.  Recursive components keep the same counts, but there a count
+   never decides deletion: a cycle can keep a tuple's count positive
+   through derivations that themselves depend on the deleted tuple, so
+   DRed's over-deletion decides what leaves, and the count only replaces
+   the rederive search — an over-deleted tuple whose count survived the
+   over-deletion has a derivation from the surviving facts.
 
    One [t] holds the tables of every counted predicate of one maintained
    view, keyed by predicate name.  Counts are plain mutable state; the
@@ -16,14 +19,120 @@
    overwrote, so both ends cost as much as the update touched, not as
    much as the tables hold. *)
 
-module HT = Hashtbl.Make (Tuple)
+(* One predicate's counts: an open-addressing map from tuple to count,
+   probing linearly from the tuple's cached hash, kept at most three
+   quarters full.  A slot keeps the tuple its count was first taken for
+   (a later adjustment does not rewrite it), and [share] points keys at
+   the fact store's own tuples, so a count costs two words and holds no
+   tuple of its own; a count that drops to zero leaves by backward-shift
+   deletion, so no tombstones build up across updates. *)
+module Counts = struct
+  type t = {
+    mutable keys : Tuple.t array;
+    mutable vals : int array;
+    mutable size : int;
+  }
 
-type tables = (string, int HT.t) Hashtbl.t
+  (* private physical value marking an empty slot, compared with [==] *)
+  let empty_slot = Tuple.of_list []
+
+  let create () =
+    { keys = Array.make 16 empty_slot; vals = Array.make 16 0; size = 0 }
+
+  (* the slot holding [t], or the empty slot where it belongs *)
+  let slot keys t =
+    let mask = Array.length keys - 1 in
+    let rec probe i =
+      let u = Array.unsafe_get keys i in
+      if u == empty_slot || Tuple.equal u t then i else probe ((i + 1) land mask)
+    in
+    probe (Tuple.hash t land mask)
+
+  let get c t =
+    let i = slot c.keys t in
+    if c.keys.(i) == empty_slot then 0 else c.vals.(i)
+
+  let grow c =
+    let keys = c.keys and vals = c.vals in
+    let n = 2 * Array.length keys in
+    c.keys <- Array.make n empty_slot;
+    c.vals <- Array.make n 0;
+    Array.iteri
+      (fun i k ->
+        if k != empty_slot then begin
+          let j = slot c.keys k in
+          c.keys.(j) <- k;
+          c.vals.(j) <- vals.(i)
+        end)
+      keys
+
+  (* Empty slot [i], moving back every later entry of its probe run that
+     may fill the hole without leaving its own home behind. *)
+  let delete c i =
+    let keys = c.keys and vals = c.vals in
+    let mask = Array.length keys - 1 in
+    let rec shift hole j =
+      let k = keys.(j) in
+      if k == empty_slot then begin
+        keys.(hole) <- empty_slot;
+        vals.(hole) <- 0
+      end
+      else
+        let home = Tuple.hash k land mask in
+        let stays =
+          if hole <= j then home > hole && home <= j
+          else home > hole || home <= j
+        in
+        if stays then shift hole ((j + 1) land mask)
+        else begin
+          keys.(hole) <- k;
+          vals.(hole) <- vals.(j);
+          shift j ((j + 1) land mask)
+        end
+    in
+    shift i ((i + 1) land mask);
+    c.size <- c.size - 1
+
+  (* Replace [t]'s count [old] with [f old] (0 removes it); returns
+     [old]. *)
+  let update c t f =
+    let i = slot c.keys t in
+    let absent = c.keys.(i) == empty_slot in
+    let old = if absent then 0 else c.vals.(i) in
+    let n = f old in
+    if absent then begin
+      if n <> 0 then begin
+        c.keys.(i) <- t;
+        c.vals.(i) <- n;
+        c.size <- c.size + 1;
+        if 4 * c.size > 3 * Array.length c.keys then grow c
+      end
+    end
+    else if n = 0 then delete c i
+    else c.vals.(i) <- n;
+    old
+
+  let iter f c =
+    Array.iteri (fun i k -> if k != empty_slot then f k c.vals.(i)) c.keys
+
+  let fold f c acc =
+    let acc = ref acc in
+    iter (fun k n -> acc := f k n !acc) c;
+    !acc
+
+  let length c = c.size
+
+  let share c t =
+    let i = slot c.keys t in
+    if c.keys.(i) != empty_slot then c.keys.(i) <- t
+end
+
+type tables = (string, Counts.t) Hashtbl.t
 
 (* What one mutation overwrote. *)
 type undo =
-  | Count of int HT.t * Tuple.t * int (* the tuple's count before; 0: absent *)
-  | Table of string * int HT.t option (* the predicate's table before *)
+  | Count of Counts.t * Tuple.t * int (* the tuple's count before; 0: absent *)
+  | Table of string * Counts.t option (* the predicate's table before *)
   | Tables of tables (* every table, before a [reset] *)
 
 type t = {
@@ -40,7 +149,7 @@ let table (s : t) pred =
   match Hashtbl.find_opt s.tables pred with
   | Some tbl -> tbl
   | None ->
-    let tbl = HT.create 64 in
+    let tbl = Counts.create () in
     record s (Table (pred, None));
     Hashtbl.replace s.tables pred tbl;
     tbl
@@ -48,20 +157,20 @@ let table (s : t) pred =
 let count (s : t) pred tuple =
   match Hashtbl.find_opt s.tables pred with
   | None -> 0
-  | Some tbl -> Option.value (HT.find_opt tbl tuple) ~default:0
-
-let write tbl tuple n =
-  if n = 0 then HT.remove tbl tuple else HT.replace tbl tuple n
+  | Some tbl -> Counts.get tbl tuple
 
 (* Adjust and return the (old, new) pair — the commit loop classifies
    tuples by the zero-crossing direction. *)
 let add (s : t) pred tuple d =
   let tbl = table s pred in
-  let old = Option.value (HT.find_opt tbl tuple) ~default:0 in
-  let now = old + d in
+  let old = Counts.update tbl tuple (fun old -> old + d) in
   record s (Count (tbl, tuple, old));
-  write tbl tuple now;
-  (old, now)
+  (old, old + d)
+
+let share (s : t) pred tuples =
+  match Hashtbl.find_opt s.tables pred with
+  | None -> ()
+  | Some tbl -> Relation.Tuple_set.iter (Counts.share tbl) tuples
 
 let set (s : t) pred tuple n =
   ignore (add s pred tuple (n - count s pred tuple))
@@ -77,10 +186,10 @@ let reset (s : t) =
 let iter_pred (s : t) pred f =
   match Hashtbl.find_opt s.tables pred with
   | None -> ()
-  | Some tbl -> HT.iter f tbl
+  | Some tbl -> Counts.iter f tbl
 
 let total (s : t) =
-  Hashtbl.fold (fun _ tbl acc -> acc + HT.length tbl) s.tables 0
+  Hashtbl.fold (fun _ tbl acc -> acc + Counts.length tbl) s.tables 0
 
 let begin_undo s =
   s.log <- [];
@@ -94,7 +203,7 @@ let commit s =
 let rollback s =
   List.iter
     (function
-      | Count (tbl, tuple, old) -> write tbl tuple old
+      | Count (tbl, tuple, old) -> ignore (Counts.update tbl tuple (fun _ -> old))
       | Table (pred, Some tbl) -> Hashtbl.replace s.tables pred tbl
       | Table (pred, None) -> Hashtbl.remove s.tables pred
       | Tables tables -> s.tables <- tables)
@@ -104,16 +213,18 @@ let rollback s =
 (* Deterministic full dump — the checkpoint writer's view of the counts.
    Sorted by predicate name, tuples by [Tuple.compare], so equal states
    serialize identically. *)
-let dump (s : t) =
+let dump ?(keep = fun _ -> true) (s : t) =
   Hashtbl.fold
     (fun pred tbl acc ->
-      let rows = HT.fold (fun t n acc -> (t, n) :: acc) tbl [] in
-      (pred, List.sort (fun (a, _) (b, _) -> Tuple.compare a b) rows) :: acc)
+      if not (keep pred) then acc
+      else
+        let rows = Counts.fold (fun t n acc -> (t, n) :: acc) tbl [] in
+        (pred, List.sort (fun (a, _) (b, _) -> Tuple.compare a b) rows) :: acc)
     s.tables []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let pp ppf (s : t) =
   Hashtbl.iter
     (fun pred tbl ->
-      HT.iter (fun t n -> Fmt.pf ppf "%s%a = %d@." pred Tuple.pp t n) tbl)
+      Counts.iter (fun t n -> Fmt.pf ppf "%s%a = %d@." pred Tuple.pp t n) tbl)
     s.tables

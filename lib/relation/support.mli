@@ -1,10 +1,13 @@
 (** Derivation-count bookkeeping for incrementally maintained extents:
-    per derived tuple, the number of distinct rule derivations currently
-    producing it.  Under an update a tuple leaves its extent exactly when
-    the count drops to zero and enters when it rises from zero — the
-    counting algorithm's fast path for non-recursive predicates (recursive
-    components fall back to delete-and-rederive, where counts are
-    unsound). *)
+    per derived tuple, the number of one-step rule instances currently
+    deriving it.  For non-recursive predicates a tuple leaves its extent
+    exactly when the count drops to zero and enters when it rises from
+    zero — the counting algorithm.  Recursive components keep the same
+    counts but never delete by them (a cycle can keep a count positive
+    through derivations that depend on the deleted tuple itself):
+    delete-and-rederive's over-deletion decides what leaves, and the
+    count replaces the rederive search — an over-deleted tuple whose
+    count is still positive has a derivation from the surviving facts. *)
 
 type t
 
@@ -19,6 +22,12 @@ val set : t -> string -> Tuple.t -> int -> unit
 val add : t -> string -> Tuple.t -> int -> int * int
 (** [add s pred tuple d] adjusts the count by [d] and returns
     [(old, new)] — callers classify by the zero-crossing direction. *)
+
+val share : t -> string -> Relation.Tuple_set.t -> unit
+(** [share s pred tuples]: every counted tuple of [pred] equal to one of
+    [tuples] is keyed by that one from now on — after a pass that
+    counted freshly built tuples, the counts then hold no tuple of their
+    own beside the fact store's.  Counts are unchanged. *)
 
 val clear_pred : t -> string -> unit
 val reset : t -> unit
@@ -39,8 +48,9 @@ val rollback : t -> unit
     the rollback of a failed maintenance step, in time proportional to
     what the step changed. *)
 
-val dump : t -> (string * (Tuple.t * int) list) list
-(** Deterministic full dump, sorted by predicate then tuple — what a
-    checkpoint writes and recovery restores via {!set}. *)
+val dump : ?keep:(string -> bool) -> t -> (string * (Tuple.t * int) list) list
+(** Deterministic dump of the tables of the predicates [keep] accepts
+    (default: all), sorted by predicate then tuple — what a checkpoint
+    writes and recovery restores via {!set}. *)
 
 val pp : t Fmt.t

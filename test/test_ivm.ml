@@ -6,14 +6,17 @@
    then driven by a seeded random stream of interleaved INSERT/DELETE
    steps.  After every step the incrementally maintained extent must
    equal a from-scratch semi-naive refixpoint of the original rules over
-   the mutated base relations.  Every failure message carries the seed,
-   so any divergence reproduces deterministically.
+   the mutated base relations, and every recursive predicate's
+   derivation counts a recount of its rule instances over the view's
+   store.  Every failure message carries the seed, so any divergence
+   reproduces deterministically.
 
    Also here: abort atomicity of maintenance under injected
    [Guard.Exhausted] faults (the update and the view roll back to the
    pre-update snapshot), the Facts deletion regression (cached indexes
-   must forget removed tuples), and the surface-DELETE stale-read
-   regression (maintenance off must not serve a stale extent). *)
+   must forget removed tuples), the surface-DELETE stale-read
+   regression (maintenance off must not serve a stale extent), and the
+   restore of a checkpoint without recursive counts. *)
 
 open Dc_relation
 open Dc_datalog
@@ -251,6 +254,107 @@ let check_extent ~seed w view expected step i =
       seed w.w_name i step.st_op step.st_pred Tuple.pp step.st_tuple
       (TS.cardinal got) (TS.cardinal expected)
 
+(* ------------------------------------------------------------------ *)
+(* Maintained derivation counts = recounted ones
+
+   The count of a recursive predicate's tuple is the number of one-step
+   rule instances deriving it.  [recount] counts them over the view's
+   store with a nested-loop join written here, independent of the
+   engine's pipelines; after every step the maintained counts must equal
+   it. *)
+
+module SM = Map.Make (String)
+
+let recursive_preds program =
+  List.concat (List.filter (Stratify.recursive program) (Stratify.sccs program))
+
+let recount program store =
+  let recursive = recursive_preds program in
+  let tuples p = Option.value (List.assoc_opt p store) ~default:[] in
+  let value env = function
+    | Syntax.Var v -> SM.find v env
+    | Syntax.Const c -> c
+    | Syntax.Binop _ -> Alcotest.fail "computed term in a maintained rule"
+  in
+  let rec unify env i args t =
+    match args with
+    | [] -> Some env
+    | Syntax.Var v :: rest when not (SM.mem v env) ->
+      unify (SM.add v (Tuple.get t i) env) (i + 1) rest t
+    | a :: rest ->
+      if Value.equal (value env a) (Tuple.get t i) then unify env (i + 1) rest t
+      else None
+  in
+  let counts = Hashtbl.create 64 in
+  List.iter
+    (fun (r : Syntax.rule) ->
+      let rec go env = function
+        | [] ->
+          let key =
+            (r.head.pred, Tuple.of_list (List.map (value env) r.head.args))
+          in
+          Hashtbl.replace counts key
+            (1 + Option.value (Hashtbl.find_opt counts key) ~default:0)
+        | Syntax.Pos a :: rest ->
+          List.iter
+            (fun t -> Option.iter (fun env -> go env rest) (unify env 0 a.args t))
+            (tuples a.pred)
+        | Syntax.Test (op, x, y) :: rest ->
+          if Dc_calculus.Eval.eval_cmp op (value env x) (value env y) then
+            go env rest
+        | Syntax.Neg _ :: _ -> Alcotest.fail "negation in a maintained rule"
+      in
+      (* positive atoms first, so every test meets bound variables *)
+      if List.mem r.head.pred recursive then
+        go SM.empty
+          (List.filter (function Syntax.Pos _ -> true | _ -> false) r.body
+          @ List.filter (function Syntax.Pos _ -> false | _ -> true) r.body))
+    program;
+  Hashtbl.fold (fun (p, t) n acc -> (p, t, n) :: acc) counts []
+
+let key_compare (p, t, _) (q, u, _) =
+  match String.compare p q with 0 -> Tuple.compare t u | c -> c
+
+let check_counts what view =
+  let recursive = recursive_preds (Ivm.program view) in
+  let maintained =
+    List.concat_map
+      (fun (p, rows) ->
+        if List.mem p recursive then List.map (fun (t, n) -> (p, t, n)) rows
+        else [])
+      (Ivm.support_counts view)
+  in
+  let expected = recount (Ivm.program view) (Ivm.dump view).Ivm.dp_store in
+  let differs (p, t, n) m =
+    Some (Fmt.str "%s%a maintained %d, recounted %d" p Tuple.pp t n m)
+  in
+  let rec first_diff = function
+    | [], [] -> None
+    | x :: _, [] -> differs x 0
+    | [], (p, t, m) :: _ -> differs (p, t, 0) m
+    | ((_, _, n) as x) :: a, ((p, t, m) as y) :: b -> (
+      match key_compare x y with
+      | 0 -> if n = m then first_diff (a, b) else differs x m
+      | c when c < 0 -> differs x 0
+      | _ -> differs (p, t, 0) m)
+  in
+  match
+    first_diff
+      (List.sort key_compare maintained, List.sort key_compare expected)
+  with
+  | None -> ()
+  | Some diff -> Alcotest.failf "%s: derivation counts diverged: %s" what diff
+
+(* counts first: a count gone wrong is what a wrong extent follows from *)
+let check_step ~seed w view db step i =
+  check_counts
+    (Fmt.str "seed %d %s: step %d (%s %s %a)" seed w.w_name i step.st_op
+       step.st_pred Tuple.pp step.st_tuple)
+    view;
+  check_extent ~seed w view (oracle db w) step i
+
+(* The counts are first checked after step 1, so a first step that
+   deletes, not the check, builds them. *)
 let run_stream ~seed ~steps w =
   let rng = Rng.create seed in
   let db, view = setup w (w.w_init rng) in
@@ -259,7 +363,7 @@ let run_stream ~seed ~steps w =
     0;
   for i = 1 to steps do
     let step = random_step rng db w in
-    check_extent ~seed w view (oracle db w) step i
+    check_step ~seed w view db step i
   done
 
 (* >= 1000 interleaved INSERT/DELETE steps per workload *)
@@ -357,7 +461,7 @@ let test_abort_atomicity w () =
     end
     else begin
       let step = random_step rng db w in
-      check_extent ~seed w view (oracle db w) step i
+      check_step ~seed w view db step i
     end
   done
 
@@ -549,9 +653,15 @@ let test_degree_independent_surface () =
     let db, _ = Dc_lang.Elaborate.run_string ring_surface in
     (* [with_domains] restores the degree the SET statement changes *)
     Dc_par.Par.with_domains 1 @@ fun () ->
-    run_more db
-      (Fmt.str {|SET PARALLEL %d;
+    let out =
+      run_more db
+        (Fmt.str {|SET PARALLEL %d;
 EXPLAIN ANALYZE DELETE Edge VALUES ("n0", "n1");|} p)
+    in
+    (match Ivm.views db with
+    | [ view ] -> check_counts (Fmt.str "ring at SET PARALLEL %d" p) view
+    | vs -> Alcotest.failf "%d views over the ring, expected 1" (List.length vs));
+    out
     |> String.split_on_char '\n'
     |> List.filter (fun l -> contains_s l " tuples " || contains_s l "view ")
     |> List.map untimed
@@ -561,6 +671,48 @@ EXPLAIN ANALYZE DELETE Edge VALUES ("n0", "n1");|} p)
     (List.exists (fun l -> contains_s l "rederive") at1);
   Alcotest.(check (list string)) "EXPLAIN ANALYZE DELETE at SET PARALLEL 1 and 2"
     at1 (explain 2)
+
+(* ------------------------------------------------------------------ *)
+(* Restore from a checkpoint without recursive counts
+
+   A checkpoint holds no derivation counts of recursive components (nor
+   did one written before they kept any).  The first deletion after the
+   restore must count them: read as zeros, the DELETE of an edge with an
+   alternative path would lose the closure row the other path still
+   derives.  An aborted first deletion must leave them uncounted, so the
+   next one counts them again. *)
+
+let test_restore_recounts () =
+  let db, _ =
+    Dc_lang.Elaborate.run_string
+      (tc_decls
+      ^ {|INSERT Edge VALUES ("a", "b"), ("b", "c"), ("a", "c"), ("c", "d");
+MATERIALIZE Edge{tc()};
+|})
+  in
+  let view =
+    match Ivm.views db with
+    | [ v ] -> v
+    | vs -> Alcotest.failf "%d views, expected 1" (List.length vs)
+  in
+  let recursive = recursive_preds (Ivm.program view) in
+  let d = Ivm.dump view in
+  Alcotest.(check (list string)) "recursive counts in the dump" []
+    (List.filter (fun p -> List.mem p recursive) (List.map fst d.Ivm.dp_supports));
+  Ivm.unregister view;
+  let view = Ivm.restore db d in
+  with_failpoints (fun () ->
+      Guard.Failpoint.arm "ivm.commit" 1;
+      match Database.delete db "Edge" (t2 "a" "c") with
+      | () -> Alcotest.fail "ivm.commit never hit"
+      | exception Guard.Exhausted (Guard.Fault_injected _, _) -> ());
+  let _ = run_more db {|DELETE Edge VALUES ("a", "c");|} in
+  Alcotest.(check bool) "a -> c still derived through b" true
+    (TS.mem (t2 "a" "c") (ts_of_relation (Ivm.value view)));
+  Alcotest.(check bool) "extent = fresh evaluation" true
+    (Relation.equal (Ivm.value view)
+       (Database.query db (Ast.Construct (Ast.Rel "Edge", "tc", []))));
+  check_counts "after DELETE" view
 
 (* ------------------------------------------------------------------ *)
 (* Live aggregate views under a long update stream (PR 10): three
@@ -735,11 +887,12 @@ let test_agg_abort_atomicity () =
 (* The served closure view under bridge toggles: 8 chains of 32 nodes
    with shortcuts, the right-linear surface [tc], and 20 insert/delete
    pairs of a bridge from an even chain's tail into an odd chain.  Each
-   write moves 32 x 8 closure rows, and no update may build a hash index
-   over the view's own predicate: leading-column keys are range scans or
-   warm paths, full keys membership tests.  (Index builds over [Edge],
-   a few hundred rows, are allowed.)  Machine-independent: it counts
-   builds, not time. *)
+   write moves 32 x 8 closure rows, and no update may build a hash index,
+   over the view's own predicate or over [Edge]: leading-column keys are
+   range scans, full keys membership tests, and the one other path (the
+   [Edge] probe on its target column) stays warm along the chain of
+   stores each update extends.  Machine-independent: it counts builds,
+   not time. *)
 let bridge_fixture () =
   let edges, at = Graph_gen.chains_dag ~seed:5 ~chains:8 ~len:32 ~edges:384 in
   let db, _ =
@@ -765,6 +918,7 @@ let test_no_view_index_builds () =
   let db, view, bridge = bridge_fixture () in
   let n0 = Ivm.cardinal view in
   let builds0 = Facts.index_builds (Ivm.name view) in
+  let edge_builds0 = Facts.index_builds "Edge" in
   for k = 0 to 19 do
     Database.insert db "Edge" (bridge k);
     Alcotest.(check int) (Fmt.str "bridge %d inserted" k) (n0 + 256)
@@ -776,14 +930,17 @@ let test_no_view_index_builds () =
     (Fmt.str "indexes built over %s by 40 updates" (Ivm.name view))
     builds0
     (Facts.index_builds (Ivm.name view));
+  Alcotest.(check int) "indexes built over Edge by 40 updates" edge_builds0
+    (Facts.index_builds "Edge");
   Alcotest.(check bool) "extent = fresh evaluation" true
     (Relation.equal (Ivm.value view)
        (Database.query db (Ast.Construct (Ast.Rel "Edge", "tc", []))))
 
-(* The phases of a maintenance report account for its total: seeding,
-   over-deletion, rederivation, propagation, insertion and the net-delta
-   commit are all timed, so over the bridge toggles their sum is within
-   10% of the reports' total time. *)
+(* The phases of a maintenance report account for its total: building
+   the recursive counts (the first delete), seeding, over-deletion,
+   rederivation, propagation, insertion and the net-delta commit are all
+   timed, so over the bridge toggles their sum is within 10% of the
+   reports' total time. *)
 let test_phases_add_up () =
   let db, _, bridge = bridge_fixture () in
   Ivm.reset_reports ();
@@ -857,6 +1014,8 @@ let () =
             test_stale_read;
           Alcotest.test_case "EXPLAIN ANALYZE DELETE" `Quick
             test_explain_analyze_update;
+          Alcotest.test_case "restore recounts recursive counts" `Quick
+            test_restore_recounts;
         ] );
       ( "degree independence",
         List.map

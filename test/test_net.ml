@@ -690,8 +690,9 @@ let test_stall_after_idle_wait () =
     (Fmt.str "disconnected within io_timeout of the stall (%.1fs)" elapsed)
     true (elapsed < 5.)
 
-(* dc_net_frames_total / dc_net_bytes_total count every pipelined frame:
-   in, the request frames; out, the preamble and the response frames *)
+(* dc_net_frames_total / dc_net_bytes_total count every pipelined frame,
+   and the bytes count each side's preamble: in, the client preamble and
+   the request frames; out, the server preamble and the response frames *)
 let test_pipelined_frame_counters () =
   let module Obs = Dc_obs.Obs in
   let was = Obs.on () in
@@ -727,7 +728,7 @@ let test_pipelined_frame_counters () =
     "frames in, bytes in, frames out, bytes out"
     [
       3;
-      String.length (String.concat "" requests);
+      String.length client_preamble + String.length (String.concat "" requests);
       3;
       String.length reply;
     ]
