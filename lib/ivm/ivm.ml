@@ -369,17 +369,25 @@ let compile_plan ?(aggs = []) (program : Syntax.program) =
 (* ------------------------------------------------------------------ *)
 (* Refresh (from-scratch synchronization) *)
 
-(* Count one component's one-step derivations over the view's store;
-   returns how many there are.  The counts are keyed by the store's own
-   tuples, not the ones the pipelines built. *)
+(* Count one component's one-step derivations over the view's store into
+   fresh tables; returns how many there are.  The counts are keyed by the
+   store's own tuples, not the ones the pipelines built. *)
 let count_scc view s =
+  let ctx = Engine.store_ctx view.store in
   let n = ref 0 in
   List.iter
-    (fun (table, pipe) ->
-      Ir.run (Engine.store_ctx view.store) pipe (fun t ->
-          incr n;
-          ignore (Support.add view.supports table t 1)))
-    s.s_init;
+    (fun table ->
+      Support.build view.supports table
+        ~size:(Facts.cardinal view.store table)
+        (fun add ->
+          List.iter
+            (fun (table', pipe) ->
+              if String.equal table table' then
+                Ir.run ctx pipe (fun t ->
+                    incr n;
+                    add t))
+            s.s_init))
+    (List.sort_uniq String.compare (List.map fst s.s_init));
   List.iter
     (fun p -> Support.share view.supports p (Facts.find view.store p))
     s.s_preds;
@@ -387,34 +395,31 @@ let count_scc view s =
 
 let is_dred s = match s.s_kind with Dred -> true | Counting | Agg_counting _ -> false
 
+let has_dred = function
+  | Incremental sccs -> List.exists is_dred sccs
+  | Recompute _ -> false
+
 (* The non-recursive components' counts are built with the store; the
    recursive ones wait for [ensure_counts]. *)
 let init_supports view =
   Support.reset view.supports;
-  view.counted <- false;
+  view.counted <- not (has_dred view.plan);
   match view.plan with
   | Recompute _ -> ()
   | Incremental sccs ->
     List.iter (fun s -> if not (is_dred s) then ignore (count_scc view s)) sccs
 
 (* Build the recursive components' counts over the synchronized store,
-   once per materialization, refresh or restore.  Only a deletion reads
-   them (the rederive check), so they wait for the first update that can
-   delete: a view only ever inserted into never pays for the pass, and
-   neither does MATERIALIZE.  Returns the derivations counted. *)
+   once per materialization, refresh or restore: the first incremental
+   update runs the pass before it maintains them, so MATERIALIZE and
+   restore do not pay for it.  Returns the derivations counted. *)
 let ensure_counts view =
   match view.plan with
   | Incremental sccs when not view.counted ->
     let n =
       List.fold_left
         (fun n s ->
-          if is_dred s then begin
-            List.iter
-              (fun (table, _) -> Support.clear_pred view.supports table)
-              s.s_init;
-            n + count_scc view s
-          end
-          else n)
+          if is_dred s then n + count_scc view s else n)
         0 sccs
     in
     view.counted <- true;
@@ -701,9 +706,7 @@ let patched ?hide ?extra store pred =
    met exactly once, and its head's count moves by one.  This component
    lives in [cur], one chain of store steps from [st.post]; a round's
    other state is [cur] filtered by Δ.  Lower predicates read [cur]
-   without this update's insertions until the insert phase.  Until the
-   first update that can delete has built the counts, an insert-only
-   update leaves them unbuilt. *)
+   without this update's insertions until the insert phase. *)
 let dred_scc view st s =
   let observing = Obs.on () in
   let label phase = Fmt.str "%s %s" phase (String.concat "," s.s_preds) in
@@ -726,9 +729,7 @@ let dred_scc view st s =
       let found = ref [] in
       List.iter (fun (_, h) -> Tuple_hset.clear h) seen;
       let emit head t =
-        if
-          view.counted && snd (Support.add view.supports head t sign) < 0
-        then
+        if snd (Support.add view.supports head t sign) < 0 then
           error "negative derivation count for %s%a (ivm bug)" head Tuple.pp t;
         if fresh d head t && Tuple_hset.add (List.assoc head seen) t then
           found := (head, t) :: !found
@@ -750,9 +751,6 @@ let dred_scc view st s =
   (* --- over-deletion: [cur] still holds the round's delta, which leaves
      it when the round ends; the lower deletions (the first round's
      delta) are added back to the state before *)
-  if (not view.counted) && Facts.total st.dminus > 0 then
-    error "deletion reached %s before its counts were built (ivm bug)"
-      (String.concat "," s.s_preds);
   let overdeleted = ref [] in
   timed st.rp (label "overdelete") (fun () ->
       let n =
@@ -849,18 +847,7 @@ let incremental_update view sccs updates =
       rp;
     }
   in
-  (* Without a base deletion only an aggregate's replaced group row can
-     delete a tuple a recursive component reads. *)
-  let may_delete =
-    List.exists (fun (_, _, removed) -> removed <> []) updates
-    || List.exists
-         (fun s ->
-           match s.s_kind with
-           | Agg_counting _ -> true
-           | Counting | Dred -> false)
-         sccs
-  in
-  if may_delete && not view.counted then
+  if not view.counted then
     timed rp "build counts" (fun () -> ensure_counts view);
   (* seed with the base-relation net deltas *)
   timed rp "seed" (fun () ->
@@ -1141,14 +1128,13 @@ type dump = {
   dp_supports : (string * (Tuple.t * int) list) list;
 }
 
-let support_counts view =
-  ignore (ensure_counts view);
-  Support.dump view.supports
+let support_counts view = Support.dump view.supports
+let counts_built view = view.counted
 let program view = view.program
 
 (* Recursive components' counts stay out of the checkpoint, as out of
-   MATERIALIZE: the first update after [restore] that can delete builds
-   them ([ensure_counts]), and a checkpoint (cut at every catalog change
+   MATERIALIZE: the first update after [restore] builds them
+   ([ensure_counts]), and a checkpoint (cut at every catalog change
    and by the checkpoint policy) does not grow with them. *)
 let dump view =
   let recursive =
@@ -1181,9 +1167,8 @@ let dump view =
 
    The dump holds no counts of recursive components ([dump]), nor did a
    checkpoint written before they kept any: the view starts uncounted,
-   and its first update that can delete builds them with the pass a
-   materialized view's does.  Read as zeros instead, they would fail
-   every rederive check. *)
+   and its first update builds them with the pass a materialized view's
+   does.  Read as zeros instead, they would fail every rederive check. *)
 let restore db d =
   let def =
     match Database.constructor db d.dp_con with
@@ -1199,6 +1184,7 @@ let restore db d =
     with Translate.Unsupported msg ->
       error "restore %s: not translatable (%s)" d.dp_con msg
   in
+  let plan = compile_plan ~aggs program in
   let view =
     {
       db;
@@ -1211,14 +1197,14 @@ let restore db d =
       aggs;
       query_pred;
       depends = SS.elements (Syntax.edb_preds program);
-      plan = compile_plan ~aggs program;
+      plan;
       supports = Support.create ();
       store =
         List.fold_left
           (fun acc (p, ts) -> Facts.add_set acc p (TS.of_list ts))
           (Facts.empty ()) d.dp_store;
       status = (if d.dp_stale then Stale else Live);
-      counted = false;
+      counted = not (has_dred plan);
     }
   in
   List.iter

@@ -86,13 +86,20 @@ val restore : Database.t -> dump -> t
 (** Recompile the maintenance plan from the (already restored) catalog
     and adopt the dumped store/counts/staleness verbatim — no
     refixpoint.  The recursive components' counts, which the dump
-    lacks, are rebuilt in one pass over the store by the first update
-    that can delete, as after {!materialize}.  Registers the maintainer.  @raise Error if the dump's
-    constructor is unknown or no longer translatable. *)
+    lacks, are rebuilt in one pass over the store by the first update,
+    as after {!materialize}.  Registers the maintainer.  @raise Error if
+    the dump's constructor is unknown or no longer translatable. *)
 
 val support_counts : t -> (string * (Tuple.t * int) list) list
-(** Current derivation counts, sorted; the recursive components' are
-    built first if no update has yet (differential-test hook). *)
+(** The derivation counts built so far, sorted; the recursive
+    components' appear once an update has built them, see
+    {!counts_built} (differential-test hook, reads only). *)
+
+val counts_built : t -> bool
+(** Whether the recursive components' counts are built: false after
+    {!materialize}, a refresh and {!restore} of a view with a recursive
+    component, true from its first incremental update on
+    (differential-test hook). *)
 
 val program : t -> Dc_datalog.Syntax.program
 (** The translated Horn program the view maintains, whose rule instances

@@ -19,120 +19,14 @@
    overwrote, so both ends cost as much as the update touched, not as
    much as the tables hold. *)
 
-(* One predicate's counts: an open-addressing map from tuple to count,
-   probing linearly from the tuple's cached hash, kept at most three
-   quarters full.  A slot keeps the tuple its count was first taken for
-   (a later adjustment does not rewrite it), and [share] points keys at
-   the fact store's own tuples, so a count costs two words and holds no
-   tuple of its own; a count that drops to zero leaves by backward-shift
-   deletion, so no tombstones build up across updates. *)
-module Counts = struct
-  type t = {
-    mutable keys : Tuple.t array;
-    mutable vals : int array;
-    mutable size : int;
-  }
+module HT = Hashtbl.Make (Tuple)
 
-  (* private physical value marking an empty slot, compared with [==] *)
-  let empty_slot = Tuple.of_list []
-
-  let create () =
-    { keys = Array.make 16 empty_slot; vals = Array.make 16 0; size = 0 }
-
-  (* the slot holding [t], or the empty slot where it belongs *)
-  let slot keys t =
-    let mask = Array.length keys - 1 in
-    let rec probe i =
-      let u = Array.unsafe_get keys i in
-      if u == empty_slot || Tuple.equal u t then i else probe ((i + 1) land mask)
-    in
-    probe (Tuple.hash t land mask)
-
-  let get c t =
-    let i = slot c.keys t in
-    if c.keys.(i) == empty_slot then 0 else c.vals.(i)
-
-  let grow c =
-    let keys = c.keys and vals = c.vals in
-    let n = 2 * Array.length keys in
-    c.keys <- Array.make n empty_slot;
-    c.vals <- Array.make n 0;
-    Array.iteri
-      (fun i k ->
-        if k != empty_slot then begin
-          let j = slot c.keys k in
-          c.keys.(j) <- k;
-          c.vals.(j) <- vals.(i)
-        end)
-      keys
-
-  (* Empty slot [i], moving back every later entry of its probe run that
-     may fill the hole without leaving its own home behind. *)
-  let delete c i =
-    let keys = c.keys and vals = c.vals in
-    let mask = Array.length keys - 1 in
-    let rec shift hole j =
-      let k = keys.(j) in
-      if k == empty_slot then begin
-        keys.(hole) <- empty_slot;
-        vals.(hole) <- 0
-      end
-      else
-        let home = Tuple.hash k land mask in
-        let stays =
-          if hole <= j then home > hole && home <= j
-          else home > hole || home <= j
-        in
-        if stays then shift hole ((j + 1) land mask)
-        else begin
-          keys.(hole) <- k;
-          vals.(hole) <- vals.(j);
-          shift j ((j + 1) land mask)
-        end
-    in
-    shift i ((i + 1) land mask);
-    c.size <- c.size - 1
-
-  (* Replace [t]'s count [old] with [f old] (0 removes it); returns
-     [old]. *)
-  let update c t f =
-    let i = slot c.keys t in
-    let absent = c.keys.(i) == empty_slot in
-    let old = if absent then 0 else c.vals.(i) in
-    let n = f old in
-    if absent then begin
-      if n <> 0 then begin
-        c.keys.(i) <- t;
-        c.vals.(i) <- n;
-        c.size <- c.size + 1;
-        if 4 * c.size > 3 * Array.length c.keys then grow c
-      end
-    end
-    else if n = 0 then delete c i
-    else c.vals.(i) <- n;
-    old
-
-  let iter f c =
-    Array.iteri (fun i k -> if k != empty_slot then f k c.vals.(i)) c.keys
-
-  let fold f c acc =
-    let acc = ref acc in
-    iter (fun k n -> acc := f k n !acc) c;
-    !acc
-
-  let length c = c.size
-
-  let share c t =
-    let i = slot c.keys t in
-    if c.keys.(i) != empty_slot then c.keys.(i) <- t
-end
-
-type tables = (string, Counts.t) Hashtbl.t
+type tables = (string, int HT.t) Hashtbl.t
 
 (* What one mutation overwrote. *)
 type undo =
-  | Count of Counts.t * Tuple.t * int (* the tuple's count before; 0: absent *)
-  | Table of string * Counts.t option (* the predicate's table before *)
+  | Count of int HT.t * Tuple.t * int (* the tuple's count before; 0: absent *)
+  | Table of string * int HT.t option (* the predicate's table before *)
   | Tables of tables (* every table, before a [reset] *)
 
 type t = {
@@ -149,7 +43,7 @@ let table (s : t) pred =
   match Hashtbl.find_opt s.tables pred with
   | Some tbl -> tbl
   | None ->
-    let tbl = Counts.create () in
+    let tbl = HT.create 64 in
     record s (Table (pred, None));
     Hashtbl.replace s.tables pred tbl;
     tbl
@@ -157,27 +51,44 @@ let table (s : t) pred =
 let count (s : t) pred tuple =
   match Hashtbl.find_opt s.tables pred with
   | None -> 0
-  | Some tbl -> Counts.get tbl tuple
+  | Some tbl -> Option.value (HT.find_opt tbl tuple) ~default:0
+
+let write tbl tuple n =
+  if n = 0 then HT.remove tbl tuple else HT.replace tbl tuple n
 
 (* Adjust and return the (old, new) pair — the commit loop classifies
    tuples by the zero-crossing direction. *)
 let add (s : t) pred tuple d =
   let tbl = table s pred in
-  let old = Counts.update tbl tuple (fun old -> old + d) in
+  let old = Option.value (HT.find_opt tbl tuple) ~default:0 in
+  let now = old + d in
   record s (Count (tbl, tuple, old));
-  (old, old + d)
+  write tbl tuple now;
+  (old, now)
 
+(* [HT.replace] rewrites the binding's key along with its count *)
 let share (s : t) pred tuples =
   match Hashtbl.find_opt s.tables pred with
   | None -> ()
-  | Some tbl -> Relation.Tuple_set.iter (Counts.share tbl) tuples
+  | Some tbl ->
+    Relation.Tuple_set.iter
+      (fun t -> Option.iter (HT.replace tbl t) (HT.find_opt tbl t))
+      tuples
+
+(* A count pass: [pred]'s counts become the ones [f] adds through its
+   argument, in a fresh table; the undo log records the one table swap,
+   not every count. *)
+let build (s : t) pred ~size f =
+  let tbl = HT.create (max 16 size) in
+  f (fun t ->
+      match HT.find_opt tbl t with
+      | None -> HT.add tbl t 1
+      | Some n -> HT.replace tbl t (n + 1));
+  record s (Table (pred, Hashtbl.find_opt s.tables pred));
+  Hashtbl.replace s.tables pred tbl
 
 let set (s : t) pred tuple n =
   ignore (add s pred tuple (n - count s pred tuple))
-
-let clear_pred (s : t) pred =
-  record s (Table (pred, Hashtbl.find_opt s.tables pred));
-  Hashtbl.remove s.tables pred
 
 let reset (s : t) =
   record s (Tables s.tables);
@@ -186,10 +97,10 @@ let reset (s : t) =
 let iter_pred (s : t) pred f =
   match Hashtbl.find_opt s.tables pred with
   | None -> ()
-  | Some tbl -> Counts.iter f tbl
+  | Some tbl -> HT.iter f tbl
 
 let total (s : t) =
-  Hashtbl.fold (fun _ tbl acc -> acc + Counts.length tbl) s.tables 0
+  Hashtbl.fold (fun _ tbl acc -> acc + HT.length tbl) s.tables 0
 
 let begin_undo s =
   s.log <- [];
@@ -203,7 +114,7 @@ let commit s =
 let rollback s =
   List.iter
     (function
-      | Count (tbl, tuple, old) -> ignore (Counts.update tbl tuple (fun _ -> old))
+      | Count (tbl, tuple, old) -> write tbl tuple old
       | Table (pred, Some tbl) -> Hashtbl.replace s.tables pred tbl
       | Table (pred, None) -> Hashtbl.remove s.tables pred
       | Tables tables -> s.tables <- tables)
@@ -218,7 +129,7 @@ let dump ?(keep = fun _ -> true) (s : t) =
     (fun pred tbl acc ->
       if not (keep pred) then acc
       else
-        let rows = Counts.fold (fun t n acc -> (t, n) :: acc) tbl [] in
+        let rows = HT.fold (fun t n acc -> (t, n) :: acc) tbl [] in
         (pred, List.sort (fun (a, _) (b, _) -> Tuple.compare a b) rows) :: acc)
     s.tables []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -226,5 +137,5 @@ let dump ?(keep = fun _ -> true) (s : t) =
 let pp ppf (s : t) =
   Hashtbl.iter
     (fun pred tbl ->
-      Counts.iter (fun t n -> Fmt.pf ppf "%s%a = %d@." pred Tuple.pp t n) tbl)
+      HT.iter (fun t n -> Fmt.pf ppf "%s%a = %d@." pred Tuple.pp t n) tbl)
     s.tables

@@ -25,11 +25,17 @@ val add : t -> string -> Tuple.t -> int -> int * int
 
 val share : t -> string -> Relation.Tuple_set.t -> unit
 (** [share s pred tuples]: every counted tuple of [pred] equal to one of
-    [tuples] is keyed by that one from now on — after a pass that
-    counted freshly built tuples, the counts then hold no tuple of their
-    own beside the fact store's.  Counts are unchanged. *)
+    [tuples] is keyed by that one until {!add} next adjusts its count —
+    after a pass that counted freshly built tuples, the counts then hold
+    no tuple of their own beside the fact store's.  Counts are
+    unchanged. *)
 
-val clear_pred : t -> string -> unit
+val build : t -> string -> size:int -> ((Tuple.t -> unit) -> unit) -> unit
+(** [build s pred ~size f]: a count pass.  [pred]'s counts become, per
+    tuple, the number of times [f] passes it to its argument, in a fresh
+    table sized for about [size] tuples; an undo log records the one
+    table swap, not every count. *)
+
 val reset : t -> unit
 val iter_pred : t -> string -> (Tuple.t -> int -> unit) -> unit
 

@@ -400,43 +400,6 @@ let prop_novelty_matches_model =
         rounds
       && Model.fold (fun t _ ok -> ok && Tuple_hset.mem h t) model true)
 
-(* Derivation counts against a Hashtbl model: random adjustments over a
-   few dozen one-column tuples (so probe runs collide, wrap around the
-   table and lose members to zero counts), then a logged second batch
-   rolled back must restore the first batch's counts exactly. *)
-let prop_support_matches_model =
-  let op = QCheck.(pair (int_bound 40) (int_range (-2) 2)) in
-  QCheck.Test.make ~name:"Support counts match a Hashtbl model" ~count:200
-    QCheck.(
-      pair
-        (list_of_size Gen.(int_range 0 300) op)
-        (list_of_size Gen.(int_range 0 100) op))
-    (fun (batch, logged) ->
-      let tuple k = Tuple.make1 (Value.Int k) in
-      let s = Support.create () in
-      let model = Hashtbl.create 16 in
-      let apply (k, d) =
-        let old, now = Support.add s "p" (tuple k) d in
-        let m = Option.value (Hashtbl.find_opt model k) ~default:0 in
-        if m + d = 0 then Hashtbl.remove model k
-        else Hashtbl.replace model k (m + d);
-        old = m && now = m + d
-      in
-      let agrees () =
-        Support.total s = Hashtbl.length model
-        && List.for_all
-             (fun k ->
-               Support.count s "p" (tuple k)
-               = Option.value (Hashtbl.find_opt model k) ~default:0)
-             (List.init 41 Fun.id)
-      in
-      let ok = List.for_all apply batch && agrees () in
-      let before = Support.dump s in
-      Support.begin_undo s;
-      List.iter (fun (k, d) -> ignore (Support.add s "p" (tuple k) d)) logged;
-      Support.rollback s;
-      ok && Support.dump s = before)
-
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -482,6 +445,5 @@ let () =
             prop_join_is_filtered_product;
             prop_hset_matches_set;
             prop_novelty_matches_model;
-            prop_support_matches_model;
           ] );
     ]
