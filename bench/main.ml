@@ -1354,37 +1354,67 @@ module Ivm = Dc_ivm.Ivm
 type ivm_record = {
   ir_name : string;
   ir_updates : int;
+  ir_inserts : int; (* of the timed updates *)
+  ir_deletes : int;
   ir_maintained : summary;
   ir_recompute : summary;
 }
 
 let ir_speedup r = r.ir_recompute.median_ms /. r.ir_maintained.median_ms
 
-(* step [i]: toggle one deterministic pseudo-random edge *)
-let ivm_step db i nodes =
-  let t =
-    Tuple.of_list
-      [ Graph_gen.node (i mod nodes); Graph_gen.node ((i * 7 + 3) mod nodes) ]
+(* Apply one update and say which kind it was. *)
+let insert db rel t =
+  Database.insert db rel t;
+  `Insert
+
+let delete db rel t =
+  Database.delete db rel t;
+  `Delete
+
+(* Pseudo-random pair [j] over [nodes] nodes that is not in [edges]. *)
+let ivm_pair edges nodes j =
+  let rng = Random.State.make [| j; nodes |] in
+  let rec pick () =
+    let t =
+      Tuple.make2
+        (Graph_gen.node (Random.State.int rng nodes))
+        (Graph_gen.node (Random.State.int rng nodes))
+    in
+    if Relation.mem t edges then pick () else t
   in
-  if Relation.mem t (Database.get db "Edge") then Database.delete db "Edge" t
-  else Database.insert db "Edge" t
+  pick ()
+
+(* Step 2j inserts pair j and step 2j+1 deletes it again, so every pair
+   of steps is one INSERT and one DELETE and ends on the base edges.
+   Steps -2 and -1 are the untimed warm-up pair. *)
+let ivm_step ~edges ~nodes db i =
+  let t = ivm_pair edges nodes (i asr 1) in
+  if i land 1 = 0 then insert db "Edge" t else delete db "Edge" t
 
 (* One update stream's two arms over fresh databases from [db]: each
-   applies [step] [updates] times and reads the view's cardinality after
-   every step; only the stream is timed. *)
-let view_stream name ~updates ~db ~step ~constructor ~base ~query =
+   applies [warm] steps (-warm .. -1) untimed, then [step] [updates]
+   times, reading the view's cardinality after every step; only those
+   [updates] steps are timed.  An arm returns the final cardinality and
+   the INSERTs and DELETEs it timed. *)
+let view_stream ?(warm = 0) name ~updates ~db ~step ~constructor ~base ~query
+    =
   let arm reader () =
     let db = db () in
     let read = reader db in
-    let card = ref 0 in
+    for i = -warm to -1 do
+      ignore (step db i)
+    done;
+    let card = ref 0 and inserts = ref 0 and deletes = ref 0 in
     let (), t =
       time (fun () ->
           for i = 0 to updates - 1 do
-            step db i;
+            (match step db i with
+            | `Insert -> incr inserts
+            | `Delete -> incr deletes);
             card := read ()
           done)
     in
-    (!card, t)
+    ((!card, !inserts, !deletes), t)
   in
   let maintained db =
     let view = Ivm.materialize db ~constructor ~base ~args:[] in
@@ -1402,18 +1432,22 @@ let view_records streams =
   in
   List.mapi
     (fun i (name, updates, _, _) ->
-      let mc, mt = results.(2 * i) and rc, rt = results.((2 * i) + 1) in
+      let (mc, ins, del), mt = results.(2 * i)
+      and (rc, _, _), rt = results.((2 * i) + 1) in
       if mc <> rc then
         Fmt.failwith "%s: maintained extent %d <> recomputed %d" name mc rc;
-      { ir_name = name; ir_updates = updates; ir_maintained = mt;
-        ir_recompute = rt })
+      { ir_name = name; ir_updates = updates; ir_inserts = ins;
+        ir_deletes = del; ir_maintained = mt; ir_recompute = rt })
     streams
 
+(* The untimed warm-up pair runs the view's one-time derivation-count
+   pass (its first incremental update), so the timed stream measures
+   maintenance alone. *)
 let ivm_records () =
   let stream name ~edges ~nodes =
-    view_stream name ~updates:64
+    view_stream ~warm:2 name ~updates:64
       ~db:(fun () -> tc_db edges)
-      ~step:(fun db i -> ivm_step db i nodes)
+      ~step:(ivm_step ~edges ~nodes)
       ~constructor:"tc" ~base:"Edge" ~query:tc_query
   in
   view_records
@@ -1427,6 +1461,7 @@ let ivm_records () =
 let view_json r =
   Json.Obj
     ((("name", Json.Str r.ir_name) :: ("updates", count r.ir_updates)
+      :: ("inserts", count r.ir_inserts) :: ("deletes", count r.ir_deletes)
       :: summary_fields "maintained_" r.ir_maintained)
     @ summary_fields "recompute_per_update_" r.ir_recompute
     @ [ ("speedup", num (ir_speedup r)) ])
@@ -1435,10 +1470,10 @@ let print_ivm records =
   List.iter
     (fun r ->
       Fmt.pr
-        "%-24s %d updates: maintained=%a recompute-per-update=%a \
-         speedup=%.1fx@."
-        r.ir_name r.ir_updates pp_summary r.ir_maintained pp_summary
-        r.ir_recompute (ir_speedup r))
+        "%-24s %d updates (%d INSERT, %d DELETE): maintained=%a \
+         recompute-per-update=%a speedup=%.1fx@."
+        r.ir_name r.ir_updates r.ir_inserts r.ir_deletes pp_summary
+        r.ir_maintained pp_summary r.ir_recompute (ir_speedup r))
     records
 
 (* Maintained INSERT and DELETE timed apart on view_updates' shape: the
@@ -1505,9 +1540,18 @@ let print_toggle r =
   Fmt.pr "%-24s %d bridge toggles: insert=%a/update delete=%a/update@."
     r.tg_name r.tg_updates pp_summary r.tg_insert pp_summary r.tg_delete
 
+(* Fails when a toggle stream applied no DELETE: such a stream measures
+   inserts only, and DRed's deletes go unmeasured. *)
 let run_ivm () =
-  print_ivm (ivm_records ());
-  print_toggle (toggle_record ())
+  let records = ivm_records () in
+  print_ivm records;
+  print_toggle (toggle_record ());
+  match List.filter (fun r -> r.ir_deletes = 0) records with
+  | [] -> ()
+  | bad ->
+    Fmt.epr "FAIL: no DELETE in %s@."
+      (String.concat ", " (List.map (fun r -> r.ir_name) bad));
+    exit 1
 
 (* ------------------------------------------------------------------ *)
 (* Aggregates (PR 10).  Two claims the BENCH "aggregates" section tracks:
@@ -1671,9 +1715,8 @@ let agg_view_step db i nodes =
       (Database.get db "E") None
   in
   match existing with
-  | Some t -> Database.delete db "E" t
-  | None ->
-    Database.insert db "E" (Tuple.of_list [ s; d; Value.Int (1 + (i mod 9)) ])
+  | Some t -> delete db "E" t
+  | None -> insert db "E" (Tuple.of_list [ s; d; Value.Int (1 + (i mod 9)) ])
 
 let agg_view_db ~nodes ~edges =
   let db, _ = Dc_lang.Elaborate.run_string agg_view_src in

@@ -28,6 +28,21 @@
      occurrences bound to the previous full value.  Definitions outside this
      class silently fall back to naive re-evaluation (soundness first).
 
+   Full values are merged only when needed.  A semi-naive application's
+   value is its merged relation ([full]) plus the sorted deltas committed
+   since (its pending runs), and its novelty table holds every tuple of
+   both.  The runs are merged into [full] only when
+   - something reads the value as a relation: a non-delta construct
+     occurrence (non-linear rules) or the [on_construct] hook, which
+     Opaque and first (naive) evaluations go through;
+   - the pending tuples reach the merged value's size, so merges are
+     geometric: O(log n) of them, copying O(n log n) tuples in all;
+   - the run converges, for the result.
+   A round's delta joins the runs at the commit step, so a read during the
+   round sees exactly the previous round's value.  A linear system, whose
+   variants read only deltas (the paper's ahead/above, right-linear tc),
+   builds no persistent union per round.
+
    Non-monotone systems (only reachable with positivity checking turned
    off, §3.3) are guarded by a convergence fuse: oscillation of period two
    — the behaviour of the paper's "nonsense" constructor — is detected and
@@ -129,9 +144,13 @@ type app = {
   base_env : Eval.env;
   shape : shape;
   novelty : Tuple_hset.t;
-      (* Diffable apps: every tuple of the full value plus the current
-         round's new ones, stamped with the table's round that last
-         emitted it (see [round]) *)
+      (* Diffable apps: every tuple of the value plus the current round's
+         new ones, stamped with the table's round that last emitted it
+         (see [round]) *)
+  mutable pending : Relation.Tuple_set.t list;
+      (* Diffable apps: the sorted deltas committed since [full] was last
+         merged, newest first; the value is [full] plus these runs *)
+  mutable pending_size : int; (* tuples in [pending] *)
 }
 
 (* Semi-naive shape of a definition body:
@@ -213,7 +232,9 @@ type state = {
   mutable apps : app KM.t;
   mutable order : Key.t list; (* registration order (stable iteration) *)
   mutable full : Relation.t KM.t;
-  mutable delta : Relation.t KM.t;
+      (* merged values: a Diffable application's value is its entry here
+         plus its pending runs (see [value]) *)
+  mutable delta : Relation.t KM.t; (* last round's deltas *)
   mutable initialized : KS.t; (* apps whose first full evaluation is done *)
   mutable discovered_this_round : bool;
   mutable saw_shrink : bool; (* a value shrank: non-monotone system *)
@@ -278,7 +299,17 @@ let register st env (def : Defs.constructor_def) base args =
       | Naive -> Opaque
       | Seminaive -> classify_body def.con_body
     in
-    let app = { key; def; base_env; shape; novelty = Tuple_hset.create () } in
+    let app =
+      {
+        key;
+        def;
+        base_env;
+        shape;
+        novelty = Tuple_hset.create ();
+        pending = [];
+        pending_size = 0;
+      }
+    in
     st.apps <- KM.add key app st.apps;
     st.order <- st.order @ [ key ];
     st.full <- KM.add key (Relation.empty def.con_result) st.full;
@@ -288,30 +319,82 @@ let register st env (def : Defs.constructor_def) base args =
     if Obs.on () then Obs.Gauge.add (Lazy.force g_apps) 1.;
     app
 
+(* Advance every distinct per-evaluation index cache reachable from the
+   registered applications.  The base environments usually all share the
+   caller's cache object (environment derivation copies the field), so
+   physical dedup keeps each index from being extended twice. *)
+let advance_caches st ~old_rel ~delta ~next =
+  let seen = ref [] in
+  KM.iter
+    (fun _ app ->
+      let c = app.base_env.Eval.icache in
+      if not (List.memq c !seen) then begin
+        seen := c :: !seen;
+        Index_cache.advance c ~old_rel ~delta ~next
+      end)
+    st.apps;
+  (* Worker caches advance too, or each parallel round after a merge
+     would rebuild the full-value indexes from scratch (a merged full
+     value is a fresh physical record).  Safe outside the caller's cache
+     transaction: the worker caches live and die with this [apply]. *)
+  Array.iter
+    (fun c -> Index_cache.advance c ~old_rel ~delta ~next)
+    st.worker_caches
+
+(* Union sorted runs pairwise, level by level: each tuple is copied
+   O(log runs) times, not once per run. *)
+let rec union_pairs = function
+  | a :: b :: rest -> Relation.Tuple_set.union a b :: union_pairs rest
+  | rest -> rest
+
+let rec union_runs = function
+  | [] -> Relation.Tuple_set.empty
+  | [ run ] -> run
+  | runs -> union_runs (union_pairs runs)
+
+(* An application's value as a relation.  A Diffable application's
+   pending runs are merged into [full] here: one union of the balanced
+   union of the runs, and one cache advance for the merged delta.  A
+   round's delta joins the runs only at its commit step, so a read during
+   the round sees exactly the previous round's value (Jacobi). *)
+let value st app =
+  let full = KM.find app.key st.full in
+  match app.pending with
+  | [] -> full
+  | runs ->
+    let delta =
+      Relation.of_set_unchecked app.def.con_result (union_runs runs)
+    in
+    let next = Relation.union full delta in
+    advance_caches st ~old_rel:full ~delta ~next;
+    app.pending <- [];
+    app.pending_size <- 0;
+    st.full <- KM.add app.key next st.full;
+    next
+
 (* Hooks installed while evaluating bodies: selector applications filter;
-   constructor applications resolve to the previous round's full value,
-   registering unseen keys at bottom. *)
+   constructor applications resolve to the previous round's value (merged
+   here if runs are pending), registering unseen keys at bottom. *)
 let engine_hooks st base_hooks =
   {
     base_hooks with
     Eval.on_select = (fun env base def args -> Selector.apply env def base args);
     Eval.on_construct =
       (fun env base def args ->
-        let app = register st env def base args in
-        KM.find app.key st.full);
+        value st (register st env def base args));
   }
 
 let with_engine_hooks st (env : Eval.env) =
   { env with Eval.hooks = engine_hooks st env.Eval.hooks }
 
-(* Resolve the key a Construct binder refers to, evaluating its base and
-   arguments under the engine (previous-round values). *)
-let key_of_construct st env = function
+(* Resolve the application a Construct binder refers to, evaluating its
+   base and arguments under the engine (previous-round values). *)
+let app_of_construct st env = function
   | Ast.Construct (base_range, c, args) ->
     let base = Eval.eval_range env base_range in
     let def = find_def st c in
     let arg_values = Eval.eval_args env args in
-    (register st env def base arg_values).key
+    register st env def base arg_values
   | r ->
     Eval.runtime_error "not a constructor application: %a" Ast.pp_range r
 
@@ -332,12 +415,13 @@ let eval_full st app =
       Eval.eval_comp ~schema:app.def.con_result env app.def.con_body)
 
 (* Main-domain half of one semi-naive variant: resolve the construct
-   binders' keys (this may [register] new applications — all state
-   mutation stays here), bind the non-delta occurrences to their full
-   values, and rewrite the branch so every construct binder ranges over a
-   synthetic [__fix_N] relation name.  The delta occurrence is left as a
-   named hole: the caller binds it to the whole delta (sequential) or to
-   one hash shard per domain (parallel). *)
+   binders' applications (this may [register] new ones and merge the
+   values read whole — all state mutation stays here), bind the
+   non-delta occurrences to their values, and rewrite the branch so
+   every construct binder ranges over a synthetic [__fix_N] relation
+   name.  The delta occurrence is left as a named hole: the caller binds
+   it to the whole delta (sequential) or to one hash shard per domain
+   (parallel). *)
 let prep_variant st app (rb : rec_branch) delta_pos =
   let env = ref (with_engine_hooks st app.base_env) in
   let counter = ref 0 in
@@ -346,11 +430,11 @@ let prep_variant st app (rb : rec_branch) delta_pos =
     List.mapi
       (fun i (v, r) ->
         if List.mem i rb.rb_construct_binders then begin
-          let key = key_of_construct st !env r in
+          let a = app_of_construct st !env r in
           let name = Fmt.str "__fix_%d" !counter in
           incr counter;
-          if i = delta_pos then hole := Some (name, KM.find key st.delta)
-          else env := Eval.bind_rel !env name (KM.find key st.full);
+          if i = delta_pos then hole := Some (name, KM.find a.key st.delta)
+          else env := Eval.bind_rel !env name (value st a);
           (v, Ast.Rel name)
         end
         else (v, r))
@@ -422,56 +506,59 @@ let eval_variant st app (rb : rec_branch) delta_pos visit =
         ~merge_ms:(Obs.now_ms () -. t_merge)
   end
 
-(* Advance every distinct per-evaluation index cache reachable from the
-   registered applications.  The base environments usually all share the
-   caller's cache object (environment derivation copies the field), so
-   physical dedup keeps each index from being extended twice. *)
-let advance_caches st ~old_rel ~delta ~next =
-  let seen = ref [] in
-  KM.iter
-    (fun _ app ->
-      let c = app.base_env.Eval.icache in
-      if not (List.memq c !seen) then begin
-        seen := c :: !seen;
-        Index_cache.advance c ~old_rel ~delta ~next
-      end)
-    st.apps;
-  (* Worker caches advance too, or each parallel round would rebuild the
-     full-value indexes from scratch (the new full value is a fresh
-     physical record every round).  Safe outside the caller's cache
-     transaction: the worker caches live and die with this [apply]. *)
-  Array.iter
-    (fun c -> Index_cache.advance c ~old_rel ~delta ~next)
-    st.worker_caches
+(* A round's update to one application, applied at the commit step. *)
+type update =
+  | Replace of Relation.t * Relation.t * bool
+      (* a naive evaluation: the new value, its delta over the old one,
+         and whether it grew (monotone) *)
+  | Extend of Relation.Tuple_set.t * int
+      (* a semi-naive round: the sorted new tuples and their number *)
 
 (* One Jacobi round over the applications registered at round start.
-   Evaluations read the previous round's [st.full]/[st.delta]; updates are
+   Evaluations read the previous round's values and deltas; updates are
    applied at the end (new registrations during the round keep their bottom
    entries and are evaluated from the next round on).  Returns whether any
    value changed. *)
 let round st =
   let changed = ref false in
   let round_delta = ref 0 in
+  let produced size =
+    if size > 0 then begin
+      st.stats.tuples_produced <- st.stats.tuples_produced + size;
+      round_delta := !round_delta + size
+    end
+  in
   let keys = st.order in
   let updates =
     List.map
       (fun key ->
         let app = KM.find key st.apps in
-        let full = KM.find key st.full in
+        (* Opaque and first evaluations: nothing is pending, so [full] is
+           the value. *)
         let naive () =
+          let full = KM.find key st.full in
           let v = eval_full st app in
           st.stats.tuples_derived <-
             st.stats.tuples_derived + Relation.cardinal v;
           let delta = Relation.diff v full in
-          (v, delta, Relation.cardinal delta)
+          let size = Relation.cardinal delta in
+          produced size;
+          (full, v, delta, size)
         in
-        let new_value, delta, size =
+        let update =
           match app.shape with
-          | Opaque -> naive ()
+          | Opaque ->
+            let full, v, delta, _ = naive () in
+            (* possibly non-monotone: watch for shrinking values *)
+            let grew = Relation.subset full v in
+            if not grew then st.saw_shrink <- true;
+            if not (Relation.equal v full) then changed := true;
+            Replace (v, delta, grew)
           | Diffable _ when not (KS.mem key st.initialized) ->
-            let ((v, _, _) as step) = naive () in
+            let _, v, delta, size = naive () in
             Relation.iter (fun t -> ignore (Tuple_hset.add app.novelty t)) v;
-            step
+            if size > 0 then changed := true;
+            Replace (v, delta, true)
           | Diffable recursive_branches ->
             (* One novelty-table probe per emitted tuple: a repeat within
                the round is dropped, a rediscovery counts as derived, and
@@ -497,48 +584,54 @@ let round st =
                   rb.rb_construct_binders)
               recursive_branches;
             st.stats.tuples_derived <- st.stats.tuples_derived + !derived;
-            let delta =
-              Relation.of_set_unchecked schema
-                (Relation.Tuple_set.of_list !news)
-            in
-            (Relation.union full delta, delta, !size)
+            produced !size;
+            if !size > 0 then changed := true;
+            Extend (Relation.Tuple_set.of_list !news, !size)
         in
-        let monotone =
-          match app.shape with
-          | Opaque ->
-            (* possibly non-monotone: watch for shrinking values *)
-            let grew = Relation.subset full new_value in
-            if not grew then st.saw_shrink <- true;
-            if not (Relation.equal new_value full) then changed := true;
-            grew
-          | Diffable _ ->
-            if size > 0 then changed := true;
-            true
-        in
-        st.stats.tuples_produced <- st.stats.tuples_produced + size;
-        round_delta := !round_delta + size;
-        (key, new_value, delta, monotone))
+        (app, update))
       keys
   in
   List.iter
-    (fun (key, v, d, monotone) ->
+    (fun (app, update) ->
       if !Guard.Failpoint.armed then
         Guard.Failpoint.hit ~guard:st.guard "fixpoint.commit";
-      (* Delta-advance the cached access paths before the old full value
-         becomes unreachable: every index built on it is extended with the
-         round's delta and re-keyed to the new value, so next round's
-         evaluations hit warm indexes.  Sound only for monotone updates
-         (v = old ∪ d); shrinking Opaque values just fall out of the
-         cache and are rebuilt. *)
-      (if monotone then
-         let old_rel = KM.find key st.full in
-         advance_caches st ~old_rel ~delta:d ~next:v);
+      let key = app.key in
+      let delta =
+        match update with
+        | Replace (v, d, monotone) ->
+          (* Delta-advance the cached access paths before the old value
+             becomes unreachable: every index built on it is extended with
+             the round's delta and re-keyed to the new value, so next
+             round's evaluations hit warm indexes.  Sound only for
+             monotone updates (v = old ∪ d); shrinking Opaque values just
+             fall out of the cache and are rebuilt. *)
+          if monotone then
+            advance_caches st ~old_rel:(KM.find key st.full) ~delta:d ~next:v;
+          st.full <- KM.add key v st.full;
+          d
+        | Extend (news, size) ->
+          (* The delta joins the pending runs; [full] is merged only when
+             read ([value]) or once the pending tuples reach the merged
+             value's size (the table holds both), which bounds the merges
+             at O(log n) and what they copy at O(n log n). *)
+          if size > 0 then begin
+            app.pending <- news :: app.pending;
+            app.pending_size <- app.pending_size + size;
+            if 2 * app.pending_size >= Tuple_hset.count app.novelty then
+              ignore (value st app)
+          end;
+          Relation.of_set_unchecked app.def.con_result news
+      in
       st.initialized <- KS.add key st.initialized;
-      st.full <- KM.add key v st.full;
-      st.delta <- KM.add key d st.delta)
+      st.delta <- KM.add key delta st.delta)
     updates;
   st.stats.round_deltas <- !round_delta :: st.stats.round_deltas;
   !changed
+
+(* Every application's value, every pending run merged. *)
+let values st =
+  KM.iter (fun _ app -> ignore (value st app)) st.apps;
+  st.full
 
 (* Run to convergence from the current state. *)
 let run st root_key =
@@ -550,7 +643,10 @@ let run st root_key =
       divergence "no fixpoint after %d rounds (max_rounds exceeded)"
         st.max_rounds;
     Guard.round st.guard ~site:"fixpoint.round";
-    let before = st.full in
+    (* A value captured before the first shrink may lack pending runs; it
+       can only be smaller, so that delays a detection by a round, never
+       fakes one. *)
+    let before = if st.saw_shrink then values st else st.full in
     st.discovered_this_round <- false;
     let observing = Obs.on () in
     let timed = observing || st.timed in
@@ -573,7 +669,7 @@ let run st root_key =
     if changed || st.discovered_this_round then begin
       if st.saw_shrink then begin
         (match !prev2 with
-        | Some older when KM.equal Relation.equal older st.full ->
+        | Some older when KM.equal Relation.equal older (values st) ->
           divergence
             "constructor system oscillates with period 2 (non-monotone \
              definition, cf. the 'nonsense' example of paper 3.3)"
@@ -584,6 +680,19 @@ let run st root_key =
     end
   in
   loop ();
+  (* Converged.  The novelty tables are done: give their slots back before
+     the final merge builds the result.  Only the root's value is read,
+     plus any value whose key is not the whole tuple, so its merge still
+     checks the key constraint. *)
+  KM.iter (fun _ app -> Tuple_hset.release app.novelty) st.apps;
+  Array.iter Tuple_hset.release st.seen;
+  KM.iter
+    (fun key app ->
+      if
+        Key.compare key root_key = 0
+        || not (Schema.key_is_whole_tuple app.def.con_result)
+      then ignore (value st app))
+    st.apps;
   KM.find root_key st.full
 
 (* ------------------------------------------------------------------ *)

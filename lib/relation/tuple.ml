@@ -54,32 +54,35 @@ let make2 a b = make [| a; b |]
 
 let make3 a b c = make [| a; b; c |]
 
+(* The element loops are top-level functions, not local closures over
+   the cell arrays: [compare] runs on every [Tuple_set] operation and
+   [equal] on every hash probe, and a closure would allocate per call. *)
+let rec compare_from xa xb la i =
+  if i >= la then 0
+  else
+    let c = Value.compare (Array.unsafe_get xa i) (Array.unsafe_get xb i) in
+    if c <> 0 then c else compare_from xa xb la (i + 1)
+
 let compare a b =
   if a == b then 0
   else
     let xa = a.cells and xb = b.cells in
-    let la = Array.length xa and lb = Array.length xb in
-    let c = Int.compare la lb in
-    if c <> 0 then c
-    else
-      let rec loop i =
-        if i >= la then 0
-        else
-          let c = Value.compare xa.(i) xb.(i) in
-          if c <> 0 then c else loop (i + 1)
-      in
-      loop 0
+    let la = Array.length xa in
+    let c = Int.compare la (Array.length xb) in
+    if c <> 0 then c else compare_from xa xb la 0
+
+let rec equal_from xa xb la i =
+  i >= la
+  || Value.equal (Array.unsafe_get xa i) (Array.unsafe_get xb i)
+     && equal_from xa xb la (i + 1)
 
 let equal a b =
   a == b
-  || ((a.h < 0 || b.h < 0 || a.h = b.h)
+  || (a.h < 0 || b.h < 0 || a.h = b.h)
      &&
      let xa = a.cells and xb = b.cells in
      let la = Array.length xa in
-     la = Array.length xb
-     &&
-     let rec loop i = i >= la || (Value.equal xa.(i) xb.(i) && loop (i + 1)) in
-     loop 0)
+     la = Array.length xb && equal_from xa xb la 0
 
 let project t positions =
   match positions with
@@ -103,17 +106,14 @@ let project_arr t positions =
     make cells
   end
 
+let rec typed_from cells tys i =
+  i >= Array.length tys
+  || Value.type_of (Array.unsafe_get cells i) = Array.unsafe_get tys i
+     && typed_from cells tys (i + 1)
+
 let well_typed schema t =
   let tys = Schema.attr_types_array schema in
-  let cells = t.cells in
-  Array.length cells = Array.length tys
-  &&
-  let rec loop i =
-    i >= Array.length tys
-    || (Value.type_of (Array.unsafe_get cells i) = Array.unsafe_get tys i
-       && loop (i + 1))
-  in
-  loop 0
+  Array.length t.cells = Array.length tys && typed_from t.cells tys 0
 
 (* Typing plus the §2.1 domain refinements — the full generated check. *)
 let in_domain schema t =

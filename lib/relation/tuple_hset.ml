@@ -45,14 +45,19 @@ let create () =
     round = 1;
   }
 
-(* First slot holding [t] or empty, starting at [t]'s home slot. *)
+let count s = s.count
+
+(* First slot holding [t] or empty, starting at slot [i].  A top-level
+   loop rather than a closure over [slots] and [t], so a probe allocates
+   nothing. *)
+let rec probe slots mask t i =
+  let u = Array.unsafe_get slots i in
+  if u == empty_slot || Tuple.equal u t then i
+  else probe slots mask t ((i + 1) land mask)
+
 let find_slot slots t =
   let mask = Array.length slots - 1 in
-  let rec probe i =
-    let u = Array.unsafe_get slots i in
-    if u == empty_slot || Tuple.equal u t then i else probe ((i + 1) land mask)
-  in
-  probe (Tuple.hash t land mask)
+  probe slots mask t (Tuple.hash t land mask)
 
 let grow s =
   let old = s.slots and old_stamps = s.stamps in
@@ -112,3 +117,8 @@ let clear s =
     Array.fill s.slots 0 (Array.length s.slots) empty_slot;
     s.count <- 0
   end
+
+let release s =
+  s.slots <- Array.make 16 empty_slot;
+  s.stamps <- Bytes.make 16 '\000';
+  s.count <- 0

@@ -24,6 +24,9 @@ val add : t -> Tuple.t -> bool
 
 val mem : t -> Tuple.t -> bool
 
+val count : t -> int
+(** The number of tuples in the set. *)
+
 type visit =
   | Repeat  (** present and already visited this round *)
   | Known  (** present, first visited this round (now stamped) *)
@@ -38,3 +41,8 @@ val next_round : t -> unit
 
 val clear : t -> unit
 (** Empty the set, keeping its capacity and its round. *)
+
+val release : t -> unit
+(** Empty the set and give its slot array back to the GC: a 16-slot set
+    remains, as from {!create}.  For a table that is done before its
+    owner is, such as a converged fixpoint's novelty tables. *)

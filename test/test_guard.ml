@@ -355,6 +355,47 @@ let test_atomic_abort_failpoints () =
         all_sites)
     linearities
 
+(* A Diffable application's value is merged when something reads it, or
+   at a round's commit once its pending deltas reach the merged value's
+   size (the size rule), which advances the cached indexes on it in
+   place.  The non-linear tc on a cycle of 8 doubles every round (8, 16,
+   32, 64 tuples), so every commit from round 2 on merges by the size
+   rule, extending the index that the next round's full occurrence
+   probes.  A trip at a later commit, or at one of the last rows of the
+   run, must roll those advances back. *)
+let test_atomic_abort_after_size_merge () =
+  with_failpoints @@ fun () ->
+  let db = Database.create () in
+  Database.declare db "Edge" edge_schema;
+  Database.set db "Edge"
+    (Relation.of_list edge_schema
+       (List.init 8 (fun i ->
+            pair (Fmt.str "n%d" i) (Fmt.str "n%d" ((i + 1) mod 8)))));
+  Database.define_constructor db (Constructor.transitive_closure ~linear:`Non ());
+  let env = Database.eval_env db in
+  let expected = Eval.eval_range env tc_range in
+  Alcotest.check Alcotest.int "every pair is reachable" 64
+    (Relation.cardinal expected);
+  (* the rows a warm run emits: the schedule's remaining count tells *)
+  Guard.Failpoint.arm "exec.row" max_int;
+  ignore (Eval.eval_range env tc_range);
+  let rows = max_int - List.assoc "exec.row" (Guard.Failpoint.pending ()) in
+  List.iter
+    (fun (site, hits) ->
+      Guard.Failpoint.reset ();
+      Guard.Failpoint.arm site hits;
+      check_atomic
+        (Fmt.str "non tc on a cycle, failpoint %s=%d" site hits)
+        db env ~linear:`Non ~expected
+        (fun () -> Eval.eval_range env tc_range))
+    [
+      ("fixpoint.commit", 3);
+      ("fixpoint.commit", 4);
+      ("fixpoint.commit", 5);
+      ("exec.row", rows - 20);
+      ("exec.row", rows);
+    ]
+
 let test_atomic_abort_limits () =
   List.iter
     (fun (lin, linear) ->
@@ -475,5 +516,7 @@ let () =
         Alcotest.test_case "failpoint aborts" `Quick
           test_atomic_abort_failpoints
         :: Alcotest.test_case "limit aborts" `Quick test_atomic_abort_limits
+        :: Alcotest.test_case "aborts after a size-rule merge" `Quick
+             test_atomic_abort_after_size_merge
         :: qcheck [ prop_atomic_abort; prop_limit_abort_atomic ] );
     ]

@@ -12,7 +12,9 @@
    - [Relation.lookup_prefix] (a range scan of the ordered set) and
      [Extent.of_relation]'s keyed lookups must return what a hash index
      and a [Relation.filter] return, for present, absent, below-all and
-     above-all keys, and a key on the leading columns must build no index.
+     above-all keys, and a key on the leading columns must build no index;
+   - the per-tuple helpers on the fixpoint's hot path ([Tuple.compare],
+     [Tuple.equal], [Tuple_hset.visit]/[mem]/[add]) allocate nothing.
 
    Each generator is driven by a fixed-seed [Random.State], so failures
    reproduce. *)
@@ -419,6 +421,40 @@ let test_lookup_prefix_shapes () =
   Alcotest.check Alcotest.int "a non-prefix key indexes" 1
     (Index_cache.length cache)
 
+(* Minor-heap words allocated by [n] calls of [f]. *)
+let minor_words_of n f =
+  let w0 = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  Gc.minor_words () -. w0
+
+let test_zero_allocation () =
+  let cells i = [ Value.Int i; Value.str "n7"; Value.Int (i * 3) ] in
+  (* Equal tuples in distinct blocks, so compare and equal walk every
+     cell; [b] has its hash cached and [a] does not. *)
+  let a = Tuple.of_list (cells 5) and b = Tuple.of_list (cells 5) in
+  ignore (Tuple.hash b);
+  let c = Tuple.of_list (cells 6) in
+  let set = Tuple_hset.create () in
+  for i = 0 to 999 do
+    ignore (Tuple_hset.add set (Tuple.of_list (cells i)))
+  done;
+  let absent = Tuple.of_list (cells 5000) in
+  let check name f =
+    Alcotest.check (Alcotest.float 0.) (name ^ ": minor words") 0.
+      (minor_words_of 10_000 f)
+  in
+  check "Tuple.compare equal" (fun () -> ignore (Tuple.compare a b));
+  check "Tuple.compare unequal" (fun () -> ignore (Tuple.compare a c));
+  check "Tuple.equal distinct blocks" (fun () -> ignore (Tuple.equal a b));
+  check "Tuple_hset.visit" (fun () -> ignore (Tuple_hset.visit set a));
+  check "Tuple_hset.mem" (fun () ->
+      ignore (Tuple_hset.mem set b);
+      ignore (Tuple_hset.mem set absent));
+  check "Tuple_hset.add present" (fun () -> ignore (Tuple_hset.add set b));
+  Alcotest.check Alcotest.int "no tuple added" 1000 (Tuple_hset.count set)
+
 let () =
   Alcotest.run "kernel"
     [
@@ -438,6 +474,8 @@ let () =
             test_lookup_prefix_oracle;
           Alcotest.test_case "lookup_prefix shapes and cache" `Quick
             test_lookup_prefix_shapes;
+          Alcotest.test_case "tuple helpers allocate nothing" `Quick
+            test_zero_allocation;
         ] );
       ("qcheck", [ QCheck_alcotest.to_alcotest prop_lookup_prefix ]);
     ]
