@@ -13,7 +13,9 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Seconds-long sanity pass: the two cheapest recursive experiments.
+# Seconds-long sanity pass: the two cheapest recursive experiments and
+# planned_closure_256 (a QUERY's plan against the interpreter on the
+# 256-chain; exits 1 if their answers differ).
 bench-smoke:
 	dune exec bench/main.exe -- smoke
 
@@ -45,6 +47,7 @@ examples:
 	dune exec bin/dbpl.exe -- run examples/cad_scene.dbpl
 	dune exec bin/dbpl.exe -- run examples/same_generation.dbpl
 	dune exec bin/dbpl.exe -- run examples/paper_walkthrough.dbpl
+	dune exec bin/dbpl.exe -- run examples/closure_chain.dbpl
 
 doc:
 	dune build @doc

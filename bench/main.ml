@@ -102,6 +102,32 @@ let tc_program =
 let edb_of edges =
   Dc_datalog.Facts.of_relation "edge" edges (Dc_datalog.Facts.empty ())
 
+(* {EACH r IN Edge{tc()}: r.src = <value>} *)
+let tc_point value =
+  Ast.(
+    Comp
+      [ branch [ ("r", tc_query) ] ~where:(eq (field "r" "src") (str value)) ])
+
+(* The capture rule on tc as [db] defines it: magic sets over its Horn
+   translation, bound on src, with no planner in between (the planner
+   would pick the closure's orientation for the binding itself). *)
+let magic_tc db value =
+  let catalog = Database.typecheck_env db in
+  let def = Option.get (Database.constructor db "tc") in
+  let program, query, compiled =
+    Dc_compile.Pushdown.magic_query
+      ~ctx:(Dc_datalog.Translate.context catalog)
+      ~schema:def.con_result tc_query
+      [ ("src", Ast.str value) ]
+  in
+  Dc_compile.Pushdown.run_magic ~guard:Dc_guard.Guard.none
+    ~stats:(Dc_datalog.Seminaive.fresh_stats ())
+    ~edb:
+      (Dc_datalog.Translate.edb
+         (fun n -> Some (Database.get db n))
+         program)
+    ~schema:def.con_result compiled query
+
 (* ------------------------------------------------------------------ *)
 (* F3: augmented quant graph and plan for the paper's Fig 3 query *)
 
@@ -327,15 +353,7 @@ let exp_e3 () =
 (* E4: constraint propagation into recursive definitions *)
 
 let exp_e4 () =
-  let restricted =
-    Ast.(
-      Comp
-        [
-          branch
-            [ ("r", Construct (Rel "Edge", "tc", [])) ]
-            ~where:(eq (field "r" "src") (str "n1"));
-        ])
-  in
+  let restricted = tc_point "n1" in
   let rows =
     List.map
       (fun n ->
@@ -349,18 +367,7 @@ let exp_e4 () =
            the right-linear one — the orientation condition of [Naqv 84] *)
         let magic linear =
           let db = tc_db ~linear edges in
-          let decision =
-            Dc_compile.Planner.plan (Database.typecheck_env db) restricted
-          in
-          (match decision.Dc_compile.Planner.d_method with
-          | Dc_compile.Planner.Magic _ -> ()
-          | m ->
-            Fmt.failwith "expected the magic method, got %s"
-              (Dc_compile.Planner.method_name m));
-          let pushed, pushed_ms =
-            time (fun () ->
-                Dc_compile.Planner.execute (Database.eval_env db) decision)
-          in
+          let pushed, pushed_ms = time (fun () -> magic_tc db "n1") in
           assert (Relation.equal full pushed);
           pushed_ms
         in
@@ -920,15 +927,7 @@ let bechamel_tests () =
   let two_chains = Graph_gen.two_chains 48 in
   let infront, ontop = Graph_gen.scene ~depth:12 ~stack:2 in
   let random = Graph_gen.random_graph ~seed:7 ~nodes:40 ~edges:70 in
-  let restricted =
-    Ast.(
-      Comp
-        [
-          branch
-            [ ("r", Construct (Rel "Edge", "tc", [])) ]
-            ~where:(eq (field "r" "src") (str "n1"));
-        ])
-  in
+  let restricted = tc_point "n1" in
   let sel =
     {
       Defs.sel_name = "from";
@@ -960,9 +959,7 @@ let bechamel_tests () =
              Database.query (tc_db two_chains) restricted));
       Test.make ~name:"e4-magic-left-linear (two chains 48)"
         (Staged.stage (fun () ->
-             let db = tc_db ~linear:`Left two_chains in
-             Dc_compile.Planner.execute (Database.eval_env db)
-               (Dc_compile.Planner.plan (Database.typecheck_env db) restricted)));
+             magic_tc (tc_db ~linear:`Left two_chains) "n1"));
       Test.make ~name:"e5-mutual-ahead-above (scene 12x2)"
         (Staged.stage (fun () ->
              let db = Database.create () in
@@ -1152,20 +1149,7 @@ let scene_cell depth () =
 (* magic-sets capture rule on the left-linear rule (Datalog path) *)
 let magic_cell n () =
   let db = tc_db ~linear:`Left (Graph_gen.two_chains n) in
-  let restricted =
-    Ast.(
-      Comp
-        [
-          branch
-            [ ("r", Construct (Rel "Edge", "tc", [])) ]
-            ~where:(eq (field "r" "src") (str "n1"));
-        ])
-  in
-  let r =
-    Dc_compile.Planner.execute (Database.eval_env db)
-      (Dc_compile.Planner.plan (Database.typecheck_env db) restricted)
-  in
-  (0, Relation.cardinal r, None)
+  (0, Relation.cardinal (magic_tc db "n1"), None)
 
 let json_experiments ?(only = []) () =
   let cells =
@@ -1210,11 +1194,101 @@ let print_records records =
         r.jr_derived)
     records
 
-(* The two cheapest recursive experiments — a seconds-long sanity pass
-   (`make bench-smoke`) confirming the harness and the kernel still run. *)
+(* ------------------------------------------------------------------ *)
+(* Planned against direct: what a QUERY's plan buys on the 256-chain.
+   The closure recogniser rewrites the non-linear [tcn] right-linear
+   (planned, against the interpreter's non-linear fixpoint and against
+   the right-linear [tc] it should now cost about as much as), and runs
+   the point closure {EACH r IN Edge{tc()}: r.src = "n0"} left-linear
+   under the capture rule (against the interpreter's full closure then
+   filter).  Planning is timed with the run, as a QUERY pays it.  E3 and
+   E4 keep calling their engines directly. *)
+
+type planned_record = {
+  pl_name : string;
+  pl_method : string;
+  pl_planned : summary;
+  pl_direct : summary;
+  pl_reference : (string * summary) option;
+      (* another direct query the planned one is compared with *)
+}
+
+let planned_records () =
+  let db = tc_db (Graph_gen.chain 256) in
+  Database.define_constructor db
+    (Constructor.transitive_closure ~name:"tcn" ~linear:`Non ());
+  let tcn = Ast.(Construct (Rel "Edge", "tcn", [])) in
+  let point = tc_point "n0" in
+  let decide q = Dc_compile.Planner.plan (Database.typecheck_env db) q in
+  let planned q () =
+    time (fun () ->
+        Dc_compile.Planner.execute (Database.eval_env db) (decide q))
+  in
+  let direct q () = time (fun () -> Database.query db q) in
+  match
+    interleaved
+      [ planned tcn; direct tcn; direct tc_query; planned point; direct point ]
+  with
+  | [ (tcn_p, tcn_pw); (tcn_d, tcn_dw); (_, tc_dw); (pt_p, pt_pw); (pt_d, pt_dw) ]
+    ->
+    List.iter
+      (fun (what, planned, direct) ->
+        if not (Relation.equal planned direct) then begin
+          Fmt.epr "planned_closure_256: %s planned (%d rows) <> direct (%d rows)@."
+            what (Relation.cardinal planned) (Relation.cardinal direct);
+          exit 1
+        end)
+      [ ("tcn", tcn_p, tcn_d); ("point tc", pt_p, pt_d) ];
+    let method_of q = Dc_compile.Planner.method_name (decide q).d_method in
+    [
+      {
+        pl_name = "planned_closure_256_tcn";
+        pl_method = method_of tcn;
+        pl_planned = tcn_pw;
+        pl_direct = tcn_dw;
+        pl_reference = Some ("tc", tc_dw);
+      };
+      {
+        pl_name = "planned_closure_256_point";
+        pl_method = method_of point;
+        pl_planned = pt_pw;
+        pl_direct = pt_dw;
+        pl_reference = None;
+      };
+    ]
+  | _ -> assert false
+
+let planned_json r =
+  Json.Obj
+    ([ ("name", Json.Str r.pl_name); ("method", Json.Str r.pl_method) ]
+    @ summary_fields "planned_" r.pl_planned
+    @ summary_fields "direct_" r.pl_direct
+    @
+    match r.pl_reference with
+    | Some (name, s) -> summary_fields (name ^ "_direct_") s
+    | None -> [])
+
+let print_planned records =
+  List.iter
+    (fun r ->
+      Fmt.pr "%-26s planned (%s) %a, direct %a: %.1fx%a@." r.pl_name r.pl_method
+        pp_summary r.pl_planned pp_summary r.pl_direct
+        (r.pl_direct.median_ms /. max 0.001 r.pl_planned.median_ms)
+        Fmt.(
+          option (fun ppf (name, s) ->
+              pf ppf "; %s direct %a, planned/%s %.2f" name pp_summary s name
+                (r.pl_planned.median_ms /. max 0.001 s.median_ms)))
+        r.pl_reference)
+    records
+
+(* The two cheapest recursive experiments and the planned closure cell —
+   a seconds-long sanity pass (`make bench-smoke`) confirming the
+   harness, the kernel and the planner still run; exits 1 if a planned
+   answer differs from the direct one. *)
 let run_smoke () =
   print_records
-    (json_experiments ~only:[ "e5_mutual_scene_64"; "e4_magic_left_256" ] ())
+    (json_experiments ~only:[ "e5_mutual_scene_64"; "e4_magic_left_256" ] ());
+  print_planned (planned_records ())
 
 (* ------------------------------------------------------------------ *)
 (* Overhead gates: interleaved A/B of the same workloads with an
@@ -1829,9 +1903,9 @@ let run_parallel () = print_parallel (par_records ())
 (* Served point reads: the statement cache.  servebench's point_reads
    statement (a two-hop point query) over its DAG (8 chains of 32 nodes
    with shortcuts, 384 edges), read by one server session in process:
-   [uncached] makes the layer calls every read made before the cache
-   (parse, lower against the snapshot, typecheck and evaluate on the pool
-   domain), [cache_hit] is [Server.query_string] with the statement's
+   [uncached] makes the layer calls every read would make with no cache
+   (parse, lower against the snapshot, plan, and run the decision on the
+   pool domain), [cache_hit] is [Server.query_string] with the statement's
    shape cached.  Keys cycle through every node, so the literal varies
    from read to read.  Each sample times [serve_reads] reads; minor words
    are counted over the same reads. *)
@@ -1876,7 +1950,10 @@ let serve_records () =
         Dc_lang.Elaborate.with_snapshot env snap (fun () ->
             Dc_lang.Elaborate.lower_query env r)
       in
-      Dc_par.Par.run (fun () -> (Snapshot.query snap range, Snapshot.version snap))
+      Dc_par.Par.run (fun () ->
+          ( Dc_compile.Planner.execute (Snapshot.eval_env snap)
+              (Dc_compile.Planner.plan (Snapshot.typecheck_env snap) range),
+            Snapshot.version snap ))
     | _ -> assert false
   in
   let cell read () =
@@ -1999,6 +2076,7 @@ let run_json path =
   Dc_obs.Obs.reset ();
   Dc_obs.Obs.set_enabled true;
   let records = json_experiments () in
+  let planned = planned_records () in
   let metrics = Json.of_string (Dc_obs.Obs.to_json ()) in
   Dc_obs.Obs.set_enabled false;
   let overhead = obs_overhead_records () in
@@ -2012,6 +2090,7 @@ let run_json path =
     [
       ("samples", count samples);
       ("experiments", Json.Arr (List.map experiment_json records));
+      ("planned_closure_256", Json.Arr (List.map planned_json planned));
       ("obs_overhead", obs_overhead_json overhead);
       ("ivm", Json.Arr (List.map view_json ivm @ [ toggle_json toggle ]));
       ( "aggregates",
@@ -2031,6 +2110,7 @@ let run_json path =
       ("metrics", metrics);
     ];
   print_records records;
+  print_planned planned;
   print_obs_overhead overhead;
   print_ivm ivm;
   print_toggle toggle;

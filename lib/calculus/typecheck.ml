@@ -19,9 +19,11 @@ type env = {
   selector_of : string -> Defs.selector_def option;
   constructor_of : string -> Defs.constructor_def option;
   scalar_params : (string * Value.ty) list;
+  views : Ast.range list;
 }
 
-let env ?(selectors = []) ?(constructors = []) ?(scalar_params = []) rels =
+let env ?(selectors = []) ?(constructors = []) ?(scalar_params = [])
+    ?(views = []) rels =
   {
     schema_of_rel = (fun n -> List.assoc_opt n rels);
     selector_of =
@@ -33,6 +35,7 @@ let env ?(selectors = []) ?(constructors = []) ?(scalar_params = []) rels =
           (fun (c : Defs.constructor_def) -> c.con_name = n)
           constructors);
     scalar_params;
+    views;
   }
 
 let with_rel env name schema =

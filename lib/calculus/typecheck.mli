@@ -17,12 +17,16 @@ type env = {
   selector_of : string -> Defs.selector_def option;
   constructor_of : string -> Defs.constructor_def option;
   scalar_params : (string * Value.ty) list;
+  views : Ast.range list;
+      (** the applications [Base{c(args)}] that registered maintained
+          views answer: the planner leaves them to their views *)
 }
 
 val env :
   ?selectors:Defs.selector_def list ->
   ?constructors:Defs.constructor_def list ->
   ?scalar_params:(string * Value.ty) list ->
+  ?views:Ast.range list ->
   (string * Schema.t) list ->
   env
 (** Build an environment from association lists. *)

@@ -9,7 +9,15 @@
    3. cyclic subgraphs get a fixpoint plan; when the query restricts the
       constructed relation by constants, the capture-rule path (magic
       sets over the translated Horn program) propagates the constants into
-      the fixpoint.
+      the fixpoint;
+   4. a recursive application whose constructor {!Closure} proves to be
+      the closure of its exit branch by self-composition runs in the
+      linear form its binding needs: left-linear under magic sets when
+      the first column is bound, right-linear when the second is or when
+      nothing is bound and the body is non-linear.
+
+   An application a registered maintained view answers keeps the direct
+   method, so the view answers it.
 
    A decision reads only the catalog, through a {!Typecheck.env} that
    both {!Dc_core.Database.typecheck_env} and
@@ -23,12 +31,17 @@ type method_ =
   | Direct (* evaluate as written: LFP of the application system *)
   | Decompiled of Ast.range (* inlined as a view (acyclic) *)
   | Pushed of Ast.range (* restriction distributed over branches *)
+  | Linearized of Defs.constructor_def
+      (* the application's closure rewritten right-linear, same name *)
   | Magic of {
       program : Dc_datalog.Syntax.program;
       query : Dc_datalog.Syntax.atom;
+      compiled : Dc_datalog.Magic.compiled;
+      seeds : (int * string) list; (* query positions parameters bind *)
       schema : Schema.t;
       residual : Ast.formula; (* conjuncts magic could not absorb *)
       var : Ast.var;
+      linearized : Defs.constructor_def option;
     }
 
 type decision = {
@@ -44,12 +57,127 @@ let method_name = function
   | Direct -> "direct fixpoint"
   | Decompiled _ -> "decompiled view"
   | Pushed _ -> "pushed restriction"
+  | Linearized _ -> "linearized closure"
   | Magic _ -> "magic (capture rule)"
 
 let note notes fmt = Fmt.kstr (fun s -> notes := s :: !notes) fmt
 
 (* ------------------------------------------------------------------ *)
 (* Query-compilation level *)
+
+(* Does a registered maintained view answer [app]?  Same constructor,
+   base and arguments, a prepared form's parameter matching any scalar. *)
+let served (catalog : Typecheck.env) (app : Vars.app) =
+  List.exists
+    (function
+      | Ast.Construct (base, c, args) ->
+        String.equal c app.app_con && base = app.app_base
+        && List.length args = List.length app.app_args
+        && List.for_all2
+             (fun view arg ->
+               match arg with
+               | Ast.Arg_scalar (Ast.Param _) -> true
+               | _ -> view = arg)
+             args app.app_args
+      | _ -> false)
+    catalog.views
+
+(* [lookup] with the constructor named like [def] resolved to [def]. *)
+let resolving (def : Defs.constructor_def) lookup n =
+  if String.equal n def.con_name then Some def else lookup n
+
+(* The capture rule for an application [app] of [def] restricted by
+   [bindings]: translate it (its constructor resolved to [linearized]
+   when given) and compile it for the bindings' pattern. *)
+let magic (catalog : Typecheck.env) notes v app (def : Defs.constructor_def)
+    ?linearized bindings residual =
+  let catalog =
+    match linearized with
+    | None -> catalog
+    | Some l ->
+      { catalog with constructor_of = resolving l catalog.constructor_of }
+  in
+  match
+    Pushdown.magic_query
+      ~ctx:(Dc_datalog.Translate.context catalog)
+      ~schema:def.con_result app bindings
+  with
+  | program, query, compiled ->
+    note notes
+      "recursive cycle through %s with %d constant binding(s): capture rule \
+       (magic sets)"
+      def.con_name (List.length bindings);
+    Magic
+      {
+        program;
+        query;
+        compiled;
+        seeds =
+          List.concat
+            (List.mapi
+               (fun i attr ->
+                 match List.assoc_opt attr bindings with
+                 | Some (Ast.Param p) -> [ (i, p) ]
+                 | _ -> [])
+               (Schema.attr_names def.con_result));
+        schema = def.con_result;
+        residual = Ast.conj_list residual;
+        var = v;
+        linearized;
+      }
+  | exception
+      (Dc_datalog.Translate.Unsupported msg | Dc_datalog.Magic.Unsupported msg)
+    ->
+    note notes "translation unsupported (%s): direct fixpoint" msg;
+    Direct
+
+(* A recursive application [app] of [def], restricted by [bindings] and
+   the [residual] conjuncts: a closure runs in the linear form its
+   binding needs, anything else as before — the capture rule when
+   something is bound, the direct fixpoint otherwise. *)
+let recursive_application catalog notes v app (def : Defs.constructor_def)
+    bindings residual =
+  let c = def.con_name and result = def.con_result in
+  let as_written () =
+    if bindings = [] then begin
+      note notes "recursive application without constant restriction: fixpoint";
+      Direct
+    end
+    else if not (Schema.key_is_whole_tuple result) then begin
+      (* magic sets build part of the extent; the key check needs all *)
+      note notes "result key of %s is partial: direct fixpoint" c;
+      Direct
+    end
+    else magic catalog notes v app def bindings residual
+  in
+  match Closure.recognise def with
+  | Not_candidate -> as_written ()
+  | Declined why ->
+    note notes "closure recogniser declined %s: %s" c why;
+    as_written ()
+  | Closure closure -> (
+    let bound i = List.mem_assoc (Schema.attr_name result i) bindings in
+    let linearize shape =
+      let rewritten = Closure.orient closure shape in
+      note notes "%s is the closure of its exit branch: %s form%s" c
+        (Closure.shape_name shape)
+        (if rewritten = None then ", as written" else "");
+      rewritten
+    in
+    let magic_in shape =
+      let linearized = linearize shape in
+      magic catalog notes v app def ?linearized bindings residual
+    in
+    if bound 0 then magic_in Closure.Left
+    else if bound 1 then magic_in Closure.Right
+    else if Closure.linear closure then begin
+      note notes "%s is a linear closure, nothing bound: fixpoint" c;
+      Direct
+    end
+    else
+      match linearize Closure.Right with
+      | Some def -> Linearized def
+      | None -> Direct)
 
 (* The evaluation method, from the dependency graph of the constructors
    the query reaches. *)
@@ -63,11 +191,12 @@ let choose (catalog : Typecheck.env) notes (query : Ast.range) recursive =
       | Some d -> closure ((c, d) :: acc) (Positivity.dependencies d @ rest)
       | None -> closure acc rest)
   in
-  let dep =
+  let reached =
     Vars.apps_of_range query
     |> List.map (fun (a : Vars.app) -> a.app_con)
-    |> closure [] |> List.map snd |> Depgraph.build
+    |> closure [] |> List.map snd
   in
+  let dep = Depgraph.build reached in
   let schema_of_range r = Typecheck.infer_range catalog [] r in
   let decompile () =
     Decompiled
@@ -75,6 +204,20 @@ let choose (catalog : Typecheck.env) notes (query : Ast.range) recursive =
          ~selector_of:catalog.selector_of ~constructor_of
          ~is_recursive:(Depgraph.is_recursive dep) query)
   in
+  match
+    ( List.find_opt (served catalog) (Vars.apps_of_range query),
+      List.find_opt (fun (d : Defs.constructor_def) -> d.con_agg <> None) reached )
+  with
+  | Some app, _ ->
+    note notes "%a is answered by a maintained view: direct" Ast.pp_range
+      (Ast.Construct (app.app_base, app.app_con, app.app_args));
+    Direct
+  | None, Some agg ->
+    (* rewrites and the capture rule know no aggregate head *)
+    note notes "aggregate constructor %s reached: direct (aggregate route)"
+      agg.con_name;
+    Direct
+  | None, None -> (
   match Pushdown.restricted_application query with
   | Some (v, (Ast.Construct (_, c, _) as app), where) -> (
     let bindings, residual = Pushdown.constant_bindings v where in
@@ -90,38 +233,10 @@ let choose (catalog : Typecheck.env) notes (query : Ast.range) recursive =
         note notes "pushdown not applicable (%s): decompiling only" msg;
         decompile ()
     end
-    else if bindings <> [] then begin
+    else
       match constructor_of c with
       | None -> Direct
-      | Some def -> (
-        match
-          Pushdown.magic_query
-            ~ctx:(Dc_datalog.Translate.context catalog)
-            ~schema:def.con_result app bindings
-        with
-        | program, q ->
-          note notes
-            "recursive cycle through %s with %d constant binding(s): \
-             capture rule (magic sets)"
-            c (List.length bindings);
-          Magic
-            {
-              program;
-              query = q;
-              schema = def.con_result;
-              residual = Ast.conj_list residual;
-              var = v;
-            }
-        | exception
-            ( Dc_datalog.Translate.Unsupported msg
-            | Dc_datalog.Magic.Unsupported msg ) ->
-          note notes "translation unsupported (%s): direct fixpoint" msg;
-          Direct)
-    end
-    else begin
-      note notes "recursive application without constant restriction: fixpoint";
-      Direct
-    end)
+      | Some def -> recursive_application catalog notes v app def bindings residual)
   | Some (_, _, _) | None ->
     if recursive then begin
       note notes "recursive quant graph: fixpoint evaluation";
@@ -140,7 +255,7 @@ let choose (catalog : Typecheck.env) notes (query : Ast.range) recursive =
         decompile ()
       end
       else Direct
-    end
+    end)
 
 (* The one compile rule: what a method runs — the query itself, or its
    rewritten form — compiles to a physical plan when it is a
@@ -163,7 +278,7 @@ let decide catalog notes query schema graph method_ =
     match method_ with
     | Direct -> compile query
     | Decompiled q | Pushed q -> compile q
-    | Magic _ -> None
+    | Linearized _ | Magic _ -> None
   in
   {
     d_query = query;
@@ -204,15 +319,37 @@ let execute ?use_indexes (env : Eval.env) (d : decision) =
   | Some plan, _ -> coerce d.d_schema (Plan.run ?use_indexes env plan)
   | None, Direct -> Eval.eval_range env d.d_query
   | None, (Decompiled q | Pushed q) -> coerce d.d_schema (Eval.eval_range env q)
-  | None, Magic { program; query; schema; residual; var } ->
+  | None, Linearized (def : Defs.constructor_def) ->
+    (* the application resolves its constructor's name to the rewritten
+       body, through the environment's own route (view, fixpoint) *)
+    let constructor_def = resolving def env.hooks.constructor_def in
+    Eval.eval_range
+      { env with hooks = { env.hooks with constructor_def } }
+      d.d_query
+  | None, Magic { program; query; compiled; seeds; schema; residual; var; _ } ->
     let stats = Dc_datalog.Seminaive.fresh_stats () in
+    (* a prepared form's parameters seed the compiled program *)
+    let query =
+      if seeds = [] then query
+      else
+        {
+          query with
+          args =
+            List.mapi
+              (fun i arg ->
+                match List.assoc_opt i seeds with
+                | Some p -> Dc_datalog.Syntax.Const (Eval.eval_term env (Ast.Param p))
+                | None -> arg)
+              query.args;
+        }
+    in
     let result =
       Pushdown.run_magic ~guard:env.guard ~stats ?trace:env.trace
         ~edb:
           (Dc_datalog.Translate.edb
              (fun n -> Eval.SM.find_opt n env.rels)
              program)
-        ~schema program query
+        ~schema compiled query
     in
     Option.iter
       (fun tr -> Dc_exec.Ir.Trace.set_rounds tr (List.rev stats.round_log))
@@ -231,13 +368,15 @@ let execute ?use_indexes (env : Eval.env) (d : decision) =
    specified query forms" (§4).  A prepared form is a query with scalar
    parameter placeholders, compiled once — the paper's logical access
    path: "a compiled procedure with dummy constants" — and executed many
-   times with actual values.  It is a decision over the form, with the
-   parameters in scope: the compile rule gives an application-free
-   comprehension its plan (a parameter acts as a closed index key), and
-   any other form is interpreted per call with the parameters bound, so
-   view serving, the aggregate route and the fixpoint apply as they do
-   to the unprepared query (the paper's "partial logical access
-   paths"). *)
+   times with actual values.  It is the planner's decision over the
+   form, a parameter standing where a constant would: the compile rule
+   gives an application-free comprehension its plan (a parameter acts
+   as a closed index key), a parameter restricting a recursive
+   application binds its column for the capture rule (compiled once for
+   the binding pattern, the value seeding it per call), and an
+   application a view answers, an aggregate or an unrestricted fixpoint
+   runs per call as it does for the unprepared query (the paper's
+   "partial logical access paths"). *)
 
 type prepared = {
   pr_params : (string * Value.ty) list;
@@ -247,17 +386,14 @@ type prepared = {
 let prepared_description p =
   match p.pr_decision.d_plan with
   | Some plan -> Fmt.str "compiled plan:@.%a" Plan.pp plan
-  | None -> "interpreted form (constructor or selector application)"
+  | None ->
+    String.concat "; "
+      (method_name p.pr_decision.d_method :: p.pr_decision.d_notes)
 
 let prepare catalog ~params (query : Ast.range) =
-  let catalog = Typecheck.with_scalar_params catalog params in
   {
     pr_params = params;
-    pr_decision =
-      decide catalog (ref []) query
-        (Typecheck.infer_range catalog [] query)
-        (Quant_graph.build ~lookup:catalog.constructor_of query)
-        Direct;
+    pr_decision = plan (Typecheck.with_scalar_params catalog params) query;
   }
 
 let run_prepared p env values =
@@ -275,13 +411,19 @@ let run_prepared p env values =
   in
   execute env p.pr_decision
 
+let pp_linearized ppf (def : Defs.constructor_def) =
+  Fmt.pf ppf "linearized %s:@." def.con_name;
+  List.iter (Fmt.pf ppf "  %a@." Ast.pp_branch) def.con_body
+
 let explain ppf (d : decision) =
   Fmt.pf ppf "query: %a@." Ast.pp_range d.d_query;
   Fmt.pf ppf "method: %s@." (method_name d.d_method);
   List.iter (fun n -> Fmt.pf ppf "note: %s@." n) d.d_notes;
   (match d.d_method with
   | Decompiled q | Pushed q -> Fmt.pf ppf "rewritten: %a@." Ast.pp_range q
-  | Magic { program; query; _ } ->
+  | Linearized def -> pp_linearized ppf def
+  | Magic { program; query; linearized; _ } ->
+    Option.iter (pp_linearized ppf) linearized;
     Fmt.pf ppf "translated program:@.%a@." Dc_datalog.Syntax.pp_program program;
     Fmt.pf ppf "magic query: %a@." Dc_datalog.Syntax.pp_atom query
   | Direct -> ());

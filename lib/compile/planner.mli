@@ -17,12 +17,25 @@ type method_ =
   | Direct  (** evaluate as written: LFP of the application system *)
   | Decompiled of Ast.range  (** inlined as a view (acyclic) *)
   | Pushed of Ast.range  (** restriction distributed over branches *)
+  | Linearized of Defs.constructor_def
+      (** the application's constructor, a non-linear closure
+          ({!Closure}), rewritten right-linear under the same name and run
+          by the fixpoint *)
   | Magic of {
-      program : Dc_datalog.Syntax.program;
+      program : Dc_datalog.Syntax.program;  (** the translated program *)
       query : Dc_datalog.Syntax.atom;
+          (** constants, a variable per parameter binding, [Q<i>] free *)
+      compiled : Dc_datalog.Magic.compiled;
+          (** the program adorned for the query's binding pattern *)
+      seeds : (int * string) list;
+          (** query positions a prepared form's parameters bind: their
+              values seed the compiled program at run time *)
       schema : Schema.t;
       residual : Ast.formula;  (** conjuncts magic could not absorb *)
       var : Ast.var;
+      linearized : Defs.constructor_def option;
+          (** the closure's linear form the program translates, when the
+              constructor was rewritten *)
     }  (** the recursive capture rule *)
 
 type decision = {
@@ -60,9 +73,9 @@ val execute : ?use_indexes:bool -> Eval.env -> decision -> Relation.t
     specified query forms"; a prepared form is compiled once with its
     scalar parameters as dummy constants (the paper's logical access path)
     and executed many times with actual values.  A form holds only
-    catalog-level data (a [Direct] decision over the form), never a
-    relation value: it is bound to an evaluation environment at run
-    time. *)
+    catalog-level data (the planner's decision over the form, as {!plan}
+    makes it), never a relation value: it is bound to an evaluation
+    environment at run time. *)
 
 type prepared
 
@@ -72,11 +85,12 @@ val prepare :
   Ast.range ->
   prepared
 (** Typecheck a query form whose [Ast.Param] placeholders are listed in
-    [params] against the catalog, and compile it by the one compile rule:
-    an application-free comprehension becomes a static plan with the
-    parameters as index keys; any other form is interpreted per call
-    with the parameters bound, so view serving and the fixpoint route
-    apply as they do to the unprepared query.
+    [params] against the catalog and {!plan} it, a parameter standing
+    where a constant would: an application-free comprehension becomes a
+    static plan with the parameters as index keys, and a parameter that
+    restricts a recursive application binds its column for the capture
+    rule, its value becoming the magic seed at run time.  An application
+    a maintained view answers stays direct, so the view serves it.
     @raise Dc_calculus.Typecheck.Error *)
 
 val run_prepared :
@@ -86,7 +100,8 @@ val run_prepared :
     @raise Dc_calculus.Eval.Runtime_error on arity/type mismatch. *)
 
 val prepared_description : prepared -> string
-(** How the form was compiled (shown by diagnostics). *)
+(** How the form was compiled: its static plan, or the method its
+    decision runs and the planning notes (shown by diagnostics). *)
 
 val explain : decision Fmt.t
 (** Query, method, notes, rewritten form / translated program, the

@@ -33,16 +33,27 @@ let restricted_application = function
   | Construct _ as app -> Some ("r", app, True)
   | _ -> None
 
-(* Constant restrictions of the shape  v.attr = const  among the top-level
-   conjuncts; returns (bindings, residual conjuncts). *)
+(* Restrictions of the shape  v.attr = c  among the top-level conjuncts,
+   [c] a constant or a prepared form's parameter (bound at run time);
+   returns (bindings, residual conjuncts).  An attribute is bound once:
+   a second restriction of it stays residual. *)
 let constant_bindings v where =
-  List.partition_map
-    (fun conj ->
-      match conj with
-      | Cmp (Eq, Field (v', a), Const c) when v' = v -> Either.Left (a, c)
-      | Cmp (Eq, Const c, Field (v', a)) when v' = v -> Either.Left (a, c)
-      | f -> Either.Right f)
-    (conjuncts where)
+  let bindings, residual =
+    List.fold_left
+      (fun (bindings, residual) conj ->
+        let bound a c =
+          if List.mem_assoc a bindings then (bindings, conj :: residual)
+          else ((a, c) :: bindings, residual)
+        in
+        match conj with
+        | Cmp (Eq, Field (v', a), ((Const _ | Param _) as c)) when v' = v ->
+          bound a c
+        | Cmp (Eq, ((Const _ | Param _) as c), Field (v', a)) when v' = v ->
+          bound a c
+        | f -> (bindings, f :: residual))
+      ([], []) (conjuncts where)
+  in
+  (List.rev bindings, List.rev residual)
 
 (* Substitute occurrences of [v.<result attr>] in [pred] by per-branch
    replacement terms; [replace attr] yields the term for a result
@@ -133,29 +144,32 @@ let push_nonrecursive ~constructor_of ~schema_of_range v app pred =
 (* ------------------------------------------------------------------ *)
 (* The recursive capture rule *)
 
-(* Build the Horn program and adorned query for evaluating
-   {EACH r IN app: r.a1 = c1 AND ...} through magic sets.  [schema] is the
-   constructor's result schema. *)
-let magic_query ~ctx ~schema app (bindings : (string * Value.t) list) =
+(* Build the Horn program, the query atom and the program compiled for
+   the query's binding pattern, for evaluating
+   {EACH r IN app: r.a1 = c1 AND ...} through magic sets.  [schema] is
+   the constructor's result schema.  A parameter binding is a query
+   variable named after the parameter: bound in the pattern, its value
+   seeds the program at run time. *)
+let magic_query ~ctx ~schema app (bindings : (string * term) list) =
   let program, query_pred = Dc_datalog.Translate.of_application ctx app in
   let query_args =
     List.mapi
-      (fun i name ->
-        ignore name;
-        let attr = Schema.attr_name schema i in
+      (fun i attr ->
         match List.assoc_opt attr bindings with
-        | Some c -> Dc_datalog.Syntax.Const c
-        | None -> Dc_datalog.Syntax.Var (Fmt.str "Q%d" i))
+        | Some (Const c) -> Dc_datalog.Syntax.Const c
+        | Some (Param p) -> Dc_datalog.Syntax.Var p
+        | Some _ | None -> Dc_datalog.Syntax.Var (Fmt.str "Q%d" i))
       (Schema.attr_names schema)
   in
   let query = Dc_datalog.Syntax.atom query_pred query_args in
-  (* the program must be in the magic-sets fragment *)
-  ignore (Dc_datalog.Magic.transform program query);
-  (program, query)
+  let pattern =
+    List.map (fun attr -> List.mem_assoc attr bindings) (Schema.attr_names schema)
+  in
+  (program, query, Dc_datalog.Magic.compile program query_pred pattern)
 
-let run_magic ~guard ~stats ?trace ~edb ~schema program query =
+let run_magic ~guard ~stats ?trace ~edb ~schema compiled query =
   let answers =
-    Dc_datalog.Magic.answer ~guard ~stats ?trace program edb query
+    Dc_datalog.Magic.run ~guard ~stats ?trace compiled edb query
   in
   Dc_datalog.Facts.TS.fold Relation.add_unchecked answers
     (Relation.empty schema)

@@ -12,10 +12,10 @@ val restricted_application : range -> (var * range * formula) option
 (** Recognize [{EACH r IN Base{c(args)}: pred}] (or a bare application);
     returns (variable, application, restriction). *)
 
-val constant_bindings :
-  var -> formula -> (string * Value.t) list * formula list
-(** Split the top-level conjuncts into [v.attr = const] bindings and the
-    residual conjuncts. *)
+val constant_bindings : var -> formula -> (string * term) list * formula list
+(** Split the top-level conjuncts into [v.attr = c] bindings, [c] a
+    [Const] or a prepared form's [Param], and the residual conjuncts (a
+    second binding of one attribute among them). *)
 
 val substitute_result : var -> (string -> term) -> formula -> formula
 (** Replace [v.<attr>] by per-attribute replacement terms (stops at
@@ -50,10 +50,13 @@ val magic_query :
   ctx:Dc_datalog.Translate.context ->
   schema:Schema.t ->
   range ->
-  (string * Value.t) list ->
-  Dc_datalog.Syntax.program * Dc_datalog.Syntax.atom
+  (string * term) list ->
+  Dc_datalog.Syntax.program * Dc_datalog.Syntax.atom * Dc_datalog.Magic.compiled
 (** The recursive capture rule: translate the application to Horn clauses
-    and build the adorned query for the constant bindings.
+    and compile them for the bindings' pattern.  The query atom has the
+    constants, a variable named after each parameter (its value seeds the
+    program at run time, {!Dc_datalog.Magic.run}) and [Q<i>] for the free
+    positions.
     @raise Dc_datalog.Translate.Unsupported outside the Horn fragment
     @raise Dc_datalog.Magic.Unsupported outside the magic-sets fragment
     (negation, computed terms) *)
@@ -64,7 +67,8 @@ val run_magic :
   ?trace:Dc_exec.Ir.trace ->
   edb:Dc_datalog.Facts.t ->
   schema:Schema.t ->
-  Dc_datalog.Syntax.program ->
+  Dc_datalog.Magic.compiled ->
   Dc_datalog.Syntax.atom ->
   Relation.t
-(** Evaluate a magic query and convert the answers back to a relation. *)
+(** Seed the compiled program with the query atom's constants, evaluate
+    it, and convert the answers back to a relation. *)

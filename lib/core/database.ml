@@ -59,6 +59,7 @@ type view_txn = {
 
 type maintainer = {
   mt_name : string;
+  mt_application : Ast.range; (* the application Base{c(args)} it extends *)
   mt_depends : string list; (* base relations the view reads *)
   mt_serve :
     Defs.constructor_def ->
@@ -162,6 +163,7 @@ let publish db =
       (fun m ->
         {
           Snapshot.fv_name = m.mt_name;
+          fv_application = m.mt_application;
           fv_stale = m.mt_stale ();
           fv_serve = m.mt_freeze ();
         })
@@ -470,6 +472,7 @@ let typecheck_env db =
   Typecheck.env
     ~selectors:(List.map snd (SM.bindings db.selectors))
     ~constructors:(List.map snd (SM.bindings db.constructors))
+    ~views:(List.map (fun m -> m.mt_application) db.maintainers)
     (List.map (fun (n, r) -> (n, Relation.schema r)) (SM.bindings db.rels))
 
 (* Evaluation environment with the full constructor/selector semantics.

@@ -136,6 +136,8 @@ type view_txn = {
 
 type maintainer = {
   mt_name : string;
+  mt_application : Dc_calculus.Ast.range;
+      (** the application [Base{c(args)}] whose extent the view keeps *)
   mt_depends : string list;  (** base relations the view reads *)
   mt_serve :
     Dc_calculus.Defs.constructor_def ->
@@ -204,8 +206,12 @@ val check_query : t -> Ast.range -> unit
 
 val query :
   ?trace:Dc_exec.Ir.trace -> ?guard:Dc_guard.Guard.t -> t -> Ast.range -> Relation.t
-(** Typecheck, then evaluate (constructor applications run to their least
-    fixpoint) under [guard] (default: a fresh guard over {!limits}).
+(** Typecheck, then interpret (constructor applications run to their
+    least fixpoint) under [guard] (default: a fresh guard over {!limits}):
+    the direct evaluation, with no planning.  A QUERY statement plans
+    through [Dc_compile.Planner] (a higher layer) over {!typecheck_env}
+    and {!eval_env}; this is the direct oracle of the planned = direct
+    differential.
     @raise Dc_guard.Guard.Exhausted when a limit trips; aborted
     constructor expansions leave the database and caches unchanged. *)
 

@@ -25,6 +25,7 @@ type frozen_serve =
 
 type frozen_view = {
   fv_name : string;
+  fv_application : Ast.range; (* the application the view extends *)
   fv_stale : bool;
   fv_serve : frozen_serve option; (* [None] iff the view was stale *)
 }
@@ -66,6 +67,7 @@ let typecheck_env s =
   Typecheck.env
     ~selectors:(List.map snd (SM.bindings s.selectors))
     ~constructors:(List.map snd (SM.bindings s.constructors))
+    ~views:(List.map (fun v -> v.fv_application) s.views)
     (List.map (fun (n, r) -> (n, Relation.schema r)) (SM.bindings s.rels))
 
 (* Like {!Database.eval_env}, but every lookup resolves inside the

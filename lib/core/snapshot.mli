@@ -18,6 +18,7 @@ type frozen_serve =
 
 type frozen_view = {
   fv_name : string;
+  fv_application : Ast.range;  (** the application the view extends *)
   fv_stale : bool;
   fv_serve : frozen_serve option;  (** [None] iff the view was stale *)
 }
@@ -73,9 +74,11 @@ val eval_env : ?guard:Dc_guard.Guard.t -> t -> Eval.env
 val check_query : t -> Ast.range -> unit
 
 val query : ?guard:Dc_guard.Guard.t -> t -> Ast.range -> Relation.t
-(** Typecheck and evaluate against the frozen state.  Thread-safe:
-    concurrent [query] calls on one snapshot share only immutable or
-    frozen structure.
+(** Typecheck and interpret against the frozen state: the direct
+    evaluation, with no planning.  Served reads plan through
+    [Dc_compile.Planner] (a higher layer); this is the direct oracle of
+    the planned = direct differential.  Thread-safe: concurrent [query]
+    calls on one snapshot share only immutable or frozen structure.
     @raise Dc_guard.Guard.Exhausted when a limit trips. *)
 
 val pp_summary : t Fmt.t

@@ -42,9 +42,17 @@ let atom_adornment bound_vars (a : atom) : adornment =
       | Binop _ -> no_binop ())
     a.args
 
-(* Transform [program] for [query]; returns the transformed program, the
-   seed fact, and the adorned name of the query predicate. *)
-let transform (program : program) (query : atom) =
+type compiled = {
+  rules : program; (* adorned and magic rules, without the seed fact *)
+  seed_pred : string; (* magic predicate of the query's binding pattern *)
+  adorned : string; (* adorned name of the query predicate *)
+  pattern : adornment;
+}
+
+(* Adorn [program] for the binding pattern [pattern] of a query on
+   [pred]: the adorned and magic rules a query with that pattern runs,
+   whatever its constants — the seed fact comes at run time. *)
+let compile (program : program) pred (pattern : adornment) =
   List.iter
     (fun r ->
       if
@@ -56,14 +64,6 @@ let transform (program : program) (query : atom) =
       then raise (Unsupported "magic sets: negation not supported"))
     program;
   let idb = idb_preds program in
-  let query_ad =
-    List.map
-      (function
-        | Const _ -> true
-        | Var _ -> false
-        | Binop _ -> no_binop ())
-      query.args
-  in
   let out = ref [] in
   let emitted = Hashtbl.create 16 in
   (* Process one (pred, adornment) pair: adorn all rules for pred. *)
@@ -128,26 +128,40 @@ let transform (program : program) (query : atom) =
       }
       :: !out
   in
-  if not (SS.mem query.pred idb) then
+  if not (SS.mem pred idb) then
     raise (Unsupported "magic sets: query predicate is not IDB");
-  process query.pred query_ad;
-  let seed =
-    {
-      head =
-        { pred = magic_name query.pred query_ad; args = bound_args query query_ad };
-      body = [];
-    }
-  in
-  (seed :: List.rev !out, adorned_name query.pred query_ad)
+  process pred pattern;
+  {
+    rules = List.rev !out;
+    seed_pred = magic_name pred pattern;
+    adorned = adorned_name pred pattern;
+    pattern;
+  }
 
-(* Evaluate [query] against [program]/[edb] through the magic transform
-   with semi-naive evaluation; returns the set of query-matching tuples of
-   the original predicate. *)
-let answer ?guard ?stats ?trace (program : program) (edb : Facts.t)
-    (query : atom) =
-  let transformed, adorned_query = transform program query in
-  let store = Seminaive.run ?guard ?stats ?trace transformed edb in
-  let matching = Facts.find store adorned_query in
+(* The query's binding pattern: its constant arguments are bound. *)
+let pattern_of (query : atom) =
+  List.map
+    (function
+      | Const _ -> true
+      | Var _ -> false
+      | Binop _ -> no_binop ())
+    query.args
+
+(* The compiled program seeded with the query's constants: the seed fact
+   first, then the adorned and magic rules. *)
+let seeded c (query : atom) =
+  if pattern_of query <> c.pattern then
+    invalid_arg
+      "Magic.run: the query's binding pattern is not the compiled one";
+  { head = { pred = c.seed_pred; args = bound_args query c.pattern }; body = [] }
+  :: c.rules
+
+(* Evaluate [query] through a compiled program with semi-naive
+   evaluation; returns the set of query-matching tuples of the original
+   predicate. *)
+let run ?guard ?stats ?trace c (edb : Facts.t) (query : atom) =
+  let store = Seminaive.run ?guard ?stats ?trace (seeded c query) edb in
+  let matching = Facts.find store c.adorned in
   (* keep only tuples agreeing with the query constants *)
   Facts.TS.filter
     (fun t ->
@@ -159,3 +173,9 @@ let answer ?guard ?stats ?trace (program : program) (edb : Facts.t)
           | Binop _ -> no_binop ())
         query.args (Dc_relation.Tuple.to_list t))
     matching
+
+let answer ?guard ?stats ?trace (program : program) (edb : Facts.t)
+    (query : atom) =
+  run ?guard ?stats ?trace
+    (compile program query.pred (pattern_of query))
+    edb query

@@ -14,11 +14,31 @@ val adornment_string : adornment -> string
 val adorned_name : string -> adornment -> string
 val magic_name : string -> adornment -> string
 
-val transform : Syntax.program -> Syntax.atom -> Syntax.program * string
-(** [transform program query] adorns the program for the query's binding
-    pattern and adds magic predicates and the seed fact.  Returns the
-    transformed program and the adorned query predicate name.
-    @raise Unsupported on negation, computed terms or non-IDB queries. *)
+type compiled
+(** A program adorned for one binding pattern of one query predicate:
+    the adorned and magic rules every query with that pattern runs.  A
+    query form compiles once per binding pattern; its constants enter
+    at run time, as the seed fact. *)
+
+val compile : Syntax.program -> string -> adornment -> compiled
+(** [compile program pred pattern] adorns [program] for queries on
+    [pred] whose arguments are bound where [pattern] is [true].
+    @raise Unsupported on negation, computed terms or a non-IDB [pred]. *)
+
+val run :
+  ?guard:Dc_guard.Guard.t ->
+  ?stats:Seminaive.stats ->
+  ?trace:Dc_exec.Ir.trace ->
+  compiled ->
+  Facts.t ->
+  Syntax.atom ->
+  Facts.TS.t
+(** Seed a compiled program with the query's constants and evaluate it
+    with semi-naive evaluation; returns the tuples of the original
+    predicate matching the query constants.
+    @raise Dc_guard.Guard.Exhausted when the guard trips
+    @raise Invalid_argument when the query's constant positions are not
+    the compiled pattern *)
 
 val answer :
   ?guard:Dc_guard.Guard.t ->
@@ -28,7 +48,4 @@ val answer :
   Facts.t ->
   Syntax.atom ->
   Facts.TS.t
-(** Evaluate the query through the transform with semi-naive evaluation;
-    returns the tuples of the original predicate matching the query
-    constants.  [guard] is passed through to the semi-naive engine.
-    @raise Dc_guard.Guard.Exhausted when the guard trips *)
+(** {!compile} for the query's pattern, then {!run}. *)

@@ -968,6 +968,7 @@ let matches view (def : Defs.constructor_def) base (args : Eval.arg_value list)
 let maintainer_of view =
   {
     Database.mt_name = view.name;
+    mt_application = Ast.Construct (Ast.Rel view.base, view.con, view.args);
     mt_depends = view.depends;
     mt_serve =
       (fun def base args ->

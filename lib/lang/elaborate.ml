@@ -318,12 +318,24 @@ let read_only = function
 (* The catalog and the evaluation environment a read sees, the latter
    tracing into [trace]: the pinned snapshot of a BEGIN transaction or a
    served statement (with its limits), otherwise the live database. *)
-let read_env env trace =
+let read_env ?trace env =
   match env.pinned with
   | Some snap ->
+    let eval_env = Snapshot.eval_env snap in
     ( Snapshot.typecheck_env snap,
-      Eval.with_trace (Snapshot.eval_env snap) trace )
-  | None -> (Database.typecheck_env env.db, Database.eval_env ~trace env.db)
+      match trace with
+      | Some trace -> Eval.with_trace eval_env trace
+      | None -> eval_env )
+  | None -> (Database.typecheck_env env.db, Database.eval_env ?trace env.db)
+
+(* QUERY and PRINT run the plan EXPLAIN shows, over the state the read
+   sees ({!Dc_core.Database.query} and {!Dc_core.Snapshot.query} stay the
+   interpreter, the planned = direct differential's oracle). *)
+let run_query ?trace env range =
+  let catalog, eval_env = read_env ?trace env in
+  let decision = Dc_compile.Planner.plan catalog range in
+  Obs.Span.timed "execute" (fun () ->
+      Dc_compile.Planner.execute eval_env decision)
 
 (* EXPLAIN [ANALYZE]: plan the query against the catalog the statement
    reads, then run the decision under a trace over the same state, so it
@@ -332,7 +344,7 @@ let read_env env trace =
    too). *)
 let explain env ~analyze range =
   let trace = Dc_exec.Ir.Trace.create () in
-  let catalog, eval_env = read_env env trace in
+  let catalog, eval_env = read_env ~trace env in
   let decision = Dc_compile.Planner.plan catalog range in
   let header () =
     output env "%s %s@\n%a"
@@ -431,34 +443,24 @@ let execute_decl env decl =
     Database.set_limits env.db limits
   | D_query r | D_print r -> (
     let range = lower_range env empty_scope r in
-    match env.pinned with
-    | Some snap -> (
-      (* pinned transaction: evaluate against the frozen snapshot *)
-      match Snapshot.query snap range with
-      | result ->
-        output env "QUERY %s@\n%a@\n@\n"
-          (Ast.range_to_string range)
-          Relation.pp_table result
-      | exception Guard.Exhausted (reason, progress) ->
-        output env "QUERY %s@\n%a@\n@\n"
-          (Ast.range_to_string range)
-          Guard.pp_report (reason, progress))
-    | None -> (
-      (* under metrics, queries run traced so the registry accumulates
-         per-operator row totals even without EXPLAIN *)
-      let trace =
-        if Obs.on () then Some (Dc_exec.Ir.Trace.create ()) else None
-      in
-      match Database.query ?trace env.db range with
-      | result ->
-        Option.iter Dc_exec.Ir.Trace.register_metrics trace;
-        output env "QUERY %s@\n%a@\n@\n"
-          (Ast.range_to_string range)
-          Relation.pp_table result
-      | exception Guard.Exhausted (reason, progress) ->
-        output env "QUERY %s@\n%a@\n@\n"
-          (Ast.range_to_string range)
-          Guard.pp_report (reason, progress)))
+    (* under metrics, queries on the live database run traced so the
+       registry accumulates per-operator row totals even without
+       EXPLAIN; a pinned transaction reads its frozen snapshot *)
+    let trace =
+      if Option.is_none env.pinned && Obs.on () then
+        Some (Dc_exec.Ir.Trace.create ())
+      else None
+    in
+    match run_query ?trace env range with
+    | result ->
+      Option.iter Dc_exec.Ir.Trace.register_metrics trace;
+      output env "QUERY %s@\n%a@\n@\n"
+        (Ast.range_to_string range)
+        Relation.pp_table result
+    | exception Guard.Exhausted (reason, progress) ->
+      output env "QUERY %s@\n%a@\n@\n"
+        (Ast.range_to_string range)
+        Guard.pp_report (reason, progress))
   | D_explain r -> explain env ~analyze:false (lower_range env empty_scope r)
   | D_explain_analyze r ->
     explain env ~analyze:true (lower_range env empty_scope r)

@@ -86,12 +86,17 @@ let h_write_ms = lazy (h_latency "write")
    Served QUERY statements compiled once per (catalog version, statement
    shape): the shape ({!Dc_lang.Shape}) is the token stream with the
    literals a column types lifted out, and an entry is the
-   {!Dc_compile.Planner.prepared} form of the lifted statement.  An entry
-   holds only catalog-level data — the lifted form, its plan, its result
-   schema — and never a relation or a snapshot, so it pins no old
-   version.  Writes leave the catalog version alone and keep every entry
-   live; a catalog change moves the version, and the entries of the old
-   version age out of the bounded table. *)
+   {!Dc_compile.Planner.prepared} form of the lifted statement: the
+   planner's decision and its method — a static plan, the direct
+   fixpoint, a linearized closure, or the capture rule compiled for the
+   binding pattern, whose lifted literals become the magic seed at bind
+   time.  An entry holds only catalog-level data — the lifted form, its
+   decision, its result schema — and never a relation or a snapshot, so
+   it pins no old version.  Registering a maintained view moves the
+   catalog version, so a form never outlives the decision to leave an
+   application to its view.  Writes leave the catalog version alone and
+   keep every entry live; a catalog change moves the version, and the
+   entries of the old version age out of the bounded table. *)
 
 module Key = struct
   type t = { catalog : int; shape : string }
@@ -498,15 +503,25 @@ let read_snapshot s =
   | Some snap -> snap
   | None -> Database.snapshot s.server.db
 
+(* Run a prepared form with its parameter values over [snap] under the
+   session's guard, on a pool worker domain. *)
+let run_form s snap form values =
+  Dc_par.Par.run (fun () ->
+      ( Dc_compile.Planner.run_prepared form
+          (Snapshot.eval_env ~guard:(session_guard s) snap)
+          values,
+        Snapshot.version snap ))
+
 let query s range =
   if not s.open_ then error "session %d is closed" s.id;
   let snap = read_snapshot s in
-  Dc_par.Par.run (fun () ->
-      (Snapshot.query ~guard:(session_guard s) snap range, Snapshot.version snap))
+  run_form s snap
+    (Dc_compile.Planner.prepare (Snapshot.typecheck_env snap) ~params:[] range)
+    []
 
-(* A cache miss: parse, lower against the snapshot's catalog, typecheck
-   and evaluate, as every statement did before the cache; then compile
-   the lifted statement and cache it. *)
+(* A cache miss: parse, lower against the snapshot's catalog and
+   typecheck the statement; then plan the lifted statement, cache the
+   form and run it with the statement's literals — one evaluation. *)
 let query_uncached s snap key src =
   let shape, tokens, lifted = Dc_lang.Shape.scan_tokens src in
   let one_query tokens =
@@ -518,18 +533,15 @@ let query_uncached s snap key src =
     Dc_lang.Elaborate.with_snapshot s.env snap (fun () ->
         Dc_lang.Elaborate.lower_query ?params s.env r)
   in
-  let range = lower (one_query tokens) in
-  let answer =
-    Dc_par.Par.run (fun () ->
-        (Snapshot.query ~guard:(session_guard s) snap range, Snapshot.version snap))
-  in
+  (* the statement's own names and types fail as they are written *)
+  Snapshot.check_query snap (lower (one_query tokens));
   let params = Dc_lang.Shape.params shape in
   let form =
     Dc_compile.Planner.prepare (Snapshot.typecheck_env snap) ~params
       (lower ~params:(List.map fst params) (one_query lifted))
   in
   cache_add s.server.cache key form;
-  answer
+  run_form s snap form shape.values
 
 let query_string s src =
   if not s.open_ then error "session %d is closed" s.id;
@@ -539,11 +551,7 @@ let query_string s src =
   match cache_find s.server.cache key with
   | Some form ->
     if Obs.on () then Obs.Counter.inc (Lazy.force c_cache_hit);
-    Dc_par.Par.run (fun () ->
-        ( Dc_compile.Planner.run_prepared form
-            (Snapshot.eval_env ~guard:(session_guard s) snap)
-            shape.values,
-          Snapshot.version snap ))
+    run_form s snap form shape.values
   | None ->
     if Obs.on () then Obs.Counter.inc (Lazy.force c_cache_miss);
     query_uncached s snap key src

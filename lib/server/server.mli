@@ -94,10 +94,11 @@ val execute_program : session -> Dc_lang.Surface.program -> string
     group. *)
 
 val query : session -> Dc_calculus.Ast.range -> Dc_relation.Relation.t * int
-(** Library-level read: evaluate a calculus range against the session's
-    current snapshot (pinned or latest) under the session's guard
-    limits, returning the result and the snapshot version it observed.
-    Never touches the writer; evaluates on a pool worker domain. *)
+(** Library-level read: plan a calculus range against the session's
+    current snapshot (pinned or latest) and run the decision over it
+    under the session's guard limits, returning the result and the
+    snapshot version it observed.  Never touches the writer; evaluates
+    on a pool worker domain. *)
 
 val query_string : session -> string -> Dc_relation.Relation.t * int
 (** Evaluate a single [QUERY ...;] statement as {!query} — the wire
@@ -105,8 +106,9 @@ val query_string : session -> string -> Dc_relation.Relation.t * int
     (pinned or latest), whose catalog also resolves the statement's
     names.  A statement whose shape ({!Dc_lang.Shape}) is cached at the
     snapshot's catalog version runs the cached form with its own lifted
-    literals bound; any other statement is parsed, lowered, typechecked
-    and evaluated, and on success its lifted form is compiled and
-    cached.  Both routes return the same rows and columns and raise the
-    same errors.
+    literals bound; any other statement is parsed, lowered and
+    typechecked, its lifted form planned ({!Dc_compile.Planner.prepare})
+    and cached, and the form run once with the statement's literals.
+    Both routes run the same decision, so they return the same rows and
+    columns and raise the same errors.
     @raise Error when [src] is not exactly one QUERY statement. *)

@@ -502,7 +502,8 @@ let test_prepared_nonrecursive () =
   in
   Alcotest.check Alcotest.bool "compiled to a plan" true
     (contains (Planner.prepared_description prepared) "compiled plan");
-  (* a constructor application keeps its route: interpreted per call *)
+  (* a restricted acyclic application is planned as the unprepared query
+     is: decompiled, the restriction pushed, the result compiled *)
   let ahead =
     Ast.(
       Comp
@@ -512,12 +513,12 @@ let test_prepared_nonrecursive () =
             ~where:(eq (field "r" "head") (Param "Obj"));
         ])
   in
-  let interpreted =
+  let pushed =
     Planner.prepare (Database.typecheck_env db)
       ~params:[ ("Obj", Value.TStr) ] ahead
   in
-  Alcotest.check Alcotest.bool "application interpreted" true
-    (contains (Planner.prepared_description interpreted) "interpreted");
+  Alcotest.check Alcotest.bool "application pushed and compiled" true
+    (contains (Planner.prepared_description pushed) "compiled plan");
   List.iter
     (fun v ->
       (* reference: substitute the constant and evaluate directly *)
@@ -531,7 +532,7 @@ let test_prepared_nonrecursive () =
         (Schema.attr_names (Relation.schema direct))
         (Schema.attr_names (Relation.schema got));
       Alcotest.check rel_testable
-        (Fmt.str "interpreted(%s) = direct" v)
+        (Fmt.str "pushed(%s) = direct" v)
         (Database.query db
            Ast.(
              Comp
@@ -540,29 +541,51 @@ let test_prepared_nonrecursive () =
                    [ ("r", Construct (Rel "Edge", "ahead2", [])) ]
                    ~where:(eq (field "r" "head") (str v));
                ]))
-        (Planner.run_prepared interpreted (Database.eval_env db) [ Value.Str v ]))
+        (Planner.run_prepared pushed (Database.eval_env db) [ Value.Str v ]))
     [ "n0"; "n4"; "n9"; "absent" ]
 
-let test_prepared_recursive_falls_back () =
-  let db = make_db ~edges:(chain 6) () in
-  let form =
-    Ast.(
-      Comp
-        [
-          branch
-            [ ("r", Construct (Rel "Edge", "tc", [])) ]
-            ~where:(eq (field "r" "src") (Param "Obj"));
-        ])
-  in
-  let prepared =
-    Planner.prepare (Database.typecheck_env db) ~params:[ ("Obj", Value.TStr) ] form
-  in
-  Alcotest.check Alcotest.bool "interpreted" true
-    (contains (Planner.prepared_description prepared) "interpreted");
-  let result =
-    Planner.run_prepared prepared (Database.eval_env db) [ Value.Str "n2" ]
-  in
-  Alcotest.check Alcotest.int "reachable from n2" 4 (Relation.cardinal result)
+(* A parameter restricting a recursive closure binds its column: the
+   form is the capture rule over the closure's linear form for that
+   column, compiled once, and each value seeds it at run time. *)
+let test_prepared_recursive_method () =
+  let db = make_db ~edges:(chain 6 @ [ pair "n6" "n2" ]) () in
+  List.iter
+    (fun (attr, linear) ->
+      let form =
+        Ast.(
+          Comp
+            [
+              branch
+                [ ("r", Construct (Rel "Edge", "tc", [])) ]
+                ~where:(eq (field "r" attr) (Param "Obj"));
+            ])
+      in
+      let prepared =
+        Planner.prepare (Database.typecheck_env db)
+          ~params:[ ("Obj", Value.TStr) ] form
+      in
+      Alcotest.(check bool)
+        (attr ^ " bound: method") true
+        (contains (Planner.prepared_description prepared)
+           ("magic (capture rule); tc is the closure of its exit branch: " ^ linear));
+      List.iter
+        (fun v ->
+          let direct =
+            Database.query db
+              Ast.(
+                Comp
+                  [
+                    branch
+                      [ ("r", Construct (Rel "Edge", "tc", [])) ]
+                      ~where:(eq (field "r" attr) (str v));
+                  ])
+          in
+          Alcotest.check rel_testable
+            (Fmt.str "%s = %s (%s form) = interpreter" attr v linear)
+            direct
+            (Planner.run_prepared prepared (Database.eval_env db) [ Value.Str v ]))
+        [ "n0"; "n2"; "n6"; "absent" ])
+    [ ("src", "left-linear"); ("dst", "right-linear") ]
 
 let test_prepared_argument_checks () =
   let db = make_db () in
@@ -955,6 +978,312 @@ let test_planner_differential () =
       "magic (capture rule)";
     ]
 
+(* ------------------------------------------------------------------ *)
+(* Closures: the recogniser and the linear forms it picks.  Over seeded
+   random graphs (cycles included), the right-linear, left-linear,
+   non-linear and mixed closures are read unbound, with the first column
+   bound, the second, both, and the first with a residual; each decision
+   must be the one the binding needs, and run over the database's and a
+   snapshot's environment — planned and as a prepared form with the
+   constant lifted — it must equal the interpreter. *)
+
+let mixed_closure name =
+  let def = Constructor.transitive_closure ~name ~linear:`Right () in
+  let self = Ast.Construct (Ast.Rel "Rel", name, []) in
+  {
+    def with
+    Defs.con_body =
+      def.con_body
+      @ Ast.
+          [
+            branch
+              [ ("p", self); ("q", self) ]
+              ~target:[ field "p" "src"; field "q" "dst" ]
+              ~where:(eq (field "q" "src") (field "p" "dst"));
+          ];
+  }
+
+let closures =
+  [
+    ("cr", Constructor.transitive_closure ~name:"cr" ~linear:`Right ());
+    ("cl", Constructor.transitive_closure ~name:"cl" ~linear:`Left ());
+    ("cn", Constructor.transitive_closure ~name:"cn" ~linear:`Non ());
+    ("cm", mixed_closure "cm");
+  ]
+
+(* The method a closure query must get: [bound] lists the bound columns. *)
+let expected_method con bound =
+  let linear = con = "cr" || con = "cl" in
+  match bound with
+  | [] -> if linear then "direct fixpoint" else "linearized closure"
+  | _ -> "magic (capture rule)"
+
+(* Replace the restriction constants by prepared-form parameters. *)
+let lift where =
+  let params = ref [] in
+  let rec go = function
+    | Ast.Cmp (Ast.Eq, (Ast.Field _ as f), Ast.Const v) ->
+      let p = Fmt.str "$%d" (List.length !params) in
+      params := !params @ [ (p, v) ];
+      Ast.Cmp (Ast.Eq, f, Ast.Param p)
+    | Ast.And (a, b) ->
+      let a = go a in
+      Ast.And (a, go b)
+    | f -> f
+  in
+  let where = go where in
+  (where, !params)
+
+let closure_seed seed =
+  let rng = Rng.create seed in
+  let db = Database.create () in
+  let nodes = 4 + Rng.int rng 9 in
+  declare_random db rng "Edge" edge_schema ~nodes;
+  List.iter (fun (_, d) -> Database.define_constructor db d) closures;
+  let node () = Ast.Const (Graph_gen.node (Rng.int rng nodes)) in
+  let envs =
+    [
+      ("database", fun () -> Database.eval_env db);
+      ("snapshot", fun () -> Snapshot.eval_env (Database.snapshot db));
+    ]
+  in
+  List.iter
+    (fun (con, _) ->
+      let app = Ast.(Construct (Rel "Edge", con, [])) in
+      let cases =
+        Ast.
+          [
+            ([], True);
+            ([ "src" ], eq (field "p" "src") (node ()));
+            ([ "dst" ], eq (field "p" "dst") (node ()));
+            ( [ "src"; "dst" ],
+              conj (eq (field "p" "src") (node ())) (eq (field "p" "dst") (node ())) );
+            ( [ "src" ],
+              conj (eq (field "p" "src") (node ())) (Cmp (Ne, field "p" "dst", node ())) );
+          ]
+      in
+      List.iter
+        (fun (bound, where) ->
+          let q = Ast.(Comp [ branch [ ("p", app) ] ~where ]) in
+          let catalog = Database.typecheck_env db in
+          let d = Planner.plan catalog q in
+          let msg what =
+            Fmt.str "seed %d: %s, %s: %a" seed con what Ast.pp_range q
+          in
+          Alcotest.(check string) (msg "method")
+            (expected_method con bound) (Planner.method_name d.d_method);
+          let lifted, params = lift where in
+          let form =
+            Planner.prepare catalog
+              ~params:(List.map (fun (p, v) -> (p, Value.type_of v)) params)
+              Ast.(Comp [ branch [ ("p", app) ] ~where:lifted ])
+          in
+          let values = List.map snd params in
+          List.iter
+            (fun (env_name, env) ->
+              let want = Eval.eval_range (env ()) q in
+              Alcotest.check rel_testable
+                (msg ("planned over the " ^ env_name ^ " env"))
+                want (Planner.execute (env ()) d);
+              Alcotest.check rel_testable
+                (msg ("prepared over the " ^ env_name ^ " env"))
+                want
+                (Planner.run_prepared form (env ()) values))
+            envs)
+        cases)
+    closures
+
+let test_closure_differential () =
+  for seed = 1 to 25 do
+    closure_seed seed
+  done
+
+(* Served reads against the interpreter: a server over a seeded random
+   graph and the four closures; each statement shape is read first
+   uncached (planned, cached) and then from its cached form with other
+   literals, every answer equal to [Snapshot.query] on the snapshot it
+   observed, rows and columns. *)
+let test_served_differential () =
+  for seed = 1 to 6 do
+    let rng = Rng.create (1000 + seed) in
+    let db = Database.create () in
+    let nodes = 6 + Rng.int rng 10 in
+    declare_random db rng "Edge" edge_schema ~nodes;
+    List.iter (fun (_, d) -> Database.define_constructor db d) closures;
+    let srv = Dc_server.Server.create db in
+    let s = Dc_server.Server.open_session srv in
+    let env = Dc_lang.Elaborate.create db in
+    let shapes =
+      List.concat_map
+        (fun (con, _) ->
+          [
+            (fun _ -> Fmt.str "QUERY Edge{%s()};" con);
+            (fun k -> Fmt.str {|QUERY {EACH p IN Edge{%s()}: p.src = "%s"};|} con k);
+            (fun k -> Fmt.str {|QUERY {EACH p IN Edge{%s()}: "%s" = p.dst};|} con k);
+          ])
+        closures
+      @ [
+          (fun k ->
+            Fmt.str
+              {|QUERY {<e.src, f.dst> OF EACH e IN Edge, EACH f IN Edge: e.src = "%s" AND e.dst = f.src};|}
+              k);
+        ]
+    in
+    List.iter
+      (fun shape ->
+        for _ = 1 to 3 do
+          let src = shape (Fmt.str "n%d" (Rng.int rng nodes)) in
+          let got, version = Dc_server.Server.query_string s src in
+          let snap = Database.snapshot db in
+          Alcotest.(check int) "no writes" (Snapshot.version snap) version;
+          let want =
+            match Dc_lang.Parser.parse src with
+            | [ Dc_lang.Surface.D_query r ] ->
+              Snapshot.query snap
+                (Dc_lang.Elaborate.with_snapshot env snap (fun () ->
+                     Dc_lang.Elaborate.lower_query env r))
+            | _ -> assert false
+          in
+          let msg = Fmt.str "seed %d: %s" seed src in
+          Alcotest.check rel_testable msg want got;
+          Alcotest.(check (list string))
+            (msg ^ " (columns)")
+            (Schema.attr_names (Relation.schema want))
+            (Schema.attr_names (Relation.schema got))
+        done)
+      shapes;
+    Dc_server.Server.close_session s;
+    Dc_server.Server.shutdown srv
+  done
+
+(* Near misses: each is declined with a planning note and stays direct,
+   answering as the interpreter does. *)
+let near_miss_source =
+  {|
+CONSTRUCTOR extra FOR Rel: edgerel (): edgerel;
+BEGIN EACH e IN Rel: TRUE,
+      <e.src, p.dst> OF EACH e IN Rel, EACH p IN Rel{extra()}:
+        e.dst = p.src AND e.src # p.dst
+END extra;
+CONSTRUCTOR swapped FOR Rel: edgerel (): edgerel;
+BEGIN EACH e IN Rel: TRUE,
+      <e.src, p.dst> OF EACH e IN Rel, EACH p IN Rel{swapped()}: e.src = p.src
+END swapped;
+CONSTRUCTOR noloop FOR Rel: edgerel (): edgerel;
+BEGIN EACH e IN Rel: e.src # e.dst,
+      <e.src, p.dst> OF EACH e IN Rel, EACH p IN Rel{noloop()}: e.dst = p.src
+END noloop;
+CONSTRUCTOR keyed FOR Rel: edgerel (): keyedrel;
+BEGIN EACH e IN Rel: TRUE,
+      <e.src, p.dst> OF EACH e IN Rel, EACH p IN Rel{keyed()}: e.dst = p.src
+END keyed;
+|}
+
+let plan_direct_with_note db q needle =
+  let d = Planner.plan (Database.typecheck_env db) q in
+  let text = Fmt.str "%a" Planner.explain d in
+  Alcotest.(check string)
+    (Fmt.str "%a stays direct" Ast.pp_range q)
+    "direct fixpoint" (Planner.method_name d.d_method);
+  Alcotest.(check bool)
+    (Fmt.str "%a: note %S in@.%s" Ast.pp_range q needle text)
+    true (contains text needle);
+  d
+
+let test_closure_near_misses () =
+  let db = make_db ~edges:(chain 6 @ [ pair "n6" "n6" ]) () in
+  Database.declare db "Chain" edge_schema;
+  let _, _ =
+    Dc_lang.Elaborate.run_string ~db
+      ("TYPE keyedrel = RELATION src OF RECORD src, dst: STRING END;\n"
+     ^ "TYPE edgerel = RELATION src, dst OF RECORD src, dst: STRING END;\n"
+     ^ near_miss_source)
+  in
+  let app c = Ast.(Construct (Rel "Edge", c, [])) in
+  List.iter
+    (fun (c, why) ->
+      let d =
+        plan_direct_with_note db (app c)
+          (Fmt.str "closure recogniser declined %s: %s" c why)
+      in
+      Alcotest.check rel_testable (c ^ ": planned = interpreter")
+        (Database.query db (app c))
+        (Planner.execute (Database.eval_env db) d))
+    [
+      ("extra", "branch 2 has a conjunct besides the join");
+      ("swapped", "branch 2 does not join on the composed columns");
+      ("noloop", "no branch is the formal base");
+    ];
+  (* a partial result key: declined, and the key check still fires *)
+  let d =
+    plan_direct_with_note db (app "keyed")
+      "closure recogniser declined keyed: the result key is not the whole tuple"
+  in
+  (match Planner.execute (Database.eval_env db) d with
+  | _ -> Alcotest.fail "keyed: the key check did not fire"
+  | exception Relation.Key_violation _ -> ());
+  (* bound, it keeps the direct fixpoint too: magic sets would build part
+     of the extent, and the key check needs all of it *)
+  let d =
+    plan_direct_with_note db (restricted "keyed")
+      "result key of keyed is partial: direct fixpoint"
+  in
+  (match Planner.execute (Database.eval_env db) d with
+  | _ -> Alcotest.fail "keyed, bound: the key check did not fire"
+  | exception Relation.Key_violation _ -> ());
+  (* the mutual ahead/above scene *)
+  let ahead, above = Constructor.ahead_above () in
+  Database.declare db "Infront" (Constructor.infront_schema Value.TStr);
+  Database.declare db "Ontop" (Constructor.ontop_schema Value.TStr);
+  Database.define_constructors db [ ahead; above ];
+  ignore
+    (plan_direct_with_note db
+       Ast.(Construct (Rel "Infront", "ahead", [ Arg_range (Rel "Ontop") ]))
+       "closure recogniser declined ahead: branch 3 ranges over")
+
+(* shortest's MIN head: the aggregate route, whatever is bound *)
+let test_closure_near_miss_aggregate () =
+  let db, _ = Dc_lang.Elaborate.run_string (Oracle.example_source "shortest_path.dbpl") in
+  List.iter
+    (fun q ->
+      let d =
+        plan_direct_with_note db q
+          "aggregate constructor shortest reached: direct (aggregate route)"
+      in
+      Alcotest.check rel_testable "shortest: planned = interpreter"
+        (Database.query db q)
+        (Planner.execute (Database.eval_env db) d))
+    Ast.
+      [
+        Construct (Rel "Road", "shortest", []);
+        Comp
+          [
+            branch
+              [ ("p", Construct (Rel "Road", "shortest", [])) ]
+              ~where:(eq (field "p" "src") (str "n0"));
+          ];
+      ]
+
+(* A point read of a MATERIALIZEd Edge{tc()} is left to the view: direct,
+   answered from the extent with no fixpoint rounds, over the database
+   and over a snapshot. *)
+let test_closure_point_read_of_view () =
+  let db, _ = tc_view_db (chain 8) in
+  let q = restricted "tc" in
+  let d = plan_direct_with_note db q "is answered by a maintained view" in
+  List.iter
+    (fun (name, env) ->
+      let trace = Dc_exec.Ir.Trace.create () in
+      let got = Planner.execute (Eval.with_trace env trace) d in
+      Alcotest.check rel_testable (name ^ ": served = interpreter")
+        (Database.query db q) got;
+      Alcotest.(check int) (name ^ ": no fixpoint rounds") 0
+        (List.length (Dc_exec.Ir.Trace.rounds trace)))
+    [
+      ("database", Database.eval_env db);
+      ("snapshot", Snapshot.eval_env (Database.snapshot db));
+    ]
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -1012,11 +1341,24 @@ let () =
           Alcotest.test_case "planned = direct, both envs" `Quick
             test_planner_differential;
         ] );
+      ( "closure",
+        [
+          Alcotest.test_case "linear forms = direct, both envs" `Quick
+            test_closure_differential;
+          Alcotest.test_case "served = direct, cached and uncached" `Quick
+            test_served_differential;
+          Alcotest.test_case "near misses stay direct" `Quick
+            test_closure_near_misses;
+          Alcotest.test_case "aggregate head stays direct" `Quick
+            test_closure_near_miss_aggregate;
+          Alcotest.test_case "point read of a view" `Quick
+            test_closure_point_read_of_view;
+        ] );
       ( "prepared",
         [
           Alcotest.test_case "compiled form" `Quick test_prepared_nonrecursive;
-          Alcotest.test_case "recursive fallback" `Quick
-            test_prepared_recursive_falls_back;
+          Alcotest.test_case "recursive method" `Quick
+            test_prepared_recursive_method;
           Alcotest.test_case "argument checks" `Quick
             test_prepared_argument_checks;
         ] );

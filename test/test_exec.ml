@@ -336,6 +336,31 @@ let test_explain_golden () =
   Alcotest.(check string) "EXPLAIN output on same_generation.dbpl"
     (read_file expected) out
 
+(* The closure recogniser on the 256-chain: EXPLAIN of the non-linear
+   Chain{tcn()} shows its right-linear rewrite run by the fixpoint, and
+   EXPLAIN of the point closure its left-linear rewrite and the magic
+   program seeded with the query's constant. *)
+let test_explain_closure_golden () =
+  let program =
+    find_file
+      [
+        "../examples/closure_chain.dbpl"; "examples/closure_chain.dbpl";
+        "../../examples/closure_chain.dbpl";
+        "../../../examples/closure_chain.dbpl";
+      ]
+  in
+  let expected =
+    find_file
+      [
+        "explain_closure_linearized.expected";
+        "test/explain_closure_linearized.expected";
+        "../test/explain_closure_linearized.expected";
+      ]
+  in
+  let _, out = Dc_lang.Elaborate.run_string (read_file program) in
+  Alcotest.(check string) "EXPLAIN output on closure_chain.dbpl"
+    (read_file expected) out
+
 (* Wall-clock readings make EXPLAIN ANALYZE output nondeterministic; the
    golden comparison replaces every [<digits>[.<digits>]ms] with [<N>ms]
    and keeps everything else (tree shape, rows, probes, round deltas)
@@ -467,5 +492,7 @@ let () =
           Alcotest.test_case "golden output" `Quick test_explain_golden;
           Alcotest.test_case "analyze golden output" `Quick
             test_explain_analyze_golden;
+          Alcotest.test_case "linearized closure golden output" `Quick
+            test_explain_closure_golden;
         ] );
     ]
