@@ -37,7 +37,6 @@ type method_ =
       program : Dc_datalog.Syntax.program;
       query : Dc_datalog.Syntax.atom;
       compiled : Dc_datalog.Magic.compiled;
-      seeds : (int * string) list; (* query positions parameters bind *)
       schema : Schema.t;
       residual : Ast.formula; (* conjuncts magic could not absorb *)
       var : Ast.var;
@@ -112,14 +111,6 @@ let magic (catalog : Typecheck.env) notes v app (def : Defs.constructor_def)
         program;
         query;
         compiled;
-        seeds =
-          List.concat
-            (List.mapi
-               (fun i attr ->
-                 match List.assoc_opt attr bindings with
-                 | Some (Ast.Param p) -> [ (i, p) ]
-                 | _ -> [])
-               (Schema.attr_names def.con_result));
         schema = def.con_result;
         residual = Ast.conj_list residual;
         var = v;
@@ -141,11 +132,6 @@ let recursive_application catalog notes v app (def : Defs.constructor_def)
   let as_written () =
     if bindings = [] then begin
       note notes "recursive application without constant restriction: fixpoint";
-      Direct
-    end
-    else if not (Schema.key_is_whole_tuple result) then begin
-      (* magic sets build part of the extent; the key check needs all *)
-      note notes "result key of %s is partial: direct fixpoint" c;
       Direct
     end
     else magic catalog notes v app def bindings residual
@@ -180,8 +166,12 @@ let recursive_application catalog notes v app (def : Defs.constructor_def)
       | None -> Direct)
 
 (* The evaluation method, from the dependency graph of the constructors
-   the query reaches. *)
-let choose (catalog : Typecheck.env) notes (query : Ast.range) recursive =
+   the query reaches.  Every rewrite — inlining, pushing a restriction,
+   the capture rule — evaluates part of a constructed extent, so a
+   system that needs the whole of one keeps the direct method: an
+   aggregate head (the rewrites know none) or a result key that is not
+   the whole tuple (its key check runs on the whole extent). *)
+let choose (catalog : Typecheck.env) names notes (query : Ast.range) recursive =
   let constructor_of = catalog.constructor_of in
   let rec closure acc = function
     | [] -> acc
@@ -200,22 +190,29 @@ let choose (catalog : Typecheck.env) notes (query : Ast.range) recursive =
   let schema_of_range r = Typecheck.infer_range catalog [] r in
   let decompile () =
     Decompiled
-      (Rewrite.decompile ~schema_of:schema_of_range
+      (Rewrite.decompile ~names ~schema_of:schema_of_range
          ~selector_of:catalog.selector_of ~constructor_of
          ~is_recursive:(Depgraph.is_recursive dep) query)
   in
+  let whole (d : Defs.constructor_def) =
+    d.con_agg = None && Schema.key_is_whole_tuple d.con_result
+  in
   match
     ( List.find_opt (served catalog) (Vars.apps_of_range query),
-      List.find_opt (fun (d : Defs.constructor_def) -> d.con_agg <> None) reached )
+      List.find_opt (fun d -> not (whole d)) reached )
   with
   | Some app, _ ->
     note notes "%a is answered by a maintained view: direct" Ast.pp_range
       (Ast.Construct (app.app_base, app.app_con, app.app_args));
     Direct
-  | None, Some agg ->
-    (* rewrites and the capture rule know no aggregate head *)
+  | None, Some ({ con_agg = Some _; _ } as agg) ->
     note notes "aggregate constructor %s reached: direct (aggregate route)"
       agg.con_name;
+    Direct
+  | None, Some partial ->
+    note notes
+      "result key of %s is partial: direct (key checked on the whole extent)"
+      partial.con_name;
     Direct
   | None, None -> (
   match Pushdown.restricted_application query with
@@ -224,7 +221,8 @@ let choose (catalog : Typecheck.env) notes (query : Ast.range) recursive =
     if not (Depgraph.is_recursive dep c) then begin
       (* acyclic application: decompile + push the whole restriction *)
       match
-        Pushdown.push_nonrecursive ~constructor_of ~schema_of_range v app where
+        Pushdown.push_nonrecursive ~names ~constructor_of ~schema_of_range v app
+          where
       with
       | pushed ->
         note notes "constructor %s acyclic: decompiled, restriction pushed" c;
@@ -298,7 +296,10 @@ let plan catalog (query : Ast.range) =
   let graph = Quant_graph.build ~lookup:catalog.constructor_of query in
   let notes = ref [] in
   let method_ =
-    match choose catalog notes query (Quant_graph.is_recursive graph) with
+    match
+      choose catalog (Rewrite.names ()) notes query
+        (Quant_graph.is_recursive graph)
+    with
     | m -> m
     | exception Typecheck.Error msg ->
       note notes "not decompilable (%s): direct fixpoint" msg;
@@ -326,22 +327,21 @@ let execute ?use_indexes (env : Eval.env) (d : decision) =
     Eval.eval_range
       { env with hooks = { env.hooks with constructor_def } }
       d.d_query
-  | None, Magic { program; query; compiled; seeds; schema; residual; var; _ } ->
+  | None, Magic { program; query; compiled; schema; residual; var; _ } ->
     let stats = Dc_datalog.Seminaive.fresh_stats () in
-    (* a prepared form's parameters seed the compiled program *)
+    (* a prepared form's parameters, variables of the query atom, seed
+       the compiled program with their values *)
     let query =
-      if seeds = [] then query
-      else
-        {
-          query with
-          args =
-            List.mapi
-              (fun i arg ->
-                match List.assoc_opt i seeds with
-                | Some p -> Dc_datalog.Syntax.Const (Eval.eval_term env (Ast.Param p))
-                | None -> arg)
-              query.args;
-        }
+      {
+        query with
+        args =
+          List.map
+            (function
+              | Dc_datalog.Syntax.Var p when Eval.SM.mem p env.scalars ->
+                Dc_datalog.Syntax.Const (Eval.SM.find p env.scalars)
+              | arg -> arg)
+            query.args;
+      }
     in
     let result =
       Pushdown.run_magic ~guard:env.guard ~stats ?trace:env.trace

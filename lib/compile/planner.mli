@@ -24,12 +24,11 @@ type method_ =
   | Magic of {
       program : Dc_datalog.Syntax.program;  (** the translated program *)
       query : Dc_datalog.Syntax.atom;
-          (** constants, a variable per parameter binding, [Q<i>] free *)
+          (** constants, a variable named after each parameter binding
+              (its value seeds the compiled program at run time), [Q<i>]
+              free *)
       compiled : Dc_datalog.Magic.compiled;
           (** the program adorned for the query's binding pattern *)
-      seeds : (int * string) list;
-          (** query positions a prepared form's parameters bind: their
-              values seed the compiled program at run time *)
       schema : Schema.t;
       residual : Ast.formula;  (** conjuncts magic could not absorb *)
       var : Ast.var;

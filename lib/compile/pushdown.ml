@@ -123,7 +123,7 @@ let positive_in_application pred con =
 
 (* Push a restriction into a *non-recursive* application by decompiling
    and distributing (Cases 1–3).  Returns the rewritten query range. *)
-let push_nonrecursive ~constructor_of ~schema_of_range v app pred =
+let push_nonrecursive ~names ~constructor_of ~schema_of_range v app pred =
   match app with
   | Construct (base, c, args) -> (
     match constructor_of c with
@@ -132,7 +132,8 @@ let push_nonrecursive ~constructor_of ~schema_of_range v app pred =
       if not (positive_in_application pred c) then
         not_applicable "restriction not positive in %s" c;
       match
-        Rewrite.instantiate_constructor ~schema_of:schema_of_range def base args
+        Rewrite.instantiate_constructor ~names ~schema_of:schema_of_range def base
+          args
       with
       | Comp branches ->
         Comp

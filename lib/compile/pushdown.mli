@@ -37,6 +37,7 @@ val positive_in_application : formula -> string -> bool
     being pushed into. *)
 
 val push_nonrecursive :
+  names:Rewrite.names ->
   constructor_of:(string -> Defs.constructor_def option) ->
   schema_of_range:(range -> Schema.t) ->
   var ->

@@ -15,13 +15,18 @@ open Dc_calculus
 open Ast
 
 (* ------------------------------------------------------------------ *)
-(* Fresh-variable renaming, for standardizing inlined bodies apart. *)
+(* Fresh-variable renaming, for standardizing inlined bodies apart.  A
+   name supply belongs to one rewrite (one planning), so the names it
+   gives — and the plan labels and guard reports that show them — depend
+   only on the query rewritten, not on what was planned before. *)
 
-let fresh_counter = ref 0
+type names = int ref
 
-let fresh_var v =
-  incr fresh_counter;
-  Fmt.str "%s~%d" v !fresh_counter
+let names () = ref 0
+
+let fresh_var names v =
+  incr names;
+  Fmt.str "%s~%d" v !names
 
 (* Rename the binder variables of a branch (and all field references to
    them in the branch's own target and predicate). *)
@@ -74,8 +79,8 @@ and rename_branch mapping (b : branch) =
     where = rename_formula mapping b.where;
   }
 
-let standardize_apart (b : branch) =
-  let mapping = List.map (fun (v, _) -> (v, fresh_var v)) b.binders in
+let standardize_apart names (b : branch) =
+  let mapping = List.map (fun (v, _) -> (v, fresh_var names v)) b.binders in
   {
     binders = List.map (fun (v, r) -> (List.assoc v mapping, r)) b.binders;
     target = List.map (rename_term mapping) b.target;
@@ -186,7 +191,7 @@ let split_args who params (args : arg list) =
       | _ -> invalid_arg (who ^ ": argument mismatch"))
     ([], [], []) params args
 
-let instantiate_selector ~schema_of (def : Defs.selector_def) base
+let instantiate_selector ~names ~schema_of (def : Defs.selector_def) base
     (args : arg list) =
   let scalar_subst, range_subst, param_schemas =
     split_args "instantiate_selector" def.sel_params args
@@ -213,7 +218,7 @@ let instantiate_selector ~schema_of (def : Defs.selector_def) base
     |> Morph.subst_params_formula scalar_subst
     |> substitute_rels
   in
-  let v = fresh_var def.sel_var in
+  let v = fresh_var names def.sel_var in
   let pred = rename_formula [ (def.sel_var, v) ] pred in
   Comp [ { binders = [ (v, base) ]; target = []; where = pred } ]
 
@@ -222,7 +227,7 @@ let instantiate_selector ~schema_of (def : Defs.selector_def) base
    parameters substituted and binders standardized apart (§4 Cases 2–3:
    join and union).  The caller is responsible for only inlining acyclic
    constructors — inlining a recursive one loops. *)
-let instantiate_constructor ~schema_of (def : Defs.constructor_def) base
+let instantiate_constructor ~names ~schema_of (def : Defs.constructor_def) base
     (args : arg list) =
   let scalar_subst, range_subst, param_schemas =
     split_args "instantiate_constructor" def.con_params args
@@ -243,7 +248,7 @@ let instantiate_constructor ~schema_of (def : Defs.constructor_def) base
   let branches =
     List.map
       (fun b ->
-        standardize_apart
+        standardize_apart names
           (substitute
              (Morph.subst_params_branch scalar_subst (retype_branch info [] b))))
       def.con_body
@@ -313,7 +318,7 @@ let rec flatten_formula = function
    acyclic constructor application, then flatten.  [is_recursive] guards
    constructor inlining. *)
 
-let decompile ~schema_of ~selector_of ~constructor_of ~is_recursive
+let decompile ~names ~schema_of ~selector_of ~constructor_of ~is_recursive
     (query : range) =
   (* The inlined comprehension's inferred attribute names come from its
      target terms, not from the constructor's declared result type, so
@@ -334,7 +339,7 @@ let decompile ~schema_of ~selector_of ~constructor_of ~is_recursive
       let args = List.map dec_arg args in
       match selector_of s with
       | Some def ->
-        flatten_range (dec_range (instantiate_selector ~schema_of def base args))
+        flatten_range (dec_range (instantiate_selector ~names ~schema_of def base args))
       | None -> Select (base, s, args))
     | Construct (base, c, args) -> (
       let base = dec_range base in
@@ -342,7 +347,7 @@ let decompile ~schema_of ~selector_of ~constructor_of ~is_recursive
       match constructor_of c with
       | Some def when not (is_recursive c) ->
         flatten_range
-          (dec_range (instantiate_constructor ~schema_of def base args))
+          (dec_range (instantiate_constructor ~names ~schema_of def base args))
       | _ -> Construct (base, c, args))
     | Comp branches -> flatten_range (Comp (List.map dec_branch branches))
 

@@ -15,8 +15,15 @@
 open Dc_calculus
 open Ast
 
-val fresh_var : var -> var
-(** Globally fresh variant of a variable name. *)
+type names
+(** A supply of fresh variable names, one per rewrite: its names are
+    distinct from each other and from every source variable, and
+    numbered from 1 whatever was rewritten before. *)
+
+val names : unit -> names
+
+val fresh_var : names -> var -> var
+(** Fresh variant of a variable name. *)
 
 val rename_formula : (var * var) list -> formula -> formula
 (** Rename free tuple variables (capture-avoiding w.r.t. binders). *)
@@ -24,7 +31,7 @@ val rename_formula : (var * var) list -> formula -> formula
 val rename_range : (var * var) list -> range -> range
 val rename_branch : (var * var) list -> branch -> branch
 
-val standardize_apart : branch -> branch
+val standardize_apart : names -> branch -> branch
 (** Fresh names for all the branch's binders. *)
 
 val retype_branch :
@@ -44,6 +51,7 @@ val retype_formula :
   formula
 
 val instantiate_selector :
+  names:names ->
   schema_of:(range -> Dc_relation.Schema.t) ->
   Defs.selector_def ->
   range ->
@@ -53,6 +61,7 @@ val instantiate_selector :
     [Rel[s(args)] ~> {EACH v IN base: pred[params := args]}] (§4 Case 1). *)
 
 val instantiate_constructor :
+  names:names ->
   schema_of:(range -> Dc_relation.Schema.t) ->
   Defs.constructor_def ->
   range ->
@@ -72,6 +81,7 @@ val flatten_formula : formula -> formula
 (** N2/N3 [<==] inside quantifier ranges. *)
 
 val decompile :
+  names:names ->
   schema_of:(range -> Dc_relation.Schema.t) ->
   selector_of:(string -> Defs.selector_def option) ->
   constructor_of:(string -> Defs.constructor_def option) ->

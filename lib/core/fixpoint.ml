@@ -682,16 +682,16 @@ let run st root_key =
   loop ();
   (* Converged.  The novelty tables are done: give their slots back before
      the final merge builds the result.  Only the root's value is read,
-     plus any value whose key is not the whole tuple, so its merge still
-     checks the key constraint. *)
+     plus any value whose key is not the whole tuple: bodies are
+     evaluated unchecked, so its key constraint is checked here, over
+     the whole value. *)
   KM.iter (fun _ app -> Tuple_hset.release app.novelty) st.apps;
   Array.iter Tuple_hset.release st.seen;
   KM.iter
     (fun key app ->
-      if
-        Key.compare key root_key = 0
-        || not (Schema.key_is_whole_tuple app.def.con_result)
-      then ignore (value st app))
+      if not (Schema.key_is_whole_tuple app.def.con_result) then
+        Relation.check_key (value st app)
+      else if Key.compare key root_key = 0 then ignore (value st app))
     st.apps;
   KM.find root_key st.full
 

@@ -89,6 +89,20 @@ let violates_key r t =
   && (not (mem t r))
   && exists (fun u -> Tuple.equal (key_of r.schema u) (key_of r.schema t)) r
 
+(* The key constraint over a whole relation, in one pass over its key
+   images: a relation built unchecked (a constructor's value) passes
+   only if no two of its tuples share one. *)
+let check_key r =
+  if not (Schema.key_is_whole_tuple r.schema) then
+    ignore
+      (Tuple_set.fold
+         (fun t seen ->
+           let k = key_of r.schema t in
+           if Tuple_set.mem k seen then
+             key_violation "key %a already present" Tuple.pp k;
+           Tuple_set.add k seen)
+         r.tuples Tuple_set.empty)
+
 (* [add] enforces both typing and the key constraint, mirroring the
    type-checker-generated conditional assignment of §2.2:
      IF ALL x1,x2 IN rex (x1.key = x2.key ==> x1 = x2)

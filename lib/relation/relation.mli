@@ -68,6 +68,11 @@ val remove : Tuple.t -> t -> t
 val violates_key : t -> Tuple.t -> bool
 (** Would adding this (absent) tuple violate the key constraint? *)
 
+val check_key : t -> unit
+(** Check the key constraint over the whole relation (one built with
+    {!add_unchecked}, say).
+    @raise Key_violation if two tuples share a key image. *)
+
 val union : t -> t -> t
 (** Schema-compatible union (left schema wins).
     @raise Key_violation if merging keyed relations collides. *)

@@ -117,7 +117,7 @@ let test_inline_selector () =
   Database.define_selector db from_selector;
   let q = Ast.(Select (Rel "Edge", "from", [ Arg_scalar (str "n1") ])) in
   let inlined =
-    Rewrite.decompile ~schema_of:(schema_of_db db)
+    Rewrite.decompile ~names:(Rewrite.names ()) ~schema_of:(schema_of_db db)
       ~selector_of:(Database.selector db)
       ~constructor_of:(Database.constructor db)
       ~is_recursive:(fun _ -> true)
@@ -143,7 +143,7 @@ let test_inline_constructor () =
   let q = Ast.(Construct (Rel "Edge", "ahead2", [])) in
   let g = Depgraph.build [ Constructor.ahead_2 () ] in
   let inlined =
-    Rewrite.decompile ~schema_of:(schema_of_db db)
+    Rewrite.decompile ~names:(Rewrite.names ()) ~schema_of:(schema_of_db db)
       ~selector_of:(Database.selector db)
       ~constructor_of:(Database.constructor db)
       ~is_recursive:(Depgraph.is_recursive g)
@@ -1214,23 +1214,16 @@ let test_closure_near_misses () =
       ("swapped", "branch 2 does not join on the composed columns");
       ("noloop", "no branch is the formal base");
     ];
-  (* a partial result key: declined, and the key check still fires *)
-  let d =
-    plan_direct_with_note db (app "keyed")
-      "closure recogniser declined keyed: the result key is not the whole tuple"
-  in
-  (match Planner.execute (Database.eval_env db) d with
-  | _ -> Alcotest.fail "keyed: the key check did not fire"
-  | exception Relation.Key_violation _ -> ());
-  (* bound, it keeps the direct fixpoint too: magic sets would build part
-     of the extent, and the key check needs all of it *)
-  let d =
-    plan_direct_with_note db (restricted "keyed")
-      "result key of keyed is partial: direct fixpoint"
-  in
-  (match Planner.execute (Database.eval_env db) d with
-  | _ -> Alcotest.fail "keyed, bound: the key check did not fire"
-  | exception Relation.Key_violation _ -> ());
+  (* a partial result key, bound or not: direct, and the key check still
+     fires — magic sets would build part of the extent, and the key check
+     needs all of it *)
+  List.iter
+    (fun q ->
+      let d = plan_direct_with_note db q "result key of keyed is partial" in
+      match Planner.execute (Database.eval_env db) d with
+      | _ -> Alcotest.failf "%a: the key check did not fire" Ast.pp_range q
+      | exception Relation.Key_violation _ -> ())
+    [ app "keyed"; restricted "keyed" ];
   (* the mutual ahead/above scene *)
   let ahead, above = Constructor.ahead_above () in
   Database.declare db "Infront" (Constructor.infront_schema Value.TStr);
@@ -1240,6 +1233,57 @@ let test_closure_near_misses () =
     (plan_direct_with_note db
        Ast.(Construct (Rel "Infront", "ahead", [ Arg_range (Rel "Ontop") ]))
        "closure recogniser declined ahead: branch 3 ranges over")
+
+(* An acyclic constructor keyed on [src] whose body yields two rows per
+   [src]: inlining it (pushed or decompiled) would evaluate only the rows
+   a query keeps, so the planner keeps it direct and the key check fires
+   on a restriction to a non-key column and on a join, through
+   [dbpl run]'s QUERY and through a served statement, cached or not. *)
+let test_acyclic_partial_key () =
+  let db, _ =
+    Dc_lang.Elaborate.run_string
+      {|
+TYPE edgerel = RELATION src, dst OF RECORD src, dst: STRING END;
+TYPE keyedrel = RELATION src OF RECORD src, dst: STRING END;
+VAR Edge: edgerel;
+CONSTRUCTOR fanout FOR Rel: edgerel (): keyedrel;
+BEGIN EACH e IN Rel: TRUE END fanout;
+INSERT Edge VALUES ("s", "x"), ("s", "y"), ("t", "x");
+|}
+  in
+  let queries =
+    [
+      {|QUERY {EACH r IN Edge{fanout()}: r.dst = "x"};|};
+      {|QUERY {EACH r IN Edge{fanout()}: r.dst = "y"};|};
+      {|QUERY {<r.src, e.dst> OF EACH r IN Edge{fanout()}, EACH e IN Edge: r.dst = e.src};|};
+      {|QUERY {<r.src, e.dst> OF EACH r IN Edge{fanout()}, EACH e IN Edge: r.src = e.src AND e.dst = "x"};|};
+    ]
+  in
+  let key_violation what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: the key check did not fire" what
+    | exception Relation.Key_violation _ -> ()
+  in
+  (* the interpreter checks the constructed value's key *)
+  key_violation "Database.query Edge{fanout}" (fun () ->
+      Database.query db Ast.(Construct (Rel "Edge", "fanout", [])));
+  List.iter
+    (fun src ->
+      key_violation ("dbpl run " ^ src) (fun () ->
+          Dc_lang.Elaborate.run_string ~db src))
+    queries;
+  let srv = Dc_server.Server.create db in
+  let s = Dc_server.Server.open_session srv in
+  (* twice: a miss plans and caches the form, the second read hits it *)
+  for _ = 1 to 2 do
+    List.iter
+      (fun src ->
+        key_violation ("served " ^ src) (fun () ->
+            Dc_server.Server.query_string s src))
+      queries
+  done;
+  Dc_server.Server.close_session s;
+  Dc_server.Server.shutdown srv
 
 (* shortest's MIN head: the aggregate route, whatever is bound *)
 let test_closure_near_miss_aggregate () =
@@ -1349,6 +1393,8 @@ let () =
             test_served_differential;
           Alcotest.test_case "near misses stay direct" `Quick
             test_closure_near_misses;
+          Alcotest.test_case "acyclic partial key stays direct" `Quick
+            test_acyclic_partial_key;
           Alcotest.test_case "aggregate head stays direct" `Quick
             test_closure_near_miss_aggregate;
           Alcotest.test_case "point read of a view" `Quick

@@ -878,23 +878,18 @@ let wire_rows (rel, version) =
          tuples = Relation.to_list rel;
        })
 
-(* A tripped guard's report without its wall-clock figure, and with the
-   numbering of the fresh variables a rewrite introduced ([r~104])
-   dropped: a cached form was planned once, the oracle plans again. *)
-let normalized msg =
-  let msg =
-    match Str.search_forward (Str.regexp "[0-9.]+ ms elapsed") msg 0 with
-    | i -> String.sub msg 0 i ^ String.sub msg (Str.match_end ()) (String.length msg - Str.match_end ())
-    | exception Not_found -> msg
-  in
-  Str.global_replace (Str.regexp "~[0-9]+") "~_" msg
+(* A tripped guard's report without its wall-clock figure. *)
+let without_elapsed msg =
+  match Str.search_forward (Str.regexp "[0-9.]+ ms elapsed") msg 0 with
+  | i -> String.sub msg 0 i ^ String.sub msg (Str.match_end ()) (String.length msg - Str.match_end ())
+  | exception Not_found -> msg
 
 let outcome f =
   match f () with
   | r -> Reply (wire_rows r)
   | exception e ->
     let code, msg = Dc_net.Net.classify_exn e in
-    Failed (Fmt.str "%a: %s" Dc_net.Wire.pp_error_code code (normalized msg))
+    Failed (Fmt.str "%a: %s" Dc_net.Wire.pp_error_code code (without_elapsed msg))
 
 let pp_outcome ppf = function
   | Reply r -> Fmt.pf ppf "reply of %d bytes" (String.length r)
