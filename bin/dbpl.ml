@@ -67,32 +67,21 @@ let domains_flag =
     const (fun d -> Option.iter Dc_par.Par.set_domains d)
     $ domains)
 
-let handle_errors f =
-  try f () with
-  | Dc_lang.Lexer.Lex_error msg | Dc_lang.Parser.Parse_error msg ->
-    Fmt.epr "syntax error: %s@." msg;
-    exit 1
-  | Dc_lang.Elaborate.Elab_error msg ->
-    Fmt.epr "elaboration error: %s@." msg;
-    exit 1
-  | Dc_core.Database.Error msg ->
-    Fmt.epr "error: %s@." msg;
-    exit 1
-  | Dc_calculus.Typecheck.Error msg ->
-    Fmt.epr "type error: %s@." msg;
-    exit 1
-  | Dc_agg.Agg.Inadmissible v ->
-    Fmt.epr "aggregate error: %a@." Dc_agg.Agg.pp_violation v;
-    exit 1
-  | Dc_datalog.Stratify.Not_stratifiable msg ->
-    Fmt.epr "stratification error: %s@." msg;
-    exit 1
-  | Dc_core.Fixpoint.Divergence msg ->
-    Fmt.epr "divergence: %s@." msg;
-    exit 1
-  | Dc_guard.Guard.Exhausted (reason, progress) ->
-    Fmt.epr "%a@." Dc_guard.Guard.pp_report (reason, progress);
-    exit 2
+(* Report a typed error on [ppf] through the server's error taxonomy
+   ({!Dc_net.Net.classify_exn}) and return its exit status: 2 for a
+   tripped guard, 1 for any other class.  An exception the taxonomy does
+   not know propagates. *)
+let report ppf e =
+  match Dc_net.Net.classify_exn e with
+  | Dc_net.Wire.Internal, _ -> raise e
+  | Dc_net.Wire.Limit, m ->
+    Fmt.pf ppf "%s@." m;
+    2
+  | code, m ->
+    Fmt.pf ppf "%a error: %s@." Dc_net.Wire.pp_error_code code m;
+    1
+
+let handle_errors f = try f () with e -> exit (report Fmt.stderr e)
 
 let run_cmd =
   let file =
@@ -250,26 +239,7 @@ let repl_cmd =
           (try
              let out = Dc_lang.Elaborate.run env (Dc_lang.Parser.parse text) in
              print_string out
-           with
-          | Dc_lang.Lexer.Lex_error msg | Dc_lang.Parser.Parse_error msg ->
-            Fmt.pr "syntax error: %s@." msg
-          | Dc_lang.Elaborate.Elab_error msg ->
-            Fmt.pr "elaboration error: %s@." msg
-          | Dc_core.Database.Error msg -> Fmt.pr "error: %s@." msg
-          | Dc_calculus.Typecheck.Error msg -> Fmt.pr "type error: %s@." msg
-          | Dc_agg.Agg.Inadmissible v ->
-            Fmt.pr "aggregate error: %a@." Dc_agg.Agg.pp_violation v
-          | Dc_datalog.Stratify.Not_stratifiable msg ->
-            Fmt.pr "stratification error: %s@." msg
-          | Dc_calculus.Eval.Runtime_error msg ->
-            Fmt.pr "runtime error: %s@." msg
-          | Dc_core.Selector.Selector_violation msg ->
-            Fmt.pr "selector violation: %s@." msg
-          | Dc_relation.Relation.Key_violation msg ->
-            Fmt.pr "key violation: %s@." msg
-          | Dc_core.Fixpoint.Divergence msg -> Fmt.pr "divergence: %s@." msg
-          | Dc_guard.Guard.Exhausted (reason, progress) ->
-            Fmt.pr "%a@." Dc_guard.Guard.pp_report (reason, progress));
+           with e -> ignore (report Fmt.stdout e));
           loop ()
         end
         else loop ()
@@ -388,16 +358,8 @@ let serve_cmd =
           end
           else if trimmed.[String.length trimmed - 1] = ';' then begin
             Buffer.clear buffer;
-            (try print_string (Dc_server.Server.execute s text) with
-            | Dc_lang.Lexer.Lex_error msg | Dc_lang.Parser.Parse_error msg ->
-              Fmt.pr "syntax error: %s@." msg
-            | Dc_lang.Elaborate.Elab_error msg ->
-              Fmt.pr "elaboration error: %s@." msg
-            | Dc_core.Database.Error msg -> Fmt.pr "error: %s@." msg
-            | Dc_server.Server.Error msg -> Fmt.pr "server error: %s@." msg
-            | Dc_calculus.Typecheck.Error msg -> Fmt.pr "type error: %s@." msg
-            | Dc_guard.Guard.Exhausted (reason, progress) ->
-              Fmt.pr "%a@." Dc_guard.Guard.pp_report (reason, progress));
+            (try print_string (Dc_server.Server.execute s text)
+             with e -> ignore (report Fmt.stdout e));
             loop ()
           end
           else loop ()

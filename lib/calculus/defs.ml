@@ -10,10 +10,6 @@ type param =
   | Scalar_param of string * Value.ty
   | Rel_param of string * Schema.t
 
-let param_name = function
-  | Scalar_param (n, _) -> n
-  | Rel_param (n, _) -> n
-
 (* SELECTOR name (params) FOR Rel: reltype;
    BEGIN EACH v IN Rel: pred END name *)
 type selector_def = {
@@ -38,23 +34,3 @@ type constructor_def = {
          share the spec); [con_result] is the aggregated schema *)
   con_body : Ast.branch list;
 }
-
-let pp_param ppf = function
-  | Scalar_param (n, ty) -> Fmt.pf ppf "%s: %s" n (Value.type_name ty)
-  | Rel_param (n, s) -> Fmt.pf ppf "%s: %a" n Schema.pp s
-
-let pp_params ppf = function
-  | [] -> ()
-  | ps -> Fmt.pf ppf " (%a)" Fmt.(list ~sep:(any "; ") pp_param) ps
-
-let pp_selector ppf s =
-  Fmt.pf ppf "@[<v2>SELECTOR %s%a FOR %s: %a;@ BEGIN EACH %s IN %s: %a@]@ END %s"
-    s.sel_name pp_params s.sel_params s.sel_formal Schema.pp s.sel_formal_schema
-    s.sel_var s.sel_formal Ast.pp_formula s.sel_pred s.sel_name
-
-let pp_constructor ppf c =
-  Fmt.pf ppf "@[<v2>CONSTRUCTOR %s FOR %s: %a%a: %a;@ BEGIN %a@]@ END %s"
-    c.con_name c.con_formal Schema.pp c.con_formal_schema pp_params
-    c.con_params Schema.pp c.con_result
-    Fmt.(list ~sep:(any ",@ ") Ast.pp_branch)
-    c.con_body c.con_name

@@ -11,8 +11,6 @@ type param =
   | Scalar_param of string * Value.ty
   | Rel_param of string * Schema.t
 
-val param_name : param -> string
-
 (** [SELECTOR name (params) FOR Rel: reltype;
      BEGIN EACH v IN Rel: pred END name] *)
 type selector_def = {
@@ -38,7 +36,3 @@ type constructor_def = {
           group attributes followed by the accumulated value *)
   con_body : Ast.branch list;
 }
-
-val pp_param : param Fmt.t
-val pp_selector : selector_def Fmt.t
-val pp_constructor : constructor_def Fmt.t

@@ -1,111 +1,163 @@
-(* Generic bottom-up rewriting over the calculus AST.
+(* One fold and one map over the calculus AST, both aware of binders.
 
-   [map_*] applies a range transformer everywhere a range occurs; the
-   transformer sees each rewritten-children range and may replace it.  Used
-   by the semi-naive fixpoint engine (substituting delta relations for one
-   recursive occurrence) and by the N1–N3 range-nesting rewrites of
-   [Dc_compile.Rewrite]. *)
+   Every structural walker of the calculus is an instance of one of the
+   two: free variables and constructor applications ({!Vars}), the §3.3
+   occurrence count ({!Positivity}) and polarity ({!Normalize}),
+   parameter substitution, renaming, retyping, decompilation and
+   restriction pushdown ([Dc_compile]).
+
+   Scoping is the evaluator's.  [SOME v IN r (p)] and [ALL v IN r (p)]
+   bind [v] in [p], not in [r].  A branch's binders are sequential: a
+   binder's range sees the binders before it, and the target and WHERE
+   clause see them all. *)
 
 open Ast
 
-let rec map_formula f = function
-  | (True | False | Cmp _) as x -> x
-  | Not x -> Not (map_formula f x)
-  | And (a, b) -> And (map_formula f a, map_formula f b)
-  | Or (a, b) -> Or (map_formula f a, map_formula f b)
-  | Some_in (v, r, x) -> Some_in (v, map_range f r, map_formula f x)
-  | All_in (v, r, x) -> All_in (v, map_range f r, map_formula f x)
-  | In_rel (v, r) -> In_rel (v, map_range f r)
-  | Member (ts, r) -> Member (ts, map_range f r)
+module S = Set.Make (String)
 
-and map_range f r =
-  let r' =
-    match r with
-    | Rel _ -> r
-    | Select (base, s, args) -> Select (map_range f base, s, List.map (map_arg f) args)
-    | Construct (base, c, args) ->
-      Construct (map_range f base, c, List.map (map_arg f) args)
-    | Comp branches -> Comp (List.map (map_branch f) branches)
-  in
-  f r'
+(* ------------------------------------------------------------------ *)
+(* Fold: pre-order, every range with its NOT/ALL-range depth, every term
+   node with the tuple variables bound around it. *)
 
-and map_arg f = function
-  | Arg_scalar t -> Arg_scalar t
-  | Arg_range r -> Arg_range (map_range f r)
+type 'a fold = {
+  term : S.t -> 'a -> term -> 'a;
+  var : S.t -> 'a -> var -> 'a;
+  range : int -> 'a -> range -> 'a;
+}
 
-and map_branch f { binders; target; where } =
+let skip =
   {
-    binders = List.map (fun (v, r) -> (v, map_range f r)) binders;
-    target;
-    where = map_formula f where;
+    term = (fun _ acc _ -> acc);
+    var = (fun _ acc _ -> acc);
+    range = (fun _ acc _ -> acc);
   }
 
-let map_branches f bs = List.map (map_branch f) bs
+let rec term_f fo bound acc t =
+  let acc = fo.term bound acc t in
+  match t with
+  | Binop (_, a, b) -> term_f fo bound (term_f fo bound acc a) b
+  | Const _ | Field _ | Param _ -> acc
 
-(* Substitute terms for scalar parameters (closing a definition over actual
-   scalar arguments at compile time, §4 "logical access paths" with dummy
-   constants). *)
-let rec subst_params_term bindings = function
-  | Const _ as t -> t
-  | Field _ as t -> t
-  | Param p as t -> (
-    match List.assoc_opt p bindings with
-    | Some t' -> t'
-    | None -> t)
-  | Binop (op, a, b) ->
-    Binop (op, subst_params_term bindings a, subst_params_term bindings b)
+let rec terms_f fo bound acc = function
+  | [] -> acc
+  | t :: ts -> terms_f fo bound (term_f fo bound acc t) ts
 
-let rec subst_params_formula bindings = function
-  | (True | False) as f -> f
-  | Cmp (op, a, b) ->
-    Cmp (op, subst_params_term bindings a, subst_params_term bindings b)
-  | Not f -> Not (subst_params_formula bindings f)
-  | And (a, b) ->
-    And (subst_params_formula bindings a, subst_params_formula bindings b)
-  | Or (a, b) ->
-    Or (subst_params_formula bindings a, subst_params_formula bindings b)
+let rec formula_f fo depth bound acc = function
+  | True | False -> acc
+  | Cmp (_, a, b) -> term_f fo bound (term_f fo bound acc a) b
+  | Not f -> formula_f fo (depth + 1) bound acc f
+  | And (a, b) | Or (a, b) ->
+    formula_f fo depth bound (formula_f fo depth bound acc a) b
   | Some_in (v, r, f) ->
-    Some_in (v, subst_params_range bindings r, subst_params_formula bindings f)
+    formula_f fo depth (S.add v bound) (range_f fo depth bound acc r) f
   | All_in (v, r, f) ->
-    All_in (v, subst_params_range bindings r, subst_params_formula bindings f)
-  | In_rel (v, r) -> In_rel (v, subst_params_range bindings r)
-  | Member (ts, r) ->
-    Member
-      (List.map (subst_params_term bindings) ts, subst_params_range bindings r)
+    (* the range is under the ALL; the body is not (§3.3) *)
+    formula_f fo depth (S.add v bound) (range_f fo (depth + 1) bound acc r) f
+  | In_rel (v, r) -> range_f fo depth bound (fo.var bound acc v) r
+  | Member (ts, r) -> range_f fo depth bound (terms_f fo bound acc ts) r
 
-and subst_params_range bindings = function
-  | Rel _ as r -> r
-  | Select (base, s, args) ->
-    Select
-      (subst_params_range bindings base, s, List.map (subst_params_arg bindings) args)
-  | Construct (base, c, args) ->
-    Construct
-      (subst_params_range bindings base, c, List.map (subst_params_arg bindings) args)
-  | Comp branches -> Comp (List.map (subst_params_branch bindings) branches)
+and range_f fo depth bound acc r =
+  let acc = fo.range depth acc r in
+  match r with
+  | Rel _ -> acc
+  | Select (base, _, args) | Construct (base, _, args) ->
+    args_f fo depth bound (range_f fo depth bound acc base) args
+  | Comp bs -> branches_f fo depth bound acc bs
 
-and subst_params_arg bindings = function
-  | Arg_scalar t -> Arg_scalar (subst_params_term bindings t)
-  | Arg_range r -> Arg_range (subst_params_range bindings r)
+and args_f fo depth bound acc = function
+  | [] -> acc
+  | Arg_scalar t :: rest -> args_f fo depth bound (term_f fo bound acc t) rest
+  | Arg_range r :: rest -> args_f fo depth bound (range_f fo depth bound acc r) rest
 
-and subst_params_branch bindings { binders; target; where } =
+and branches_f fo depth bound acc = function
+  | [] -> acc
+  | b :: rest -> branches_f fo depth bound (branch_f fo depth bound acc b) rest
+
+and branch_f fo depth bound acc b = binders_f fo depth b bound acc b.binders
+
+and binders_f fo depth b bound acc = function
+  | [] -> formula_f fo depth bound (terms_f fo bound acc b.target) b.where
+  | (v, r) :: rest ->
+    binders_f fo depth b (S.add v bound) (range_f fo depth bound acc r) rest
+
+let fold_term fo acc t = term_f fo S.empty acc t
+let fold_formula fo acc f = formula_f fo 0 S.empty acc f
+let fold_range fo acc r = range_f fo 0 S.empty acc r
+let fold_branch fo acc b = branch_f fo 0 S.empty acc b
+
+(* ------------------------------------------------------------------ *)
+(* Map: bottom-up, threading the caller's environment through binders. *)
+
+type 'env map = {
+  bind : 'env -> var -> range -> range -> 'env;
+  var : 'env -> var -> var;
+  term : 'env -> term -> term;
+  range : 'env -> range -> range;
+}
+
+let id =
   {
-    binders = List.map (fun (v, r) -> (v, subst_params_range bindings r)) binders;
-    target = List.map (subst_params_term bindings) target;
-    where = subst_params_formula bindings where;
+    bind = (fun env _ _ _ -> env);
+    var = (fun _ v -> v);
+    term = (fun _ t -> t);
+    range = (fun _ r -> r);
   }
 
-(* Rename relation names (closing formals over actual relation names). *)
-let rename_rels mapping =
-  map_range (function
-    | Rel n as r -> (
-      match List.assoc_opt n mapping with
-      | Some n' -> Rel n'
-      | None -> r)
-    | r -> r)
+let rec map_term m env t =
+  match t with
+  | Binop (op, a, b) -> m.term env (Binop (op, map_term m env a, map_term m env b))
+  | Const _ | Field _ | Param _ -> m.term env t
 
-let rename_rels_branch mapping = map_branch (function
-  | Rel n as r -> (
-    match List.assoc_opt n mapping with
-    | Some n' -> Rel n'
-    | None -> r)
-  | r -> r)
+let rec map_formula m env = function
+  | (True | False) as f -> f
+  | Cmp (op, a, b) -> Cmp (op, map_term m env a, map_term m env b)
+  | Not f -> Not (map_formula m env f)
+  | And (a, b) -> And (map_formula m env a, map_formula m env b)
+  | Or (a, b) -> Or (map_formula m env a, map_formula m env b)
+  | Some_in (v, r, f) ->
+    let r' = map_range m env r in
+    Some_in (v, r', map_formula m (m.bind env v r r') f)
+  | All_in (v, r, f) ->
+    let r' = map_range m env r in
+    All_in (v, r', map_formula m (m.bind env v r r') f)
+  | In_rel (v, r) -> In_rel (m.var env v, map_range m env r)
+  | Member (ts, r) -> Member (List.map (map_term m env) ts, map_range m env r)
+
+and map_range m env r =
+  m.range env
+    (match r with
+    | Rel _ -> r
+    | Select (base, s, args) ->
+      Select (map_range m env base, s, List.map (map_arg m env) args)
+    | Construct (base, c, args) ->
+      Construct (map_range m env base, c, List.map (map_arg m env) args)
+    | Comp bs -> Comp (List.map (map_branch m env) bs))
+
+and map_arg m env = function
+  | Arg_scalar t -> Arg_scalar (map_term m env t)
+  | Arg_range r -> Arg_range (map_range m env r)
+
+and map_branch m env { binders; target; where } =
+  let rec go env acc = function
+    | [] ->
+      {
+        binders = List.rev acc;
+        target = List.map (map_term m env) target;
+        where = map_formula m env where;
+      }
+    | (v, r) :: rest ->
+      let r' = map_range m env r in
+      go (m.bind env v r r') ((v, r') :: acc) rest
+  in
+  go env [] binders
+
+(* Substitute terms for scalar parameters (closing a definition over its
+   actual scalar arguments, §4). *)
+let subst_params bindings =
+  {
+    id with
+    term =
+      (fun _ -> function
+        | Param p as t -> Option.value (List.assoc_opt p bindings) ~default:t
+        | t -> t);
+  }

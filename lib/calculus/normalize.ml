@@ -47,65 +47,39 @@ type polarity =
   | Positive
   | Negative
 
-let flip = function
-  | Positive -> Negative
-  | Negative -> Positive
-
 type polar_occurrence = {
   po_target : Positivity.target;
   po_polarity : polarity;
 }
 
-let rec formula_pol pol acc f =
-  match nnf f with
-  | True | False | Cmp _ -> acc
-  | Not (In_rel (_, r)) | Not (Member (_, r)) -> range_pol (flip pol) acc r
-  | Not _ -> assert false (* nnf leaves NOT only on atoms *)
-  | And (a, b) | Or (a, b) -> formula_pol pol (formula_pol pol acc a) b
-  | Some_in (_, r, f) -> formula_pol pol (range_pol pol acc r) f
-  | All_in (_, r, f) ->
-    (* bigger range => more instances to satisfy => antitone in the range *)
-    formula_pol pol (range_pol (flip pol) acc r) f
-  | In_rel (_, r) | Member (_, r) -> range_pol pol acc r
+(* Deep NNF: every WHERE clause of a nested comprehension too. *)
+let nnf_deep f =
+  nnf
+    (Morph.map_formula
+       {
+         Morph.id with
+         range =
+           (fun () -> function
+             | Comp bs -> Comp (List.map (fun b -> { b with where = nnf b.where }) bs)
+             | r -> r);
+       }
+       () f)
 
-and range_pol pol acc = function
-  | Rel n -> { po_target = Positivity.Rel_name n; po_polarity = pol } :: acc
-  | Select (r, _, args) ->
-    List.fold_left (arg_pol pol) (range_pol pol acc r) args
-  | Construct (r, c, args) ->
-    let acc = { po_target = Positivity.App c; po_polarity = pol } :: acc in
-    List.fold_left (arg_pol pol) (range_pol pol acc r) args
-  | Comp branches -> List.fold_left (branch_pol pol) acc branches
-
-and arg_pol pol acc = function
-  | Arg_scalar _ -> acc
-  | Arg_range r -> range_pol pol acc r
-
-and branch_pol pol acc { binders; where; _ } =
-  let acc =
-    List.fold_left (fun acc (_, r) -> range_pol pol acc r) acc binders
-  in
-  formula_pol pol acc where
-
-let polarities_formula f = List.rev (formula_pol Positive [] f)
-let polarities_branches bs = List.rev (List.fold_left (branch_pol Positive) [] bs)
+(* On the deep NNF, NOT sits only on literals, so the parity of an
+   occurrence's NOT/ALL-range depth is its polarity. *)
+let polarities_formula f =
+  List.map
+    (fun (o : Positivity.occurrence) ->
+      {
+        po_target = o.occ_target;
+        po_polarity = (if o.occ_depth mod 2 = 0 then Positive else Negative);
+      })
+    (Positivity.occurrences_formula (nnf_deep f))
 
 (* Syntactic monotonicity: every occurrence of the target is positive after
    normalization.  By the §3.3 lemma this follows from positivity, and the
-   test suite checks that implication on both hand-written and generated
-   constructor systems. *)
-let monotone_in_branches bs target =
-  List.for_all
-    (fun o -> o.po_target <> target || o.po_polarity = Positive)
-    (polarities_branches bs)
-
+   test suite checks that implication on generated formulas. *)
 let monotone_in_formula f target =
   List.for_all
     (fun o -> o.po_target <> target || o.po_polarity = Positive)
     (polarities_formula f)
-
-(* Normalize every formula inside a branch (binder ranges included, via the
-   generic rewriter). *)
-let nnf_branch (b : branch) =
-  let b = Morph.map_branch (fun r -> r) b in
-  { b with where = nnf b.where }

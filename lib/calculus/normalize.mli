@@ -14,8 +14,6 @@ type polarity =
   | Positive
   | Negative
 
-val flip : polarity -> polarity
-
 type polar_occurrence = {
   po_target : Positivity.target;
   po_polarity : polarity;
@@ -23,16 +21,11 @@ type polar_occurrence = {
 
 val polarities_formula : Ast.formula -> polar_occurrence list
 (** Polarity of every relation-name / application occurrence after
-    normalization: negated literals and ALL-range positions flip. *)
+    normalization (nested WHERE clauses included): negated literals and
+    ALL-range positions flip. *)
 
-val polarities_branches : Ast.branch list -> polar_occurrence list
 
 val monotone_in_formula : Ast.formula -> Positivity.target -> bool
 (** All occurrences of the target are positive — syntactic monotonicity.
     Positivity (even counts) implies this; the property tests check the
     implication semantically. *)
-
-val monotone_in_branches : Ast.branch list -> Positivity.target -> bool
-
-val nnf_branch : Ast.branch -> Ast.branch
-(** Normalize the branch's WHERE formula. *)

@@ -25,40 +25,20 @@ type occurrence = {
   occ_depth : int; (* total number of enclosing NOTs and ALL-ranges *)
 }
 
-let rec formula_occ depth acc = function
-  | True | False | Cmp _ -> acc
-  | Not f -> formula_occ (depth + 1) acc f
-  | And (a, b) | Or (a, b) -> formula_occ depth (formula_occ depth acc a) b
-  | Some_in (_, r, f) ->
-    (* existential range is not under the quantifier *)
-    formula_occ depth (range_occ depth acc r) f
-  | All_in (_, r, f) ->
-    (* names in the range ARE under the ALL; names in the body are not *)
-    formula_occ depth (range_occ (depth + 1) acc r) f
-  | In_rel (_, r) | Member (_, r) -> range_occ depth acc r
+let occurrences =
+  {
+    Morph.skip with
+    range =
+      (fun depth acc -> function
+        | Rel n -> { occ_target = Rel_name n; occ_depth = depth } :: acc
+        | Construct (_, c, _) -> { occ_target = App c; occ_depth = depth } :: acc
+        | Select _ | Comp _ -> acc);
+  }
 
-and range_occ depth acc = function
-  | Rel n -> { occ_target = Rel_name n; occ_depth = depth } :: acc
-  | Select (r, _, args) ->
-    List.fold_left (arg_occ depth) (range_occ depth acc r) args
-  | Construct (r, c, args) ->
-    let acc = { occ_target = App c; occ_depth = depth } :: acc in
-    List.fold_left (arg_occ depth) (range_occ depth acc r) args
-  | Comp branches -> List.fold_left (branch_occ depth) acc branches
+let occurrences_formula f = List.rev (Morph.fold_formula occurrences [] f)
 
-and arg_occ depth acc = function
-  | Arg_scalar _ -> acc
-  | Arg_range r -> range_occ depth acc r
-
-and branch_occ depth acc { binders; where; _ } =
-  let acc =
-    List.fold_left (fun acc (_, r) -> range_occ depth acc r) acc binders
-  in
-  formula_occ depth acc where
-
-let occurrences_formula f = List.rev (formula_occ 0 [] f)
-let occurrences_range r = List.rev (range_occ 0 [] r)
-let occurrences_branches bs = List.rev (List.fold_left (branch_occ 0) [] bs)
+let occurrences_branches bs =
+  List.rev (List.fold_left (Morph.fold_branch occurrences) [] bs)
 
 (* A formula/expression is positive in [name] if every occurrence of that
    relation name has even depth. *)
@@ -66,11 +46,6 @@ let positive_in_formula f name =
   List.for_all
     (fun o -> o.occ_target <> Rel_name name || o.occ_depth mod 2 = 0)
     (occurrences_formula f)
-
-let positive_in_branches bs name =
-  List.for_all
-    (fun o -> o.occ_target <> Rel_name name || o.occ_depth mod 2 = 0)
-    (occurrences_branches bs)
 
 (* ------------------------------------------------------------------ *)
 (* Checking a constructor system *)
@@ -252,11 +227,16 @@ let check_aggregates (defs : Defs.constructor_def list) =
                         (fun (v', a') -> v = v' && a = a')
                         rec_value_fields
                     in
-                    let rec mentions = function
-                      | Ast.Field (v, a) -> is_rv v a
-                      | Ast.Const _ | Ast.Param _ -> false
-                      | Ast.Binop (_, x, y) -> mentions x || mentions y
+                    let bound_read =
+                      {
+                        Morph.skip with
+                        term =
+                          (fun _ found -> function
+                            | Ast.Field (v, a) -> found || is_rv v a
+                            | _ -> found);
+                      }
                     in
+                    let mentions t = Morph.fold_term bound_read false t in
                     (* monotone non-decreasing in the recursive values *)
                     let rec monotone = function
                       | Ast.Field _ | Ast.Const _ | Ast.Param _ -> true
@@ -295,16 +275,8 @@ let check_aggregates (defs : Defs.constructor_def list) =
                       | Ast.Ge -> Ast.Le
                       | (Ast.Eq | Ast.Ne) as o -> o
                     in
-                    let rec formula_mentions = function
-                      | Ast.True | Ast.False -> false
-                      | Ast.Cmp (_, x, y) -> mentions x || mentions y
-                      | Ast.Not f -> formula_mentions f
-                      | Ast.And (x, y) | Ast.Or (x, y) ->
-                        formula_mentions x || formula_mentions y
-                      | Ast.Some_in (_, _, f) | Ast.All_in (_, _, f) ->
-                        formula_mentions f
-                      | Ast.In_rel _ -> false
-                      | Ast.Member (ts, _) -> List.exists mentions ts
+                    let formula_mentions f =
+                      Morph.fold_formula bound_read false f
                     in
                     List.iter
                       (fun conj ->

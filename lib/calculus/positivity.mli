@@ -20,13 +20,10 @@ type occurrence = {
 }
 
 val occurrences_formula : Ast.formula -> occurrence list
-val occurrences_range : Ast.range -> occurrence list
-val occurrences_branches : Ast.branch list -> occurrence list
+(** Every relation-name and application occurrence, in traversal order. *)
 
 val positive_in_formula : Ast.formula -> string -> bool
 (** Every occurrence of the named relation has even depth. *)
-
-val positive_in_branches : Ast.branch list -> string -> bool
 
 (** {1 Checking constructor systems} *)
 
@@ -37,11 +34,6 @@ type violation = {
 }
 
 val pp_violation : violation Fmt.t
-
-val check_system :
-  Defs.constructor_def list -> (unit, violation list) result
-(** Check one (mutually recursive) system: every application of an
-    in-system constructor must satisfy positivity. *)
 
 val dependencies : Defs.constructor_def -> string list
 (** Constructors applied in a definition's body (with repetitions). *)

@@ -278,5 +278,3 @@ let check_constructor_def env (def : Defs.constructor_def) =
         def.con_name Schema.pp result Schema.pp def.con_result
 
 let check_query env range = ignore (infer_range env [] range)
-
-let result_of f = try Ok (f ()) with Error msg -> Error msg

@@ -31,17 +31,10 @@ val env :
   env
 (** Build an environment from association lists. *)
 
-val with_rel : env -> string -> Schema.t -> env
-(** Bind one more relation name (e.g. a definition's formal). *)
-
 val with_scalar_params : env -> (string * Value.ty) list -> env
 
 type ctx = (Ast.var * Schema.t) list
 (** Tuple-variable context: variable → schema of its range. *)
-
-val infer_term : env -> ctx -> Ast.term -> Value.ty
-(** @raise Error on unbound variables, unknown attributes/parameters, or
-    operator/operand mismatches. *)
 
 val check_formula : env -> ctx -> Ast.formula -> unit
 
@@ -54,17 +47,6 @@ val target_schema : (Ast.term -> Value.ty) -> Ast.term list -> Schema.t
     [Field] term keeps its attribute name, any other term is named
     [c<i>] by its position, and a name already taken becomes
     [<name>_<i>].  The evaluator names its results by this rule too. *)
-
-val infer_branch : env -> ctx -> Ast.branch -> Schema.t
-(** Output schema of one branch (see {!target_schema}). *)
-
-val infer_branches : env -> ctx -> Ast.branch list -> Schema.t
-(** Schema of a comprehension; all branches must be positionally
-    compatible with the first. *)
-
-val check_args :
-  env -> ctx -> string -> Defs.param list -> Ast.arg list -> unit
-(** Arguments against formal parameters (arity, kind, type). *)
 
 val aggregated_schema :
   who:string -> Dc_agg.Agg.spec -> Schema.t -> Schema.t
@@ -82,6 +64,3 @@ val check_constructor_def : env -> Defs.constructor_def -> unit
     [con_result] comparison. *)
 
 val check_query : env -> Ast.range -> unit
-
-val result_of : (unit -> 'a) -> ('a, string) result
-(** Run a checking thunk, capturing {!Error} as [Error msg]. *)

@@ -1,130 +1,39 @@
-(* Free-variable and name analyses over the calculus AST.
+(* Free-variable and constructor-application analyses over the calculus
+   AST, as folds ({!Morph}).
 
    Used by the typechecker, the join planner in {!Eval} (which needs to know
-   when a filter becomes evaluable), the positivity checker, and the
-   compilation graphs of [Dc_compile]. *)
+   when a filter becomes evaluable), and the compilation graphs of
+   [Dc_compile]. *)
 
-module S = Set.Make (String)
+module S = Morph.S
 
 open Ast
 
-let rec term_vars acc = function
-  | Const _ | Param _ -> acc
-  | Field (v, _) -> S.add v acc
-  | Binop (_, a, b) -> term_vars (term_vars acc a) b
+let free =
+  {
+    Morph.skip with
+    term =
+      (fun bound acc -> function
+        | Field (v, _) when not (S.mem v bound) -> S.add v acc
+        | _ -> acc);
+    var = (fun bound acc v -> if S.mem v bound then acc else S.add v acc);
+  }
 
-let rec formula_vars bound acc = function
-  | True | False -> acc
-  | Cmp (_, a, b) -> term_vars (term_vars acc a) b
-  | Not f -> formula_vars bound acc f
-  | And (a, b) | Or (a, b) -> formula_vars bound (formula_vars bound acc a) b
-  | Some_in (v, r, f) | All_in (v, r, f) ->
-    let acc = range_vars bound acc r in
-    S.union acc (S.diff (formula_vars (S.add v bound) S.empty f) (S.add v bound))
-  | In_rel (v, r) ->
-    let acc = if S.mem v bound then acc else S.add v acc in
-    range_vars bound acc r
-  | Member (ts, r) ->
-    let acc = List.fold_left term_vars acc ts in
-    range_vars bound acc r
-
-and range_vars bound acc = function
-  | Rel _ -> acc
-  | Select (r, _, args) | Construct (r, _, args) ->
-    List.fold_left (arg_vars bound) (range_vars bound acc r) args
-  | Comp branches -> List.fold_left (branch_vars bound) acc branches
-
-and arg_vars bound acc = function
-  | Arg_scalar t -> term_vars acc t
-  | Arg_range r -> range_vars bound acc r
-
-and branch_vars bound acc { binders; target; where } =
-  (* Binder variables are local to the branch. *)
-  let inner_bound =
-    List.fold_left (fun s (v, _) -> S.add v s) bound binders
-  in
-  let acc =
-    List.fold_left (fun acc (_, r) -> range_vars bound acc r) acc binders
-  in
-  let inner = List.fold_left term_vars S.empty target in
-  let inner = formula_vars inner_bound inner where in
-  S.union acc (S.diff inner inner_bound)
-
-let free_vars_formula f = formula_vars S.empty S.empty f
-
-let free_vars_term t = term_vars S.empty t
-
-let free_vars_range r = range_vars S.empty S.empty r
-
-(* Scalar parameters referenced in a term. *)
-let rec term_params acc = function
-  | Const _ | Field _ -> acc
-  | Param p -> S.add p acc
-  | Binop (_, a, b) -> term_params (term_params acc a) b
-
-let params_of_term t = term_params S.empty t
-
-(* Relation names occurring in range position anywhere in the AST. *)
-let rec formula_rel_names acc = function
-  | True | False | Cmp _ -> acc
-  | Not f -> formula_rel_names acc f
-  | And (a, b) | Or (a, b) -> formula_rel_names (formula_rel_names acc a) b
-  | Some_in (_, r, f) | All_in (_, r, f) ->
-    formula_rel_names (range_rel_names acc r) f
-  | In_rel (_, r) | Member (_, r) -> range_rel_names acc r
-
-and range_rel_names acc = function
-  | Rel n -> S.add n acc
-  | Select (r, _, args) | Construct (r, _, args) ->
-    List.fold_left arg_rel_names (range_rel_names acc r) args
-  | Comp branches -> List.fold_left branch_rel_names acc branches
-
-and arg_rel_names acc = function
-  | Arg_scalar _ -> acc
-  | Arg_range r -> range_rel_names acc r
-
-and branch_rel_names acc { binders; where; _ } =
-  let acc =
-    List.fold_left (fun acc (_, r) -> range_rel_names acc r) acc binders
-  in
-  formula_rel_names acc where
-
-let rel_names_formula f = formula_rel_names S.empty f
-let rel_names_range r = range_rel_names S.empty r
-
-let rel_names_branches bs =
-  List.fold_left branch_rel_names S.empty bs
+let free_vars_formula f = Morph.fold_formula free S.empty f
+let free_vars_term t = Morph.fold_term free S.empty t
+let free_vars_range r = Morph.fold_range free S.empty r
 
 (* Constructor applications: every [Construct] occurrence in an AST
    fragment, with its base range and arguments. *)
 type app = { app_con : string; app_base : range; app_args : arg list }
 
-let rec formula_apps acc = function
-  | True | False | Cmp _ -> acc
-  | Not f -> formula_apps acc f
-  | And (a, b) | Or (a, b) -> formula_apps (formula_apps acc a) b
-  | Some_in (_, r, f) | All_in (_, r, f) -> formula_apps (range_apps acc r) f
-  | In_rel (_, r) | Member (_, r) -> range_apps acc r
+let apps =
+  {
+    Morph.skip with
+    range =
+      (fun _ acc -> function
+        | Construct (r, c, args) -> { app_con = c; app_base = r; app_args = args } :: acc
+        | _ -> acc);
+  }
 
-and range_apps acc = function
-  | Rel _ -> acc
-  | Select (r, _, args) ->
-    List.fold_left arg_apps (range_apps acc r) args
-  | Construct (r, c, args) ->
-    let acc = { app_con = c; app_base = r; app_args = args } :: acc in
-    List.fold_left arg_apps (range_apps acc r) args
-  | Comp branches -> List.fold_left branch_apps acc branches
-
-and arg_apps acc = function
-  | Arg_scalar _ -> acc
-  | Arg_range r -> range_apps acc r
-
-and branch_apps acc { binders; where; _ } =
-  let acc =
-    List.fold_left (fun acc (_, r) -> range_apps acc r) acc binders
-  in
-  formula_apps acc where
-
-let apps_of_branches bs = List.rev (List.fold_left branch_apps [] bs)
-let apps_of_range r = List.rev (range_apps [] r)
-let apps_of_formula f = List.rev (formula_apps [] f)
+let apps_of_range r = List.rev (Morph.fold_range apps [] r)

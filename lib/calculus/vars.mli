@@ -1,6 +1,7 @@
-(** Free-variable and name analyses over the calculus AST. *)
+(** Free-variable and constructor-application analyses over the calculus
+    AST, as folds ({!Morph}). *)
 
-module S : Set.S with type elt = string
+module S = Morph.S
 
 val free_vars_term : Ast.term -> S.t
 (** Tuple variables occurring in a term. *)
@@ -10,15 +11,6 @@ val free_vars_formula : Ast.formula -> S.t
 
 val free_vars_range : Ast.range -> S.t
 
-val params_of_term : Ast.term -> S.t
-(** Scalar parameter names referenced in a term. *)
-
-val rel_names_formula : Ast.formula -> S.t
-(** Named relations occurring in range position anywhere in a formula. *)
-
-val rel_names_range : Ast.range -> S.t
-val rel_names_branches : Ast.branch list -> S.t
-
 (** A constructor-application occurrence: [base{con(args)}]. *)
 type app = {
   app_con : string;
@@ -26,8 +18,5 @@ type app = {
   app_args : Ast.arg list;
 }
 
-val apps_of_branches : Ast.branch list -> app list
-(** Every [Construct] occurrence, in traversal order. *)
-
 val apps_of_range : Ast.range -> app list
-val apps_of_formula : Ast.formula -> app list
+(** Every [Construct] occurrence, in traversal order. *)

@@ -57,29 +57,19 @@ let constant_bindings v where =
 
 (* Substitute occurrences of [v.<result attr>] in [pred] by per-branch
    replacement terms; [replace attr] yields the term for a result
-   attribute.  Stops at quantifiers that shadow [v]. *)
+   attribute.  Quantifier and comprehension ranges are rewritten too; a
+   binder that shadows [v] ends the substitution in its scope. *)
 let substitute_result v replace pred =
-  let rec subst_term = function
-    | Field (v', a) when v' = v -> replace a
-    | Binop (op, a, b) -> Binop (op, subst_term a, subst_term b)
-    | t -> t
-  in
-  let rec subst_formula = function
-    | (True | False) as f -> f
-    | Cmp (op, a, b) -> Cmp (op, subst_term a, subst_term b)
-    | Not f -> Not (subst_formula f)
-    | And (a, b) -> And (subst_formula a, subst_formula b)
-    | Or (a, b) -> Or (subst_formula a, subst_formula b)
-    | Some_in (x, r, f) ->
-      if String.equal x v then Some_in (x, r, f)
-      else Some_in (x, r, subst_formula f)
-    | All_in (x, r, f) ->
-      if String.equal x v then All_in (x, r, f)
-      else All_in (x, r, subst_formula f)
-    | In_rel _ as f -> f
-    | Member (ms, r) -> Member (List.map subst_term ms, r)
-  in
-  subst_formula pred
+  Morph.map_formula
+    {
+      Morph.id with
+      bind = (fun live x _ _ -> live && not (String.equal x v));
+      term =
+        (fun live -> function
+          | Field (v', a) when live && String.equal v' v -> replace a
+          | t -> t);
+    }
+    true pred
 
 (* Distribute a restriction over the branches of a decompiled application.
    [result] is the constructor's declared result schema (the type of the

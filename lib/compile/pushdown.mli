@@ -17,25 +17,6 @@ val constant_bindings : var -> formula -> (string * term) list * formula list
     [Const] or a prepared form's [Param], and the residual conjuncts (a
     second binding of one attribute among them). *)
 
-val substitute_result : var -> (string -> term) -> formula -> formula
-(** Replace [v.<attr>] by per-attribute replacement terms (stops at
-    quantifiers shadowing [v]). *)
-
-val push_into_branches :
-  result:Schema.t ->
-  schema_of_range:(range -> Schema.t) ->
-  var ->
-  formula ->
-  branch list ->
-  branch list
-(** Distribute a restriction over decompiled branches: Case 1 (identity
-    branch — conjoin, attributes mapped positionally), Case 2 (join —
-    substitute by target terms). @raise Not_applicable *)
-
-val positive_in_application : formula -> string -> bool
-(** Case 3 side condition: the restriction is positive in the application
-    being pushed into. *)
-
 val push_nonrecursive :
   names:Rewrite.names ->
   constructor_of:(string -> Defs.constructor_def option) ->

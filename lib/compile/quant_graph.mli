@@ -25,8 +25,6 @@ type t = {
   edges : edge list;
 }
 
-val node_label : node -> string
-
 val build :
   lookup:(string -> Defs.constructor_def option) -> Ast.range -> t
 (** Build the augmented graph of a query, expanding each referenced
@@ -34,9 +32,6 @@ val build :
 
 val sccs : t -> int list list
 (** Strongly connected components over node indices. *)
-
-val recursive_components : t -> int list list
-(** Components lying on cycles (size > 1, or a self edge). *)
 
 val is_recursive : t -> bool
 

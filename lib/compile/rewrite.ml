@@ -28,63 +28,36 @@ let fresh_var names v =
   incr names;
   Fmt.str "%s~%d" v !names
 
-(* Rename the binder variables of a branch (and all field references to
-   them in the branch's own target and predicate). *)
-let rec rename_term mapping = function
-  | Const _ as t -> t
-  | Param _ as t -> t
-  | Field (v, a) -> (
-    match List.assoc_opt v mapping with
-    | Some v' -> Field (v', a)
-    | None -> Field (v, a))
-  | Binop (op, a, b) -> Binop (op, rename_term mapping a, rename_term mapping b)
-
-let rec rename_formula mapping = function
-  | (True | False) as f -> f
-  | Cmp (op, a, b) -> Cmp (op, rename_term mapping a, rename_term mapping b)
-  | Not f -> Not (rename_formula mapping f)
-  | And (a, b) -> And (rename_formula mapping a, rename_formula mapping b)
-  | Or (a, b) -> Or (rename_formula mapping a, rename_formula mapping b)
-  | Some_in (v, r, f) ->
-    (* quantifier shadows v *)
-    Some_in (v, rename_range mapping r, rename_formula (List.remove_assoc v mapping) f)
-  | All_in (v, r, f) ->
-    All_in (v, rename_range mapping r, rename_formula (List.remove_assoc v mapping) f)
-  | In_rel (v, r) ->
-    let v' = Option.value (List.assoc_opt v mapping) ~default:v in
-    In_rel (v', rename_range mapping r)
-  | Member (ts, r) ->
-    Member (List.map (rename_term mapping) ts, rename_range mapping r)
-
-and rename_range mapping = function
-  | Rel _ as r -> r
-  | Select (r, s, args) ->
-    Select (rename_range mapping r, s, List.map (rename_arg mapping) args)
-  | Construct (r, c, args) ->
-    Construct (rename_range mapping r, c, List.map (rename_arg mapping) args)
-  | Comp branches -> Comp (List.map (rename_branch mapping) branches)
-
-and rename_arg mapping = function
-  | Arg_scalar t -> Arg_scalar (rename_term mapping t)
-  | Arg_range r -> Arg_range (rename_range mapping r)
-
-and rename_branch mapping (b : branch) =
-  (* the branch's own binders shadow the outer mapping *)
-  let mapping =
-    List.fold_left (fun m (v, _) -> List.remove_assoc v m) mapping b.binders
-  in
+(* Rename free tuple variables: [mapping] pairs old and new names, and a
+   binder of an old name shadows its entry. *)
+let renaming =
+  let rename m v = Option.value (List.assoc_opt v m) ~default:v in
   {
-    binders = List.map (fun (v, r) -> (v, rename_range mapping r)) b.binders;
-    target = List.map (rename_term mapping) b.target;
-    where = rename_formula mapping b.where;
+    Morph.id with
+    bind = (fun m v _ _ -> List.remove_assoc v m);
+    var = rename;
+    term =
+      (fun m -> function
+        | Field (v, a) -> Field (rename m v, a)
+        | t -> t);
   }
 
+let rename_formula mapping f = Morph.map_formula renaming mapping f
+
+(* Fresh names for the binders of a branch, and for the references to them
+   in later binder ranges, the target and the predicate. *)
 let standardize_apart names (b : branch) =
-  let mapping = List.map (fun (v, _) -> (v, fresh_var names v)) b.binders in
+  let fresh = List.map (fun (v, _) -> (v, fresh_var names v)) b.binders in
+  let rec go seen = function
+    | [] -> []
+    | (v, r) :: rest ->
+      let v' = List.assoc v fresh in
+      (v', Morph.map_range renaming seen r) :: go ((v, v') :: seen) rest
+  in
   {
-    binders = List.map (fun (v, r) -> (List.assoc v mapping, r)) b.binders;
-    target = List.map (rename_term mapping) b.target;
-    where = rename_formula mapping b.where;
+    binders = go [] b.binders;
+    target = List.map (Morph.map_term renaming fresh) b.target;
+    where = rename_formula fresh b.where;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -92,10 +65,9 @@ let standardize_apart names (b : branch) =
 
    A definition body names attributes after its *formal* types; the actual
    base/argument relations may use different (positionally compatible)
-   names.  Before substituting actual ranges for the formal names, field
-   references through variables bound over a formal are renamed to the
-   actual attribute at the same position.  [info name] yields the
-   (formal schema, actual schema) pair for substituted names. *)
+   names.  A retyping environment maps a tuple variable to the (old, new)
+   schema pair of its range; field references through it are renamed to
+   the new attribute at the same position. *)
 
 let retype_term vmap = function
   | Field (v, a) as t -> (
@@ -107,120 +79,77 @@ let retype_term vmap = function
     | None -> t)
   | t -> t
 
-let rec retype_term_deep vmap = function
-  | Binop (op, a, b) ->
-    Binop (op, retype_term_deep vmap a, retype_term_deep vmap b)
-  | t -> retype_term vmap t
-
-let bindings_of info vmap binders =
-  let vmap =
-    List.fold_left (fun m (v, _) -> List.remove_assoc v m) vmap binders
-  in
-  List.fold_left
-    (fun m (v, r) ->
-      match r with
-      | Rel n -> (
-        match info n with
-        | Some pair -> (v, pair) :: m
-        | None -> m)
-      | _ -> m)
-    vmap binders
-
-let rec retype_formula info vmap = function
-  | (True | False) as f -> f
-  | Cmp (op, a, b) ->
-    Cmp (op, retype_term_deep vmap a, retype_term_deep vmap b)
-  | Not f -> Not (retype_formula info vmap f)
-  | And (a, b) -> And (retype_formula info vmap a, retype_formula info vmap b)
-  | Or (a, b) -> Or (retype_formula info vmap a, retype_formula info vmap b)
-  | Some_in (v, r, f) ->
-    let vmap' = bindings_of info vmap [ (v, r) ] in
-    Some_in (v, retype_range info vmap r, retype_formula info vmap' f)
-  | All_in (v, r, f) ->
-    let vmap' = bindings_of info vmap [ (v, r) ] in
-    All_in (v, retype_range info vmap r, retype_formula info vmap' f)
-  | In_rel (v, r) -> In_rel (v, retype_range info vmap r)
-  | Member (ts, r) ->
-    Member (List.map (retype_term_deep vmap) ts, retype_range info vmap r)
-
-and retype_range info vmap = function
-  | Rel _ as r -> r
-  | Select (r, s, args) ->
-    Select (retype_range info vmap r, s, List.map (retype_arg info vmap) args)
-  | Construct (r, c, args) ->
-    Construct (retype_range info vmap r, c, List.map (retype_arg info vmap) args)
-  | Comp branches -> Comp (List.map (retype_branch info vmap) branches)
-
-and retype_arg info vmap = function
-  | Arg_scalar t -> Arg_scalar (retype_term_deep vmap t)
-  | Arg_range r -> Arg_range (retype_range info vmap r)
-
-and retype_branch info vmap (b : branch) =
-  let vmap' = bindings_of info vmap b.binders in
+(* A map that retypes field references: [schemas written rewritten]
+   gives the schema pair of a binder's range, if it changes. *)
+let retyping schemas =
   {
-    binders = List.map (fun (v, r) -> (v, retype_range info vmap r)) b.binders;
-    target = List.map (retype_term_deep vmap') b.target;
-    where = retype_formula info vmap' b.where;
+    Morph.id with
+    bind =
+      (fun vmap v r r' ->
+        let vmap = List.remove_assoc v vmap in
+        match schemas r r' with
+        | Some pair -> (v, pair) :: vmap
+        | None -> vmap);
+    term = retype_term;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Definition instantiation *)
 
-(* Close a selector definition over an actual base range and arguments:
-   Rel[s(args)]  ~>  {EACH v IN base: pred[params := args]}
-   (paper §4, Case 1).  Relation-valued arguments substitute ranges for the
-   parameter names. *)
-let subst_info ~schema_of ~formal ~formal_schema ~range_subst ~param_schemas
-    base name =
-  if String.equal name formal then Some (formal_schema, schema_of base)
-  else
-    match List.assoc_opt name range_subst with
-    | Some actual -> (
-      match List.assoc_opt name param_schemas with
-      | Some fs -> Some (fs, schema_of actual)
-      | None -> None)
-    | None -> None
+(* The map closing a definition body over an actual base range and
+   arguments: variables bound over the formal or a relation parameter
+   are retyped to the actual's attributes ([info name] yields the
+   (formal, actual) schema pair of a substituted name), scalar
+   parameters are replaced by the actual terms and relation names by the
+   actual ranges. *)
+let closing ~schema_of ~formal ~formal_schema ~base args params =
+  let scalars, ranges, schemas =
+    List.fold_left2
+      (fun (ss, rs, ps) param arg ->
+        match param, arg with
+        | Defs.Scalar_param (n, _), Arg_scalar t -> ((n, t) :: ss, rs, ps)
+        | Defs.Rel_param (n, schema), Arg_range r ->
+          (ss, (n, r) :: rs, (n, schema) :: ps)
+        | _ -> invalid_arg "Rewrite: argument mismatch")
+      ([], [], []) params args
+  in
+  let info name =
+    if String.equal name formal then Some (formal_schema, schema_of base)
+    else
+      match List.assoc_opt name ranges, List.assoc_opt name schemas with
+      | Some actual, Some fs -> Some (fs, schema_of actual)
+      | _ -> None
+  in
+  let subst = Morph.subst_params scalars in
+  {
+    (retyping (fun r _ ->
+         match r with
+         | Rel n -> info n
+         | _ -> None))
+    with
+    term = (fun vmap t -> subst.term vmap (retype_term vmap t));
+    range =
+      (fun _ -> function
+        | Rel n when String.equal n formal -> base
+        | Rel n as r -> Option.value (List.assoc_opt n ranges) ~default:r
+        | r -> r);
+  }
 
-let split_args who params (args : arg list) =
-  List.fold_left2
-    (fun (ss, rs, ps) param arg ->
-      match param, arg with
-      | Defs.Scalar_param (n, _), Arg_scalar t -> ((n, t) :: ss, rs, ps)
-      | Defs.Rel_param (n, schema), Arg_range r ->
-        (ss, (n, r) :: rs, (n, schema) :: ps)
-      | _ -> invalid_arg (who ^ ": argument mismatch"))
-    ([], [], []) params args
-
+(* Rel[s(args)]  ~>  {EACH v IN base: pred[params := args]}
+   (paper §4, Case 1): the body is the one-binder branch
+   [EACH v IN Rel: pred], closed like a constructor's. *)
 let instantiate_selector ~names ~schema_of (def : Defs.selector_def) base
     (args : arg list) =
-  let scalar_subst, range_subst, param_schemas =
-    split_args "instantiate_selector" def.sel_params args
+  let close =
+    closing ~schema_of ~formal:def.sel_formal
+      ~formal_schema:def.sel_formal_schema ~base args def.sel_params
   in
-  let info =
-    subst_info ~schema_of ~formal:def.sel_formal
-      ~formal_schema:def.sel_formal_schema ~range_subst ~param_schemas base
-  in
-  let substitute_rels =
-    Morph.map_formula (function
-      | Rel n when n = def.sel_formal -> base
-      | Rel n as r -> (
-        match List.assoc_opt n range_subst with
-        | Some r' -> r'
-        | None -> r)
-      | r -> r)
-  in
-  let pred =
-    def.sel_pred
-    |> retype_formula info
-         (match info def.sel_formal with
-         | Some pair -> [ (def.sel_var, pair) ]
-         | None -> [])
-    |> Morph.subst_params_formula scalar_subst
-    |> substitute_rels
-  in
-  let v = fresh_var names def.sel_var in
-  let pred = rename_formula [ (def.sel_var, v) ] pred in
-  Comp [ { binders = [ (v, base) ]; target = []; where = pred } ]
+  Comp
+    [
+      standardize_apart names
+        (Morph.map_branch close []
+           (branch [ (def.sel_var, Rel def.sel_formal) ] ~where:def.sel_pred));
+    ]
 
 (* Close a (non-recursive!) constructor definition over an actual base
    range and arguments:  Base{c(args)}  ~>  its body with the formal and
@@ -229,31 +158,14 @@ let instantiate_selector ~names ~schema_of (def : Defs.selector_def) base
    constructors — inlining a recursive one loops. *)
 let instantiate_constructor ~names ~schema_of (def : Defs.constructor_def) base
     (args : arg list) =
-  let scalar_subst, range_subst, param_schemas =
-    split_args "instantiate_constructor" def.con_params args
+  let close =
+    closing ~schema_of ~formal:def.con_formal
+      ~formal_schema:def.con_formal_schema ~base args def.con_params
   in
-  let info =
-    subst_info ~schema_of ~formal:def.con_formal
-      ~formal_schema:def.con_formal_schema ~range_subst ~param_schemas base
-  in
-  let substitute =
-    Morph.map_branch (function
-      | Rel n when n = def.con_formal -> base
-      | Rel n as r -> (
-        match List.assoc_opt n range_subst with
-        | Some r' -> r'
-        | None -> r)
-      | r -> r)
-  in
-  let branches =
-    List.map
-      (fun b ->
-        standardize_apart names
-          (substitute
-             (Morph.subst_params_branch scalar_subst (retype_branch info [] b))))
-      def.con_body
-  in
-  Comp branches
+  Comp
+    (List.map
+       (fun b -> standardize_apart names (Morph.map_branch close [] b))
+       def.con_body)
 
 (* ------------------------------------------------------------------ *)
 (* N1 flattening: merge single-branch nested comprehension ranges into the
@@ -324,80 +236,35 @@ let decompile ~names ~schema_of ~selector_of ~constructor_of ~is_recursive
      target terms, not from the constructor's declared result type, so
      every consumer of a replaced range retypes its field references
      positionally (old schema -> new schema). *)
-  let renamed old_schema new_schema =
+  let renamed r r' =
+    let old_schema = schema_of r and new_schema = schema_of r' in
     if
       Dc_relation.Schema.attr_names old_schema
       = Dc_relation.Schema.attr_names new_schema
     then None
     else Some (old_schema, new_schema)
   in
-  let rec dec_range r =
-    match r with
-    | Rel _ -> r
-    | Select (base, s, args) -> (
-      let base = dec_range base in
-      let args = List.map dec_arg args in
-      match selector_of s with
-      | Some def ->
-        flatten_range (dec_range (instantiate_selector ~names ~schema_of def base args))
-      | None -> Select (base, s, args))
-    | Construct (base, c, args) -> (
-      let base = dec_range base in
-      let args = List.map dec_arg args in
-      match constructor_of c with
-      | Some def when not (is_recursive c) ->
-        flatten_range
-          (dec_range (instantiate_constructor ~names ~schema_of def base args))
-      | _ -> Construct (base, c, args))
-    | Comp branches -> flatten_range (Comp (List.map dec_branch branches))
-
-  and dec_arg = function
-    | Arg_scalar t -> Arg_scalar t
-    | Arg_range r -> Arg_range (dec_range r)
-
-  and dec_binding (v, r) =
-    let old_schema = schema_of r in
-    let r' = dec_range r in
-    let mapping =
-      Option.map (fun pair -> (v, pair)) (renamed old_schema (schema_of r'))
-    in
-    ((v, r'), mapping)
-
-  and dec_branch (b : branch) =
-    let binders, mappings =
-      List.fold_left
-        (fun (bs, ms) binding ->
-          let binding', mapping = dec_binding binding in
-          (bs @ [ binding' ], ms @ Option.to_list mapping))
-        ([], []) b.binders
-    in
-    let where = dec_formula b.where in
-    if mappings = [] then { binders; target = b.target; where }
-    else
-      {
-        binders;
-        target = List.map (retype_term_deep mappings) b.target;
-        where = retype_formula (fun _ -> None) mappings where;
-      }
-
-  and dec_formula = function
-    | (True | False | Cmp _) as f -> f
-    | Not f -> Not (dec_formula f)
-    | And (a, b) -> And (dec_formula a, dec_formula b)
-    | Or (a, b) -> Or (dec_formula a, dec_formula b)
-    | Some_in (v, r, f) -> dec_quant (fun (v, r, f) -> Some_in (v, r, f)) v r f
-    | All_in (v, r, f) -> dec_quant (fun (v, r, f) -> All_in (v, r, f)) v r f
-    | In_rel (v, r) -> In_rel (v, dec_range r)
-    | Member (ts, r) -> Member (ts, dec_range r)
-
-  and dec_quant mk v r f =
-    let (v, r'), mapping = dec_binding (v, r) in
-    let f = dec_formula f in
-    let f =
-      match mapping with
-      | Some m -> retype_formula (fun _ -> None) [ m ] f
-      | None -> f
-    in
-    mk (v, r', f)
-  in
+  let rec dec =
+    {
+      (retyping renamed) with
+      range =
+        (fun _ r ->
+          match r with
+          | Select (base, s, args) -> (
+            match selector_of s with
+            | Some def ->
+              flatten_range
+                (dec_range (instantiate_selector ~names ~schema_of def base args))
+            | None -> r)
+          | Construct (base, c, args) -> (
+            match constructor_of c with
+            | Some def when not (is_recursive c) ->
+              flatten_range
+                (dec_range
+                   (instantiate_constructor ~names ~schema_of def base args))
+            | _ -> r)
+          | Comp _ -> flatten_range r
+          | Rel _ -> r);
+    }
+  and dec_range r = Morph.map_range dec [] r in
   dec_range query

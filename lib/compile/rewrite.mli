@@ -22,43 +22,9 @@ type names
 
 val names : unit -> names
 
-val fresh_var : names -> var -> var
-(** Fresh variant of a variable name. *)
-
-val rename_formula : (var * var) list -> formula -> formula
-(** Rename free tuple variables (capture-avoiding w.r.t. binders). *)
-
-val rename_range : (var * var) list -> range -> range
-val rename_branch : (var * var) list -> branch -> branch
-
 val standardize_apart : names -> branch -> branch
-(** Fresh names for all the branch's binders. *)
-
-val retype_branch :
-  (string -> (Dc_relation.Schema.t * Dc_relation.Schema.t) option) ->
-  (var * (Dc_relation.Schema.t * Dc_relation.Schema.t)) list ->
-  branch ->
-  branch
-(** Positional attribute retyping: [info name] gives the (formal, actual)
-    schema pair for names about to be substituted; field references through
-    variables bound over such names are renamed to the actual attribute at
-    the same position. *)
-
-val retype_formula :
-  (string -> (Dc_relation.Schema.t * Dc_relation.Schema.t) option) ->
-  (var * (Dc_relation.Schema.t * Dc_relation.Schema.t)) list ->
-  formula ->
-  formula
-
-val instantiate_selector :
-  names:names ->
-  schema_of:(range -> Dc_relation.Schema.t) ->
-  Defs.selector_def ->
-  range ->
-  arg list ->
-  range
-(** Close a selector over an actual base and arguments:
-    [Rel[s(args)] ~> {EACH v IN base: pred[params := args]}] (§4 Case 1). *)
+(** Fresh names for all the branch's binders, renamed wherever they are
+    in scope. *)
 
 val instantiate_constructor :
   names:names ->
@@ -71,10 +37,6 @@ val instantiate_constructor :
     its body with formal/parameters substituted, attributes retyped, and
     binders standardized apart.  Only sound to {e inline} for acyclic
     definitions — the caller guards recursion. *)
-
-val flatten_branch : branch -> branch
-(** N1 [<==]: merge single-binder identity comprehension ranges into the
-    surrounding branch. *)
 
 val flatten_range : range -> range
 val flatten_formula : formula -> formula

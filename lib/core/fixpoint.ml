@@ -169,43 +169,30 @@ and rec_branch = {
   rb_construct_binders : int list;
 }
 
-(* Does a range contain any constructor application? *)
-let rec has_construct = function
-  | Ast.Rel _ -> false
-  | Ast.Construct _ -> true
-  | Ast.Select (r, _, args) -> has_construct r || List.exists arg_has args
-  | Ast.Comp bs ->
-    List.exists
-      (fun (b : Ast.branch) ->
-        List.exists (fun (_, r) -> has_construct r) b.binders
-        || formula_has b.where)
-      bs
-
-and arg_has = function
-  | Ast.Arg_scalar _ -> false
-  | Ast.Arg_range r -> has_construct r
-
-and formula_has = function
-  | Ast.True | Ast.False | Ast.Cmp _ -> false
-  | Ast.Not f -> formula_has f
-  | Ast.And (a, b) | Ast.Or (a, b) -> formula_has a || formula_has b
-  | Ast.Some_in (_, r, f) | Ast.All_in (_, r, f) ->
-    has_construct r || formula_has f
-  | Ast.In_rel (_, r) | Ast.Member (_, r) -> has_construct r
+(* Constructor applications in a fragment. *)
+let constructs =
+  {
+    Morph.skip with
+    range =
+      (fun _ n -> function
+        | Ast.Construct _ -> n + 1
+        | _ -> n);
+  }
 
 (* Positions of diffable construct binders in a branch, or None if the
    branch falls outside the semi-naive class. *)
 let classify_branch (b : Ast.branch) =
-  let ok = ref (not (formula_has b.where)) in
+  let ok = ref (Morph.fold_formula constructs 0 b.where = 0) in
   let positions =
     List.mapi
       (fun i (_, r) ->
+        let n = Morph.fold_range constructs 0 r in
         match r with
-        | Ast.Construct (base, _, args) ->
-          if has_construct base || List.exists arg_has args then ok := false;
+        | Ast.Construct _ ->
+          if n > 1 then ok := false;
           Some i
-        | r ->
-          if has_construct r then ok := false;
+        | _ ->
+          if n > 0 then ok := false;
           None)
       b.binders
     |> List.filter_map Fun.id

@@ -105,13 +105,14 @@ let compile (program : program) pred (pattern : adornment) =
           if SS.mem a.pred idb then begin
             let a_ad = atom_adornment bound a in
             process a.pred a_ad;
-            (* magic rule: m_a^ad(bound args) :- m_head^ad(...), prefix *)
-            out :=
-              {
-                head = { pred = magic_name a.pred a_ad; args = bound_args a a_ad };
-                body = Pos magic_head_atom :: List.rev prefix_rev;
-              }
-              :: !out;
+            (* magic rule: m_a^ad(bound args) :- m_head^ad(...), prefix;
+               a rule whose body is its head derives nothing (a
+               left-linear recursive call passes its own bindings on) *)
+            let head =
+              { pred = magic_name a.pred a_ad; args = bound_args a a_ad }
+            in
+            let body = Pos magic_head_atom :: List.rev prefix_rev in
+            if body <> [ Pos head ] then out := { head; body } :: !out;
             ( Pos { a with pred = adorned_name a.pred a_ad },
               List.fold_left (fun s v -> SS.add v s) bound (atom_vars a) )
           end
@@ -137,6 +138,8 @@ let compile (program : program) pred (pattern : adornment) =
     adorned = adorned_name pred pattern;
     pattern;
   }
+
+let rules c = c.rules
 
 (* The query's binding pattern: its constant arguments are bound. *)
 let pattern_of (query : atom) =

@@ -25,6 +25,9 @@ val compile : Syntax.program -> string -> adornment -> compiled
     [pred] whose arguments are bound where [pattern] is [true].
     @raise Unsupported on negation, computed terms or a non-IDB [pred]. *)
 
+val rules : compiled -> Syntax.program
+(** The adorned and magic rules, without the seed fact. *)
+
 val run :
   ?guard:Dc_guard.Guard.t ->
   ?stats:Seminaive.stats ->

@@ -277,8 +277,10 @@ let classify_exn : exn -> Wire.error_code * string = function
   | Dc_calculus.Eval.Runtime_error m
   | Fixpoint.Divergence m
   | Relation.Key_violation m
-  | Selector.Selector_violation m ->
+  | Selector.Selector_violation m
+  | Dc_datalog.Stratify.Not_stratifiable m ->
     (Wire.Semantic, m)
+  | Dc_agg.Agg.Inadmissible v -> (Wire.Semantic, Fmt.str "%a" Dc_agg.Agg.pp_violation v)
   | Guard.Exhausted (reason, progress) ->
     (Wire.Limit, Fmt.str "%a" Guard.pp_report (reason, progress))
   | Server.Error m -> (Wire.Server, m)

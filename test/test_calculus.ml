@@ -220,35 +220,89 @@ let test_polarity () =
 
 (* The §3.3 lemma: positivity implies monotonicity — checked semantically.
    Generate random formulas over a relation X; when the positivity count
-   says even, evaluation must be monotone in X on random extensions. *)
-let arb_formula =
-  let open QCheck in
-  let leaf =
-    Gen.oneof
+   says even, evaluation must be monotone in X on random extensions.
+
+   The formulas range over X, over nested comprehensions and over
+   applications of [same], an identity constructor; their terms read the
+   variables in scope ([r] free, [x] bound by quantifiers, [y] by
+   comprehensions), constants and the scalar parameter [k]. *)
+let same_def =
+  {
+    Defs.con_name = "same";
+    con_formal = "Rel";
+    con_formal_schema = bin;
+    con_params = [];
+    con_result = bin;
+    con_agg = None;
+    con_body = [ identity_branch (Rel "Rel") ];
+  }
+
+let formula_env rel =
+  let hooks =
+    {
+      Eval.no_hooks with
+      constructor_def = (fun c -> if c = "same" then Some same_def else None);
+      on_construct = (fun _ base _ _ -> base);
+    }
+  in
+  Eval.make_env ~scalars:[ ("k", i 2) ] ~hooks [ ("X", rel) ]
+
+let gen_formula scope =
+  let open QCheck.Gen in
+  let term scope =
+    oneof
       [
-        Gen.return (In_rel ("r", Rel "X"));
-        Gen.map (fun n -> Cmp (Eq, field "r" "src", Ast.int n)) (Gen.int_bound 5);
-        Gen.return True;
+        map2 field (oneofl scope) (oneofl [ "src"; "dst" ]);
+        map Ast.int (int_bound 5);
+        return (Param "k");
       ]
   in
-  let gen =
-    Gen.sized
-    @@ Gen.fix (fun self n ->
-           if n = 0 then leaf
-           else
-             Gen.oneof
-               [
-                 leaf;
-                 Gen.map (fun f -> Not f) (self (n / 2));
-                 Gen.map2 (fun a b -> And (a, b)) (self (n / 2)) (self (n / 2));
-                 Gen.map2 (fun a b -> Or (a, b)) (self (n / 2)) (self (n / 2));
-                 Gen.map
-                   (fun f -> Some_in ("x", Rel "X", f))
-                   (self (n / 2));
-                 Gen.map (fun f -> All_in ("x", Rel "X", f)) (self (n / 2));
-               ])
+  let cmp scope =
+    map2 (fun v t -> Cmp (Eq, field v "src", t)) (oneofl scope) (term scope)
   in
-  make gen ~print:formula_to_string
+  sized
+  @@ fun n ->
+  fix
+    (fun self (n, scope) ->
+      let range =
+        if n = 0 then oneofl [ Rel "X"; Construct (Rel "X", "same", []) ]
+        else
+          frequency
+            [
+              (2, return (Rel "X"));
+              (1, return (Construct (Rel "X", "same", [])));
+              ( 1,
+                map
+                  (fun where -> Comp [ branch [ ("y", Rel "X") ] ~where ])
+                  (self (n / 2, "y" :: scope)) );
+            ]
+      in
+      let leaf =
+        oneof
+          [
+            map2 (fun v r -> In_rel (v, r)) (oneofl scope) range;
+            map2
+              (fun v r -> Member ([ field v "src"; field v "dst" ], r))
+              (oneofl scope) range;
+            cmp scope;
+            return True;
+          ]
+      in
+      if n = 0 then leaf
+      else
+        let sub = self (n / 2, scope) and body = self (n / 2, "x" :: scope) in
+        oneof
+          [
+            leaf;
+            map (fun f -> Not f) sub;
+            map2 (fun a b -> And (a, b)) sub sub;
+            map2 (fun a b -> Or (a, b)) sub sub;
+            map2 (fun r f -> Some_in ("x", r, f)) range body;
+            map2 (fun r f -> All_in ("x", r, f)) range body;
+          ])
+    (n, scope)
+
+let arb_formula = QCheck.make (gen_formula [ "r" ]) ~print:formula_to_string
 
 let prop_positivity_implies_monotone =
   QCheck.Test.make ~name:"positive formulas are monotone (lemma 3.3)"
@@ -258,28 +312,15 @@ let prop_positivity_implies_monotone =
       QCheck.assume (Positivity.positive_in_formula f "X");
       let small = pairs small_pairs in
       let big = Relation.union small (pairs extra_pairs) in
-      let count rel =
-        let env = Eval.make_env [ ("X", rel) ] in
-        Relation.fold
-          (fun t n ->
-            if
-              Eval.eval_formula
-                (Eval.bind_var env "r" t bin)
-                f
-            then n + 1
-            else n)
-          big 0
-      in
       (* every tuple satisfying f under the small X still satisfies it
          under the bigger X *)
-      let env_small = Eval.make_env [ ("X", small) ] in
-      let env_big = Eval.make_env [ ("X", big) ] in
+      let env_small = formula_env small in
+      let env_big = formula_env big in
       Relation.for_all
         (fun t ->
           (not (Eval.eval_formula (Eval.bind_var env_small "r" t bin) f))
           || Eval.eval_formula (Eval.bind_var env_big "r" t bin) f)
-        big
-      |> fun ok -> ignore (count small); ok)
+        big)
 
 let prop_nnf_preserves_semantics =
   QCheck.Test.make ~name:"nnf preserves truth" ~count:200
@@ -288,12 +329,89 @@ let prop_nnf_preserves_semantics =
         (list_of_size (Gen.int_bound 6) (pair (int_bound 4) (int_bound 4))))
     (fun (f, ps) ->
       let rel = pairs ps in
-      let env = Eval.make_env [ ("X", rel) ] in
+      let env = formula_env rel in
       Relation.for_all
         (fun t ->
           let env = Eval.bind_var env "r" t bin in
           Eval.eval_formula env f = Eval.eval_formula env (Normalize.nnf f))
         rel)
+
+(* ------------------------------------------------------------------ *)
+(* The generic fold and map *)
+
+let prop_map_identity =
+  QCheck.Test.make ~name:"map with identity callbacks is the identity"
+    ~count:200 arb_formula (fun f -> Morph.map_formula Morph.id () f = f)
+
+let prop_subst_params =
+  let params =
+    { Morph.skip with term = (fun _ n -> function Param _ -> n + 1 | _ -> n) }
+  in
+  QCheck.Test.make ~name:"subst_params [] is the identity; [k] removes k"
+    ~count:200 arb_formula (fun f ->
+      Morph.map_formula (Morph.subst_params []) () f = f
+      && Morph.fold_formula params 0
+           (Morph.map_formula (Morph.subst_params [ ("k", Ast.int 3) ]) () f)
+         = 0)
+
+(* [x] is both the branch's binder and the quantifiers' variable: renaming
+   the binder must leave the quantified occurrences alone, so the free
+   variables and the answer stay the same *)
+let prop_standardize_apart_keeps_free_vars =
+  let env =
+    Eval.bind_var
+      (formula_env (pairs [ (1, 2); (2, 3); (2, 2); (3, 1); (4, 2) ]))
+      "r" (Tuple.make2 (i 2) (i 3)) bin
+  in
+  QCheck.Test.make ~name:"standardize_apart keeps the free variables"
+    ~count:200
+    (QCheck.make (gen_formula [ "r"; "x" ]) ~print:formula_to_string)
+    (fun f ->
+      let b = branch [ ("x", Rel "X") ] ~target:[ field "x" "src" ] ~where:f in
+      let b' = Dc_compile.Rewrite.(standardize_apart (names ())) b in
+      List.map fst b'.binders <> [ "x" ]
+      && Vars.S.equal
+           (Vars.free_vars_range (Comp [ b ]))
+           (Vars.free_vars_range (Comp [ b' ]))
+      && Relation.equal
+           (Eval.eval_range env (Comp [ b ]))
+           (Eval.eval_range env (Comp [ b' ])))
+
+(* The §3.3 lemma over the one fold: each occurrence's NOT/ALL-range depth
+   parity is its polarity in the negation normal form.  Occurrences are
+   named apart first (NNF may drop an absorbed one, never copy one). *)
+let prop_depth_parity_is_polarity =
+  QCheck.Test.make ~name:"depth parity = NNF polarity (lemma 3.3)" ~count:300
+    arb_formula (fun f ->
+      let n = ref 0 in
+      let fresh name =
+        incr n;
+        Fmt.str "%s%d" name !n
+      in
+      let f =
+        Morph.map_formula
+          {
+            Morph.id with
+            range =
+              (fun () -> function
+                | Rel name -> Rel (fresh name)
+                | Construct (b, c, args) -> Construct (b, fresh c, args)
+                | r -> r);
+          }
+          () f
+      in
+      let depth = Positivity.occurrences_formula f in
+      List.for_all
+        (fun (p : Normalize.polar_occurrence) ->
+          match
+            List.filter
+              (fun (o : Positivity.occurrence) -> o.occ_target = p.po_target)
+              depth
+          with
+          | [ o ] ->
+            (o.occ_depth mod 2 = 0) = (p.po_polarity = Normalize.Positive)
+          | _ -> false)
+        (Normalize.polarities_formula f))
 
 (* ------------------------------------------------------------------ *)
 (* More evaluation corner cases *)
@@ -667,6 +785,10 @@ let () =
           [
             prop_positivity_implies_monotone;
             prop_nnf_preserves_semantics;
+            prop_map_identity;
+            prop_subst_params;
+            prop_standardize_apart_keeps_free_vars;
+            prop_depth_parity_is_polarity;
             prop_scheduler_equals_brute_force;
           ]
         @ [

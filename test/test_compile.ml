@@ -927,6 +927,20 @@ let differential_seed seen seed =
         ])
   in
   let ahead2 = Ast.(Construct (Rel "Edge", "ahead2", [])) in
+  (* a quantifier whose range is correlated with the restricted variable:
+     pushing the restriction must rewrite [p] inside that range too *)
+  let correlated quant =
+    over ahead2
+      (quant
+         ( "q",
+           Ast.(
+             Comp
+               [
+                 branch [ ("e", Rel "Edge") ]
+                   ~where:(eq (field "e" "src") (field "p" "tail"));
+               ]),
+           Ast.True ))
+  in
   let queries =
     (sh.sh_app
      :: List.map (over sh.sh_app) (restrictions "p" sh.sh_columns sh.sh_value)
@@ -936,6 +950,8 @@ let differential_seed seen seed =
         [
           over ahead2 (eq (field "p" "head") (Const (node ())));
           Select (ahead2, "head_is", [ Arg_scalar (Const (node ())) ]);
+          correlated (fun (v, r, f) -> Some_in (v, r, f));
+          correlated (fun (v, r, f) -> Not (All_in (v, r, f)));
         ]
   in
   List.iter
@@ -977,6 +993,58 @@ let test_planner_differential () =
       Planner.method_name (Planner.Decompiled (Ast.Rel ""));
       "magic (capture rule)";
     ]
+
+(* A restriction with a quantifier over a range correlated with the
+   restricted variable, through the two statement paths: [dbpl run]'s
+   QUERY and EXPLAIN, and a served read, first a cache miss and then a
+   hit.  Each answers the interpreter's two tuples. *)
+let correlated_source =
+  {|TYPE node = STRING;
+TYPE edgerel = RELATION a, b OF RECORD a, b: node END;
+VAR Chain: edgerel;
+CONSTRUCTOR hop FOR Rel: edgerel (): edgerel;
+BEGIN <e.a, f.b> OF EACH e IN Rel, EACH f IN Rel: e.b = f.a
+END hop;
+INSERT Chain VALUES ("n0", "n1"), ("n1", "n2"), ("n2", "n3"), ("n3", "n4");
+|}
+
+let correlated_range =
+  "{EACH p IN Chain{hop()}: SOME q IN {EACH e IN Chain: e.a = p.b} (TRUE)}"
+
+let test_correlated_quantifier_range () =
+  let want = [ pair "n0" "n2"; pair "n1" "n3" ] in
+  let db, out =
+    Dc_lang.Elaborate.run_string
+      (Fmt.str "%sQUERY %s;\nEXPLAIN %s;" correlated_source correlated_range
+         correlated_range)
+  in
+  Alcotest.(check bool)
+    (Fmt.str "dbpl run answers 2 tuples:@.%s" out)
+    true
+    (contains out "(2 tuples)" && contains out "method: pushed restriction");
+  let was = Dc_obs.Obs.on () in
+  Dc_obs.Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Dc_obs.Obs.set_enabled was) @@ fun () ->
+  let count result =
+    Dc_obs.Obs.Counter.value
+      (Dc_obs.Obs.Counter.make ~labels:[ ("result", result) ]
+         "dc_server_stmt_cache_total")
+  in
+  let srv = Dc_server.Server.create db in
+  let s = Dc_server.Server.open_session srv in
+  List.iter
+    (fun result ->
+      let before = count result in
+      let got, _ =
+        Dc_server.Server.query_string s ("QUERY " ^ correlated_range ^ ";")
+      in
+      Alcotest.(check int) ("served read: cache " ^ result) 1
+        (count result - before);
+      Alcotest.check rel_testable ("served read (" ^ result ^ ")")
+        (Relation.of_list (Relation.schema got) want) got)
+    [ "miss"; "hit" ];
+  Dc_server.Server.close_session s;
+  Dc_server.Server.shutdown srv
 
 (* ------------------------------------------------------------------ *)
 (* Closures: the recogniser and the linear forms it picks.  Over seeded
@@ -1391,6 +1459,8 @@ let () =
             test_closure_differential;
           Alcotest.test_case "served = direct, cached and uncached" `Quick
             test_served_differential;
+          Alcotest.test_case "correlated quantifier range" `Quick
+            test_correlated_quantifier_range;
           Alcotest.test_case "near misses stay direct" `Quick
             test_closure_near_misses;
           Alcotest.test_case "acyclic partial key stays direct" `Quick

@@ -190,6 +190,35 @@ let test_magic_cyclic () =
   let got = Magic.answer tc_program (edge_facts edges_cycle) q in
   Alcotest.check facts_testable "magic on cyclic data" expected got
 
+(* Left-linear closure: the recursive call passes its own binding on, so
+   its magic rule would be m_path__bf(X) :- m_path__bf(X) — a rule that
+   derives nothing and is not emitted. *)
+let test_magic_left_linear () =
+  let left =
+    [
+      rule (atom "path" [ var "X"; var "Y" ]) [ Pos (atom "edge" [ var "X"; var "Y" ]) ];
+      rule
+        (atom "path" [ var "X"; var "Z" ])
+        [
+          Pos (atom "path" [ var "X"; var "Y" ]);
+          Pos (atom "edge" [ var "Y"; var "Z" ]);
+        ];
+    ]
+  in
+  let c = Magic.compile left "path" [ true; false ] in
+  Alcotest.(check (list string))
+    "no rule whose body is its head" []
+    (List.filter_map
+       (fun r ->
+         if r.body = [ Pos r.head ] then Some (Fmt.str "%a" Syntax.pp_rule r)
+         else None)
+       (Magic.rules c));
+  let q = atom "path" [ const (i 1); var "Y" ] in
+  let full = Seminaive.query left (edge_facts edges_cycle) "path" in
+  let expected = Facts.TS.filter (fun t -> Value.equal (Tuple.get t 0) (i 1)) full in
+  Alcotest.check facts_testable "left-linear magic answers" expected
+    (Magic.answer left (edge_facts edges_cycle) q)
+
 (* ------------------------------------------------------------------ *)
 (* Translations (§3.4 lemma) *)
 
@@ -615,6 +644,8 @@ let () =
           Alcotest.test_case "both arguments bound" `Quick
             test_magic_both_bound;
           Alcotest.test_case "cyclic data" `Quick test_magic_cyclic;
+          Alcotest.test_case "left-linear: no self-rule" `Quick
+            test_magic_left_linear;
         ] );
       ( "translate",
         [

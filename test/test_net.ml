@@ -320,6 +320,53 @@ let test_error_taxonomy () =
     Alcotest.failf "unexpected code %a: %s" Wire.pp_error_code code m);
   Net.Client.close c
 
+(* Errors a QUERY raises while it evaluates are typed: a constructed
+   value breaking its declared key comes back as [Semantic] on the Query
+   and the Stmt path, and so does every evaluation-time exception the
+   taxonomy names — none is [Internal]. *)
+let test_query_errors_typed () =
+  with_server @@ fun _srv port ->
+  let c = connect port in
+  ignore
+    (Net.Client.exec c
+       {|TYPE keyed = RELATION a OF RECORD a, b: STRING END;
+TYPE edges = RELATION a, b OF RECORD a, b: STRING END;
+CONSTRUCTOR firsts FOR Rel: edges (): keyed;
+BEGIN <"k", e.b> OF EACH e IN Rel: TRUE
+END firsts;|});
+  let src = "QUERY Edge{firsts()};" in
+  let expect_semantic name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: key violation not raised" name
+    | exception Net.Client.Remote (code, msg) ->
+      Alcotest.(check string) (name ^ ": code " ^ msg) "semantic"
+        (Fmt.str "%a" Wire.pp_error_code code)
+  in
+  expect_semantic "query" (fun () -> ignore (Net.Client.query c src));
+  expect_semantic "statement" (fun () -> ignore (Net.Client.exec c src));
+  Net.Client.close c;
+  let runtime =
+    match Dc_calculus.Eval.(eval_range (make_env []) (Dc_calculus.Ast.Rel "Nope")) with
+    | _ -> Alcotest.fail "unknown relation evaluated"
+    | exception e -> e
+  in
+  let aggregate =
+    match Dc_agg.Agg.inadmissible "c" "partial" with
+    | () -> Alcotest.fail "no aggregate error"
+    | exception e -> e
+  in
+  List.iter
+    (fun e ->
+      Alcotest.(check string)
+        (Printexc.to_string e) "semantic"
+        (Fmt.str "%a" Wire.pp_error_code (fst (Net.classify_exn e))))
+    [
+      runtime;
+      Relation.Key_violation "key";
+      aggregate;
+      Dc_datalog.Stratify.Not_stratifiable "cycle";
+    ]
+
 (* An integer literal past max_int is a typed lexer error on both the
    Query and the Stmt path, and the session keeps serving. *)
 let test_huge_integer_literal () =
@@ -754,6 +801,8 @@ let () =
           Alcotest.test_case "aggregated constructor" `Quick
             test_aggregate_over_wire;
           Alcotest.test_case "error taxonomy" `Quick test_error_taxonomy;
+          Alcotest.test_case "query errors are typed" `Quick
+            test_query_errors_typed;
           Alcotest.test_case "metrics over the wire" `Quick
             test_metrics_over_wire;
           Alcotest.test_case "huge integer literal" `Quick
