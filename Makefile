@@ -13,9 +13,11 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Seconds-long sanity pass: the two cheapest recursive experiments and
+# Seconds-long sanity pass: the two cheapest recursive experiments,
 # planned_closure_256 (a QUERY's plan against the interpreter on the
-# 256-chain; exits 1 if their answers differ).
+# 256-chain; exits 1 if their answers differ) and the wire codec cells
+# (a 90,000-row and a 3-row Rows frame; exits 1 if a decoded frame
+# differs from its rows).
 bench-smoke:
 	dune exec bench/main.exe -- smoke
 

@@ -12,7 +12,8 @@
      dune exec bench/main.exe -- json F     -- recursive, IVM, aggregate and
                                                parallel cells as JSON in F
      dune exec bench/main.exe -- smoke | ivm | agg | parallel | stmt-cache
-                                 | wire     -- one section of those cells
+                                 | wire | wire-codec
+                                            -- one section of those cells
      dune exec bench/main.exe -- guard-overhead | obs-overhead
                                             -- the CI overhead gates
 
@@ -1281,14 +1282,113 @@ let print_planned records =
         r.pl_reference)
     records
 
-(* The two cheapest recursive experiments and the planned closure cell —
-   a seconds-long sanity pass (`make bench-smoke`) confirming the
-   harness, the kernel and the planner still run; exits 1 if a planned
-   answer differs from the direct one. *)
+(* ------------------------------------------------------------------ *)
+(* Wire codec: a query result framed as the server frames it (from the
+   relation, CRC included) and its payload decoded as the client decodes
+   it.  Two results: the 90,000 rows over 300 labels of a closure over a
+   strongly connected 300-node graph (servebench's [Rand{tc()}] shape),
+   and a 3-row point read.  Each sample times [reps] frames; the cells
+   report per frame.  Exits 1 if a decoded row list differs from the
+   relation's. *)
+
+module Wire = Dc_net.Wire
+
+type codec_record = {
+  cc_name : string;
+  cc_rows : int;
+  cc_bytes : int; (* the whole frame *)
+  cc_encode : summary; (* ms per frame *)
+  cc_decode : summary;
+}
+
+let codec_records () =
+  let label i = Value.str (Fmt.str "n%d" i) in
+  let schema = Schema.make [ ("a", Value.TStr); ("b", Value.TStr) ] in
+  let per_frame reps f () =
+    let (), wall =
+      time (fun () ->
+          for _ = 1 to reps do
+            ignore (Sys.opaque_identity (f ()))
+          done)
+    in
+    ((), wall /. float_of_int reps)
+  in
+  List.map
+    (fun (name, labels, rows, reps) ->
+      let rel =
+        Relation.of_list schema
+          (List.init rows (fun i ->
+               Tuple.make2 (label (i / labels)) (label (i mod labels))))
+      in
+      let frame = Wire.frame_rows ~version:1 rel in
+      let payload =
+        String.sub frame (String.length frame - Wire.frame_payload_length frame)
+          (Wire.frame_payload_length frame)
+      in
+      (match Wire.decode_response payload with
+      | Wire.Rows { tuples; _ }
+        when List.equal Tuple.equal tuples (Relation.to_list rel) ->
+        ()
+      | _ ->
+        Fmt.epr "wire_codec %s: the decoded rows differ from the relation's@."
+          name;
+        exit 1);
+      match
+        interleaved
+          [
+            per_frame reps (fun () -> Wire.frame_rows ~version:1 rel);
+            per_frame reps (fun () -> Wire.decode_response payload);
+          ]
+      with
+      | [ ((), encode); ((), decode) ] ->
+        {
+          cc_name = name;
+          cc_rows = rows;
+          cc_bytes = String.length frame;
+          cc_encode = encode;
+          cc_decode = decode;
+        }
+      | _ -> assert false)
+    [ ("rows_90000_labels_300", 300, 90_000, 3); ("rows_3", 3, 3, 20_000) ]
+
+let codec_json r =
+  let us s = num (s.median_ms *. 1000.) and iqr s = num (s.iqr_ms *. 1000.) in
+  Json.Obj
+    [
+      ("name", Json.Str r.cc_name);
+      ("rows", count r.cc_rows);
+      ("frame_bytes", count r.cc_bytes);
+      ("bytes_per_row", num (float_of_int r.cc_bytes /. float_of_int r.cc_rows));
+      ("encode_us", us r.cc_encode);
+      ("encode_iqr_us", iqr r.cc_encode);
+      ("decode_us", us r.cc_decode);
+      ("decode_iqr_us", iqr r.cc_decode);
+    ]
+
+let print_codec records =
+  List.iter
+    (fun r ->
+      Fmt.pr
+        "wire_codec_%-22s %7.2f bytes/row  encode %9.1f us (iqr %.1f)  decode \
+         %9.1f us (iqr %.1f)@."
+        r.cc_name
+        (float_of_int r.cc_bytes /. float_of_int r.cc_rows)
+        (r.cc_encode.median_ms *. 1000.)
+        (r.cc_encode.iqr_ms *. 1000.)
+        (r.cc_decode.median_ms *. 1000.)
+        (r.cc_decode.iqr_ms *. 1000.))
+    records
+
+(* The two cheapest recursive experiments, the planned closure cell and
+   the wire codec cells — a seconds-long sanity pass (`make bench-smoke`)
+   confirming the harness, the kernel, the planner and the Rows codec
+   still run; exits 1 if a planned answer differs from the direct one or
+   a decoded frame from its rows. *)
 let run_smoke () =
   print_records
     (json_experiments ~only:[ "e5_mutual_scene_64"; "e4_magic_left_256" ] ());
-  print_planned (planned_records ())
+  print_planned (planned_records ());
+  print_codec (codec_records ())
 
 (* ------------------------------------------------------------------ *)
 (* Overhead gates: interleaved A/B of the same workloads with an
@@ -2086,6 +2186,7 @@ let run_json path =
   let parallel = par_records () in
   let serve = serve_records () in
   let wire = wire_records () in
+  let codec = codec_records () in
   write_json path
     [
       ("samples", count samples);
@@ -2107,6 +2208,7 @@ let run_json path =
           ] );
       ("stmt_cache", Json.Arr (List.map serve_json serve));
       ("wire", Json.Arr (List.map wire_json wire));
+      ("wire_codec", Json.Arr (List.map codec_json codec));
       ("metrics", metrics);
     ];
   print_records records;
@@ -2118,6 +2220,7 @@ let run_json path =
   print_parallel parallel;
   print_serve serve;
   print_wire wire;
+  print_codec codec;
   Fmt.pr "wrote %s@." path
 
 (* ------------------------------------------------------------------ *)
@@ -2150,6 +2253,7 @@ let () =
   | [ "parallel" ] -> run_parallel ()
   | [ "stmt-cache" ] -> run_serve ()
   | [ "wire" ] -> run_wire ()
+  | [ "wire-codec" ] -> print_codec (codec_records ())
   | [ "guard-overhead" ] -> run_guard_overhead ()
   | [ "obs-overhead" ] -> run_obs_overhead ()
   | names ->

@@ -168,25 +168,48 @@ let instantiate_constructor ~names ~schema_of (def : Defs.constructor_def) base
        def.con_body)
 
 (* ------------------------------------------------------------------ *)
-(* N1 flattening: merge single-branch nested comprehension ranges into the
-   surrounding branch. *)
+(* Range nesting N1–N3: fuse a single-branch identity comprehension used
+   as a binder or quantifier range into the surrounding predicate,
+   everywhere in a range — binder ranges, WHERE clauses and the ranges of
+   the quantifiers inside them. *)
 
-(* A nested Comp used as a binder range can be fused when it has a single
-   branch whose target is the identity.  The inner binders are hoisted and
-   the inner predicate conjoined; the bound variable is renamed to the
-   inner binder's variable. *)
+(* Renaming [iv] to [v] in [f] keeps its meaning when [v] is not free in
+   [f] and no binder of [v] inside [f] encloses a free [iv]. *)
+let renamable iv v f =
+  iv = v
+  ||
+  let clash bound x =
+    (x = v && not (Morph.S.mem v bound))
+    || (x = iv && (not (Morph.S.mem iv bound)) && Morph.S.mem v bound)
+  in
+  not
+    (Morph.fold_formula
+       {
+         Morph.skip with
+         term =
+           (fun bound acc -> function
+             | Field (x, _) -> acc || clash bound x
+             | _ -> acc);
+         var = (fun bound acc x -> acc || clash bound x);
+       }
+       false f)
+
+(* N1: a binder [v IN {EACH iv IN ir: p}] becomes [v IN ir] with [p]
+   (renamed to [v]) hoisted into the WHERE clause — unless a later
+   binder of the branch would capture a variable [p] reads. *)
 let rec flatten_branch (b : branch) : branch =
   let rec expand binders target where = function
-    | [] -> { binders = List.rev binders; target; where }
+    | [] -> { binders = List.rev binders; target; where = flatten_formula where }
     | (v, range) :: rest -> (
       match flatten_range range with
-      | Comp [ inner ] when inner.target = [] -> (
-        match inner.binders with
-        | [ (iv, ir) ] ->
-          (* one inner binder: rename it to v, hoist its predicate *)
-          let pred = rename_formula [ (iv, v) ] inner.where in
-          expand ((v, ir) :: binders) target (conj where pred) rest
-        | _ -> expand ((v, Comp [ inner ]) :: binders) target where rest)
+      | Comp [ { binders = [ (iv, ir) ]; target = []; where = p } ]
+        when renamable iv v p
+             &&
+             let free = Vars.free_vars_formula p in
+             not (List.exists (fun (w, _) -> Morph.S.mem w free) rest) ->
+        expand ((v, ir) :: binders) target
+          (conj where (rename_formula [ (iv, v) ] p))
+          rest
       | range -> expand ((v, range) :: binders) target where rest)
   in
   expand [] b.target b.where b.binders
@@ -204,20 +227,22 @@ and flatten_range = function
     | _ -> Comp branches)
 
 (* N2/N3: the same fusion inside quantifier ranges. *)
-let rec flatten_formula = function
+and flatten_formula = function
   | (True | False | Cmp _) as f -> f
   | Not f -> Not (flatten_formula f)
   | And (a, b) -> And (flatten_formula a, flatten_formula b)
   | Or (a, b) -> Or (flatten_formula a, flatten_formula b)
   | Some_in (v, r, f) -> (
     match flatten_range r with
-    | Comp [ { binders = [ (iv, ir) ]; target = []; where } ] ->
+    | Comp [ { binders = [ (iv, ir) ]; target = []; where } ]
+      when renamable iv v where ->
       (* N2: SOME v IN {EACH iv IN ir: p} (f) => SOME v IN ir (p AND f) *)
       Some_in (v, ir, conj (rename_formula [ (iv, v) ] where) (flatten_formula f))
     | r -> Some_in (v, r, flatten_formula f))
   | All_in (v, r, f) -> (
     match flatten_range r with
-    | Comp [ { binders = [ (iv, ir) ]; target = []; where } ] ->
+    | Comp [ { binders = [ (iv, ir) ]; target = []; where } ]
+      when renamable iv v where ->
       (* N3: ALL v IN {EACH iv IN ir: p} (f) => ALL v IN ir (NOT p OR f) *)
       All_in
         (v, ir, disj (neg (rename_formula [ (iv, v) ] where)) (flatten_formula f))

@@ -315,37 +315,36 @@ let bound_port l =
 
 let connection_count l = Mutex.protect l.m (fun () -> List.length l.conns)
 
+(* The response frame to one request.  A query result is framed from the
+   relation in place, with no row list built. *)
 let handle_request l session = function
   | Wire.Stmt src ->
     if Obs.on () then Obs.Counter.inc (Lazy.force c_req_stmt);
-    Wire.Output (Server.execute session src)
+    Wire.frame_response (Wire.Output (Server.execute session src))
   | Wire.Query src ->
     if Obs.on () then Obs.Counter.inc (Lazy.force c_req_query);
     let rel, version = Server.query_string session src in
-    Wire.Rows
-      {
-        version;
-        columns = Schema.attr_names (Relation.schema rel);
-        tuples = Relation.to_list rel;
-      }
+    Wire.frame_rows ~version rel
   | Wire.Snapshot ->
     if Obs.on () then Obs.Counter.inc (Lazy.force c_req_other);
     let snap = Database.snapshot (Server.db l.srv) in
-    Wire.Snap
-      {
-        version = Snapshot.version snap;
-        durable_lsn = Snapshot.durable_lsn snap;
-        relations = Snapshot.relation_count snap;
-        views = List.length (Snapshot.view_names snap);
-        summary = Fmt.str "%a" Snapshot.pp_summary snap;
-      }
+    Wire.frame_response
+      (Wire.Snap
+         {
+           version = Snapshot.version snap;
+           durable_lsn = Snapshot.durable_lsn snap;
+           relations = Snapshot.relation_count snap;
+           views = List.length (Snapshot.view_names snap);
+           summary = Fmt.str "%a" Snapshot.pp_summary snap;
+         })
   | Wire.Metrics fmt ->
     if Obs.on () then Obs.Counter.inc (Lazy.force c_req_other);
-    Wire.Metrics_body
-      (match fmt with `Text -> Obs.to_prometheus () | `Json -> Obs.to_json ())
+    Wire.frame_response
+      (Wire.Metrics_body
+         (match fmt with `Text -> Obs.to_prometheus () | `Json -> Obs.to_json ()))
   | Wire.Bye ->
     if Obs.on () then Obs.Counter.inc (Lazy.force c_req_other);
-    Wire.Bye_ok
+    Wire.frame_response Wire.Bye_ok
 
 let send_response fd resp = send_frame fd (Wire.frame_response resp)
 
@@ -373,23 +372,20 @@ let serve_conn l fd =
         let code, message = classify_exn e in
         (try send_response fd (Wire.Err { code; message }) with _ -> ())
       | session ->
-        let send resp =
-          let frame = Wire.frame_response resp in
-          let frame =
-            let len = Wire.frame_payload_length frame in
-            if len > peer_max then
-              Wire.frame_response
-                (Wire.Err
-                   {
-                     code = Wire.Server;
-                     message =
-                       Fmt.str "response of %d bytes exceeds peer max_frame %d"
-                         len peer_max;
-                   })
-            else frame
-          in
-          send_frame fd frame
+        let send_checked frame =
+          let len = Wire.frame_payload_length frame in
+          if len > peer_max then
+            send_response fd
+              (Wire.Err
+                 {
+                   code = Wire.Server;
+                   message =
+                     Fmt.str "response of %d bytes exceeds peer max_frame %d"
+                       len peer_max;
+                 })
+          else send_frame fd frame
         in
+        let send resp = send_checked (Wire.frame_response resp) in
         let rec loop () =
           match
             recv_frame ~idle:l.idle_timeout r ~timeout:l.io_timeout
@@ -404,13 +400,13 @@ let serve_conn l fd =
               (try send (Wire.Err { code; message }) with _ -> ())
             | Wire.Bye -> ( try send Wire.Bye_ok with _ -> ())
             | req ->
-              let resp =
+              let frame =
                 try handle_request l session req
                 with e ->
                   let code, message = classify_exn e in
-                  Wire.Err { code; message }
+                  Wire.frame_response (Wire.Err { code; message })
               in
-              send resp;
+              send_checked frame;
               loop ())
           | exception Timeout -> ()
           | exception e ->
@@ -557,6 +553,25 @@ let stop l =
 module Client = struct
   exception Remote of Wire.error_code * string
 
+  (* The server answers our preamble with its own, or, when it refuses
+     ours (another protocol version), with an [Err] frame and a close:
+     that frame's message is the handshake's error. *)
+  let server_preamble r ~timeout ~max_frame =
+    if
+      fill r ~first:timeout ~timeout 4
+      && not (String.equal (Bytes.sub_string r.buf r.pos 4) Wire.magic)
+    then
+      let message =
+        match recv_frame ~idle:timeout r ~timeout ~max_frame with
+        | Some payload -> (
+          match Wire.decode_response payload with
+          | Wire.Err { message; _ } -> message
+          | _ | (exception Codec.Corrupt _) -> "a frame before its preamble")
+        | None -> torn ()
+      in
+      raise (Wire.Protocol_error ("server refused the handshake: " ^ message))
+    else Option.get (read_preamble r ~timeout)
+
   type t = {
     fd : Unix.file_descr;
     rd : reader; (* the connection's read buffer *)
@@ -590,11 +605,7 @@ module Client = struct
       set_send_timeout fd timeout;
       write_all fd (Wire.encode_preamble ~max_frame);
       let rd = reader fd in
-      let peer_max =
-        match read_preamble rd ~timeout with
-        | Some peer_max -> peer_max
-        | None -> assert false
-      in
+      let peer_max = server_preamble rd ~timeout ~max_frame in
       {
         fd;
         rd;

@@ -8,7 +8,15 @@
     own.  Every subsequent message is one CRC-framed payload in the
     WAL's {!Dc_wal.Codec} convention — [\[u32 len\]\[u32 crc\]\[payload\]]
     — whose first byte is the message tag.  One request frame yields
-    exactly one response frame. *)
+    exactly one response frame.
+
+    A [Rows] payload is column-major under the result's schema: the
+    snapshot version, the column names, the row count, one kind byte
+    per column (Int, Str, Bool, Float), a dictionary holding each
+    distinct string of the frame once, then each column's cells untagged
+    — Str as varint dictionary ids, Int as zigzag varints, Bool as a
+    byte, Float as 8 bytes.  The WAL and checkpoints keep
+    {!Dc_wal.Codec}'s tagged tuples. *)
 
 open Dc_relation
 
@@ -21,6 +29,8 @@ exception Protocol_error of string
 
 val magic : string
 val version : int
+(** The protocol version the preamble carries (2: column-major [Rows]);
+    a peer speaking another is refused at the handshake. *)
 
 val default_max_frame : int
 (** Default bound on incoming frame payloads (8 MiB). *)
@@ -52,7 +62,8 @@ type request =
 type response =
   | Output of string
   | Rows of { version : int; columns : string list; tuples : Tuple.t list }
-      (** query result with the snapshot version it observed *)
+      (** query result with the snapshot version it observed; every tuple
+          has one cell per column, and each column one kind *)
   | Snap of {
       version : int;
       durable_lsn : int option;
@@ -78,7 +89,12 @@ val decode_preamble : string -> int
     frame, byte-identical to {!Dc_wal.Codec.frame_string} of the payload
     but built in one copy (what the transport sends).  Decoders are
     strict — an unknown tag, a malformed body, or trailing bytes raise
-    {!Dc_wal.Codec.Corrupt}, and nothing else. *)
+    {!Dc_wal.Codec.Corrupt}, and nothing else; a [Rows] body is checked
+    whole before any count it claims is allocated.  Encoding a [Rows]
+    whose tuples do not fit its columns (an arity other than the column
+    count, two kinds in one column, more than one row of arity 0) raises
+    [Invalid_argument].  Decoded strings are interned ({!Value.str}),
+    once per distinct string of a frame. *)
 
 val encode_request : request -> string
 val decode_request : string -> request
@@ -87,6 +103,11 @@ val decode_response : string -> response
 
 val frame_request : request -> string
 val frame_response : response -> string
+
+val frame_rows : version:int -> Relation.t -> string
+(** [frame_response (Rows {version; columns; tuples})] for the relation's
+    attribute names and tuples, encoded from the relation in place (the
+    same encoder, with the kinds of its schema). *)
 
 val frame_payload_length : string -> int
 (** Payload length of a frame built by [frame_*]. *)

@@ -21,21 +21,43 @@ let corrupt fmt = Fmt.kstr (fun s -> raise (Corrupt s)) fmt
 (* ------------------------------------------------------------------ *)
 (* CRC-32 (IEEE, reflected) *)
 
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+(* Slicing by four: [t0] is the byte-at-a-time table, and [tk.(n)] is the
+   CRC of byte [n] followed by [k] zero bytes, so one step folds four
+   input bytes with four lookups.  The tail runs byte at a time. *)
+let t0 =
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
+
+let next t = Array.map (fun c -> (c lsr 8) lxor t0.(c land 0xFF)) t
+let t1 = next t0
+let t2 = next t1
+let t3 = next t2
 
 let crc32 ?(pos = 0) ?len s =
   let len = match len with Some l -> l | None -> String.length s - pos in
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  for i = pos to pos + len - 1 do
-    c := table.((!c lxor Char.code s.[i]) land 0xFF) lxor (!c lsr 8)
+  if pos < 0 || len < 0 || pos + len > String.length s then
+    invalid_arg "Codec.crc32";
+  let c = ref 0xFFFFFFFF and i = ref pos in
+  let stop = pos + len in
+  while !i + 4 <= stop do
+    let x =
+      !c lxor (Int32.to_int (String.get_int32_le s !i) land 0xFFFFFFFF)
+    in
+    c :=
+      Array.unsafe_get t3 (x land 0xFF)
+      lxor Array.unsafe_get t2 ((x lsr 8) land 0xFF)
+      lxor Array.unsafe_get t1 ((x lsr 16) land 0xFF)
+      lxor Array.unsafe_get t0 (x lsr 24);
+    i := !i + 4
+  done;
+  for j = !i to stop - 1 do
+    c :=
+      Array.unsafe_get t0 ((!c lxor Char.code (String.unsafe_get s j)) land 0xFF)
+      lxor (!c lsr 8)
   done;
   !c lxor 0xFFFFFFFF land 0xFFFFFFFF
 
@@ -48,9 +70,10 @@ let u32 buf n =
   Buffer.add_char buf (Char.chr ((n lsr 16) land 0xFF));
   Buffer.add_char buf (Char.chr ((n lsr 24) land 0xFF))
 
-(* unsigned LEB128; callers must pass non-negative values *)
+(* unsigned LEB128 over the 63 bits of [n]: a negative [n] (a zigzag
+   fold of an int beyond ±2^61) takes nine bytes *)
 let rec varint buf n =
-  if n < 0x80 then Buffer.add_char buf (Char.chr n)
+  if n land lnot 0x7F = 0 then Buffer.add_char buf (Char.chr n)
   else begin
     Buffer.add_char buf (Char.chr (0x80 lor (n land 0x7F)));
     varint buf (n lsr 7)
@@ -106,6 +129,8 @@ let byte c =
   c.pos <- c.pos + 1;
   b
 
+let read_byte = byte
+
 let read_u32 c =
   let b0 = byte c in
   let b1 = byte c in
@@ -113,14 +138,15 @@ let read_u32 c =
   let b3 = byte c in
   b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)
 
-let read_varint c =
-  let rec go shift acc =
-    if shift > 62 then corrupt "varint overflow";
-    let b = byte c in
-    let acc = acc lor ((b land 0x7F) lsl shift) in
-    if b land 0x80 = 0 then acc else go (shift + 7) acc
-  in
-  go 0 0
+(* A top-level loop, not a local closure over [c]: wire frames read a
+   varint per cell, and a closure would allocate per call. *)
+let rec varint_from c shift acc =
+  if shift > 62 then corrupt "varint overflow";
+  let b = byte c in
+  let acc = acc lor ((b land 0x7F) lsl shift) in
+  if b land 0x80 = 0 then acc else varint_from c (shift + 7) acc
+
+let read_varint c = varint_from c 0 0
 
 let read_zigzag c =
   let n = read_varint c in

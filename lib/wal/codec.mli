@@ -16,7 +16,7 @@ val crc32 : ?pos:int -> ?len:int -> string -> int
 
 val u32 : Buffer.t -> int -> unit
 val varint : Buffer.t -> int -> unit
-(** Unsigned LEB128; the argument must be non-negative. *)
+(** Unsigned LEB128 of the argument's 63 bits. *)
 
 val zigzag : Buffer.t -> int -> unit
 val string_ : Buffer.t -> string -> unit
@@ -34,6 +34,7 @@ type cursor = {
 
 val cursor : ?pos:int -> ?limit:int -> string -> cursor
 val at_end : cursor -> bool
+val read_byte : cursor -> int
 val read_u32 : cursor -> int
 val read_varint : cursor -> int
 val read_zigzag : cursor -> int

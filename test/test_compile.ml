@@ -189,17 +189,42 @@ let test_flatten_n2_n3 () =
   in
   let some_q = q (fun (v, r, f) -> Ast.Some_in (v, r, f)) in
   let all_q = q (fun (v, r, f) -> Ast.All_in (v, r, f)) in
+  (* flattening the query flattens its WHERE clause: no nested range is
+     left under the quantifier *)
   List.iter
     (fun query ->
-      let flat =
-        Ast.(
-          match query with
-          | Comp [ b ] -> Comp [ { b with where = Rewrite.flatten_formula b.where } ]
-          | r -> r)
-      in
+      let flat = Rewrite.flatten_range query in
+      (match flat with
+      | Ast.Comp [ { where = Ast.Some_in (_, Ast.Rel "Edge", _) | Ast.All_in (_, Ast.Rel "Edge", _); _ } ] -> ()
+      | r -> Alcotest.failf "quantifier range not flattened: %a" Ast.pp_range r);
       Alcotest.check rel_testable "N2/N3 preserve semantics"
         (Database.query db query) (Database.query db flat))
-    [ some_q; all_q ]
+    [ some_q; all_q ];
+  (* a quantifier named like an outer variable its range reads is left
+     nested: renaming x to q would capture the outer q *)
+  let capturing quant =
+    Ast.(
+      Comp
+        [
+          branch [ ("q", Rel "Edge") ]
+            ~where:
+              (quant
+                 ( "q",
+                   Comp
+                     [ branch [ ("x", Rel "Edge") ] ~where:(eq (field "x" "src") (field "q" "dst")) ],
+                   True ));
+        ])
+  in
+  List.iter
+    (fun query ->
+      let flat = Rewrite.flatten_range query in
+      Alcotest.(check bool) "capture declined" true (flat = query);
+      Alcotest.check rel_testable "capture declined: same answer"
+        (Database.query db query) (Database.query db flat))
+    [
+      capturing (fun (v, r, f) -> Ast.Some_in (v, r, f));
+      capturing (fun (v, r, f) -> Ast.All_in (v, r, f));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Pushdown and planner *)
@@ -1022,6 +1047,13 @@ let test_correlated_quantifier_range () =
     (Fmt.str "dbpl run answers 2 tuples:@.%s" out)
     true
     (contains out "(2 tuples)" && contains out "method: pushed restriction");
+  (* N2 flattens the quantifier range the restriction was pushed into: one
+     filter over Chain, not a comprehension run per row *)
+  Alcotest.(check bool)
+    (Fmt.str "EXPLAIN shows the flattened quantifier:@.%s" out)
+    true
+    (contains out "filter SOME q IN Chain (q.a = f~2.b)"
+    && not (contains out "counters totalled"));
   let was = Dc_obs.Obs.on () in
   Dc_obs.Obs.set_enabled true;
   Fun.protect ~finally:(fun () -> Dc_obs.Obs.set_enabled was) @@ fun () ->

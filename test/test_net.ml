@@ -1,8 +1,11 @@
 (* The wire protocol (lib/net), fuzzed and attacked.
 
    Pure layer: qcheck round-trips of every frame type over arbitrary
-   payload bytes, and a decoder fuzz — arbitrary byte strings must
-   either decode or raise [Codec.Corrupt], never anything else.  Framed
+   payload bytes, and a decoder fuzz — arbitrary byte strings, and cut
+   or damaged Rows frames, must either decode or raise [Codec.Corrupt],
+   never anything else.  Rows frames are also written out by hand: the
+   layout, hostile counts and ids, and the encoder's refusal of rows
+   that do not fit their columns.  Framed
    transport: every strict prefix of a valid frame is a torn frame, and
    every single-byte corruption of one must be rejected by the CRC.
 
@@ -30,19 +33,37 @@ let contains_s s sub =
 (* ------------------------------------------------------------------ *)
 (* Generators *)
 
-let value_gen =
+(* A cell of a kind.  Strings come from a small pool half the time, so
+   frames repeat strings (the dictionary's case), and are fresh copies,
+   not interned, so the decoder's interning is what shares them. *)
+let value_gen : Value.ty -> Value.t QCheck.Gen.t =
   QCheck.Gen.(
-    oneof
-      [
-        map (fun i -> Value.Int i) small_signed_int;
-        map (fun s -> Value.Str s) (string_size (int_bound 12));
-        map (fun b -> Value.Bool b) bool;
-        (* finite floats only: NaN breaks structural equality, which is
-           a property of equality, not of the codec *)
-        map (fun f -> Value.Float f) (float_bound_inclusive 1e9);
-      ])
+    function
+    | Value.TInt -> map (fun i -> Value.Int i) (oneof [ small_signed_int; int ])
+    | TStr ->
+      map
+        (fun s -> Value.Str (String.init (String.length s) (String.get s)))
+        (oneof [ oneofl [ "n0"; "n1"; "" ]; string_size (int_bound 12) ])
+    | TBool -> map (fun b -> Value.Bool b) bool
+    (* finite floats only: NaN breaks structural equality, which is a
+       property of equality, not of the codec *)
+    | TFloat -> map (fun f -> Value.Float f) (float_bound_inclusive 1e9))
 
-let tuple_gen = QCheck.Gen.(map Tuple.of_list (list_size (int_bound 4) value_gen))
+(* A schema first, then rows that fit it: what a relation can produce.
+   Arity 0 has at most one row (the empty tuple). *)
+let rows_gen =
+  QCheck.Gen.(
+    list_size (int_bound 4)
+      (pair (string_size (int_bound 8))
+         (oneofl Value.[ TInt; TStr; TBool; TFloat ]))
+    >>= fun schema ->
+    let columns = List.map fst schema and kinds = List.map snd schema in
+    let row = map Tuple.of_list (flatten_l (List.map value_gen kinds)) in
+    map2
+      (fun version tuples -> Wire.Rows { version; columns; tuples })
+      small_nat
+      (list_size (if schema = [] then int_bound 1 else int_bound 8) row))
+
 let bytes_gen = QCheck.Gen.(string_size ~gen:char (int_bound 200))
 
 let request_gen =
@@ -68,11 +89,7 @@ let response_gen =
     oneof
       [
         map (fun s -> Wire.Output s) bytes_gen;
-        map3
-          (fun version columns tuples -> Wire.Rows { version; columns; tuples })
-          small_nat
-          (list_size (int_bound 4) (string_size (int_bound 8)))
-          (list_size (int_bound 8) tuple_gen);
+        rows_gen;
         map3
           (fun version lsn (relations, views, summary) ->
             Wire.Snap
@@ -135,6 +152,185 @@ let prop_decoder_total =
       in
       probe Wire.decode_request && probe Wire.decode_response && probe_frame ())
 
+(* a Rows payload cut short or with one byte changed decodes or raises
+   [Codec.Corrupt] — arbitrary bytes rarely get past the tag *)
+let prop_rows_mutations =
+  QCheck.Test.make ~name:"Rows decoder is total over damaged frames" ~count:500
+    QCheck.(
+      triple
+        (make ~print:(Fmt.str "%a" Wire.pp_response) rows_gen)
+        small_nat (int_bound 255))
+    (fun (rows, at, byte) ->
+      let payload = Wire.encode_response rows in
+      let probe p =
+        match Wire.decode_response p with
+        | _ -> true
+        | exception Codec.Corrupt _ -> true
+      in
+      let at = at mod String.length payload in
+      let changed = Bytes.of_string payload in
+      Bytes.set changed at (Char.chr byte);
+      probe (String.sub payload 0 at) && probe (Bytes.to_string changed))
+
+(* A Rows payload written out by hand: the tag, then version, columns,
+   row count, kinds, dictionary and the columns in turn *)
+let rows_payload ?(version = 7) ?(columns = [ "a"; "b" ]) ?count_bytes ~count
+    ~kinds ?dict_count ~dict cells =
+  let b = Buffer.create 64 in
+  Buffer.add_char b '\x82';
+  Codec.varint b version;
+  Codec.varint b (List.length columns);
+  List.iter (Codec.string_ b) columns;
+  (match count_bytes with
+  | Some raw -> Buffer.add_string b raw
+  | None -> Codec.varint b count);
+  List.iter (fun k -> Buffer.add_char b (Char.chr k)) kinds;
+  Codec.varint b (Option.value dict_count ~default:(List.length dict));
+  List.iter (Codec.string_ b) dict;
+  Buffer.add_string b cells;
+  Buffer.contents b
+
+let str_pair a b = Tuple.make2 (Value.Str a) (Value.Str b)
+
+let test_rows_layout () =
+  let rows =
+    Wire.Rows
+      {
+        version = 7;
+        columns = [ "a"; "b" ];
+        tuples = [ str_pair "x" "y"; str_pair "x" "z"; str_pair "y" "x" ];
+      }
+  in
+  (* ids in first-seen order, row by row: x 0, y 1, z 2; column a is
+     0 0 1, column b 1 2 0 *)
+  Alcotest.(check string) "column-major, one dictionary"
+    (rows_payload ~count:3 ~kinds:[ 1; 1 ] ~dict:[ "x"; "y"; "z" ]
+       "\000\000\001\001\002\000")
+    (Wire.encode_response rows);
+  let mixed =
+    Wire.Rows
+      {
+        version = 1;
+        columns = [ "i"; "b"; "f" ];
+        tuples =
+          [
+            Tuple.make3 (Value.Int (-1)) (Value.Bool true) (Value.Float 1.5);
+            Tuple.make3 (Value.Int 64) (Value.Bool false) (Value.Float 0.);
+          ];
+      }
+  in
+  let floats = Buffer.create 16 in
+  Buffer.add_int64_le floats (Int64.bits_of_float 1.5);
+  Buffer.add_int64_le floats (Int64.bits_of_float 0.);
+  Alcotest.(check string) "zigzag ints, bool bytes, float bits"
+    (rows_payload ~version:1 ~columns:[ "i"; "b"; "f" ] ~count:2
+       ~kinds:[ 0; 2; 3 ] ~dict:[]
+       ("\001\128\001" ^ "\001\000" ^ Buffer.contents floats))
+    (Wire.encode_response mixed);
+  Alcotest.(check bool) "round-trips" true
+    (Wire.equal_response mixed
+       (Wire.decode_response (Wire.encode_response mixed)))
+
+let test_rows_nonconforming () =
+  let refuse name columns tuples =
+    match Wire.encode_response (Wire.Rows { version = 1; columns; tuples }) with
+    | _ -> Alcotest.failf "%s: encoded" name
+    | exception Invalid_argument _ -> ()
+  in
+  refuse "short row" [ "a"; "b" ] [ str_pair "x" "y"; Tuple.make1 (Value.Str "x") ];
+  refuse "long row" [ "a" ] [ str_pair "x" "y" ];
+  refuse "two kinds in a column" [ "a"; "b" ]
+    [ str_pair "x" "y"; Tuple.make2 (Value.Str "x") (Value.Int 1) ];
+  refuse "two rows of arity 0" [] [ Tuple.of_list []; Tuple.of_list [] ];
+  refuse "a row without columns" [] [ Tuple.make1 (Value.Int 1) ]
+
+(* Each hostile Rows body raises [Codec.Corrupt] — nothing else — having
+   interned no string and allocated nothing from the count it claims *)
+let test_rows_hostile () =
+  let fresh = Fmt.str "hostile-%d" (Unix.getpid ()) in
+  let huge = 1_000_000 in
+  let negative =
+    (* nine varint bytes: 63 bits, a negative OCaml int *)
+    "\255\255\255\255\255\255\255\255\127"
+  in
+  let cases =
+    [
+      ( "truncated dictionary",
+        rows_payload ~count:1 ~kinds:[ 1; 1 ] ~dict_count:3
+          ~dict:[ fresh ^ "a"; fresh ^ "b" ] "" );
+      ( "dictionary count past the bytes",
+        rows_payload ~count:1 ~kinds:[ 1; 1 ] ~dict_count:huge ~dict:[ fresh ]
+          "\000\000" );
+      ( "row count past the bytes",
+        rows_payload ~count:huge ~kinds:[ 1; 1 ] ~dict:[ fresh ] "\000\000" );
+      ( "row count past the bytes (floats)",
+        rows_payload ~count:3 ~columns:[ "f" ] ~kinds:[ 3 ] ~dict:[]
+          (String.make 16 '\000') );
+      ( "two rows of arity 0",
+        rows_payload ~count:2 ~columns:[] ~kinds:[] ~dict:[] "" );
+      ( "dictionary id out of range",
+        rows_payload ~count:1 ~kinds:[ 1; 1 ] ~dict:[ fresh ] "\000\001" );
+      ( "unknown kind byte",
+        rows_payload ~count:1 ~kinds:[ 1; 9 ] ~dict:[ fresh ] "\000\000" );
+      ( "bool byte other than 0 or 1",
+        rows_payload ~count:1 ~columns:[ "b" ] ~kinds:[ 2 ] ~dict:[] "\002" );
+      ( "unterminated varint cell",
+        rows_payload ~count:1 ~columns:[ "i" ] ~kinds:[ 0 ] ~dict:[] "\128" );
+      ( "negative row count",
+        rows_payload ~count_bytes:negative ~count:0 ~kinds:[ 1; 1 ] ~dict:[]
+          "" );
+      ( "negative dictionary id",
+        rows_payload ~count:1 ~columns:[ "s" ] ~kinds:[ 1 ] ~dict:[ fresh ]
+          negative );
+      ( "trailing bytes",
+        rows_payload ~count:1 ~kinds:[ 1; 1 ] ~dict:[ fresh ] "\000\000\000" );
+    ]
+  in
+  List.iter
+    (fun (name, payload) ->
+      let interned = Value.interned_count () in
+      (* the counters of direct major allocations are brought up to date
+         by a minor collection *)
+      Gc.minor ();
+      let before = Gc.allocated_bytes () in
+      (match Wire.decode_response payload with
+      | r -> Alcotest.failf "%s: decoded %a" name Wire.pp_response r
+      | exception Codec.Corrupt _ -> ()
+      | exception e -> Alcotest.failf "%s: raised %s" name (Printexc.to_string e));
+      Gc.minor ();
+      let words = (Gc.allocated_bytes () -. before) /. 8. in
+      Alcotest.(check int) (name ^ ": nothing interned") interned
+        (Value.interned_count ());
+      Alcotest.(check bool)
+        (Fmt.str "%s: %.0f words allocated" name words)
+        true (words < 4096.))
+    cases
+
+(* equal strings decode to one interned string, and one value per frame *)
+let test_rows_interned () =
+  let copy s = String.init (String.length s) (String.get s) in
+  let a = Fmt.str "interned-%d" (Unix.getpid ()) in
+  let tuples =
+    [ str_pair (copy a) (copy a); str_pair (copy "b") (copy a) ]
+  in
+  match
+    Wire.decode_response
+      (Wire.encode_response (Wire.Rows { version = 1; columns = [ "x"; "y" ]; tuples }))
+  with
+  | Wire.Rows { tuples = [ t1; t2 ]; _ } ->
+    let cells = [ Tuple.get t1 0; Tuple.get t1 1; Tuple.get t2 1 ] in
+    List.iter
+      (fun v ->
+        Alcotest.(check bool) "one value per distinct string" true
+          (v == Tuple.get t1 0);
+        match v with
+        | Value.Str s ->
+          Alcotest.(check bool) "interned" true
+            (match Value.str a with Value.Str c -> c == s | _ -> false)
+        | _ -> Alcotest.fail "not a string")
+      cells
+  | r -> Alcotest.failf "unexpected %a" Wire.pp_response r
+
 let test_torn_frames () =
   let framed =
     Codec.frame_string (Wire.encode_request (Wire.Stmt "INSERT Edge;"))
@@ -172,7 +368,12 @@ let test_preamble () =
     | exception Wire.Protocol_error _ -> ()
   in
   reject "DCNQ\001\000\000\128\000" "bad magic";
-  reject "DCNP\002\000\000\128\000" "wrong version";
+  reject "DCNP\003\000\000\128\000" "a later version";
+  (match Wire.decode_preamble "DCNP\001\000\000\128\000" with
+  | _ -> Alcotest.fail "accepted a version-1 preamble"
+  | exception Wire.Protocol_error m ->
+    Alcotest.(check bool) ("names both versions: " ^ m) true
+      (contains_s m "version 1" && contains_s m "speaks 2"));
   reject (Wire.encode_preamble ~max_frame:16) "max_frame below floor";
   reject "DCNP" "short preamble"
 
@@ -497,6 +698,88 @@ let test_garbage_preamble () =
     | exception _ -> true);
   check_still_serving port
 
+(* A version-1 preamble is refused with a protocol error naming both
+   versions: the server answers a v1 client with an [Err] frame in place
+   of its preamble, and [Client.connect] refuses a v1 server. *)
+let v1_preamble =
+  let b = Buffer.create Wire.preamble_length in
+  Buffer.add_string b Wire.magic;
+  Buffer.add_char b '\001';
+  Codec.u32 b Wire.default_max_frame;
+  Buffer.contents b
+
+let names_both_versions m =
+  contains_s m "version 1" && contains_s m (Fmt.str "speaks %d" Wire.version)
+
+let test_v1_client_refused () =
+  with_server ~io_timeout:2. @@ fun _srv port ->
+  let fd = raw_connect port in
+  send_raw fd v1_preamble;
+  let reply = recv_until_close fd in
+  Unix.close fd;
+  (match Codec.read_frame reply 0 with
+  | payload, _ -> (
+    match Wire.decode_response payload with
+    | Wire.Err { code = Wire.Protocol; message } ->
+      Alcotest.(check bool) ("names both versions: " ^ message) true
+        (names_both_versions message)
+    | r -> Alcotest.failf "unexpected reply %a" Wire.pp_response r)
+  | exception Codec.Corrupt m -> Alcotest.failf "no Err frame (%s)" m);
+  check_still_serving port
+
+(* A version-1 server either answers with its own preamble or, as the
+   version-1 listener does on reading ours, refuses with an [Err] frame
+   naming both versions and closes *)
+let test_v1_server_refused () =
+  let refusal =
+    Wire.frame_response
+      (Wire.Err
+         {
+           code = Wire.Protocol;
+           message = "preamble: protocol version 2, this peer speaks 1";
+         })
+  in
+  List.iter
+    (fun (what, answer, named) ->
+      let lfd = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+      Unix.setsockopt lfd Unix.SO_REUSEADDR true;
+      Unix.bind lfd (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+      Unix.listen lfd 1;
+      let port =
+        match Unix.getsockname lfd with
+        | Unix.ADDR_INET (_, p) -> p
+        | _ -> assert false
+      in
+      let server =
+        Thread.create
+          (fun () ->
+            let fd, _ = Unix.accept lfd in
+            ignore
+              (Unix.read fd (Bytes.create Wire.preamble_length) 0
+                 Wire.preamble_length);
+            send_raw fd answer;
+            Unix.close fd)
+          ()
+      in
+      (match Net.Client.connect ~timeout:5. (Net.Tcp ("127.0.0.1", port)) with
+      | c ->
+        Net.Client.close c;
+        Alcotest.failf "%s: connected to a version-1 server" what
+      | exception (Wire.Protocol_error m as e) ->
+        Alcotest.(check bool) (what ^ ", names both versions: " ^ m) true
+          (named m);
+        Alcotest.(check int) (what ^ ": a protocol error")
+          (Wire.error_code_to_int Wire.Protocol)
+          (Wire.error_code_to_int (fst (Net.classify_exn e))));
+      Thread.join server;
+      Unix.close lfd)
+    [
+      ("its preamble", v1_preamble, names_both_versions);
+      ( "its refusal",
+        refusal,
+        fun m -> contains_s m "version 2" && contains_s m "speaks 1" );
+    ]
+
 let test_oversized_claim () =
   with_server ~io_timeout:2. @@ fun _srv port ->
   let fd = raw_connect port in
@@ -789,8 +1072,18 @@ let () =
   Alcotest.run "dc_net"
     [
       ( "wire codec",
-        qcheck [ prop_request_roundtrip; prop_response_roundtrip; prop_decoder_total ]
+        qcheck
+          [
+            prop_request_roundtrip; prop_response_roundtrip; prop_decoder_total;
+            prop_rows_mutations;
+          ]
         @ [
+            Alcotest.test_case "Rows layout" `Quick test_rows_layout;
+            Alcotest.test_case "non-conforming Rows refused" `Quick
+              test_rows_nonconforming;
+            Alcotest.test_case "hostile Rows bodies" `Quick test_rows_hostile;
+            Alcotest.test_case "decoded strings are interned" `Quick
+              test_rows_interned;
             Alcotest.test_case "torn frames rejected" `Quick test_torn_frames;
             Alcotest.test_case "bit flips rejected" `Quick test_bitflips_rejected;
             Alcotest.test_case "preamble" `Quick test_preamble;
@@ -827,6 +1120,10 @@ let () =
       ( "adversarial",
         [
           Alcotest.test_case "garbage preamble" `Quick test_garbage_preamble;
+          Alcotest.test_case "version-1 client refused" `Quick
+            test_v1_client_refused;
+          Alcotest.test_case "version-1 server refused" `Quick
+            test_v1_server_refused;
           Alcotest.test_case "oversized length claim" `Quick
             test_oversized_claim;
           Alcotest.test_case "truncated frame" `Quick test_truncated_frame;

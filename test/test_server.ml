@@ -878,8 +878,13 @@ let wire_rows (rel, version) =
          tuples = Relation.to_list rel;
        })
 
-(* A tripped guard's report without its wall-clock figure. *)
+(* A tripped guard's report without its wall-clock figure.  [Str] keeps
+   the last match in global state, and reader threads call this at
+   once, so the search and its [match_end] run under one lock. *)
+let str_lock = Mutex.create ()
+
 let without_elapsed msg =
+  Mutex.protect str_lock @@ fun () ->
   match Str.search_forward (Str.regexp "[0-9.]+ ms elapsed") msg 0 with
   | i -> String.sub msg 0 i ^ String.sub msg (Str.match_end ()) (String.length msg - Str.match_end ())
   | exception Not_found -> msg

@@ -205,6 +205,8 @@ let test_codec_roundtrip () =
   Codec.varint buf 0;
   Codec.varint buf 300;
   Codec.zigzag buf (-7);
+  (* beyond ±2^61 the zigzag fold is negative: nine varint bytes *)
+  List.iter (Codec.zigzag buf) [ max_int; min_int; 1 lsl 61 ];
   Codec.string_ buf "hello, \"wal\"\n";
   Codec.tuple buf
     (Tuple.of_list
@@ -216,6 +218,9 @@ let test_codec_roundtrip () =
   Alcotest.(check int) "varint 0" 0 (Codec.read_varint c);
   Alcotest.(check int) "varint 300" 300 (Codec.read_varint c);
   Alcotest.(check int) "zigzag -7" (-7) (Codec.read_zigzag c);
+  List.iter
+    (fun n -> Alcotest.(check int) "zigzag extreme" n (Codec.read_zigzag c))
+    [ max_int; min_int; 1 lsl 61 ];
   Alcotest.(check string) "string" "hello, \"wal\"\n" (Codec.read_string c);
   let t = Codec.read_tuple c in
   Alcotest.(check bool) "tuple" true
@@ -223,6 +228,32 @@ let test_codec_roundtrip () =
        (Tuple.of_list
           [ Value.Int 42; Value.str "x"; Value.Bool true; Value.Float 1.5 ]));
   Alcotest.(check bool) "cursor drained" true (Codec.at_end c)
+
+(* CRC-32 (IEEE): the check value, and slicing by four against the
+   bytewise definition over every alignment and tail length *)
+let test_codec_crc32 () =
+  Alcotest.(check int) "check value" 0xCBF43926 (Codec.crc32 "123456789");
+  Alcotest.(check int) "empty" 0 (Codec.crc32 "");
+  let bytewise s pos len =
+    let c = ref 0xFFFFFFFF in
+    for i = pos to pos + len - 1 do
+      c := !c lxor Char.code s.[i];
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done
+    done;
+    !c lxor 0xFFFFFFFF
+  in
+  let rng = Dc_workload.Rng.create 0xC4C in
+  let s = String.init 300 (fun _ -> Char.chr (Dc_workload.Rng.int rng 256)) in
+  for pos = 0 to 7 do
+    for len = 0 to 40 do
+      Alcotest.(check int)
+        (Fmt.str "pos %d len %d" pos len)
+        (bytewise s pos len) (Codec.crc32 ~pos ~len s)
+    done
+  done;
+  Alcotest.(check int) "long" (bytewise s 3 297) (Codec.crc32 ~pos:3 s)
 
 let test_codec_crc_rejects () =
   let frame = Codec.frame_string "payload bytes" in
@@ -700,6 +731,7 @@ let () =
       ( "codec",
         [
           Alcotest.test_case "frame round-trip" `Quick test_codec_roundtrip;
+          Alcotest.test_case "crc32 check value" `Quick test_codec_crc32;
           Alcotest.test_case "crc rejects corruption" `Quick
             test_codec_crc_rejects;
         ] );
