@@ -15,9 +15,10 @@ bench:
 
 # Seconds-long sanity pass: the two cheapest recursive experiments,
 # planned_closure_256 (a QUERY's plan against the interpreter on the
-# 256-chain; exits 1 if their answers differ) and the wire codec cells
-# (a 90,000-row and a 3-row Rows frame; exits 1 if a decoded frame
-# differs from its rows).
+# 256-chain) and planned_closure_random_300 (the same on a strongly
+# connected 300-node, 900-edge digraph; both exit 1 if the answers
+# differ) and the wire codec cells (a 90,000-row and a 3-row Rows frame;
+# exits 1 if a decoded frame differs from its rows).
 bench-smoke:
 	dune exec bench/main.exe -- smoke
 

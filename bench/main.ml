@@ -1197,13 +1197,13 @@ let print_records records =
 
 (* ------------------------------------------------------------------ *)
 (* Planned against direct: what a QUERY's plan buys on the 256-chain.
-   The closure recogniser rewrites the non-linear [tcn] right-linear
-   (planned, against the interpreter's non-linear fixpoint and against
-   the right-linear [tc] it should now cost about as much as), and runs
-   the point closure {EACH r IN Edge{tc()}: r.src = "n0"} left-linear
-   under the capture rule (against the interpreter's full closure then
-   filter).  Planning is timed with the run, as a QUERY pays it.  E3 and
-   E4 keep calling their engines directly. *)
+   The closure recogniser hands the non-linear [tcn] to the closure
+   operator (planned, against the interpreter's non-linear fixpoint and
+   against the right-linear [tc]'s), and the point closure
+   {EACH r IN Edge{tc()}: r.src = "n0"} to one traversal from n0
+   (against the interpreter's full closure then filter).  Planning is
+   timed with the run, as a QUERY pays it.  E3 and E4 keep calling their
+   engines directly. *)
 
 type planned_record = {
   pl_name : string;
@@ -1257,6 +1257,54 @@ let planned_records () =
         pl_reference = None;
       };
     ]
+  | _ -> assert false
+
+(* A seeded strongly connected digraph: a cycle through a shuffled order
+   of the nodes plus distinct random edges up to [edges]. *)
+let strongly_connected ~seed ~nodes ~edges =
+  let rng = Dc_workload.Rng.create seed in
+  let order = Array.init nodes Fun.id in
+  Dc_workload.Rng.shuffle rng order;
+  let seen = Hashtbl.create (2 * edges) in
+  List.iteri
+    (fun i a -> Hashtbl.replace seen (a, order.((i + 1) mod nodes)) ())
+    (Array.to_list order);
+  while Hashtbl.length seen < edges do
+    let a = Dc_workload.Rng.int rng nodes and b = Dc_workload.Rng.int rng nodes in
+    if a <> b then Hashtbl.replace seen (a, b) ()
+  done;
+  Graph_gen.of_pairs (Hashtbl.fold (fun e () acc -> e :: acc) seen [])
+
+(* servebench's [Rand{tc()}] shape: the closure of a strongly connected
+   300-node, 900-edge digraph (90,000 rows), planned (the closure
+   operator from every source) against the interpreter's fixpoint;
+   exits 1 if the answers differ. *)
+let planned_random_record () =
+  let db = tc_db (strongly_connected ~seed:1 ~nodes:300 ~edges:900) in
+  let decide () = Dc_compile.Planner.plan (Database.typecheck_env db) tc_query in
+  match
+    interleaved
+      [
+        (fun () ->
+          time (fun () ->
+              Dc_compile.Planner.execute (Database.eval_env db) (decide ())));
+        (fun () -> time (fun () -> Database.query db tc_query));
+      ]
+  with
+  | [ (planned, planned_w); (direct, direct_w) ] ->
+    if not (Relation.equal planned direct) then begin
+      Fmt.epr
+        "planned_closure_random_300: planned (%d rows) <> direct (%d rows)@."
+        (Relation.cardinal planned) (Relation.cardinal direct);
+      exit 1
+    end;
+    {
+      pl_name = "planned_closure_random_300";
+      pl_method = Dc_compile.Planner.method_name (decide ()).d_method;
+      pl_planned = planned_w;
+      pl_direct = direct_w;
+      pl_reference = None;
+    }
   | _ -> assert false
 
 let planned_json r =
@@ -1379,7 +1427,7 @@ let print_codec records =
         (r.cc_decode.iqr_ms *. 1000.))
     records
 
-(* The two cheapest recursive experiments, the planned closure cell and
+(* The two cheapest recursive experiments, the planned closure cells and
    the wire codec cells — a seconds-long sanity pass (`make bench-smoke`)
    confirming the harness, the kernel, the planner and the Rows codec
    still run; exits 1 if a planned answer differs from the direct one or
@@ -1387,7 +1435,7 @@ let print_codec records =
 let run_smoke () =
   print_records
     (json_experiments ~only:[ "e5_mutual_scene_64"; "e4_magic_left_256" ] ());
-  print_planned (planned_records ());
+  print_planned (planned_records () @ [ planned_random_record () ]);
   print_codec (codec_records ())
 
 (* ------------------------------------------------------------------ *)
@@ -2177,6 +2225,7 @@ let run_json path =
   Dc_obs.Obs.set_enabled true;
   let records = json_experiments () in
   let planned = planned_records () in
+  let planned_random = planned_random_record () in
   let metrics = Json.of_string (Dc_obs.Obs.to_json ()) in
   Dc_obs.Obs.set_enabled false;
   let overhead = obs_overhead_records () in
@@ -2192,6 +2241,7 @@ let run_json path =
       ("samples", count samples);
       ("experiments", Json.Arr (List.map experiment_json records));
       ("planned_closure_256", Json.Arr (List.map planned_json planned));
+      ("planned_closure_random_300", planned_json planned_random);
       ("obs_overhead", obs_overhead_json overhead);
       ("ivm", Json.Arr (List.map view_json ivm @ [ toggle_json toggle ]));
       ( "aggregates",

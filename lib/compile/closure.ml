@@ -1,27 +1,14 @@
 (* The closure recogniser (see closure.mli): a syntactic proof that a
    constructor's least fixpoint is the transitive closure of its formal
    base, whatever mix of base∘self, self∘base and self∘self compositions
-   its body lists, so the planner may swap that body for one linear
-   composition of the orientation a binding needs. *)
+   its body lists, so the planner may run the closure operator in place
+   of the body's fixpoint. *)
 
 open Dc_relation
 open Dc_calculus
 open Ast
 
-type shape = Right | Left | Nonlinear
-
-type t = {
-  def : Defs.constructor_def;
-  exit : branch;
-  shapes : shape list; (* one per composition branch, in body order *)
-}
-
-type verdict = Closure of t | Declined of string | Not_candidate
-
-let shape_name = function
-  | Right -> "right-linear"
-  | Left -> "left-linear"
-  | Nonlinear -> "non-linear"
+type verdict = Closure | Declined of string | Not_candidate
 
 exception Decline of string
 
@@ -100,16 +87,11 @@ let check (def : Defs.constructor_def) =
           || (u = r && a = column sr 0 && w = l && c = column sl 1)
         | _ -> false
       in
-      (match conjuncts b.where with
+      match conjuncts b.where with
       | [ j ] when joins_composed j -> ()
       | [ _ ] -> decline "branch %d does not join on the composed columns" k
       | [] -> decline "branch %d has no join" k
-      | _ -> decline "branch %d has a conjunct besides the join" k);
-      match (sl, sr) with
-      | Base, Self -> Right
-      | Self, Base -> Left
-      | Self, Self -> Nonlinear
-      | Base, Base -> assert false)
+      | _ -> decline "branch %d has a conjunct besides the join" k)
     | _ -> decline "branch %d is neither the formal base nor a composition" k
   in
   let exits, steps =
@@ -117,44 +99,15 @@ let check (def : Defs.constructor_def) =
       (fun (_, b) -> is_exit b)
       (List.mapi (fun k b -> (k + 1, b)) def.con_body)
   in
-  let exit =
-    match exits with
-    | [ (_, e) ] -> e
-    | [] ->
-      decline "no branch is the formal base EACH e IN %s: TRUE" def.con_formal
-    | _ -> decline "more than one exit branch"
-  in
+  (match exits with
+  | [ _ ] -> ()
+  | [] ->
+    decline "no branch is the formal base EACH e IN %s: TRUE" def.con_formal
+  | _ -> decline "more than one exit branch");
   if steps = [] then decline "no composition branch";
-  { def; exit; shapes = List.map (fun (k, b) -> composition k b) steps }
+  List.iter (fun (k, b) -> composition k b) steps
 
 let recognise (def : Defs.constructor_def) =
   if List.exists (fun (b : branch) -> List.length b.binders > 2) def.con_body
   then Not_candidate
-  else match check def with t -> Closure t | exception Decline why -> Declined why
-
-let linear c = not (List.mem Nonlinear c.shapes)
-
-let orient c shape =
-  if c.shapes = [ shape ] then None
-  else begin
-    let def = c.def in
-    let self = self_app def in
-    let base = Rel def.con_formal in
-    let f i = Schema.attr_name def.con_formal_schema i
-    and r i = Schema.attr_name def.con_result i in
-    let step =
-      match shape with
-      | Right ->
-        branch
-          [ ("e", base); ("p", self) ]
-          ~target:[ field "e" (f 0); field "p" (r 1) ]
-          ~where:(eq (field "e" (f 1)) (field "p" (r 0)))
-      | Left ->
-        branch
-          [ ("p", self); ("e", base) ]
-          ~target:[ field "p" (r 0); field "e" (f 1) ]
-          ~where:(eq (field "p" (r 1)) (field "e" (f 0)))
-      | Nonlinear -> invalid_arg "Closure.orient: not a linear shape"
-    in
-    Some { def with con_body = [ c.exit; step ] }
-  end
+  else match check def with () -> Closure | exception Decline why -> Declined why

@@ -11,10 +11,10 @@
       sets over the translated Horn program) propagates the constants into
       the fixpoint;
    4. a recursive application whose constructor {!Closure} proves to be
-      the closure of its exit branch by self-composition runs in the
-      linear form its binding needs: left-linear under magic sets when
-      the first column is bound, right-linear when the second is or when
-      nothing is bound and the body is non-linear.
+      the closure of its exit branch by self-composition runs the closure
+      operator ({!Dc_exec.Reach}) instead of fixpoint rounds: from every
+      source, from a bound first column, or backwards from a bound
+      second one.
 
    An application a registered maintained view answers keeps the direct
    method, so the view answers it.
@@ -31,8 +31,11 @@ type method_ =
   | Direct (* evaluate as written: LFP of the application system *)
   | Decompiled of Ast.range (* inlined as a view (acyclic) *)
   | Pushed of Ast.range (* restriction distributed over branches *)
-  | Linearized of Defs.constructor_def
-      (* the application's closure rewritten right-linear, same name *)
+  | Traversal of {
+      closures : string list;
+      seed : (string * int * Ast.term) option;
+          (* one closure's column 0 (from the key) or 1 (to it) *)
+    }
   | Magic of {
       program : Dc_datalog.Syntax.program;
       query : Dc_datalog.Syntax.atom;
@@ -40,7 +43,6 @@ type method_ =
       schema : Schema.t;
       residual : Ast.formula; (* conjuncts magic could not absorb *)
       var : Ast.var;
-      linearized : Defs.constructor_def option;
     }
 
 type decision = {
@@ -56,7 +58,7 @@ let method_name = function
   | Direct -> "direct fixpoint"
   | Decompiled _ -> "decompiled view"
   | Pushed _ -> "pushed restriction"
-  | Linearized _ -> "linearized closure"
+  | Traversal _ -> "closure operator"
   | Magic _ -> "magic (capture rule)"
 
 let note notes fmt = Fmt.kstr (fun s -> notes := s :: !notes) fmt
@@ -81,21 +83,10 @@ let served (catalog : Typecheck.env) (app : Vars.app) =
       | _ -> false)
     catalog.views
 
-(* [lookup] with the constructor named like [def] resolved to [def]. *)
-let resolving (def : Defs.constructor_def) lookup n =
-  if String.equal n def.con_name then Some def else lookup n
-
 (* The capture rule for an application [app] of [def] restricted by
-   [bindings]: translate it (its constructor resolved to [linearized]
-   when given) and compile it for the bindings' pattern. *)
+   [bindings]: translate it and compile it for the bindings' pattern. *)
 let magic (catalog : Typecheck.env) notes v app (def : Defs.constructor_def)
-    ?linearized bindings residual =
-  let catalog =
-    match linearized with
-    | None -> catalog
-    | Some l ->
-      { catalog with constructor_of = resolving l catalog.constructor_of }
-  in
+    bindings residual =
   match
     Pushdown.magic_query
       ~ctx:(Dc_datalog.Translate.context catalog)
@@ -114,7 +105,6 @@ let magic (catalog : Typecheck.env) notes v app (def : Defs.constructor_def)
         schema = def.con_result;
         residual = Ast.conj_list residual;
         var = v;
-        linearized;
       }
   | exception
       (Dc_datalog.Translate.Unsupported msg | Dc_datalog.Magic.Unsupported msg)
@@ -122,48 +112,38 @@ let magic (catalog : Typecheck.env) notes v app (def : Defs.constructor_def)
     note notes "translation unsupported (%s): direct fixpoint" msg;
     Direct
 
-(* A recursive application [app] of [def], restricted by [bindings] and
-   the [residual] conjuncts: a closure runs in the linear form its
-   binding needs, anything else as before — the capture rule when
-   something is bound, the direct fixpoint otherwise. *)
-let recursive_application catalog notes v app (def : Defs.constructor_def)
-    bindings residual =
-  let c = def.con_name and result = def.con_result in
-  let as_written () =
-    if bindings = [] then begin
-      note notes "recursive application without constant restriction: fixpoint";
-      Direct
-    end
-    else magic catalog notes v app def bindings residual
-  in
+(* Is [def] a closure ({!Closure})?  A near miss gets a note. *)
+let recognised notes (def : Defs.constructor_def) =
   match Closure.recognise def with
-  | Not_candidate -> as_written ()
+  | Closure.Closure -> true
+  | Not_candidate -> false
   | Declined why ->
-    note notes "closure recogniser declined %s: %s" c why;
-    as_written ()
-  | Closure closure -> (
-    let bound i = List.mem_assoc (Schema.attr_name result i) bindings in
-    let linearize shape =
-      let rewritten = Closure.orient closure shape in
-      note notes "%s is the closure of its exit branch: %s form%s" c
-        (Closure.shape_name shape)
-        (if rewritten = None then ", as written" else "");
-      rewritten
-    in
-    let magic_in shape =
-      let linearized = linearize shape in
-      magic catalog notes v app def ?linearized bindings residual
-    in
-    if bound 0 then magic_in Closure.Left
-    else if bound 1 then magic_in Closure.Right
-    else if Closure.linear closure then begin
-      note notes "%s is a linear closure, nothing bound: fixpoint" c;
-      Direct
-    end
-    else
-      match linearize Closure.Right with
-      | Some def -> Linearized def
-      | None -> Direct)
+    note notes "closure recogniser declined %s: %s" def.con_name why;
+    false
+
+(* The closure operator for a restricted application of the closure [c]
+   in [query], seeded by a bound column when there is one. *)
+let traversal notes closures query c (result : Schema.t) bindings =
+  let bound i = List.assoc_opt (Schema.attr_name result i) bindings in
+  let applications =
+    List.filter
+      (fun (a : Vars.app) -> String.equal a.app_con c)
+      (Vars.apps_of_range query)
+  in
+  let seed =
+    match (bound 0, bound 1) with
+    | _ when List.length applications > 1 ->
+      None (* the seed would restrict every application of [c] *)
+    | Some key, _ -> Some (c, 0, key)
+    | None, Some key -> Some (c, 1, key)
+    | None, None -> None
+  in
+  note notes "%s is the closure of its exit branch: closure operator%s" c
+    (match seed with
+    | None -> ""
+    | Some (_, 0, _) -> ", from the bound first column"
+    | Some _ -> ", backwards from the bound second column");
+  Traversal { closures; seed }
 
 (* The evaluation method, from the dependency graph of the constructors
    the query reaches.  Every rewrite — inlining, pushing a restriction,
@@ -196,6 +176,19 @@ let choose (catalog : Typecheck.env) names notes (query : Ast.range) recursive =
   in
   let whole (d : Defs.constructor_def) =
     d.con_agg = None && Schema.key_is_whole_tuple d.con_result
+  in
+  (* the recursive constructors the query applies that are closures:
+     each of their applications runs the closure operator *)
+  let closures () =
+    Vars.apps_of_range query
+    |> List.map (fun (a : Vars.app) -> a.app_con)
+    |> List.sort_uniq String.compare
+    |> List.filter (fun c ->
+           Depgraph.is_recursive dep c
+           &&
+           match constructor_of c with
+           | Some d -> recognised notes d
+           | None -> false)
   in
   match
     ( List.find_opt (served catalog) (Vars.apps_of_range query),
@@ -232,13 +225,27 @@ let choose (catalog : Typecheck.env) names notes (query : Ast.range) recursive =
         decompile ()
     end
     else
+      let closures = closures () in
       match constructor_of c with
       | None -> Direct
-      | Some def -> recursive_application catalog notes v app def bindings residual)
+      | Some def when List.mem c closures ->
+        traversal notes closures query c def.con_result bindings
+      | Some _ when bindings = [] ->
+        note notes "recursive application without constant restriction: fixpoint";
+        Direct
+      | Some def -> magic catalog notes v app def bindings residual)
   | Some (_, _, _) | None ->
     if recursive then begin
-      note notes "recursive quant graph: fixpoint evaluation";
-      Direct
+      let closures = closures () in
+      if closures = [] then begin
+        note notes "recursive quant graph: fixpoint evaluation";
+        Direct
+      end
+      else begin
+        note notes "recursive quant graph: closure operator for %s"
+          (String.concat ", " closures);
+        Traversal { closures; seed = None }
+      end
     end
     else begin
       let has_defs =
@@ -276,7 +283,7 @@ let decide catalog notes query schema graph method_ =
     match method_ with
     | Direct -> compile query
     | Decompiled q | Pushed q -> compile q
-    | Linearized _ | Magic _ -> None
+    | Traversal _ | Magic _ -> None
   in
   {
     d_query = query;
@@ -315,18 +322,51 @@ let coerce schema rel =
   if Schema.equal (Relation.schema rel) schema then rel
   else Relation.of_list schema (Relation.to_list rel)
 
+(* [env] with the applications of [closures] resolved by the closure
+   operator, every other application by the environment's own route.
+   [seed] selects the pairs of one closure's application, the others
+   produce every pair. *)
+let traversing closures seed (env : Eval.env) =
+  let route = env.hooks.on_construct in
+  let on_construct (env : Eval.env) base (def : Defs.constructor_def) args =
+    if List.mem def.con_name closures then begin
+      let seed =
+        match seed with
+        | Some (c, seed) when String.equal c def.con_name -> seed
+        | _ -> Dc_exec.Reach.Every
+      in
+      let op =
+        Dc_exec.Ir.closure
+          ~label:(lazy def.con_name)
+          ~base:
+            (Fixed
+               (Dc_exec.Extent.of_relation ~label:def.con_formal
+                  ~cache:env.icache base))
+          seed
+      in
+      Option.iter
+        (fun tr -> Dc_exec.Ir.Trace.record tr ~label:("closure " ^ def.con_name) op)
+        env.trace;
+      Dc_exec.Ir.collect_sorted ~guard:env.guard ~schema:def.con_result op
+    end
+    else route env base def args
+  in
+  { env with hooks = { env.hooks with on_construct } }
+
 let execute ?use_indexes (env : Eval.env) (d : decision) =
   match d.d_plan, d.d_method with
   | Some plan, _ -> coerce d.d_schema (Plan.run ?use_indexes env plan)
   | None, Direct -> Eval.eval_range env d.d_query
   | None, (Decompiled q | Pushed q) -> coerce d.d_schema (Eval.eval_range env q)
-  | None, Linearized (def : Defs.constructor_def) ->
-    (* the application resolves its constructor's name to the rewritten
-       body, through the environment's own route (view, fixpoint) *)
-    let constructor_def = resolving def env.hooks.constructor_def in
-    Eval.eval_range
-      { env with hooks = { env.hooks with constructor_def } }
-      d.d_query
+  | None, Traversal { closures; seed } ->
+    let seed =
+      Option.map
+        (fun (c, column, key) ->
+          let v = Eval.eval_term env key in
+          (c, if column = 0 then Dc_exec.Reach.From v else Dc_exec.Reach.To v))
+        seed
+    in
+    Eval.eval_range (traversing closures seed env) d.d_query
   | None, Magic { program; query; compiled; schema; residual; var; _ } ->
     let stats = Dc_datalog.Seminaive.fresh_stats () in
     (* a prepared form's parameters, variables of the query atom, seed
@@ -411,19 +451,20 @@ let run_prepared p env values =
   in
   execute env p.pr_decision
 
-let pp_linearized ppf (def : Defs.constructor_def) =
-  Fmt.pf ppf "linearized %s:@." def.con_name;
-  List.iter (Fmt.pf ppf "  %a@." Ast.pp_branch) def.con_body
-
 let explain ppf (d : decision) =
   Fmt.pf ppf "query: %a@." Ast.pp_range d.d_query;
   Fmt.pf ppf "method: %s@." (method_name d.d_method);
   List.iter (fun n -> Fmt.pf ppf "note: %s@." n) d.d_notes;
   (match d.d_method with
   | Decompiled q | Pushed q -> Fmt.pf ppf "rewritten: %a@." Ast.pp_range q
-  | Linearized def -> pp_linearized ppf def
-  | Magic { program; query; linearized; _ } ->
-    Option.iter (pp_linearized ppf) linearized;
+  | Traversal { closures; seed } ->
+    Fmt.pf ppf "closure operator: %s%a@." (String.concat ", " closures)
+      Fmt.(
+        option (fun ppf (c, column, key) ->
+            pf ppf " (%s %s %a)" c (if column = 0 then "from" else "to")
+              Ast.pp_term key))
+      seed
+  | Magic { program; query; _ } ->
     Fmt.pf ppf "translated program:@.%a@." Dc_datalog.Syntax.pp_program program;
     Fmt.pf ppf "magic query: %a@." Dc_datalog.Syntax.pp_atom query
   | Direct -> ());

@@ -17,10 +17,17 @@ type method_ =
   | Direct  (** evaluate as written: LFP of the application system *)
   | Decompiled of Ast.range  (** inlined as a view (acyclic) *)
   | Pushed of Ast.range  (** restriction distributed over branches *)
-  | Linearized of Defs.constructor_def
-      (** the application's constructor, a non-linear closure
-          ({!Closure}), rewritten right-linear under the same name and run
-          by the fixpoint *)
+  | Traversal of {
+      closures : string list;
+          (** constructors {!Closure} proves to be closures: each of their
+              applications runs the closure operator ({!Dc_exec.Reach})
+              over its evaluated base, not the body's fixpoint *)
+      seed : (string * int * Ast.term) option;
+          (** [(c, column, key)]: the query restricts its one application
+              of the closure [c] by column 0 or 1 = [key], a constant or
+              a parameter: traverse from that value, or backwards from
+              it *)
+    }
   | Magic of {
       program : Dc_datalog.Syntax.program;  (** the translated program *)
       query : Dc_datalog.Syntax.atom;
@@ -32,9 +39,6 @@ type method_ =
       schema : Schema.t;
       residual : Ast.formula;  (** conjuncts magic could not absorb *)
       var : Ast.var;
-      linearized : Defs.constructor_def option;
-          (** the closure's linear form the program translates, when the
-              constructor was rewritten *)
     }  (** the recursive capture rule *)
 
 type decision = {
@@ -61,7 +65,7 @@ val execute : ?use_indexes:bool -> Eval.env -> decision -> Relation.t
     under its guard; when the environment traces, the trace records every
     physical pipeline the execution lowers and runs, whatever the method,
     and the rounds of its last recursive evaluation (constructor fixpoint
-    or magic-sets Datalog rounds).  The result has the query's schema.
+    or magic-sets Datalog rounds) or closure traversals.  The result has the query's schema.
     [use_indexes:false] forces full scans in compiled plans (the E11
     ablation).
     @raise Dc_guard.Guard.Exhausted when the guard trips *)
@@ -88,7 +92,8 @@ val prepare :
     where a constant would: an application-free comprehension becomes a
     static plan with the parameters as index keys, and a parameter that
     restricts a recursive application binds its column for the capture
-    rule, its value becoming the magic seed at run time.  An application
+    rule or the closure operator, its value becoming the magic seed or
+    the traversal's source at run time.  An application
     a maintained view answers stays direct, so the view serves it.
     @raise Dc_calculus.Typecheck.Error *)
 

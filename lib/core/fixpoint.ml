@@ -36,7 +36,11 @@
      occurrence (non-linear rules) or the [on_construct] hook, which
      Opaque and first (naive) evaluations go through;
    - the pending tuples reach the merged value's size, so merges are
-     geometric: O(log n) of them, copying O(n log n) tuples in all;
+     geometric: O(log n) of them, copying O(n log n) tuples in all.
+     Only the values convergence reads follow this size rule: the root's
+     and those whose key is not the whole tuple (checked over the whole
+     value).  Any other value is merged only if a round reads it, and
+     its runs are dropped at convergence;
    - the run converges, for the result.
    A round's delta joins the runs at the commit step, so a read during the
    round sees exactly the previous round's value.  A linear system, whose
@@ -225,6 +229,7 @@ type state = {
   mutable initialized : KS.t; (* apps whose first full evaluation is done *)
   mutable discovered_this_round : bool;
   mutable saw_shrink : bool; (* a value shrank: non-monotone system *)
+  mutable root : Key.t option; (* the application [run] converges *)
   strategy : strategy;
   max_rounds : int;
   guard : Guard.t;
@@ -358,6 +363,12 @@ let value st app =
     app.pending_size <- 0;
     st.full <- KM.add app.key next st.full;
     next
+
+(* Is [app]'s value read once the run converges: the root's, or one whose
+   key is checked over the whole value? *)
+let read_at_convergence st app =
+  (not (Schema.key_is_whole_tuple app.def.con_result))
+  || match st.root with Some root -> Key.compare root app.key = 0 | None -> true
 
 (* Hooks installed while evaluating bodies: selector applications filter;
    constructor applications resolve to the previous round's value (merged
@@ -598,14 +609,17 @@ let round st =
           d
         | Extend (news, size) ->
           (* The delta joins the pending runs; [full] is merged only when
-             read ([value]) or once the pending tuples reach the merged
-             value's size (the table holds both), which bounds the merges
-             at O(log n) and what they copy at O(n log n). *)
+             read ([value]) or, for a value convergence reads, once the
+             pending tuples reach the merged value's size (the table
+             holds both), which bounds the merges at O(log n) and what
+             they copy at O(n log n). *)
           if size > 0 then begin
             app.pending <- news :: app.pending;
             app.pending_size <- app.pending_size + size;
-            if 2 * app.pending_size >= Tuple_hset.count app.novelty then
-              ignore (value st app)
+            if
+              read_at_convergence st app
+              && 2 * app.pending_size >= Tuple_hset.count app.novelty
+            then ignore (value st app)
           end;
           Relation.of_set_unchecked app.def.con_result news
       in
@@ -622,6 +636,7 @@ let values st =
 
 (* Run to convergence from the current state. *)
 let run st root_key =
+  st.root <- Some root_key;
   (* Period-2 oscillation detection for unchecked non-monotone systems
      (only armed once a value has shrunk — monotone systems never do). *)
   let prev2 = ref None in
@@ -671,14 +686,18 @@ let run st root_key =
      the final merge builds the result.  Only the root's value is read,
      plus any value whose key is not the whole tuple: bodies are
      evaluated unchecked, so its key constraint is checked here, over
-     the whole value. *)
+     the whole value.  Every other value's runs are dropped unmerged. *)
   KM.iter (fun _ app -> Tuple_hset.release app.novelty) st.apps;
   Array.iter Tuple_hset.release st.seen;
   KM.iter
-    (fun key app ->
-      if not (Schema.key_is_whole_tuple app.def.con_result) then
-        Relation.check_key (value st app)
-      else if Key.compare key root_key = 0 then ignore (value st app))
+    (fun _ app ->
+      if not (read_at_convergence st app) then begin
+        app.pending <- [];
+        app.pending_size <- 0
+      end
+      else if Schema.key_is_whole_tuple app.def.con_result then
+        ignore (value st app)
+      else Relation.check_key (value st app))
     st.apps;
   KM.find root_key st.full
 
@@ -705,6 +724,7 @@ let apply ?(strategy = Seminaive) ?(max_rounds = default_max_rounds) ?stats env
       initialized = KS.empty;
       discovered_this_round = false;
       saw_shrink = false;
+      root = None;
       strategy;
       max_rounds;
       guard = env.Eval.guard;

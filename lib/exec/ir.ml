@@ -197,6 +197,12 @@ and top =
              aggregate changes; the displaced predecessor queues in the
              table for the evaluator's round loop to drain *)
     }
+  | Closure of {
+      cl_base : source;  (* binary edges *)
+      cl_seed : Reach.seed;
+    }
+      (* leaf: the base's transitive closure by traversal ({!Reach}),
+         in tuple order; probes count the traversals *)
 
 let project ~label ~init ~tuple input =
   { top = Project { p_input = input; p_init = init; p_tuple = tuple };
@@ -213,6 +219,10 @@ let distinct ~label t =
 
 let group ~label ~table t =
   { top = Group { g_input = t; g_table = table }; tlabel = label;
+    tc = fresh_counters () }
+
+let closure ~label ~base seed =
+  { top = Closure { cl_base = base; cl_seed = seed }; tlabel = label;
     tc = fresh_counters () }
 
 (* ------------------------------------------------------------------ *)
@@ -344,12 +354,31 @@ let rec run ?(guard = Guard.none) (ctx : ctx) (t : t) (k : Tuple.t -> unit) =
           Guard.tick guard label;
           prof_tick c;
           k result)
+  | Closure cl ->
+    let ext = resolve ctx cl.cl_base in
+    (* a trip names the operator, not just the constructor it closes *)
+    let label = lazy ("closure " ^ Lazy.force label) in
+    let traversals =
+      Reach.iter ext.Extent.iter cl.cl_seed (fun a b ->
+          c.rows <- c.rows + 1;
+          Guard.tick guard label;
+          prof_tick c;
+          k (Tuple.make2 a b))
+    in
+    c.probes <- c.probes + traversals
 
 (* Run a pipeline and collect its output into a relation. *)
 let collect ?(ctx = empty_ctx) ?guard ~schema t =
   let acc = ref (Relation.empty schema) in
   run ?guard ctx t (fun tuple -> acc := Relation.add_unchecked tuple !acc);
   !acc
+
+(* Run a pipeline whose output comes in increasing tuple order, each
+   tuple once (a [Closure]), and build its relation in linear time. *)
+let collect_sorted ?(ctx = empty_ctx) ?guard ~schema t =
+  let acc = ref [] in
+  run ?guard ctx t (fun tuple -> acc := tuple :: !acc);
+  Relation.of_sorted_unchecked schema (Array.of_list (List.rev !acc))
 
 (* ------------------------------------------------------------------ *)
 (* Printing: the operator tree with post-run counters. *)
@@ -381,6 +410,7 @@ let top_name = function
   | Diff _ -> "diff"
   | Distinct _ -> "distinct"
   | Group _ -> "group"
+  | Closure _ -> "closure"
 
 let rec pp_node_gen : type row. bool -> row node Fmt.t =
  fun times ppf node ->
@@ -428,6 +458,9 @@ let rec pp_gen times ppf (t : t) =
     Fmt.pf ppf "@[<v2>%s (%s) %s %a@,%a@]" (top_name t.top)
       (Dc_agg.Agg.op_name spec.Dc_agg.Agg.op)
       (Lazy.force t.tlabel) pp_counters t.tc (pp_gen times) g.g_input
+  | Closure cl ->
+    Fmt.pf ppf "%s %s over %s (%a) %a" (top_name t.top) (Lazy.force t.tlabel)
+      (source_label cl.cl_base) Reach.pp_seed cl.cl_seed pp_counters t.tc
 
 let pp ppf t = pp_gen false ppf t
 let pp_analyze ppf t = pp_gen true ppf t
@@ -511,6 +544,7 @@ module Trace = struct
     | Diff s, Diff f -> zip acc s.d_input f.d_input
     | Distinct s, Distinct f -> zip acc s f
     | Group s, Group f -> zip acc s.g_input f.g_input
+    | Closure _, Closure _ -> acc
     | _ -> raise Shape_mismatch
 
   (* Fold the counters of [fresh] into [stored].  The whole shape is
@@ -619,6 +653,7 @@ module Trace = struct
       | Diff d -> walk entry d.d_input
       | Distinct s -> walk entry s
       | Group g -> walk entry g.g_input
+      | Closure _ -> ()
     in
     List.iter (fun e -> walk e.e_label e.e_pipeline) (entries tr);
     List.rev !acc
@@ -677,6 +712,7 @@ let keyed_sources (t : t) =
     | Diff d -> walk d.d_input
     | Distinct s -> walk s
     | Group g -> walk g.g_input
+    | Closure _ -> ()
   in
   walk t;
   List.sort_uniq compare !acc

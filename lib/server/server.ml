@@ -88,9 +88,9 @@ let h_write_ms = lazy (h_latency "write")
    literals a column types lifted out, and an entry is the
    {!Dc_compile.Planner.prepared} form of the lifted statement: the
    planner's decision and its method — a static plan, the direct
-   fixpoint, a linearized closure, or the capture rule compiled for the
-   binding pattern, whose lifted literals become the magic seed at bind
-   time.  An entry holds only catalog-level data — the lifted form, its
+   fixpoint, the closure operator, or the capture rule compiled for the
+   binding pattern, whose lifted literals become the traversal's source
+   or the magic seed at bind time.  An entry holds only catalog-level data — the lifted form, its
    decision, its result schema — and never a relation or a snapshot, so
    it pins no old version.  Registering a maintained view moves the
    catalog version, so a form never outlives the decision to leave an

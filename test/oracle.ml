@@ -587,3 +587,37 @@ let scene_db depth =
 let scene_query =
   Dc_calculus.Ast.(
     Construct (Rel "Infront", "ahead", [ Arg_range (Rel "Ontop") ]))
+
+(* ------------------------------------------------------------------ *)
+(* A recursion that is no closure *)
+
+(* Pairs joined by a path of even length, over a binary relation with
+   columns src and dst: recursive, but its step joins three relations,
+   so the planner's closure recogniser passes it by and it keeps the
+   constructor fixpoint (nothing bound) and the capture rule (a column
+   bound).  [even_paths_source] is the same constructor in DBPL, over a
+   relation type named [e]. *)
+let even_paths () =
+  let open Dc_calculus.Ast in
+  let hop x y = eq (field x "dst") (field y "src") in
+  {
+    (Dc_core.Constructor.transitive_closure ~name:"even" ()) with
+    Dc_calculus.Defs.con_body =
+      [
+        branch
+          [ ("e", Rel "Rel"); ("f", Rel "Rel") ]
+          ~target:[ field "e" "src"; field "f" "dst" ]
+          ~where:(hop "e" "f");
+        branch
+          [ ("e", Rel "Rel"); ("f", Rel "Rel"); ("p", Construct (Rel "Rel", "even", [])) ]
+          ~target:[ field "e" "src"; field "p" "dst" ]
+          ~where:(conj (hop "e" "f") (hop "f" "p"));
+      ];
+  }
+
+let even_paths_source =
+  {|CONSTRUCTOR even FOR Rel: e (): e;
+    BEGIN <f.src, g.dst> OF EACH f IN Rel, EACH g IN Rel: f.dst = g.src,
+          <f.src, p.dst> OF EACH f IN Rel, EACH g IN Rel, EACH p IN Rel{even}:
+            f.dst = g.src AND g.dst = p.src
+    END even;|}

@@ -30,6 +30,7 @@ let make_db ?(edges = chain 6) () =
   Database.declare db "Edge" edge_schema;
   Database.set db "Edge" (Relation.of_list edge_schema edges);
   Database.define_constructor db (Constructor.transitive_closure ());
+  Database.define_constructor db (Oracle.even_paths ());
   Database.define_constructor db (Constructor.ahead_2 ());
   db
 
@@ -251,7 +252,7 @@ let test_push_nonrecursive () =
 
 let test_magic_route () =
   let db = make_db ~edges:(chain 10) () in
-  let q = restricted "tc" in
+  let q = restricted "even" in
   let d = Planner.plan (Database.typecheck_env db) q in
   (match d.Planner.d_method with
   | Planner.Magic _ -> ()
@@ -266,7 +267,7 @@ let test_magic_with_residual () =
       Comp
         [
           branch
-            [ ("r", Construct (Rel "Edge", "tc", [])) ]
+            [ ("r", Construct (Rel "Edge", "even", [])) ]
             ~where:
               (conj
                  (eq (field "r" "src") (str "n1"))
@@ -311,7 +312,7 @@ let test_decompiled_route () =
 
 let test_direct_route () =
   let db = make_db () in
-  let q = Ast.(Construct (Rel "Edge", "tc", [])) in
+  let q = Ast.(Construct (Rel "Edge", "even", [])) in
   let d = Planner.plan (Database.typecheck_env db) q in
   (match d.Planner.d_method with
   | Planner.Direct -> ()
@@ -321,7 +322,7 @@ let test_direct_route () =
 
 let test_explain_output () =
   let db = make_db () in
-  let d = Planner.plan (Database.typecheck_env db) (restricted "tc") in
+  let d = Planner.plan (Database.typecheck_env db) (restricted "even") in
   let text = Fmt.str "%a" Planner.explain d in
   Alcotest.check Alcotest.bool "mentions magic" true (contains text "magic")
 
@@ -570,12 +571,13 @@ let test_prepared_nonrecursive () =
     [ "n0"; "n4"; "n9"; "absent" ]
 
 (* A parameter restricting a recursive closure binds its column: the
-   form is the capture rule over the closure's linear form for that
-   column, compiled once, and each value seeds it at run time. *)
+   form runs the closure operator, and each value is the source of its
+   one traversal, forwards from a bound first column and backwards from
+   a bound second one. *)
 let test_prepared_recursive_method () =
   let db = make_db ~edges:(chain 6 @ [ pair "n6" "n2" ]) () in
   List.iter
-    (fun (attr, linear) ->
+    (fun (attr, direction) ->
       let form =
         Ast.(
           Comp
@@ -592,7 +594,8 @@ let test_prepared_recursive_method () =
       Alcotest.(check bool)
         (attr ^ " bound: method") true
         (contains (Planner.prepared_description prepared)
-           ("magic (capture rule); tc is the closure of its exit branch: " ^ linear));
+           ("closure operator; tc is the closure of its exit branch: \
+             closure operator, " ^ direction));
       List.iter
         (fun v ->
           let direct =
@@ -606,11 +609,14 @@ let test_prepared_recursive_method () =
                   ])
           in
           Alcotest.check rel_testable
-            (Fmt.str "%s = %s (%s form) = interpreter" attr v linear)
+            (Fmt.str "%s = %s (%s) = interpreter" attr v direction)
             direct
             (Planner.run_prepared prepared (Database.eval_env db) [ Value.Str v ]))
         [ "n0"; "n2"; "n6"; "absent" ])
-    [ ("src", "left-linear"); ("dst", "right-linear") ]
+    [
+      ("src", "from the bound first column");
+      ("dst", "backwards from the bound second column");
+    ]
 
 let test_prepared_argument_checks () =
   let db = make_db () in
@@ -1017,6 +1023,7 @@ let test_planner_differential () =
       Planner.method_name (Planner.Pushed (Ast.Rel ""));
       Planner.method_name (Planner.Decompiled (Ast.Rel ""));
       "magic (capture rule)";
+      "closure operator";
     ]
 
 (* A restriction with a quantifier over a range correlated with the
@@ -1079,13 +1086,14 @@ let test_correlated_quantifier_range () =
   Dc_server.Server.shutdown srv
 
 (* ------------------------------------------------------------------ *)
-(* Closures: the recogniser and the linear forms it picks.  Over seeded
+(* Closures: the recogniser and the closure operator.  Over seeded
    random graphs (cycles included), the right-linear, left-linear,
    non-linear and mixed closures are read unbound, with the first column
    bound, the second, both, and the first with a residual; each decision
-   must be the one the binding needs, and run over the database's and a
-   snapshot's environment — planned and as a prepared form with the
-   constant lifted — it must equal the interpreter. *)
+   must run the closure operator seeded by the column the binding needs,
+   and run over the database's and a snapshot's environment — planned
+   and as a prepared form with the constant lifted — it must equal the
+   interpreter. *)
 
 let mixed_closure name =
   let def = Constructor.transitive_closure ~name ~linear:`Right () in
@@ -1111,12 +1119,18 @@ let closures =
     ("cm", mixed_closure "cm");
   ]
 
-(* The method a closure query must get: [bound] lists the bound columns. *)
-let expected_method con bound =
-  let linear = con = "cr" || con = "cl" in
-  match bound with
-  | [] -> if linear then "direct fixpoint" else "linearized closure"
-  | _ -> "magic (capture rule)"
+(* The traversal's seed column a closure query must get, [bound] listing
+   the bound columns: the first when it is bound, else the second. *)
+let seed_column (d : Planner.decision) =
+  match d.d_method with
+  | Planner.Traversal { seed; _ } ->
+    Some (Option.map (fun (_, column, _) -> column) seed)
+  | _ -> None
+
+let expected_seed_column = function
+  | [] -> Some None
+  | "src" :: _ -> Some (Some 0)
+  | _ -> Some (Some 1)
 
 (* Replace the restriction constants by prepared-form parameters. *)
 let lift where =
@@ -1170,8 +1184,10 @@ let closure_seed seed =
           let msg what =
             Fmt.str "seed %d: %s, %s: %a" seed con what Ast.pp_range q
           in
-          Alcotest.(check string) (msg "method")
-            (expected_method con bound) (Planner.method_name d.d_method);
+          Alcotest.(check string) (msg "method") "closure operator"
+            (Planner.method_name d.d_method);
+          Alcotest.(check (option (option int))) (msg "seed column")
+            (expected_seed_column bound) (seed_column d);
           let lifted, params = lift where in
           let form =
             Planner.prepare catalog
@@ -1197,6 +1213,179 @@ let test_closure_differential () =
   for seed = 1 to 25 do
     closure_seed seed
   done
+
+(* The closure operator against the engines it replaces.  Each input —
+   a chain, a strongly connected digraph, a DAG with shortcuts, a graph
+   with self-loops, an empty base, and a digraph over INTEGER columns —
+   is closed by the constructor fixpoint ([Fixpoint.apply]) and by
+   semi-naive Datalog, which must agree; then every binding pattern
+   (nothing bound, the first column, the second, both, a residual
+   conjunct, a quantifier over the closure again or over another
+   closure, and each bound column as a prepared parameter) must answer
+   that closure restricted by the pattern, planned over the database's
+   and a snapshot's environment. *)
+
+let path_program =
+  Dc_datalog.Syntax.
+    [
+      rule (atom "path" [ var "X"; var "Y" ]) [ Pos (atom "edge" [ var "X"; var "Y" ]) ];
+      rule
+        (atom "path" [ var "X"; var "Z" ])
+        [ Pos (atom "edge" [ var "X"; var "Y" ]); Pos (atom "path" [ var "Y"; var "Z" ]) ];
+    ]
+
+let closure_families rng n =
+  let random k = List.init k (fun _ -> (Rng.int rng n, Rng.int rng n)) in
+  let chain = List.init (n - 1) (fun i -> (i, i + 1)) in
+  [
+    ("chain", Value.TStr, chain);
+    ( "strongly connected",
+      Value.TStr,
+      List.init n (fun i -> (i, (i + 1) mod n))
+      @ List.filter (fun (a, b) -> a <> b) (random n) );
+    ( "dag with shortcuts",
+      Value.TStr,
+      chain @ List.filter (fun (a, b) -> a + 1 < b) (random (2 * n)) );
+    ("self-loops", Value.TStr, random n @ List.init 3 (fun _ -> let k = Rng.int rng n in (k, k)));
+    ("empty", Value.TStr, []);
+    ("integer", Value.TInt, random (2 * n));
+  ]
+
+let closure_oracle_seed seed =
+  let rng = Rng.create seed in
+  let n = 3 + Rng.int rng 12 in
+  List.iter
+    (fun (family, ty, edges) ->
+      let value i =
+        match ty with Value.TInt -> Value.Int i | _ -> Graph_gen.node i
+      in
+      let schema = Constructor.binary_schema ty in
+      let def =
+        Constructor.transitive_closure ~name:"c" ~ty
+          ~linear:(Rng.pick rng [ `Right; `Left; `Non ])
+          ()
+      in
+      let db = Database.create () in
+      Database.declare db "Edge" schema;
+      Database.set db "Edge"
+        (Relation.of_list schema
+           (List.sort_uniq compare edges
+           |> List.map (fun (a, b) -> Tuple.make2 (value a) (value b))));
+      Database.define_constructor db def;
+      Database.define_constructor db
+        (Constructor.transitive_closure ~name:"d" ~ty ~linear:`Left ());
+      let base = Database.get db "Edge" in
+      let msg what = Fmt.str "seed %d, %s (%d nodes): %s" seed family n what in
+      let fixpoint = Fixpoint.apply (Database.eval_env db) def base [] in
+      let datalog =
+        Dc_datalog.Seminaive.query path_program
+          (Dc_datalog.Facts.of_relation "edge" base (Dc_datalog.Facts.empty ()))
+          "path"
+      in
+      Alcotest.check rel_testable (msg "Fixpoint.apply = Seminaive") fixpoint
+        (Relation.of_set_unchecked schema datalog);
+      (* one node past the graph, so some keys are absent *)
+      let node () = Ast.Const (value (Rng.int rng (n + 1))) in
+      let app = Ast.(Construct (Rel "Edge", "c", [])) in
+      let patterns =
+        Ast.
+          [
+            True;
+            eq (field "p" "src") (node ());
+            eq (field "p" "dst") (node ());
+            conj (eq (field "p" "src") (node ())) (eq (field "p" "dst") (node ()));
+            conj (eq (field "p" "dst") (node ())) (Cmp (Ne, field "p" "src", node ()));
+            (* a second application of the closure takes no seed *)
+            conj
+              (eq (field "p" "src") (node ()))
+              (Some_in ("q", app, eq (field "q" "src") (field "p" "dst")));
+            (* nor does an application of another closure *)
+            conj
+              (eq (field "p" "src") (node ()))
+              (Some_in
+                 ( "q",
+                   Construct (Rel "Edge", "d", []),
+                   eq (field "q" "src") (field "p" "dst") ));
+          ]
+      in
+      List.iter
+        (fun where ->
+          let q = Ast.(Comp [ branch [ ("p", app) ] ~where ]) in
+          let want =
+            Relation.filter
+              (fun t ->
+                Eval.eval_formula
+                  (Eval.bind_var (Database.eval_env db) "p" t schema)
+                  where)
+              fixpoint
+          in
+          let catalog = Database.typecheck_env db in
+          let d = Planner.plan catalog q in
+          let msg what = msg (Fmt.str "%s: %a" what Ast.pp_range q) in
+          Alcotest.(check string) (msg "method") "closure operator"
+            (Planner.method_name d.d_method);
+          let lifted, params = lift where in
+          let form =
+            Planner.prepare catalog
+              ~params:(List.map (fun (p, v) -> (p, Value.type_of v)) params)
+              Ast.(Comp [ branch [ ("p", app) ] ~where:lifted ])
+          in
+          List.iter
+            (fun (env_name, env) ->
+              Alcotest.check rel_testable
+                (msg ("planned over the " ^ env_name ^ " env"))
+                want (Planner.execute (env ()) d);
+              Alcotest.check rel_testable
+                (msg ("prepared over the " ^ env_name ^ " env"))
+                want
+                (Planner.run_prepared form (env ()) (List.map snd params)))
+            [
+              ("database", fun () -> Database.eval_env db);
+              ("snapshot", fun () -> Snapshot.eval_env (Database.snapshot db));
+            ])
+        patterns)
+    (closure_families rng n)
+
+let test_closure_oracles () =
+  for seed = 1 to 20 do
+    closure_oracle_seed seed
+  done
+
+(* A limit trips inside the closure operator: a row budget, a deadline
+   and a cancel each stop the planned Edge{tcn()} over a 40-chain (820
+   rows) and come back as a typed Limit error that names the operator. *)
+let test_closure_operator_limits () =
+  let db = make_db ~edges:(chain 40) () in
+  Database.define_constructor db
+    (Constructor.transitive_closure ~name:"tcn" ~linear:`Non ());
+  let d =
+    Planner.plan (Database.typecheck_env db)
+      Ast.(Construct (Rel "Edge", "tcn", []))
+  in
+  Alcotest.(check string) "method" "closure operator"
+    (Planner.method_name d.d_method);
+  let cancelled () =
+    let g = Dc_guard.Guard.create () in
+    Dc_guard.Guard.cancel g;
+    g
+  in
+  List.iter
+    (fun (limit, guard) ->
+      match Planner.execute (Eval.with_guard (Database.eval_env db) (guard ())) d with
+      | _ -> Alcotest.failf "%s: the closure operator ran to the end" limit
+      | exception e ->
+        let code, text = Dc_net.Net.classify_exn e in
+        Alcotest.(check string) (limit ^ ": error code") "limit"
+          (Fmt.str "%a" Dc_net.Wire.pp_error_code code);
+        Alcotest.(check bool)
+          (Fmt.str "%s: %S names the operator" limit text)
+          true
+          (contains text "at operator closure tcn"))
+    [
+      ("row budget", fun () -> Dc_guard.Guard.create ~rows:20 ());
+      ("deadline", fun () -> Dc_guard.Guard.create ~millis:0 ());
+      ("cancel", cancelled);
+    ]
 
 (* Served reads against the interpreter: a server over a seeded random
    graph and the four closures; each statement shape is read first
@@ -1255,6 +1444,79 @@ let test_served_differential () =
     Dc_server.Server.close_session s;
     Dc_server.Server.shutdown srv
   done
+
+(* A closure joined with another range: the query is not a restricted
+   application, yet its closure application runs the closure operator,
+   named by EXPLAIN.  The planned answer equals the interpreter's, and
+   it is the same through [dbpl run]'s QUERY and through a served read,
+   first a cache miss and then a hit. *)
+let closure_join_source =
+  {|TYPE node = STRING;
+TYPE edgerel = RELATION a, b OF RECORD a, b: node END;
+VAR Chain: edgerel;
+CONSTRUCTOR tcn FOR Rel: edgerel (): edgerel;
+BEGIN EACH e IN Rel: TRUE,
+      <p.a, q.b> OF EACH p IN Rel{tcn()}, EACH q IN Rel{tcn()}: p.b = q.a
+END tcn;
+INSERT Chain VALUES ("n0", "n1"), ("n1", "n2"), ("n2", "n3"), ("n3", "n4"),
+  ("n4", "n5"), ("n5", "n6"), ("n6", "n7"), ("n7", "n8");
+|}
+
+let closure_join_range =
+  {|{<p.a, q.b> OF EACH p IN Chain{tcn()}, EACH q IN Chain: p.a = "n0" AND q.a = p.b}|}
+
+let test_closure_in_join () =
+  let db, out =
+    Dc_lang.Elaborate.run_string
+      (Fmt.str "%sQUERY %s;\nEXPLAIN %s;" closure_join_source closure_join_range
+         closure_join_range)
+  in
+  let q =
+    Ast.(
+      Comp
+        [
+          branch
+            [ ("p", Construct (Rel "Chain", "tcn", [])); ("q", Rel "Chain") ]
+            ~target:[ field "p" "a"; field "q" "b" ]
+            ~where:(conj (eq (field "p" "a") (str "n0")) (eq (field "q" "a") (field "p" "b")));
+        ])
+  in
+  let want = Database.query db q in
+  Alcotest.(check int) "the interpreter's answer" 7 (Relation.cardinal want);
+  let d = Planner.plan (Database.typecheck_env db) q in
+  Alcotest.(check string) "method" "closure operator"
+    (Planner.method_name d.d_method);
+  Alcotest.check rel_testable "planned = interpreter" want
+    (Planner.execute (Database.eval_env db) d);
+  Alcotest.(check bool)
+    (Fmt.str "dbpl run answers 7 tuples by the operator:@.%s" out)
+    true
+    (contains out "(7 tuples)"
+    && contains out "method: closure operator"
+    && contains out "closure tcn over Rel (every source)");
+  let was = Dc_obs.Obs.on () in
+  Dc_obs.Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Dc_obs.Obs.set_enabled was) @@ fun () ->
+  let count result =
+    Dc_obs.Obs.Counter.value
+      (Dc_obs.Obs.Counter.make ~labels:[ ("result", result) ]
+         "dc_server_stmt_cache_total")
+  in
+  let srv = Dc_server.Server.create db in
+  let s = Dc_server.Server.open_session srv in
+  List.iter
+    (fun result ->
+      let before = count result in
+      let got, _ =
+        Dc_server.Server.query_string s ("QUERY " ^ closure_join_range ^ ";")
+      in
+      Alcotest.(check int) ("served read: cache " ^ result) 1
+        (count result - before);
+      Alcotest.check rel_testable ("served read (" ^ result ^ ")") want
+        (Relation.of_list (Relation.schema want) (Relation.to_list got)))
+    [ "miss"; "hit" ];
+  Dc_server.Server.close_session s;
+  Dc_server.Server.shutdown srv
 
 (* Near misses: each is declined with a planning note and stays direct,
    answering as the interpreter does. *)
@@ -1487,10 +1749,15 @@ let () =
         ] );
       ( "closure",
         [
-          Alcotest.test_case "linear forms = direct, both envs" `Quick
+          Alcotest.test_case "operator = direct, both envs" `Quick
             test_closure_differential;
+          Alcotest.test_case "operator = Fixpoint.apply = Seminaive" `Quick
+            test_closure_oracles;
+          Alcotest.test_case "limits trip in the operator" `Quick
+            test_closure_operator_limits;
           Alcotest.test_case "served = direct, cached and uncached" `Quick
             test_served_differential;
+          Alcotest.test_case "closure in a join" `Quick test_closure_in_join;
           Alcotest.test_case "correlated quantifier range" `Quick
             test_correlated_quantifier_range;
           Alcotest.test_case "near misses stay direct" `Quick

@@ -268,6 +268,7 @@ let check_project_rows msg trace =
     | Ir.Diff d -> walk entry d.d_input
     | Ir.Distinct s -> walk entry s
     | Ir.Group g -> walk entry g.g_input
+    | Ir.Closure _ -> ()
   in
   List.iter (fun (entry, t) -> walk entry t) (Ir.Trace.pipelines trace)
 
@@ -336,10 +337,10 @@ let test_explain_golden () =
   Alcotest.(check string) "EXPLAIN output on same_generation.dbpl"
     (read_file expected) out
 
-(* The closure recogniser on the 256-chain: EXPLAIN of the non-linear
-   Chain{tcn()} shows its right-linear rewrite run by the fixpoint, and
-   EXPLAIN of the point closure its left-linear rewrite and the magic
-   program seeded with the query's constant. *)
+(* The closure recogniser on the 256-chain: EXPLAIN names the closure
+   operator and its seed for the non-linear Chain{tcn()} (every source),
+   the point closures (from a bound first column, backwards from a bound
+   second one) and a join of the closure with the chain. *)
 let test_explain_closure_golden () =
   let program =
     find_file
@@ -352,9 +353,9 @@ let test_explain_closure_golden () =
   let expected =
     find_file
       [
-        "explain_closure_linearized.expected";
-        "test/explain_closure_linearized.expected";
-        "../test/explain_closure_linearized.expected";
+        "explain_closure_operator.expected";
+        "test/explain_closure_operator.expected";
+        "../test/explain_closure_operator.expected";
       ]
   in
   let _, out = Dc_lang.Elaborate.run_string (read_file program) in
@@ -492,7 +493,7 @@ let () =
           Alcotest.test_case "golden output" `Quick test_explain_golden;
           Alcotest.test_case "analyze golden output" `Quick
             test_explain_analyze_golden;
-          Alcotest.test_case "linearized closure golden output" `Quick
+          Alcotest.test_case "closure operator golden output" `Quick
             test_explain_closure_golden;
         ] );
     ]

@@ -341,6 +341,7 @@ let chain_server () =
   Database.declare db "Edge" Graph_gen.edge_schema;
   Database.set db "Edge" (Graph_gen.chain 60);
   Database.define_constructor db (Dc_core.Constructor.transitive_closure ());
+  Database.define_constructor db (Oracle.even_paths ());
   Server.create db
 
 let exhausted = "row budget exhausted"
@@ -356,14 +357,20 @@ let test_explain_session_limits () =
     true (contains_s out exhausted);
   Alcotest.(check bool) "EXPLAIN trips it too" true
     (contains_s (Server.execute tight "EXPLAIN Edge{tc()};") exhausted);
-  (* a session without limits runs the pinned plan to the end, and still
-     reports its fixpoint rounds (timed while metrics are on) *)
+  (* a session without limits runs the pinned plan to the end: the
+     closure operator's rows, and a fixpoint's rounds (timed while
+     metrics are on) *)
   let roomy = Server.open_session srv in
+  let out = Server.execute roomy "EXPLAIN ANALYZE Edge{tc()};" in
+  Alcotest.(check bool)
+    (Fmt.str "roomy session completes the closure:@.%s" out)
+    true
+    ((not (contains_s out exhausted)) && contains_s out "closure tc over Rel");
   let was = Dc_obs.Obs.on () in
   Dc_obs.Obs.set_enabled true;
   let out =
     Fun.protect ~finally:(fun () -> Dc_obs.Obs.set_enabled was) (fun () ->
-        Server.execute roomy "EXPLAIN ANALYZE Edge{tc()};")
+        Server.execute roomy "EXPLAIN ANALYZE Edge{even()};")
   in
   Alcotest.(check bool)
     (Fmt.str "roomy session completes with its rounds:@.%s" out)
@@ -390,7 +397,7 @@ let test_explain_analyze_rounds_metrics_off () =
             true
             (contains_s out "fixpoint rounds:" && contains_s out "round 1:");
           Alcotest.(check bool) "metrics stay off" false (Dc_obs.Obs.on ()))
-        [ "Edge{tc()}"; {|{EACH p IN Edge{tc()}: p.src = "n3"}|} ]);
+        [ "Edge{even()}"; {|{EACH p IN Edge{even()}: p.src = "n3"}|} ]);
   Server.close_session s;
   Server.shutdown srv
 
