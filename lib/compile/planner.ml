@@ -27,15 +27,24 @@
 open Dc_relation
 open Dc_calculus
 
+(* The query's own application [s_base{s_closure()}] restricted by
+   column [s_column] = [s_key]: [s_query] reads the seeded traversal's
+   pairs from [s_name], the application's text.  Other applications of
+   the closure, in a selector's predicate say, stay whole. *)
+type seed = {
+  s_closure : Defs.constructor_def;
+  s_base : Ast.range;
+  s_column : int;
+  s_key : Ast.term;
+  s_name : string;
+  s_query : Ast.range;
+}
+
 type method_ =
   | Direct (* evaluate as written: LFP of the application system *)
   | Decompiled of Ast.range (* inlined as a view (acyclic) *)
   | Pushed of Ast.range (* restriction distributed over branches *)
-  | Traversal of {
-      closures : string list;
-      seed : (string * int * Ast.term) option;
-          (* one closure's column 0 (from the key) or 1 (to it) *)
-    }
+  | Traversal of { closures : string list; seed : seed option }
   | Magic of {
       program : Dc_datalog.Syntax.program;
       query : Dc_datalog.Syntax.atom;
@@ -121,28 +130,26 @@ let recognised notes (def : Defs.constructor_def) =
     note notes "closure recogniser declined %s: %s" def.con_name why;
     false
 
-(* The closure operator for a restricted application of the closure [c]
-   in [query], seeded by a bound column when there is one. *)
-let traversal notes closures query c (result : Schema.t) bindings =
-  let bound i = List.assoc_opt (Schema.attr_name result i) bindings in
-  let applications =
-    List.filter
-      (fun (a : Vars.app) -> String.equal a.app_con c)
-      (Vars.apps_of_range query)
+(* The closure operator for [query], the restricted application [app]
+   of the closure [def] bound to [v], seeded by a bound column. *)
+let traversal notes closures query v app (def : Defs.constructor_def) bindings =
+  let bound i = List.assoc_opt (Schema.attr_name def.con_result i) bindings in
+  let seed s_column s_key =
+    match (query, app) with
+    | Ast.Comp [ b ], Ast.Construct (s_base, _, _) ->
+      let s_name = Fmt.str "%a" Ast.pp_range app in
+      let s_query = Ast.Comp [ { b with binders = [ (v, Ast.Rel s_name) ] } ] in
+      Some { s_closure = def; s_base; s_column; s_key; s_name; s_query }
+    | _ -> None
   in
-  let seed =
+  let seed, how =
     match (bound 0, bound 1) with
-    | _ when List.length applications > 1 ->
-      None (* the seed would restrict every application of [c] *)
-    | Some key, _ -> Some (c, 0, key)
-    | None, Some key -> Some (c, 1, key)
-    | None, None -> None
+    | Some key, _ -> (seed 0 key, ", from the bound first column")
+    | None, Some key -> (seed 1 key, ", backwards from the bound second column")
+    | None, None -> (None, "")
   in
-  note notes "%s is the closure of its exit branch: closure operator%s" c
-    (match seed with
-    | None -> ""
-    | Some (_, 0, _) -> ", from the bound first column"
-    | Some _ -> ", backwards from the bound second column");
+  note notes "%s is the closure of its exit branch: closure operator%s"
+    def.con_name how;
   Traversal { closures; seed }
 
 (* The evaluation method, from the dependency graph of the constructors
@@ -185,10 +192,7 @@ let choose (catalog : Typecheck.env) names notes (query : Ast.range) recursive =
     |> List.sort_uniq String.compare
     |> List.filter (fun c ->
            Depgraph.is_recursive dep c
-           &&
-           match constructor_of c with
-           | Some d -> recognised notes d
-           | None -> false)
+           && Option.fold ~none:false ~some:(recognised notes) (constructor_of c))
   in
   match
     ( List.find_opt (served catalog) (Vars.apps_of_range query),
@@ -229,7 +233,7 @@ let choose (catalog : Typecheck.env) names notes (query : Ast.range) recursive =
       match constructor_of c with
       | None -> Direct
       | Some def when List.mem c closures ->
-        traversal notes closures query c def.con_result bindings
+        traversal notes closures query v app def bindings
       | Some _ when bindings = [] ->
         note notes "recursive application without constant restriction: fixpoint";
         Direct
@@ -322,33 +326,30 @@ let coerce schema rel =
   if Schema.equal (Relation.schema rel) schema then rel
   else Relation.of_list schema (Relation.to_list rel)
 
-(* [env] with the applications of [closures] resolved by the closure
-   operator, every other application by the environment's own route.
-   [seed] selects the pairs of one closure's application, the others
-   produce every pair. *)
-let traversing closures seed (env : Eval.env) =
+(* The closure operator over [base] for the closure [def], the pairs
+   [seed] selects. *)
+let reach (env : Eval.env) (def : Defs.constructor_def) base seed =
+  let op =
+    Dc_exec.Ir.closure
+      ~label:(lazy def.con_name)
+      ~base:
+        (Fixed
+           (Dc_exec.Extent.of_relation ~label:def.con_formal ~cache:env.icache
+              base))
+      seed
+  in
+  Option.iter
+    (fun tr -> Dc_exec.Ir.Trace.record tr ~label:("closure " ^ def.con_name) op)
+    env.trace;
+  Dc_exec.Ir.collect_sorted ~guard:env.guard ~schema:def.con_result op
+
+(* [env] with every application of [closures] resolved by the closure
+   operator, from every source, and every other application by the
+   environment's own route. *)
+let traversing closures (env : Eval.env) =
   let route = env.hooks.on_construct in
   let on_construct (env : Eval.env) base (def : Defs.constructor_def) args =
-    if List.mem def.con_name closures then begin
-      let seed =
-        match seed with
-        | Some (c, seed) when String.equal c def.con_name -> seed
-        | _ -> Dc_exec.Reach.Every
-      in
-      let op =
-        Dc_exec.Ir.closure
-          ~label:(lazy def.con_name)
-          ~base:
-            (Fixed
-               (Dc_exec.Extent.of_relation ~label:def.con_formal
-                  ~cache:env.icache base))
-          seed
-      in
-      Option.iter
-        (fun tr -> Dc_exec.Ir.Trace.record tr ~label:("closure " ^ def.con_name) op)
-        env.trace;
-      Dc_exec.Ir.collect_sorted ~guard:env.guard ~schema:def.con_result op
-    end
+    if List.mem def.con_name closures then reach env def base Dc_exec.Reach.Every
     else route env base def args
   in
   { env with hooks = { env.hooks with on_construct } }
@@ -358,15 +359,15 @@ let execute ?use_indexes (env : Eval.env) (d : decision) =
   | Some plan, _ -> coerce d.d_schema (Plan.run ?use_indexes env plan)
   | None, Direct -> Eval.eval_range env d.d_query
   | None, (Decompiled q | Pushed q) -> coerce d.d_schema (Eval.eval_range env q)
-  | None, Traversal { closures; seed } ->
-    let seed =
-      Option.map
-        (fun (c, column, key) ->
-          let v = Eval.eval_term env key in
-          (c, if column = 0 then Dc_exec.Reach.From v else Dc_exec.Reach.To v))
-        seed
-    in
-    Eval.eval_range (traversing closures seed env) d.d_query
+  | None, Traversal { closures; seed } -> (
+    let env = traversing closures env in
+    match seed with
+    | None -> Eval.eval_range env d.d_query
+    | Some s ->
+      let key = Eval.eval_term env s.s_key in
+      let seed = if s.s_column = 0 then Dc_exec.Reach.From key else To key in
+      let pairs = reach env s.s_closure (Eval.eval_range env s.s_base) seed in
+      Eval.eval_range (Eval.bind_rel env s.s_name pairs) s.s_query)
   | None, Magic { program; query; compiled; schema; residual; var; _ } ->
     let stats = Dc_datalog.Seminaive.fresh_stats () in
     (* a prepared form's parameters, variables of the query atom, seed
@@ -460,9 +461,10 @@ let explain ppf (d : decision) =
   | Traversal { closures; seed } ->
     Fmt.pf ppf "closure operator: %s%a@." (String.concat ", " closures)
       Fmt.(
-        option (fun ppf (c, column, key) ->
-            pf ppf " (%s %s %a)" c (if column = 0 then "from" else "to")
-              Ast.pp_term key))
+        option (fun ppf s ->
+            pf ppf " (%s %s %a)" s.s_closure.con_name
+              (if s.s_column = 0 then "from" else "to")
+              Ast.pp_term s.s_key))
       seed
   | Magic { program; query; _ } ->
     Fmt.pf ppf "translated program:@.%a@." Dc_datalog.Syntax.pp_program program;

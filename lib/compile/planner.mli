@@ -12,6 +12,22 @@
 open Dc_relation
 open Dc_calculus
 
+(** A closure operator's seed: the query restricts its own application
+    [s_base{s_closure()}] by column [s_column] (0 or 1) = [s_key], a
+    constant or a parameter.  The operator traverses from that value, or
+    backwards from it, once, and [s_query] — the query with that
+    application read from the relation [s_name], the application's text,
+    which the execution binds to the pairs — reads them.  Any other application of the closure, in the query or in a
+    selector's predicate, produces every pair. *)
+type seed = {
+  s_closure : Defs.constructor_def;
+  s_base : Ast.range;
+  s_column : int;
+  s_key : Ast.term;
+  s_name : string;
+  s_query : Ast.range;
+}
+
 (** Chosen evaluation method. *)
 type method_ =
   | Direct  (** evaluate as written: LFP of the application system *)
@@ -22,11 +38,7 @@ type method_ =
           (** constructors {!Closure} proves to be closures: each of their
               applications runs the closure operator ({!Dc_exec.Reach})
               over its evaluated base, not the body's fixpoint *)
-      seed : (string * int * Ast.term) option;
-          (** [(c, column, key)]: the query restricts its one application
-              of the closure [c] by column 0 or 1 = [key], a constant or
-              a parameter: traverse from that value, or backwards from
-              it *)
+      seed : seed option;
     }
   | Magic of {
       program : Dc_datalog.Syntax.program;  (** the translated program *)

@@ -229,7 +229,6 @@ type state = {
   mutable initialized : KS.t; (* apps whose first full evaluation is done *)
   mutable discovered_this_round : bool;
   mutable saw_shrink : bool; (* a value shrank: non-monotone system *)
-  mutable root : Key.t option; (* the application [run] converges *)
   strategy : strategy;
   max_rounds : int;
   guard : Guard.t;
@@ -364,11 +363,12 @@ let value st app =
     st.full <- KM.add app.key next st.full;
     next
 
-(* Is [app]'s value read once the run converges: the root's, or one whose
-   key is checked over the whole value? *)
-let read_at_convergence st app =
+(* Is [app]'s value read once the run converges: the value of [root],
+   the application the run converges, or one whose key is checked over
+   the whole value? *)
+let read_at_convergence root app =
   (not (Schema.key_is_whole_tuple app.def.con_result))
-  || match st.root with Some root -> Key.compare root app.key = 0 | None -> true
+  || Key.compare root app.key = 0
 
 (* Hooks installed while evaluating bodies: selector applications filter;
    constructor applications resolve to the previous round's value (merged
@@ -515,9 +515,9 @@ type update =
 (* One Jacobi round over the applications registered at round start.
    Evaluations read the previous round's values and deltas; updates are
    applied at the end (new registrations during the round keep their bottom
-   entries and are evaluated from the next round on).  Returns whether any
-   value changed. *)
-let round st =
+   entries and are evaluated from the next round on).  [root] is the
+   application the run converges.  Returns whether any value changed. *)
+let round st root =
   let changed = ref false in
   let round_delta = ref 0 in
   let produced size =
@@ -617,7 +617,7 @@ let round st =
             app.pending <- news :: app.pending;
             app.pending_size <- app.pending_size + size;
             if
-              read_at_convergence st app
+              read_at_convergence root app
               && 2 * app.pending_size >= Tuple_hset.count app.novelty
             then ignore (value st app)
           end;
@@ -636,7 +636,6 @@ let values st =
 
 (* Run to convergence from the current state. *)
 let run st root_key =
-  st.root <- Some root_key;
   (* Period-2 oscillation detection for unchecked non-monotone systems
      (only armed once a value has shrunk — monotone systems never do). *)
   let prev2 = ref None in
@@ -653,7 +652,7 @@ let run st root_key =
     let observing = Obs.on () in
     let timed = observing || st.timed in
     let t0 = if timed then Obs.now_ms () else 0. in
-    let changed = round st in
+    let changed = round st root_key in
     if timed then begin
       let dt = Obs.now_ms () -. t0 in
       st.stats.round_times <- dt :: st.stats.round_times;
@@ -691,7 +690,7 @@ let run st root_key =
   Array.iter Tuple_hset.release st.seen;
   KM.iter
     (fun _ app ->
-      if not (read_at_convergence st app) then begin
+      if not (read_at_convergence root_key app) then begin
         app.pending <- [];
         app.pending_size <- 0
       end
@@ -724,7 +723,6 @@ let apply ?(strategy = Seminaive) ?(max_rounds = default_max_rounds) ?stats env
       initialized = KS.empty;
       discovered_this_round = false;
       saw_shrink = false;
-      root = None;
       strategy;
       max_rounds;
       guard = env.Eval.guard;

@@ -95,6 +95,13 @@ let reach (start, adj) mark reached s =
     visit reached.(!next);
     incr next
   done;
+  (* Rank order: a scan of all [n] stamps, or a sort of the [count]
+     reached nodes, whose comparisons cost more than stamp reads, so the
+     sort pays only when few nodes are reached.  Every pair on a 2-core
+     Xeon (best of 15): the 300-node, 900-edge strongly connected digraph
+     takes 4.6 ms, 21 ms sorting only; a random 3000-node tree, 10 ms,
+     22 ms scanning only.  Factors 8 to 64 measured within noise of one
+     another; 2 and 4 lose on a 256-chain. *)
   let n = Array.length mark and count = !count in
   if count * 8 >= n then begin
     (* dense: one pass over the stamps *)

@@ -1124,7 +1124,7 @@ let closures =
 let seed_column (d : Planner.decision) =
   match d.d_method with
   | Planner.Traversal { seed; _ } ->
-    Some (Option.map (fun (_, column, _) -> column) seed)
+    Some (Option.map (fun (s : Planner.seed) -> s.s_column) seed)
   | _ -> None
 
 let expected_seed_column = function
@@ -1295,7 +1295,7 @@ let closure_oracle_seed seed =
             eq (field "p" "dst") (node ());
             conj (eq (field "p" "src") (node ())) (eq (field "p" "dst") (node ()));
             conj (eq (field "p" "dst") (node ())) (Cmp (Ne, field "p" "src", node ()));
-            (* a second application of the closure takes no seed *)
+            (* a second application of the closure stays whole *)
             conj
               (eq (field "p" "src") (node ()))
               (Some_in ("q", app, eq (field "q" "src") (field "p" "dst")));
@@ -1517,6 +1517,55 @@ let test_closure_in_join () =
     [ "miss"; "hit" ];
   Dc_server.Server.close_session s;
   Dc_server.Server.shutdown srv
+
+(* A seed restricts the query's own application of a closure only.  The
+   selector [onward] keeps the edges whose source starts a path of
+   [Rel{tc()}]; applied inside the query's residual, its closure must be
+   the whole one, not the pairs from the query's bound source. *)
+let test_closure_seed_stays_local () =
+  let db = make_db () in
+  Database.define_selector db
+    {
+      Defs.sel_name = "onward";
+      sel_formal = "Rel";
+      sel_formal_schema = edge_schema;
+      sel_params = [];
+      sel_var = "r";
+      sel_pred =
+        Ast.(
+          Some_in
+            ("q", Construct (Rel "Rel", "tc", []), eq (field "q" "src") (field "r" "src")));
+    };
+  let comp where =
+    Ast.(Comp [ branch [ ("p", Construct (Rel "Edge", "tc", [])) ] ~where ])
+  in
+  let onward =
+    Ast.(
+      Some_in
+        ("s", Select (Rel "Edge", "onward", []), eq (field "s" "src") (field "p" "dst")))
+  in
+  let catalog = Database.typecheck_env db in
+  List.iter
+    (fun (bound, size) ->
+      let where = Ast.conj (Ast.eq (Ast.field "p" bound) (Ast.str "n3")) onward in
+      let q = comp where in
+      let want = Database.query db q in
+      Alcotest.(check int) (bound ^ " bound: the interpreter's answer") size
+        (Relation.cardinal want);
+      let d = Planner.plan catalog q in
+      Alcotest.(check string) (bound ^ " bound: method") "closure operator"
+        (Planner.method_name d.d_method);
+      Alcotest.check rel_testable (bound ^ " bound: planned = interpreter") want
+        (Planner.execute (Database.eval_env db) d);
+      let lifted, params = lift where in
+      let form =
+        Planner.prepare catalog
+          ~params:(List.map (fun (p, v) -> (p, Value.type_of v)) params)
+          (comp lifted)
+      in
+      Alcotest.check rel_testable (bound ^ " bound: prepared = interpreter") want
+        (Planner.run_prepared form (Database.eval_env db) (List.map snd params)))
+    [ ("src", 2); ("dst", 3) ]
 
 (* Near misses: each is declined with a planning note and stays direct,
    answering as the interpreter does. *)
@@ -1758,6 +1807,8 @@ let () =
           Alcotest.test_case "served = direct, cached and uncached" `Quick
             test_served_differential;
           Alcotest.test_case "closure in a join" `Quick test_closure_in_join;
+          Alcotest.test_case "a seed stays with its application" `Quick
+            test_closure_seed_stays_local;
           Alcotest.test_case "correlated quantifier range" `Quick
             test_correlated_quantifier_range;
           Alcotest.test_case "near misses stay direct" `Quick
