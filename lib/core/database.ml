@@ -22,17 +22,6 @@ exception Error of string
 
 let error fmt = Fmt.kstr (fun s -> raise (Error s)) fmt
 
-(* A registered view maintainer (the incremental-maintenance subsystem
-   lives in a higher layer, so it plugs in through closures).  [mt_serve]
-   answers a constructor application from the maintained extent (or
-   declines with [None]); [mt_update] applies one batch of net base
-   deltas; [mt_invalidate] marks the view stale (it will refresh on next
-   serve); [mt_begin] opens a maintenance transaction — its [vt_rollback]
-   makes a failed step atomic, its [vt_commit] keeps the step and drops
-   whatever undo state it recorded; [mt_stale]/[mt_freeze]
-   publish the view into snapshots ([mt_freeze] returns [None] for a
-   stale view — snapshot readers then evaluate the application
-   themselves through {!Resolve.application}). *)
 (* Durability hooks (the WAL subsystem lives in a higher layer and plugs
    in through closures, like maintainers do).  [wh_append] runs inside
    the commit, after the mutation and maintenance succeeded but BEFORE
@@ -57,15 +46,28 @@ type view_txn = {
   vt_rollback : unit -> unit;
 }
 
+(* What a maintainer maintains, opaque here: the maintenance subsystem
+   extends this with its own view type and reads its views back from the
+   maintainer list ({!views}), so the list is the one view registry. *)
+type view = ..
+
+(* A registered view maintainer (the incremental-maintenance subsystem
+   lives in a higher layer, so it plugs in through closures).  [mt_serve]
+   answers a constructor application from the maintained extent (or
+   declines with [None]); [mt_update] applies one batch of net base
+   deltas; [mt_invalidate] marks the view stale (it will refresh on next
+   serve); [mt_begin] opens a maintenance transaction — its [vt_rollback]
+   makes a failed step atomic, its [vt_commit] keeps the step and drops
+   whatever undo state it recorded; [mt_stale]/[mt_freeze]
+   publish the view into snapshots ([mt_freeze] returns [None] for a
+   stale view — snapshot readers then evaluate the application
+   themselves through {!Resolve.application}). *)
 type maintainer = {
   mt_name : string;
+  mt_view : view;
   mt_application : Ast.range; (* the application Base{c(args)} it extends *)
   mt_depends : string list; (* base relations the view reads *)
-  mt_serve :
-    Defs.constructor_def ->
-    Relation.t ->
-    Eval.arg_value list ->
-    Relation.t option;
+  mt_serve : Resolve.serve;
   mt_update : (string * Tuple.t list * Tuple.t list) list -> unit;
       (* (relation, net added, net removed) per base relation *)
   mt_invalidate : unit -> unit;
@@ -76,27 +78,21 @@ type maintainer = {
 
 (* The database is a versioned store: [published] is the latest committed
    snapshot (immutable, shared by reference with any number of reader
-   threads), while the [rels]/[selectors]/[constructors] maps are the
-   single writer's private working set.  Every mutation funnels through
-   {!commit}, which journals the working set, runs the mutation plus view
-   maintenance, passes the one [ivm.commit] failpoint, and atomically
-   publishes the successor snapshot. *)
+   threads), while [working] is the single writer's state — a value of
+   the type a snapshot carries, which {!publish} wraps unchanged.  Every
+   mutation funnels through {!commit}, which saves [working] and the
+   maintainer list, runs the mutation plus view maintenance, passes the
+   one [ivm.commit] failpoint, and atomically publishes the successor
+   snapshot. *)
 type t = {
-  mutable rels : Relation.t SM.t;
-  mutable selectors : Defs.selector_def SM.t;
-  mutable constructors : Defs.constructor_def SM.t;
-  mutable strategy : Fixpoint.strategy;
-  mutable check_positivity : bool;
-  mutable max_rounds : int;
-  mutable limits : Guard.limits;
-  mutable last_stats : Fixpoint.stats option;
-  mutable maintainers : maintainer list;
+  mutable working : Snapshot.state;
+  mutable maintainers : maintainer list; (* newest registration first *)
+  mutable published : Snapshot.t;
+  check_positivity : bool;
   mutable maintain : bool;
       (* SET MAINTAIN ON|OFF: when off, updates invalidate maintained
          views instead of propagating deltas into them *)
-  mutable published : Snapshot.t;
-  mutable catalog : int;
-      (* catalog version of the working set; see {!Snapshot.t} *)
+  mutable last_stats : Fixpoint.stats option;
   mutable in_commit : bool;
       (* re-entrancy guard: composite operations that call other
          committing operations join the outermost commit *)
@@ -107,95 +103,83 @@ type t = {
   mutable pending_catalog : bool;
       (* the commit in progress changed the catalog / wholesale-assigned
          a relation: no replayable delta, [wh_append] must checkpoint *)
-  mutable durable_lsn : int; (* 0 = nothing durable / no WAL attached *)
 }
 
-let initial_snapshot ~strategy ~max_rounds ~limits =
-  {
-    Snapshot.version = 0;
-    catalog = 0;
-    rels = SM.empty;
-    selectors = SM.empty;
-    constructors = SM.empty;
-    strategy;
-    max_rounds;
-    limits;
-    views = [];
-    durable = None;
-  }
-
 let create ?(strategy = Fixpoint.Seminaive) ?(check_positivity = true)
-    ?(max_rounds = Fixpoint.default_max_rounds) ?(limits = Guard.no_limits) () =
+    ?(limits = Guard.no_limits) () =
+  let working =
+    {
+      Snapshot.catalog = 0;
+      rels = SM.empty;
+      selectors = SM.empty;
+      constructors = SM.empty;
+      strategy;
+      limits;
+    }
+  in
   {
-    rels = SM.empty;
-    selectors = SM.empty;
-    constructors = SM.empty;
-    strategy;
-    check_positivity;
-    max_rounds;
-    limits;
-    last_stats = None;
+    working;
     maintainers = [];
+    published =
+      { Snapshot.version = 0; state = working; views = []; durable = None };
+    check_positivity;
     maintain = true;
-    published = initial_snapshot ~strategy ~max_rounds ~limits;
-    catalog = 0;
+    last_stats = None;
     in_commit = false;
     wal = None;
     pending_changes = [];
     pending_catalog = false;
-    durable_lsn = 0;
   }
 
 (* ------------------------------------------------------------------ *)
 (* Publication *)
 
-(* Build and install the successor snapshot from the current working
-   set.  The maps are persistent (pointer shares) and each Live
-   maintained view contributes a frozen serve closure over a frozen copy
-   of its store.  The final
+let view_of m serve =
+  {
+    Snapshot.fv_name = m.mt_name;
+    fv_application = m.mt_application;
+    fv_stale = m.mt_stale ();
+    fv_serve = serve;
+  }
+
+(* Install the successor snapshot: the working state (persistent maps,
+   pointer shares) plus, per Live maintained view, a frozen serve
+   closure over a frozen copy of its store.  The final
    [db.published <- snap] is a single word write of an immutable record:
    reader threads always observe either the old or the new snapshot,
    never a mixture. *)
 let publish db =
-  let version = db.published.Snapshot.version + 1 in
-  let views =
-    List.map
-      (fun m ->
-        {
-          Snapshot.fv_name = m.mt_name;
-          fv_application = m.mt_application;
-          fv_stale = m.mt_stale ();
-          fv_serve = m.mt_freeze ();
-        })
-      db.maintainers
-  in
   db.published <-
     {
-      Snapshot.version;
-      catalog = db.catalog;
-      rels = db.rels;
-      selectors = db.selectors;
-      constructors = db.constructors;
-      strategy = db.strategy;
-      max_rounds = db.max_rounds;
-      limits = db.limits;
-      views;
-      durable = (if db.durable_lsn = 0 then None else Some db.durable_lsn);
+      db.published with
+      Snapshot.version = db.published.version + 1;
+      state = db.working;
+      views = List.map (fun m -> view_of m (m.mt_freeze ())) db.maintainers;
     }
 
 let snapshot db = db.published
 let version db = db.published.Snapshot.version
 
+(* The working state read as a snapshot: the live maintainers'
+   applications stand in for frozen views; their extents serve through
+   {!eval_env}'s [serve]. *)
+let working_snapshot db =
+  {
+    db.published with
+    Snapshot.state = db.working;
+    views = List.map (fun m -> view_of m None) db.maintainers;
+  }
+
 (* ------------------------------------------------------------------ *)
 (* Durability plumbing (driven by the WAL layer, Dc_wal) *)
 
 let set_wal_hooks db hooks = db.wal <- hooks
-let durable_lsn db = db.durable_lsn
+let durable_lsn db = Option.value db.published.Snapshot.durable ~default:0
 
+(* Refresh the published snapshot's watermark without a version bump:
+   recovery and checkpointing adjust it outside any commit, and the next
+   {!publish} carries it over. *)
 let set_durable_lsn db lsn =
-  db.durable_lsn <- lsn;
-  (* refresh the published snapshot's watermark without a version bump:
-     recovery and checkpointing adjust it outside any commit *)
   db.published <-
     {
       db.published with
@@ -218,35 +202,42 @@ let mark_catalog db = if db.wal <> None then db.pending_catalog <- true
 (* A commit that changes how statements type or lower: a new catalog
    version (statement caches key on it) and, under a WAL, a checkpoint. *)
 let catalog_changed db =
-  db.catalog <- db.catalog + 1;
+  db.working <- { db.working with catalog = db.working.catalog + 1 };
   mark_catalog db
 
-(* The single commit point.  Journals the working maps, opens a
-   transaction on every maintainer that reads a touched relation, runs
-   the mutation (which may propagate deltas into views), passes the
-   [ivm.commit] failpoint (data commits only), makes the commit durable
-   when a WAL is attached ([wh_append] — append-before-publish), commits
-   the maintainer transactions and publishes the successor snapshot.  On
-   any exception — including a failed or fault-injected log append — the
-   working set and every touched view roll back to the pre-commit state
-   and nothing is published. *)
+let bind db name rel =
+  db.working <- { db.working with rels = SM.add name rel db.working.rels }
+
+(* The single commit point.  Saves the working state and the maintainer
+   list, opens a transaction on every maintainer that reads a touched
+   relation, runs the mutation (which may propagate deltas into views),
+   passes the [ivm.commit] failpoint (data commits only), makes the
+   commit durable when a WAL is attached ([wh_append] —
+   append-before-publish), commits the maintainer transactions and
+   publishes the successor snapshot.  On any exception — including a
+   failed or fault-injected log append — the working state, the
+   maintainer list and every touched view roll back to the pre-commit
+   state and nothing is published. *)
 let commit ?(failpoint = false) ?(touches = []) db mutate =
   if db.in_commit then mutate ()
   else begin
     db.in_commit <- true;
     db.pending_changes <- [];
     db.pending_catalog <- false;
-    let saved_rels = db.rels
-    and saved_catalog = db.catalog
-    and saved_selectors = db.selectors
-    and saved_constructors = db.constructors
-    and saved_maintainers = db.maintainers in
-    let relevant =
-      List.filter
-        (fun m -> List.exists (fun n -> List.mem n m.mt_depends) touches)
+    let saved = db.working and saved_maintainers = db.maintainers in
+    let txns =
+      List.filter_map
+        (fun m ->
+          if List.exists (fun n -> List.mem n m.mt_depends) touches then
+            Some (m.mt_begin ())
+          else None)
         db.maintainers
     in
-    let txns = List.map (fun m -> m.mt_begin ()) relevant in
+    let finish () =
+      db.pending_changes <- [];
+      db.pending_catalog <- false;
+      db.in_commit <- false
+    in
     match
       let r = mutate () in
       if failpoint && !Guard.Failpoint.armed then
@@ -261,41 +252,27 @@ let commit ?(failpoint = false) ?(touches = []) db mutate =
     with
     | r ->
       List.iter (fun tx -> tx.vt_commit ()) txns;
-      db.pending_changes <- [];
-      db.pending_catalog <- false;
-      db.in_commit <- false;
+      finish ();
       publish db;
       (match db.wal with
       | Some h -> h.wh_published ~version:db.published.Snapshot.version
       | None -> ());
       r
     | exception e ->
-      db.rels <- saved_rels;
-      db.catalog <- saved_catalog;
-      db.selectors <- saved_selectors;
-      db.constructors <- saved_constructors;
+      db.working <- saved;
       db.maintainers <- saved_maintainers;
       List.iter (fun tx -> tx.vt_rollback ()) txns;
-      db.pending_changes <- [];
-      db.pending_catalog <- false;
-      db.in_commit <- false;
+      finish ();
       raise e
   end
 
 (* Configuration changes republish so statement snapshots taken after
    them evaluate under the new settings. *)
-let set_strategy db s =
-  db.strategy <- s;
+let set_limits db limits =
+  db.working <- { db.working with limits };
   publish db
 
-let strategy db = db.strategy
-let set_check_positivity db b = db.check_positivity <- b
-
-let set_limits db l =
-  db.limits <- l;
-  publish db
-
-let limits db = db.limits
+let limits db = db.working.limits
 let last_stats db = db.last_stats
 let reset_last_stats db = db.last_stats <- None
 
@@ -305,7 +282,7 @@ let reset_last_stats db = db.last_stats <- None
 (* (Un)registration changes what future snapshots serve and, under a
    WAL, what recovery must rebuild — so both ride through {!commit} like
    any DDL: the maintainer list is journaled, and the durable layer cuts
-   a checkpoint capturing the registry's new shape. *)
+   a checkpoint capturing the list's new shape. *)
 let register_maintainer db m =
   commit db (fun () ->
       (* latest registration for a name wins (re-MATERIALIZE replaces) *)
@@ -322,29 +299,11 @@ let unregister_maintainer db name =
         List.filter (fun m -> not (String.equal m.mt_name name)) db.maintainers;
       catalog_changed db)
 
-let maintainer_names db = List.map (fun m -> m.mt_name) db.maintainers
+let views db = List.rev_map (fun m -> m.mt_view) db.maintainers
 
 let set_maintain db b =
   db.maintain <- b;
   publish db
-
-let maintain db = db.maintain
-
-(* Route one applied base-relation update to the maintainers that read
-   it: with maintenance on every relevant view absorbs the delta, with
-   maintenance off the views are merely marked stale.  Rollback on
-   failure is {!commit}'s job — it snapshotted every view a touched
-   relation can reach before the mutation started. *)
-let notify_update db name ~added ~removed =
-  if added <> [] || removed <> [] then begin
-    let relevant =
-      List.filter (fun m -> List.mem name m.mt_depends) db.maintainers
-    in
-    if relevant <> [] then
-      if db.maintain then
-        List.iter (fun m -> m.mt_update [ (name, added, removed) ]) relevant
-      else List.iter (fun m -> m.mt_invalidate ()) relevant
-  end
 
 let invalidate_dependents db name =
   List.iter
@@ -355,13 +314,13 @@ let invalidate_dependents db name =
 (* Relation variables *)
 
 let declare db name schema =
-  if SM.mem name db.rels then error "relation %s already declared" name;
+  if SM.mem name db.working.rels then error "relation %s already declared" name;
   commit db (fun () ->
-      db.rels <- SM.add name (Relation.empty schema) db.rels;
+      bind db name (Relation.empty schema);
       catalog_changed db)
 
 let get db name =
-  match SM.find_opt name db.rels with
+  match SM.find_opt name db.working.rels with
   | Some r -> r
   | None -> error "unknown relation %s" name
 
@@ -371,62 +330,30 @@ let get db name =
    both the binding and the staleness marks back. *)
 let set db name rel =
   commit db ~failpoint:true ~touches:[ name ] (fun () ->
-      (match SM.find_opt name db.rels with
-      | None ->
-        db.rels <- SM.add name rel db.rels;
-        catalog_changed db
+      (match SM.find_opt name db.working.rels with
+      | None -> catalog_changed db
       | Some old ->
         let was = Relation.schema old and now = Relation.schema rel in
         if not (Schema.compatible was now) then
           error "assignment to %s: incompatible relation type" name;
         (* same-typed values keep the catalog; renamed attributes do not *)
-        if not (was == now || Schema.equal was now) then catalog_changed db;
-        db.rels <- SM.add name rel db.rels);
+        if not (was == now || Schema.equal was now) then catalog_changed db);
+      bind db name rel;
       invalidate_dependents db name;
       (* wholesale assignment has no replayable point delta; the durable
          layer checkpoints instead of logging *)
       mark_catalog db)
 
-let relation_names db = List.map fst (SM.bindings db.rels)
+let relation_names db = List.map fst (SM.bindings db.working.rels)
 
-(* Point updates are transactional against maintained views: the binding
-   is updated first (so maintainers read post-update base relations) and
-   the net delta is propagated, all inside one {!commit} — a failed
-   propagation rolls both the binding and every touched view back to the
-   pre-update snapshot, and nothing is published. *)
-let apply_update db name updated ~added ~removed =
-  commit db ~failpoint:true ~touches:[ name ] (fun () ->
-      db.rels <- SM.add name updated db.rels;
-      log_changes db [ (name, added, removed) ];
-      notify_update db name ~added ~removed)
-
-let insert db name tuple =
-  let old = get db name in
-  let updated = Relation.add tuple old in
-  let added = if Relation.mem tuple old then [] else [ tuple ] in
-  apply_update db name updated ~added ~removed:[]
-
-let insert_all db name tuples =
-  let old = get db name in
-  let updated, added_rev =
-    List.fold_left
-      (fun (r, acc) t ->
-        let acc = if Relation.mem t r then acc else t :: acc in
-        (Relation.add t r, acc))
-      (old, []) tuples
-  in
-  apply_update db name updated ~added:(List.rev added_rev) ~removed:[]
-
-let delete db name tuple =
-  let old = get db name in
-  if Relation.mem tuple old then
-    apply_update db name (Relation.remove tuple old) ~added:[]
-      ~removed:[ tuple ]
-
-(* Apply a multi-relation batch of point updates as ONE commit: a single
-   version is published covering the whole batch, maintainers see the
-   batch in one [mt_update] call, and a mid-batch failure rolls the
-   entire batch back.  This is the writer thread's unit of work. *)
+(* Apply a multi-relation batch of point updates as ONE commit: the
+   bindings are updated first (so maintainers read post-update base
+   relations), a single version is published covering the whole batch,
+   maintainers see the batch in one [mt_update] call (or are marked
+   stale when maintenance is off), and a mid-batch failure rolls the
+   entire batch — bindings and every touched view — back.  This is the
+   unit of every point update, from an INSERT or DELETE statement to a
+   serving writer thread's batch. *)
 let update_batch db changes =
   let touches = List.map (fun (n, _, _) -> n) changes in
   commit db ~failpoint:true ~touches (fun () ->
@@ -448,7 +375,7 @@ let update_batch db changes =
                   else (Relation.add t r, t :: acc))
                 (after_rem, []) adds
             in
-            db.rels <- SM.add name updated db.rels;
+            bind db name updated;
             (name, List.rev added_rev, List.rev removed_rev))
           changes
       in
@@ -465,44 +392,23 @@ let update_batch db changes =
             db.maintainers
         else List.iter (fun (n, _, _) -> invalidate_dependents db n) real)
 
+let insert db name tuple = update_batch db [ (name, [ tuple ], []) ]
+let insert_all db name tuples = update_batch db [ (name, tuples, []) ]
+let delete db name tuple = update_batch db [ (name, [], [ tuple ]) ]
+
 (* ------------------------------------------------------------------ *)
-(* Static environments *)
+(* Environments: the working state read through {!Snapshot}'s builders,
+   with the live maintainers serving and the fixpoint statistics kept
+   for [last_stats] *)
 
-let typecheck_env db =
-  Typecheck.env
-    ~selectors:(List.map snd (SM.bindings db.selectors))
-    ~constructors:(List.map snd (SM.bindings db.constructors))
-    ~views:(List.map (fun m -> m.mt_application) db.maintainers)
-    (List.map (fun (n, r) -> (n, Relation.schema r)) (SM.bindings db.rels))
+let typecheck_env db = Snapshot.typecheck_env (working_snapshot db)
 
-(* Evaluation environment with the full constructor/selector semantics.
-   [trace], when given, records every physical pipeline the evaluation
-   lowers and runs (EXPLAIN).  [guard] defaults to a fresh guard over the
-   database's declarative limits (SET LIMIT): each evaluation gets its own
-   budgets.  Constructor applications go through {!Resolve.application}
-   (registered maintainers serve first), which picks the guard up from
-   the environment; only the writer's environment records [last_stats]. *)
 let eval_env ?trace ?guard db =
-  let guard =
-    match guard with
-    | Some g -> g
-    | None -> Guard.of_limits db.limits
-  in
-  let hooks =
-    {
-      Eval.selector_def = (fun n -> SM.find_opt n db.selectors);
-      Eval.constructor_def = (fun n -> SM.find_opt n db.constructors);
-      Eval.on_select = (fun env base def args -> Selector.apply env def base args);
-      Eval.on_construct =
-        Resolve.application
-          ~relation:(fun n -> SM.find_opt n db.rels)
-          ~serve:(fun def base args ->
-            List.find_map (fun m -> m.mt_serve def base args) db.maintainers)
-          ~strategy:db.strategy ~max_rounds:db.max_rounds
-          ~on_stats:(fun stats -> db.last_stats <- Some stats);
-    }
-  in
-  Eval.make_env ~hooks ?trace ~guard (SM.bindings db.rels)
+  Snapshot.eval_env ?trace ?guard
+    ~serve:(fun def base args ->
+      List.find_map (fun m -> m.mt_serve def base args) db.maintainers)
+    ~on_stats:(fun stats -> db.last_stats <- Some stats)
+    (working_snapshot db)
 
 (* ------------------------------------------------------------------ *)
 (* Definitions *)
@@ -511,7 +417,11 @@ let define_selector db (def : Defs.selector_def) =
   (try Typecheck.check_selector_def (typecheck_env db) def
    with Typecheck.Error msg -> error "selector %s: %s" def.sel_name msg);
   commit db (fun () ->
-      db.selectors <- SM.add def.sel_name def db.selectors;
+      db.working <-
+        {
+          db.working with
+          selectors = SM.add def.sel_name def db.working.selectors;
+        };
       catalog_changed db)
 
 (* Constructors may be mutually recursive, so groups are registered
@@ -521,10 +431,12 @@ let define_selector db (def : Defs.selector_def) =
    registered and nothing is published. *)
 let define_constructors db (defs : Defs.constructor_def list) =
   commit db (fun () ->
-      db.constructors <-
+      let constructors =
         List.fold_left
           (fun m (d : Defs.constructor_def) -> SM.add d.con_name d m)
-          db.constructors defs;
+          db.working.constructors defs
+      in
+      db.working <- { db.working with constructors };
       List.iter
         (fun (d : Defs.constructor_def) ->
           try Typecheck.check_constructor_def (typecheck_env db) d
@@ -532,7 +444,7 @@ let define_constructors db (defs : Defs.constructor_def list) =
             error "constructor %s: %s" d.con_name msg)
         defs;
       if db.check_positivity then begin
-        let all = List.map snd (SM.bindings db.constructors) in
+        let all = List.map snd (SM.bindings db.working.constructors) in
         (match Positivity.check_program all with
         | Ok () -> ()
         | Error (v :: _) -> error "%a" Positivity.pp_violation v
@@ -546,18 +458,18 @@ let define_constructors db (defs : Defs.constructor_def list) =
 
 let define_constructor db def = define_constructors db [ def ]
 
-let selector db name = SM.find_opt name db.selectors
-let constructor db name = SM.find_opt name db.constructors
+let selector db name = SM.find_opt name db.working.selectors
+let constructor db name = SM.find_opt name db.working.constructors
 
-let selector_names db = List.map fst (SM.bindings db.selectors)
-let constructor_names db = List.map fst (SM.bindings db.constructors)
+let selector_names db = List.map fst (SM.bindings db.working.selectors)
+let constructor_names db = List.map fst (SM.bindings db.working.constructors)
 
 (* ------------------------------------------------------------------ *)
 (* Queries and assignment *)
 
 let check_query db range =
   Dc_obs.Obs.Span.timed "typecheck" (fun () ->
-      Typecheck.check_query (typecheck_env db) range)
+      Snapshot.check_query (working_snapshot db) range)
 
 let query ?trace ?guard db range =
   check_query db range;

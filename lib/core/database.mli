@@ -14,16 +14,11 @@ type t
 val create :
   ?strategy:Fixpoint.strategy ->
   ?check_positivity:bool ->
-  ?max_rounds:int ->
   ?limits:Dc_guard.Guard.limits ->
   unit ->
   t
-(** Fresh database. Defaults: [Seminaive], positivity checked,
-    {!Fixpoint.default_max_rounds}, no resource limits. *)
-
-val set_strategy : t -> Fixpoint.strategy -> unit
-val strategy : t -> Fixpoint.strategy
-val set_check_positivity : t -> bool -> unit
+(** Fresh database. Defaults: [Seminaive], positivity checked, no
+    resource limits. *)
 
 val set_limits : t -> Dc_guard.Guard.limits -> unit
 (** Declarative resource limits (the surface language's [SET LIMIT]):
@@ -52,29 +47,28 @@ val set : t -> string -> Relation.t -> unit
 
 val relation_names : t -> string list
 
-val insert : t -> string -> Tuple.t -> unit
-(** @raise Relation.Key_violation / Relation.Type_mismatch per §2.2.
-    Point updates ([insert]/[insert_all]/[delete]) are transactional
-    against maintained views: net deltas propagate into every registered
-    maintainer reading the relation (or mark it stale when maintenance is
-    off), and a failed propagation rolls both the binding and the views
-    back to the pre-update snapshot before re-raising. *)
-
-val insert_all : t -> string -> Tuple.t list -> unit
-val delete : t -> string -> Tuple.t -> unit
-
 val update_batch : t -> (string * Tuple.t list * Tuple.t list) list -> unit
 (** [update_batch db [(rel, adds, removes); ...]] applies a
     multi-relation batch of point updates as {e one} commit: removals
-    then additions per relation, net deltas propagated to maintainers in
-    a single call each, exactly one published version covering the whole
-    batch, and full rollback (bindings and views) if anything fails
-    mid-batch.  This is a serving writer thread's unit of work. *)
+    then additions per relation, net deltas propagated to every
+    maintainer reading a touched relation in a single call each (or
+    marking it stale when maintenance is off), exactly one published
+    version covering the whole batch, and full rollback (bindings and
+    views) if anything fails mid-batch.  The one point-update path: an
+    INSERT or DELETE statement and a serving writer thread's batch alike.
+    @raise Relation.Key_violation / Relation.Type_mismatch per §2.2. *)
+
+val insert : t -> string -> Tuple.t -> unit
+val insert_all : t -> string -> Tuple.t list -> unit
+val delete : t -> string -> Tuple.t -> unit
+(** One-relation [update_batch] calls. *)
 
 (** {1 Snapshots}
 
-    The database is a versioned store: every committed mutation
-    publishes an immutable {!Snapshot.t} with a monotone version.
+    The database is a versioned store.  The writer's working state is
+    one {!Snapshot.state} value; every committed mutation publishes it,
+    wrapped with a monotone version, the frozen views and the durable
+    LSN, as an immutable {!Snapshot.t}.
     Reader threads grab {!snapshot} (a single field read of an immutable
     record — no locking) and evaluate against it while the writer moves
     on. *)
@@ -134,16 +128,17 @@ type view_txn = {
   vt_rollback : unit -> unit;  (** restore the state before the step *)
 }
 
+type view = ..
+(** What a maintainer maintains: the maintenance subsystem extends this
+    with its view type, and {!views} hands its views back. *)
+
 type maintainer = {
   mt_name : string;
+  mt_view : view;
   mt_application : Dc_calculus.Ast.range;
       (** the application [Base{c(args)}] whose extent the view keeps *)
   mt_depends : string list;  (** base relations the view reads *)
-  mt_serve :
-    Dc_calculus.Defs.constructor_def ->
-    Relation.t ->
-    Dc_calculus.Eval.arg_value list ->
-    Relation.t option;
+  mt_serve : Resolve.serve;
       (** serve a constructor application from the maintained extent, or
           decline with [None] *)
   mt_update : (string * Tuple.t list * Tuple.t list) list -> unit;
@@ -161,13 +156,15 @@ val register_maintainer : t -> maintainer -> unit
 (** Latest registration for a name wins (re-MATERIALIZE replaces). *)
 
 val unregister_maintainer : t -> string -> unit
-val maintainer_names : t -> string list
+
+val views : t -> view list
+(** The registered maintainers' views, in registration order: the one
+    registry, journaled by the commit like the rest of the state, so a
+    failed (un)registration leaves it as it was. *)
 
 val set_maintain : t -> bool -> unit
 (** [SET MAINTAIN ON|OFF]: when off, updates invalidate maintained views
     instead of propagating deltas into them. Default on. *)
-
-val maintain : t -> bool
 
 (** {1 Definitions} *)
 
@@ -191,11 +188,11 @@ val constructor_names : t -> string list
 (** {1 Environments} *)
 
 val typecheck_env : t -> Typecheck.env
+(** {!Snapshot.typecheck_env} over the working state. *)
 
 val eval_env : ?trace:Dc_exec.Ir.trace -> ?guard:Dc_guard.Guard.t -> t -> Eval.env
-(** Evaluation environment with selector filtering and constructor
-    semantics installed: applications resolve through
-    {!Resolve.application} (maintained views serve first).  [trace]
+(** {!Snapshot.eval_env} over the working state: the live maintainers
+    serve first, and fixpoint statistics go to {!last_stats}.  [trace]
     records every physical pipeline the evaluation lowers and runs
     (EXPLAIN).  [guard] defaults to a fresh guard over {!limits} and
     governs every route, the aggregate one included. *)

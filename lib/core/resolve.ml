@@ -14,10 +14,9 @@
       path also covers what [Translate] cannot express (OR, SOME/ALL,
       selector ranges, nested bases).
 
-   Both evaluation environments — the writer's {!Database} working set
-   and a published {!Snapshot} — install this as their [on_construct]
-   hook; they differ only in where relations, views and limits come
-   from.  Every route runs under the environment's guard. *)
+   {!Snapshot.eval_env} installs this as the [on_construct] hook of
+   both states, the writer's {!Database} working set and a published
+   snapshot; they differ only in where the views serve from.  Every route runs under the environment's guard. *)
 
 open Dc_relation
 open Dc_calculus
@@ -84,7 +83,7 @@ let aggregate ~relation (env : Eval.env) (def : Defs.constructor_def) base args
   assert (Relation.for_all (Tuple.well_typed def.con_result) rel);
   rel
 
-let application ~relation ~serve ~strategy ~max_rounds ?on_stats
+let application ~relation ~serve ~strategy ?on_stats
     (env : Eval.env) base def args =
   match serve def base args with
   | Some value -> value
@@ -93,7 +92,7 @@ let application ~relation ~serve ~strategy ~max_rounds ?on_stats
       aggregate ~relation env def base args
     else begin
       let stats = Fixpoint.fresh_stats () in
-      let value = Fixpoint.apply ~strategy ~max_rounds ~stats env def base args in
+      let value = Fixpoint.apply ~strategy ~stats env def base args in
       Option.iter (fun record -> record stats) on_stats;
       Option.iter
         (fun tr -> Dc_exec.Ir.Trace.set_rounds tr (Fixpoint.round_log stats))

@@ -1,7 +1,7 @@
 (** Resolution of a constructor application (paper §3.2): the single
-    route by which [Base{c(args)}] gets evaluated, shared by
-    {!Database.eval_env} and {!Snapshot.eval_env}.  The order is
-    serve → aggregate → fixpoint. *)
+    route by which [Base{c(args)}] gets evaluated, installed by
+    {!Snapshot.eval_env} for published and working states alike.  The
+    order is serve → aggregate → fixpoint. *)
 
 open Dc_relation
 open Dc_calculus
@@ -15,7 +15,6 @@ val application :
   relation:(string -> Relation.t option) ->
   serve:serve ->
   strategy:Fixpoint.strategy ->
-  max_rounds:int ->
   ?on_stats:(Fixpoint.stats -> unit) ->
   Eval.env ->
   Relation.t ->
@@ -28,8 +27,8 @@ val application :
     translated to Horn clauses and run by
     {!Dc_datalog.Seminaive.run} with per-group bounds, reading global
     relations through [relation]; every other system runs
-    {!Fixpoint.apply} with [strategy] and [max_rounds], and its
-    statistics go to [on_stats] and its timed rounds
+    {!Fixpoint.apply} with [strategy] and the default round budget,
+    and its statistics go to [on_stats] and its timed rounds
     ({!Fixpoint.round_log}) to the environment's trace.  Both evaluations
     run under the environment's guard.
     @raise Dc_guard.Guard.Exhausted when the guard trips

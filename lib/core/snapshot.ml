@@ -30,8 +30,11 @@ type frozen_view = {
   fv_serve : frozen_serve option; (* [None] iff the view was stale *)
 }
 
-type t = {
-  version : int; (* monotone: one publication per commit *)
+(* The database's state proper (DBPL's relation variables plus the
+   selectors and constructors defined over them, with the settings
+   evaluation runs under): the value the writer works on, and what a
+   snapshot publishes. *)
+type state = {
   catalog : int;
       (* catalog version: moves only with commits that change how a
          statement types or lowers (relation declarations and schemas,
@@ -40,8 +43,12 @@ type t = {
   selectors : Defs.selector_def SM.t;
   constructors : Defs.constructor_def SM.t;
   strategy : Fixpoint.strategy;
-  max_rounds : int;
   limits : Guard.limits;
+}
+
+type t = {
+  version : int; (* monotone: one publication per commit *)
+  state : state;
   views : frozen_view list;
   durable : int option;
       (* LSN of the last durable WAL record / checkpoint covering this
@@ -49,53 +56,59 @@ type t = {
 }
 
 let version s = s.version
-let catalog_version s = s.catalog
+let catalog_version s = s.state.catalog
 let durable_lsn s = s.durable
-let relation_count s = SM.cardinal s.rels
-let relation_names s = List.map fst (SM.bindings s.rels)
+let relation_count s = SM.cardinal s.state.rels
+let relation_names s = List.map fst (SM.bindings s.state.rels)
 
-let get s name = SM.find_opt name s.rels
+let get s name = SM.find_opt name s.state.rels
 
 let view_names s = List.map (fun v -> v.fv_name) s.views
-let stale_views s =
-  List.filter_map (fun v -> if v.fv_stale then Some v.fv_name else None) s.views
 
 (* ------------------------------------------------------------------ *)
-(* Read-only evaluation against the frozen state *)
+(* Evaluation against a state: the one builder of both environments, for
+   a published snapshot and for the writer's working set alike *)
 
 let typecheck_env s =
+  let st = s.state in
   Typecheck.env
-    ~selectors:(List.map snd (SM.bindings s.selectors))
-    ~constructors:(List.map snd (SM.bindings s.constructors))
+    ~selectors:(List.map snd (SM.bindings st.selectors))
+    ~constructors:(List.map snd (SM.bindings st.constructors))
     ~views:(List.map (fun v -> v.fv_application) s.views)
-    (List.map (fun (n, r) -> (n, Relation.schema r)) (SM.bindings s.rels))
+    (List.map (fun (n, r) -> (n, Relation.schema r)) (SM.bindings st.rels))
 
-(* Like {!Database.eval_env}, but every lookup resolves inside the
-   snapshot: {!Resolve.application} serves from frozen view extents and
-   otherwise evaluates over snapshot values only.  Keys on a relation's
-   leading columns are range scans of its ordered set; other keys build
-   indexes in the evaluation's private cache. *)
-let eval_env ?guard s =
+(* Every lookup resolves inside the state: {!Resolve.application} serves
+   from [serve] (by default the frozen view extents) and otherwise
+   evaluates over the state's values only.  Keys on a relation's leading
+   columns are range scans of its ordered set; other keys build indexes
+   in the evaluation's private cache. *)
+let eval_env ?trace ?guard ?serve ?on_stats s =
+  let st = s.state in
   let guard =
-    match guard with Some g -> g | None -> Guard.of_limits s.limits
+    match guard with Some g -> g | None -> Guard.of_limits st.limits
+  in
+  let serve =
+    match serve with
+    | Some serve -> serve
+    | None ->
+      fun def base args ->
+        List.find_map
+          (fun v -> Option.bind v.fv_serve (fun serve -> serve def base args))
+          s.views
   in
   let hooks =
     {
-      Eval.selector_def = (fun n -> SM.find_opt n s.selectors);
-      Eval.constructor_def = (fun n -> SM.find_opt n s.constructors);
+      Eval.selector_def = (fun n -> SM.find_opt n st.selectors);
+      Eval.constructor_def = (fun n -> SM.find_opt n st.constructors);
       Eval.on_select =
         (fun env base def args -> Selector.apply env def base args);
       Eval.on_construct =
         Resolve.application
-          ~relation:(fun n -> SM.find_opt n s.rels)
-          ~serve:(fun def base args ->
-            List.find_map
-              (fun v -> Option.bind v.fv_serve (fun serve -> serve def base args))
-              s.views)
-          ~strategy:s.strategy ~max_rounds:s.max_rounds;
+          ~relation:(fun n -> SM.find_opt n st.rels)
+          ~serve ~strategy:st.strategy ?on_stats;
     }
   in
-  Eval.make_env ~hooks ~guard (SM.bindings s.rels)
+  Eval.make_env ~hooks ?trace ~guard (SM.bindings st.rels)
 
 let check_query s range = Typecheck.check_query (typecheck_env s) range
 
@@ -109,7 +122,11 @@ let pp_summary ppf s =
     (if relation_count s = 1 then "" else "s")
     (List.length s.views)
     (if List.length s.views = 1 then "" else "s")
-    (match stale_views s with
+    (match
+       List.filter_map
+         (fun v -> if v.fv_stale then Some v.fv_name else None)
+         s.views
+     with
     | [] -> ""
     | stale -> Fmt.str " (stale: %s)" (String.concat ", " stale))
     (match s.durable with

@@ -23,8 +23,7 @@ type frozen_view = {
   fv_serve : frozen_serve option;  (** [None] iff the view was stale *)
 }
 
-type t = {
-  version : int;  (** monotone: one publication per commit *)
+type state = {
   catalog : int;
       (** catalog version: moves only with commits that change how a
           statement types or lowers — relation declarations and schemas,
@@ -34,8 +33,16 @@ type t = {
   selectors : Defs.selector_def SM.t;
   constructors : Defs.constructor_def SM.t;
   strategy : Fixpoint.strategy;
-  max_rounds : int;
   limits : Dc_guard.Guard.limits;
+}
+(** The database state proper: relation variables, the selectors and
+    constructors defined over them, and the settings evaluation runs
+    under.  The writer's working set is a value of this type, and
+    publication wraps it unchanged. *)
+
+type t = {
+  version : int;  (** monotone: one publication per commit *)
+  state : state;
   views : frozen_view list;
   durable : int option;
       (** LSN of the last durable WAL record / checkpoint covering this
@@ -56,20 +63,25 @@ val relation_names : t -> string list
 val get : t -> string -> Relation.t option
 val view_names : t -> string list
 
-val stale_views : t -> string list
-(** Maintained views that were stale at publication: a reader querying
-    them evaluates the application against snapshot relations instead of
-    being served from a frozen extent (correct, slower). *)
-
 val typecheck_env : t -> Typecheck.env
 
-val eval_env : ?guard:Dc_guard.Guard.t -> t -> Eval.env
-(** Evaluation environment resolving entirely inside the snapshot:
+val eval_env :
+  ?trace:Dc_exec.Ir.trace ->
+  ?guard:Dc_guard.Guard.t ->
+  ?serve:Resolve.serve ->
+  ?on_stats:(Fixpoint.stats -> unit) ->
+  t ->
+  Eval.env
+(** Evaluation environment resolving entirely inside the state:
     constructor applications go through {!Resolve.application} — served
-    from frozen view extents when one matches, otherwise evaluated
-    (aggregate route or fixpoint) over snapshot values, with a private
-    per-evaluation index cache.  [guard] defaults to a fresh guard over
-    the snapshot's limits. *)
+    by [serve] (default: the frozen view extents) when it answers,
+    otherwise evaluated (aggregate route or fixpoint) over the state's
+    values, with a private per-evaluation index cache.  [trace] records
+    every physical pipeline the evaluation lowers and runs (EXPLAIN);
+    [guard] defaults to a fresh guard over the state's limits;
+    [on_stats] receives each fixpoint's statistics.  The writer's
+    {!Database.eval_env} is this over its working set, with its live
+    maintainers as [serve]. *)
 
 val check_query : t -> Ast.range -> unit
 

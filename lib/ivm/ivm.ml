@@ -203,34 +203,14 @@ let constructor v = v.con
 let depends v = v.depends
 let is_stale v = v.status = Stale
 
-(* ------------------------------------------------------------------ *)
-(* Per-database view registry
+(* A view is what its maintainer maintains: the database's maintainer
+   list is the registry, journaled by the commit like the rest of its
+   state, and the durability layer reads the concrete views back from it
+   (to checkpoint their stores and derivation counts). *)
+type Database.view += View of t
 
-   [Database] only knows maintainers as opaque closures; the durability
-   layer needs the concrete views back (to checkpoint their stores and
-   derivation counts), so materialization keeps a side registry keyed by
-   physical database identity.  Single-writer discipline: mutated only on
-   the committing thread, like everything else behind the commit point. *)
-
-let registry : (Database.t * t list ref) list ref = ref []
-
-let registry_entry db =
-  match List.find_opt (fun (d, _) -> d == db) !registry with
-  | Some (_, e) -> e
-  | None ->
-    let e = ref [] in
-    registry := (db, e) :: !registry;
-    e
-
-let track view =
-  let e = registry_entry view.db in
-  e := view :: List.filter (fun v -> not (String.equal v.name view.name)) !e
-
-let untrack view =
-  let e = registry_entry view.db in
-  e := List.filter (fun v -> not (String.equal v.name view.name)) !e
-
-let views db = List.rev !(registry_entry db)
+let views db =
+  List.filter_map (function View v -> Some v | _ -> None) (Database.views db)
 
 let plan_kind v =
   match v.plan with
@@ -968,6 +948,7 @@ let matches view (def : Defs.constructor_def) base (args : Eval.arg_value list)
 let maintainer_of view =
   {
     Database.mt_name = view.name;
+    mt_view = View view;
     mt_application = Ast.Construct (Ast.Rel view.base, view.con, view.args);
     mt_depends = view.depends;
     mt_serve =
@@ -1095,24 +1076,12 @@ let materialize db ~constructor ~base ~args =
     }
   in
   refresh view;
-  (* track before registering: registration commits, and a durability
-     hook checkpointing inside that commit must already see the view *)
-  track view;
-  (try Database.register_maintainer db (maintainer_of view)
-   with e ->
-     untrack view;
-     raise e);
+  Database.register_maintainer db (maintainer_of view);
   if Obs.on () then Obs.Gauge.add (Lazy.force g_views) 1.;
   view
 
 let unregister view =
-  (* untrack first, same reason: the unregistration commit's checkpoint
-     must no longer include the view *)
-  untrack view;
-  (try Database.unregister_maintainer view.db view.name
-   with e ->
-     track view;
-     raise e);
+  Database.unregister_maintainer view.db view.name;
   if Obs.on () then Obs.Gauge.add (Lazy.force g_views) (-1.)
 
 let cardinal view = Facts.cardinal view.store view.query_pred
@@ -1212,10 +1181,6 @@ let restore db d =
     (fun (pred, rows) ->
       List.iter (fun (t, n) -> Support.set view.supports pred t n) rows)
     d.dp_supports;
-  track view;
-  (try Database.register_maintainer db (maintainer_of view)
-   with e ->
-     untrack view;
-     raise e);
+  Database.register_maintainer db (maintainer_of view);
   if Obs.on () then Obs.Gauge.add (Lazy.force g_views) 1.;
   view

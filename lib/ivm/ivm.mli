@@ -66,7 +66,8 @@ val refresh : t -> unit
     replay that follows drives the normal incremental path. *)
 
 val views : Database.t -> t list
-(** The views currently materialized over [db] (registration order). *)
+(** The views currently materialized over [db] (registration order),
+    read from its maintainer list ({!Dc_core.Database.views}). *)
 
 type dump = {
   dp_con : string;

@@ -320,12 +320,7 @@ let read_only = function
    served statement (with its limits), otherwise the live database. *)
 let read_env ?trace env =
   match env.pinned with
-  | Some snap ->
-    let eval_env = Snapshot.eval_env snap in
-    ( Snapshot.typecheck_env snap,
-      match trace with
-      | Some trace -> Eval.with_trace eval_env trace
-      | None -> eval_env )
+  | Some snap -> (Snapshot.typecheck_env snap, Snapshot.eval_env ?trace snap)
   | None -> (Database.typecheck_env env.db, Database.eval_env ?trace env.db)
 
 (* QUERY and PRINT run the plan EXPLAIN shows, over the state the read
@@ -418,7 +413,7 @@ let execute_decl env decl =
   | D_insert (name, rows) ->
     Database.insert_all env.db name (List.map (row env) rows)
   | D_delete (name, rows) ->
-    List.iter (fun r -> Database.delete env.db name (row env r)) rows
+    Database.update_batch env.db [ (name, [], List.map (row env) rows) ]
   | D_assign (name, None, _, r) ->
     Database.assign env.db name (lower_range env empty_scope r)
   | D_assign (name, Some sel, args, r) ->
@@ -495,11 +490,8 @@ let execute_decl env decl =
         verb eu_rel
     in
     Ivm.reset_reports ();
-    let apply () =
-      if eu_delete then List.iter (Database.delete env.db eu_rel) rows
-      else Database.insert_all env.db eu_rel rows
-    in
-    match apply () with
+    let adds, removes = if eu_delete then ([], rows) else (rows, []) in
+    match Database.update_batch env.db [ (eu_rel, adds, removes) ] with
     | () ->
       header ();
       (match Ivm.reports () with

@@ -326,7 +326,13 @@ let shutdown srv =
 let open_durable ?max_sessions ?(limits = Guard.no_limits) ?checkpoint_every
     dir =
   let db = Database.create ~limits () in
-  let wal = Durable.open_dir ~db ?checkpoint_every dir in
+  let policy =
+    Option.map
+      (fun n ->
+        { Durable.cp_records = Some n; cp_bytes = None; cp_seconds = None })
+      checkpoint_every
+  in
+  let wal = Durable.open_dir ~db ?policy dir in
   create ?max_sessions ~limits ~wal db
 
 let durable srv = srv.wal
@@ -409,7 +415,7 @@ let wants_snapshot (d : Dc_lang.Surface.decl) =
 let session_snapshot s =
   let snap = Database.snapshot s.server.db in
   if s.limits = Guard.no_limits then snap
-  else { snap with Snapshot.limits = s.limits }
+  else { snap with Snapshot.state = { snap.state with limits = s.limits } }
 
 let execute_decl s (d : Dc_lang.Surface.decl) =
   if not s.open_ then error "session %d is closed" s.id;

@@ -50,7 +50,10 @@ val open_durable :
   string ->
   t
 (** Recover the data directory (creating it when new) and serve the
-    recovered database; {!shutdown} drains, checkpoints, and closes it. *)
+    recovered database; {!shutdown} drains, checkpoints, and closes it.
+    [checkpoint_every] schedules a periodic checkpoint every that many
+    logged records and on nothing else (default:
+    {!Dc_wal.Durable.default_policy}). *)
 
 val db : t -> Database.t
 

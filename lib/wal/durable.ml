@@ -396,17 +396,7 @@ let group t f =
 let read_file path =
   In_channel.with_open_bin path In_channel.input_all
 
-let open_dir ?db ?checkpoint_every ?policy dir =
-  let policy =
-    match (policy, checkpoint_every) with
-    | Some _, Some _ ->
-      invalid_arg "Durable.open_dir: pass checkpoint_every or policy, not both"
-    | Some p, None -> p
-    | None, Some n ->
-      (* legacy knob: a pure record-count policy *)
-      { cp_records = Some n; cp_bytes = None; cp_seconds = None }
-    | None, None -> default_policy
-  in
+let open_dir ?db ?(policy = default_policy) dir =
   (match policy.cp_records with
   | Some n when n < 1 -> invalid_arg "Durable.open_dir: cp_records"
   | _ -> ());

@@ -40,16 +40,13 @@ val default_policy : checkpoint_policy
 
 type t
 
-val open_dir :
-  ?db:Database.t -> ?checkpoint_every:int -> ?policy:checkpoint_policy ->
-  string -> t
+val open_dir : ?db:Database.t -> ?policy:checkpoint_policy -> string -> t
 (** Open (creating if needed) a data directory and recover from it.
     [db] supplies the database to recover into (default: a fresh one;
     must not have conflicting declarations).  If [db] already has
     committed state and the directory is empty, an initial checkpoint
     roots it.  [policy] (default {!default_policy}) schedules periodic
-    checkpoints; [checkpoint_every] is the legacy record-count-only
-    spelling of the same and may not be combined with [policy].
+    checkpoints.
     @raise Recovery_error on a corrupt checkpoint (torn WAL tails are
     truncated silently — they are expected after a crash). *)
 

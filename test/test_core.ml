@@ -420,11 +420,15 @@ let test_lfp_combinator () =
   Alcotest.check rel_testable "constant step" r got
 
 let test_round_budget () =
-  let db = Database.create ~max_rounds:3 () in
+  let db = Database.create () in
   Database.declare db "Edge" edge_schema;
   Database.set db "Edge" (chain_rel 10);
-  Database.define_constructor db (Constructor.transitive_closure ());
-  match Database.query db Ast.(Construct (Rel "Edge", "tc", [])) with
+  let tc = Constructor.transitive_closure () in
+  Database.define_constructor db tc;
+  match
+    Fixpoint.apply ~max_rounds:3 (Database.eval_env db) tc
+      (Database.get db "Edge") []
+  with
   | _ -> Alcotest.fail "expected Divergence (budget)"
   | exception Fixpoint.Divergence msg ->
     Alcotest.check Alcotest.bool "mentions max_rounds" true

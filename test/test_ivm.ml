@@ -548,6 +548,45 @@ let test_surface_delete () =
     [ t2 "a" "b"; t2 "c" "d" ]
     (TS.elements (query_tc db))
 
+(* A multi-row DELETE is one statement and one commit: a fault at the
+   commit point leaves every row (and the view) as it was and publishes
+   nothing, and without the fault the statement publishes exactly one
+   version — so a schedule armed at the commit point's second hit is
+   never reached.  Row by row, that hit would land mid-statement and
+   leave a published, half-applied DELETE. *)
+let test_surface_multi_row_delete () =
+  let delete = {|DELETE Edge VALUES ("a", "b"), ("b", "c"), ("c", "d");|} in
+  let db, _ = Dc_lang.Elaborate.run_string tc_surface in
+  let rows = Database.get db "Edge" and tc = query_tc db in
+  let v0 = Database.version db in
+  with_failpoints @@ fun () ->
+  Guard.Failpoint.arm "ivm.commit" 1;
+  (match run_more db delete with
+  | _ -> Alcotest.fail "ivm.commit never hit"
+  | exception Guard.Exhausted (Guard.Fault_injected "ivm.commit", _) -> ());
+  Alcotest.(check int) "faulted: all 3 rows kept" (Relation.cardinal rows)
+    (Relation.cardinal (Database.get db "Edge"));
+  Alcotest.(check bool) "faulted: view extent kept" true
+    (TS.equal tc (query_tc db));
+  Alcotest.(check int) "faulted: no version published" v0
+    (Database.version db);
+  Guard.Failpoint.arm "ivm.commit" 2;
+  (match run_more db delete with
+  | _ -> ()
+  | exception Guard.Exhausted (Guard.Fault_injected "ivm.commit", _) ->
+    Alcotest.failf
+      "the statement reached the commit point twice: %d of 3 rows left, \
+       %d version(s) published"
+      (Relation.cardinal (Database.get db "Edge"))
+      (Database.version db - v0));
+  Alcotest.(check (list (pair string int)))
+    "one commit-point hit" [ ("ivm.commit", 1) ] (Guard.Failpoint.pending ());
+  Alcotest.(check int) "exactly one version published" (v0 + 1)
+    (Database.version db);
+  Alcotest.(check int) "all 3 rows deleted" 0
+    (Relation.cardinal (Database.get db "Edge"));
+  Alcotest.(check int) "view maintained" 0 (TS.cardinal (query_tc db))
+
 (* stale-read regression: with maintenance off, an update must not leave
    the old extent being served *)
 let test_stale_read () =
@@ -1021,6 +1060,8 @@ let () =
           Alcotest.test_case "MATERIALIZE output" `Quick
             test_surface_materialize_output;
           Alcotest.test_case "DELETE maintains" `Quick test_surface_delete;
+          Alcotest.test_case "multi-row DELETE is one commit" `Quick
+            test_surface_multi_row_delete;
           Alcotest.test_case "stale read under MAINTAIN OFF" `Quick
             test_stale_read;
           Alcotest.test_case "EXPLAIN ANALYZE DELETE" `Quick

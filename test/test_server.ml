@@ -92,7 +92,7 @@ let str_pair a b = Tuple.of_list [ Value.str a; Value.str b ]
 let serve_tc snap =
   match snap.Snapshot.views with
   | [ { Snapshot.fv_serve = Some serve; _ } ] ->
-    let def = Snapshot.SM.find "tc" snap.Snapshot.constructors in
+    let def = Snapshot.SM.find "tc" snap.Snapshot.state.constructors in
     (match serve def (Option.get (Snapshot.get snap "Edge")) [] with
     | Some rel -> rel
     | None -> Alcotest.fail "the frozen view declined its own application")

@@ -343,6 +343,10 @@ let test_empty_delta_versions () =
 
 let steps = 1000
 
+(* a periodic checkpoint every 25 logged records, and on nothing else *)
+let every_25 =
+  { Durable.cp_records = Some 25; cp_bytes = None; cp_seconds = None }
+
 exception Crashed of Tuple.t list * Tuple.t list
 
 let crash_matrix site seed () =
@@ -355,9 +359,9 @@ let crash_matrix site seed () =
   in
   let dir = fresh_dir "crash" in
   let ddb = Database.create () in
-  (* checkpoint_every low enough that the checkpoint-path sites fire
+  (* a record count low enough that the checkpoint-path sites fire
      well inside the stream *)
-  let _dur = Durable.open_dir ~db:ddb ~checkpoint_every:25 dir in
+  let _dur = Durable.open_dir ~db:ddb ~policy:every_25 dir in
   ignore (setup ddb init);
   let odb = Database.create () in
   ignore (setup odb init);
@@ -412,6 +416,72 @@ let crash_matrix site seed () =
     ~msg:(Fmt.str "%s clean reopen (seed %d)" site seed)
     odb (Durable.db r2);
   Durable.close r2
+
+(* ------------------------------------------------------------------ *)
+(* Statements and the view registry against the log *)
+
+let tc_source =
+  {|TYPE edgerel = RELATION a, b OF RECORD a, b: STRING END;
+VAR Edge: edgerel;
+CONSTRUCTOR tc FOR Rel: edgerel (): edgerel;
+BEGIN EACH e IN Rel: TRUE,
+      <e.a, p.b> OF EACH e IN Rel, EACH p IN Rel{tc()}: e.b = p.a
+END tc;
+INSERT Edge VALUES ("a", "b"), ("b", "c"), ("c", "d");
+|}
+
+(* One elaboration session over [db]: type names persist across calls *)
+let session db =
+  let env = Dc_lang.Elaborate.create db in
+  fun src -> ignore (Dc_lang.Elaborate.run env (Dc_lang.Parser.parse src))
+
+(* A multi-row DELETE is one commit, so one WAL record *)
+let test_multi_row_delete_one_record () =
+  Guard.Failpoint.reset ();
+  let dir = fresh_dir "delete" in
+  let db = Database.create () in
+  let dur = Durable.open_dir ~db dir in
+  let run = session db in
+  run tc_source;
+  let lsn = Durable.durable_lsn dur and v = Database.version db in
+  run {|DELETE Edge VALUES ("a", "b"), ("b", "c"), ("c", "d");|};
+  Alcotest.(check int) "one WAL record" (lsn + 1) (Durable.durable_lsn dur);
+  Alcotest.(check int) "one version" (v + 1) (Database.version db);
+  Durable.close dur
+
+(* The view registry is the database's journaled maintainer list: a
+   re-MATERIALIZE whose registration checkpoint faults leaves the view
+   it replaces registered, so the next catalog checkpoint, and the
+   recovery from it, keep serving it. *)
+let test_failed_rematerialize_keeps_view () =
+  Guard.Failpoint.reset ();
+  Fun.protect ~finally:Guard.Failpoint.reset @@ fun () ->
+  let dir = fresh_dir "rematerialize" in
+  let db = Database.create () in
+  let dur = Durable.open_dir ~db dir in
+  let agree step db =
+    Alcotest.(check (list string))
+      (step ^ ": Ivm.views names the snapshot's views")
+      (Snapshot.view_names (Database.snapshot db))
+      (List.map Ivm.name (Ivm.views db))
+  in
+  let run = session db in
+  run (tc_source ^ "MATERIALIZE Edge{tc()};");
+  agree "MATERIALIZE" db;
+  Guard.Failpoint.arm "wal.checkpoint" 1;
+  (match run "MATERIALIZE Edge{tc()};" with
+  | () -> Alcotest.fail "wal.checkpoint never hit"
+  | exception Guard.Exhausted (Guard.Fault_injected "wal.checkpoint", _) -> ());
+  agree "failed re-MATERIALIZE" db;
+  run "VAR Other: edgerel;";
+  agree "catalog checkpoint" db;
+  Durable.close dur;
+  let r = Durable.open_dir dir in
+  Alcotest.(check (list string))
+    "the view survives the reopen" [ "tc__Edge" ]
+    (Snapshot.view_names (Database.snapshot (Durable.db r)));
+  agree "reopen" (Durable.db r);
+  Durable.close r
 
 (* ------------------------------------------------------------------ *)
 (* Checkpoint policy: byte- and time-based scheduling bound the replay
@@ -483,14 +553,7 @@ let test_checkpoint_policy () =
   Unix.sleepf 0.06;
   Database.update_batch db [ ("edge", [ pair 10 11 ], []) ];
   Alcotest.(check int) "deadline commit checkpointed" 0 (wal_bytes dir);
-  Durable.close dur;
-  (* both knobs at once is ambiguous *)
-  Alcotest.check_raises "policy + checkpoint_every rejected"
-    (Invalid_argument
-       "Durable.open_dir: pass checkpoint_every or policy, not both") (fun () ->
-      ignore
-        (Durable.open_dir ~checkpoint_every:5 ~policy:Durable.default_policy
-           (fresh_dir "policy_both")))
+  Durable.close dur
 
 (* ------------------------------------------------------------------ *)
 (* Group commit: several commits buffered into one [Wal.append_batch]
@@ -546,7 +609,7 @@ let crash_group seed () =
   in
   let dir = fresh_dir "group_crash" in
   let ddb = Database.create () in
-  let dur = Durable.open_dir ~db:ddb ~checkpoint_every:25 dir in
+  let dur = Durable.open_dir ~db:ddb ~policy:every_25 dir in
   ignore (setup ddb init);
   let v0 = Database.version ddb in
   (* [wal.group] ticks between the frames of one batched flush, so the
@@ -742,6 +805,13 @@ let () =
             test_empty_delta_versions;
         ] );
       ("crash matrix", matrix);
+      ( "statements",
+        [
+          Alcotest.test_case "multi-row DELETE is one record" `Quick
+            test_multi_row_delete_one_record;
+          Alcotest.test_case "failed re-MATERIALIZE keeps the view" `Quick
+            test_failed_rematerialize_keeps_view;
+        ] );
       ( "checkpoint policy",
         [
           Alcotest.test_case "bytes and time criteria" `Quick
