@@ -15,8 +15,10 @@ bench:
 
 # Seconds-long sanity pass: the two cheapest recursive experiments,
 # planned_closure_256 (a QUERY's plan against the interpreter on the
-# 256-chain) and planned_closure_random_300 (the same on a strongly
-# connected 300-node, 900-edge digraph; both exit 1 if the answers
+# 256-chain), planned_closure_random_300 (the same on a strongly
+# connected 300-node, 900-edge digraph) and planned_scene_256 (the §3.1
+# scene Infront{ahead(Ontop)} over the 256-deep scene, its ahead/above
+# automaton against the mutual fixpoint; all three exit 1 if the answers
 # differ) and the wire codec cells (a 90,000-row and a 3-row Rows frame;
 # exits 1 if a decoded frame differs from its rows).
 bench-smoke:

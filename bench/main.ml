@@ -1132,8 +1132,8 @@ let horn_cell ~seed ~nodes ~edges () =
     Dc_datalog.Facts.TS.cardinal result,
     Some stats.Dc_datalog.Seminaive.derivations )
 
-(* mutually recursive ahead/above system *)
-let scene_cell depth () =
+(* The §3.1 scene of [depth] over stacks of 3, with ahead/above defined. *)
+let scene_db depth =
   let infront, ontop = Graph_gen.scene ~depth ~stack:3 in
   let db = Database.create ~strategy:Fixpoint.Seminaive () in
   Database.declare db "Infront" (Constructor.infront_schema Value.TStr);
@@ -1142,9 +1142,15 @@ let scene_cell depth () =
   Database.set db "Ontop" ontop;
   let ahead, above = Constructor.ahead_above () in
   Database.define_constructors db [ ahead; above ];
-  ignore
-    (Database.query db
-       Ast.(Construct (Rel "Infront", "ahead", [ Arg_range (Rel "Ontop") ])));
+  db
+
+let scene_query =
+  Ast.(Construct (Rel "Infront", "ahead", [ Arg_range (Rel "Ontop") ]))
+
+(* mutually recursive ahead/above system, evaluated by the engine *)
+let scene_cell depth () =
+  let db = scene_db depth in
+  ignore (Database.query db scene_query);
   fixpoint (Option.get (Database.last_stats db))
 
 (* magic-sets capture rule on the left-linear rule (Datalog path) *)
@@ -1197,7 +1203,7 @@ let print_records records =
 
 (* ------------------------------------------------------------------ *)
 (* Planned against direct: what a QUERY's plan buys on the 256-chain.
-   The closure recogniser hands the non-linear [tcn] to the closure
+   The regular-system recogniser hands the non-linear [tcn] to the closure
    operator (planned, against the interpreter's non-linear fixpoint and
    against the right-linear [tc]'s), and the point closure
    {EACH r IN Edge{tc()}: r.src = "n0"} to one traversal from n0
@@ -1275,37 +1281,48 @@ let strongly_connected ~seed ~nodes ~edges =
   done;
   Graph_gen.of_pairs (Hashtbl.fold (fun e () acc -> e :: acc) seen [])
 
-(* servebench's [Rand{tc()}] shape: the closure of a strongly connected
-   300-node, 900-edge digraph (90,000 rows), planned (the closure
-   operator from every source) against the interpreter's fixpoint;
-   exits 1 if the answers differ. *)
-let planned_random_record () =
-  let db = tc_db (strongly_connected ~seed:1 ~nodes:300 ~edges:900) in
-  let decide () = Dc_compile.Planner.plan (Database.typecheck_env db) tc_query in
+(* [q] over [db] planned (planning timed with the run) against the
+   interpreter, interleaved; exits 1 if the answers differ. *)
+let planned_against_direct name db q =
+  let decide () = Dc_compile.Planner.plan (Database.typecheck_env db) q in
   match
     interleaved
       [
         (fun () ->
           time (fun () ->
               Dc_compile.Planner.execute (Database.eval_env db) (decide ())));
-        (fun () -> time (fun () -> Database.query db tc_query));
+        (fun () -> time (fun () -> Database.query db q));
       ]
   with
   | [ (planned, planned_w); (direct, direct_w) ] ->
     if not (Relation.equal planned direct) then begin
-      Fmt.epr
-        "planned_closure_random_300: planned (%d rows) <> direct (%d rows)@."
+      Fmt.epr "%s: planned (%d rows) <> direct (%d rows)@." name
         (Relation.cardinal planned) (Relation.cardinal direct);
       exit 1
     end;
     {
-      pl_name = "planned_closure_random_300";
+      pl_name = name;
       pl_method = Dc_compile.Planner.method_name (decide ()).d_method;
       pl_planned = planned_w;
       pl_direct = direct_w;
       pl_reference = None;
     }
   | _ -> assert false
+
+(* servebench's [Rand{tc()}] shape: the closure of a strongly connected
+   300-node, 900-edge digraph (90,000 rows), planned (the closure
+   operator from every source) against the interpreter's fixpoint. *)
+let planned_random_record () =
+  planned_against_direct "planned_closure_random_300"
+    (tc_db (strongly_connected ~seed:1 ~nodes:300 ~edges:900))
+    tc_query
+
+(* servebench's §3.1 scene: Infront{ahead(Ontop)} over the 256-deep
+   scene (32,896 rows), planned (the traversal of the regular ahead/above
+   system's automaton over Infront and Ontop) against the interpreter's
+   mutual fixpoint. *)
+let planned_scene_record () =
+  planned_against_direct "planned_scene_256" (scene_db 256) scene_query
 
 let planned_json r =
   Json.Obj
@@ -1427,15 +1444,16 @@ let print_codec records =
         (r.cc_decode.iqr_ms *. 1000.))
     records
 
-(* The two cheapest recursive experiments, the planned closure cells and
-   the wire codec cells — a seconds-long sanity pass (`make bench-smoke`)
-   confirming the harness, the kernel, the planner and the Rows codec
-   still run; exits 1 if a planned answer differs from the direct one or
-   a decoded frame from its rows. *)
+(* The two cheapest recursive experiments, the planned closure and scene
+   cells and the wire codec cells — a seconds-long sanity pass (`make
+   bench-smoke`) confirming the harness, the kernel, the planner and the
+   Rows codec still run; exits 1 if a planned answer differs from the
+   direct one or a decoded frame from its rows. *)
 let run_smoke () =
   print_records
     (json_experiments ~only:[ "e5_mutual_scene_64"; "e4_magic_left_256" ] ());
-  print_planned (planned_records () @ [ planned_random_record () ]);
+  print_planned
+    (planned_records () @ [ planned_random_record (); planned_scene_record () ]);
   print_codec (codec_records ())
 
 (* ------------------------------------------------------------------ *)
@@ -2226,6 +2244,7 @@ let run_json path =
   let records = json_experiments () in
   let planned = planned_records () in
   let planned_random = planned_random_record () in
+  let planned_scene = planned_scene_record () in
   let metrics = Json.of_string (Dc_obs.Obs.to_json ()) in
   Dc_obs.Obs.set_enabled false;
   let overhead = obs_overhead_records () in
@@ -2242,6 +2261,7 @@ let run_json path =
       ("experiments", Json.Arr (List.map experiment_json records));
       ("planned_closure_256", Json.Arr (List.map planned_json planned));
       ("planned_closure_random_300", planned_json planned_random);
+      ("planned_scene_256", planned_json planned_scene);
       ("obs_overhead", obs_overhead_json overhead);
       ("ivm", Json.Arr (List.map view_json ivm @ [ toggle_json toggle ]));
       ( "aggregates",

@@ -97,6 +97,35 @@ let lookup_rel env n =
   | Some r -> r
   | None -> runtime_error "unknown relation %s" n
 
+(* Build the body-evaluation environment for an application: formal bound
+   to the base value, parameters bound to the argument values, outer tuple
+   variables dropped. *)
+let application_env env (def : Defs.constructor_def) base args =
+  if List.length args <> List.length def.con_params then
+    runtime_error "constructor %s expects %d argument(s), got %d"
+      def.con_name
+      (List.length def.con_params)
+      (List.length args);
+  (* Actual base and relation arguments are viewed at the formal types, so
+     the body's attribute names resolve regardless of the actual names. *)
+  let env =
+    bind_rel (clear_vars env) def.con_formal
+      (Relation.with_schema def.con_formal_schema base)
+  in
+  List.fold_left2
+    (fun env param arg ->
+      match param, arg with
+      | Defs.Scalar_param (n, _), V_scalar v -> bind_scalar env n v
+      | Defs.Rel_param (n, schema), V_rel r ->
+        bind_rel env n (Relation.with_schema schema r)
+      | Defs.Scalar_param (n, _), V_rel _ ->
+        runtime_error "constructor %s: parameter %s expects a scalar"
+          def.con_name n
+      | Defs.Rel_param (n, _), V_scalar _ ->
+        runtime_error "constructor %s: parameter %s expects a relation"
+          def.con_name n)
+    env def.con_params args
+
 let selector_def env s =
   match env.hooks.selector_def s with
   | Some d -> d

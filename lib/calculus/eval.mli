@@ -82,6 +82,15 @@ val clear_vars : env -> env
 (** Drop all tuple-variable bindings (definition bodies evaluate in a
     fresh variable scope). *)
 
+val application_env :
+  env -> Defs.constructor_def -> Relation.t -> arg_value list -> env
+(** The environment a constructor's body is evaluated in for the
+    application [base{def(args)}]: [env]'s relations, its formal bound to
+    [base] and its parameters to [args], each viewed at its declared
+    type, and no tuple variable.
+    @raise Runtime_error on an argument that does not match its
+    parameter. *)
+
 val lookup_rel : env -> string -> Relation.t
 (** @raise Runtime_error if unknown. *)
 

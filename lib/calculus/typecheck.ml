@@ -261,9 +261,11 @@ let aggregated_schema ~who (spec : Dc_agg.Agg.spec) raw =
     (List.map (fun i -> (Schema.attr_name raw i, Schema.attr_ty raw i)) spec.group
     @ [ (Schema.attr_name raw spec.value, Dc_agg.Agg.result_ty spec.op vty) ])
 
+let body_env env (def : Defs.constructor_def) =
+  with_rel (def_params_env env def.con_params) def.con_formal def.con_formal_schema
+
 let check_constructor_def env (def : Defs.constructor_def) =
-  let env = def_params_env env def.con_params in
-  let env = with_rel env def.con_formal def.con_formal_schema in
+  let env = body_env env def in
   let raw = infer_branches env [] def.con_body in
   match def.con_agg with
   | None ->

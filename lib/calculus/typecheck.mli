@@ -58,6 +58,10 @@ val aggregated_schema :
 
 val check_selector_def : env -> Defs.selector_def -> unit
 
+val body_env : env -> Defs.constructor_def -> env
+(** [env] with a constructor's formal and parameters in scope, as its
+    body sees them. *)
+
 val check_constructor_def : env -> Defs.constructor_def -> unit
 (** For an aggregated constructor ([con_agg]), the branches' inferred raw
     schema is grouped/folded through {!aggregated_schema} before the

@@ -1,30 +1,43 @@
-(** The closure recogniser: proves that a constructor is "the closure of
-    its exit branch by self-composition", so the planner may evaluate an
-    application of it with the closure operator ({!Dc_exec.Reach})
-    instead of the body's fixpoint (paper §4: the compile level chooses
-    how an application is evaluated).
+(** The regular-system recogniser: proves that the application system a
+    constructor's application reaches denotes a regular language over
+    base relations, so the planner may evaluate the application with the
+    product traversal ({!Dc_exec.Reach}) instead of the system's fixpoint
+    (paper §4: the compile level chooses how an application is
+    evaluated).
 
-    A constructor [c] FOR [Rel] is a closure when
-    - its result is binary, keyed on the whole tuple, with no aggregate;
-    - exactly one branch is its exit, the formal base [EACH e IN Rel: TRUE];
-    - every other branch composes two relations, each the base [Rel] or
-      the self application [Rel{c(params)}] (at least one of them), as
+    The system is unfolded from the root's application [Rel{c(params)}]:
+    every application a body makes is rewritten in the root's terms, the
+    callee's formal and range parameters replaced by the ranges the
+    caller passes, so [Rel{ahead(Ontop)}] reaches [Ontop{above(Rel)}],
+    whose body reaches [Rel{ahead(Ontop)}] again.  Each distinct
+    application is a state.  The system is regular when
+    - every state's constructor is binary, keyed on the whole tuple, with
+      no aggregate;
+    - every application a body makes passes names through: its base a
+      relation name, each argument a name or a scalar;
+    - every branch is an exit [EACH v IN base: TRUE] over a base range
+      (no application, no comprehension), or a chain composition
       [<l.first, r.second> OF EACH l IN .., EACH r IN ..: l.second =
-      r.first] with no other conjunct.
+      r.first] with no other conjunct;
+    - the compositions are all [base ∘ app] (right-linear) or all
+      [app ∘ base] (left-linear).
 
-    Every such system's least fixpoint is the transitive closure of
-    [Rel], whichever compositions it lists (base∘self, self∘base,
-    self∘self): stepping and squaring compute the same set, and so does
-    a traversal.  This is the one rewrite of Wang et al.'s FGH family
+    Its automaton's labels are the base ranges, in the root's terms.
+    Squaring [app ∘ app], and any mix of sides, is accepted only in a
+    one-state system over one relation: that system is the closure of
+    its exit, {!Dc_exec.Reach.closure}.  This is one rewrite of Wang et
+    al.'s FGH family (linear chain programs are regular path queries)
     whose proof is textbook. *)
 
 open Dc_calculus
 
-type verdict =
-  | Closure
-  | Declined of string  (** a near miss, and why *)
-  | Not_candidate
-      (** some branch joins more than two relations: not a composition,
-          so no near miss worth a planning note *)
+type system = {
+  automaton : Dc_exec.Reach.automaton;
+  labels : Ast.range array;
+      (** each label's range, over the root's formal, its parameters and
+          global relations: evaluated where the root's body would be *)
+}
 
-val recognise : Defs.constructor_def -> verdict
+type verdict = Regular of system | Declined of string  (** a near miss, and why *)
+
+val recognise : Typecheck.env -> Defs.constructor_def -> verdict

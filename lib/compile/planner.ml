@@ -10,11 +10,12 @@
       constructed relation by constants, the capture-rule path (magic
       sets over the translated Horn program) propagates the constants into
       the fixpoint;
-   4. a recursive application whose constructor {!Closure} proves to be
-      the closure of its exit branch by self-composition runs the closure
-      operator ({!Dc_exec.Reach}) instead of fixpoint rounds: from every
-      source, from a bound first column, or backwards from a bound
-      second one.
+   4. a recursive application whose system {!Closure} proves regular
+      runs the closure operator ({!Dc_exec.Reach}), a traversal in
+      product with the system's automaton, instead of fixpoint rounds:
+      from every source, or, for the one binder of the query's
+      comprehension that a constant or parameter binds, from its bound
+      first column or backwards from its bound second one.
 
    An application a registered maintained view answers keeps the direct
    method, so the view answers it.
@@ -27,13 +28,17 @@
 open Dc_relation
 open Dc_calculus
 
-(* The query's own application [s_base{s_closure()}] restricted by
-   column [s_column] = [s_key]: [s_query] reads the seeded traversal's
-   pairs from [s_name], the application's text.  Other applications of
-   the closure, in a selector's predicate say, stay whole. *)
+(* A recognised constructor and its regular system. *)
+type regular = { r_def : Defs.constructor_def; r_system : Closure.system }
+
+(* The query's own application [s_app] of [s_regular], bound by one
+   binder whose column [s_column] = [s_key]: [s_query] reads the seeded
+   traversal's pairs from [s_name], the application's text.  Other
+   applications of the constructor, in a selector's predicate or another
+   binder say, stay whole. *)
 type seed = {
-  s_closure : Defs.constructor_def;
-  s_base : Ast.range;
+  s_regular : regular;
+  s_app : Ast.range;
   s_column : int;
   s_key : Ast.term;
   s_name : string;
@@ -44,7 +49,7 @@ type method_ =
   | Direct (* evaluate as written: LFP of the application system *)
   | Decompiled of Ast.range (* inlined as a view (acyclic) *)
   | Pushed of Ast.range (* restriction distributed over branches *)
-  | Traversal of { closures : string list; seed : seed option }
+  | Traversal of { systems : regular list; seed : seed option }
   | Magic of {
       program : Dc_datalog.Syntax.program;
       query : Dc_datalog.Syntax.atom;
@@ -121,36 +126,71 @@ let magic (catalog : Typecheck.env) notes v app (def : Defs.constructor_def)
     note notes "translation unsupported (%s): direct fixpoint" msg;
     Direct
 
-(* Is [def] a closure ({!Closure})?  A near miss gets a note. *)
-let recognised notes (def : Defs.constructor_def) =
-  match Closure.recognise def with
-  | Closure.Closure -> true
-  | Not_candidate -> false
+(* Is [def]'s system regular ({!Closure})?  A near miss gets a note. *)
+let recognised catalog notes (def : Defs.constructor_def) =
+  match Closure.recognise catalog def with
+  | Closure.Regular r_system -> Some { r_def = def; r_system }
   | Declined why ->
-    note notes "closure recogniser declined %s: %s" def.con_name why;
-    false
+    note notes "regular-system recogniser declined %s: %s" def.con_name why;
+    None
 
-(* The closure operator for [query], the restricted application [app]
-   of the closure [def] bound to [v], seeded by a bound column. *)
-let traversal notes closures query v app (def : Defs.constructor_def) bindings =
-  let bound i = List.assoc_opt (Schema.attr_name def.con_result i) bindings in
-  let seed s_column s_key =
-    match (query, app) with
-    | Ast.Comp [ b ], Ast.Construct (s_base, _, _) ->
-      let s_name = Fmt.str "%a" Ast.pp_range app in
-      let s_query = Ast.Comp [ { b with binders = [ (v, Ast.Rel s_name) ] } ] in
-      Some { s_closure = def; s_base; s_column; s_key; s_name; s_query }
+let regular_of systems c =
+  List.find_opt (fun r -> String.equal r.r_def.con_name c) systems
+
+let pp_labels =
+  Fmt.(
+    using
+      (fun (s : Closure.system) -> Array.to_list s.labels)
+      (list ~sep:(any ", ") Ast.pp_range))
+
+(* The closure operator for [query] over the recognised [systems],
+   seeded when the query is one comprehension and a constant or
+   parameter binds a column of a binder over one of their applications:
+   the first such binder, by its first column if bound, else its
+   second. *)
+let traversal notes systems query =
+  let seed (b : Ast.branch) (v, app) =
+    match app with
+    | Ast.Construct (_, c, _) -> (
+      match regular_of systems c with
+      | None -> None
+      | Some s_regular ->
+        let bindings, _ = Pushdown.constant_bindings v b.where in
+        let bound i =
+          List.assoc_opt (Schema.attr_name s_regular.r_def.con_result i) bindings
+        in
+        let seed s_column s_key =
+          let s_name = Fmt.str "%a" Ast.pp_range app in
+          let binders =
+            List.map (fun (x, r) -> if x = v then (x, Ast.Rel s_name) else (x, r)) b.binders
+          in
+          Some
+            ( { s_regular; s_app = app; s_column; s_key; s_name;
+                s_query = Ast.Comp [ { b with binders } ] },
+              v )
+        in
+        match (bound 0, bound 1) with
+        | Some key, _ -> seed 0 key
+        | None, Some key -> seed 1 key
+        | None, None -> None)
     | _ -> None
   in
-  let seed, how =
-    match (bound 0, bound 1) with
-    | Some key, _ -> (seed 0 key, ", from the bound first column")
-    | None, Some key -> (seed 1 key, ", backwards from the bound second column")
-    | None, None -> (None, "")
+  let seed =
+    match query with
+    | Ast.Comp [ b ] -> List.find_map (seed b) b.binders
+    | _ -> None
   in
-  note notes "%s is the closure of its exit branch: closure operator%s"
-    def.con_name how;
-  Traversal { closures; seed }
+  List.iter
+    (fun r ->
+      note notes "%s is regular over %a: closure operator%s" r.r_def.con_name
+        pp_labels r.r_system
+        (match seed with
+        | Some (s, v) when s.s_regular == r ->
+          if s.s_column = 0 then Fmt.str ", from %s's bound first column" v
+          else Fmt.str ", backwards from %s's bound second column" v
+        | _ -> ""))
+    systems;
+  Traversal { systems; seed = Option.map fst seed }
 
 (* The evaluation method, from the dependency graph of the constructors
    the query reaches.  Every rewrite — inlining, pushing a restriction,
@@ -184,15 +224,15 @@ let choose (catalog : Typecheck.env) names notes (query : Ast.range) recursive =
   let whole (d : Defs.constructor_def) =
     d.con_agg = None && Schema.key_is_whole_tuple d.con_result
   in
-  (* the recursive constructors the query applies that are closures:
-     each of their applications runs the closure operator *)
-  let closures () =
+  (* the recursive constructors the query applies whose systems are
+     regular: each of their applications runs the closure operator *)
+  let systems () =
     Vars.apps_of_range query
     |> List.map (fun (a : Vars.app) -> a.app_con)
     |> List.sort_uniq String.compare
-    |> List.filter (fun c ->
-           Depgraph.is_recursive dep c
-           && Option.fold ~none:false ~some:(recognised notes) (constructor_of c))
+    |> List.filter (Depgraph.is_recursive dep)
+    |> List.filter_map (fun c ->
+           Option.bind (constructor_of c) (recognised catalog notes))
   in
   match
     ( List.find_opt (served catalog) (Vars.apps_of_range query),
@@ -229,27 +269,22 @@ let choose (catalog : Typecheck.env) names notes (query : Ast.range) recursive =
         decompile ()
     end
     else
-      let closures = closures () in
+      let systems = systems () in
       match constructor_of c with
       | None -> Direct
-      | Some def when List.mem c closures ->
-        traversal notes closures query v app def bindings
+      | Some _ when Option.is_some (regular_of systems c) ->
+        traversal notes systems query
       | Some _ when bindings = [] ->
         note notes "recursive application without constant restriction: fixpoint";
         Direct
       | Some def -> magic catalog notes v app def bindings residual)
   | Some (_, _, _) | None ->
     if recursive then begin
-      let closures = closures () in
-      if closures = [] then begin
+      match systems () with
+      | [] ->
         note notes "recursive quant graph: fixpoint evaluation";
         Direct
-      end
-      else begin
-        note notes "recursive quant graph: closure operator for %s"
-          (String.concat ", " closures);
-        Traversal { closures; seed = None }
-      end
+      | systems -> traversal notes systems query
     end
     else begin
       let has_defs =
@@ -326,31 +361,38 @@ let coerce schema rel =
   if Schema.equal (Relation.schema rel) schema then rel
   else Relation.of_list schema (Relation.to_list rel)
 
-(* The closure operator over [base] for the closure [def], the pairs
-   [seed] selects. *)
-let reach (env : Eval.env) (def : Defs.constructor_def) base seed =
+(* The closure operator for the application [base{r(args)}], the pairs
+   [seed] selects: each label is evaluated once, where the body would
+   be. *)
+let reach (env : Eval.env) r base args seed =
+  let def = r.r_def in
+  let body = Eval.application_env env def base args in
+  let labels =
+    Array.map
+      (fun range ->
+        Dc_exec.Ir.Fixed
+          (Dc_exec.Extent.of_relation
+             ~label:(Fmt.str "%a" Ast.pp_range range)
+             ~cache:env.icache (Eval.eval_range body range)))
+      r.r_system.labels
+  in
   let op =
-    Dc_exec.Ir.closure
-      ~label:(lazy def.con_name)
-      ~base:
-        (Fixed
-           (Dc_exec.Extent.of_relation ~label:def.con_formal ~cache:env.icache
-              base))
-      seed
+    Dc_exec.Ir.closure ~label:(lazy def.con_name) ~labels r.r_system.automaton seed
   in
   Option.iter
     (fun tr -> Dc_exec.Ir.Trace.record tr ~label:("closure " ^ def.con_name) op)
     env.trace;
   Dc_exec.Ir.collect_sorted ~guard:env.guard ~schema:def.con_result op
 
-(* [env] with every application of [closures] resolved by the closure
+(* [env] with every application of [systems] resolved by the closure
    operator, from every source, and every other application by the
    environment's own route. *)
-let traversing closures (env : Eval.env) =
+let traversing systems (env : Eval.env) =
   let route = env.hooks.on_construct in
   let on_construct (env : Eval.env) base (def : Defs.constructor_def) args =
-    if List.mem def.con_name closures then reach env def base Dc_exec.Reach.Every
-    else route env base def args
+    match regular_of systems def.con_name with
+    | Some r -> reach env r base args Dc_exec.Reach.Every
+    | None -> route env base def args
   in
   { env with hooks = { env.hooks with on_construct } }
 
@@ -359,14 +401,19 @@ let execute ?use_indexes (env : Eval.env) (d : decision) =
   | Some plan, _ -> coerce d.d_schema (Plan.run ?use_indexes env plan)
   | None, Direct -> Eval.eval_range env d.d_query
   | None, (Decompiled q | Pushed q) -> coerce d.d_schema (Eval.eval_range env q)
-  | None, Traversal { closures; seed } -> (
-    let env = traversing closures env in
+  | None, Traversal { systems; seed } -> (
+    let env = traversing systems env in
     match seed with
     | None -> Eval.eval_range env d.d_query
     | Some s ->
       let key = Eval.eval_term env s.s_key in
       let seed = if s.s_column = 0 then Dc_exec.Reach.From key else To key in
-      let pairs = reach env s.s_closure (Eval.eval_range env s.s_base) seed in
+      let base, args =
+        match s.s_app with
+        | Ast.Construct (base, _, args) -> (Eval.eval_range env base, Eval.eval_args env args)
+        | _ -> assert false
+      in
+      let pairs = reach env s.s_regular base args seed in
       Eval.eval_range (Eval.bind_rel env s.s_name pairs) s.s_query)
   | None, Magic { program; query; compiled; schema; residual; var; _ } ->
     let stats = Dc_datalog.Seminaive.fresh_stats () in
@@ -458,11 +505,12 @@ let explain ppf (d : decision) =
   List.iter (fun n -> Fmt.pf ppf "note: %s@." n) d.d_notes;
   (match d.d_method with
   | Decompiled q | Pushed q -> Fmt.pf ppf "rewritten: %a@." Ast.pp_range q
-  | Traversal { closures; seed } ->
-    Fmt.pf ppf "closure operator: %s%a@." (String.concat ", " closures)
+  | Traversal { systems; seed } ->
+    Fmt.pf ppf "closure operator: %s%a@."
+      (String.concat ", " (List.map (fun r -> r.r_def.con_name) systems))
       Fmt.(
         option (fun ppf s ->
-            pf ppf " (%s %s %a)" s.s_closure.con_name
+            pf ppf " (%s %s %a)" s.s_regular.r_def.con_name
               (if s.s_column = 0 then "from" else "to")
               Ast.pp_term s.s_key))
       seed

@@ -12,16 +12,20 @@
 open Dc_relation
 open Dc_calculus
 
-(** A closure operator's seed: the query restricts its own application
-    [s_base{s_closure()}] by column [s_column] (0 or 1) = [s_key], a
-    constant or a parameter.  The operator traverses from that value, or
-    backwards from it, once, and [s_query] — the query with that
-    application read from the relation [s_name], the application's text,
-    which the execution binds to the pairs — reads them.  Any other application of the closure, in the query or in a
-    selector's predicate, produces every pair. *)
+(** A constructor whose application system {!Closure} proves regular. *)
+type regular = { r_def : Defs.constructor_def; r_system : Closure.system }
+
+(** A closure operator's seed: one binder of the query's comprehension
+    ranges over the application [s_app] of [s_regular], and a constant or
+    parameter binds its column [s_column] (0 or 1) to [s_key].  The
+    operator traverses from that value, or backwards from it, once, and
+    [s_query] — the query with that binder reading the relation
+    [s_name], the application's text, which the execution binds to the
+    pairs — reads them.  Any other application of the constructor, in
+    another binder or in a selector's predicate, produces every pair. *)
 type seed = {
-  s_closure : Defs.constructor_def;
-  s_base : Ast.range;
+  s_regular : regular;
+  s_app : Ast.range;
   s_column : int;
   s_key : Ast.term;
   s_name : string;
@@ -34,10 +38,11 @@ type method_ =
   | Decompiled of Ast.range  (** inlined as a view (acyclic) *)
   | Pushed of Ast.range  (** restriction distributed over branches *)
   | Traversal of {
-      closures : string list;
-          (** constructors {!Closure} proves to be closures: each of their
-              applications runs the closure operator ({!Dc_exec.Reach})
-              over its evaluated base, not the body's fixpoint *)
+      systems : regular list;
+          (** the recursive constructors the query applies whose systems
+              are regular: each of their applications runs the closure
+              operator ({!Dc_exec.Reach}) over its labels, evaluated for
+              its base and arguments, not the system's fixpoint *)
       seed : seed option;
     }
   | Magic of {

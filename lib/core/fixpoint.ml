@@ -250,41 +250,12 @@ let find_def st c =
   | Some d -> d
   | None -> Eval.runtime_error "unknown constructor %s" c
 
-(* Build the body-evaluation environment for an application: formal bound
-   to the base value, parameters bound to the argument values, outer tuple
-   variables dropped. *)
-let app_env env (def : Defs.constructor_def) base args =
-  if List.length args <> List.length def.con_params then
-    Eval.runtime_error "constructor %s expects %d argument(s), got %d"
-      def.con_name
-      (List.length def.con_params)
-      (List.length args);
-  (* Actual base and relation arguments are viewed at the formal types, so
-     the body's attribute names resolve regardless of the actual names. *)
-  let env =
-    Eval.bind_rel (Eval.clear_vars env) def.con_formal
-      (Relation.with_schema def.con_formal_schema base)
-  in
-  List.fold_left2
-    (fun env param arg ->
-      match param, arg with
-      | Defs.Scalar_param (n, _), Eval.V_scalar v -> Eval.bind_scalar env n v
-      | Defs.Rel_param (n, schema), Eval.V_rel r ->
-        Eval.bind_rel env n (Relation.with_schema schema r)
-      | Defs.Scalar_param (n, _), Eval.V_rel _ ->
-        Eval.runtime_error "constructor %s: parameter %s expects a scalar"
-          def.con_name n
-      | Defs.Rel_param (n, _), Eval.V_scalar _ ->
-        Eval.runtime_error "constructor %s: parameter %s expects a relation"
-          def.con_name n)
-    env def.con_params args
-
 let register st env (def : Defs.constructor_def) base args =
   let key = { Key.con = def.con_name; base; args } in
   match KM.find_opt key st.apps with
   | Some app -> app
   | None ->
-    let base_env = app_env env def base args in
+    let base_env = Eval.application_env env def base args in
     let shape =
       match st.strategy with
       | Naive -> Opaque

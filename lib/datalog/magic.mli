@@ -11,7 +11,6 @@ type adornment = bool list
 val adornment_string : adornment -> string
 (** e.g. ["bf"]. *)
 
-val adorned_name : string -> adornment -> string
 val magic_name : string -> adornment -> string
 
 type compiled

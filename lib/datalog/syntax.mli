@@ -54,8 +54,6 @@ val unsafe_vars : rule -> string list
 (** Head/negation/test variables missing from every positive body atom
     (range restriction). *)
 
-val is_safe : rule -> bool
-
 exception Unsafe_rule of rule
 
 val check_safe : program -> unit

@@ -198,11 +198,12 @@ and top =
              table for the evaluator's round loop to drain *)
     }
   | Closure of {
-      cl_base : source;  (* binary edges *)
+      cl_labels : source array;  (* binary edges, one source per label *)
+      cl_automaton : Reach.automaton;
       cl_seed : Reach.seed;
     }
-      (* leaf: the base's transitive closure by traversal ({!Reach}),
-         in tuple order; probes count the traversals *)
+      (* leaf: the root's relation of a regular system by traversal
+         ({!Reach}), in tuple order; probes count the traversals *)
 
 let project ~label ~init ~tuple input =
   { top = Project { p_input = input; p_init = init; p_tuple = tuple };
@@ -221,9 +222,9 @@ let group ~label ~table t =
   { top = Group { g_input = t; g_table = table }; tlabel = label;
     tc = fresh_counters () }
 
-let closure ~label ~base seed =
-  { top = Closure { cl_base = base; cl_seed = seed }; tlabel = label;
-    tc = fresh_counters () }
+let closure ~label ~labels automaton seed =
+  { top = Closure { cl_labels = labels; cl_automaton = automaton; cl_seed = seed };
+    tlabel = label; tc = fresh_counters () }
 
 (* ------------------------------------------------------------------ *)
 (* Execution.  Push-based internally: each operator folds its input and
@@ -355,11 +356,11 @@ let rec run ?(guard = Guard.none) (ctx : ctx) (t : t) (k : Tuple.t -> unit) =
           prof_tick c;
           k result)
   | Closure cl ->
-    let ext = resolve ctx cl.cl_base in
+    let labels = Array.map (fun src -> (resolve ctx src).Extent.iter) cl.cl_labels in
     (* a trip names the operator, not just the constructor it closes *)
     let label = lazy ("closure " ^ Lazy.force label) in
     let traversals =
-      Reach.iter ext.Extent.iter cl.cl_seed (fun a b ->
+      Reach.iter labels cl.cl_automaton cl.cl_seed (fun a b ->
           c.rows <- c.rows + 1;
           Guard.tick guard label;
           prof_tick c;
@@ -460,7 +461,8 @@ let rec pp_gen times ppf (t : t) =
       (Lazy.force t.tlabel) pp_counters t.tc (pp_gen times) g.g_input
   | Closure cl ->
     Fmt.pf ppf "%s %s over %s (%a) %a" (top_name t.top) (Lazy.force t.tlabel)
-      (source_label cl.cl_base) Reach.pp_seed cl.cl_seed pp_counters t.tc
+      (String.concat ", " (Array.to_list (Array.map source_label cl.cl_labels)))
+      Reach.pp_seed cl.cl_seed pp_counters t.tc
 
 let pp ppf t = pp_gen false ppf t
 let pp_analyze ppf t = pp_gen true ppf t
@@ -544,7 +546,7 @@ module Trace = struct
     | Diff s, Diff f -> zip acc s.d_input f.d_input
     | Distinct s, Distinct f -> zip acc s f
     | Group s, Group f -> zip acc s.g_input f.g_input
-    | Closure _, Closure _ -> acc
+    | Closure s, Closure f when s.cl_seed = f.cl_seed -> acc
     | _ -> raise Shape_mismatch
 
   (* Fold the counters of [fresh] into [stored].  The whole shape is

@@ -92,7 +92,6 @@ val check : t -> site:string -> unit
     entry points).  Also a {!Failpoint} site.  @raise Exhausted *)
 
 val pp_reason : reason Fmt.t
-val pp_progress : progress Fmt.t
 
 val pp_report : (reason * progress) Fmt.t
 (** The user-facing exhaustion report: reason, partial progress, and the

@@ -206,11 +206,6 @@ let partition_hash ~shards r =
     Array.map (fun tuples -> { r with tuples }) out
   end
 
-(* Deterministic structural hash of the tuple set, used to memoize
-   constructor applications on relation-valued arguments. *)
-let content_hash r =
-  Tuple_set.fold (fun t acc -> (acc * 1000003) + Tuple.hash t) r.tuples 5381
-
 let pp ppf r =
   let iter_tuples f rel = iter f rel in
   Fmt.pf ppf "{@[<hov>%a@]}"

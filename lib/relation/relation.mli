@@ -102,10 +102,6 @@ val partition_hash : shards:int -> t -> t array
     cached structural tuple hash; deterministic for a fixed shard count.
     [shards <= 1] returns the relation unsplit. *)
 
-val content_hash : t -> int
-(** Deterministic hash of the tuple set (memoization of relation-valued
-    constructor arguments). *)
-
 val pp : t Fmt.t
 (** Set-brace rendering, e.g. [{<1, 2>, <2, 3>}]. *)
 

@@ -91,10 +91,6 @@ val execute : session -> string -> string
 val execute_decl : session -> Dc_lang.Surface.decl -> string
 (** Execute one parsed statement (see {!execute}). *)
 
-val execute_program : session -> Dc_lang.Surface.program -> string
-(** Execute a parsed program statement by statement; consecutive
-    CONSTRUCTOR declarations still register as one mutually recursive
-    group. *)
 
 val query : session -> Dc_calculus.Ast.range -> Dc_relation.Relation.t * int
 (** Library-level read: plan a calculus range against the session's

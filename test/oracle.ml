@@ -593,7 +593,7 @@ let scene_query =
 
 (* Pairs joined by a path of even length, over a binary relation with
    columns src and dst: recursive, but its step joins three relations,
-   so the planner's closure recogniser passes it by and it keeps the
+   so the planner's regular-system recogniser declines it and it keeps the
    constructor fixpoint (nothing bound) and the capture rule (a column
    bound).  [even_paths_source] is the same constructor in DBPL, over a
    relation type named [e]. *)

@@ -594,8 +594,8 @@ let test_prepared_recursive_method () =
       Alcotest.(check bool)
         (attr ^ " bound: method") true
         (contains (Planner.prepared_description prepared)
-           ("closure operator; tc is the closure of its exit branch: \
-             closure operator, " ^ direction));
+           ("closure operator; tc is regular over Rel: closure operator, "
+           ^ direction));
       List.iter
         (fun v ->
           let direct =
@@ -614,8 +614,8 @@ let test_prepared_recursive_method () =
             (Planner.run_prepared prepared (Database.eval_env db) [ Value.Str v ]))
         [ "n0"; "n2"; "n6"; "absent" ])
     [
-      ("src", "from the bound first column");
-      ("dst", "backwards from the bound second column");
+      ("src", "from r's bound first column");
+      ("dst", "backwards from r's bound second column");
     ]
 
 let test_prepared_argument_checks () =
@@ -1251,6 +1251,48 @@ let closure_families rng n =
     ("integer", Value.TInt, random (2 * n));
   ]
 
+(* Every [where] over [p] ranging over [app] must run the closure
+   operator and answer [full] restricted by [where], planned and as a
+   prepared form with its constants lifted, over the database's and a
+   snapshot's environment. *)
+let planned_patterns ~msg db app schema full patterns =
+  List.iter
+    (fun where ->
+      let q = Ast.(Comp [ branch [ ("p", app) ] ~where ]) in
+      let want =
+        Relation.filter
+          (fun t ->
+            Eval.eval_formula
+              (Eval.bind_var (Database.eval_env db) "p" t schema)
+              where)
+          full
+      in
+      let catalog = Database.typecheck_env db in
+      let d = Planner.plan catalog q in
+      let msg what = msg (Fmt.str "%s: %a" what Ast.pp_range q) in
+      Alcotest.(check string) (msg "method") "closure operator"
+        (Planner.method_name d.d_method);
+      let lifted, params = lift where in
+      let form =
+        Planner.prepare catalog
+          ~params:(List.map (fun (p, v) -> (p, Value.type_of v)) params)
+          Ast.(Comp [ branch [ ("p", app) ] ~where:lifted ])
+      in
+      List.iter
+        (fun (env_name, env) ->
+          Alcotest.check rel_testable
+            (msg ("planned over the " ^ env_name ^ " env"))
+            want (Planner.execute (env ()) d);
+          Alcotest.check rel_testable
+            (msg ("prepared over the " ^ env_name ^ " env"))
+            want
+            (Planner.run_prepared form (env ()) (List.map snd params)))
+        [
+          ("database", fun () -> Database.eval_env db);
+          ("snapshot", fun () -> Snapshot.eval_env (Database.snapshot db));
+        ])
+    patterns
+
 let closure_oracle_seed seed =
   let rng = Rng.create seed in
   let n = 3 + Rng.int rng 12 in
@@ -1308,47 +1350,169 @@ let closure_oracle_seed seed =
                    eq (field "q" "src") (field "p" "dst") ));
           ]
       in
-      List.iter
-        (fun where ->
-          let q = Ast.(Comp [ branch [ ("p", app) ] ~where ]) in
-          let want =
-            Relation.filter
-              (fun t ->
-                Eval.eval_formula
-                  (Eval.bind_var (Database.eval_env db) "p" t schema)
-                  where)
-              fixpoint
-          in
-          let catalog = Database.typecheck_env db in
-          let d = Planner.plan catalog q in
-          let msg what = msg (Fmt.str "%s: %a" what Ast.pp_range q) in
-          Alcotest.(check string) (msg "method") "closure operator"
-            (Planner.method_name d.d_method);
-          let lifted, params = lift where in
-          let form =
-            Planner.prepare catalog
-              ~params:(List.map (fun (p, v) -> (p, Value.type_of v)) params)
-              Ast.(Comp [ branch [ ("p", app) ] ~where:lifted ])
-          in
-          List.iter
-            (fun (env_name, env) ->
-              Alcotest.check rel_testable
-                (msg ("planned over the " ^ env_name ^ " env"))
-                want (Planner.execute (env ()) d);
-              Alcotest.check rel_testable
-                (msg ("prepared over the " ^ env_name ^ " env"))
-                want
-                (Planner.run_prepared form (env ()) (List.map snd params)))
-            [
-              ("database", fun () -> Database.eval_env db);
-              ("snapshot", fun () -> Snapshot.eval_env (Database.snapshot db));
-            ])
-        patterns)
+      planned_patterns ~msg db app schema fixpoint patterns)
     (closure_families rng n)
+
+(* A seeded regular system of [k] states s0 .. s(k-1), each FOR Rel:
+   edge (A: edge, B: edge): edge.  Each state has zero to two exits over
+   its slots Rel, A and B, a step into the next state (so s0 is
+   recursive) and up to two more into random states; every application
+   a body makes passes the three slots in a random order, so the states
+   the recogniser unfolds are (constructor, order) pairs, as the scene's
+   Ontop{above(Rel)} is.  Every step is right-linear ([slot ∘ app]) or
+   every one left-linear ([app ∘ slot]); binder order and the side of the
+   join's equation vary too. *)
+let regular_system rng ~linear ~k =
+  let slots = [| "Rel"; "A"; "B" |] in
+  let slot () = Ast.Rel slots.(Rng.int rng 3) in
+  let app j =
+    let order = [| 0; 1; 2 |] in
+    Rng.shuffle rng order;
+    Ast.(
+      Construct
+        ( Rel slots.(order.(0)),
+          Fmt.str "s%d" j,
+          [ Arg_range (Rel slots.(order.(1))); Arg_range (Rel slots.(order.(2))) ] ))
+  in
+  let exit () =
+    if Rng.bool rng 0.5 then Ast.identity_branch (slot ())
+    else
+      Ast.(branch [ ("e", slot ()) ] ~target:[ field "e" "src"; field "e" "dst" ])
+  in
+  let step j =
+    (* [l ∘ r]: the left operand's first column, the right one's second *)
+    let l, r = match linear with `Right -> (slot (), app j) | `Left -> (app j, slot ()) in
+    let binders = if Rng.bool rng 0.5 then [ ("l", l); ("r", r) ] else [ ("r", r); ("l", l) ] in
+    let a = Ast.field "l" "dst" and b = Ast.field "r" "src" in
+    Ast.branch binders
+      ~target:[ Ast.field "l" "src"; Ast.field "r" "dst" ]
+      ~where:(if Rng.bool rng 0.5 then Ast.eq a b else Ast.eq b a)
+  in
+  List.init k (fun i ->
+      let exits = List.init (Rng.pick rng [ 0; 1; 1; 1; 2 ]) (fun _ -> exit ()) in
+      let steps =
+        step ((i + 1) mod k) :: List.init (Rng.int rng 3) (fun _ -> step (Rng.int rng k))
+      in
+      {
+        Defs.con_name = Fmt.str "s%d" i;
+        con_formal = "Rel";
+        con_formal_schema = edge_schema;
+        con_params = [ Defs.Rel_param ("A", edge_schema); Rel_param ("B", edge_schema) ];
+        con_result = edge_schema;
+        con_agg = None;
+        con_body = exits @ steps;
+      })
+
+(* [app]'s value by the constructor fixpoint and by semi-naive Datalog
+   over its translation, which must agree. *)
+let fixpoint_and_seminaive ~msg db app =
+  let catalog = Database.typecheck_env db in
+  let env = Database.eval_env db in
+  let fixpoint =
+    match app with
+    | Ast.Construct (base, c, args) ->
+      Fixpoint.apply env (Option.get (catalog.constructor_of c))
+        (Eval.eval_range env base) (Eval.eval_args env args)
+    | _ -> assert false
+  in
+  let program, pred =
+    Dc_datalog.Translate.of_application (Dc_datalog.Translate.context catalog) app
+  in
+  let datalog =
+    Dc_datalog.Seminaive.query program
+      (Dc_datalog.Translate.edb (fun n -> Some (Database.get db n)) program)
+      pred
+  in
+  Alcotest.check rel_testable (msg "Fixpoint.apply = Seminaive") fixpoint
+    (Relation.of_set_unchecked (Relation.schema fixpoint) datalog);
+  fixpoint
+
+(* The five binding patterns over [p]'s columns [a] and [b]: none, the
+   first, the second, both, and the first with a residual. *)
+let binding_patterns (a, b) node =
+  Ast.
+    [
+      True;
+      eq (field "p" a) (node ());
+      eq (field "p" b) (node ());
+      conj (eq (field "p" a) (node ())) (eq (field "p" b) (node ()));
+      conj (eq (field "p" a) (node ())) (Cmp (Ne, field "p" b, node ()));
+    ]
+
+(* Random edges over [n] nodes, empty one time in five, with self-loops. *)
+let random_label rng n =
+  if Rng.int rng 5 = 0 then []
+  else
+    List.init (Rng.int rng (2 * n)) (fun _ -> (Rng.int rng n, Rng.int rng n))
+    @ List.init (Rng.int rng 2) (fun _ -> let v = Rng.int rng n in (v, v))
+
+let edges_relation schema pairs =
+  Relation.of_list schema
+    (List.sort_uniq compare pairs
+    |> List.map (fun (a, b) -> Tuple.make2 (Graph_gen.node a) (Graph_gen.node b)))
+
+let regular_oracle_seed seed =
+  let rng = Rng.create seed in
+  let n = 3 + Rng.int rng 8 in
+  let linear = if seed mod 2 = 0 then `Right else `Left in
+  let k = 2 + (seed / 2 mod 2) in
+  let db = Database.create () in
+  List.iter
+    (fun l ->
+      Database.declare db l edge_schema;
+      Database.set db l (edges_relation edge_schema (random_label rng n)))
+    [ "E0"; "E1"; "E2" ];
+  let defs = regular_system rng ~linear ~k in
+  Database.define_constructors db defs;
+  let app = Ast.(Construct (Rel "E0", "s0", [ Arg_range (Rel "E1"); Arg_range (Rel "E2") ])) in
+  let msg what =
+    Fmt.str "seed %d, %d-state %s-linear system (%d nodes): %s" seed k
+      (match linear with `Right -> "right" | `Left -> "left")
+      n what
+  in
+  let full = fixpoint_and_seminaive ~msg db app in
+  let node () = Ast.Const (Graph_gen.node (Rng.int rng (n + 1))) in
+  planned_patterns ~msg db app edge_schema full
+    (binding_patterns ("src", "dst") node)
+
+(* The §3.1 scene over random Infront and Ontop, and cad_scene.dbpl's
+   Infront[hidden_by(..)]{ahead(Ontop)} over its own facts and random
+   ones: its selected base closes the system the same way. *)
+let scene_oracle_seed seed =
+  let rng = Rng.create (100 + seed) in
+  let n = 3 + Rng.int rng 8 in
+  let db, _ = Dc_lang.Elaborate.run_string (Oracle.example_source "cad_scene.dbpl") in
+  if seed > 1 then
+    List.iter
+      (fun l ->
+        Database.set db l
+          (edges_relation (Relation.schema (Database.get db l)) (random_label rng n)))
+      [ "Infront"; "Ontop" ];
+  let node () =
+    Ast.Const
+      (if seed = 1 then Rng.pick rng (List.map Value.str [ "lamp"; "table"; "vase"; "wall"; "book" ])
+       else Graph_gen.node (Rng.int rng (n + 1)))
+  in
+  let schema = Constructor.ahead_schema Value.TStr in
+  Database.declare db "Selected" (Relation.schema (Database.get db "Infront"));
+  List.iter
+    (fun base ->
+      let app = Ast.(Construct (base, "ahead", [ Arg_range (Rel "Ontop") ])) in
+      let msg what = Fmt.str "scene seed %d, %a: %s" seed Ast.pp_range app what in
+      (* the translation reads named relations: the selection is one *)
+      Database.set db "Selected" (Database.query db base);
+      let full =
+        fixpoint_and_seminaive ~msg db
+          Ast.(Construct (Rel "Selected", "ahead", [ Arg_range (Rel "Ontop") ]))
+      in
+      planned_patterns ~msg db app schema full (binding_patterns ("head", "tail") node))
+    Ast.[ Rel "Infront"; Select (Rel "Infront", "hidden_by", [ Arg_scalar (node ()) ]) ]
 
 let test_closure_oracles () =
   for seed = 1 to 20 do
-    closure_oracle_seed seed
+    closure_oracle_seed seed;
+    regular_oracle_seed seed;
+    scene_oracle_seed seed
   done
 
 (* A limit trips inside the closure operator: a row budget, a deadline
@@ -1447,9 +1611,11 @@ let test_served_differential () =
 
 (* A closure joined with another range: the query is not a restricted
    application, yet its closure application runs the closure operator,
-   named by EXPLAIN.  The planned answer equals the interpreter's, and
-   it is the same through [dbpl run]'s QUERY and through a served read,
-   first a cache miss and then a hit. *)
+   seeded from the binder's constant conjunct and named by EXPLAIN; a
+   second binder over the closure produces every pair.  The
+   planned answer equals the interpreter's, and it is the same through
+   [dbpl run]'s QUERY and through a served read, first a cache miss and
+   then a hit. *)
 let closure_join_source =
   {|TYPE node = STRING;
 TYPE edgerel = RELATION a, b OF RECORD a, b: node END;
@@ -1493,7 +1659,19 @@ let test_closure_in_join () =
     true
     (contains out "(7 tuples)"
     && contains out "method: closure operator"
-    && contains out "closure tcn over Rel (every source)");
+    && contains out {|closure tcn over Rel (from "n0") [rows=8 probes=1]|});
+  (* two binders over the closure: the bound one is seeded, the other
+     produces every pair *)
+  let twice =
+    {|{<p.a, q.b> OF EACH p IN Chain{tcn()}, EACH q IN Chain{tcn()}: p.a = "n0" AND q.a = p.b}|}
+  in
+  let _, out = Dc_lang.Elaborate.run_string ~db (Fmt.str "QUERY %s;\nEXPLAIN %s;" twice twice) in
+  Alcotest.(check bool)
+    (Fmt.str "one seeded and one whole traversal:@.%s" out)
+    true
+    (contains out "(7 tuples)"
+    && contains out {|closure tcn over Rel (from "n0") [rows=8 probes=1]|}
+    && contains out "closure tcn over Rel (every source) [rows=36 probes=9]");
   let was = Dc_obs.Obs.on () in
   Dc_obs.Obs.set_enabled true;
   Fun.protect ~finally:(fun () -> Dc_obs.Obs.set_enabled was) @@ fun () ->
@@ -1588,7 +1766,39 @@ CONSTRUCTOR keyed FOR Rel: edgerel (): keyedrel;
 BEGIN EACH e IN Rel: TRUE,
       <e.src, p.dst> OF EACH e IN Rel, EACH p IN Rel{keyed()}: e.dst = p.src
 END keyed;
+CONSTRUCTOR twohop FOR Rel: edgerel (): edgerel;
+BEGIN <e.src, f.dst> OF EACH e IN Rel, EACH f IN Rel: e.dst = f.src,
+      <e.src, p.dst> OF EACH e IN Rel, EACH p IN Rel{twohop()}: e.dst = p.src
+END twohop;
+CONSTRUCTOR mixed FOR Rel: edgerel (Other: edgerel): edgerel;
+BEGIN EACH e IN Rel: TRUE,
+      <e.src, p.dst> OF EACH e IN Rel, EACH p IN Rel{mixed(Other)}: e.dst = p.src,
+      <p.src, o.dst> OF EACH p IN Rel{mixed(Other)}, EACH o IN Other: p.dst = o.src
+END mixed;
+CONSTRUCTOR ternary FOR Rel: edgerel (): triple;
+BEGIN <e.src, e.dst, e.dst> OF EACH e IN Rel: TRUE,
+      <e.src, p.mid, p.dst> OF EACH e IN Rel, EACH p IN Rel{ternary()}: e.dst = p.src
+END ternary;
 |}
+
+(* A right-linear closure whose recursive application passes a
+   comprehension, not a name, as its argument. *)
+let computed_argument () =
+  let def = Constructor.transitive_closure ~name:"computed" () in
+  let other = Ast.(Comp [ branch [ ("o", Rel "Other") ] ~where:(Cmp (Ne, field "o" "src", field "o" "dst")) ]) in
+  {
+    def with
+    Defs.con_params = [ Defs.Rel_param ("Other", edge_schema) ];
+    con_body =
+      Ast.
+        [
+          identity_branch (Rel "Rel");
+          branch
+            [ ("e", Rel "Rel"); ("p", Construct (Rel "Rel", "computed", [ Arg_range other ])) ]
+            ~target:[ field "e" "src"; field "p" "dst" ]
+            ~where:(eq (field "e" "dst") (field "p" "src"));
+        ];
+  }
 
 let plan_direct_with_note db q needle =
   let d = Planner.plan (Database.typecheck_env db) q in
@@ -1608,22 +1818,31 @@ let test_closure_near_misses () =
     Dc_lang.Elaborate.run_string ~db
       ("TYPE keyedrel = RELATION src OF RECORD src, dst: STRING END;\n"
      ^ "TYPE edgerel = RELATION src, dst OF RECORD src, dst: STRING END;\n"
+     ^ "TYPE triple = RELATION src, mid, dst OF RECORD src, mid, dst: STRING END;\n"
      ^ near_miss_source)
   in
-  let app c = Ast.(Construct (Rel "Edge", c, [])) in
+  Database.define_constructor db (computed_argument ());
+  let app ?(args = []) c = Ast.(Construct (Rel "Edge", c, args)) in
+  let edge = [ Ast.Arg_range (Ast.Rel "Edge") ] in
   List.iter
-    (fun (c, why) ->
+    (fun (app, why) ->
+      let c = match app with Ast.Construct (_, c, _) -> c | _ -> assert false in
       let d =
-        plan_direct_with_note db (app c)
-          (Fmt.str "closure recogniser declined %s: %s" c why)
+        plan_direct_with_note db app
+          (Fmt.str "regular-system recogniser declined %s: %s" c why)
       in
       Alcotest.check rel_testable (c ^ ": planned = interpreter")
-        (Database.query db (app c))
+        (Database.query db app)
         (Planner.execute (Database.eval_env db) d))
     [
-      ("extra", "branch 2 has a conjunct besides the join");
-      ("swapped", "branch 2 does not join on the composed columns");
-      ("noloop", "no branch is the formal base");
+      (app "extra", "branch 2 has a conjunct besides the join");
+      (app "swapped", "branch 2 does not join on the composed columns");
+      (app "noloop", "branch 1 restricts its exit Rel");
+      (app "twohop", "branch 1 composes two base ranges: an exit that is not a base range");
+      ( app ~args:edge "mixed",
+        "mixed linearity: mixed's branch 2 is right-linear, mixed's branch 3 left-linear" );
+      (app "ternary", "the result of ternary is not binary");
+      (app ~args:edge "computed", "computed's branch 2 applies Rel{computed({EACH o IN Other:");
     ];
   (* a partial result key, bound or not: direct, and the key check still
      fires — magic sets would build part of the extent, and the key check
@@ -1634,16 +1853,7 @@ let test_closure_near_misses () =
       match Planner.execute (Database.eval_env db) d with
       | _ -> Alcotest.failf "%a: the key check did not fire" Ast.pp_range q
       | exception Relation.Key_violation _ -> ())
-    [ app "keyed"; restricted "keyed" ];
-  (* the mutual ahead/above scene *)
-  let ahead, above = Constructor.ahead_above () in
-  Database.declare db "Infront" (Constructor.infront_schema Value.TStr);
-  Database.declare db "Ontop" (Constructor.ontop_schema Value.TStr);
-  Database.define_constructors db [ ahead; above ];
-  ignore
-    (plan_direct_with_note db
-       Ast.(Construct (Rel "Infront", "ahead", [ Arg_range (Rel "Ontop") ]))
-       "closure recogniser declined ahead: branch 3 ranges over")
+    [ app "keyed"; restricted "keyed" ]
 
 (* An acyclic constructor keyed on [src] whose body yields two rows per
    [src]: inlining it (pushed or decompiled) would evaluate only the rows

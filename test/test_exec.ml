@@ -337,10 +337,11 @@ let test_explain_golden () =
   Alcotest.(check string) "EXPLAIN output on same_generation.dbpl"
     (read_file expected) out
 
-(* The closure recogniser on the 256-chain: EXPLAIN names the closure
-   operator and its seed for the non-linear Chain{tcn()} (every source),
-   the point closures (from a bound first column, backwards from a bound
-   second one) and a join of the closure with the chain. *)
+(* The regular-system recogniser on the 256-chain: EXPLAIN names the
+   closure operator and its seed for the non-linear Chain{tcn()} (every
+   source), the point closures (from a bound first column, backwards
+   from a bound second one) and a join of the closure with the chain
+   (from the bound binder's constant). *)
 let test_explain_closure_golden () =
   let program =
     find_file
