@@ -140,6 +140,16 @@ let substitution (root : Defs.constructor_def) (def : Defs.constructor_def) base
   in
   range
 
+(* Does [def]'s body read its formal?  One that does not denotes the same
+   relation whatever base it is applied to, as the constructors
+   [Translate.to_constructors] makes of Horn rules, which apply each
+   other to empty placeholder bases. *)
+let reads_formal (def : Defs.constructor_def) =
+  let formal =
+    { Morph.skip with range = (fun _ acc r -> acc || r = Rel def.con_formal) }
+  in
+  List.exists (Morph.fold_branch formal false) def.con_body
+
 let check (catalog : Typecheck.env) (root : Defs.constructor_def) =
   let states = Hashtbl.create 8 and labels = Hashtbl.create 8 in
   let pending = Queue.create () in
@@ -151,7 +161,17 @@ let check (catalog : Typecheck.env) (root : Defs.constructor_def) =
       Hashtbl.add table x i;
       i
   in
+  (* applications of a constructor that ignores its formal are one state,
+     keyed by its own formal as the base *)
+  let canonical = function
+    | Construct (_, c, args) as app -> (
+      match catalog.constructor_of c with
+      | Some def when not (reads_formal def) -> Construct (Rel def.con_formal, c, args)
+      | Some _ | None -> app)
+    | app -> app
+  in
   let state app =
+    let app = canonical app in
     if not (Hashtbl.mem states app) then begin
       if Hashtbl.length states = max_states then
         decline "the system has more than %d applications" max_states;

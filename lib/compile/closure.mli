@@ -10,7 +10,10 @@
     callee's formal and range parameters replaced by the ranges the
     caller passes, so [Rel{ahead(Ontop)}] reaches [Ontop{above(Rel)}],
     whose body reaches [Rel{ahead(Ontop)}] again.  Each distinct
-    application is a state.  The system is regular when
+    application is a state; the applications of a constructor whose body
+    never reads its formal denote one relation whatever their base, and
+    are one state (the constructors [Translate.to_constructors] makes of
+    Horn rules apply each other to empty placeholder bases).  The system is regular when
     - every state's constructor is binary, keyed on the whole tuple, with
       no aggregate;
     - every application a body makes passes names through: its base a

@@ -407,7 +407,7 @@ let execute ?use_indexes (env : Eval.env) (d : decision) =
     | None -> Eval.eval_range env d.d_query
     | Some s ->
       let key = Eval.eval_term env s.s_key in
-      let seed = if s.s_column = 0 then Dc_exec.Reach.From key else To key in
+      let seed = if s.s_column = 0 then Dc_exec.Reach.From [ key ] else To key in
       let base, args =
         match s.s_app with
         | Ast.Construct (base, _, args) -> (Eval.eval_range env base, Eval.eval_args env args)

@@ -3,9 +3,12 @@
    leaves the evaluation method to the compile level; §3.4 keeps the
    closure itself out of the language).
 
-   The endpoints of every label's edges are ranked once by
-   [Value.compare] and each label laid out as a compressed adjacency
-   over the ranks.  The automaton is turned into transitions for the
+   The endpoints of every label's edges are numbered once through a
+   hash table, only the distinct nodes sorted by [Value.compare] to rank
+   them, and each label laid out as a compressed adjacency over the
+   ranks.  That numbered [graph] serves both a traversal and [upstream],
+   the sources a maintained view re-traverses after an update to some
+   of the edges.  The automaton is turned into transitions for the
    direction of the traversal: each state lists, per label, the states a
    step along one of the label's edges enters and whether the node it
    reaches is an answer.  Each source is then traversed breadth first in
@@ -14,16 +17,18 @@
    so no per-source clearing is needed; the answers come out in rank
    order.  Sources go in rank order too, so the pairs come out in the
    relation's own [Tuple.compare] order and the caller can build the
-   result without sorting.  The closure of one relation is the one-state
+   result without sorting, whether it asks for every source or a set
+   of them.  The closure of one relation is the one-state
    automaton. *)
 
 open Dc_relation
 
-type seed = Every | From of Value.t | To of Value.t
+type seed = Every | From of Value.t list | To of Value.t
 
 let pp_seed ppf = function
   | Every -> Fmt.string ppf "every source"
-  | From v -> Fmt.pf ppf "from %a" Value.pp v
+  | From [ v ] -> Fmt.pf ppf "from %a" Value.pp v
+  | From vs -> Fmt.pf ppf "from {%a}" Fmt.(list ~sep:(any ", ") Value.pp) vs
   | To v -> Fmt.pf ppf "to %a" Value.pp v
 
 type automaton = {
@@ -35,49 +40,90 @@ type automaton = {
 
 let closure = { linear = `Right; exits = [| [ 0 ] |]; steps = [| [ (0, 0) ] |]; root = 0 }
 
-(* The rank of [v] among the sorted distinct [nodes]. *)
-let rank nodes v =
-  let rec go lo hi =
-    if lo >= hi then None
-    else
-      let mid = (lo + hi) / 2 in
-      let c = Value.compare nodes.(mid) v in
-      if c = 0 then Some mid else if c < 0 then go (mid + 1) hi else go lo mid
-  in
-  go 0 (Array.length nodes)
+module VH = Hashtbl.Make (Value)
 
-(* The distinct endpoints of every label in [Value.compare] order, and
-   each label's edges as two arrays of endpoint ranks. *)
-let ranked labels =
-  let pairs =
+type graph = {
+  nodes : Value.t array;  (* the distinct endpoints, in [Value.compare] order *)
+  ranks : int VH.t;  (* each endpoint's index in [nodes] *)
+  edges : (int array * int array) array;  (* per label, its tails' and heads' ranks *)
+}
+
+(* Every endpoint is numbered by a hash table as it is met; only the
+   distinct nodes are then sorted, and the numbers turned into ranks.
+   Sorting every endpoint, then a binary search per endpoint, spends
+   most of a small traversal's time in comparisons. *)
+let graph labels =
+  let ids = VH.create 64 and values = ref [||] in
+  let number v =
+    match VH.find_opt ids v with
+    | Some i -> i
+    | None ->
+      let i = VH.length ids in
+      if i = Array.length !values then begin
+        let grown = Array.make (max 16 (2 * i)) v in
+        Array.blit !values 0 grown 0 i;
+        values := grown
+      end;
+      !values.(i) <- v;
+      VH.add ids v i;
+      i
+  in
+  let edges =
     Array.map
-      (fun edges ->
-        let acc = ref [] in
-        edges (fun t -> acc := t :: !acc);
-        Array.of_list !acc)
+      (fun label ->
+        let tails = ref [] and heads = ref [] in
+        label (fun t ->
+            tails := number (Tuple.get t 0) :: !tails;
+            heads := number (Tuple.get t 1) :: !heads);
+        (Array.of_list !tails, Array.of_list !heads))
       labels
   in
-  let m = Array.fold_left (fun m p -> m + Array.length p) 0 pairs in
-  let all = Array.make (2 * m) (Value.Int 0) in
-  let k = ref 0 in
-  Array.iter
-    (Array.iter (fun t ->
-         all.(!k) <- Tuple.get t 0;
-         all.(!k + 1) <- Tuple.get t 1;
-         k := !k + 2))
-    pairs;
-  Array.sort Value.compare all;
-  let distinct = ref 0 in
-  Array.iteri
-    (fun i v ->
-      if i = 0 || Value.compare all.(!distinct - 1) v <> 0 then begin
-        all.(!distinct) <- v;
-        incr distinct
-      end)
-    all;
-  let nodes = Array.sub all 0 !distinct in
-  let rank_of i t = Option.get (rank nodes (Tuple.get t i)) in
-  (nodes, Array.map (fun p -> (Array.map (rank_of 0) p, Array.map (rank_of 1) p)) pairs)
+  let n = VH.length ids in
+  let order = Array.init n Fun.id in
+  Array.sort (fun i j -> Value.compare !values.(i) !values.(j)) order;
+  let rank_of = Array.make n 0 in
+  Array.iteri (fun r i -> rank_of.(i) <- r) order;
+  VH.filter_map_inplace (fun _ i -> Some rank_of.(i)) ids;
+  let to_rank = Array.map (fun i -> rank_of.(i)) in
+  {
+    nodes = Array.map (fun i -> !values.(i)) order;
+    ranks = ids;
+    edges = Array.map (fun (tails, heads) -> (to_rank tails, to_rank heads)) edges;
+  }
+
+(* [g] with label [l]'s edges [removed] taken out and [added] put in,
+   every node keeping its rank; [None] when an added edge has an
+   endpoint [g] does not number, whose rank would move others.  A node
+   whose last edge goes stays numbered, with no edges. *)
+let revise g l ~added ~removed =
+  let ranked t = (VH.find_opt g.ranks (Tuple.get t 0), VH.find_opt g.ranks (Tuple.get t 1)) in
+  let added = List.map ranked added in
+  if List.exists (fun (u, v) -> Option.is_none u || Option.is_none v) added then None
+  else
+    (* the removed edges keyed [u * n + v], so each edge is one probe *)
+    let n = Array.length g.nodes in
+    let gone = Hashtbl.create (List.length removed) in
+    List.iter
+      (fun t ->
+        match ranked t with
+        | Some u, Some v -> Hashtbl.replace gone ((u * n) + v) ()
+        | _ -> ())
+      removed;
+    let tails, heads = g.edges.(l) in
+    let m = Array.length tails + List.length added in
+    let tails' = Array.make m 0 and heads' = Array.make m 0 and k = ref 0 in
+    let put u v =
+      tails'.(!k) <- u;
+      heads'.(!k) <- v;
+      incr k
+    in
+    Array.iteri
+      (fun i u -> if not (Hashtbl.mem gone ((u * n) + heads.(i))) then put u heads.(i))
+      tails;
+    List.iter (fun (u, v) -> put (Option.get u) (Option.get v)) added;
+    let edges = Array.copy g.edges in
+    edges.(l) <- (Array.sub tails' 0 !k, Array.sub heads' 0 !k);
+    Some { g with edges }
 
 (* Compressed adjacency: the successors of [u] are
    [adj.(start.(u)) .. adj.(start.(u + 1) - 1)]. *)
@@ -121,12 +167,58 @@ let moves a ~reversed =
     (if forward then k else k + 1),
     List.concat_map per_state (List.init k Fun.id) )
 
+(* Up to this many answers of one source are sorted by insertion. *)
+let few = 32
+
 (* A state's moves along one label, laid out for the inner loop. *)
 type move = { start : int array; adj : int array; into : int array; emits : bool }
 
-let iter labels a seed emit =
-  let nodes, edges = ranked labels in
+(* Every node from which some label's edges lead to one of [targets],
+   the targets included (absent from [g] or not), in [Value.compare]
+   order: one breadth-first search over every label's edges reversed. *)
+let upstream g targets =
+  let n = Array.length g.nodes in
+  let start, adj =
+    adjacency n
+      (Array.concat (Array.to_list (Array.map snd g.edges)))
+      (Array.concat (Array.to_list (Array.map fst g.edges)))
+  in
+  let marked = Array.make n false and queue = Array.make n 0 and tail = ref 0 in
+  let visit u =
+    if not marked.(u) then begin
+      marked.(u) <- true;
+      queue.(!tail) <- u;
+      incr tail
+    end
+  in
+  let absent =
+    List.filter
+      (fun v ->
+        match VH.find_opt g.ranks v with
+        | Some u ->
+          visit u;
+          false
+        | None -> true)
+      targets
+  in
+  let next = ref 0 in
+  while !next < !tail do
+    let u = queue.(!next) in
+    for i = start.(u) to start.(u + 1) - 1 do
+      visit adj.(i)
+    done;
+    incr next
+  done;
+  let present = ref [] in
+  for u = n - 1 downto 0 do
+    if marked.(u) then present := g.nodes.(u) :: !present
+  done;
+  List.merge Value.compare (List.sort_uniq Value.compare absent) !present
+
+let run g a seed emit =
+  let nodes = g.nodes and edges = g.edges in
   let n = Array.length nodes in
+  let rank v = VH.find_opt g.ranks v in
   let reversed = match seed with To _ -> true | Every | From _ -> false in
   let first, states, moves = moves a ~reversed in
   let graphs =
@@ -199,7 +291,10 @@ let iter labels a seed emit =
        Xeon (best of 15): the 300-node, 900-edge strongly connected
        digraph takes 4.6 ms, 21 ms sorting only; a random 3000-node tree,
        10 ms, 22 ms scanning only.  Factors 8 to 64 measured within noise
-       of one another; 2 and 4 lose on a 256-chain. *)
+       of one another; 2 and 4 lose on a 256-chain.  A few answers are
+       sorted in place by insertion, with no call per comparison: the
+       32 sources of a bridge over 8 chains of 32 nodes (752 answers)
+       took 103 us through [Array.sort], 29 us so. *)
     let count = !count in
     if count * 8 >= n then begin
       (* dense: one pass over the stamps *)
@@ -211,6 +306,15 @@ let iter labels a seed emit =
         end
       done
     end
+    else if count <= few then
+      for i = 1 to count - 1 do
+        let x = reached.(i) and j = ref (i - 1) in
+        while !j >= 0 && reached.(!j) > x do
+          reached.(!j + 1) <- reached.(!j);
+          decr j
+        done;
+        reached.(!j + 1) <- x
+      done
     else begin
       let part = Array.sub reached 0 count in
       Array.sort Int.compare part;
@@ -229,15 +333,15 @@ let iter labels a seed emit =
       traverse s (fun t -> emit nodes.(s) nodes.(t))
     done;
     n
-  | From v -> (
-    match rank nodes v with
-    | None -> 0
-    | Some s ->
-      traverse s (fun t -> emit nodes.(s) nodes.(t));
-      1)
+  | From vs ->
+    let sources = List.sort_uniq Int.compare (List.filter_map rank vs) in
+    List.iter (fun s -> traverse s (fun t -> emit nodes.(s) nodes.(t))) sources;
+    List.length sources
   | To v -> (
-    match rank nodes v with
+    match rank v with
     | None -> 0
     | Some t ->
       traverse t (fun s -> emit nodes.(s) nodes.(t));
       1)
+
+let iter labels a seed emit = run (graph labels) a seed emit

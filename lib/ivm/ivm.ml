@@ -1,11 +1,26 @@
 (* Incremental view maintenance for materialized constructor extents.
 
    A materialized view caches the least fixpoint of one constructor
-   application Base{c(args)} as a Datalog fact store (the §3.4
-   translation), and keeps it correct across base-relation INSERT/DELETE
-   without refixpointing from scratch.  The maintenance plan is chosen
-   per strongly connected component of the translated program's positive
-   dependency graph, processed in topological order:
+   application Base{c(args)} and keeps it correct across base-relation
+   INSERT/DELETE without refixpointing from scratch.
+
+   When the planner's recogniser ([Dc_compile.Closure]) proves the
+   application's system regular and every label names a relation once
+   the formal and parameters are substituted, the view is a [Traversal]:
+   its store holds the root's pairs alone, computed by one [Reach]
+   traversal from every source.  An update finds the affected sources —
+   the tail of every changed label edge and every node that reaches one
+   over some label's edges — traverses from them again over the
+   post-update labels, and merges each one's answers with its old rows:
+   one rule for INSERT and DELETE, for cycles and for every automaton.
+   The view keeps its numbered label graph between updates and revises
+   it by the changed edges, numbering again only when a new node comes
+   in.
+
+   Every other view caches the §3.4 translation as a Datalog fact store.
+   Its maintenance plan is chosen per strongly connected component of
+   the translated program's positive dependency graph, processed in
+   topological order:
 
    - non-recursive components use the counting algorithm [GuMS 93]: the
      view tracks, per derived tuple, the number of rule derivations
@@ -51,8 +66,10 @@
    [Database] opens a transaction on each view before propagating and
    rolls it back on any failure (the view's store is a persistent value,
    its derivation counts an undo log), so an aborted maintenance step
-   leaves the pre-update snapshot.  Every phase, seeding and the net-delta
-   commits included, is timed into the update's report. *)
+   leaves the pre-update snapshot.  A re-traversal ticks the guard on
+   every row it emits, under the label [closure <c>], as the closure
+   operator does.  Every phase, seeding and the net-delta commits
+   included, is timed into the update's report. *)
 
 open Dc_relation
 open Dc_calculus
@@ -94,7 +111,7 @@ type phase = {
 
 type report = {
   rp_view : string;
-  rp_mode : string; (* "incremental" | "recompute" | "stale" *)
+  rp_mode : string; (* "incremental" | "traversal" | "recompute" | "stale" *)
   rp_base : (string * int * int) list; (* relation, added, removed *)
   mutable rp_phases : phase list; (* latest first while building *)
   mutable rp_plus : int; (* net growth of the served extent *)
@@ -171,8 +188,16 @@ type scc = {
       (* tri-named: ⊕ left of the delta, plain right of it *)
 }
 
+(* A view whose application the recogniser proves regular: its extent is
+   the root's relation of the automaton over the label relations. *)
+type traversal = {
+  tr_automaton : Dc_exec.Reach.automaton;
+  tr_labels : string array; (* the relation each label names *)
+}
+
 type plan =
   | Incremental of scc list
+  | Traversal of traversal
   | Recompute of string (* why the incremental path does not apply *)
 
 type status =
@@ -196,6 +221,9 @@ type t = {
   mutable status : status;
   mutable counted : bool;
       (* the recursive components' counts are built ([ensure_counts]) *)
+  mutable graph : Dc_exec.Reach.graph option;
+      (* a traversal's label graph at the last synchronized state, once
+         built *)
 }
 
 let name v = v.name
@@ -227,6 +255,9 @@ let plan_kind v =
                 | Agg_counting spec ->
                   Fmt.str "agg-counting %a" Agg.pp_op spec.op))
             sccs))
+  | Traversal tr ->
+    Fmt.str "traversal (%s over %s)" v.query_pred
+      (String.concat ", " (Array.to_list tr.tr_labels))
   | Recompute why -> Fmt.str "recompute (%s)" why
 
 (* ------------------------------------------------------------------ *)
@@ -346,6 +377,50 @@ let compile_plan ?(aggs = []) (program : Syntax.program) =
            })
          sccs)
 
+(* The traversal plan of [Base{def(args)}], when the recogniser proves
+   its system regular and every label names a relation once the formal
+   and the parameters are replaced by [base] and [args]. *)
+let traversal_of db (def : Defs.constructor_def) base args =
+  match Dc_compile.Closure.recognise (Database.typecheck_env db) def with
+  | Dc_compile.Closure.Declined _ -> None
+  | Regular { automaton; labels } ->
+    let bound =
+      (def.con_formal, Some base)
+      :: List.map2
+           (fun p a ->
+             ( (match p with Defs.Scalar_param (n, _) | Defs.Rel_param (n, _) -> n),
+               match a with Ast.Arg_range (Ast.Rel r) -> Some r | _ -> None ))
+           def.con_params args
+    in
+    let relation = function
+      | Ast.Rel n -> Option.value (List.assoc_opt n bound) ~default:(Some n)
+      | Ast.Select _ | Ast.Construct _ | Ast.Comp _ -> None
+    in
+    let names = Array.map relation labels in
+    if Array.for_all Option.is_some names then
+      Some { tr_automaton = automaton; tr_labels = Array.map Option.get names }
+    else None
+
+let plan_of db def base args ~aggs program =
+  match traversal_of db def base args with
+  | Some tr -> Traversal tr
+  | None -> compile_plan ~aggs program
+
+(* ------------------------------------------------------------------ *)
+(* Traversal (a regular view's refresh and maintenance) *)
+
+(* The label relations' current edges, numbered for [Reach]. *)
+let label_graph view tr =
+  Dc_exec.Reach.graph
+    (Array.map
+       (fun r ->
+         let rel = Database.get view.db r in
+         fun f -> Relation.iter f rel)
+       tr.tr_labels)
+
+(* Each row a traversal emits ticks the guard, as an operator row would. *)
+let closure_label view = lazy ("closure " ^ view.con)
+
 (* ------------------------------------------------------------------ *)
 (* Refresh (from-scratch synchronization) *)
 
@@ -375,17 +450,19 @@ let count_scc view s =
 
 let is_dred s = match s.s_kind with Dred -> true | Counting | Agg_counting _ -> false
 
-let has_dred = function
-  | Incremental sccs -> List.exists is_dred sccs
-  | Recompute _ -> false
+(* Whether the plan's recursive counts are built: a traversal keeps none. *)
+let counted_from_start = function
+  | Incremental sccs -> not (List.exists is_dred sccs)
+  | Traversal _ -> false
+  | Recompute _ -> true
 
 (* The non-recursive components' counts are built with the store; the
    recursive ones wait for [ensure_counts]. *)
 let init_supports view =
   Support.reset view.supports;
-  view.counted <- not (has_dred view.plan);
+  view.counted <- counted_from_start view.plan;
   match view.plan with
-  | Recompute _ -> ()
+  | Recompute _ | Traversal _ -> ()
   | Incremental sccs ->
     List.iter (fun s -> if not (is_dred s) then ignore (count_scc view s)) sccs
 
@@ -404,13 +481,25 @@ let ensure_counts view =
     in
     view.counted <- true;
     n
-  | Incremental _ | Recompute _ -> 0
+  | Incremental _ | Traversal _ | Recompute _ -> 0
 
 let refresh view =
   let guard = Guard.of_limits (Database.limits view.db) in
-  view.store <-
-    Seminaive.run ~guard ~aggs:view.aggs view.program
-      (Translate.edb (fun p -> Some (Database.get view.db p)) view.program);
+  (match view.plan with
+  | Traversal tr ->
+    let g = label_graph view tr and label = closure_label view and rows = ref [] in
+    ignore
+      (Dc_exec.Reach.run g tr.tr_automaton Dc_exec.Reach.Every (fun a b ->
+           Guard.tick guard label;
+           rows := Tuple.make2 a b :: !rows));
+    view.store <-
+      Facts.singleton_set view.query_pred
+        (Relation.sorted_set (Array.of_list (List.rev !rows)));
+    view.graph <- Some g
+  | Incremental _ | Recompute _ ->
+    view.store <-
+      Seminaive.run ~guard ~aggs:view.aggs view.program
+        (Translate.edb (fun p -> Some (Database.get view.db p)) view.program));
   init_supports view;
   Facts.drop_prefix_paths view.store;
   view.status <- Live;
@@ -435,8 +524,8 @@ type update_state = {
   rp : report;
 }
 
-let round st =
-  Guard.round st.guard ~site:"ivm.round";
+let round guard =
+  Guard.round guard ~site:"ivm.round";
   if Obs.on () then Obs.Counter.inc (Lazy.force m_rounds)
 
 (* Run the variants whose delta predicate is non-empty in [delta]. *)
@@ -462,7 +551,7 @@ let commit_pred st pred ~net_plus ~net_minus =
    variant and delta sign, then zero-crossings of the adjusted counts
    become the component's net delta. *)
 let counting_scc view st s =
-  round st;
+  round st.guard;
   let adjust : (string * Tuple.t, int) Hashtbl.t = Hashtbl.create 64 in
   let record sign head t =
     let key = (head, t) in
@@ -520,7 +609,7 @@ let counting_scc view st s =
    SUM deletion, where group emptiness is otherwise unknowable) recomputes
    the group from its surviving raw contributions. *)
 let agg_scc view st s (spec : Agg.spec) =
-  round st;
+  round st.guard;
   let pred = List.hd s.s_preds in
   let rawp = raw_name pred in
   let adjust : (Tuple.t, int) Hashtbl.t = Hashtbl.create 64 in
@@ -704,7 +793,7 @@ let dred_scc view st s =
   let phase ~sign ~delta ~before ~after ~fresh ~advance =
     let delta = ref delta and found_total = ref 0 in
     while Facts.total !delta > 0 do
-      round st;
+      round st.guard;
       let d = !delta in
       let found = ref [] in
       List.iter (fun (_, h) -> Tuple_hset.clear h) seen;
@@ -804,19 +893,20 @@ let dred_scc view st s =
           n + TS.cardinal net_plus + TS.cardinal net_minus)
         0 s.s_preds)
 
+let report view mode updates =
+  {
+    rp_view = view.name;
+    rp_mode = mode;
+    rp_base = List.map (fun (r, a, d) -> (r, List.length a, List.length d)) updates;
+    rp_phases = [];
+    rp_plus = 0;
+    rp_minus = 0;
+    rp_ms = 0.;
+  }
+
 let incremental_update view sccs updates =
   let guard = Guard.of_limits (Database.limits view.db) in
-  let rp =
-    {
-      rp_view = view.name;
-      rp_mode = "incremental";
-      rp_base = List.map (fun (r, a, d) -> (r, List.length a, List.length d)) updates;
-      rp_phases = [];
-      rp_plus = 0;
-      rp_minus = 0;
-      rp_ms = 0.;
-    }
-  in
+  let rp = report view "incremental" updates in
   let st =
     {
       pre = view.store;
@@ -851,6 +941,105 @@ let incremental_update view sccs updates =
   view.store <- st.post;
   rp
 
+(* The label graph after [updates]: the synchronized one revised, or
+   built again when there is none or an update brings in a new node. *)
+let updated_graph view tr updates =
+  let g = ref view.graph in
+  List.iter
+    (fun (r, added, removed) ->
+      Array.iteri
+        (fun l r' ->
+          if String.equal r r' then
+            g := Option.bind !g (fun g -> Dc_exec.Reach.revise g l ~added ~removed))
+        tr.tr_labels)
+    updates;
+  match !g with Some g -> g | None -> label_graph view tr
+
+(* Maintenance by re-traversal.  A source's rows can change only if its
+   traversal could walk a changed edge, so the affected sources are the
+   tail of every changed label edge and every node from which some path
+   of label edges leads to such a tail.  The post-update edges suffice
+   for that search: on a path over the pre-update edges to a tail, the
+   first deleted edge starts at a tail too, and every edge before it
+   survived.  Those sources are traversed again over the post-update
+   labels, and each one's answers merged with its old rows, a range scan
+   of the extent: the rows only one side holds are the update's net
+   delta.  When every node is affected this is the traversal from every
+   source. *)
+let traversal_update view tr updates =
+  let guard = Guard.of_limits (Database.limits view.db) in
+  let rp = report view "traversal" updates in
+  let pred = view.query_pred in
+  let old = Facts.find view.store pred in
+  round guard;
+  let g = ref None and sources = ref [] in
+  timed rp (Fmt.str "affected sources %s" pred) (fun () ->
+      let tails =
+        List.concat_map
+          (fun (r, added, removed) ->
+            if Array.mem r tr.tr_labels then
+              List.map (fun t -> Tuple.get t 0) (List.rev_append added removed)
+            else [])
+          updates
+      in
+      let graph = updated_graph view tr updates in
+      g := Some graph;
+      sources := Dc_exec.Reach.upstream graph tails;
+      List.length !sources);
+  (* [plus] and [minus] are built in decreasing tuple order; [olds] are
+     the current source's old rows not yet met, [later] the affected
+     sources not yet begun *)
+  let plus = ref [] and minus = ref [] in
+  let current = ref None and olds = ref [] and later = ref !sources in
+  let drop rows = minus := List.rev_append rows !minus in
+  let begin_source s =
+    drop !olds;
+    let rec skip = function
+      | x :: rest when Value.compare x s < 0 ->
+        drop (Relation.prefix_scan old [ x ]);
+        skip rest
+      | x :: rest when Value.equal x s -> rest
+      | rest -> rest
+    in
+    later := skip !later;
+    current := Some s;
+    olds := Relation.prefix_scan old [ s ]
+  in
+  (* the answer [(s, t)] against the current source's old rows *)
+  let rec meet s t = function
+    | o :: rest when Value.compare (Tuple.get o 1) t < 0 ->
+      minus := o :: !minus;
+      meet s t rest
+    | o :: rest when Value.equal (Tuple.get o 1) t -> olds := rest
+    | rest ->
+      olds := rest;
+      plus := Tuple.make2 s t :: !plus
+  in
+  let label = closure_label view in
+  timed rp (Fmt.str "re-traverse %s" pred) (fun () ->
+      let rows = ref 0 in
+      ignore
+        (Dc_exec.Reach.run (Option.get !g) tr.tr_automaton
+           (Dc_exec.Reach.From !sources) (fun s t ->
+             Guard.tick guard label;
+             incr rows;
+             (match !current with
+             | Some c when Value.equal c s -> ()
+             | Some _ | None -> begin_source s);
+             meet s t !olds));
+      drop !olds;
+      List.iter (fun x -> drop (Relation.prefix_scan old [ x ])) !later;
+      !rows);
+  timed rp (Fmt.str "replace rows %s" pred) (fun () ->
+      let sorted rows = Relation.sorted_set (Array.of_list (List.rev rows)) in
+      view.store <-
+        Facts.add_set (Facts.remove_set view.store pred (sorted !minus)) pred (sorted !plus);
+      view.graph <- !g;
+      rp.rp_plus <- List.length !plus;
+      rp.rp_minus <- List.length !minus;
+      rp.rp_plus + rp.rp_minus);
+  rp
+
 let update view updates =
   let t0 = Obs.now_ms () in
   let rp =
@@ -858,34 +1047,13 @@ let update view updates =
     | Stale ->
       (* an unmaintained update already desynchronized the view; stay
          stale and let the next serve refresh *)
-      {
-        rp_view = view.name;
-        rp_mode = "stale";
-        rp_base =
-          List.map (fun (r, a, d) -> (r, List.length a, List.length d)) updates;
-        rp_phases = [];
-        rp_plus = 0;
-        rp_minus = 0;
-        rp_ms = 0.;
-      }
+      report view "stale" updates
     | Live -> (
       match view.plan with
       | Incremental sccs -> incremental_update view sccs updates
+      | Traversal tr -> traversal_update view tr updates
       | Recompute why ->
-        let rp =
-          {
-            rp_view = view.name;
-            rp_mode = Fmt.str "recompute: %s" why;
-            rp_base =
-              List.map
-                (fun (r, a, d) -> (r, List.length a, List.length d))
-                updates;
-            rp_phases = [];
-            rp_plus = 0;
-            rp_minus = 0;
-            rp_ms = 0.;
-          }
-        in
+        let rp = report view (Fmt.str "recompute: %s" why) updates in
         let before = Facts.cardinal view.store view.query_pred in
         timed rp "refixpoint" (fun () ->
             refresh view;
@@ -960,7 +1128,8 @@ let maintainer_of view =
       (fun () ->
         let store = view.store
         and status = view.status
-        and counted = view.counted in
+        and counted = view.counted
+        and graph = view.graph in
         Support.begin_undo view.supports;
         {
           Database.vt_commit = (fun () -> Support.commit view.supports);
@@ -969,6 +1138,7 @@ let maintainer_of view =
               view.store <- store;
               view.status <- status;
               view.counted <- counted;
+              view.graph <- graph;
               Support.rollback view.supports);
         });
     mt_stale = (fun () -> view.status = Stale);
@@ -1037,47 +1207,54 @@ let maintainer_of view =
           | _ -> None));
   }
 
+(* The view of [Base{constructor(args)}], translated and planned, with
+   no extent yet and not registered. *)
+let make db ~what (def : Defs.constructor_def) ~base ~args =
+  let constructor = def.con_name in
+  let program, query_pred, aggs =
+    try
+      Translate.of_application_full
+        (Translate.context (Database.typecheck_env db))
+        (Ast.Construct (Ast.Rel base, constructor, args))
+    with Translate.Unsupported msg ->
+      error "%s %s: not translatable to the Horn fragment (%s)" what
+        constructor msg
+  in
+  let plan = plan_of db def base args ~aggs program in
+  {
+    db;
+    name = query_pred;
+    con = constructor;
+    base;
+    args;
+    def;
+    program;
+    aggs;
+    query_pred;
+    depends = SS.elements (Syntax.edb_preds program);
+    plan;
+    supports = Support.create ();
+    store = Facts.empty ();
+    status = Stale;
+    counted = counted_from_start plan;
+    graph = None;
+  }
+
+let register view =
+  Database.register_maintainer view.db (maintainer_of view);
+  if Obs.on () then Obs.Gauge.add (Lazy.force g_views) 1.
+
 let materialize db ~constructor ~base ~args =
   let def =
     match Database.constructor db constructor with
     | Some d -> d
     | None -> error "unknown constructor %s" constructor
   in
-  let range = Ast.Construct (Ast.Rel base, constructor, args) in
-  (try Database.check_query db range with
+  (try Database.check_query db (Ast.Construct (Ast.Rel base, constructor, args)) with
   | Database.Error msg | Typecheck.Error msg -> error "MATERIALIZE: %s" msg);
-  let program, query_pred, aggs =
-    try
-      Translate.of_application_full
-        (Translate.context (Database.typecheck_env db))
-        range
-    with Translate.Unsupported msg ->
-      error "MATERIALIZE %s: not translatable to the Horn fragment (%s)"
-        constructor msg
-  in
-  let depends = SS.elements (Syntax.edb_preds program) in
-  let view =
-    {
-      db;
-      name = query_pred;
-      con = constructor;
-      base;
-      args;
-      def;
-      program;
-      aggs;
-      query_pred;
-      depends;
-      plan = compile_plan ~aggs program;
-      supports = Support.create ();
-      store = Facts.empty ();
-      status = Stale;
-      counted = false;
-    }
-  in
+  let view = make db ~what:"MATERIALIZE" def ~base ~args in
   refresh view;
-  Database.register_maintainer db (maintainer_of view);
-  if Obs.on () then Obs.Gauge.add (Lazy.force g_views) 1.;
+  register view;
   view
 
 let unregister view =
@@ -1113,7 +1290,7 @@ let dump view =
       List.concat_map
         (fun s -> if is_dred s then List.map fst s.s_init else [])
         sccs
-    | Recompute _ -> []
+    | Traversal _ | Recompute _ -> []
   in
   {
     dp_con = view.con;
@@ -1138,49 +1315,32 @@ let dump view =
    The dump holds no counts of recursive components ([dump]), nor did a
    checkpoint written before they kept any: the view starts uncounted,
    and its first update builds them with the pass a materialized view's
-   does.  Read as zeros instead, they would fail every rederive check. *)
+   does.  Read as zeros instead, they would fail every rederive check.
+
+   A traversal view adopts its extent alone: a checkpoint written while
+   DRed maintained the same view also holds its base relations' copies
+   and derivation counts, which a traversal does not keep. *)
 let restore db d =
   let def =
     match Database.constructor db d.dp_con with
     | Some def -> def
     | None -> error "restore: unknown constructor %s" d.dp_con
   in
-  let range = Ast.Construct (Ast.Rel d.dp_base, d.dp_con, d.dp_args) in
-  let program, query_pred, aggs =
-    try
-      Translate.of_application_full
-        (Translate.context (Database.typecheck_env db))
-        range
-    with Translate.Unsupported msg ->
-      error "restore %s: not translatable (%s)" d.dp_con msg
+  let view = make db ~what:"restore" def ~base:d.dp_base ~args:d.dp_args in
+  let traversal =
+    match view.plan with Traversal _ -> true | Incremental _ | Recompute _ -> false
   in
-  let plan = compile_plan ~aggs program in
-  let view =
-    {
-      db;
-      name = query_pred;
-      con = d.dp_con;
-      base = d.dp_base;
-      args = d.dp_args;
-      def;
-      program;
-      aggs;
-      query_pred;
-      depends = SS.elements (Syntax.edb_preds program);
-      plan;
-      supports = Support.create ();
-      store =
-        List.fold_left
-          (fun acc (p, ts) -> Facts.add_set acc p (TS.of_list ts))
-          (Facts.empty ()) d.dp_store;
-      status = (if d.dp_stale then Stale else Live);
-      counted = not (has_dred plan);
-    }
-  in
-  List.iter
-    (fun (pred, rows) ->
-      List.iter (fun (t, n) -> Support.set view.supports pred t n) rows)
-    d.dp_supports;
-  Database.register_maintainer db (maintainer_of view);
-  if Obs.on () then Obs.Gauge.add (Lazy.force g_views) 1.;
+  view.store <-
+    List.fold_left
+      (fun acc (p, ts) ->
+        if traversal && not (String.equal p view.query_pred) then acc
+        else Facts.add_set acc p (TS.of_list ts))
+      (Facts.empty ()) d.dp_store;
+  view.status <- (if d.dp_stale then Stale else Live);
+  if not traversal then
+    List.iter
+      (fun (pred, rows) ->
+        List.iter (fun (t, n) -> Support.set view.supports pred t n) rows)
+      d.dp_supports;
+  register view;
   view

@@ -3,11 +3,15 @@
     [materialize] translates one constructor application [Base{c(args)}]
     to its Horn program (§3.4), computes the extent once, and registers a
     maintainer with the database so subsequent INSERT/DELETE on the base
-    relations update the extent incrementally instead of refixpointing:
-    non-recursive components of the translated program by derivation
-    counting, recursive components by delete-and-rederive (DRed) whose
-    rederive step checks the same counts, both driven through the shared
-    delta-variant compiler of
+    relations update the extent incrementally instead of refixpointing.
+    An application whose system {!Dc_compile.Closure.recognise} proves
+    regular, over labels that name relations, is maintained by
+    re-traversal ({!Dc_exec.Reach}): an update traverses again from the
+    sources that reach a changed edge and replaces their rows.  Other
+    views are maintained over the translated program: non-recursive
+    components by derivation counting, recursive components by
+    delete-and-rederive (DRed) whose rederive step checks the same
+    counts, both driven through the shared delta-variant compiler of
     {!Dc_datalog.Engine}.  Programs with stratified negation fall back to
     a per-update recompute; updates arriving while maintenance is off
     ([SET MAINTAIN OFF]) mark the view stale, and the next serve
@@ -44,8 +48,8 @@ val depends : t -> string list
     the maintainer. *)
 
 val plan_kind : t -> string
-(** Human-readable maintenance plan, e.g.
-    ["incremental (tc__edge:dred)"] or ["recompute (stratified
+(** Human-readable maintenance plan, e.g. ["traversal (tc__Edge over
+    Edge)"], ["incremental (sg__up:dred)"] or ["recompute (stratified
     negation)"]. *)
 
 val is_stale : t -> bool
@@ -56,7 +60,8 @@ val value : t -> Relation.t
 val cardinal : t -> int
 
 val refresh : t -> unit
-(** From-scratch resynchronization (also rebuilds derivation counts). *)
+(** From-scratch resynchronization (also rebuilds derivation counts, or a
+    traversal's label graph). *)
 
 (** {1 Checkpoint dump / restore}
 
@@ -77,7 +82,8 @@ type dump = {
   dp_store : (string * Tuple.t list) list;  (** per predicate, sorted *)
   dp_supports : (string * (Tuple.t * int) list) list;
       (** derivation counts of the non-recursive components, sorted;
-          the recursive ones are rebuilt at the first maintenance *)
+          the recursive ones are rebuilt at the first maintenance.  A
+          traversal view dumps its extent alone and no counts. *)
 }
 
 val dump : t -> dump
@@ -88,7 +94,10 @@ val restore : Database.t -> dump -> t
     and adopt the dumped store/counts/staleness verbatim — no
     refixpoint.  The recursive components' counts, which the dump
     lacks, are rebuilt in one pass over the store by the first update,
-    as after {!materialize}.  Registers the maintainer.  @raise Error if
+    as after {!materialize}.  A traversal view adopts the dump's extent
+    alone, so a checkpoint written while DRed maintained the view (with
+    its base relations' copies and counts) restores too.  Registers the
+    maintainer.  @raise Error if
     the dump's constructor is unknown or no longer translatable. *)
 
 val support_counts : t -> (string * (Tuple.t * int) list) list
@@ -99,8 +108,8 @@ val support_counts : t -> (string * (Tuple.t * int) list) list
 val counts_built : t -> bool
 (** Whether the recursive components' counts are built: false after
     {!materialize}, a refresh and {!restore} of a view with a recursive
-    component, true from its first incremental update on
-    (differential-test hook). *)
+    component, true from its first incremental update on; always false
+    for a traversal view, which keeps none (differential-test hook). *)
 
 val program : t -> Dc_datalog.Syntax.program
 (** The translated Horn program the view maintains, whose rule instances

@@ -63,9 +63,12 @@ let prefix_scan set key =
   match Tuple_set.find_first_opt (fun t -> compare_prefix key t >= 0) set with
   | None -> []
   | Some first ->
-    Tuple_set.to_seq_from first set
-    |> Seq.take_while (fun t -> compare_prefix key t = 0)
-    |> List.of_seq
+    let rec take acc rows =
+      match rows () with
+      | Seq.Cons (t, rest) when compare_prefix key t = 0 -> take (t :: acc) rest
+      | Seq.Cons _ | Seq.Nil -> List.rev acc
+    in
+    take [] (Tuple_set.to_seq_from first set)
 
 let lookup_prefix r key = prefix_scan r.tuples key
 
@@ -128,7 +131,7 @@ let of_set_unchecked schema tuples = { schema; tuples }
    larger one once per level of the smaller's right spine, so unions of
    halves build the set in time linear in its size, with no comparison
    sort. *)
-let of_sorted_unchecked schema tuples =
+let sorted_set tuples =
   let rec build lo hi =
     match hi - lo with
     | 0 -> Tuple_set.empty
@@ -137,7 +140,9 @@ let of_sorted_unchecked schema tuples =
       let mid = lo + (n / 2) in
       Tuple_set.union (build lo mid) (build mid hi)
   in
-  { schema; tuples = build 0 (Array.length tuples) }
+  build 0 (Array.length tuples)
+
+let of_sorted_unchecked schema tuples = { schema; tuples = sorted_set tuples }
 
 let remove t r = { r with tuples = Tuple_set.remove t r.tuples }
 

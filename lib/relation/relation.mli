@@ -63,6 +63,10 @@ val of_set_unchecked : Schema.t -> Tuple_set.t -> t
     vouches that every tuple is well typed for the schema and that the
     schema's key is the whole tuple. *)
 
+val sorted_set : Tuple.t array -> Tuple_set.t
+(** The set of a strictly increasing ({!Tuple.compare}) array, built in
+    linear time. *)
+
 val of_sorted_unchecked : Schema.t -> Tuple.t array -> t
 (** The relation of a strictly increasing ({!Tuple.compare}) array, built
     in linear time.  Checks nothing, as {!of_set_unchecked}. *)

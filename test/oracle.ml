@@ -134,6 +134,23 @@ let bom_program =
       ];
   ]
 
+(* pairs an even number of edges apart: recursive, but its branches join
+   two and three ranges, so the regular-system recogniser declines it and
+   a view of it is maintained by DRed *)
+let even_paths_program =
+  [
+    rule
+      (atom "even" [ var "X"; var "Y" ])
+      [ Pos (atom "edge" [ var "X"; var "Z" ]); Pos (atom "edge" [ var "Z"; var "Y" ]) ];
+    rule
+      (atom "even" [ var "X"; var "Y" ])
+      [
+        Pos (atom "edge" [ var "X"; var "Z" ]);
+        Pos (atom "edge" [ var "Z"; var "W" ]);
+        Pos (atom "even" [ var "W"; var "Y" ]);
+      ];
+  ]
+
 let edb_of_relation pred rel = Facts.of_relation pred rel (Facts.empty ())
 
 (* ------------------------------------------------------------------ *)

@@ -650,11 +650,11 @@ let tc_view_db ?(linear = `Right) edges =
 (* The from-scratch oracle: a semi-naive run of the application's Horn
    translation over the current base, with the tuples it derives.
    [Database.query] is no oracle here — the view itself serves it. *)
-let seminaive_tc db =
+let seminaive_of db range =
   let program, pred, aggs =
     Datalog.Translate.of_application_full
       (Datalog.Translate.context (Database.typecheck_env db))
-      tc_range
+      range
   in
   let edb =
     Datalog.Translate.edb (Snapshot.get (Database.snapshot db)) program
@@ -662,6 +662,72 @@ let seminaive_tc db =
   let stats = Datalog.Seminaive.fresh_stats () in
   let store = Datalog.Seminaive.run ~stats ~aggs program edb in
   (Datalog.Facts.to_relation edge_schema store pred, stats.derivations)
+
+let seminaive_tc db = seminaive_of db tc_range
+
+(* The tuples of the phase whose label starts with [phase] in the one
+   report since the last reset. *)
+let phase_tuples phase =
+  match Ivm.reports () with
+  | [ rp ] -> (
+    match
+      List.find_opt
+        (fun (ph : Ivm.phase) -> String.starts_with ~prefix:phase ph.ph_label)
+        rp.rp_phases
+    with
+    | Some ph -> ph.ph_tuples
+    | None -> Alcotest.failf "no %S phase" phase)
+  | rps -> Alcotest.failf "%d reports, expected 1" (List.length rps)
+
+let test_materialize_insert () =
+  (* left-linear recursion: the closure is re-traversed from the sources
+     upstream of the inserted edge's tail, and no count is kept *)
+  let db, view = tc_view_db ~linear:`Left (chain 20) in
+  Alcotest.check Alcotest.int "initial closure" (20 * 21 / 2)
+    (Ivm.cardinal view);
+  Alcotest.(check string) "route" "traversal (tc__Edge over Edge)" (Ivm.plan_kind view);
+  let insert edge ~sources ~rows =
+    Ivm.reset_reports ();
+    Database.insert db "Edge" edge;
+    Alcotest.check rel_testable
+      (Fmt.str "insert %a = semi-naive oracle" Tuple.pp edge)
+      (fst (seminaive_tc db)) (Ivm.value view);
+    Alcotest.(check int) "affected sources" sources (phase_tuples "affected sources");
+    Alcotest.(check int) "replaced rows" rows (phase_tuples "replace rows")
+  in
+  (* at the chain's end every node is upstream: one more generation *)
+  insert (pair "n20" "n21") ~sources:21 ~rows:21;
+  Alcotest.check Alcotest.int "one more generation" (21 * 22 / 2)
+    (Ivm.cardinal view);
+  Alcotest.(check bool) "no counts built" false (Ivm.counts_built view);
+  (* from a new node into the chain's middle: that node alone *)
+  insert (pair "m" "n10") ~sources:1 ~rows:12
+
+(* Pairs an even number of edges apart: a recursive system the traversal
+   declines (its exit composes two relations), so DRed^c maintains it. *)
+let even_def : Dc_calculus.Defs.constructor_def =
+  let self = Ast.Construct (Ast.Rel "Rel", "even", []) in
+  let two = Ast.(eq (field "f" "dst") (field "g" "src")) in
+  {
+    con_name = "even";
+    con_formal = "Rel";
+    con_formal_schema = edge_schema;
+    con_params = [];
+    con_result = edge_schema;
+    con_agg = None;
+    con_body =
+      Ast.
+        [
+          branch
+            [ ("f", Rel "Rel"); ("g", Rel "Rel") ]
+            ~target:[ field "f" "src"; field "g" "dst" ]
+            ~where:two;
+          branch
+            [ ("f", Rel "Rel"); ("g", Rel "Rel"); ("p", self) ]
+            ~target:[ field "f" "src"; field "p" "dst" ]
+            ~where:(conj two (eq (field "g" "dst") (field "p" "src")));
+        ];
+  }
 
 (* Tuples the maintenance phases [keep] accepts touched since the last
    reset. *)
@@ -675,11 +741,16 @@ let maintained_tuples ?(keep = fun _ -> true) () =
 
 let build_counts = String.equal "build counts"
 
-let test_materialize_insert () =
-  (* left-linear recursion: the inserted edge's delta propagates forward *)
-  let db, view = tc_view_db ~linear:`Left (chain 20) in
-  Alcotest.check Alcotest.int "initial closure" (20 * 21 / 2)
-    (Ivm.cardinal view);
+let test_materialize_insert_dred () =
+  (* an insertion at the chain's end reaches back along it: DRed's
+     phases touch the new pairs, not the extent *)
+  let db = Database.create () in
+  Database.declare db "Edge" edge_schema;
+  Database.set db "Edge" (Relation.of_list edge_schema (chain 20));
+  Database.define_constructor db even_def;
+  let view = Ivm.materialize db ~constructor:"even" ~base:"Edge" ~args:[] in
+  let range = Ast.(Construct (Rel "Edge", "even", [])) in
+  Alcotest.(check string) "route" "incremental (even__Edge:dred)" (Ivm.plan_kind view);
   Ivm.reset_reports ();
   Database.insert db "Edge" (pair "n20" "n21");
   (* the first update after MATERIALIZE also runs the one-time pass
@@ -687,11 +758,8 @@ let test_materialize_insert () =
   Alcotest.(check bool) "the first update builds the counts" true
     (maintained_tuples ~keep:build_counts () > 0);
   let touched = maintained_tuples ~keep:(fun l -> not (build_counts l)) () in
-  let oracle, derived = seminaive_tc db in
-  Alcotest.check rel_testable "maintained = semi-naive oracle" oracle
-    (Ivm.value view);
-  Alcotest.check Alcotest.int "one more generation" (21 * 22 / 2)
-    (Ivm.cardinal view);
+  let oracle, derived = seminaive_of db range in
+  Alcotest.check rel_testable "maintained = semi-naive oracle" oracle (Ivm.value view);
   Alcotest.check Alcotest.bool
     (Fmt.str "maintenance touches under half (%d vs %d)" touched derived)
     true
@@ -700,9 +768,8 @@ let test_materialize_insert () =
   Ivm.reset_reports ();
   Database.insert db "Edge" (pair "n21" "n22");
   let touched = maintained_tuples () in
-  let oracle, derived = seminaive_tc db in
-  Alcotest.check rel_testable "second insert = semi-naive oracle" oracle
-    (Ivm.value view);
+  let oracle, derived = seminaive_of db range in
+  Alcotest.check rel_testable "second insert = semi-naive oracle" oracle (Ivm.value view);
   Alcotest.check Alcotest.bool
     (Fmt.str "second insert touches under half (%d vs %d)" touched derived)
     true
@@ -2041,6 +2108,8 @@ let () =
       ( "materialize",
         [
           Alcotest.test_case "insert maintains" `Quick test_materialize_insert;
+          Alcotest.test_case "DRed insert is delta-proportional" `Quick
+            test_materialize_insert_dred;
           Alcotest.test_case "random growth" `Quick
             test_materialize_insert_random;
           Alcotest.test_case "delete maintains" `Quick test_materialize_delete;

@@ -448,6 +448,56 @@ let test_explain_analyze_golden () =
     (read_file expected) (normalize_times out)
 
 (* ------------------------------------------------------------------ *)
+(* The traversal's numbered graph, as a maintained view uses it: a set of
+   sources yields each distinct source's pairs in turn, [upstream] is
+   every node whose closure reaches a target (the targets included), and
+   a revised graph traverses as one built again from the changed edges
+   (or declines when an added edge brings in a new node). *)
+
+module Reach = Dc_exec.Reach
+
+let prop_reach_graph =
+  QCheck.Test.make ~count:200 ~name:"reach: source sets, upstream, revise"
+    QCheck.(
+      triple
+        (list_of_size Gen.(int_bound 24) (pair (int_bound 9) (int_bound 9)))
+        (list_of_size Gen.(int_bound 5) (int_bound 11))
+        (pair (int_bound 11) (int_bound 11)))
+    (fun (pairs, sources, (a, b)) ->
+      let node i = Value.Int i in
+      let edge (x, y) = Tuple.make2 (node x) (node y) in
+      let pairs = List.sort_uniq compare pairs in
+      let graph pairs = Reach.graph [| (fun f -> List.iter (fun p -> f (edge p)) pairs) |] in
+      let run g seed =
+        let acc = ref [] in
+        ignore (Reach.run g Reach.closure seed (fun x y -> acc := (x, y) :: !acc));
+        List.rev !acc
+      in
+      let g = graph pairs and sources = List.map node sources in
+      let distinct = List.sort_uniq Value.compare sources in
+      let every = run g Reach.Every in
+      let ancestors =
+        List.sort_uniq Value.compare
+          (distinct
+          @ List.filter_map
+              (fun (x, y) -> if List.mem y distinct then Some x else None)
+              every)
+      in
+      let removed = List.filteri (fun i _ -> i mod 3 = 0) pairs in
+      let added = if List.mem (a, b) pairs then [] else [ (a, b) ] in
+      let after = added @ List.filter (fun p -> not (List.mem p removed)) pairs in
+      let known i = List.exists (fun (x, y) -> x = i || y = i) pairs in
+      run g (Reach.From sources)
+      = List.concat_map (fun v -> run g (Reach.From [ v ])) distinct
+      && Reach.upstream g sources = ancestors
+      &&
+      match
+        Reach.revise g 0 ~added:(List.map edge added) ~removed:(List.map edge removed)
+      with
+      | Some g' -> run g' Reach.Every = run (graph after) Reach.Every
+      | None -> List.exists (fun (x, y) -> not (known x && known y)) added)
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "dc_exec"
@@ -489,6 +539,7 @@ let () =
             test_trace_project_rows_closures;
           QCheck_alcotest.to_alcotest prop_trace_project_rows;
         ] );
+      ("reach", [ QCheck_alcotest.to_alcotest prop_reach_graph ]);
       ( "explain",
         [
           Alcotest.test_case "golden output" `Quick test_explain_golden;

@@ -1,22 +1,25 @@
 (* Differential update streams for the live-view subsystem (lib/ivm).
 
    Each workload (transitive closure, same-generation, mutual recursion,
-   bill-of-materials) is set up through [Translate.to_constructors] over
-   the oracle program shapes, materialized with [Ivm.materialize], and
-   then driven by a seeded random stream of interleaved INSERT/DELETE
-   steps.  After every step the incrementally maintained extent must
-   equal a from-scratch semi-naive refixpoint of the original rules over
-   the mutated base relations, and every recursive predicate's
-   derivation counts a recount of its rule instances over the view's
-   store.  Every failure message carries the seed, so any divergence
-   reproduces deterministically.
+   bill-of-materials, even-length paths) is set up through
+   [Translate.to_constructors] over the oracle program shapes,
+   materialized with [Ivm.materialize], and then driven by a seeded
+   random stream of interleaved INSERT/DELETE steps.  After every step
+   the maintained extent must equal a from-scratch semi-naive refixpoint
+   of the original rules over the mutated base relations.  The closures
+   and the §3.1 scene's two-state system are maintained by re-traversal;
+   the other recursive views by DRed, whose every recursive predicate's
+   derivation counts must also equal a recount of its rule instances
+   over the view's store.  Every failure message carries the seed, so
+   any divergence reproduces deterministically.
 
    Also here: abort atomicity of maintenance under injected
    [Guard.Exhausted] faults (the update and the view roll back to the
    pre-update snapshot), the Facts deletion regression (cached indexes
    must forget removed tuples), the surface-DELETE stale-read
    regression (maintenance off must not serve a stale extent), and the
-   restore of a checkpoint without recursive counts. *)
+   restore of checkpoints: one without recursive counts, and one of a
+   closure view written while DRed maintained it. *)
 
 open Dc_relation
 open Dc_datalog
@@ -47,7 +50,8 @@ type workload = {
 }
 
 let nodes = 10
-let rand_node rng = Graph_gen.node (Rng.int rng nodes)
+let rand_node_of rng n = Graph_gen.node (Rng.int rng n)
+let rand_node rng = rand_node_of rng nodes
 let rand_pair rng _ = Tuple.of_list [ rand_node rng; rand_node rng ]
 
 let graph_workload =
@@ -131,6 +135,18 @@ let bom_workload =
             Bom_gen.part (Rng.int rng parts);
             Value.Int (1 + Rng.int rng 4);
           ]);
+  }
+
+(* Pairs an even number of edges apart over the same cyclic graphs as
+   [graph_workload]: a recursive view the traversal does not take, so
+   DRed over cycles, self-loops included, keeps its stream. *)
+let even_workload =
+  {
+    graph_workload with
+    w_name = "even paths";
+    w_program = Oracle.even_paths_program;
+    w_pred = "even";
+    w_idb = [ ("even", Graph_gen.edge_schema) ];
   }
 
 let workloads = [ graph_workload; sg_workload; mutual_workload; bom_workload ]
@@ -398,10 +414,15 @@ let with_failpoints f =
   Guard.Failpoint.reset ();
   Fun.protect ~finally:Guard.Failpoint.reset f
 
+let is_traversal view =
+  String.starts_with ~prefix:"traversal" (Ivm.plan_kind view)
+
 (* Arm a maintenance-pipeline failpoint, apply a real update, and verify
    the abort left both the base relation and the maintained extent at
    the pre-update snapshot — then that the stream keeps maintaining
-   correctly afterwards. *)
+   correctly afterwards.  A traversal view also takes the fault at the
+   first row its re-traversal emits, where the guard is ticked, after an
+   insertion, whose tail re-emits at least the inserted edge. *)
 let test_abort_atomicity w () =
   with_failpoints @@ fun () ->
   let seed = 77_2026 in
@@ -410,14 +431,19 @@ let test_abort_atomicity w () =
   for i = 1 to 40 do
     if i mod 4 = 0 then begin
       (* inject: alternate between the commit point and mid-propagation *)
-      let site = if i mod 8 = 0 then "ivm.commit" else "ivm.round" in
+      let site =
+        if i mod 8 = 0 then "ivm.commit"
+        else if is_traversal view && i mod 16 = 4 then "exec.row"
+        else "ivm.round"
+      in
       let pred, _ = Rng.pick rng w.w_edb in
       let before_base = ts_of_relation (Database.get db pred) in
       let before_view = ts_of_relation (Ivm.value view) in
       let before_counts = Ivm.support_counts view in
       let rel = Database.get db pred in
       let apply =
-        if Relation.cardinal rel > 0 && Rng.bool rng 0.5 then begin
+        if Relation.cardinal rel > 0 && site <> "exec.row" && Rng.bool rng 0.5
+        then begin
           let ts = Relation.to_list rel in
           let t = List.nth ts (Rng.int rng (List.length ts)) in
           fun () -> Database.delete db pred t
@@ -521,6 +547,15 @@ let tc_surface =
 MATERIALIZE Edge{tc()};
 |}
 
+(* pairs an even number of edges apart over Edge: DRed maintains it *)
+let even_decl =
+  {|CONSTRUCTOR even FOR Rel: edgerel (): edgerel;
+BEGIN <f.a, g.b> OF EACH f IN Rel, EACH g IN Rel: f.b = g.a,
+      <f.a, p.b> OF EACH f IN Rel, EACH g IN Rel, EACH p IN Rel{even()}:
+        f.b = g.a AND g.b = p.a
+END even;
+|}
+
 let run_more db src = snd (Dc_lang.Elaborate.run_string ~db src)
 
 let contains_s s sub =
@@ -599,16 +634,35 @@ DELETE Edge VALUES ("b", "c");|} in
 INSERT Edge VALUES ("b", "c");|} in
   Alcotest.(check int) "maintained again" 6 (TS.cardinal (query_tc db))
 
-(* EXPLAIN ANALYZE on an update prints the maintenance pipeline *)
+(* EXPLAIN ANALYZE on an update prints the maintenance pipeline of every
+   view over the relation: the closure's re-traversal, and DRed's phases
+   for the even-path view *)
 let test_explain_analyze_update () =
-  let db, _ = Dc_lang.Elaborate.run_string tc_surface in
+  let db, _ =
+    Dc_lang.Elaborate.run_string
+      (tc_decls ^ even_decl
+     ^ {|INSERT Edge VALUES ("a", "b"), ("b", "c"), ("c", "d");
+MATERIALIZE Edge{tc()};
+MATERIALIZE Edge{even()};
+|})
+  in
   let out = run_more db {|EXPLAIN ANALYZE DELETE Edge VALUES ("b", "c");|} in
   List.iter
     (fun affix ->
       Alcotest.(check bool)
         (Fmt.str "report mentions %S" affix)
         true (contains_s out affix))
-    [ "EXPLAIN ANALYZE DELETE Edge"; "view tc__Edge"; "overdelete"; "insert" ]
+    [
+      "EXPLAIN ANALYZE DELETE Edge";
+      "view tc__Edge (traversal)";
+      "affected sources";
+      "re-traverse";
+      "replace rows";
+      "view even__Edge (incremental)";
+      "overdelete";
+      "rederive";
+      "insert";
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* Maintenance does not depend on the parallel degree
@@ -660,9 +714,10 @@ let test_degree_independent_stream w () =
     (List.combine (run 1) (run 4))
 
 (* The surface form: a 24-node ring n_i -> n_(i+1) with chords
-   n_i -> n_(i+5) for i divisible by 3, the right-linear closure
-   materialized, and one ring edge deleted under EXPLAIN ANALYZE.  The
-   report's tuple counts must not depend on SET PARALLEL. *)
+   n_i -> n_(i+5) for i divisible by 3, the right-linear closure and the
+   even-path view materialized, and one ring edge deleted under EXPLAIN
+   ANALYZE.  The reports' tuple counts must not depend on SET
+   PARALLEL. *)
 let ring_surface =
   let edges =
     List.init 24 (fun i -> (i, (i + 1) mod 24))
@@ -670,8 +725,9 @@ let ring_surface =
         (fun i -> if i mod 3 = 0 then Some (i, (i + 5) mod 24) else None)
         (List.init 24 Fun.id)
   in
-  tc_decls
-  ^ Fmt.str "INSERT Edge VALUES %s;\nMATERIALIZE Edge{tc()};\n"
+  tc_decls ^ even_decl
+  ^ Fmt.str
+      "INSERT Edge VALUES %s;\nMATERIALIZE Edge{tc()};\nMATERIALIZE Edge{even()};\n"
       (String.concat ", "
          (List.map (fun (a, b) -> Fmt.str {|("n%d", "n%d")|} a b) edges))
 
@@ -704,42 +760,65 @@ let test_degree_independent_surface () =
 EXPLAIN ANALYZE DELETE Edge VALUES ("n0", "n1");|} p)
     in
     (match Ivm.views db with
-    | [ view ] -> check_counts (Fmt.str "ring at SET PARALLEL %d" p) view
-    | vs -> Alcotest.failf "%d views over the ring, expected 1" (List.length vs));
+    | [ _; _ ] as views ->
+      List.iter
+        (check_counts (Fmt.str "ring at SET PARALLEL %d" p))
+        views
+    | vs -> Alcotest.failf "%d views over the ring, expected 2" (List.length vs));
     out
     |> String.split_on_char '\n'
     |> List.filter (fun l -> contains_s l " tuples " || contains_s l "view ")
     |> List.map untimed
   in
   let at1 = explain 1 in
-  Alcotest.(check bool) "the report shows a rederive phase" true
-    (List.exists (fun l -> contains_s l "rederive") at1);
+  List.iter
+    (fun phase ->
+      Alcotest.(check bool)
+        (Fmt.str "the reports show a %s phase" phase)
+        true
+        (List.exists (fun l -> contains_s l phase) at1))
+    [ "re-traverse"; "rederive" ];
   Alcotest.(check (list string)) "EXPLAIN ANALYZE DELETE at SET PARALLEL 1 and 2"
     at1 (explain 2)
 
 (* ------------------------------------------------------------------ *)
-(* Restore from a checkpoint without recursive counts
+(* Restore from checkpoints
 
    A checkpoint holds no derivation counts of recursive components (nor
    did one written before they kept any).  The first deletion after the
-   restore must count them: read as zeros, the DELETE of an edge with an
-   alternative path would lose the closure row the other path still
-   derives.  An aborted first update must leave them uncounted, so the
-   next one counts them again. *)
+   restore of a DRed view must count them: read as zeros, the DELETE of
+   an edge with an alternative path would lose the row the other path
+   still derives.  An aborted first update must leave them uncounted, so
+   the next one counts them again. *)
+
+(* The application's extent from scratch: a semi-naive run of its Horn
+   translation over the database's current relations. *)
+let fresh_extent db range =
+  let program, pred, aggs =
+    Translate.of_application_full
+      (Translate.context (Database.typecheck_env db))
+      range
+  in
+  Facts.find
+    (Seminaive.run ~aggs program
+       (Translate.edb (fun p -> Some (Database.get db p)) program))
+    pred
+
+let only_view db =
+  match Ivm.views db with
+  | [ v ] -> v
+  | vs -> Alcotest.failf "%d views, expected 1" (List.length vs)
 
 let test_restore_recounts () =
   let db, _ =
     Dc_lang.Elaborate.run_string
-      (tc_decls
-      ^ {|INSERT Edge VALUES ("a", "b"), ("b", "c"), ("a", "c"), ("c", "d");
-MATERIALIZE Edge{tc()};
+      (tc_decls ^ even_decl
+      ^ {|INSERT Edge VALUES ("a", "b"), ("b", "c"), ("a", "x"), ("x", "c"),
+                   ("c", "d"), ("d", "e");
+MATERIALIZE Edge{even()};
 |})
   in
-  let view =
-    match Ivm.views db with
-    | [ v ] -> v
-    | vs -> Alcotest.failf "%d views, expected 1" (List.length vs)
-  in
+  let view = only_view db in
   let recursive = recursive_preds (Ivm.program view) in
   let d = Ivm.dump view in
   Alcotest.(check (list string)) "recursive counts in the dump" []
@@ -749,20 +828,61 @@ MATERIALIZE Edge{tc()};
   Alcotest.(check bool) "restored uncounted" false (Ivm.counts_built view);
   with_failpoints (fun () ->
       Guard.Failpoint.arm "ivm.commit" 1;
-      match Database.delete db "Edge" (t2 "a" "c") with
+      match Database.delete db "Edge" (t2 "a" "b") with
       | () -> Alcotest.fail "ivm.commit never hit"
       | exception Guard.Exhausted (Guard.Fault_injected _, _) -> ());
   Alcotest.(check bool) "uncounted after the aborted DELETE" false
     (Ivm.counts_built view);
   check_counts "after the aborted DELETE" view;
-  let _ = run_more db {|DELETE Edge VALUES ("a", "c");|} in
+  let _ = run_more db {|DELETE Edge VALUES ("a", "b");|} in
   Alcotest.(check bool) "counted after the DELETE" true (Ivm.counts_built view);
-  Alcotest.(check bool) "a -> c still derived through b" true
+  Alcotest.(check bool) "a -> c still derived through x" true
     (TS.mem (t2 "a" "c") (ts_of_relation (Ivm.value view)));
   Alcotest.(check bool) "extent = fresh evaluation" true
-    (Relation.equal (Ivm.value view)
-       (Database.query db (Ast.Construct (Ast.Rel "Edge", "tc", []))));
+    (TS.equal (ts_of_relation (Ivm.value view))
+       (fresh_extent db (Ast.Construct (Ast.Rel "Edge", "even", []))));
   check_counts "after DELETE" view
+
+(* A closure view checkpointed while DRed maintained it holds its base
+   relations' copies and derivation counts besides its extent.  Restored
+   as a traversal view, it keeps the extent alone and maintains it. *)
+let test_restore_dred_checkpoint () =
+  let db, _ =
+    Dc_lang.Elaborate.run_string
+      (tc_decls
+      ^ {|INSERT Edge VALUES ("a", "b"), ("b", "c"), ("a", "c"), ("c", "d");
+MATERIALIZE Edge{tc()};
+|})
+  in
+  let view = only_view db in
+  let d = Ivm.dump view in
+  Alcotest.(check (list string)) "a traversal view dumps its extent alone"
+    [ Ivm.name view ] (List.map fst d.Ivm.dp_store);
+  Alcotest.(check int) "and no derivation counts" 0 (List.length d.Ivm.dp_supports);
+  let name = Ivm.name view in
+  let extent = List.assoc name d.Ivm.dp_store in
+  let older =
+    {
+      d with
+      Ivm.dp_store =
+        List.sort
+          (fun (p, _) (q, _) -> String.compare p q)
+          [ ("Edge", Relation.to_list (Database.get db "Edge")); (name, extent) ];
+      dp_supports = [ (name, List.map (fun t -> (t, 1)) extent) ];
+    }
+  in
+  Ivm.unregister view;
+  let view = Ivm.restore db older in
+  Alcotest.(check bool) "restored as a traversal" true (is_traversal view);
+  Alcotest.(check (list string)) "the extent alone adopted" [ name ]
+    (List.map fst (Ivm.dump view).Ivm.dp_store);
+  Alcotest.(check int) "no derivation counts adopted" 0
+    (List.length (Ivm.support_counts view));
+  let range = Ast.Construct (Ast.Rel "Edge", "tc", []) in
+  let _ = run_more db {|DELETE Edge VALUES ("b", "c");
+INSERT Edge VALUES ("d", "a");|} in
+  Alcotest.(check bool) "maintained = fresh evaluation" true
+    (TS.equal (ts_of_relation (Ivm.value view)) (fresh_extent db range))
 
 (* ------------------------------------------------------------------ *)
 (* Live aggregate views under a long update stream (PR 10): three
@@ -935,92 +1055,244 @@ let test_agg_abort_atomicity () =
     views [ sum_fold; min_fold; count_fold ]
 
 (* The served closure view under bridge toggles: 8 chains of 32 nodes
-   with shortcuts, the right-linear surface [tc], and 20 insert/delete
-   pairs of a bridge from an even chain's tail into an odd chain.  Each
-   write moves 32 x 8 closure rows, and no update may build a hash index,
-   over the view's own predicate or over [Edge]: leading-column keys are
-   range scans, full keys membership tests, and the one other path (the
-   [Edge] probe on its target column) stays warm along the chain of
-   stores each update extends.  Machine-independent: it counts builds,
-   not time. *)
-let bridge_fixture () =
+   with shortcuts, the right-linear surface [tc] (a traversal) or the
+   even-path view [even] (DRed^c), and insert/delete pairs of a bridge
+   from an even chain's tail into an odd chain.  Each write moves 32 x 8
+   closure rows, and no update may build a hash index, over the view's
+   own predicate or over [Edge]: leading-column keys are range scans,
+   full keys membership tests, and the one other path (the [Edge] probe
+   on its target column) stays warm along the chain of stores each
+   update extends.  Machine-independent: it counts builds, not time. *)
+let bridge_fixture con =
   let edges, at = Graph_gen.chains_dag ~seed:5 ~chains:8 ~len:32 ~edges:384 in
-  let db, _ =
-    Dc_lang.Elaborate.run_string
-      {|TYPE node = STRING;
-TYPE edgerel = RELATION a, b OF RECORD a, b: node END;
-VAR Edge: edgerel;
-CONSTRUCTOR tc FOR Rel: edgerel (): edgerel;
-BEGIN EACH e IN Rel: TRUE,
-      <e.a, p.b> OF EACH e IN Rel, EACH p IN Rel{tc()}: e.b = p.a
-END tc;|}
-  in
+  let db, _ = Dc_lang.Elaborate.run_string (tc_decls ^ even_decl) in
   Database.set db "Edge"
     (Relation.with_schema (Relation.schema (Database.get db "Edge")) edges);
-  let view = Ivm.materialize db ~constructor:"tc" ~base:"Edge" ~args:[] in
+  let view = Ivm.materialize db ~constructor:con ~base:"Edge" ~args:[] in
   let bridge k =
     let a = 2 * (k mod 4) and b = (2 * ((k / 4) mod 4)) + 1 in
     t2 (Graph_gen.node_name (at a 31)) (Graph_gen.node_name (at b 24))
   in
   (db, view, bridge)
 
-let test_no_view_index_builds () =
-  let db, view, bridge = bridge_fixture () in
-  let n0 = Ivm.cardinal view in
-  let builds0 = Facts.index_builds (Ivm.name view) in
-  let edge_builds0 = Facts.index_builds "Edge" in
-  for k = 0 to 19 do
-    Database.insert db "Edge" (bridge k);
-    Alcotest.(check int) (Fmt.str "bridge %d inserted" k) (n0 + 256)
-      (Ivm.cardinal view);
-    Database.delete db "Edge" (bridge k);
-    Alcotest.(check int) (Fmt.str "bridge %d deleted" k) n0 (Ivm.cardinal view)
-  done;
-  Alcotest.(check int)
-    (Fmt.str "indexes built over %s by 40 updates" (Ivm.name view))
-    builds0
-    (Facts.index_builds (Ivm.name view));
-  Alcotest.(check int) "indexes built over Edge by 40 updates" edge_builds0
-    (Facts.index_builds "Edge");
-  Alcotest.(check bool) "extent = fresh evaluation" true
-    (Relation.equal (Ivm.value view)
-       (Database.query db (Ast.Construct (Ast.Rel "Edge", "tc", []))))
+(* the maintained views of the bridge fixture, with their routes *)
+let bridge_views = [ ("tc", "traversal"); ("even", "incremental") ]
 
-(* The phases of a maintenance report account for its total: building
-   the recursive counts (the first delete), seeding, over-deletion,
-   rederivation, propagation, insertion and the net-delta commit are all
-   timed, so over the bridge toggles their sum is within 10% of the
-   reports' total time. *)
-let test_phases_add_up () =
-  let db, _, bridge = bridge_fixture () in
-  Ivm.reset_reports ();
-  for k = 0 to 7 do
-    Database.insert db "Edge" (bridge k);
-    Database.delete db "Edge" (bridge k)
-  done;
-  let rps = Ivm.reports () in
-  Alcotest.(check int) "one report per update" 16 (List.length rps);
+let test_no_view_index_builds () =
   List.iter
-    (fun rp ->
+    (fun (con, mode) ->
+      let db, view, bridge = bridge_fixture con in
+      let n0 = Ivm.cardinal view in
+      let builds0 = Facts.index_builds (Ivm.name view) in
+      let edge_builds0 = Facts.index_builds "Edge" in
+      Ivm.reset_reports ();
+      for k = 0 to 19 do
+        Database.insert db "Edge" (bridge k);
+        if con = "tc" then
+          Alcotest.(check int) (Fmt.str "bridge %d inserted" k) (n0 + 256)
+            (Ivm.cardinal view)
+        else
+          Alcotest.(check bool) (Fmt.str "%s: bridge %d inserted" con k) true
+            (Ivm.cardinal view > n0);
+        Database.delete db "Edge" (bridge k);
+        Alcotest.(check int) (Fmt.str "%s: bridge %d deleted" con k) n0
+          (Ivm.cardinal view)
+      done;
       List.iter
-        (fun label ->
-          if
-            not
-              (List.exists
-                 (fun ph -> contains_s ph.Ivm.ph_label label)
-                 rp.Ivm.rp_phases)
-          then Alcotest.failf "report lacks a %S phase" label)
-        [ "seed"; "overdelete"; "rederive"; "propagate"; "insert"; "commit" ])
-    rps;
-  let total = List.fold_left (fun acc rp -> acc +. rp.Ivm.rp_ms) 0. rps in
-  let phases =
-    List.fold_left
-      (fun acc rp ->
-        List.fold_left (fun acc ph -> acc +. ph.Ivm.ph_ms) acc rp.Ivm.rp_phases)
-      0. rps
+        (fun rp -> Alcotest.(check string) (Fmt.str "%s route" con) mode rp.Ivm.rp_mode)
+        (Ivm.reports ());
+      Alcotest.(check int)
+        (Fmt.str "indexes built over %s by 40 updates" (Ivm.name view))
+        builds0
+        (Facts.index_builds (Ivm.name view));
+      Alcotest.(check int)
+        (Fmt.str "%s: indexes built over Edge by 40 updates" con)
+        edge_builds0 (Facts.index_builds "Edge");
+      Alcotest.(check bool) (Fmt.str "%s: extent = fresh evaluation" con) true
+        (TS.equal
+           (ts_of_relation (Ivm.value view))
+           (fresh_extent db (Ast.Construct (Ast.Rel "Edge", con, [])))))
+    bridge_views
+
+(* The phases of a maintenance report account for its total: over 64
+   bridge toggles their sum is within 10% of the reports' total time
+   (a re-traversal takes a fraction of a millisecond, so fewer would let
+   one preemption between phases decide).
+   The traversal times the affected sources, the re-traversal and the
+   replaced rows, and over-deletes and rederives nothing, so DRed's
+   counters stay still; DRed^c times its seed, overdelete, rederive,
+   propagate, insert and commit phases. *)
+let test_phases_add_up () =
+  let was = Obs.on () in
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () -> Obs.set_enabled was) @@ fun () ->
+  let counter name = Obs.Counter.value (Obs.Counter.make name) in
+  let has_phase rp label =
+    List.find_opt (fun ph -> contains_s ph.Ivm.ph_label label) rp.Ivm.rp_phases
   in
-  if phases < 0.9 *. total || phases > total then
-    Alcotest.failf "phases sum to %.3f ms of the reports' %.3f ms" phases total
+  List.iter
+    (fun (con, mode) ->
+      let db, _, bridge = bridge_fixture con in
+      let overdeleted0 = counter "dc_ivm_overdeleted_total"
+      and rederived0 = counter "dc_ivm_rederived_total" in
+      (* the last 16 reports are kept: collect them every 8 toggles *)
+      let rps =
+        List.concat_map
+          (fun round ->
+            Ivm.reset_reports ();
+            for k = 8 * round to (8 * round) + 7 do
+              Database.insert db "Edge" (bridge k);
+              Database.delete db "Edge" (bridge k)
+            done;
+            Ivm.reports ())
+          [ 0; 1; 2; 3 ]
+      in
+      Alcotest.(check int) (Fmt.str "%s: one report per update" con) 64 (List.length rps);
+      List.iter
+        (fun rp ->
+          Alcotest.(check string) (Fmt.str "%s route" con) mode rp.Ivm.rp_mode;
+          if con = "tc" then begin
+            List.iter
+              (fun (label, tuples) ->
+                match has_phase rp label with
+                | None -> Alcotest.failf "report lacks a %S phase" label
+                | Some ph ->
+                  Alcotest.(check int) (Fmt.str "%s tuples" label) tuples ph.Ivm.ph_tuples)
+              (* a bridge from an even chain's tail: its 32 nodes
+                 re-traverse, and 32 x 8 rows come or go *)
+              [ ("affected sources", 32); ("replace rows", 256) ];
+            Alcotest.(check int) "net delta" 256 (rp.Ivm.rp_plus + rp.Ivm.rp_minus)
+          end
+          else
+            List.iter
+              (fun label ->
+                if Option.is_none (has_phase rp label) then
+                  Alcotest.failf "%s: report lacks a %S phase" con label)
+              [ "seed"; "overdelete"; "rederive"; "propagate"; "insert"; "commit" ])
+        rps;
+      if con = "tc" then begin
+        Alcotest.(check int) "overdeleted counter" overdeleted0
+          (counter "dc_ivm_overdeleted_total");
+        Alcotest.(check int) "rederived counter" rederived0
+          (counter "dc_ivm_rederived_total")
+      end;
+      let total = List.fold_left (fun acc rp -> acc +. rp.Ivm.rp_ms) 0. rps in
+      let phases =
+        List.fold_left
+          (fun acc rp ->
+            List.fold_left (fun acc ph -> acc +. ph.Ivm.ph_ms) acc rp.Ivm.rp_phases)
+          0. rps
+      in
+      if phases < 0.9 *. total || phases > total then
+        Alcotest.failf "%s: phases sum to %.3f ms of the reports' %.3f ms" con phases
+          total)
+    bridge_views
+
+(* ------------------------------------------------------------------ *)
+(* Routes and the two-state stream *)
+
+(* The §3.1 scene: [Infront{ahead(Ontop)}] is a two-state system over
+   two labels. *)
+let scene_decls =
+  {|TYPE node = STRING;
+TYPE infrontrel = RELATION front, back OF RECORD front, back: node END;
+TYPE ontoprel = RELATION top, base OF RECORD top, base: node END;
+TYPE aheadrel = RELATION head, tail OF RECORD head, tail: node END;
+TYPE aboverel = RELATION high, low OF RECORD high, low: node END;
+VAR Infront: infrontrel;
+VAR Ontop: ontoprel;
+CONSTRUCTOR ahead FOR Rel: infrontrel (Ontop: ontoprel): aheadrel;
+BEGIN EACH r IN Rel: TRUE,
+      <r.front, ah.tail> OF EACH r IN Rel, EACH ah IN Rel{ahead(Ontop)}:
+        r.back = ah.head,
+      <r.front, ab.low> OF EACH r IN Rel, EACH ab IN Ontop{above(Rel)}:
+        r.back = ab.high
+END ahead;
+CONSTRUCTOR above FOR Rel: ontoprel (Infront: infrontrel): aboverel;
+BEGIN EACH r IN Rel: TRUE,
+      <r.top, ab.low> OF EACH r IN Rel, EACH ab IN Rel{above(Infront)}:
+        r.base = ab.high,
+      <r.top, ah.tail> OF EACH r IN Rel, EACH ah IN Infront{ahead(Rel)}:
+        r.base = ah.head
+END above;
+|}
+
+let scene_range = Ast.Construct (Ast.Rel "Infront", "ahead", [ Ast.Arg_range (Ast.Rel "Ontop") ])
+
+let scene_view () =
+  let db, _ = Dc_lang.Elaborate.run_string scene_decls in
+  (db, Ivm.materialize db ~constructor:"ahead" ~base:"Infront" ~args:[ Ast.Arg_range (Ast.Rel "Ontop") ])
+
+(* 1,000 steps over both labels from empty ones: the node pool grows
+   along the stream, so insertions keep bringing in nodes the view's
+   graph has not numbered yet; after each step the view must equal a
+   semi-naive evaluation from scratch. *)
+let test_scene_stream () =
+  let seed = 20261019 in
+  let rng = Rng.create seed in
+  let db, view = scene_view () in
+  for i = 1 to 1000 do
+    let rel = if Rng.bool rng 0.5 then "Infront" else "Ontop" in
+    let current = Database.get db rel in
+    let op =
+      if Relation.cardinal current > 0 && Rng.bool rng 0.4 then begin
+        let ts = Relation.to_list current in
+        let t = List.nth ts (Rng.int rng (List.length ts)) in
+        Database.delete db rel t;
+        Fmt.str "DELETE %s%a" rel Tuple.pp t
+      end
+      else begin
+        let pool = 3 + (i / 40) in
+        let t = Tuple.of_list [ rand_node_of rng pool; rand_node_of rng pool ] in
+        Database.insert db rel t;
+        Fmt.str "INSERT %s%a" rel Tuple.pp t
+      end
+    in
+    let expected = fresh_extent db scene_range in
+    let got = ts_of_relation (Ivm.value view) in
+    if not (TS.equal expected got) then
+      Alcotest.failf
+        "seed %d scene: step %d (%s): maintained extent diverged: %d maintained \
+         vs %d from scratch"
+        seed i op (TS.cardinal got) (TS.cardinal expected)
+  done
+
+(* The recogniser picks the route: the closures and the scene traverse,
+   the systems it declines keep DRed. *)
+let test_plan_kinds () =
+  let kind w =
+    let _, view = setup w (w.w_init (Rng.create 1)) in
+    Ivm.plan_kind view
+  in
+  List.iter
+    (fun w ->
+      Alcotest.(check string) w.w_name "traversal (path____bottom_path over edge)" (kind w))
+    (graph_workload :: dag_workloads);
+  Alcotest.(check string) "scene" "traversal (ahead__Infront__Ontop over Infront, Ontop)"
+    (Ivm.plan_kind (snd (scene_view ())));
+  List.iter
+    (fun w ->
+      let k = kind w in
+      if not (contains_s k ":dred") then
+        Alcotest.failf "%s: plan %S, expected DRed" w.w_name k)
+    [ sg_workload; mutual_workload; bom_workload; even_workload ]
+
+(* A re-traversal ticks the guard on every row it emits, under the
+   closure's label: a row budget trips inside it, names it, and leaves
+   the base relation and the view as they were. *)
+let test_traversal_trip () =
+  let db, view, bridge = bridge_fixture "tc" in
+  let before = ts_of_relation (Ivm.value view) in
+  Database.set_limits db (Guard.limits ~rows:100 ());
+  (match Database.insert db "Edge" (bridge 0) with
+  | () -> Alcotest.fail "a 100-row budget held through a 32-source re-traversal"
+  | exception Guard.Exhausted (Guard.Rows_exhausted _, progress) ->
+    Alcotest.(check (option string)) "tripping operator" (Some "closure tc")
+      progress.Guard.pg_operator);
+  Database.set_limits db Guard.no_limits;
+  Alcotest.(check bool) "base kept" false
+    (Relation.mem (bridge 0) (Database.get db "Edge"));
+  Alcotest.(check bool) "view kept" true (TS.equal before (ts_of_relation (Ivm.value view)))
 
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
@@ -1043,7 +1315,7 @@ let () =
               Alcotest.test_case
                 (Fmt.str "%s: 1000 steps" w.w_name)
                 `Slow (test_update_stream w))
-            dag_workloads );
+            (dag_workloads @ [ even_workload ]) );
       ( "abort atomicity",
         List.map
           (fun w ->
@@ -1052,6 +1324,8 @@ let () =
         @ [
             Alcotest.test_case "aggregate views" `Quick
               test_agg_abort_atomicity;
+            Alcotest.test_case even_workload.w_name `Quick
+              (test_abort_atomicity even_workload);
           ] );
       ( "facts deletion",
         [ Alcotest.test_case "cached indexes" `Quick test_facts_remove_indexes ] );
@@ -1068,6 +1342,8 @@ let () =
             test_explain_analyze_update;
           Alcotest.test_case "restore recounts recursive counts" `Quick
             test_restore_recounts;
+          Alcotest.test_case "restore a closure's DRed checkpoint" `Quick
+            test_restore_dred_checkpoint;
         ] );
       ( "degree independence",
         List.map
@@ -1076,17 +1352,26 @@ let () =
               (Fmt.str "%s stream" w.w_name)
               `Slow
               (test_degree_independent_stream w))
-          (graph_workload :: dag_workloads)
+          ((graph_workload :: dag_workloads) @ [ even_workload ])
         @ [
             Alcotest.test_case "ring EXPLAIN ANALYZE DELETE" `Quick
               test_degree_independent_surface;
           ] );
-      ("properties", qcheck (List.map prop_stream (workloads @ dag_workloads)));
+      ( "properties",
+        qcheck (List.map prop_stream (workloads @ dag_workloads @ [ even_workload ]))
+      );
       ( "access paths",
         [
           Alcotest.test_case "no index over the view per update" `Quick
             test_no_view_index_builds;
           Alcotest.test_case "phases add up to the total" `Quick
             test_phases_add_up;
+        ] );
+      ( "traversal",
+        [
+          Alcotest.test_case "plan kinds" `Quick test_plan_kinds;
+          Alcotest.test_case "scene: 1000 steps" `Slow test_scene_stream;
+          Alcotest.test_case "a row budget trips inside" `Quick
+            test_traversal_trip;
         ] );
     ]

@@ -5,9 +5,10 @@
    — [wal.append] (mid-frame, torn bytes on disk), [wal.fsync] (record
    written, fsync never ran), [wal.checkpoint] (image written, rename
    never ran) and [wal.truncate] (checkpoint renamed, log never reset) —
-   a durable database takes a randomized INSERT/DELETE stream with two
-   live maintained views (a DRed transitive closure and a counting
-   two-hop join) until the fault fires, then the directory is recovered
+   a durable database takes a randomized INSERT/DELETE stream with three
+   live maintained views (a transitive closure maintained by
+   re-traversal, a DRed even-path view and a counting two-hop join)
+   until the fault fires, then the directory is recovered
    into a fresh process image and compared, tuple for tuple and
    derivation count for derivation count, against an in-memory oracle
    that applied exactly the acknowledged batches.  Each site has a
@@ -18,7 +19,7 @@
    Around it: frame codec round-trips and CRC rejection, torn-tail
    truncation at raw byte offsets, empty-delta commits keeping the
    version sequence consecutive across recovery, and the PR 5 x PR 7
-   interplay — a recovered server serving a maintained DRed view to a
+   interplay — a recovered server serving a maintained closure view to a
    pinned BEGIN reader while the writer commits durably underneath. *)
 
 open Dc_relation
@@ -61,8 +62,8 @@ let fresh_dir tag =
   d
 
 (* ------------------------------------------------------------------ *)
-(* Shared workload: a graph, a DRed transitive closure and a counting
-   two-hop view, randomized batches *)
+(* Shared workload: a graph, its transitive closure, its even-length
+   paths (DRed) and a counting two-hop view, randomized batches *)
 
 let nodes = 10
 
@@ -84,8 +85,10 @@ let hop_program =
 
 let path_range = Ast.Construct (Ast.Rel "__bottom_path", "path", [])
 
-(* Declare edge, load [init], and materialize both views; used for the
-   durable database and for its in-memory oracle alike. *)
+(* Declare edge, load [init], and materialize the three views; used for
+   the durable database and for its in-memory oracle alike.  The
+   even-path view is the one whose recursive derivation counts DRed
+   keeps, which [check_same_state] compares once an update built them. *)
 let setup db init =
   Database.declare db "edge" Graph_gen.edge_schema;
   Database.set db "edge" init;
@@ -98,6 +101,7 @@ let setup db init =
   in
   let path = declare_views Oracle.tc_nonlinear "path" in
   let hop = declare_views hop_program "hop" in
+  ignore (declare_views Oracle.even_paths_program "even");
   (path, hop)
 
 (* One randomized batch against the current pure extent: deletions of
@@ -667,7 +671,7 @@ let crash_group seed () =
   Durable.close r
 
 (* ------------------------------------------------------------------ *)
-(* PR 5 x PR 7 interplay: a maintained DRed view and a pinned BEGIN
+(* PR 5 x PR 7 interplay: a maintained closure view and a pinned BEGIN
    reader on a server recovered from a crash *)
 
 let test_recovered_server_pinned_reader () =
@@ -679,7 +683,8 @@ let test_recovered_server_pinned_reader () =
     Graph_gen.random_graph ~seed:(Rng.int rng 1_000_000) ~nodes
       ~edges:(2 * nodes)
   in
-  (* phase 1: durable database with a DRed closure, killed mid-append *)
+  (* phase 1: durable database with a maintained closure, killed
+     mid-append *)
   let ddb = Database.create () in
   let _dur = Durable.open_dir ~db:ddb dir in
   ignore (setup ddb init);
@@ -734,8 +739,8 @@ let test_recovered_server_pinned_reader () =
   Alcotest.(check int) "clean restart" 0 (Durable.replayed r);
   let rview =
     match sorted_views (Durable.db r) with
-    | [ _hop; path ] -> path
-    | vs -> Alcotest.failf "expected 2 views, got %d" (List.length vs)
+    | [ _even; _hop; path ] -> path
+    | vs -> Alcotest.failf "expected 3 views, got %d" (List.length vs)
   in
   Alcotest.(check bool) "view survives shutdown" true
     (Facts.TS.equal
