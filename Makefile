@@ -19,8 +19,10 @@ bench:
 # connected 300-node, 900-edge digraph) and planned_scene_256 (the §3.1
 # scene Infront{ahead(Ontop)} over the 256-deep scene, its ahead/above
 # automaton against the mutual fixpoint; all three exit 1 if the answers
-# differ) and the wire codec cells (a 90,000-row and a 3-row Rows frame;
-# exits 1 if a decoded frame differs from its rows).
+# differ) and the wire codec cells (a 90,000-row and a 3-row Rows frame,
+# each framed from a tree and from a run of the same rows as a served
+# closure is; exits 1 if the two frames differ by a byte or a decoded
+# frame differs from its rows).
 bench-smoke:
 	dune exec bench/main.exe -- smoke
 

@@ -1354,8 +1354,10 @@ let print_planned records =
    relation, CRC included) and its payload decoded as the client decodes
    it.  Two results: the 90,000 rows over 300 labels of a closure over a
    strongly connected 300-node graph (servebench's [Rand{tc()}] shape),
-   and a 3-row point read.  Each sample times [reps] frames; the cells
-   report per frame.  Exits 1 if a decoded row list differs from the
+   and a 3-row point read.  Each result is framed twice: from a tree, and
+   from a run of the same rows, as a served closure is framed.  Each
+   sample times [reps] frames; the cells report per frame.  Exits 1 if
+   the two frames differ by a byte or a decoded row list differs from the
    relation's. *)
 
 module Wire = Dc_net.Wire
@@ -1364,7 +1366,8 @@ type codec_record = {
   cc_name : string;
   cc_rows : int;
   cc_bytes : int; (* the whole frame *)
-  cc_encode : summary; (* ms per frame *)
+  cc_encode : summary; (* ms per frame, from a tree *)
+  cc_encode_run : summary; (* from a run, as a served closure is framed *)
   cc_decode : summary;
 }
 
@@ -1387,7 +1390,15 @@ let codec_records () =
           (List.init rows (fun i ->
                Tuple.make2 (label (i / labels)) (label (i mod labels))))
       in
+      let run =
+        Relation.of_sorted_unchecked schema
+          (Array.of_list (Relation.to_list rel))
+      in
       let frame = Wire.frame_rows ~version:1 rel in
+      if not (String.equal (Wire.frame_rows ~version:1 run) frame) then begin
+        Fmt.epr "wire_codec %s: the run's frame differs from the tree's@." name;
+        exit 1
+      end;
       let payload =
         String.sub frame (String.length frame - Wire.frame_payload_length frame)
           (Wire.frame_payload_length frame)
@@ -1404,15 +1415,17 @@ let codec_records () =
         interleaved
           [
             per_frame reps (fun () -> Wire.frame_rows ~version:1 rel);
+            per_frame reps (fun () -> Wire.frame_rows ~version:1 run);
             per_frame reps (fun () -> Wire.decode_response payload);
           ]
       with
-      | [ ((), encode); ((), decode) ] ->
+      | [ ((), encode); ((), encode_run); ((), decode) ] ->
         {
           cc_name = name;
           cc_rows = rows;
           cc_bytes = String.length frame;
           cc_encode = encode;
+          cc_encode_run = encode_run;
           cc_decode = decode;
         }
       | _ -> assert false)
@@ -1428,6 +1441,8 @@ let codec_json r =
       ("bytes_per_row", num (float_of_int r.cc_bytes /. float_of_int r.cc_rows));
       ("encode_us", us r.cc_encode);
       ("encode_iqr_us", iqr r.cc_encode);
+      ("encode_run_us", us r.cc_encode_run);
+      ("encode_run_iqr_us", iqr r.cc_encode_run);
       ("decode_us", us r.cc_decode);
       ("decode_iqr_us", iqr r.cc_decode);
     ]
@@ -1436,12 +1451,14 @@ let print_codec records =
   List.iter
     (fun r ->
       Fmt.pr
-        "wire_codec_%-22s %7.2f bytes/row  encode %9.1f us (iqr %.1f)  decode \
-         %9.1f us (iqr %.1f)@."
+        "wire_codec_%-22s %7.2f bytes/row  encode %9.1f us (iqr %.1f)  run \
+         %9.1f us (iqr %.1f)  decode %9.1f us (iqr %.1f)@."
         r.cc_name
         (float_of_int r.cc_bytes /. float_of_int r.cc_rows)
         (r.cc_encode.median_ms *. 1000.)
         (r.cc_encode.iqr_ms *. 1000.)
+        (r.cc_encode_run.median_ms *. 1000.)
+        (r.cc_encode_run.iqr_ms *. 1000.)
         (r.cc_decode.median_ms *. 1000.)
         (r.cc_decode.iqr_ms *. 1000.))
     records
@@ -1450,7 +1467,8 @@ let print_codec records =
    cells and the wire codec cells — a seconds-long sanity pass (`make
    bench-smoke`) confirming the harness, the kernel, the planner and the
    Rows codec still run; exits 1 if a planned answer differs from the
-   direct one or a decoded frame from its rows. *)
+   direct one, a decoded frame from its rows, or a run's frame from its
+   tree's. *)
 let run_smoke () =
   print_records
     (json_experiments ~only:[ "e5_mutual_scene_64"; "e4_magic_left_256" ] ());

@@ -375,11 +375,22 @@ let collect ?(ctx = empty_ctx) ?guard ~schema t =
   !acc
 
 (* Run a pipeline whose output comes in increasing tuple order, each
-   tuple once (a [Closure]), and build its relation in linear time. *)
+   tuple once (a [Closure]), into a growing array: the relation is that
+   array, wrapped as a run.  Binary search and [cardinal] on the run rely
+   on that order, so each tuple is asserted to follow the one before. *)
 let collect_sorted ?(ctx = empty_ctx) ?guard ~schema t =
-  let acc = ref [] in
-  run ?guard ctx t (fun tuple -> acc := tuple :: !acc);
-  Relation.of_sorted_unchecked schema (Array.of_list (List.rev !acc))
+  let rows = ref [||] and n = ref 0 in
+  run ?guard ctx t (fun tuple ->
+      assert (!n = 0 || Tuple.compare !rows.(!n - 1) tuple < 0);
+      if !n = Array.length !rows then begin
+        let grown = Array.make (max 64 (2 * !n)) tuple in
+        Array.blit !rows 0 grown 0 !n;
+        rows := grown
+      end;
+      !rows.(!n) <- tuple;
+      incr n);
+  Relation.of_sorted_unchecked schema
+    (if !n = Array.length !rows then !rows else Array.sub !rows 0 !n)
 
 (* ------------------------------------------------------------------ *)
 (* Printing: the operator tree with post-run counters. *)

@@ -483,6 +483,13 @@ let ensure_counts view =
     n
   | Incremental _ | Traversal _ | Recompute _ -> 0
 
+(* Rows enter the view's extent at a refresh or restore (all of them) and
+   at an update (the added ones): each is checked there, once, with the
+   well-typedness [Relation.add_unchecked] asserts, so serving a version
+   wraps the store without a pass over it. *)
+let assert_typed view rows =
+  assert (TS.for_all (Tuple.well_typed view.def.Defs.con_result) rows)
+
 let refresh view =
   let guard = Guard.of_limits (Database.limits view.db) in
   (match view.plan with
@@ -500,6 +507,7 @@ let refresh view =
     view.store <-
       Seminaive.run ~guard ~aggs:view.aggs view.program
         (Translate.edb (fun p -> Some (Database.get view.db p)) view.program));
+  assert_typed view (Facts.find view.store view.query_pred);
   init_supports view;
   Facts.drop_prefix_paths view.store;
   view.status <- Live;
@@ -938,6 +946,7 @@ let incremental_update view sccs updates =
      commit point that covers this update's publication *)
   rp.rp_plus <- Facts.cardinal st.dplus view.query_pred;
   rp.rp_minus <- Facts.cardinal st.dminus view.query_pred;
+  assert_typed view (Facts.find st.dplus view.query_pred);
   view.store <- st.post;
   rp
 
@@ -1032,8 +1041,10 @@ let traversal_update view tr updates =
       !rows);
   timed rp (Fmt.str "replace rows %s" pred) (fun () ->
       let sorted rows = Relation.sorted_set (Array.of_list (List.rev rows)) in
+      let added = sorted !plus in
+      assert_typed view added;
       view.store <-
-        Facts.add_set (Facts.remove_set view.store pred (sorted !minus)) pred (sorted !plus);
+        Facts.add_set (Facts.remove_set view.store pred (sorted !minus)) pred added;
       view.graph <- !g;
       rp.rp_plus <- List.length !plus;
       rp.rp_minus <- List.length !minus;
@@ -1079,15 +1090,10 @@ let update view updates =
 (* Serving *)
 
 (* The view's extent as a relation: an O(1) wrap of the store's tuple
-   set, plus the well-typedness check [Relation.add_unchecked] makes. *)
-let extent schema store query_pred =
-  let rel = Facts.to_relation schema store query_pred in
-  assert (Relation.for_all (Tuple.well_typed schema) rel);
-  rel
-
+   set, whose rows were checked as they entered it ([assert_typed]). *)
 let value view =
   if view.status = Stale then refresh view;
-  extent view.def.Defs.con_result view.store view.query_pred
+  Facts.to_relation view.def.Defs.con_result view.store view.query_pred
 
 (* Does a constructor application match this view?  Same constructor,
    tuple-identical base, and each surface argument naming the same
@@ -1184,7 +1190,7 @@ let maintainer_of view =
               match Atomic.get memo with
               | Some rel -> rel
               | None ->
-                let rel = extent result_schema store query_pred in
+                let rel = Facts.to_relation result_schema store query_pred in
                 if Atomic.compare_and_set memo None (Some rel) then rel
                 else Option.get (Atomic.get memo)
             in
@@ -1336,6 +1342,7 @@ let restore db d =
         if traversal && not (String.equal p view.query_pred) then acc
         else Facts.add_set acc p (TS.of_list ts))
       (Facts.empty ()) d.dp_store;
+  assert_typed view (Facts.find view.store view.query_pred);
   view.status <- (if d.dp_stale then Stale else Live);
   if not traversal then
     List.iter

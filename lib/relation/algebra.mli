@@ -10,10 +10,6 @@ val project : int list -> Relation.t -> Relation.t
 val rename : string list -> Relation.t -> Relation.t
 (** Positional attribute rename. *)
 
-val concat_schema : Schema.t -> Schema.t -> Schema.t
-(** Schema of a tuple concatenation, attribute names positionally
-    suffixed to stay unique across self-joins. *)
-
 val product : Relation.t -> Relation.t -> Relation.t
 (** Cartesian product; result tuples are concatenations. *)
 

@@ -51,8 +51,6 @@ let remove idx t =
       | [] -> H.remove idx.table k
       | bucket' -> H.replace idx.table k bucket')
 
-let extend_seq idx seq = Seq.iter (add idx) seq
-
 let build positions rel =
   let idx = create ~size:(max 16 (Relation.cardinal rel)) positions in
   extend idx rel;

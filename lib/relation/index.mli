@@ -19,8 +19,6 @@ val extend : t -> Relation.t -> unit
     maintenance step: an index built on [r] then extended with
     [diff r' r] answers lookups exactly as one freshly built on [r']. *)
 
-val extend_seq : t -> Tuple.t Seq.t -> unit
-
 val remove : t -> Tuple.t -> unit
 (** Undo one insertion of the tuple (first occurrence in its bucket);
     no-op when absent. Used to roll back {!extend} on abort. *)

@@ -5,14 +5,35 @@
 
      ALL r1,r2 IN rel (r1.key = r2.key ==> r1 = r2)
 
-   Relations are persistent (balanced-tree sets), which the fixpoint engine
-   relies on for cheap snapshots of iteration states. *)
+   Relations are persistent.  Their rows take one of two physical shapes,
+   chosen by how the relation was built, below the logical level (§4):
+
+   - a balanced-tree set, which the fixpoint engine and every update rely
+     on for cheap snapshots of iteration states;
+   - a run: a strictly increasing tuple array, which a result emitted in
+     order (a closure traversal) is wrapped as in O(1).
+
+   Reads (cardinality, iteration, folds, membership and prefix scans by
+   binary search) work on a run in place.  Any other set operation derives
+   the tree from it once, in linear time, and keeps it in the run. *)
 
 module Tuple_set = Set.Make (Tuple)
 
+(* The tree derived from [arr] is written to [tree] unsynchronised: pool
+   domains may read one relation at once, and a lost race costs a
+   duplicate build of an equal tree, never an exception. *)
+type run = {
+  arr : Tuple.t array;
+  mutable tree : Tuple_set.t option;
+}
+
+type rows =
+  | Tree of Tuple_set.t
+  | Run of run
+
 type t = {
   schema : Schema.t;
-  tuples : Tuple_set.t;
+  rows : rows;
 }
 
 exception Key_violation of string
@@ -23,27 +44,91 @@ let type_mismatch fmt = Fmt.kstr (fun s -> raise (Type_mismatch s)) fmt
 
 let schema r = r.schema
 
-let empty schema = { schema; tuples = Tuple_set.empty }
+let empty schema = { schema; rows = Tree Tuple_set.empty }
 
-let cardinal r = Tuple_set.cardinal r.tuples
+(* A union of two disjoint sets whose ranges do not overlap splits the
+   larger one once per level of the smaller's right spine, so unions of
+   halves build the set in time linear in its size, with no comparison
+   sort. *)
+let sorted_set tuples =
+  let rec build lo hi =
+    match hi - lo with
+    | 0 -> Tuple_set.empty
+    | 1 -> Tuple_set.singleton tuples.(lo)
+    | n ->
+      let mid = lo + (n / 2) in
+      Tuple_set.union (build lo mid) (build mid hi)
+  in
+  build 0 (Array.length tuples)
 
-let is_empty r = Tuple_set.is_empty r.tuples
+let tree r =
+  match r.rows with
+  | Tree set -> set
+  | Run { tree = Some set; _ } -> set
+  | Run run ->
+    let set = sorted_set run.arr in
+    run.tree <- Some set;
+    set
 
-let mem t r = Tuple_set.mem t r.tuples
+let with_tree r set = { r with rows = Tree set }
 
-let to_list r = Tuple_set.elements r.tuples
+let cardinal r =
+  match r.rows with
+  | Tree set -> Tuple_set.cardinal set
+  | Run { arr; _ } -> Array.length arr
 
-let to_seq r = Tuple_set.to_seq r.tuples
+let is_empty r =
+  match r.rows with
+  | Tree set -> Tuple_set.is_empty set
+  | Run { arr; _ } -> Array.length arr = 0
 
-let fold f r acc = Tuple_set.fold f r.tuples acc
+(* The first index in [lo, hi) of the run at which [below] turns false;
+   [below] is monotone along the run, true then false. *)
+let rec first_not arr below lo hi =
+  if lo >= hi then lo
+  else
+    let mid = lo + ((hi - lo) / 2) in
+    if below arr.(mid) then first_not arr below (mid + 1) hi
+    else first_not arr below lo mid
 
-let iter f r = Tuple_set.iter f r.tuples
+let mem t r =
+  match r.rows with
+  | Tree set -> Tuple_set.mem t set
+  | Run { arr; _ } ->
+    let n = Array.length arr in
+    let i = first_not arr (fun u -> Tuple.compare u t < 0) 0 n in
+    i < n && Tuple.equal arr.(i) t
 
-let exists p r = Tuple_set.exists p r.tuples
+let to_list r =
+  match r.rows with
+  | Tree set -> Tuple_set.elements set
+  | Run { arr; _ } -> Array.to_list arr
 
-let for_all p r = Tuple_set.for_all p r.tuples
+let fold f r acc =
+  match r.rows with
+  | Tree set -> Tuple_set.fold f set acc
+  | Run { arr; _ } -> Array.fold_left (fun acc t -> f t acc) acc arr
 
-let choose_opt r = Tuple_set.choose_opt r.tuples
+let iter f r =
+  match r.rows with
+  | Tree set -> Tuple_set.iter f set
+  | Run { arr; _ } -> Array.iter f arr
+
+let exists p r =
+  match r.rows with
+  | Tree set -> Tuple_set.exists p set
+  | Run { arr; _ } -> Array.exists p arr
+
+let for_all p r =
+  match r.rows with
+  | Tree set -> Tuple_set.for_all p set
+  | Run { arr; _ } -> Array.for_all p arr
+
+(* The least tuple, as [Tuple_set.choose_opt] picks it *)
+let choose_opt r =
+  match r.rows with
+  | Tree set -> Tuple_set.choose_opt set
+  | Run { arr; _ } -> if Array.length arr = 0 then None else Some arr.(0)
 
 let compare_prefix key t =
   let rec go i = function
@@ -70,7 +155,14 @@ let prefix_scan set key =
     in
     take [] (Tuple_set.to_seq_from first set)
 
-let lookup_prefix r key = prefix_scan r.tuples key
+let lookup_prefix r key =
+  match r.rows with
+  | Tree set -> prefix_scan set key
+  | Run { arr; _ } ->
+    let n = Array.length arr in
+    let first = first_not arr (fun t -> compare_prefix key t < 0) 0 n in
+    let stop = first_not arr (fun t -> compare_prefix key t <= 0) first n in
+    List.init (stop - first) (fun i -> arr.(first + i))
 
 let check_type r t =
   if not (Tuple.well_typed r.schema t) then
@@ -98,13 +190,13 @@ let violates_key r t =
 let check_key r =
   if not (Schema.key_is_whole_tuple r.schema) then
     ignore
-      (Tuple_set.fold
+      (fold
          (fun t seen ->
            let k = key_of r.schema t in
            if Tuple_set.mem k seen then
              key_violation "key %a already present" Tuple.pp k;
            Tuple_set.add k seen)
-         r.tuples Tuple_set.empty)
+         r Tuple_set.empty)
 
 (* [add] enforces both typing and the key constraint, mirroring the
    type-checker-generated conditional assignment of §2.2:
@@ -114,44 +206,27 @@ let add t r =
   check_type r t;
   if violates_key r t then
     key_violation "key %a already present" Tuple.pp (key_of r.schema t);
-  { r with tuples = Tuple_set.add t r.tuples }
+  with_tree r (Tuple_set.add t (tree r))
 
 (* [add_unchecked] is used by the fixpoint engine on derived relations whose
    schemas declare whole-tuple keys; it still asserts well-typedness. *)
 let add_unchecked t r =
   assert (Tuple.well_typed r.schema t);
-  { r with tuples = Tuple_set.add t r.tuples }
+  with_tree r (Tuple_set.add t (tree r))
 
 (* O(1) wrap of a tuple set built elsewhere (the Datalog fact store
    shares this set type).  Nothing is checked: the caller vouches for
    well-typedness and a whole-tuple key, as with [add_unchecked]. *)
-let of_set_unchecked schema tuples = { schema; tuples }
+let of_set_unchecked schema tuples = { schema; rows = Tree tuples }
 
-(* A union of two disjoint sets whose ranges do not overlap splits the
-   larger one once per level of the smaller's right spine, so unions of
-   halves build the set in time linear in its size, with no comparison
-   sort. *)
-let sorted_set tuples =
-  let rec build lo hi =
-    match hi - lo with
-    | 0 -> Tuple_set.empty
-    | 1 -> Tuple_set.singleton tuples.(lo)
-    | n ->
-      let mid = lo + (n / 2) in
-      Tuple_set.union (build lo mid) (build mid hi)
-  in
-  build 0 (Array.length tuples)
+let of_sorted_unchecked schema arr = { schema; rows = Run { arr; tree = None } }
 
-let of_sorted_unchecked schema tuples = { schema; tuples = sorted_set tuples }
-
-let remove t r = { r with tuples = Tuple_set.remove t r.tuples }
+let remove t r = with_tree r (Tuple_set.remove t (tree r))
 
 let of_list schema ts = List.fold_left (fun r t -> add t r) (empty schema) ts
 
 let of_pairs schema vs =
   of_list schema (List.map (fun (a, b) -> Tuple.make2 a b) vs)
-
-let singleton schema t = add t (empty schema)
 
 let check_compatible op a b =
   if not (Schema.compatible a.schema b.schema) then
@@ -162,25 +237,24 @@ let check_compatible op a b =
    keyed schemas. *)
 let union a b =
   check_compatible "union" a b;
-  if Tuple_set.is_empty b.tuples then a
+  if is_empty b then a
   else if Schema.key_is_whole_tuple a.schema then
-    { a with tuples = Tuple_set.union a.tuples b.tuples }
-  else Tuple_set.fold add b.tuples a
+    with_tree a (Tuple_set.union (tree a) (tree b))
+  else fold add b a
 
 let inter a b =
   check_compatible "inter" a b;
-  { a with tuples = Tuple_set.inter a.tuples b.tuples }
+  with_tree a (Tuple_set.inter (tree a) (tree b))
 
 let diff a b =
   check_compatible "diff" a b;
-  if Tuple_set.is_empty b.tuples then a
-  else { a with tuples = Tuple_set.diff a.tuples b.tuples }
+  if is_empty b then a else with_tree a (Tuple_set.diff (tree a) (tree b))
 
-let filter p r = { r with tuples = Tuple_set.filter p r.tuples }
+let filter p r = with_tree r (Tuple_set.filter p (tree r))
 
 (* Re-view a relation at a positionally compatible schema (e.g. an actual
    relation passed for a formal parameter whose type uses different
-   attribute names).  The tuple set is shared. *)
+   attribute names).  The rows are shared, a run as a run. *)
 let with_schema schema r =
   if not (Schema.compatible schema r.schema) then
     type_mismatch "cannot view %a at schema %a" Schema.pp r.schema Schema.pp
@@ -188,13 +262,19 @@ let with_schema schema r =
   { r with schema }
 
 let equal a b =
-  Schema.compatible a.schema b.schema && Tuple_set.equal a.tuples b.tuples
+  Schema.compatible a.schema b.schema && Tuple_set.equal (tree a) (tree b)
 
 let subset a b =
-  Schema.compatible a.schema b.schema && Tuple_set.subset a.tuples b.tuples
+  Schema.compatible a.schema b.schema && Tuple_set.subset (tree a) (tree b)
+
+let same_rows a b =
+  match (a.rows, b.rows) with
+  | Tree s, Tree s' -> s == s'
+  | Run { arr; _ }, Run { arr = arr'; _ } -> arr == arr'
+  | Tree _, Run _ | Run _, Tree _ -> false
 
 let compare_tuples a b =
-  if a.tuples == b.tuples then 0 else Tuple_set.compare a.tuples b.tuples
+  if same_rows a b then 0 else Tuple_set.compare (tree a) (tree b)
 
 (* Hash-partition into [shards] disjoint covering relations keyed on the
    cached structural tuple hash; deterministic for a fixed shard count.
@@ -203,12 +283,12 @@ let partition_hash ~shards r =
   if shards <= 1 then [| r |]
   else begin
     let out = Array.make shards Tuple_set.empty in
-    Tuple_set.iter
+    iter
       (fun t ->
         let i = Tuple.hash t mod shards in
         out.(i) <- Tuple_set.add t out.(i))
-      r.tuples;
-    Array.map (fun tuples -> { r with tuples }) out
+      r;
+    Array.map (with_tree r) out
   end
 
 let pp ppf r =

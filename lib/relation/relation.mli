@@ -4,7 +4,11 @@
     Values are persistent; every update returns a new relation. Operations
     that admit a tuple enforce (a) schema conformance and (b) uniqueness of
     the key image, raising {!Type_mismatch} / {!Key_violation} exactly where
-    DBPL's generated run-time checks would raise an exception. *)
+    DBPL's generated run-time checks would raise an exception.
+
+    A relation's rows are a balanced tree or a run (a strictly increasing
+    array, from {!of_sorted_unchecked}); which one is decided by how the
+    relation was built and is not observable except in cost. *)
 
 module Tuple_set : Set.S with type elt = Tuple.t
 (** The ordered tuple sets relations are made of ({!Tuple.compare}
@@ -18,7 +22,6 @@ exception Type_mismatch of string
 val schema : t -> Schema.t
 
 val empty : Schema.t -> t
-val singleton : Schema.t -> Tuple.t -> t
 
 val of_list : Schema.t -> Tuple.t list -> t
 (** @raise Key_violation / Type_mismatch per offending tuple. *)
@@ -33,7 +36,6 @@ val mem : Tuple.t -> t -> bool
 val to_list : t -> Tuple.t list
 (** In increasing {!Tuple.compare} order. *)
 
-val to_seq : t -> Tuple.t Seq.t
 val fold : (Tuple.t -> 'a -> 'a) -> t -> 'a -> 'a
 val iter : (Tuple.t -> unit) -> t -> unit
 val exists : (Tuple.t -> bool) -> t -> bool
@@ -46,7 +48,8 @@ val prefix_scan : Tuple_set.t -> Value.t list -> Tuple.t list
     the ordered set, with no index built. *)
 
 val lookup_prefix : t -> Value.t list -> Tuple.t list
-(** {!prefix_scan} over the relation's tuple set. *)
+(** {!prefix_scan} over the relation's rows; on a run, two binary
+    searches. *)
 
 val add : Tuple.t -> t -> t
 (** Checked insertion.
@@ -68,8 +71,11 @@ val sorted_set : Tuple.t array -> Tuple_set.t
     linear time. *)
 
 val of_sorted_unchecked : Schema.t -> Tuple.t array -> t
-(** The relation of a strictly increasing ({!Tuple.compare}) array, built
-    in linear time.  Checks nothing, as {!of_set_unchecked}. *)
+(** The relation of a strictly increasing ({!Tuple.compare}) array: an
+    O(1) wrap of the array as a run, which the caller must not mutate
+    afterwards.  Reads work on the run in place; any other set operation
+    builds its tree once ({!sorted_set}) and keeps it.  Checks nothing, as
+    {!of_set_unchecked}. *)
 
 val remove : Tuple.t -> t -> t
 
@@ -91,7 +97,8 @@ val filter : (Tuple.t -> bool) -> t -> t
 
 val with_schema : Schema.t -> t -> t
 (** Re-view the relation at a positionally compatible schema (attribute
-    names and keys taken from the new schema; tuples shared).
+    names and keys taken from the new schema; rows shared, a run as a
+    run).
     @raise Type_mismatch if the schemas are not compatible. *)
 
 val equal : t -> t -> bool
@@ -99,7 +106,8 @@ val equal : t -> t -> bool
 
 val subset : t -> t -> bool
 val compare_tuples : t -> t -> int
-(** Total order on the tuple sets; [0] at once when both share one set. *)
+(** Total order on the tuple sets; [0] at once when both share one set
+    or one run. *)
 
 val partition_hash : shards:int -> t -> t array
 (** Hash-partition into [shards] disjoint covering relations keyed on the

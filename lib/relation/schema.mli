@@ -12,7 +12,6 @@ type refinement =
   | Int_range of int * int  (** inclusive bounds *)
 
 val satisfies_refinement : refinement -> Value.t -> bool
-val pp_refinement : refinement Fmt.t
 
 type attr = {
   attr_name : string;

@@ -35,15 +35,14 @@ let type_name = function
    The fixpoint hot path compares and hashes the same small population of
    strings (node names, part identifiers) millions of times.  The intern
    pool hash-conses them: [str]/[intern] return a canonical, physically
-   unique string per content, mapped to a dense integer id.  Comparison
-   fast paths then decide equality of interned values by pointer identity
-   alone; the dense ids give downstream layers an integer key space.
+   unique string per content.  Comparison fast paths then decide
+   equality of interned values by pointer identity alone.
 
    Interning is optional — [Str] built directly from a raw string is still
    a legal value and all operations remain correct on it; it merely misses
    the fast paths. *)
 
-let intern_pool : (string, string * int) Hashtbl.t = Hashtbl.create 4096
+let intern_pool : (string, string) Hashtbl.t = Hashtbl.create 4096
 
 (* The pool is process-global mutable state; interning happens at parse
    and load time, but worker domains may still construct [Str] values
@@ -56,26 +55,13 @@ let intern_string s =
   Mutex.lock intern_mutex;
   let c =
     match Hashtbl.find_opt intern_pool s with
-    | Some (canonical, _) -> canonical
+    | Some canonical -> canonical
     | None ->
-      Hashtbl.add intern_pool s (s, Hashtbl.length intern_pool);
+      Hashtbl.add intern_pool s s;
       s
   in
   Mutex.unlock intern_mutex;
   c
-
-let intern_id s =
-  Mutex.lock intern_mutex;
-  let id =
-    match Hashtbl.find_opt intern_pool s with
-    | Some (_, id) -> id
-    | None ->
-      let id = Hashtbl.length intern_pool in
-      Hashtbl.add intern_pool s (s, id);
-      id
-  in
-  Mutex.unlock intern_mutex;
-  id
 
 let interned_count () =
   Mutex.lock intern_mutex;

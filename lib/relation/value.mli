@@ -42,10 +42,6 @@ val str : string -> t
 val intern : t -> t
 (** Canonicalize the payload of a [Str]; identity on other values. *)
 
-val intern_id : string -> int
-(** Dense integer id of an interned string (interning it if needed).
-    Ids are assigned in first-intern order, starting at 0. *)
-
 val interned_count : unit -> int
 (** Number of distinct strings in the intern pool. *)
 

@@ -16,7 +16,15 @@ let contains haystack needle =
   in
   nn = 0 || loop 0
 
-let rel_testable = Alcotest.testable Relation.pp Relation.equal
+(* Equal as sets and as read: a closure's answer is a run read in place,
+   so it must list the oracle's tuples in the same strictly increasing
+   order and count them alike, which the tree [Relation.equal] derives
+   from it would not show. *)
+let rel_testable =
+  Alcotest.testable Relation.pp (fun a b ->
+      Relation.equal a b
+      && Relation.cardinal a = Relation.cardinal b
+      && List.equal Tuple.equal (Relation.to_list a) (Relation.to_list b))
 
 let edge_schema = Constructor.binary_schema Value.TStr
 

@@ -400,6 +400,193 @@ let prop_novelty_matches_model =
         rounds
       && Model.fold (fun t _ ok -> ok && Tuple_hset.mem h t) model true)
 
+(* Runs against trees: every relation built twice from the same rows, as
+   a run ([of_sorted_unchecked]) and as a tree ([of_list]), must answer
+   every operation alike — reads on the run in place, set operations
+   through its derived tree, on either side of a mixed operand pair. *)
+
+type shape = {
+  sh_whole : Schema.t; (* key = the whole tuple *)
+  sh_keyed : Schema.t; (* key = the first column *)
+}
+
+let shape_of arity =
+  let attrs = List.init arity (fun k -> (Fmt.str "c%d" k, Value.TInt)) in
+  { sh_whole = Schema.make attrs; sh_keyed = Schema.make ~key:[ "c0" ] attrs }
+
+let as_run schema rows =
+  Relation.of_sorted_unchecked schema
+    (Array.of_list (List.sort_uniq Tuple.compare rows))
+
+(* An operation's answer, or the exception it raised *)
+let outcome f =
+  match f () with
+  | v -> Ok v
+  | exception Relation.Key_violation _ -> Error "key violation"
+  | exception Relation.Type_mismatch _ -> Error "type mismatch"
+
+let rows_of r = List.map Tuple.to_string (Relation.to_list r)
+
+(* Every answer of [Relation] on [a] and [b] that the oracle compares,
+   rendered as strings; [probes] are tuples (some ill-typed) to look up,
+   add and remove. *)
+let answers shape probes a b =
+  let key_view r = Relation.with_schema shape.sh_keyed r in
+  let even t = Value.compare (Tuple.get t 0) (i 2) <= 0 in
+  let reads r =
+    [
+      string_of_int (Relation.cardinal r);
+      string_of_bool (Relation.is_empty r);
+      String.concat ";" (rows_of r);
+      String.concat ";"
+        (Relation.fold (fun t acc -> Tuple.to_string t :: acc) r []);
+      (let seen = ref [] in
+       Relation.iter (fun t -> seen := Tuple.to_string t :: !seen) r;
+       String.concat ";" !seen);
+      string_of_bool (Relation.exists even r);
+      string_of_bool (Relation.for_all even r);
+      Option.fold ~none:"-" ~some:Tuple.to_string (Relation.choose_opt r);
+      String.concat ";" (rows_of (Relation.filter even r));
+      String.concat ";" (rows_of (Relation.with_schema shape.sh_keyed r));
+    ]
+    @ List.concat_map
+        (fun p ->
+          let cells = Tuple.to_list p in
+          string_of_bool (Relation.mem p r)
+          :: List.init 3 (fun k ->
+                 String.concat ";"
+                   (List.map Tuple.to_string
+                      (Relation.lookup_prefix r
+                         (List.filteri (fun j _ -> j < k) cells)))))
+        probes
+  in
+  let result f =
+    match outcome f with
+    | Ok r -> String.concat ";" (rows_of r)
+    | Error e -> e
+  in
+  let unit_result f =
+    match outcome f with Ok () -> "ok" | Error e -> e
+  in
+  reads a
+  @ [
+      result (fun () -> Relation.union a b);
+      result (fun () -> Relation.union b a);
+      result (fun () -> Relation.union a a);
+      result (fun () -> Relation.inter a b);
+      result (fun () -> Relation.diff a b);
+      result (fun () -> Relation.diff b a);
+      result (fun () -> Relation.diff a a);
+      string_of_bool (Relation.equal a b);
+      string_of_bool (Relation.equal a a);
+      string_of_bool (Relation.subset a b);
+      string_of_bool (Relation.subset b a);
+      string_of_int (compare (Relation.compare_tuples a b) 0);
+      string_of_int (Relation.compare_tuples a a);
+      unit_result (fun () -> Relation.check_key a);
+      unit_result (fun () -> Relation.check_key (key_view a));
+      result (fun () -> Relation.union (key_view a) b);
+      String.concat "|"
+        (Array.to_list
+           (Array.map
+              (fun r -> String.concat ";" (rows_of r))
+              (Relation.partition_hash ~shards:3 a)));
+    ]
+  @ List.concat_map
+      (fun p ->
+        [
+          result (fun () -> Relation.add p a);
+          result (fun () -> Relation.add p (key_view a));
+          result (fun () -> Relation.add_unchecked p a);
+          result (fun () -> Relation.remove p a);
+          string_of_bool (Relation.violates_key (key_view a) p);
+        ])
+      (List.filter (Tuple.well_typed shape.sh_whole) probes)
+  @ List.concat_map
+      (fun p ->
+        [
+          result (fun () -> Relation.add p a);
+          string_of_bool (Relation.mem p a);
+        ])
+      (List.filter (fun p -> not (Tuple.well_typed shape.sh_whole p)) probes)
+  (* the run after its tree was derived reads as before *)
+  @ reads a
+
+let arb_run_case =
+  let open QCheck.Gen in
+  let case arity =
+    let tuple =
+      map
+        (fun cells -> Tuple.of_list (List.map i cells))
+        (list_repeat arity (int_bound 4))
+    in
+    let ill =
+      map
+        (fun c -> Tuple.of_list (s c :: List.init (arity - 1) (fun _ -> i 0)))
+        (oneofl [ "x"; "y" ])
+    in
+    let rows =
+      frequency [ (1, return []); (6, list_size (int_bound 14) tuple) ]
+    in
+    map3
+      (fun a b probes -> (arity, a, b, probes))
+      rows rows
+      (list_size (int_range 1 6) (frequency [ (5, tuple); (1, ill) ]))
+  in
+  QCheck.make
+    ~print:(fun (arity, a, b, probes) ->
+      let show l = String.concat ";" (List.map Tuple.to_string l) in
+      Fmt.str "arity %d: a = %s  b = %s  probes = %s" arity (show a) (show b)
+        (show probes))
+    (oneofl [ 2; 3 ] >>= case)
+
+let prop_run_matches_tree =
+  QCheck.Test.make ~name:"a run answers every operation as its tree" ~count:300
+    arb_run_case (fun (arity, a, b, probes) ->
+      let shape = shape_of arity in
+      let tree rows = Relation.of_list shape.sh_whole rows in
+      let run rows = as_run shape.sh_whole rows in
+      let oracle = answers shape probes (tree a) (tree b) in
+      List.for_all
+        (fun (x, y) ->
+          let got = answers shape probes x y in
+          got = oracle
+          || QCheck.Test.fail_reportf "differs:@.oracle %s@.got    %s"
+               (String.concat " / " oracle) (String.concat " / " got))
+        [ (run a, tree b); (tree a, run b); (run a, run b) ])
+
+(* Four domains read and combine one shared run at once, each forcing its
+   tree through [union]/[diff] while the others binary-search it: every
+   answer must equal the oracle's, and nothing may raise. *)
+let test_run_shared_by_domains () =
+  let schema = (shape_of 2).sh_whole in
+  let rows =
+    List.init 4_000 (fun k -> Tuple.make2 (i (k / 40)) (i (k mod 40)))
+  and other = List.init 500 (fun k -> Tuple.make2 (i (3 * k / 20)) (i 41)) in
+  let tree = Relation.of_list schema rows
+  and other = Relation.of_list schema other in
+  let union = rows_of (Relation.union tree other)
+  and diff = rows_of (Relation.diff tree other) in
+  let shared = as_run schema rows in
+  let work d () =
+    List.for_all Fun.id
+      (List.init 20 (fun k ->
+           let key = i ((d * 20) + k) in
+           Relation.mem (Tuple.make2 key (i (k mod 40))) shared
+           && (not (Relation.mem (Tuple.make2 key (i 40)) shared))
+           && Relation.lookup_prefix shared [ key ]
+              = Relation.lookup_prefix tree [ key ]
+           && rows_of (Relation.union shared other) = union
+           && rows_of (Relation.diff shared other) = diff))
+  in
+  let domains = List.init 4 (fun d -> Domain.spawn (work d)) in
+  List.iteri
+    (fun d dom ->
+      Alcotest.check Alcotest.bool
+        (Fmt.str "domain %d agrees" d)
+        true (Domain.join dom))
+    domains
+
 let qcheck tests = List.map QCheck_alcotest.to_alcotest tests
 
 let () =
@@ -424,6 +611,8 @@ let () =
           Alcotest.test_case "set ops" `Quick test_set_ops;
           Alcotest.test_case "type check" `Quick test_type_check;
           Alcotest.test_case "hash set twins" `Quick test_hset_twins;
+          Alcotest.test_case "a run shared by four domains" `Quick
+            test_run_shared_by_domains;
         ] );
       ( "algebra",
         [
@@ -445,5 +634,6 @@ let () =
             prop_join_is_filtered_product;
             prop_hset_matches_set;
             prop_novelty_matches_model;
+            prop_run_matches_tree;
           ] );
     ]
