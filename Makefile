@@ -19,10 +19,12 @@ bench:
 # connected 300-node, 900-edge digraph) and planned_scene_256 (the §3.1
 # scene Infront{ahead(Ontop)} over the 256-deep scene, its ahead/above
 # automaton against the mutual fixpoint; all three exit 1 if the answers
-# differ) and the wire codec cells (a 90,000-row and a 3-row Rows frame,
-# each framed from a tree and from a run of the same rows as a served
-# closure is; exits 1 if the two frames differ by a byte or a decoded
-# frame differs from its rows).
+# differ, or if the planned answer, a run, and the interpreter's tree
+# do not frame to the same bytes with Wire.frame_rows) and the wire
+# codec cells (a 90,000-row and a 3-row Rows frame, each framed from a
+# tree and from a run of the same rows, built by the closure operator's
+# own constructor, Relation.of_ranks_unchecked; exits 1 if the two
+# frames differ by a byte or a decoded frame differs from its rows).
 bench-smoke:
 	dune exec bench/main.exe -- smoke
 

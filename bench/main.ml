@@ -1213,6 +1213,21 @@ let print_records records =
    timed with the run, as a QUERY pays it.  E3 and E4 keep calling their
    engines directly. *)
 
+(* Exits 1 unless a planned answer equals the interpreter's and both
+   frame ([Wire.frame_rows], as a server frames a QUERY's answer) to the
+   same bytes: a closure's answer is a run, the interpreter's a tree. *)
+let same_answer name ~planned ~direct =
+  if not (Relation.equal planned direct) then begin
+    Fmt.epr "%s: planned (%d rows) <> direct (%d rows)@." name
+      (Relation.cardinal planned) (Relation.cardinal direct);
+    exit 1
+  end;
+  let frame = Dc_net.Wire.frame_rows ~version:1 in
+  if not (String.equal (frame planned) (frame direct)) then begin
+    Fmt.epr "%s: the planned answer's frame differs from the direct answer's@." name;
+    exit 1
+  end
+
 type planned_record = {
   pl_name : string;
   pl_method : string;
@@ -1242,11 +1257,7 @@ let planned_records () =
     ->
     List.iter
       (fun (what, planned, direct) ->
-        if not (Relation.equal planned direct) then begin
-          Fmt.epr "planned_closure_256: %s planned (%d rows) <> direct (%d rows)@."
-            what (Relation.cardinal planned) (Relation.cardinal direct);
-          exit 1
-        end)
+        same_answer (Fmt.str "planned_closure_256: %s" what) ~planned ~direct)
       [ ("tcn", tcn_p, tcn_d); ("point tc", pt_p, pt_d) ];
     let method_of q = Dc_compile.Planner.method_name (decide q).d_method in
     [
@@ -1284,7 +1295,8 @@ let strongly_connected ~seed ~nodes ~edges =
   Graph_gen.of_pairs (Hashtbl.fold (fun e () acc -> e :: acc) seen [])
 
 (* [q] over [db] planned (planning timed with the run) against the
-   interpreter, interleaved; exits 1 if the answers differ. *)
+   interpreter, interleaved; exits 1 if the answers or their frames
+   differ. *)
 let planned_against_direct name db q =
   let decide () = Dc_compile.Planner.plan (Database.typecheck_env db) q in
   match
@@ -1297,11 +1309,7 @@ let planned_against_direct name db q =
       ]
   with
   | [ (planned, planned_w); (direct, direct_w) ] ->
-    if not (Relation.equal planned direct) then begin
-      Fmt.epr "%s: planned (%d rows) <> direct (%d rows)@." name
-        (Relation.cardinal planned) (Relation.cardinal direct);
-      exit 1
-    end;
+    same_answer name ~planned ~direct;
     {
       pl_name = name;
       pl_method = Dc_compile.Planner.method_name (decide ()).d_method;
@@ -1355,7 +1363,9 @@ let print_planned records =
    it.  Two results: the 90,000 rows over 300 labels of a closure over a
    strongly connected 300-node graph (servebench's [Rand{tc()}] shape),
    and a 3-row point read.  Each result is framed twice: from a tree, and
-   from a run of the same rows, as a served closure is framed.  Each
+   from a run of the same rows (ranks over the sorted labels, built by
+   [Relation.of_ranks_unchecked] as the closure operator builds its
+   answer), as a served closure is framed.  Each
    sample times [reps] frames; the cells report per frame.  Exits 1 if
    the two frames differ by a byte or a decoded row list differs from the
    relation's. *)
@@ -1391,8 +1401,13 @@ let codec_records () =
                Tuple.make2 (label (i / labels)) (label (i mod labels))))
       in
       let run =
-        Relation.of_sorted_unchecked schema
-          (Array.of_list (Relation.to_list rel))
+        let tuples = Array.of_list (Relation.to_list rel) in
+        let nodes = Array.init labels label in
+        Array.sort Value.compare nodes;
+        let rank = Hashtbl.create labels in
+        Array.iteri (fun r v -> Hashtbl.replace rank v r) nodes;
+        Relation.of_ranks_unchecked schema nodes
+          (Array.init 2 (fun c -> Array.map (fun t -> Hashtbl.find rank (Tuple.get t c)) tuples))
       in
       let frame = Wire.frame_rows ~version:1 rel in
       if not (String.equal (Wire.frame_rows ~version:1 run) frame) then begin
@@ -1466,9 +1481,9 @@ let print_codec records =
 (* The two cheapest recursive experiments, the planned closure and scene
    cells and the wire codec cells — a seconds-long sanity pass (`make
    bench-smoke`) confirming the harness, the kernel, the planner and the
-   Rows codec still run; exits 1 if a planned answer differs from the
-   direct one, a decoded frame from its rows, or a run's frame from its
-   tree's. *)
+   Rows codec still run; exits 1 if a planned answer or its frame
+   differs from the direct one, a decoded frame from its rows, or a run's
+   frame from its tree's. *)
 let run_smoke () =
   print_records
     (json_experiments ~only:[ "e5_mutual_scene_64"; "e4_magic_left_256" ] ());

@@ -355,18 +355,9 @@ let rec run ?(guard = Guard.none) (ctx : ctx) (t : t) (k : Tuple.t -> unit) =
           Guard.tick guard label;
           prof_tick c;
           k result)
-  | Closure cl ->
-    let labels = Array.map (fun src -> (resolve ctx src).Extent.iter) cl.cl_labels in
-    (* a trip names the operator, not just the constructor it closes *)
-    let label = lazy ("closure " ^ Lazy.force label) in
-    let traversals =
-      Reach.iter labels cl.cl_automaton cl.cl_seed (fun a b ->
-          c.rows <- c.rows + 1;
-          Guard.tick guard label;
-          prof_tick c;
-          k (Tuple.make2 a b))
-    in
-    c.probes <- c.probes + traversals
+  | Closure _ ->
+    exec_error "closure %s: a closure runs only as a whole (collect_sorted)"
+      (Lazy.force label)
 
 (* Run a pipeline and collect its output into a relation. *)
 let collect ?(ctx = empty_ctx) ?guard ~schema t =
@@ -374,23 +365,78 @@ let collect ?(ctx = empty_ctx) ?guard ~schema t =
   run ?guard ctx t (fun tuple -> acc := Relation.add_unchecked tuple !acc);
   !acc
 
-(* Run a pipeline whose output comes in increasing tuple order, each
-   tuple once (a [Closure]), into a growing array: the relation is that
-   array, wrapped as a run.  Binary search and [cardinal] on the run rely
-   on that order, so each tuple is asserted to follow the one before. *)
-let collect_sorted ?(ctx = empty_ctx) ?guard ~schema t =
-  let rows = ref [||] and n = ref 0 in
-  run ?guard ctx t (fun tuple ->
-      assert (!n = 0 || Tuple.compare !rows.(!n - 1) tuple < 0);
-      if !n = Array.length !rows then begin
-        let grown = Array.make (max 64 (2 * !n)) tuple in
-        Array.blit !rows 0 grown 0 !n;
-        rows := grown
-      end;
-      !rows.(!n) <- tuple;
-      incr n);
-  Relation.of_sorted_unchecked schema
-    (if !n = Array.length !rows then !rows else Array.sub !rows 0 !n)
+let strictly_increasing nodes =
+  let rec from i =
+    i >= Array.length nodes || (Value.compare nodes.(i - 1) nodes.(i) < 0 && from (i + 1))
+  in
+  from 1
+
+(* The largest chunk of a growing rank column *)
+let max_chunk = 8192
+
+(* The chunks [full] (newest first), then the first [k] ints of [last],
+   as one array *)
+let seal full last k =
+  let out = Array.make (List.fold_left (fun n c -> n + Array.length c) k full) 0 in
+  let pos =
+    List.fold_right
+      (fun c pos ->
+        Array.blit c 0 out pos (Array.length c);
+        pos + Array.length c)
+      full 0
+  in
+  Array.blit last 0 out pos k;
+  out
+
+(* Run a [Closure] into a relation: the traversal's rank pairs, which
+   come in increasing order, each once, fill two [int] columns, and the
+   relation is those columns over the graph's nodes, wrapped as a run.
+   A column grows by chunks, each twice the last up to [max_chunk], and
+   is copied once, into its exact size, at the end: regrowing one array
+   would copy and allocate a large answer's ranks several times over in
+   the major heap.  Binary search and [cardinal] on the run rely on the
+   order, so the nodes are asserted strictly increasing once and each
+   pair to follow the one before: together, the tuples' [Tuple.compare]
+   order.  Each pair is counted, ticked and profiled as an emitted
+   row. *)
+let collect_sorted ?(ctx = empty_ctx) ?(guard = Guard.none) ~schema t =
+  match t.top with
+  | Closure cl ->
+    let c = t.tc in
+    (* a trip names the operator, not just the constructor it closes *)
+    let label = lazy ("closure " ^ Lazy.force t.tlabel) in
+    let g = Reach.graph (Array.map (fun src -> (resolve ctx src).Extent.iter) cl.cl_labels) in
+    let nodes = Reach.nodes g in
+    assert (strictly_increasing nodes);
+    let full_sources = ref [] and full_targets = ref [] in
+    let sources = ref (Array.make 64 0) and targets = ref (Array.make 64 0) and k = ref 0 in
+    (* [a * n + b] orders the pairs as [(a, b)] does: the last pair's *)
+    let n = Array.length nodes and last = ref (-1) in
+    let traversals =
+      Reach.run g cl.cl_automaton cl.cl_seed (fun a b ->
+          let key = (a * n) + b in
+          assert (key > !last);
+          last := key;
+          c.rows <- c.rows + 1;
+          Guard.tick guard label;
+          prof_tick c;
+          let size = Array.length !sources in
+          if !k = size then begin
+            full_sources := !sources :: !full_sources;
+            full_targets := !targets :: !full_targets;
+            sources := Array.make (min max_chunk (2 * size)) 0;
+            targets := Array.make (min max_chunk (2 * size)) 0;
+            k := 0
+          end;
+          !sources.(!k) <- a;
+          !targets.(!k) <- b;
+          incr k)
+    in
+    c.probes <- c.probes + traversals;
+    Relation.of_ranks_unchecked schema nodes
+      [| seal !full_sources !sources !k; seal !full_targets !targets !k |]
+  | Project _ | Union _ | Diff _ | Distinct _ | Group _ ->
+    exec_error "collect_sorted: %s is not a closure" (Lazy.force t.tlabel)
 
 (* ------------------------------------------------------------------ *)
 (* Printing: the operator tree with post-run counters. *)

@@ -15,11 +15,12 @@
    product with the automaton, its visits stamped with the source's rank
    in one array per product state and its answers in one array per node,
    so no per-source clearing is needed; the answers come out in rank
-   order.  Sources go in rank order too, so the pairs come out in the
-   relation's own [Tuple.compare] order and the caller can build the
-   result without sorting, whether it asks for every source or a set
-   of them.  The closure of one relation is the one-state
-   automaton. *)
+   order.  Sources go in rank order too, so the pairs come out as
+   increasing rank pairs, which over the ordered [nodes] is the
+   relation's own [Tuple.compare] order: the caller keeps the ranks as
+   the result's rows, with no tuple and no sort, whether it asks for
+   every source or a set of them.  The closure of one relation is the
+   one-state automaton. *)
 
 open Dc_relation
 
@@ -215,9 +216,11 @@ let upstream g targets =
   done;
   List.merge Value.compare (List.sort_uniq Value.compare absent) !present
 
+let nodes g = g.nodes
+
 let run g a seed emit =
-  let nodes = g.nodes and edges = g.edges in
-  let n = Array.length nodes in
+  let edges = g.edges in
+  let n = Array.length g.nodes in
   let rank v = VH.find_opt g.ranks v in
   let reversed = match seed with To _ -> true | Every | From _ -> false in
   let first, states, moves = moves a ~reversed in
@@ -330,18 +333,16 @@ let run g a seed emit =
   match seed with
   | Every ->
     for s = 0 to n - 1 do
-      traverse s (fun t -> emit nodes.(s) nodes.(t))
+      traverse s (emit s)
     done;
     n
   | From vs ->
     let sources = List.sort_uniq Int.compare (List.filter_map rank vs) in
-    List.iter (fun s -> traverse s (fun t -> emit nodes.(s) nodes.(t))) sources;
+    List.iter (fun s -> traverse s (emit s)) sources;
     List.length sources
   | To v -> (
     match rank v with
     | None -> 0
     | Some t ->
-      traverse t (fun s -> emit nodes.(s) nodes.(t));
+      traverse t (fun s -> emit s t);
       1)
-
-let iter labels a seed emit = run (graph labels) a seed emit

@@ -52,18 +52,15 @@ val revise : graph -> int -> added:Tuple.t list -> removed:Tuple.t list -> graph
     number: then the graph must be built again.  A node left without
     edges stays numbered and has no pairs. *)
 
-val run : graph -> automaton -> seed -> (Value.t -> Value.t -> unit) -> int
-(** [run g a seed emit] calls [emit x y] once for each pair [(x, y)] the
-    seed selects from [L(a.root)], in increasing [(x, y)] order, and
-    returns the number of traversals run. *)
+val nodes : graph -> Value.t array
+(** Every endpoint of the labels' edges once, strictly increasing: node
+    [r]'s rank is [r].  Not to be mutated. *)
 
-val iter :
-  ((Tuple.t -> unit) -> unit) array ->
-  automaton ->
-  seed ->
-  (Value.t -> Value.t -> unit) ->
-  int
-(** [iter labels] is [run (graph labels)]. *)
+val run : graph -> automaton -> seed -> (int -> int -> unit) -> int
+(** [run g a seed emit] calls [emit x y] once for each pair
+    [(nodes g).(x), (nodes g).(y)] the seed selects from [L(a.root)], in
+    increasing [(x, y)] order (which is the pairs' {!Tuple.compare}
+    order), and returns the number of traversals run. *)
 
 val upstream : graph -> Value.t list -> Value.t list
 (** [upstream g targets]: the targets and every node from which a path

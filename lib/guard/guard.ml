@@ -20,22 +20,6 @@ let no_limits = { l_millis = None; l_rows = None; l_rounds = None }
 let limits ?millis ?rows ?rounds () =
   { l_millis = millis; l_rows = rows; l_rounds = rounds }
 
-let pp_limits ppf l =
-  let field name = function
-    | None -> None
-    | Some v -> Some (Fmt.str "%s=%d" name v)
-  in
-  match
-    List.filter_map Fun.id
-      [
-        field "rows" l.l_rows;
-        field "rounds" l.l_rounds;
-        field "millis" l.l_millis;
-      ]
-  with
-  | [] -> Fmt.string ppf "none"
-  | fs -> Fmt.(list ~sep:(any ", ") string) ppf fs
-
 type reason =
   | Rows_exhausted of int
   | Rounds_exhausted of int

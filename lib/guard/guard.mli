@@ -30,8 +30,6 @@ val no_limits : limits
 
 val limits : ?millis:int -> ?rows:int -> ?rounds:int -> unit -> limits
 
-val pp_limits : limits Fmt.t
-
 (** Why an evaluation was stopped. *)
 type reason =
   | Rows_exhausted of int  (** row budget (the limit) exceeded *)

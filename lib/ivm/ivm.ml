@@ -495,10 +495,11 @@ let refresh view =
   (match view.plan with
   | Traversal tr ->
     let g = label_graph view tr and label = closure_label view and rows = ref [] in
+    let nodes = Dc_exec.Reach.nodes g in
     ignore
       (Dc_exec.Reach.run g tr.tr_automaton Dc_exec.Reach.Every (fun a b ->
            Guard.tick guard label;
-           rows := Tuple.make2 a b :: !rows));
+           rows := Tuple.make2 nodes.(a) nodes.(b) :: !rows));
     view.store <-
       Facts.singleton_set view.query_pred
         (Relation.sorted_set (Array.of_list (List.rev !rows)));
@@ -1026,10 +1027,11 @@ let traversal_update view tr updates =
   in
   let label = closure_label view in
   timed rp (Fmt.str "re-traverse %s" pred) (fun () ->
-      let rows = ref 0 in
+      let rows = ref 0 and g = Option.get !g in
+      let nodes = Dc_exec.Reach.nodes g in
       ignore
-        (Dc_exec.Reach.run (Option.get !g) tr.tr_automaton
-           (Dc_exec.Reach.From !sources) (fun s t ->
+        (Dc_exec.Reach.run g tr.tr_automaton (Dc_exec.Reach.From !sources) (fun s t ->
+             let s = nodes.(s) and t = nodes.(t) in
              Guard.tick guard label;
              incr rows;
              (match !current with

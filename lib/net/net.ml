@@ -313,8 +313,6 @@ let bound_port l =
   | Unix.ADDR_INET (_, port) -> port
   | Unix.ADDR_UNIX _ -> invalid_arg "Net.bound_port: unix socket"
 
-let connection_count l = Mutex.protect l.m (fun () -> List.length l.conns)
-
 (* The response frame to one request.  A query result is framed from the
    relation in place, with no row list built. *)
 let handle_request l session = function

@@ -64,8 +64,6 @@ val bound_port : listener -> int
 (** The actual TCP port (after ephemeral binding).
     @raise Invalid_argument on a unix-socket listener. *)
 
-val connection_count : listener -> int
-
 val classify_exn : exn -> Wire.error_code * string
 (** The error taxonomy: the code and message an [Err] frame carries for
     an exception a request raised (lexer and parser errors are [Parse],

@@ -231,12 +231,16 @@ let framed parts =
      its 8 IEEE bytes, little-endian.
 
    The encoder walks the rows once, appending each cell to its column's
-   sink, and allocates nothing per cell: a Str cell physically equal to
-   the column's previous one reuses its id (a sorted first column is runs
-   of one string), any other looks the string up in an open-addressed
-   table.  The table and the column sinks are sized from the row count,
-   so a point read allocates a few words and a large frame does not
-   regrow them.
+   sink, and allocates nothing per cell.  Rows held as tuples: a Str cell
+   physically equal to the column's previous one reuses its id (a sorted
+   first column is runs of one string), any other looks the string up in
+   an open-addressed table, sized from the row count with the column
+   sinks, so a point read allocates a few words and a large frame does
+   not regrow them.  A run (a closure's answer, {!Relation.run_ranks})
+   holds its rows as ranks over its own dictionary of distinct values,
+   so the frame's dictionary comes from the ranks: a rank's id is
+   assigned when the rank is first met and read back from an [int]
+   table after, with no tuple made and no string hashed.
    The decoder checks the whole frame before it allocates anything from
    a count it read, then interns each dictionary entry once, so every
    row shares those values. *)
@@ -290,14 +294,19 @@ let grow d =
       end)
     ids
 
+(* [s], known to be new to the frame, as its next entry; its id *)
+let dict_append d s =
+  let id = d.size in
+  d.size <- id + 1;
+  put_string d.entries s;
+  id
+
 let rec probe d s mask i =
   let id = Array.unsafe_get d.ids i in
   if id < 0 then begin
-    let id = d.size in
+    let id = dict_append d s in
     d.keys.(i) <- s;
     d.ids.(i) <- id;
-    d.size <- id + 1;
-    put_string d.entries s;
     if 2 * d.size > Array.length d.ids then grow d;
     id
   end
@@ -321,17 +330,50 @@ type column = {
   mutable prev_id : int;
 }
 
-(* The one Rows encoder: one walk of the [count] rows ([iter]), each
-   cell appended to its column's sink, sized for one byte a cell (a
-   Float's eight).  A row that does not fit [kinds] is
-   [Invalid_argument]. *)
-let rows_parts ~version ~columns ~kinds ~count iter =
+(* A cell other than a string appended to its column; [false] if it
+   does not fit the column's kind *)
+let put_plain col (v : Value.t) =
+  match v with
+  | Int i when col.kind = kind_int ->
+    put_zigzag col.cells i;
+    true
+  | Bool b when col.kind = kind_bool ->
+    put_char col.cells (if b then '\001' else '\000');
+    true
+  | Float f when col.kind = kind_float ->
+    let out = col.cells in
+    reserve out 8;
+    Bytes.set_int64_le out.bytes out.len (Int64.bits_of_float f);
+    out.len <- out.len + 8;
+    true
+  | Int _ | Bool _ | Float _ | Str _ -> false
+
+(* The rows a Rows frame is encoded from *)
+type rows =
+  | Tuples of int * ((Tuple.t -> unit) -> unit)  (* the count, and a walk of the rows *)
+  | Ranks of Value.t array * int array array
+      (* a run ({!Relation.run_ranks}): a rank array per column *)
+
+(* The one Rows encoder: one walk of the rows, each cell appended to its
+   column's sink, sized for one byte a cell (a Float's eight).  A Str
+   cell of tuples looks its string up in the frame's dictionary table; a
+   Str cell of a run memoises its id by rank in an [int] array, as the
+   run's dictionary holds each string once, so the run's rows are never
+   made tuples and no string is hashed.  Both walk row by row, so the
+   ids come in first-seen order either way.  A row that does not fit
+   [kinds] is [Invalid_argument]. *)
+let rows_parts ~version ~columns ~kinds rows =
   let ncols = List.length columns in
   let misfit t =
     invalid_arg
       (Fmt.str "Wire.Rows: row %a does not fit the columns (%a)" Tuple.pp t
          Fmt.(array ~sep:comma Value.pp_ty)
          kinds)
+  in
+  let count =
+    match rows with
+    | Tuples (count, _) -> count
+    | Ranks (_, ranks) -> Array.length ranks.(0)
   in
   let cols =
     Array.map
@@ -343,35 +385,48 @@ let rows_parts ~version ~columns ~kinds ~count iter =
   let strs =
     Array.fold_left (fun n col -> if col.kind = kind_str then n + 1 else n) 0 cols
   in
-  let dict = dict_create ~cells:(count * strs) in
-  let rows = ref 0 in
-  iter (fun t ->
-      incr rows;
-      if Tuple.arity t <> ncols || (ncols = 0 && !rows > 1) then misfit t;
-      for c = 0 to ncols - 1 do
-        let col = Array.unsafe_get cols c in
-        match Tuple.get t c with
-        | Str s when col.kind = kind_str ->
-          if s != col.prev then begin
-            col.prev_id <- dict_id dict s;
-            col.prev <- s
-          end;
-          put_varint col.cells col.prev_id
-        | Int i when col.kind = kind_int -> put_zigzag col.cells i
-        | Bool b when col.kind = kind_bool ->
-          put_char col.cells (if b then '\001' else '\000')
-        | Float f when col.kind = kind_float ->
-          let out = col.cells in
-          reserve out 8;
-          Bytes.set_int64_le out.bytes out.len (Int64.bits_of_float f);
-          out.len <- out.len + 8
-        | _ -> misfit t
-      done);
+  let dict =
+    dict_create ~cells:(match rows with Tuples _ -> count * strs | Ranks _ -> 0)
+  in
+  let written =
+    match rows with
+    | Tuples (_, iter) ->
+      let rows = ref 0 in
+      iter (fun t ->
+          incr rows;
+          if Tuple.arity t <> ncols || (ncols = 0 && !rows > 1) then misfit t;
+          for c = 0 to ncols - 1 do
+            let col = Array.unsafe_get cols c in
+            match Tuple.get t c with
+            | Str s when col.kind = kind_str ->
+              if s != col.prev then begin
+                col.prev_id <- dict_id dict s;
+                col.prev <- s
+              end;
+              put_varint col.cells col.prev_id
+            | v -> if not (put_plain col v) then misfit t
+          done);
+      !rows
+    | Ranks (nodes, ranks) ->
+      let row i = Tuple.init ncols (fun c -> nodes.(ranks.(c).(i))) in
+      let ids = Array.make (Array.length nodes) (-1) in
+      for i = 0 to count - 1 do
+        for c = 0 to ncols - 1 do
+          let col = Array.unsafe_get cols c and r = ranks.(c).(i) in
+          match nodes.(r) with
+          | Str s when col.kind = kind_str ->
+            if ids.(r) < 0 then ids.(r) <- dict_append dict s;
+            put_varint col.cells ids.(r)
+          | v -> if not (put_plain col v) then misfit (row i)
+        done
+      done;
+      count
+  in
   let head = tagged tag_rows in
   put_varint head version;
   put_varint head ncols;
   List.iter (put_string head) columns;
-  put_varint head !rows;
+  put_varint head written;
   Array.iter (fun col -> put_char head (Char.chr col.kind)) cols;
   put_varint head dict.size;
   head :: dict.entries :: Array.fold_right (fun col l -> col.cells :: l) cols []
@@ -387,16 +442,16 @@ let list_kinds ncols = function
 let rows_of_list ~version ~columns tuples =
   rows_parts ~version ~columns
     ~kinds:(list_kinds (List.length columns) tuples)
-    ~count:(List.length tuples)
-    (fun f -> List.iter f tuples)
+    (Tuples (List.length tuples, fun f -> List.iter f tuples))
 
 let frame_rows ~version rel =
   let schema = Relation.schema rel in
   framed
     (rows_parts ~version ~columns:(Schema.attr_names schema)
        ~kinds:(Schema.attr_types_array schema)
-       ~count:(Relation.cardinal rel)
-       (fun f -> Relation.iter f rel))
+       (match Relation.run_ranks rel with
+       | Some (nodes, ranks) -> Ranks (nodes, ranks)
+       | None -> Tuples (Relation.cardinal rel, fun f -> Relation.iter f rel)))
 
 (* Decoding a Rows body.  Pass 1 walks the frame and checks every claim
    against the bytes that follow it — the counts, each dictionary entry,

@@ -10,20 +10,28 @@
 
    - a balanced-tree set, which the fixpoint engine and every update rely
      on for cheap snapshots of iteration states;
-   - a run: a strictly increasing tuple array, which a result emitted in
-     order (a closure traversal) is wrapped as in O(1).
+   - a run: a dictionary of the values its rows use, strictly increasing
+     by [Value.compare], and one array of dictionary ranks per column,
+     the rows strictly increasing.  A result emitted in order as ranks (a
+     closure traversal over its numbered nodes) is wrapped as one in
+     O(1), with no tuple per row.
 
-   Reads (cardinality, iteration, folds, membership and prefix scans by
-   binary search) work on a run in place.  Any other set operation derives
-   the tree from it once, in linear time, and keeps it in the run. *)
+   Because the dictionary is ordered, comparing two rows' ranks column by
+   column orders them as [Tuple.compare] orders their tuples.  Reads
+   (cardinality, iteration, folds, membership and prefix scans) work on a
+   run in place: a key's values are located in the dictionary by binary
+   search, then its rows by binary search over the ranks.  Any other set
+   operation derives the tree from the run once, in linear time, and
+   keeps it in the run. *)
 
 module Tuple_set = Set.Make (Tuple)
 
-(* The tree derived from [arr] is written to [tree] unsynchronised: pool
-   domains may read one relation at once, and a lost race costs a
+(* The tree derived from the ranks is written to [tree] unsynchronised:
+   pool domains may read one relation at once, and a lost race costs a
    duplicate build of an equal tree, never an exception. *)
 type run = {
-  arr : Tuple.t array;
+  nodes : Value.t array;  (* strictly increasing *)
+  ranks : int array array;  (* per column; row [i]'s cell [c] is [nodes.(ranks.(c).(i))] *)
   mutable tree : Tuple_set.t option;
 }
 
@@ -61,12 +69,21 @@ let sorted_set tuples =
   in
   build 0 (Array.length tuples)
 
+let run_length run = Array.length run.ranks.(0)
+
+(* Row [i] of a run, as a tuple *)
+let row run i =
+  let nodes = run.nodes in
+  match run.ranks with
+  | [| a; b |] -> Tuple.make2 nodes.(a.(i)) nodes.(b.(i))
+  | ranks -> Tuple.init (Array.length ranks) (fun c -> nodes.(ranks.(c).(i)))
+
 let tree r =
   match r.rows with
   | Tree set -> set
   | Run { tree = Some set; _ } -> set
   | Run run ->
-    let set = sorted_set run.arr in
+    let set = sorted_set (Array.init (run_length run) (row run)) in
     run.tree <- Some set;
     set
 
@@ -75,60 +92,102 @@ let with_tree r set = { r with rows = Tree set }
 let cardinal r =
   match r.rows with
   | Tree set -> Tuple_set.cardinal set
-  | Run { arr; _ } -> Array.length arr
+  | Run run -> run_length run
 
 let is_empty r =
   match r.rows with
   | Tree set -> Tuple_set.is_empty set
-  | Run { arr; _ } -> Array.length arr = 0
+  | Run run -> run_length run = 0
 
-(* The first index in [lo, hi) of the run at which [below] turns false;
-   [below] is monotone along the run, true then false. *)
-let rec first_not arr below lo hi =
+(* The first index in [lo, hi) at which [below] turns false; [below] is
+   monotone over the range, true then false. *)
+let rec first_not below lo hi =
   if lo >= hi then lo
   else
     let mid = lo + ((hi - lo) / 2) in
-    if below arr.(mid) then first_not arr below (mid + 1) hi
-    else first_not arr below lo mid
+    if below mid then first_not below (mid + 1) hi else first_not below lo mid
+
+(* The ranks of [key]'s values in the dictionary, or [None] if one of
+   them is not there (no row can then have it); [key] is no longer than
+   the rows. *)
+let key_ranks nodes key =
+  let n = Array.length nodes in
+  let rank v =
+    let i = first_not (fun k -> Value.compare nodes.(k) v < 0) 0 n in
+    if i < n && Value.compare nodes.(i) v = 0 then i else -1
+  in
+  let ranks = Array.of_list (List.map rank key) in
+  if Array.exists (fun r -> r < 0) ranks then None else Some ranks
+
+(* Row [i]'s leading ranks against [key], lexicographically *)
+let compare_ranks ranks i key =
+  let rec go c =
+    if c = Array.length key then 0
+    else
+      let d = Int.compare ranks.(c).(i) key.(c) in
+      if d <> 0 then d else go (c + 1)
+  in
+  go 0
+
+(* The rows [first, stop) of a run whose leading cells are [key]: two
+   binary searches over the ranks, once the key's ranks are found. *)
+let run_range run key =
+  let n = run_length run in
+  if List.length key > Array.length run.ranks then (0, 0)
+  else
+    match key_ranks run.nodes key with
+    | None -> (0, 0)
+    | Some key ->
+      let first = first_not (fun i -> compare_ranks run.ranks i key < 0) 0 n in
+      (first, first_not (fun i -> compare_ranks run.ranks i key <= 0) first n)
 
 let mem t r =
   match r.rows with
   | Tree set -> Tuple_set.mem t set
-  | Run { arr; _ } ->
-    let n = Array.length arr in
-    let i = first_not arr (fun u -> Tuple.compare u t < 0) 0 n in
-    i < n && Tuple.equal arr.(i) t
+  | Run run ->
+    Tuple.arity t = Array.length run.ranks
+    &&
+    let first, stop = run_range run (Tuple.to_list t) in
+    stop > first
 
 let to_list r =
   match r.rows with
   | Tree set -> Tuple_set.elements set
-  | Run { arr; _ } -> Array.to_list arr
+  | Run run -> List.init (run_length run) (row run)
 
 let fold f r acc =
   match r.rows with
   | Tree set -> Tuple_set.fold f set acc
-  | Run { arr; _ } -> Array.fold_left (fun acc t -> f t acc) acc arr
+  | Run run ->
+    let acc = ref acc in
+    for i = 0 to run_length run - 1 do
+      acc := f (row run i) !acc
+    done;
+    !acc
 
 let iter f r =
   match r.rows with
   | Tree set -> Tuple_set.iter f set
-  | Run { arr; _ } -> Array.iter f arr
+  | Run run ->
+    for i = 0 to run_length run - 1 do
+      f (row run i)
+    done
 
 let exists p r =
   match r.rows with
   | Tree set -> Tuple_set.exists p set
-  | Run { arr; _ } -> Array.exists p arr
+  | Run run ->
+    let n = run_length run in
+    let rec from i = i < n && (p (row run i) || from (i + 1)) in
+    from 0
 
-let for_all p r =
-  match r.rows with
-  | Tree set -> Tuple_set.for_all p set
-  | Run { arr; _ } -> Array.for_all p arr
+let for_all p r = not (exists (fun t -> not (p t)) r)
 
 (* The least tuple, as [Tuple_set.choose_opt] picks it *)
 let choose_opt r =
   match r.rows with
   | Tree set -> Tuple_set.choose_opt set
-  | Run { arr; _ } -> if Array.length arr = 0 then None else Some arr.(0)
+  | Run run -> if run_length run = 0 then None else Some (row run 0)
 
 let compare_prefix key t =
   let rec go i = function
@@ -158,11 +217,9 @@ let prefix_scan set key =
 let lookup_prefix r key =
   match r.rows with
   | Tree set -> prefix_scan set key
-  | Run { arr; _ } ->
-    let n = Array.length arr in
-    let first = first_not arr (fun t -> compare_prefix key t < 0) 0 n in
-    let stop = first_not arr (fun t -> compare_prefix key t <= 0) first n in
-    List.init (stop - first) (fun i -> arr.(first + i))
+  | Run run ->
+    let first, stop = run_range run key in
+    List.init (stop - first) (fun i -> row run (first + i))
 
 let check_type r t =
   if not (Tuple.well_typed r.schema t) then
@@ -219,7 +276,19 @@ let add_unchecked t r =
    well-typedness and a whole-tuple key, as with [add_unchecked]. *)
 let of_set_unchecked schema tuples = { schema; rows = Tree tuples }
 
-let of_sorted_unchecked schema arr = { schema; rows = Run { arr; tree = None } }
+let of_ranks_unchecked schema nodes ranks =
+  let columns = Array.length ranks in
+  if
+    columns = 0
+    || columns <> Schema.arity schema
+    || Array.exists (fun c -> Array.length c <> Array.length ranks.(0)) ranks
+  then invalid_arg "Relation.of_ranks_unchecked: one rank array per column, of one length";
+  { schema; rows = Run { nodes; ranks; tree = None } }
+
+let run_ranks r =
+  match r.rows with
+  | Run run -> Some (run.nodes, run.ranks)
+  | Tree _ -> None
 
 let remove t r = with_tree r (Tuple_set.remove t (tree r))
 
@@ -270,7 +339,7 @@ let subset a b =
 let same_rows a b =
   match (a.rows, b.rows) with
   | Tree s, Tree s' -> s == s'
-  | Run { arr; _ }, Run { arr = arr'; _ } -> arr == arr'
+  | Run run, Run run' -> run.ranks == run'.ranks
   | Tree _, Run _ | Run _, Tree _ -> false
 
 let compare_tuples a b =

@@ -6,9 +6,10 @@
     the key image, raising {!Type_mismatch} / {!Key_violation} exactly where
     DBPL's generated run-time checks would raise an exception.
 
-    A relation's rows are a balanced tree or a run (a strictly increasing
-    array, from {!of_sorted_unchecked}); which one is decided by how the
-    relation was built and is not observable except in cost. *)
+    A relation's rows are a balanced tree or a run (a sorted dictionary of
+    values and one array of dictionary ranks per column, from
+    {!of_ranks_unchecked}); which one is decided by how the relation was
+    built and is not observable except in cost. *)
 
 module Tuple_set : Set.S with type elt = Tuple.t
 (** The ordered tuple sets relations are made of ({!Tuple.compare}
@@ -48,8 +49,8 @@ val prefix_scan : Tuple_set.t -> Value.t list -> Tuple.t list
     the ordered set, with no index built. *)
 
 val lookup_prefix : t -> Value.t list -> Tuple.t list
-(** {!prefix_scan} over the relation's rows; on a run, two binary
-    searches. *)
+(** {!prefix_scan} over the relation's rows; on a run, a binary search
+    of the dictionary per key value, then two over the ranks. *)
 
 val add : Tuple.t -> t -> t
 (** Checked insertion.
@@ -70,12 +71,23 @@ val sorted_set : Tuple.t array -> Tuple_set.t
 (** The set of a strictly increasing ({!Tuple.compare}) array, built in
     linear time. *)
 
-val of_sorted_unchecked : Schema.t -> Tuple.t array -> t
-(** The relation of a strictly increasing ({!Tuple.compare}) array: an
-    O(1) wrap of the array as a run, which the caller must not mutate
-    afterwards.  Reads work on the run in place; any other set operation
-    builds its tree once ({!sorted_set}) and keeps it.  Checks nothing, as
-    {!of_set_unchecked}. *)
+val of_ranks_unchecked : Schema.t -> Value.t array -> int array array -> t
+(** [of_ranks_unchecked schema nodes ranks] is the relation whose row [i]
+    is [<nodes.(ranks.(0).(i)), nodes.(ranks.(1).(i)), ...>]: an O(1)
+    wrap of the arrays as a run, which the caller must not mutate
+    afterwards.  [nodes] must be strictly increasing
+    ({!Value.compare}) and the rows' rank sequences strictly increasing
+    (lexicographically), so the rows come in {!Tuple.compare} order, each
+    once; a dictionary value no row uses is allowed.  Reads work on the
+    run in place; any other set operation builds its tree once
+    ({!sorted_set}) and keeps it.  Checks nothing else, as
+    {!of_set_unchecked}.
+    @raise Invalid_argument unless [ranks] has one array per column of
+    the schema (at least one), all of one length. *)
+
+val run_ranks : t -> (Value.t array * int array array) option
+(** A run's dictionary and rank arrays, as {!of_ranks_unchecked} took
+    them (not to be mutated); [None] for a tree. *)
 
 val remove : Tuple.t -> t -> t
 

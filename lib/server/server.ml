@@ -248,8 +248,6 @@ let create ?(max_sessions = 64) ?(limits = Guard.no_limits) ?wal db =
 let db srv = srv.db
 let session_count srv = Mutex.protect srv.m (fun () -> srv.session_count)
 
-let queue_depth srv = Mutex.protect srv.m (fun () -> Queue.length srv.queue)
-
 (* Serialize [f] through the writer thread and wait for its result.
    Called from the writer thread itself (a job spawning sub-work), run
    inline — blocking would deadlock the only writer. *)

@@ -59,8 +59,6 @@ val db : t -> Database.t
 
 val durable : t -> Dc_wal.Durable.t option
 val session_count : t -> int
-val queue_depth : t -> int
-(** Writer-queue depth at this instant (pending write statements). *)
 
 val submit : t -> (unit -> 'a) -> 'a
 (** Serialize a closure through the writer thread and wait for its

@@ -469,8 +469,9 @@ let prop_reach_graph =
       let pairs = List.sort_uniq compare pairs in
       let graph pairs = Reach.graph [| (fun f -> List.iter (fun p -> f (edge p)) pairs) |] in
       let run g seed =
-        let acc = ref [] in
-        ignore (Reach.run g Reach.closure seed (fun x y -> acc := (x, y) :: !acc));
+        let acc = ref [] and nodes = Reach.nodes g in
+        ignore
+          (Reach.run g Reach.closure seed (fun x y -> acc := (nodes.(x), nodes.(y)) :: !acc));
         List.rev !acc
       in
       let g = graph pairs and sources = List.map node sources in

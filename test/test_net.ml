@@ -172,6 +172,59 @@ let prop_rows_mutations =
       Bytes.set changed at (Char.chr byte);
       probe (String.sub payload 0 at) && probe (Bytes.to_string changed))
 
+(* A run (ranks over one dictionary shared by every column, with values
+   no row uses, as the closure operator builds its answer) frames to the
+   bytes of the same rows held as a tree: the run's frame dictionary,
+   taken from its ranks, lists the same strings in the same first-seen
+   order. *)
+let prop_run_frames_as_tree =
+  let cell : Value.ty -> Value.t QCheck.Gen.t =
+    QCheck.Gen.(
+      function
+      | Value.TStr -> map (fun k -> Value.Str (Fmt.str "s%d" k)) (int_bound 5)
+      | TBool -> map (fun b -> Value.Bool b) bool
+      | TFloat -> map (fun k -> Value.Float (float_of_int k /. 2.)) (int_range (-5) 5)
+      | TInt -> map (fun k -> Value.Int k) (int_range (-5) 5))
+  in
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 1 3) (oneofl Value.[ TInt; TStr; TBool; TFloat ])
+      >>= fun kinds ->
+      triple (return kinds)
+        (list_size (int_bound 12) (map Tuple.of_list (flatten_l (List.map cell kinds))))
+        (list_size (int_bound 3) (oneofl Value.[ TInt; TStr ] >>= cell)))
+  in
+  QCheck.Test.make ~name:"a run frames as its tree" ~count:300
+    (QCheck.make
+       ~print:(fun (kinds, rows, unused) ->
+         Fmt.str "%a: %a (unused %a)"
+           Fmt.(list ~sep:comma Value.pp_ty)
+           kinds
+           Fmt.(list ~sep:semi Tuple.pp)
+           rows
+           Fmt.(list ~sep:comma Value.pp)
+           unused)
+       gen)
+    (fun (kinds, rows, unused) ->
+      let schema = Schema.make (List.mapi (fun k ty -> (Fmt.str "c%d" k, ty)) kinds) in
+      let tree = Relation.of_list schema rows in
+      let sorted = Array.of_list (Relation.to_list tree) in
+      let nodes =
+        Array.of_list
+          (List.sort_uniq Value.compare
+             (unused @ List.concat_map Tuple.to_list (Array.to_list sorted)))
+      in
+      let rank v =
+        let rec find i = if Value.equal nodes.(i) v then i else find (i + 1) in
+        find 0
+      in
+      let run =
+        Relation.of_ranks_unchecked schema nodes
+          (Array.init (List.length kinds) (fun c ->
+               Array.map (fun t -> rank (Tuple.get t c)) sorted))
+      in
+      String.equal (Wire.frame_rows ~version:3 tree) (Wire.frame_rows ~version:3 run))
+
 (* A Rows payload written out by hand: the tag, then version, columns,
    row count, kinds, dictionary and the columns in turn *)
 let rows_payload ?(version = 7) ?(columns = [ "a"; "b" ]) ?count_bytes ~count
@@ -495,6 +548,59 @@ let test_aggregate_over_wire () =
     (List.equal Tuple.equal
        (List.sort Tuple.compare (Relation.to_list expected))
        (List.sort Tuple.compare tuples))
+
+(* A served closure runs the closure operator, whose answer is a run of
+   rank pairs framed from its ranks: each QUERY, unseeded and seeded
+   from either column, must decode to exactly the interpreter's rows in
+   the same order, and EXPLAIN must count the operator's rows and
+   traversals.  [d] is a sink (no pairs from it), [e] a source only, and
+   a, b, c a cycle. *)
+let test_served_closure_frames () =
+  with_server @@ fun srv port ->
+  let s = Server.open_session srv in
+  ignore
+    (Server.execute s
+       {|TYPE node = STRING;
+TYPE edgerel = RELATION a, b OF RECORD a, b: node END;
+CONSTRUCTOR tc FOR Rel: edgerel (): edgerel;
+BEGIN EACH e IN Rel: TRUE,
+      <e.a, p.b> OF EACH e IN Rel, EACH p IN Rel{tc()}: e.b = p.a
+END tc;
+INSERT Edge VALUES ("c", "a"), ("c", "d"), ("e", "a");|});
+  Server.close_session s;
+  let closure =
+    Relation.to_list
+      (Database.query (Server.db srv)
+         Dc_calculus.Ast.(Construct (Rel "Edge", "tc", [])))
+  in
+  let cell k t = Value.to_string (Tuple.get t k) in
+  let c = connect port in
+  List.iter
+    (fun (query, expected, counters) ->
+      let _, cols, tuples = Net.Client.query c ("QUERY " ^ query ^ ";") in
+      Alcotest.(check (list string)) (query ^ ": columns") [ "a"; "b" ] cols;
+      Alcotest.(check (list string))
+        (query ^ ": the interpreter's rows, in order")
+        (List.map Tuple.to_string expected)
+        (List.map Tuple.to_string tuples);
+      let explain = Net.Client.exec c ("EXPLAIN " ^ query ^ ";") in
+      Alcotest.(check bool)
+        (Fmt.str "%s: EXPLAIN shows %s" query counters)
+        true (contains_s explain counters))
+    [
+      ("Edge{tc()}", closure, {|closure tc over Rel (every source) [rows=16 probes=5]|});
+      ( {|{EACH p IN Edge{tc()}: p.a = "c"}|},
+        List.filter (fun t -> cell 0 t = {|"c"|}) closure,
+        {|closure tc over Rel (from "c") [rows=4 probes=1]|} );
+      ( {|{EACH p IN Edge{tc()}: p.b = "a"}|},
+        List.filter (fun t -> cell 1 t = {|"a"|}) closure,
+        {|closure tc over Rel (to "a") [rows=4 probes=1]|} );
+      ( {|{EACH p IN Edge{tc()}: p.a = "d"}|},
+        [],
+        {|closure tc over Rel (from "d") [rows=0 probes=1]|} );
+    ];
+  Alcotest.(check int) "16 pairs" 16 (List.length closure);
+  Net.Client.close c
 
 let test_error_taxonomy () =
   with_server @@ fun _srv port ->
@@ -1075,7 +1181,7 @@ let () =
         qcheck
           [
             prop_request_roundtrip; prop_response_roundtrip; prop_decoder_total;
-            prop_rows_mutations;
+            prop_rows_mutations; prop_run_frames_as_tree;
           ]
         @ [
             Alcotest.test_case "Rows layout" `Quick test_rows_layout;
@@ -1093,6 +1199,8 @@ let () =
           Alcotest.test_case "round trip" `Quick test_client_roundtrip;
           Alcotest.test_case "aggregated constructor" `Quick
             test_aggregate_over_wire;
+          Alcotest.test_case "served closure frames" `Quick
+            test_served_closure_frames;
           Alcotest.test_case "error taxonomy" `Quick test_error_taxonomy;
           Alcotest.test_case "query errors are typed" `Quick
             test_query_errors_typed;

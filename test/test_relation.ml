@@ -401,22 +401,35 @@ let prop_novelty_matches_model =
       && Model.fold (fun t _ ok -> ok && Tuple_hset.mem h t) model true)
 
 (* Runs against trees: every relation built twice from the same rows, as
-   a run ([of_sorted_unchecked]) and as a tree ([of_list]), must answer
-   every operation alike — reads on the run in place, set operations
-   through its derived tree, on either side of a mixed operand pair. *)
+   a run ([of_ranks_unchecked], ranks over a dictionary of values) and
+   as a tree ([of_list]), must answer every operation alike — reads on
+   the run in place, set operations through its derived tree, on either
+   side of a mixed operand pair. *)
 
 type shape = {
   sh_whole : Schema.t; (* key = the whole tuple *)
   sh_keyed : Schema.t; (* key = the first column *)
 }
 
-let shape_of arity =
-  let attrs = List.init arity (fun k -> (Fmt.str "c%d" k, Value.TInt)) in
+let shape_of kinds =
+  let attrs = List.mapi (fun k ty -> (Fmt.str "c%d" k, ty)) kinds in
   { sh_whole = Schema.make attrs; sh_keyed = Schema.make ~key:[ "c0" ] attrs }
 
-let as_run schema rows =
-  Relation.of_sorted_unchecked schema
-    (Array.of_list (List.sort_uniq Tuple.compare rows))
+(* [rows] as a run over one dictionary of every value they use, and of
+   [unused] values, as a closure's answer is built: the columns share
+   the dictionary whatever their types. *)
+let as_run ?(unused = []) schema rows =
+  let rows = Array.of_list (List.sort_uniq Tuple.compare rows) in
+  let nodes =
+    Array.of_list
+      (List.sort_uniq Value.compare
+         (unused @ List.concat_map Tuple.to_list (Array.to_list rows)))
+  in
+  let rank = Hashtbl.create 16 in
+  Array.iteri (fun r v -> Hashtbl.replace rank v r) nodes;
+  Relation.of_ranks_unchecked schema nodes
+    (Array.init (Schema.arity schema) (fun c ->
+         Array.map (fun t -> Hashtbl.find rank (Tuple.get t c)) rows))
 
 (* An operation's answer, or the exception it raised *)
 let outcome f =
@@ -512,40 +525,61 @@ let answers shape probes a b =
   (* the run after its tree was derived reads as before *)
   @ reads a
 
+(* A cell of a column's type; rows draw from [0, 4], probes and unused
+   dictionary values from [0, 6] *)
+let cell bound (ty : Value.ty) =
+  QCheck.Gen.map
+    (fun k -> if ty = Value.TStr then s (Fmt.str "s%d" k) else i k)
+    (QCheck.Gen.int_bound bound)
+
 let arb_run_case =
   let open QCheck.Gen in
-  let case arity =
-    let tuple =
-      map
-        (fun cells -> Tuple.of_list (List.map i cells))
-        (list_repeat arity (int_bound 4))
-    in
+  let case kinds =
+    let tuple bound = map Tuple.of_list (flatten_l (List.map (cell bound) kinds)) in
+    (* the first cell of another type, which the dictionary may hold
+       (another column's), or not *)
     let ill =
-      map
-        (fun c -> Tuple.of_list (s c :: List.init (arity - 1) (fun _ -> i 0)))
-        (oneofl [ "x"; "y" ])
+      map2
+        (fun v rest -> Tuple.of_list (v :: rest))
+        (if List.hd kinds = Value.TStr then map i (int_bound 6) else oneofl [ s "x"; s "s1" ])
+        (flatten_l (List.map (cell 4) (List.tl kinds)))
     in
     let rows =
-      frequency [ (1, return []); (6, list_size (int_bound 14) tuple) ]
+      frequency [ (1, return []); (6, list_size (int_bound 14) (tuple 4)) ]
+    in
+    let unused =
+      list_size (int_bound 3) (oneof [ cell 6 Value.TInt; cell 6 Value.TStr ])
     in
     map3
-      (fun a b probes -> (arity, a, b, probes))
-      rows rows
-      (list_size (int_range 1 6) (frequency [ (5, tuple); (1, ill) ]))
+      (fun (a, b) unused probes -> (kinds, a, b, unused, probes))
+      (pair rows rows) unused
+      (list_size (int_range 1 6) (frequency [ (5, tuple 6); (1, ill) ]))
   in
   QCheck.make
-    ~print:(fun (arity, a, b, probes) ->
+    ~print:(fun (kinds, a, b, unused, probes) ->
       let show l = String.concat ";" (List.map Tuple.to_string l) in
-      Fmt.str "arity %d: a = %s  b = %s  probes = %s" arity (show a) (show b)
-        (show probes))
-    (oneofl [ 2; 3 ] >>= case)
+      Fmt.str "columns %a: a = %s  b = %s  unused = %a  probes = %s"
+        Fmt.(list ~sep:comma Value.pp_ty)
+        kinds (show a) (show b)
+        Fmt.(list ~sep:comma Value.pp)
+        unused (show probes))
+    (oneofl
+       Value.
+         [
+           [ TInt; TInt ];
+           [ TInt; TStr ];
+           [ TStr; TInt ];
+           [ TStr; TInt; TStr ];
+           [ TInt; TInt; TInt ];
+         ]
+    >>= case)
 
 let prop_run_matches_tree =
   QCheck.Test.make ~name:"a run answers every operation as its tree" ~count:300
-    arb_run_case (fun (arity, a, b, probes) ->
-      let shape = shape_of arity in
+    arb_run_case (fun (kinds, a, b, unused, probes) ->
+      let shape = shape_of kinds in
       let tree rows = Relation.of_list shape.sh_whole rows in
-      let run rows = as_run shape.sh_whole rows in
+      let run rows = as_run ~unused shape.sh_whole rows in
       let oracle = answers shape probes (tree a) (tree b) in
       List.for_all
         (fun (x, y) ->
@@ -559,7 +593,7 @@ let prop_run_matches_tree =
    tree through [union]/[diff] while the others binary-search it: every
    answer must equal the oracle's, and nothing may raise. *)
 let test_run_shared_by_domains () =
-  let schema = (shape_of 2).sh_whole in
+  let schema = (shape_of [ Value.TInt; Value.TInt ]).sh_whole in
   let rows =
     List.init 4_000 (fun k -> Tuple.make2 (i (k / 40)) (i (k mod 40)))
   and other = List.init 500 (fun k -> Tuple.make2 (i (3 * k / 20)) (i 41)) in
@@ -567,13 +601,15 @@ let test_run_shared_by_domains () =
   and other = Relation.of_list schema other in
   let union = rows_of (Relation.union tree other)
   and diff = rows_of (Relation.diff tree other) in
-  let shared = as_run schema rows in
+  (* 41 is in the dictionary, as a value no row uses *)
+  let shared = as_run ~unused:[ i 41 ] schema rows in
   let work d () =
     List.for_all Fun.id
       (List.init 20 (fun k ->
            let key = i ((d * 20) + k) in
            Relation.mem (Tuple.make2 key (i (k mod 40))) shared
            && (not (Relation.mem (Tuple.make2 key (i 40)) shared))
+           && (not (Relation.mem (Tuple.make2 key (i 41)) shared))
            && Relation.lookup_prefix shared [ key ]
               = Relation.lookup_prefix tree [ key ]
            && rows_of (Relation.union shared other) = union
