@@ -16,11 +16,14 @@ bench:
 # Seconds-long sanity pass: the two cheapest recursive experiments,
 # planned_closure_256 (a QUERY's plan against the interpreter on the
 # 256-chain), planned_closure_random_300 (the same on a strongly
-# connected 300-node, 900-edge digraph) and planned_scene_256 (the §3.1
-# scene Infront{ahead(Ontop)} over the 256-deep scene, its ahead/above
-# automaton against the mutual fixpoint; all three exit 1 if the answers
-# differ, or if the planned answer, a run, and the interpreter's tree
-# do not frame to the same bytes with Wire.frame_rows) and the wire
+# connected 300-node, 900-edge digraph), planned_closure_sccs (the same
+# on 20 cycles of 10-20 nodes joined through bridge nodes by DAG edges,
+# with self-loops, so only the sources of one cycle share a traversal)
+# and planned_scene_256 (the §3.1 scene Infront{ahead(Ontop)} over the
+# 256-deep scene, its ahead/above automaton against the mutual
+# fixpoint; all four exit 1 if the answers differ, or if the planned
+# answer, a run, and the interpreter's tree do not frame to the same
+# bytes with Wire.frame_rows) and the wire
 # codec cells (a 90,000-row and a 3-row Rows frame, each framed from a
 # tree and from a run of the same rows, built by the closure operator's
 # own constructor, Relation.of_ranks_unchecked; exits 1 if the two

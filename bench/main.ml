@@ -1327,6 +1327,45 @@ let planned_random_record () =
     (tc_db (strongly_connected ~seed:1 ~nodes:300 ~edges:900))
     tc_query
 
+(* A seeded graph of [cycles] cycles of 10 to 20 nodes, joined by DAG
+   edges from a node of an earlier cycle through a bridge node to a node
+   of a later one, with a self-loop on each third bridge node and each
+   fifth cycle node: its strongly connected components are the cycles
+   and the single bridge nodes, so the sources of a cycle share one
+   traversal and a bridge node traverses alone. *)
+let cycles_dag ~seed ~cycles =
+  let rng = Dc_workload.Rng.create seed in
+  let int k = Dc_workload.Rng.int rng k in
+  let firsts = Array.make cycles 0 and sizes = Array.init cycles (fun _ -> 10 + int 11) in
+  for c = 1 to cycles - 1 do
+    firsts.(c) <- firsts.(c - 1) + sizes.(c - 1)
+  done;
+  let bridge = ref (firsts.(cycles - 1) + sizes.(cycles - 1)) in
+  let member c = firsts.(c) + int sizes.(c) in
+  let pairs = ref [] in
+  let add a b = pairs := (a, b) :: !pairs in
+  for c = 0 to cycles - 1 do
+    for j = 0 to sizes.(c) - 1 do
+      add (firsts.(c) + j) (firsts.(c) + ((j + 1) mod sizes.(c)));
+      if j mod 5 = 0 then add (firsts.(c) + j) (firsts.(c) + j)
+    done
+  done;
+  for k = 0 to (2 * cycles) - 1 do
+    let a = int (cycles - 1) in
+    let b = a + 1 + int (cycles - 1 - a) in
+    add (member a) !bridge;
+    add !bridge (member b);
+    if k mod 3 = 0 then add !bridge !bridge;
+    incr bridge
+  done;
+  Graph_gen.of_pairs (List.sort_uniq compare !pairs)
+
+(* The closure of [cycles_dag] over 20 cycles, planned (a traversal per
+   component of the selected sources) against the interpreter's
+   fixpoint. *)
+let planned_sccs_record () =
+  planned_against_direct "planned_closure_sccs" (tc_db (cycles_dag ~seed:1 ~cycles:20)) tc_query
+
 (* servebench's §3.1 scene: Infront{ahead(Ontop)} over the 256-deep
    scene (32,896 rows), planned (the traversal of the regular ahead/above
    system's automaton over Infront and Ontop) against the interpreter's
@@ -1488,7 +1527,8 @@ let run_smoke () =
   print_records
     (json_experiments ~only:[ "e5_mutual_scene_64"; "e4_magic_left_256" ] ());
   print_planned
-    (planned_records () @ [ planned_random_record (); planned_scene_record () ]);
+    (planned_records ()
+    @ [ planned_random_record (); planned_sccs_record (); planned_scene_record () ]);
   print_codec (codec_records ())
 
 (* ------------------------------------------------------------------ *)
@@ -2308,6 +2348,7 @@ let run_json path =
   let records = json_experiments () in
   let planned = planned_records () in
   let planned_random = planned_random_record () in
+  let planned_sccs = planned_sccs_record () in
   let planned_scene = planned_scene_record () in
   let metrics = Json.of_string (Dc_obs.Obs.to_json ()) in
   Dc_obs.Obs.set_enabled false;
@@ -2325,6 +2366,7 @@ let run_json path =
       ("experiments", Json.Arr (List.map experiment_json records));
       ("planned_closure_256", Json.Arr (List.map planned_json planned));
       ("planned_closure_random_300", planned_json planned_random);
+      ("planned_closure_sccs", planned_json planned_sccs);
       ("planned_scene_256", planned_json planned_scene);
       ("obs_overhead", obs_overhead_json overhead);
       ("ivm", Json.Arr (List.map view_json ivm @ [ toggle_json toggle ]));

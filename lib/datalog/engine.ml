@@ -34,19 +34,10 @@ type error_kind =
   | Unsupported
   | Internal
 
-let error_kind_name = function
-  | Unsafe_rule -> "unsafe rule"
-  | Unbound_variable -> "unbound variable"
-  | Unsupported -> "unsupported"
-  | Internal -> "internal"
-
 exception Error of error_kind * string
 
 let error kind fmt =
   Fmt.kstr (fun s -> raise (Error (kind, s))) fmt
-
-let pp_error ppf (kind, msg) =
-  Fmt.pf ppf "%s: %s" (error_kind_name kind) msg
 
 let dummy = Value.Bool false
 

@@ -27,8 +27,6 @@ exception Error of error_kind * string
 val error : error_kind -> ('a, Format.formatter, unit, 'b) format4 -> 'a
 (** Raise {!Error} with a formatted message. *)
 
-val pp_error : (error_kind * string) Fmt.t
-
 val dummy : Value.t
 (** Placeholder filling unbound slots of a fresh row. *)
 

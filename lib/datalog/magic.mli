@@ -11,8 +11,6 @@ type adornment = bool list
 val adornment_string : adornment -> string
 (** e.g. ["bf"]. *)
 
-val magic_name : string -> adornment -> string
-
 type compiled
 (** A program adorned for one binding pattern of one query predicate:
     the adorned and magic rules every query with that pattern runs.  A

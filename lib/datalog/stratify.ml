@@ -103,11 +103,6 @@ let layers ?aggs program =
       List.filter (fun r -> get r.head.pred = i) program)
   |> List.filter (fun l -> l <> [])
 
-let is_stratifiable program =
-  match strata program with
-  | _ -> true
-  | exception Not_stratifiable _ -> false
-
 (* Strongly connected components of the positive dependency graph over
    IDB predicates, in topological (dependencies-first) order — the unit
    of work for incremental maintenance, which runs DRed only on the SCCs

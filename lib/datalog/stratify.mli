@@ -23,8 +23,6 @@ val layers :
   Syntax.program list
 (** Rules grouped by head stratum, lowest first (empty layers dropped). *)
 
-val is_stratifiable : Syntax.program -> bool
-
 val sccs : Syntax.program -> string list list
 (** Strongly connected components of the positive dependency graph over
     IDB predicates, in topological (dependencies-first) order — the unit

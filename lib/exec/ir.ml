@@ -371,34 +371,23 @@ let strictly_increasing nodes =
   in
   from 1
 
-(* The largest chunk of a growing rank column *)
-let max_chunk = 8192
+(* Whether a block of ranks strictly increases *)
+let rising block =
+  let rec from i = i >= Array.length block || (block.(i - 1) < block.(i) && from (i + 1)) in
+  from 1
 
-(* The chunks [full] (newest first), then the first [k] ints of [last],
-   as one array *)
-let seal full last k =
-  let out = Array.make (List.fold_left (fun n c -> n + Array.length c) k full) 0 in
-  let pos =
-    List.fold_right
-      (fun c pos ->
-        Array.blit c 0 out pos (Array.length c);
-        pos + Array.length c)
-      full 0
-  in
-  Array.blit last 0 out pos k;
-  out
-
-(* Run a [Closure] into a relation: the traversal's rank pairs, which
-   come in increasing order, each once, fill two [int] columns, and the
-   relation is those columns over the graph's nodes, wrapped as a run.
-   A column grows by chunks, each twice the last up to [max_chunk], and
-   is copied once, into its exact size, at the end: regrowing one array
-   would copy and allocate a large answer's ranks several times over in
-   the major heap.  Binary search and [cardinal] on the run rely on the
-   order, so the nodes are asserted strictly increasing once and each
-   pair to follow the one before: together, the tuples' [Tuple.compare]
-   order.  Each pair is counted, ticked and profiled as an emitted
-   row. *)
+(* Run a [Closure] into a relation: the traversal's blocks, one per
+   source, in increasing source order and each in increasing rank order,
+   are kept as they come (a block is the traversal's, never changed once
+   handed out, and the sources of one component share one), and at the
+   end fill two [int] columns of the exact size, one fill of its source
+   and one blit of its ranks per block; the relation is those columns
+   over the graph's nodes, wrapped as a run.  Binary search and
+   [cardinal] on the run rely on the order, so the nodes are asserted
+   strictly increasing once, each source to follow the one before, and
+   each block (once, however many sources share it) to rise: together,
+   the tuples' [Tuple.compare] order.  Each block's rows are counted,
+   ticked and profiled as emitted rows. *)
 let collect_sorted ?(ctx = empty_ctx) ?(guard = Guard.none) ~schema t =
   match t.top with
   | Closure cl ->
@@ -408,33 +397,31 @@ let collect_sorted ?(ctx = empty_ctx) ?(guard = Guard.none) ~schema t =
     let g = Reach.graph (Array.map (fun src -> (resolve ctx src).Extent.iter) cl.cl_labels) in
     let nodes = Reach.nodes g in
     assert (strictly_increasing nodes);
-    let full_sources = ref [] and full_targets = ref [] in
-    let sources = ref (Array.make 64 0) and targets = ref (Array.make 64 0) and k = ref 0 in
-    (* [a * n + b] orders the pairs as [(a, b)] does: the last pair's *)
-    let n = Array.length nodes and last = ref (-1) in
+    (* the blocks, newest first, and their rows *)
+    let blocks = ref [] and total = ref 0 and last = ref (-1) and checked = ref [||] in
     let traversals =
-      Reach.run g cl.cl_automaton cl.cl_seed (fun a b ->
-          let key = (a * n) + b in
-          assert (key > !last);
-          last := key;
-          c.rows <- c.rows + 1;
-          Guard.tick guard label;
+      Reach.run g cl.cl_automaton cl.cl_seed (fun a block ->
+          assert (a > !last && (block == !checked || rising block));
+          last := a;
+          checked := block;
+          let count = Array.length block in
+          c.rows <- c.rows + count;
+          Guard.ticks guard label count;
           prof_tick c;
-          let size = Array.length !sources in
-          if !k = size then begin
-            full_sources := !sources :: !full_sources;
-            full_targets := !targets :: !full_targets;
-            sources := Array.make (min max_chunk (2 * size)) 0;
-            targets := Array.make (min max_chunk (2 * size)) 0;
-            k := 0
-          end;
-          !sources.(!k) <- a;
-          !targets.(!k) <- b;
-          incr k)
+          blocks := (a, block) :: !blocks;
+          total := !total + count)
     in
     c.probes <- c.probes + traversals;
-    Relation.of_ranks_unchecked schema nodes
-      [| seal !full_sources !sources !k; seal !full_targets !targets !k |]
+    let sources = Array.make !total 0 and targets = Array.make !total 0 in
+    ignore
+      (List.fold_left
+         (fun stop (a, block) ->
+           let count = Array.length block in
+           Array.fill sources (stop - count) count a;
+           Array.blit block 0 targets (stop - count) count;
+           stop - count)
+         !total !blocks);
+    Relation.of_ranks_unchecked schema nodes [| sources; targets |]
   | Project _ | Union _ | Diff _ | Distinct _ | Group _ ->
     exec_error "collect_sorted: %s is not a closure" (Lazy.force t.tlabel)
 

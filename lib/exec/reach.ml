@@ -14,13 +14,22 @@
    reaches is an answer.  Each source is then traversed breadth first in
    product with the automaton, its visits stamped with the source's rank
    in one array per product state and its answers in one array per node,
-   so no per-source clearing is needed; the answers come out in rank
-   order.  Sources go in rank order too, so the pairs come out as
-   increasing rank pairs, which over the ordered [nodes] is the
-   relation's own [Tuple.compare] order: the caller keeps the ranks as
-   the result's rows, with no tuple and no sort, whether it asks for
-   every source or a set of them.  The closure of one relation is the
-   one-state automaton. *)
+   so no per-source clearing is needed; the answers come out as one
+   block in rank order, handed to the caller whole.  Sources go in rank
+   order too, so the pairs come out as increasing rank pairs, which over
+   the ordered [nodes] is the relation's own [Tuple.compare] order: the
+   caller keeps the ranks as the result's rows, with no tuple and no
+   sort, whether it asks for every source or a set of them.
+
+   Two sources in one strongly connected component of the product graph
+   reach the same product nodes, so they have the same answers (the
+   condensation behind Nuutila's closure).  Before traversing every
+   source or several, an iterative Tarjan over the same adjacency finds
+   the components of what the selected sources reach; the first source
+   of a component traverses, and its block is kept for the later ones
+   only while one is still to come, so what is kept is at most half of
+   what is emitted.  The closure of one relation is the one-state
+   automaton. *)
 
 open Dc_relation
 
@@ -218,6 +227,78 @@ let upstream g targets =
 
 let nodes g = g.nodes
 
+(* One move of a product state along a label into one state, for the
+   component search. *)
+type hop = { hstart : int array; hadj : int array; hinto : int }
+
+(* The strongly connected components of the product graph, node
+   [q * n + u] being node [u] in state [q], among the nodes reachable
+   from [(s, first)] for the [sources]: each such node's component
+   number (the others' [-1]) and the number of components.  Tarjan's
+   algorithm, with the recursion kept in arrays: [frame] holds the
+   nodes being expanded, [hop] and [pos] where each one's expansion
+   stands. *)
+let components n hops first sources =
+  let size = n * Array.length hops in
+  let index = Array.make size (-1) and low = Array.make size 0 in
+  let comp = Array.make size (-1) and stack = Array.make size 0 and sp = ref 0 in
+  let frame = Array.make size 0 and hop = Array.make size 0 and pos = Array.make size 0 in
+  let depth = ref 0 and counter = ref 0 and comps = ref 0 in
+  let enter x =
+    index.(x) <- !counter;
+    low.(x) <- !counter;
+    incr counter;
+    stack.(!sp) <- x;
+    incr sp;
+    let hs = hops.(x / n) in
+    frame.(!depth) <- x;
+    hop.(!depth) <- 0;
+    pos.(!depth) <- (if Array.length hs > 0 then hs.(0).hstart.(x mod n) else 0);
+    incr depth
+  in
+  Array.iter
+    (fun s ->
+      if index.((first * n) + s) < 0 then begin
+        enter ((first * n) + s);
+        while !depth > 0 do
+          let d = !depth - 1 in
+          let x = frame.(d) in
+          let hs = hops.(x / n) and u = x mod n and h = hop.(d) in
+          if h < Array.length hs then begin
+            let i = pos.(d) and hp = hs.(h) in
+            if i < hp.hstart.(u + 1) then begin
+              pos.(d) <- i + 1;
+              let y = (hp.hinto * n) + hp.hadj.(i) in
+              if index.(y) < 0 then enter y
+              else if comp.(y) < 0 && index.(y) < low.(x) then low.(x) <- index.(y)
+            end
+            else begin
+              hop.(d) <- h + 1;
+              if h + 1 < Array.length hs then pos.(d) <- hs.(h + 1).hstart.(u)
+            end
+          end
+          else begin
+            decr depth;
+            if low.(x) = index.(x) then begin
+              let rec close () =
+                decr sp;
+                let y = stack.(!sp) in
+                comp.(y) <- !comps;
+                if y <> x then close ()
+              in
+              close ();
+              incr comps
+            end;
+            if d > 0 then begin
+              let p = frame.(d - 1) in
+              if low.(x) < low.(p) then low.(p) <- low.(x)
+            end
+          end
+        done
+      end)
+    sources;
+  (comp, !comps)
+
 let run g a seed emit =
   let edges = g.edges in
   let n = Array.length g.nodes in
@@ -325,24 +406,62 @@ let run g a seed emit =
     end;
     count
   in
-  let traverse s k =
-    for i = 0 to reach s - 1 do
-      k reached.(i)
-    done
+  (* One source's answers, as a block of their own *)
+  let block s = Array.sub reached 0 (reach s) in
+  (* Sources in one strongly connected component of the product graph
+     reach the same product nodes, so they have the same answers: the
+     first of them traverses, its block is kept while a later source of
+     its component is still to come, and each later one gets the kept
+     block.  Only a component with another selected source keeps one, so
+     what is kept is at most half of what is emitted.  When no move
+     enters the start state (a left-linear system read forwards starts
+     in the extra state), every source is a component of its own. *)
+  let serve sources =
+    let emit s b = if Array.length b > 0 then emit s b in
+    if
+      Array.length sources < 2
+      || not (List.exists (fun (_, _, q', _) -> q' = Some first) moves)
+    then Array.iter (fun s -> emit s (block s)) sources
+    else begin
+      let hops =
+        Array.map
+          (fun mvs ->
+            Array.concat
+              (Array.to_list
+                 (Array.map
+                    (fun mv ->
+                      Array.map (fun q' -> { hstart = mv.start; hadj = mv.adj; hinto = q' }) mv.into)
+                    mvs)))
+          layout
+      in
+      let comp, comps = components n hops first sources in
+      let left = Array.make comps 0 and kept = Array.make comps None in
+      let of_source s = comp.((first * n) + s) in
+      Array.iter (fun s -> left.(of_source s) <- left.(of_source s) + 1) sources;
+      Array.iter
+        (fun s ->
+          let c = of_source s in
+          left.(c) <- left.(c) - 1;
+          let b = match kept.(c) with Some b -> b | None -> block s in
+          kept.(c) <- (if left.(c) > 0 then Some b else None);
+          emit s b)
+        sources
+    end
   in
   match seed with
   | Every ->
-    for s = 0 to n - 1 do
-      traverse s (emit s)
-    done;
+    serve (Array.init n Fun.id);
     n
   | From vs ->
-    let sources = List.sort_uniq Int.compare (List.filter_map rank vs) in
-    List.iter (fun s -> traverse s (emit s)) sources;
-    List.length sources
+    let sources = Array.of_list (List.sort_uniq Int.compare (List.filter_map rank vs)) in
+    serve sources;
+    Array.length sources
   | To v -> (
     match rank v with
     | None -> 0
     | Some t ->
-      traverse t (fun s -> emit s t);
+      let target = [| t |] in
+      for i = 0 to reach t - 1 do
+        emit reached.(i) target
+      done;
       1)

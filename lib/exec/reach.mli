@@ -1,10 +1,11 @@
 (** Regular path queries by graph traversal.
 
     The endpoints of every label's edges are numbered once, and ranked
-    by {!Dc_relation.Value.compare}; every selected source is traversed
-    once in product with the automaton, and its answers come out in
-    rank order.  The closure of one relation is the one-state automaton
-    {!closure}. *)
+    by {!Dc_relation.Value.compare}; a selected source is traversed in
+    product with the automaton, and its answers come out as one block in
+    rank order.  Sources in one strongly connected component of that
+    product share their first source's traversal and block.  The closure
+    of one relation is the one-state automaton {!closure}. *)
 
 open Dc_relation
 
@@ -56,11 +57,20 @@ val nodes : graph -> Value.t array
 (** Every endpoint of the labels' edges once, strictly increasing: node
     [r]'s rank is [r].  Not to be mutated. *)
 
-val run : graph -> automaton -> seed -> (int -> int -> unit) -> int
-(** [run g a seed emit] calls [emit x y] once for each pair
-    [(nodes g).(x), (nodes g).(y)] the seed selects from [L(a.root)], in
-    increasing [(x, y)] order (which is the pairs' {!Tuple.compare}
-    order), and returns the number of traversals run. *)
+val run : graph -> automaton -> seed -> (int -> int array -> unit) -> int
+(** [run g a seed emit] calls [emit x answers] once for each source
+    [(nodes g).(x)] with pairs the seed selects from [L(a.root)], in
+    increasing [x] order: its pairs are [(x, y)] for each [y] of
+    [answers], a non-empty block of ranks in increasing order, so the
+    pairs come in their {!Tuple.compare} order.  A block is not to be
+    mutated, and [run] never changes one it has handed out, so a caller
+    may keep it as it is.  Sources of one strongly connected component
+    of the product of the graph and the automaton have the same answers:
+    an [Every] or several [From] sources traverse once per component,
+    and each later source of a component is handed its first source's
+    block, the same array.
+    Returns the number of sources selected (each [Every] node, the
+    distinct [From] sources present in [g], one for [To]). *)
 
 val upstream : graph -> Value.t list -> Value.t list
 (** [upstream g targets]: the targets and every node from which a path

@@ -221,6 +221,35 @@ let tick g label =
     then trip ~operator:(Lazy.force label) g
   end
 
+(* [count] rows at once, as [count] {!tick}s would count them: the row
+   budget, a cancel and the deadline (read when the rows cross a multiple
+   of 256) trip at the row a tick per row would have tripped at, and the
+   count is set back to that row.  An armed failpoint sees each row. *)
+let ticks g label count =
+  if !Failpoint.armed then
+    for _ = 1 to count do
+      tick g label
+    done
+  else if g != none && count > 0 then begin
+    let before = Atomic.fetch_and_add g.rows count in
+    let after = before + count in
+    (* the first multiple of 256 above [before] *)
+    let boundary = (before lor 255) + 1 in
+    let late = g.has_deadline && boundary <= after && now () > g.deadline in
+    if after > g.lim_rows || Atomic.get g.cancelled || late then begin
+      (* the first row at which a limit trips *)
+      let at =
+        if Atomic.get g.cancelled then before + 1
+        else
+          min
+            (if after > g.lim_rows then max (before + 1) (g.lim_rows + 1) else after)
+            (if late then boundary else after)
+      in
+      ignore (Atomic.fetch_and_add g.rows (at - after));
+      trip ~operator:(Lazy.force label) g
+    end
+  end
+
 let round g ~site =
   if !Failpoint.armed then Failpoint.hit ~guard:g site;
   if g != none then begin

@@ -72,12 +72,19 @@ val cancel : t -> unit
 
 val rows : t -> int
 val rounds : t -> int
-val elapsed_ms : t -> float
 
 val tick : t -> string Lazy.t -> unit
 (** Hot-path tick, called per operator row emission with the operator's
     (lazy) EXPLAIN label.  Counts the row; trips on row budget or
     cancellation immediately, on the deadline every 256 rows.
+    @raise Exhausted *)
+
+val ticks : t -> string Lazy.t -> int -> unit
+(** [ticks g label count] is [count] {!tick}s in one step, for an
+    operator that emits a block of rows: the row budget, cancellation
+    and the deadline (checked at each multiple of 256 rows) trip at the
+    row a tick per row would have, and the count stops there.  Under an
+    armed {!Failpoint} each row is one hit of ["exec.row"].
     @raise Exhausted *)
 
 val round : t -> site:string -> unit

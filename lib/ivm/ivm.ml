@@ -497,9 +497,9 @@ let refresh view =
     let g = label_graph view tr and label = closure_label view and rows = ref [] in
     let nodes = Dc_exec.Reach.nodes g in
     ignore
-      (Dc_exec.Reach.run g tr.tr_automaton Dc_exec.Reach.Every (fun a b ->
-           Guard.tick guard label;
-           rows := Tuple.make2 nodes.(a) nodes.(b) :: !rows));
+      (Dc_exec.Reach.run g tr.tr_automaton Dc_exec.Reach.Every (fun a block ->
+           Guard.ticks guard label (Array.length block);
+           Array.iter (fun b -> rows := Tuple.make2 nodes.(a) nodes.(b) :: !rows) block));
     view.store <-
       Facts.singleton_set view.query_pred
         (Relation.sorted_set (Array.of_list (List.rev !rows)));
@@ -1000,7 +1000,7 @@ let traversal_update view tr updates =
      the current source's old rows not yet met, [later] the affected
      sources not yet begun *)
   let plus = ref [] and minus = ref [] in
-  let current = ref None and olds = ref [] and later = ref !sources in
+  let olds = ref [] and later = ref !sources in
   let drop rows = minus := List.rev_append rows !minus in
   let begin_source s =
     drop !olds;
@@ -1012,7 +1012,6 @@ let traversal_update view tr updates =
       | rest -> rest
     in
     later := skip !later;
-    current := Some s;
     olds := Relation.prefix_scan old [ s ]
   in
   (* the answer [(s, t)] against the current source's old rows *)
@@ -1030,14 +1029,13 @@ let traversal_update view tr updates =
       let rows = ref 0 and g = Option.get !g in
       let nodes = Dc_exec.Reach.nodes g in
       ignore
-        (Dc_exec.Reach.run g tr.tr_automaton (Dc_exec.Reach.From !sources) (fun s t ->
-             let s = nodes.(s) and t = nodes.(t) in
-             Guard.tick guard label;
-             incr rows;
-             (match !current with
-             | Some c when Value.equal c s -> ()
-             | Some _ | None -> begin_source s);
-             meet s t !olds));
+        (Dc_exec.Reach.run g tr.tr_automaton (Dc_exec.Reach.From !sources)
+           (fun s block ->
+             let s = nodes.(s) in
+             Guard.ticks guard label (Array.length block);
+             rows := !rows + Array.length block;
+             begin_source s;
+             Array.iter (fun t -> meet s nodes.(t) !olds) block));
       drop !olds;
       List.iter (fun x -> drop (Relation.prefix_scan old [ x ])) !later;
       !rows);

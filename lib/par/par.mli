@@ -36,8 +36,6 @@ val seq_cutoff : unit -> int
     should stay sequential: sharding a handful of tuples costs more in
     partition/merge than it saves.  Default [64]. *)
 
-val set_seq_cutoff : int -> unit
-
 val with_seq_cutoff : int -> (unit -> 'a) -> 'a
 (** Scoped override of {!seq_cutoff}; the oracle uses [with_seq_cutoff 1]
     to force the parallel code path onto tiny generated workloads. *)

@@ -1590,41 +1590,86 @@ let test_closure_oracles () =
     scene_oracle_seed seed
   done
 
+(* [f ()] with only [site] armed, to fire at its [n]-th hit; the
+   ambient schedule (a suite run may arm one through DC_FAILPOINT) is
+   put back afterwards. *)
+let with_failpoint site n f =
+  let module F = Dc_guard.Guard.Failpoint in
+  let ambient = F.pending () in
+  F.reset ();
+  F.arm site n;
+  Fun.protect f ~finally:(fun () ->
+      F.reset ();
+      List.iter (fun (site, n) -> F.arm site n) ambient)
+
 (* A limit trips inside the closure operator: a row budget, a deadline
-   and a cancel each stop the planned Edge{tcn()} over a 40-chain (820
-   rows) and come back as a typed Limit error that names the operator. *)
+   and a cancel each stop the planned Edge{tcn()} and come back as a
+   typed Limit error that names the operator.  Over a 40-chain (820
+   rows) every source traverses; over a 40-cycle (1,600 rows) the
+   sources form one component, so all but the first get the first's
+   40-row block.  A budget of 20 rows trips inside the first block and
+   one of 60 inside the second, shared, block, each at the row after the
+   budget, as a tick per row would.  An armed [exec.row=N] fires at the
+   N-th row of either graph. *)
 let test_closure_operator_limits () =
-  let db = make_db ~edges:(chain 40) () in
-  Database.define_constructor db
-    (Constructor.transitive_closure ~name:"tcn" ~linear:`Non ());
-  let d =
-    Planner.plan (Database.typecheck_env db)
-      Ast.(Construct (Rel "Edge", "tcn", []))
-  in
-  Alcotest.(check string) "method" "closure operator"
-    (Planner.method_name d.d_method);
+  let cycle n = List.init n (fun i -> pair (Fmt.str "n%d" i) (Fmt.str "n%d" ((i + 1) mod n))) in
   let cancelled () =
     let g = Dc_guard.Guard.create () in
     Dc_guard.Guard.cancel g;
     g
   in
   List.iter
-    (fun (limit, guard) ->
-      match Planner.execute (Eval.with_guard (Database.eval_env db) (guard ())) d with
-      | _ -> Alcotest.failf "%s: the closure operator ran to the end" limit
-      | exception e ->
-        let code, text = Dc_net.Net.classify_exn e in
-        Alcotest.(check string) (limit ^ ": error code") "limit"
-          (Fmt.str "%a" Dc_net.Wire.pp_error_code code);
-        Alcotest.(check bool)
-          (Fmt.str "%s: %S names the operator" limit text)
-          true
-          (contains text "at operator closure tcn"))
-    [
-      ("row budget", fun () -> Dc_guard.Guard.create ~rows:20 ());
-      ("deadline", fun () -> Dc_guard.Guard.create ~millis:0 ());
-      ("cancel", cancelled);
-    ]
+    (fun (graph, edges, budgets) ->
+      let db = make_db ~edges () in
+      Database.define_constructor db
+        (Constructor.transitive_closure ~name:"tcn" ~linear:`Non ());
+      let d =
+        Planner.plan (Database.typecheck_env db)
+          Ast.(Construct (Rel "Edge", "tcn", []))
+      in
+      Alcotest.(check string) "method" "closure operator"
+        (Planner.method_name d.d_method);
+      let run guard = Planner.execute (Eval.with_guard (Database.eval_env db) guard) d in
+      List.iter
+        (fun (limit, guard, at) ->
+          let limit = Fmt.str "%s, %s" graph limit in
+          match run (guard ()) with
+          | _ -> Alcotest.failf "%s: the closure operator ran to the end" limit
+          | exception e ->
+            let code, text = Dc_net.Net.classify_exn e in
+            Alcotest.(check string) (limit ^ ": error code") "limit"
+              (Fmt.str "%a" Dc_net.Wire.pp_error_code code);
+            Alcotest.(check bool)
+              (Fmt.str "%s: %S names the operator" limit text)
+              true
+              (contains text "at operator closure tcn");
+            Option.iter
+              (fun rows ->
+                Alcotest.(check bool)
+                  (Fmt.str "%s: %S stops at row %d" limit text rows)
+                  true
+                  (contains text (Fmt.str "progress: %d rows" rows)))
+              at)
+        (List.map
+           (fun budget ->
+             ( Fmt.str "row budget %d" budget,
+               (fun () -> Dc_guard.Guard.create ~rows:budget ()),
+               Some (budget + 1) ))
+           budgets
+        @ [
+            ("deadline", (fun () -> Dc_guard.Guard.create ~millis:0 ()), None);
+            ("cancel", cancelled, Some 1);
+          ]);
+      List.iter
+        (fun n ->
+          match with_failpoint "exec.row" n (fun () -> run (Dc_guard.Guard.create ())) with
+          | _ -> Alcotest.failf "%s: exec.row=%d never fired" graph n
+          | exception Dc_guard.Guard.Exhausted (Dc_guard.Guard.Fault_injected "exec.row", p) ->
+            Alcotest.(check int)
+              (Fmt.str "%s: exec.row=%d fires at row %d" graph n n)
+              (n - 1) p.Dc_guard.Guard.pg_rows)
+        [ 1; 39; 41; 300 ])
+    [ ("40-chain", chain 40, [ 20 ]); ("40-cycle", cycle 40, [ 20; 60 ]) ]
 
 (* Served reads against the interpreter: a server over a seeded random
    graph and the four closures; each statement shape is read first

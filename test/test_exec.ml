@@ -471,7 +471,8 @@ let prop_reach_graph =
       let run g seed =
         let acc = ref [] and nodes = Reach.nodes g in
         ignore
-          (Reach.run g Reach.closure seed (fun x y -> acc := (nodes.(x), nodes.(y)) :: !acc));
+          (Reach.run g Reach.closure seed (fun x block ->
+               Array.iter (fun y -> acc := (nodes.(x), nodes.(y)) :: !acc) block));
         List.rev !acc
       in
       let g = graph pairs and sources = List.map node sources in
@@ -497,6 +498,160 @@ let prop_reach_graph =
       with
       | Some g' -> run g' Reach.Every = run (graph after) Reach.Every
       | None -> List.exists (fun (x, y) -> not (known x && known y)) added)
+
+(* Sources in one strongly connected component share one traversal.
+   Each graph is a few cycles of 1 to 5 nodes (a 1-cycle is a
+   self-loop), each all label 0, alternating labels or labelled at
+   random, joined by edges from earlier cycles to later ones, with a
+   few more self-loops; nodes are numbered through a shuffle, so the
+   components interleave in rank order and other components' sources
+   traverse between two sources of one component.  Every automaton's
+   pairs, under [Every], [From] sets that hold several nodes of one
+   cycle (and a node absent from the graph), and [To], are checked,
+   order included, against the system's least solution computed by
+   brute force.  Each block is compared when it is handed over, so a
+   later source's block is checked after the traversals that came
+   between it and its component's first source, and again once [run]
+   returns, so no traversal after it changed it; under [Every] the
+   nodes of a label-0 cycle get one physical block from the closure. *)
+let prop_reach_components =
+  let alternating linear =
+    { Reach.linear; exits = [| [ 0 ]; [ 1 ] |]; steps = [| [ (0, 1) ]; [ (1, 0) ] |]; root = 0 }
+  and doubled linear =
+    { Reach.linear; exits = [| [ 0 ]; [] |]; steps = [| [ (0, 0); (1, 1) ]; [ (1, 0) ] |]; root = 0 }
+  in
+  let automata =
+    [ Reach.closure; alternating `Right; alternating `Left; doubled `Right; doubled `Left ]
+  in
+  QCheck.Test.make ~count:150 ~name:"reach: components share a block, pairs = brute force"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let rng = Dc_workload.Rng.create seed in
+      let int k = Dc_workload.Rng.int rng k in
+      let sizes = List.init (1 + int 5) (fun _ -> 1 + int 5) in
+      let n = List.fold_left ( + ) 0 sizes in
+      (* node [n] is in no edge *)
+      let perm = Array.init (n + 1) Fun.id in
+      Dc_workload.Rng.shuffle rng perm;
+      let edges = ref [] in
+      let add l a b = edges := (l, perm.(a), perm.(b)) :: !edges in
+      let cycles =
+        List.rev
+          (snd
+             (List.fold_left
+                (fun (first, acc) k ->
+                  let mode = int 3 in
+                  for j = 0 to k - 1 do
+                    let l = match mode with 0 -> 0 | 1 -> j mod 2 | _ -> int 2 in
+                    add l (first + j) (first + ((j + 1) mod k))
+                  done;
+                  (first + k, (first, k, mode) :: acc))
+                (0, []) sizes))
+      in
+      let m = List.length cycles in
+      for _ = 1 to int 6 do
+        let a = int m and b = int m in
+        if a < b then begin
+          let fa, ka, _ = List.nth cycles a and fb, kb, _ = List.nth cycles b in
+          add (int 2) (fa + int ka) (fb + int kb)
+        end
+      done;
+      for _ = 1 to int 3 do
+        let v = int n in
+        add (int 2) v v
+      done;
+      let edges = List.sort_uniq compare !edges in
+      let label l f =
+        List.iter (fun (l', a, b) -> if l = l' then f (tuple2 a b)) edges
+      in
+      let g = Reach.graph [| label 0; label 1 |] in
+      let nodes = Reach.nodes g and size = n + 1 in
+      (* the least solution of the automaton's system, one boolean
+         matrix per state, iterated to a fixpoint *)
+      let solve (a : Reach.automaton) =
+        let states = Array.length a.exits in
+        let l = Array.init states (fun _ -> Array.make_matrix size size false) in
+        let changed = ref true in
+        let set q x y =
+          if not l.(q).(x).(y) then begin
+            l.(q).(x).(y) <- true;
+            changed := true
+          end
+        in
+        while !changed do
+          changed := false;
+          for q = 0 to states - 1 do
+            List.iter
+              (fun (lb, x, y) ->
+                if List.mem lb a.exits.(q) then set q x y;
+                List.iter
+                  (fun (lb', q') ->
+                    if lb = lb' then
+                      for z = 0 to size - 1 do
+                        match a.linear with
+                        | `Right -> if l.(q').(y).(z) then set q x z
+                        | `Left -> if l.(q').(z).(x) then set q z y
+                      done)
+                  a.steps.(q))
+              edges
+          done
+        done;
+        l.(a.root)
+      in
+      let cycle_nodes =
+        List.concat_map
+          (fun (first, k, _) ->
+            if k >= 2 then [ [ perm.(first); perm.(first + int k); perm.(first + 1) ] ] else [])
+          cycles
+      in
+      (* the nodes of each cycle of two or more label-0 edges: one
+         component of the closure's product graph *)
+      let closed =
+        List.filter_map
+          (fun (first, k, mode) ->
+            if k >= 2 && mode = 0 then Some (List.init k (fun j -> perm.(first + j))) else None)
+          cycles
+      in
+      let seeds =
+        (Reach.Every, fun _ -> true)
+        :: (let t = perm.(int (n + 1)) in
+            (Reach.To (i t), fun (_, y) -> y = t))
+        :: List.map
+             (fun vs ->
+               let vs = perm.(int (n + 1)) :: perm.(n) :: vs in
+               (Reach.From (List.map i vs), fun (x, _) -> List.mem x vs))
+             cycle_nodes
+      in
+      List.for_all
+        (fun (a : Reach.automaton) ->
+          let l = solve a in
+          List.for_all
+            (fun (seed, selected) ->
+              let expected = ref [] in
+              for x = size - 1 downto 0 do
+                for y = size - 1 downto 0 do
+                  if l.(x).(y) && selected (x, y) then expected := (x, y) :: !expected
+                done
+              done;
+              let got = ref [] and handed = ref [] in
+              let value x = match nodes.(x) with Value.Int x -> x | _ -> assert false in
+              ignore
+                (Reach.run g a seed (fun x block ->
+                     handed := (value x, block, Array.copy block) :: !handed;
+                     Array.iter (fun y -> got := (value x, value y) :: !got) block));
+              let block_of v = List.find (fun (x, _, _) -> x = v) !handed |> fun (_, b, _) -> b in
+              (* no block is empty, or changed by the traversals after it *)
+              List.for_all (fun (_, b, copy) -> Array.length b > 0 && b = copy) !handed
+              && List.rev !got = !expected
+              (* the sources of one closure component share one block *)
+              && (a != Reach.closure || seed <> Reach.Every
+                 || List.for_all
+                      (fun cycle ->
+                        let b = block_of (List.hd cycle) in
+                        List.for_all (fun v -> block_of v == b) cycle)
+                      closed))
+            seeds)
+        automata)
 
 (* ------------------------------------------------------------------ *)
 
@@ -540,7 +695,11 @@ let () =
             test_trace_project_rows_closures;
           QCheck_alcotest.to_alcotest prop_trace_project_rows;
         ] );
-      ("reach", [ QCheck_alcotest.to_alcotest prop_reach_graph ]);
+      ( "reach",
+        [
+          QCheck_alcotest.to_alcotest prop_reach_graph;
+          QCheck_alcotest.to_alcotest prop_reach_components;
+        ] );
       ( "explain",
         [
           Alcotest.test_case "golden output" `Quick test_explain_golden;

@@ -286,6 +286,99 @@ let test_failpoint_install () =
   | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
+(* Bulk ticks: [Guard.ticks g label k] must trip where [k] calls of
+   [Guard.tick] would, with the same reason, operator and row count. *)
+
+let label = lazy "closure tc"
+
+(* Feed [rows] rows to [g], in the [blocks] sizes ([None]: one tick per
+   row); the reason and progress of the trip, if one happens. *)
+let feed g blocks rows =
+  match
+    match blocks with
+    | None ->
+      for _ = 1 to rows do
+        Guard.tick g label
+      done
+    | Some sizes ->
+      let rec go left sizes =
+        if left > 0 then
+          match sizes with
+          | k :: rest ->
+            let k = min k left in
+            Guard.ticks g label k;
+            go (left - k) (rest @ [ k ])
+          | [] -> assert false
+      in
+      go rows sizes
+  with
+  | () -> None
+  | exception Guard.Exhausted (reason, p) ->
+    Some (reason, p.Guard.pg_rows, p.Guard.pg_operator)
+
+let trip_testable =
+  Alcotest.(
+    option
+      (triple (testable Guard.pp_reason ( = )) int (option string)))
+
+(* A row budget, a cancel and a passed deadline trip a run of blocks at
+   the row a tick per row trips at. *)
+let test_ticks_limits () =
+  with_failpoints @@ fun () ->
+  let cancelled () =
+    let g = Guard.create () in
+    Guard.cancel g;
+    g
+  in
+  let late () =
+    let g = Guard.create ~millis:0 () in
+    Unix.sleepf 0.002;
+    g
+  in
+  List.iter
+    (fun (what, guard, rows) ->
+      let per_row = feed (guard ()) None rows in
+      Alcotest.(check bool) (what ^ ": trips") true (per_row <> None);
+      List.iter
+        (fun sizes ->
+          Alcotest.check trip_testable
+            (Fmt.str "%s, blocks %a" what Fmt.(list ~sep:comma int) sizes)
+            per_row
+            (feed (guard ()) (Some sizes) rows))
+        [ [ 1 ]; [ 7 ]; [ 40 ]; [ 100; 3 ]; [ 255 ]; [ 256 ]; [ 257 ]; [ 1000 ] ])
+    [
+      ("row budget 20", (fun () -> Guard.create ~rows:20 ()), 1000);
+      ("row budget 300", (fun () -> Guard.create ~rows:300 ()), 1000);
+      ("cancel", cancelled, 1000);
+      ("deadline", late, 1000);
+      ("deadline after the budget", (fun () -> Guard.create ~millis:0 ~rows:100 ()), 1000);
+    ];
+  (* within its limits a run of blocks counts every row, and never trips *)
+  let g = Guard.create ~rows:1000 () in
+  Alcotest.check trip_testable "no trip" None (feed g (Some [ 300; 1; 44 ]) 1000);
+  Alcotest.(check int) "rows counted" 1000 (Guard.rows g);
+  Guard.ticks Guard.none label 5_000;
+  Alcotest.(check int) "none counts nothing" 0 (Guard.rows Guard.none)
+
+(* An armed [exec.row=N] fires at the N-th row, whether the rows are
+   ticked one at a time or in blocks. *)
+let test_ticks_failpoint () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun blocks ->
+          with_failpoints @@ fun () ->
+          Guard.Failpoint.arm "exec.row" n;
+          Alcotest.check trip_testable
+            (Fmt.str "exec.row=%d, blocks %a" n
+               Fmt.(option ~none:(any "of one row, ticked") (list ~sep:comma int))
+               blocks)
+            (Some (Guard.Fault_injected "exec.row", n - 1, None))
+            (feed (Guard.create ()) blocks 500))
+        [ None; Some [ 1 ]; Some [ 16 ]; Some [ 300 ]; Some [ 7; 90 ] ])
+    [ 1; 2; 17; 256; 300; 500 ]
+
+(* ------------------------------------------------------------------ *)
 (* Atomicity: an aborted expansion leaves the database and the index
    cache exactly as they were. *)
 
@@ -511,6 +604,11 @@ let () =
         [
           Alcotest.test_case "arm / fire / disarm" `Quick test_failpoint_api;
           Alcotest.test_case "install schedules" `Quick test_failpoint_install;
+        ] );
+      ( "bulk ticks",
+        [
+          Alcotest.test_case "limits trip at a tick's row" `Quick test_ticks_limits;
+          Alcotest.test_case "exec.row fires at the N-th row" `Quick test_ticks_failpoint;
         ] );
       ( "atomicity",
         Alcotest.test_case "failpoint aborts" `Quick
